@@ -382,14 +382,8 @@ def cmd_ids(cfg, out_dir: Path, digest: str):
         curves.append(ids_mod.estimate_ids(prepared, n, L, bcs, energies, M, seed,
                                            workers=workers))
     with open(out_dir / "ids_curve.csv", "w", newline="\n") as fh:
-        fh.write("E,N_D,se_D,N_M,se_M,L,n,M,seed\n")
-        for cur in curves:
-            for j, E in enumerate(cur.energies):
-                fh.write(
-                    f"{E:.17g},{cur.estimates['D'][j]:.17g},{cur.errors['D'][j]:.17g},"
-                    f"{cur.estimates['M'][j]:.17g},{cur.errors['M'][j]:.17g},"
-                    f"{int(cur.box_sizes[j])},{cur.n},{cur.M},{cur.seed}\n"
-                )
+        for k, cur in enumerate(curves):
+            cur.to_csv(fh, header=(k == 0))
 
     files = ["ids_curve.csv"]
     exit_code = 0
@@ -397,7 +391,8 @@ def cmd_ids(cfg, out_dir: Path, digest: str):
         grid0 = GridSpec(L=Ls[0], n=n, d=prepared.d)
         bcs = [DIRICHLET, mezincescu_correction(gs, grid0)]
         report = ids_mod.bracketing_report(prepared, n, Ls, bcs, energies, M, seed,
-                                           workers=workers)
+                                           workers=workers,
+                                           curves=dict(zip(Ls, curves)))
         report["config_hash"] = digest
         dump_json(report, out_dir / "bracketing.json")
         files.append("bracketing.json")
@@ -423,7 +418,7 @@ def _self_test_fit():
     return results
 
 
-def _read_curve_csv(path: str) -> ids_mod.IDSCurve:
+def _read_curve_csv(path: str, d: int) -> ids_mod.IDSCurve:
     lines = Path(path).read_text().strip().split("\n")
     header = lines[0].split(",")
     expected = ["E", "N_D", "se_D", "N_M", "se_M", "L", "n", "M", "seed"]
@@ -438,7 +433,7 @@ def _read_curve_csv(path: str) -> ids_mod.IDSCurve:
     box = np.array([int(r[5]) for r in rows])
     return ids_mod.IDSCurve(
         energies=E, box_sizes=box, n=int(rows[0][6]), M=int(rows[0][7]),
-        seed=int(rows[0][8]), d=1, estimates=est, errors=err, counts=None,
+        seed=int(rows[0][8]), d=d, estimates=est, errors=err, counts=None,
     )
 
 
@@ -452,7 +447,8 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
     label = exp.get("fit_boundary", "M")
 
     if exp.get("curve_csv"):
-        curve = _read_curve_csv(exp["curve_csv"])
+        curve = _read_curve_csv(exp["curve_csv"],
+                                int(_need(cfg["model"], "d", "model")))
         target = exp.get("target")
         d_for_target = curve.d
     else:

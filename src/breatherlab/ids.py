@@ -77,7 +77,7 @@ class IDSCurve:
     errors: dict
     counts: dict = None
 
-    def to_csv(self, file):
+    def to_csv(self, file, header: bool = True):
         """Write the pinned column layout: E,N_D,se_D,N_M,se_M,L,n,M,seed."""
         if "D" not in self.estimates or "M" not in self.estimates:
             raise InputError("curve CSV needs both the D and M estimates")
@@ -86,27 +86,17 @@ class IDSCurve:
             file = open(file, "w", newline="\n")
             close = True
         try:
-            file.write("E,N_D,se_D,N_M,se_M,L,n,M,seed\n")
+            if header:
+                file.write("E,N_D,se_D,N_M,se_M,L,n,M,seed\n")
             for j, E in enumerate(self.energies):
-                row = [
-                    f"{E:.17g}",
-                    f"{self.estimates['D'][j]:.17g}",
-                    f"{self.errors['D'][j]:.17g}",
-                    f"{self.estimates['M'][j]:.17g}",
-                    f"{self.errors['M'][j]:.17g}",
-                    str(int(self.box_sizes[j])),
-                    str(self.n),
-                    str(self.M),
-                    str(self.seed),
-                ]
-                file.write(",".join(row) + "\n")
+                file.write(
+                    f"{E:.17g},{self.estimates['D'][j]:.17g},{self.errors['D'][j]:.17g},"
+                    f"{self.estimates['M'][j]:.17g},{self.errors['M'][j]:.17g},"
+                    f"{int(self.box_sizes[j])},{self.n},{self.M},{self.seed}\n"
+                )
         finally:
             if close:
                 file.close()
-
-
-def _label_of(bc):
-    return bc.label
 
 
 def _counts_fast_1d(model, grid, bcs, energies, master_seed, indices, index_offset):
@@ -130,13 +120,12 @@ def _counts_fast_1d(model, grid, bcs, energies, master_seed, indices, index_offs
         counts = np.empty((M, len(energies)), dtype=int)
         for j, E in enumerate(energies):
             counts[:, j] = tridiag_count_below(diag, off, float(E))
-        out[_label_of(bc)] = counts
+        out[bc.label] = counts
     return out
 
 
-def _counts_general(model, grid, bcs, energies, master_seed, indices, index_offset,
-                    dense_threshold):
-    out = {_label_of(bc): np.empty((len(indices), len(energies)), dtype=int)
+def _counts_general(model, grid, bcs, energies, master_seed, indices, index_offset):
+    out = {bc.label: np.empty((len(indices), len(energies)), dtype=int)
            for bc in bcs}
     for row, i in enumerate(indices):
         real = sample_realization(model.dist, master_seed, i + index_offset,
@@ -144,26 +133,23 @@ def _counts_general(model, grid, bcs, energies, master_seed, indices, index_offs
         for bc in bcs:
             H = assemble(model, grid, bc, couplings=real.couplings)
             for j, E in enumerate(energies):
-                out[_label_of(bc)][row, j] = count_below(
-                    H, float(E), dense_threshold=dense_threshold
-                ).count
+                out[bc.label][row, j] = count_below(H, float(E)).count
     return out
 
 
 def _count_block(args):
-    (model, grid, bcs, energies, master_seed, indices, index_offset,
-     dense_threshold) = args
+    model, grid, bcs, energies, master_seed, indices, index_offset = args
     fast = grid.d == 1 and all(bc.kind in FAST_BC_KINDS for bc in bcs)
     if fast:
         return _counts_fast_1d(model, grid, bcs, energies, master_seed, indices,
                                index_offset)
     return _counts_general(model, grid, bcs, energies, master_seed, indices,
-                           index_offset, dense_threshold)
+                           index_offset)
 
 
 def estimate_ids(model, n: int, L: int, bcs, energies, M: int, master_seed: int,
                  workers: int = 1, keep_counts: bool = True,
-                 dense_threshold: int = 2000, index_offset: int = 0) -> IDSCurve:
+                 index_offset: int = 0) -> IDSCurve:
     """Estimate N(E)/L^d for each boundary condition over M realizations.
 
     All boundary conditions share the same realizations (couplings depend on
@@ -174,7 +160,7 @@ def estimate_ids(model, n: int, L: int, bcs, energies, M: int, master_seed: int,
     if np.any(np.diff(energies) < 0):
         raise InputError("energies must be sorted")
     bcs = list(bcs)
-    labels = [_label_of(bc) for bc in bcs]
+    labels = [bc.label for bc in bcs]
     if len(set(labels)) != len(labels):
         raise InputError("boundary conditions must carry distinct labels")
     grid = GridSpec(L=L, n=n, d=model.d)
@@ -184,8 +170,7 @@ def estimate_ids(model, n: int, L: int, bcs, energies, M: int, master_seed: int,
     if workers > 1 and M >= 4 * workers:
         blocks = np.array_split(indices, workers)
         tasks = [
-            (model, grid, bcs, energies, master_seed, blk, index_offset,
-             dense_threshold)
+            (model, grid, bcs, energies, master_seed, blk, index_offset)
             for blk in blocks if blk.size
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -195,8 +180,7 @@ def estimate_ids(model, n: int, L: int, bcs, energies, M: int, master_seed: int,
         }
     else:
         merged = _count_block(
-            (model, grid, bcs, energies, master_seed, indices, index_offset,
-             dense_threshold)
+            (model, grid, bcs, energies, master_seed, indices, index_offset)
         )
 
     vol = float(L**model.d)
@@ -217,7 +201,7 @@ def estimate_ids(model, n: int, L: int, bcs, energies, M: int, master_seed: int,
 
 
 def bracketing_report(model, n: int, Ls, bcs, energies, M: int, master_seed: int,
-                      workers: int = 1) -> dict:
+                      workers: int = 1, curves=None) -> dict:
     """Monotone bracketing of the IDS between the two boundary conditions.
 
     ``bcs`` must be the (Dirichlet, Mezincescu-type) pair.  Checks, within
@@ -225,14 +209,28 @@ def bracketing_report(model, n: int, Ls, bcs, energies, M: int, master_seed: int
     decrease along increasing L, the upper-condition means do not increase,
     and every Dirichlet value sits below every upper value per energy;
     pathwise count ordering at equal L is checked exactly.
+
+    ``curves`` optionally maps box sizes to curves already estimated with raw
+    counts at these energies, M and seed; only the other box sizes are
+    estimated here.
     """
     if len(Ls) < 2:
         raise InputError("bracketing needs at least two box sizes")
-    lab_lo, lab_hi = _label_of(bcs[0]), _label_of(bcs[1])
-    curves = {}
-    for L in Ls:
-        curves[L] = estimate_ids(model, n, L, bcs, energies, M, master_seed,
-                                 workers=workers, keep_counts=True)
+    lab_lo, lab_hi = bcs[0].label, bcs[1].label
+    energies = np.asarray(energies, dtype=float)
+    given = curves or {}
+    for L, cur in given.items():
+        if cur.counts is None:
+            raise InputError(f"curve for L={L} carries no raw counts")
+        if (cur.M, cur.seed) != (M, master_seed) or not np.array_equal(
+                cur.energies, energies):
+            raise InputError(f"curve for L={L} has other energies, M or seed")
+    curves = {
+        L: given[L] if L in given else estimate_ids(
+            model, n, L, bcs, energies, M, master_seed, workers=workers,
+            keep_counts=True)
+        for L in Ls
+    }
 
     pathwise_violations = 0
     total_pairs = 0

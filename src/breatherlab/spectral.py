@@ -2,10 +2,12 @@
 
 Counting uses matrix inertia: the number of negative pivots of a symmetric
 triangular factorization of H - E*I equals the number of eigenvalues below E.
-Counts are always taken at E + 0 in the sense that energies hitting a pivot
-within ``pivot_tol`` of zero are nudged up by 1e-12*(1+|E|) and recomputed,
-which matches the closed-under-"<=" convention up to a measure-zero set of
-energies.
+Sparse operators run sparse LDL^T (the Sturm recurrence when tridiagonal),
+with dense Bunch-Kaufman at the same energy when it breaks down;
+``dense_threshold`` governs the eigensolvers only.  Counts are always taken
+at E + 0: energies hitting a pivot within ``pivot_tol`` of zero are nudged
+up by 1e-12*(1+|E|) and recomputed, which matches the closed-under-"<="
+convention up to a measure-zero set of energies.
 """
 
 from dataclasses import dataclass
@@ -176,13 +178,17 @@ def tridiag_count_below(diag: np.ndarray, off: np.ndarray, E: float,
     )
 
 
-def count_below(H, E: float, pivot_tol: float = PIVOT_TOL,
-                dense_threshold: int = DENSE_THRESHOLD) -> CountingValue:
-    """N(E, H) = #{eigenvalues <= E} via the inertia of H - E*I."""
+def count_below(H, E: float, pivot_tol: float = PIVOT_TOL) -> CountingValue:
+    """N(E, H) = #{eigenvalues <= E} via the inertia of H - E*I.
+
+    Sparse input: Sturm recurrence if tridiagonal, else sparse LDL^T with
+    Bunch-Kaufman at the same energy on breakdown; ndarray: Bunch-Kaufman.
+    """
     A = _matrix_of(H)
     N = A.shape[0]
+    sparse = sps.issparse(A)
 
-    if sps.issparse(A):
+    if sparse:
         upper = sps.triu(A, k=1).tocoo()
         bandwidth = 0 if upper.nnz == 0 else int(np.max(upper.col - upper.row))
         if bandwidth <= 1:
@@ -190,17 +196,17 @@ def count_below(H, E: float, pivot_tol: float = PIVOT_TOL,
             off = A.diagonal(1)
             cnt = tridiag_count_below(diag[None, :], off, E, pivot_tol)
             return CountingValue(energy=float(E), count=int(cnt[0]))
+        A = A.tocsc()
 
     energy = float(E)
     for attempt in range(8):
-        if N <= dense_threshold:
-            dense = A.toarray() if sps.issparse(A) else np.asarray(A, dtype=float)
-            shifted = dense - energy * np.eye(N)
-            count, ok = _dense_inertia(shifted, pivot_tol)
-        else:
-            sparse = A.tocsc() if sps.issparse(A) else sps.csc_matrix(A)
-            shifted = (sparse - energy * sps.identity(N, format="csc")).tocsc()
+        ok = False
+        if sparse:
+            shifted = (A - energy * sps.identity(N, format="csc")).tocsc()
             count, ok = _sparse_inertia(shifted, pivot_tol)
+        if not ok:
+            dense = A.toarray() if sparse else np.asarray(A, dtype=float)
+            count, ok = _dense_inertia(dense - energy * np.eye(N), pivot_tol)
         if ok:
             return CountingValue(energy=float(E), count=int(count))
         energy = energy + 1e-12 * (1.0 + abs(energy)) * (2.0**attempt)

@@ -165,6 +165,29 @@ class TestIds:
         assert main(["ids", "--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == 1
 
+    def test_each_curve_estimated_once(self, tmp_path, monkeypatch):
+        from breatherlab import ids as ids_mod
+
+        calls = []
+        estimate = ids_mod.estimate_ids
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(ids_mod, "estimate_ids", spy)
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            grid={"n": 16, "L": [4, 8]},
+            experiment={"seed": 5, "samples": 6,
+                        "energies": {"kind": "list", "values": [0.5, 2.0]}},
+        )
+        out = tmp_path / "out"
+        assert main(["ids", "--config", str(cfg), "--out", str(out)]) == 0
+        assert calls == [4, 8]
+        assert (out / "bracketing.json").is_file()
+
     def test_cache_hit_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(
@@ -208,6 +231,24 @@ class TestLifshitz:
         assert rep["slope"] == pytest.approx(-0.5, abs=1e-3)
         assert all(t["pass"] for t in rep["self_test"])
         assert {"window", "slope", "ci_lo", "ci_hi", "target", "points"} <= set(rep)
+
+    def test_replay_target_follows_model_dimension(self, tmp_path):
+        curve_path = tmp_path / "curve.csv"
+        E = np.geomspace(0.05, 0.8, 12)
+        synthetic_curve(E, c=2.0, s=1.0, d=2).to_csv(str(curve_path))
+        cfg = tmp_path / "cfg.json"
+        payload = write_config(
+            cfg,
+            experiment={"seed": 1, "samples": 1, "curve_csv": str(curve_path),
+                        "window": [1e-4, 0.5], "tolerance_band": [-1.05, -0.95]},
+        )
+        payload["model"]["d"] = 2
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["lifshitz", "--config", str(cfg), "--out", str(out)]) == 0
+        rep = json.loads((out / "lifshitz.json").read_text())
+        assert rep["target"] == -1.0
+        assert rep["slope"] == pytest.approx(-1.0, abs=1e-3)
 
     def test_impossible_window_exit_4(self, tmp_path):
         curve_path = tmp_path / "curve.csv"

@@ -128,8 +128,8 @@ class TestEstimate:
             assert np.array_equal(a.estimates[lab], b.estimates[lab])
 
     def test_fast_path_matches_general(self, prepped):
-        # drive the generic factorization path through a tiny dense threshold
-        # and a non-fast boundary set, then compare against the batched path
+        # drive the per-realization counting path directly, then compare
+        # against the batched path
         model, gs = prepped
         from breatherlab.ids import _count_block
 
@@ -137,11 +137,11 @@ class TestEstimate:
         bcs = bc_pair(gs)(grid)
         energies = np.array([0.5, 1.5, 3.0])
         idx = np.arange(12)
-        fast = _count_block((model, grid, bcs, energies, 7, idx, 0, 2000))
+        fast = _count_block((model, grid, bcs, energies, 7, idx, 0))
         slow = {}
         from breatherlab.ids import _counts_general
 
-        slow = _counts_general(model, grid, bcs, energies, 7, idx, 0, 2000)
+        slow = _counts_general(model, grid, bcs, energies, 7, idx, 0)
         for lab in ("D", "M"):
             assert np.array_equal(fast[lab], slow[lab])
 
@@ -228,6 +228,36 @@ class TestBracketing:
         assert rep["lower_monotone"] and rep["upper_monotone"]
         assert rep["cross_ordering"]
         assert rep["all_pass"]
+
+    def test_given_curves_match_recomputed(self, prepped):
+        model, gs = prepped
+        bcs = bc_pair(gs)(GridSpec(4, 16))
+        energies = np.linspace(0.5, 8.0, 4)
+        args = (model, 16, [4, 8], bcs, energies, 12, 31)
+        curves = {L: estimate_ids(model, 16, L, bcs, energies, 12, 31)
+                  for L in (4, 8)}
+        assert bracketing_report(*args, curves=curves) == bracketing_report(*args)
+        # a partial mapping estimates only the missing box size
+        assert (bracketing_report(*args, curves={8: curves[8]})
+                == bracketing_report(*args))
+
+    def test_given_curve_without_counts_rejected(self, prepped):
+        model, gs = prepped
+        bcs = bc_pair(gs)(GridSpec(4, 16))
+        energies = [0.5, 2.0]
+        bare = estimate_ids(model, 16, 4, bcs, energies, 6, 31, keep_counts=False)
+        with pytest.raises(InputError):
+            bracketing_report(model, 16, [4, 8], bcs, energies, 6, 31,
+                              curves={4: bare})
+
+    def test_given_curve_other_run_rejected(self, prepped):
+        model, gs = prepped
+        bcs = bc_pair(gs)(GridSpec(4, 16))
+        energies = [0.5, 2.0]
+        other = estimate_ids(model, 16, 4, bcs, energies, 6, 32)
+        with pytest.raises(InputError):
+            bracketing_report(model, 16, [4, 8], bcs, energies, 6, 31,
+                              curves={4: other})
 
     def test_free_case_closed_form_counts(self):
         # deterministic check at E = 5 for the free operator: normalized

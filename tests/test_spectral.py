@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sps
 from scipy import linalg
 
+from breatherlab import spectral
 from breatherlab.lattice import (
     DIRICHLET,
     NEUMANN,
@@ -119,7 +120,7 @@ class TestCountBelow:
                      couplings=np.random.default_rng(9).uniform(1, 2, 30))
         w = np.sort(linalg.eigvalsh(H.to_dense()))
         for E in np.linspace(0.1, 50.0, 7):
-            got = count_below(H, E, dense_threshold=10).count
+            got = count_below(H, E).count
             assert got == int(np.sum(w <= E))
 
     def test_jump_by_multiplicity(self):
@@ -131,6 +132,46 @@ class TestCountBelow:
         below = count_below(H, e2 - 1e-8).count
         above = count_below(H, e2 + 1e-8).count
         assert above - below == 2
+
+    def test_degenerate_level_falls_back_to_dense(self, monkeypatch):
+        # the unpivoted sparse factorization breaks down next to the doubly
+        # degenerate periodic level; Bunch-Kaufman takes over at that energy
+        calls = []
+        dense_inertia = spectral._dense_inertia
+
+        def spy(A, pivot_tol):
+            calls.append(pivot_tol)
+            return dense_inertia(A, pivot_tol)
+
+        monkeypatch.setattr(spectral, "_dense_inertia", spy)
+        H = assemble(free_model(), GridSpec(L=4, n=8), PERIODIC)
+        w = np.sort(linalg.eigvalsh(H.to_dense()))
+        for E in (w[1] - 1e-8, w[1] + 1e-8):
+            assert count_below(H, E).count == int(np.sum(w <= E))
+        assert len(calls) >= 1
+
+    def test_d2_breather_counts_sparse_only(self, monkeypatch):
+        # a mid-sized d = 2 operator (N = 1024) counts on sparse LDL^T alone
+        def fail(A, pivot_tol):
+            raise AssertionError("dense inertia called")
+
+        monkeypatch.setattr(spectral, "_dense_inertia", fail)
+        model2 = ModelSpec(
+            d=2,
+            vper=PeriodicPotentialSpec(kind="zero"),
+            site=SingleSiteSpec(kind="breather", amplitude=1.0, radius=0.4,
+                                lambda_minus=1.0, lambda_plus=2.0,
+                                standardized=True),
+            dist=DistributionSpec(kind="uniform", lambda_minus=1.0,
+                                  lambda_plus=2.0),
+        )
+        model, _ = prepare_model(model2, 8)
+        lams = np.random.default_rng(5).uniform(1.0, 2.0, size=(4, 4))
+        H = assemble(model, GridSpec(L=4, n=8, d=2), DIRICHLET, couplings=lams)
+        assert H.num_dof == 1024
+        w = np.sort(linalg.eigvalsh(H.to_dense()))
+        for E in (0.5, 2.0, 8.0, 50.0, float(w[40] + w[41]) / 2):
+            assert count_below(H, E).count == int(np.sum(w <= E))
 
     def test_count_at_exact_eigenvalue_includes_it(self):
         # diagonal matrix with an eigenvalue exactly at E: the perturb policy
