@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import DomainError, PreconditionError
 from .lattice import (
@@ -377,7 +377,7 @@ def bernoulli_tail(p: float, gamma: float, Ld: int):
     if Ld < 1:
         raise DomainError("need at least one site")
     threshold = math.ceil(Ld / gamma) - 1  # #successes < Ld/gamma
-    exact = float(stats.binom.cdf(threshold, Ld, p)) if threshold >= 0 else 0.0
+    exact = float(special.bdtr(threshold, Ld, p)) if threshold >= 0 else 0.0
     bound = math.exp(-0.5 * p * p * Ld)
     return exact, bound
 

@@ -4,8 +4,9 @@ Every run is a pure function of its configuration file plus the seed
 override; primary outputs (CSV tables, JSON reports) are byte-deterministic,
 carry the effective-config hash, and contain no timestamps.  Timing and
 environment notes go to a ``<command>_meta.json`` sidecar.  A content-
-addressed cache keyed on (command, config hash) can replay prior outputs
-byte-identically.
+addressed cache can replay prior outputs byte-identically; its key covers
+the config hash, the bytes of every input file the config names and the
+package source, so an edited input or a code change is a miss.
 
 Exit codes: 0 success (all checked inequalities hold), 1 failed validation
 or failed inequality, 2 configuration/parse error, 3 eigensolver
@@ -153,6 +154,8 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"missing section {section}")
     effective = copy.deepcopy(cfg)
     for section, defaults in DEFAULTS.items():
+        if not isinstance(effective.get(section, {}), dict):
+            raise ConfigError(f"section {section} must be an object")
         block = dict(defaults)
         block.update(effective.get(section, {}))
         effective[section] = block
@@ -166,7 +169,37 @@ def load_config(path: str) -> dict:
         grid["L"] = [int(Ls)]
     else:
         grid["L"] = [int(v) for v in Ls]
+    _check_experiment(effective["experiment"])
     return effective
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_experiment(exp: dict):
+    """Reject experiment fields no command could run with, before any compute."""
+    ps = exp.get("bernoulli_p", [])
+    if not isinstance(ps, list) or not all(_is_number(p) and 0.0 < p <= 1.0 for p in ps):
+        raise ConfigError(f"experiment.bernoulli_p must be a list of numbers in (0, 1], "
+                          f"got {ps!r}")
+    lds = exp.get("bernoulli_Ld", [])
+    if not isinstance(lds, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in lds
+    ):
+        raise ConfigError(f"experiment.bernoulli_Ld must be a list of integers >= 1, "
+                          f"got {lds!r}")
+    gamma = exp.get("gamma")
+    if gamma is not None and not (_is_number(gamma) and 0 < gamma < float("inf")):
+        raise ConfigError(f"experiment.gamma must be a finite number > 0, got {gamma!r}")
+    for path in input_files(exp):
+        if not (isinstance(path, str) and os.path.isfile(path) and os.access(path, os.R_OK)):
+            raise ConfigError(f"experiment.curve_csv is not a readable file: {path!r}")
+
+
+def input_files(exp: dict) -> list:
+    """Paths of the input files an experiment block names."""
+    return [exp["curve_csv"]] if exp.get("curve_csv") else []
 
 
 def build_model(cfg: dict) -> ModelSpec:
@@ -243,17 +276,33 @@ def energies_from(cfg_block: dict) -> np.ndarray:
 # cache
 
 
+def _source_digest() -> bytes:
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.digest()
+
+
+def cache_key(cfg: dict, digest: str) -> str:
+    """sha256 over the config hash, the named input files and the package source."""
+    h = hashlib.sha256(digest.encode())
+    for path in input_files(cfg["experiment"]):
+        h.update(hashlib.sha256(Path(path).read_bytes()).digest())
+    h.update(_source_digest())
+    return h.hexdigest()
+
+
 class ResultCache:
-    """Content-addressed store of primary outputs, keyed on (command, hash)."""
+    """Content-addressed store of primary outputs, keyed on (command, cache key)."""
 
     def __init__(self, root: Path):
         self.root = root
 
-    def _slot(self, command: str, digest: str) -> Path:
-        return self.root / f"{command}-{digest}"
+    def _slot(self, command: str, key: str) -> Path:
+        return self.root / f"{command}-{key}"
 
-    def fetch(self, command: str, digest: str, out_dir: Path):
-        slot = self._slot(command, digest)
+    def fetch(self, command: str, key: str, out_dir: Path):
+        slot = self._slot(command, key)
         manifest = slot / "manifest.json"
         if not manifest.is_file():
             return None
@@ -262,8 +311,8 @@ class ResultCache:
             shutil.copyfile(slot / name, out_dir / name)
         return info
 
-    def store(self, command: str, digest: str, out_dir: Path, files, exit_code: int):
-        slot = self._slot(command, digest)
+    def store(self, command: str, key: str, out_dir: Path, files, exit_code: int):
+        slot = self._slot(command, key)
         slot.mkdir(parents=True, exist_ok=True)
         for name in files:
             shutil.copyfile(out_dir / name, slot / name)
@@ -669,16 +718,17 @@ def main(argv=None) -> int:
                    or cfg["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = config_hash(cfg)
+    key = cache_key(cfg, digest)
     cache = ResultCache(out_dir / ".cache")
 
     if not args.no_cache:
-        hit = cache.fetch(args.command, digest, out_dir)
+        hit = cache.fetch(args.command, key, out_dir)
         if hit is not None:
-            dump_json({"config_hash": digest, "cache": "hit",
+            dump_json({"config_hash": digest, "cache_key": key, "cache": "hit",
                        "elapsed_seconds": time.perf_counter() - t0,
                        "timestamp": time.time()},
                       out_dir / f"{args.command}_meta.json")
-            print(f"cache hit for {args.command} ({digest[:12]})")
+            print(f"cache hit for {args.command} ({key[:12]})")
             return int(hit["exit_code"])
 
     try:
@@ -696,12 +746,12 @@ def main(argv=None) -> int:
         print(f"solver non-convergence: {err}", file=sys.stderr)
         return 3
 
-    dump_json({"config_hash": digest, "cache": "miss",
+    dump_json({"config_hash": digest, "cache_key": key, "cache": "miss",
                "elapsed_seconds": time.perf_counter() - t0,
                "timestamp": time.time()},
               out_dir / f"{args.command}_meta.json")
     if not args.no_cache and exit_code in (0, 1):
-        cache.store(args.command, digest, out_dir, files, exit_code)
+        cache.store(args.command, key, out_dir, files, exit_code)
     return exit_code
 
 

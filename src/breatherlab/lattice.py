@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
-from scipy import linalg
 
 from .errors import GroundStateError, InputError, StateError
 from .model import ModelSpec, normalize_energy, site_values, standardize
+from .spectral import lowest_eigenvalues
 
 BC_KINDS = ("dirichlet", "neumann", "periodic", "robin", "mezincescu")
 
@@ -325,29 +324,18 @@ def kinetic_operator(grid: GridSpec, bc: BoundaryCondition) -> DiscreteHamiltoni
     return DiscreteHamiltonian(grid=grid, bc=bc, matrix=mat)
 
 
-def _lowest_pair(mat: sps.csr_matrix, dense_threshold: int = 2000):
-    """Smallest eigenpair of a symmetric sparse matrix."""
-    N = mat.shape[0]
-    if N <= dense_threshold:
-        w, v = linalg.eigh(mat.toarray(), subset_by_index=(0, 0))
-        return float(w[0]), v[:, 0]
-    # Gershgorin lower bound for the shift
-    row_abs = np.asarray(np.abs(mat).sum(axis=1)).ravel()
-    sigma = float((mat.diagonal() - (row_abs - np.abs(mat.diagonal()))).min()) - 1.0
-    w, v = spla.eigsh(mat, k=1, sigma=sigma, which="LM")
-    return float(w[0]), v[:, 0]
-
-
 def periodic_ground_state(model: ModelSpec, n: int, dense_threshold: int = 2000) -> GroundStateData:
     """Lowest eigenpair of the unit-cell periodic operator, sign-fixed positive.
 
     The eigenvector is normalized so that the squared midpoint quadrature of
     psi over the cell equals one (so the periodized state on any cube of side
-    L has unit quadrature norm after the L**(-d/2) scaling).
+    L has unit quadrature norm after the L**(-d/2) scaling).  The pair comes
+    from ``lowest_eigenvalues`` and so passes its residual check.
     """
     grid = GridSpec(L=1, n=n, d=model.d)
     H = assemble(model, grid, PERIODIC)
-    e0, vec = _lowest_pair(H.matrix, dense_threshold)
+    res = lowest_eigenvalues(H, 1, dense_threshold=dense_threshold)
+    e0, vec = float(res.energies[0]), res.vectors[:, 0]
     vec = vec * np.sign(vec[int(np.argmax(np.abs(vec)))])
     if vec.min() <= 0.0:
         raise GroundStateError(

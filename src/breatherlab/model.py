@@ -18,7 +18,7 @@ coordinates; bare scalars are accepted as d = 1 points.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import interpolate, special, stats
+from scipy import special
 
 from .errors import DomainError, InputError
 
@@ -104,10 +104,13 @@ class SingleSiteSpec:
             object.__setattr__(self, "values", vals)
 
     def _interpolator(self):
+        # imported here: only tabulated sites need scipy.interpolate
+        from scipy.interpolate import RegularGridInterpolator
+
         axes = (np.asarray(self.lambda_nodes, float),) + tuple(
             np.asarray(ax, float) for ax in self.x_nodes
         )
-        return interpolate.RegularGridInterpolator(
+        return RegularGridInterpolator(
             axes, self.values, method="linear", bounds_error=False, fill_value=0.0
         )
 
@@ -378,7 +381,7 @@ class DistributionSpec:
         if self.kind == "uniform":
             return lo + W * u
         if self.kind == "truncated-beta":
-            return lo + W * stats.beta.ppf(u, self.beta_a, self.beta_b)
+            return lo + W * special.betaincinv(self.beta_a, self.beta_b, u)
         q = self.atom_mass_at_min
         cont = lo + W * np.clip((u - q) / (1.0 - q), 0.0, 1.0)
         return np.where(u < q, lo, cont)
@@ -411,7 +414,7 @@ class DistributionSpec:
         if self.kind == "uniform":
             return lo + 0.5 * W, 0.5
         if self.kind == "truncated-beta":
-            return lo + W * float(stats.beta.ppf(0.5, self.beta_a, self.beta_b)), 0.5
+            return lo + W * float(special.betaincinv(self.beta_a, self.beta_b, 0.5)), 0.5
         q = self.atom_mass_at_min
         if q < 0.5:
             return lo + W * (0.5 - q) / (1.0 - q), 0.5

@@ -26,11 +26,15 @@ PIVOT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Lowest eigenvalues in nondecreasing order, repeated by multiplicity."""
+    """Lowest eigenvalues in nondecreasing order, repeated by multiplicity.
+
+    ``vectors`` holds the matching unit eigenvectors as columns.
+    """
 
     energies: np.ndarray
     residuals: np.ndarray
     method: str
+    vectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ def lowest_eigenvalues(H, m: int, tol: float = EIG_TOL,
             f"{int(bad.sum())} eigenpairs exceed the residual tolerance",
             best=(w, v, resid),
         )
-    return SpectralResult(energies=w, residuals=resid, method=method)
+    return SpectralResult(energies=w, residuals=resid, method=method, vectors=v)
 
 
 def _dense_inertia(A: np.ndarray, pivot_tol: float):

@@ -350,6 +350,17 @@ class TestBernoulliTail:
         )
         assert exact == pytest.approx(brute, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                                   0.9, 1.0])
+    def test_matches_scipy_stats(self, p):
+        from scipy import stats
+
+        for Ld in (1, 2, 3, 8, 27, 64, 125, 216, 343, 512):
+            exact, _ = bernoulli_tail(p, 2.0 / p, Ld)
+            thresh = math.ceil(Ld * p / 2.0) - 1
+            oracle = float(stats.binom.cdf(thresh, Ld, p)) if thresh >= 0 else 0.0
+            assert exact == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
     def test_gamma_mismatch_rejected(self):
         with pytest.raises(DomainError):
             bernoulli_tail(0.5, 3.0, 8)

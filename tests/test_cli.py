@@ -1,10 +1,16 @@
 """End-to-end command tests: exit codes, file formats, determinism, cache."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import breatherlab
+from breatherlab import cli
 from breatherlab.cli import main
 from breatherlab.ids import synthetic_curve
 
@@ -76,6 +82,46 @@ class TestValidate:
         cfg.write_text(json.dumps(payload))
         assert main(["validate", "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 2
+
+
+def test_cli_import_skips_stats_and_interpolate():
+    src = str(Path(breatherlab.__file__).resolve().parents[1])
+    probe = ("import sys, breatherlab.cli; "
+             "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+BAD_EXPERIMENT_FIELDS = [
+    pytest.param("bounds", "bernoulli_p", [1.5], id="p-above-one"),
+    pytest.param("bounds", "bernoulli_p", [0.0], id="p-zero"),
+    pytest.param("bounds", "bernoulli_p", 0.5, id="p-not-a-list"),
+    pytest.param("bounds", "bernoulli_Ld", [0], id="Ld-zero"),
+    pytest.param("bounds", "bernoulli_Ld", [8.5], id="Ld-fractional"),
+    pytest.param("bounds", "gamma", -1.0, id="gamma-negative"),
+    pytest.param("bounds", "gamma", 0, id="gamma-zero"),
+    pytest.param("lifshitz", "curve_csv", "no-such-curve.csv", id="csv-missing"),
+    pytest.param("bounds", "experiment", [0.5], id="section-not-an-object"),
+]
+
+
+@pytest.mark.parametrize("command,field,value", BAD_EXPERIMENT_FIELDS)
+def test_bad_experiment_field_exit_2(tmp_path, capsys, command, field, value):
+    cfg = tmp_path / "cfg.json"
+    if field == "experiment":
+        write_config(cfg, experiment=value)
+    else:
+        value = str(tmp_path / value) if field == "curve_csv" else value
+        write_config(cfg, experiment={"seed": 11, "samples": 3, field: value})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+    # rejected while loading the config: the output directory is never made
+    assert not out.exists()
 
 
 class TestSpectrum:
@@ -209,6 +255,22 @@ class TestIds:
                      "--no-cache"]) == 0
         assert (out2 / "ids_curve.csv").read_bytes() == first
 
+    def test_source_change_misses_cache(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            experiment={"seed": 5, "samples": 3,
+                        "energies": {"kind": "list", "values": [0.5]}},
+        )
+        out = tmp_path / "out"
+        args = ["ids", "--config", str(cfg), "--out", str(out)]
+        assert main(args) == 0
+        monkeypatch.setattr(cli, "_source_digest", lambda: b"other source")
+        assert main(args) == 0
+        assert json.loads((out / "ids_meta.json").read_text())["cache"] == "miss"
+        assert main(args) == 0
+        assert json.loads((out / "ids_meta.json").read_text())["cache"] == "hit"
+
 
 class TestLifshitz:
     def test_replay_synthetic_half(self, tmp_path):
@@ -249,6 +311,34 @@ class TestLifshitz:
         rep = json.loads((out / "lifshitz.json").read_text())
         assert rep["target"] == -1.0
         assert rep["slope"] == pytest.approx(-1.0, abs=1e-3)
+
+    def test_edited_curve_csv_misses_cache(self, tmp_path):
+        curve_path = tmp_path / "curve.csv"
+        E = np.geomspace(0.05, 0.8, 12)
+        synthetic_curve(E, c=2.0, s=0.5).to_csv(str(curve_path))
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            experiment={"seed": 1, "samples": 1, "curve_csv": str(curve_path),
+                        "window": [1e-7, 0.5], "tolerance_band": [-0.7, -0.4],
+                        "target": -0.5},
+        )
+        out = tmp_path / "out"
+        args = ["lifshitz", "--config", str(cfg), "--out", str(out)]
+        assert main(args) == 0
+        first = json.loads((out / "lifshitz.json").read_text())
+        first_key = json.loads((out / "lifshitz_meta.json").read_text())["cache_key"]
+        assert (out / ".cache" / f"lifshitz-{first_key}").is_dir()
+
+        synthetic_curve(E, c=2.0, s=0.6).to_csv(str(curve_path))
+        assert main(args) == 0
+        meta = json.loads((out / "lifshitz_meta.json").read_text())
+        rep = json.loads((out / "lifshitz.json").read_text())
+        assert meta["cache"] == "miss" and meta["cache_key"] != first_key
+        assert first["slope"] == pytest.approx(-0.5, abs=1e-3)
+        assert rep["slope"] == pytest.approx(-0.6, abs=1e-3)
+        # the embedded config hash covers the config alone
+        assert rep["config_hash"] == first["config_hash"] == meta["config_hash"]
 
     def test_impossible_window_exit_4(self, tmp_path):
         curve_path = tmp_path / "curve.csv"

@@ -168,6 +168,13 @@ class TestGroundState:
         vec = vec / np.sqrt(np.sum(vec**2) / 64)
         assert np.allclose(gs.psi, vec, atol=1e-10)
 
+    def test_iterative_path_matches_dense(self):
+        model = cosine_model()
+        dense = periodic_ground_state(model, 64)
+        iterative = periodic_ground_state(model, 64, dense_threshold=10)
+        assert iterative.energy == pytest.approx(dense.energy, abs=1e-9)
+        assert np.allclose(iterative.psi, dense.psi, atol=1e-8)
+
     def test_positivity_amplitude_two(self):
         gs = periodic_ground_state(cosine_model(amp=2.0), 32)
         assert gs.c3 > 0

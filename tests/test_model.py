@@ -218,6 +218,21 @@ class TestDistributions:
         for eps in (0.01, 0.1, 0.4):
             assert dist.mass_below(eps) >= dist.alpha * eps**dist.kappa * (1 - 1e-9)
 
+    @pytest.mark.parametrize("a,b", [(0.5, 1.0), (0.5, 0.5), (2.0, 3.0), (3.0, 2.0),
+                                     (0.3, 4.0), (5.0, 0.7)])
+    def test_beta_quantile_matches_scipy_stats(self, a, b):
+        from scipy import stats
+
+        dist = DistributionSpec(
+            kind="truncated-beta", lambda_minus=1.0, lambda_plus=3.0, beta_a=a, beta_b=b
+        )
+        u = np.random.default_rng(17).random(4000)
+        u[:3] = (0.0, 0.5, 1.0 - 2.0**-53)
+        assert np.array_equal(dist.sample(u), 1.0 + 2.0 * stats.beta.ppf(u, a, b))
+        star, p = dist.lambda_star()
+        assert star == 1.0 + 2.0 * float(stats.beta.ppf(0.5, a, b))
+        assert p == 0.5
+
     def test_atom_distribution(self):
         dist = DistributionSpec(
             kind="two-point-plus-uniform", lambda_minus=1.0, lambda_plus=2.0,

@@ -76,6 +76,17 @@ class TestLowestEigenvalues:
         res = lowest_eigenvalues(H, 3)
         assert np.all(res.residuals <= 1e-9 * (1 + np.abs(res.energies)))
 
+    @pytest.mark.parametrize("threshold", [2000, 100])
+    def test_vectors_are_the_checked_eigenvectors(self, threshold):
+        H = random_coupling_hamiltonian()
+        res = lowest_eigenvalues(H, 3, dense_threshold=threshold)
+        assert res.vectors.shape == (H.num_dof, 3)
+        for j in range(3):
+            v = res.vectors[:, j]
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(H.matrix @ v - res.energies[j] * v) == \
+                res.residuals[j]
+
     def test_nondecreasing(self):
         H = random_coupling_hamiltonian(seed=3)
         res = lowest_eigenvalues(H, 8)
