@@ -74,7 +74,6 @@ from .spectral import (
     SpectralResult,
     count_below,
     lowest_eigenvalues,
-    spectral_gap,
 )
 
 __version__ = "0.1.0"

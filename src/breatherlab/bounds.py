@@ -35,7 +35,7 @@ from .lattice import (
     periodized_ground_state,
 )
 from .model import analytic_kappa1, integral_derivative_profile, site_values
-from .spectral import lowest_eigenvalues, spectral_gap
+from .spectral import lowest_eigenvalues
 
 BOUNDARY_TOL = 1e-10
 
@@ -264,8 +264,8 @@ def second_moment(gs, mapped: MappedRealization, H_tilde, cfg: TempleConfig):
     return value, bound
 
 
-def temple_lower_bound(gs, model, grid: GridSpec, couplings, cfg: TempleConfig,
-                       dense_threshold: int = 2000) -> BoundReport:
+def temple_lower_bound(gs, model, grid: GridSpec, couplings,
+                       cfg: TempleConfig) -> BoundReport:
     """Check E1 of the cutoff operator against (3/4) of the mean xi.
 
     The applicability chain 0 = E1(per) <= E1(cut) <= form < nu <= E2(per)
@@ -276,8 +276,8 @@ def temple_lower_bound(gs, model, grid: GridSpec, couplings, cfg: TempleConfig,
     bc = mezincescu_correction(gs, grid)
     H_per = assemble(model, grid, bc)
     H_cut = assemble(model, grid, bc, couplings=mapped.cutoffs)
-    per = lowest_eigenvalues(H_per, 2, dense_threshold=dense_threshold).energies
-    cut = lowest_eigenvalues(H_cut, 2, dense_threshold=dense_threshold).energies
+    per = lowest_eigenvalues(H_per, 2).energies
+    cut = lowest_eigenvalues(H_cut, 2).energies
     form, mean_xi = first_moment(gs, mapped, H_cut)
     sq_value, sq_bound = second_moment(gs, mapped, H_cut, cfg)
     nu = cfg.epsilon0 / (2.0 * grid.L**2) + form
@@ -382,8 +382,7 @@ def bernoulli_tail(p: float, gamma: float, Ld: int):
     return exact, bound
 
 
-def dirichlet_upper_bound(model, grid: GridSpec, couplings,
-                          dense_threshold: int = 2000) -> BoundReport:
+def dirichlet_upper_bound(model, grid: GridSpec, couplings) -> BoundReport:
     """Rayleigh-quotient upper bound with the product-cosine test function.
 
     phi(x) = prod_i cos(pi t_i / L) with t centered in the box vanishes on
@@ -412,7 +411,7 @@ def dirichlet_upper_bound(model, grid: GridSpec, couplings,
     W = float(np.sum(phi**2 * vrand)) * hd
     quotient = (T + P + W) / Q
 
-    e1 = float(lowest_eigenvalues(H, 1, dense_threshold=dense_threshold).energies[0])
+    e1 = float(lowest_eigenvalues(H, 1).energies[0])
     B1 = float(np.max(phi**2)) * L**d / Q
     B2 = (T + P) / Q * L**2
     int_v = float(np.sum(vrand)) * hd
@@ -446,15 +445,14 @@ class GapFit:
         }
 
 
-def fit_gap_constant(model, gs, n: int, Ls=tuple(range(2, 11)),
-                     dense_threshold: int = 2000) -> GapFit:
+def fit_gap_constant(model, gs, n: int, Ls=tuple(range(2, 11))) -> GapFit:
     """Measure the ground-state-boundary gap across box sizes and fit."""
     gaps = []
     for L in Ls:
         grid = GridSpec(L=L, n=n, d=model.d)
         H = assemble(model, grid, mezincescu_correction(gs, grid))
-        _, _, gap = spectral_gap(H, dense_threshold=dense_threshold)
-        gaps.append(gap)
+        e1, e2 = lowest_eigenvalues(H, 2).energies
+        gaps.append(e2 - e1)
     gaps = np.asarray(gaps)
     eps0 = float(np.min(np.asarray(Ls, dtype=float) ** 2 * gaps))
     slope = float(np.polyfit(np.log(np.asarray(Ls, float)), np.log(gaps), 1)[0])

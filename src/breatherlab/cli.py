@@ -120,10 +120,9 @@ def config_hash(effective: dict) -> str:
 
 
 DEFAULTS = {
-    "solve": {"eig_tol": 1e-9, "pivot_tol": 1e-12, "dense_threshold": 2000,
-              "workers": 1},
+    "solve": {"workers": 1},
     "experiment": {"seed": 1, "samples": 50},
-    "output": {"dir": "out", "formats": ["csv", "json"]},
+    "output": {"dir": "out"},
 }
 
 
@@ -154,27 +153,39 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"missing section {section}")
     effective = copy.deepcopy(cfg)
     for section, defaults in DEFAULTS.items():
-        if not isinstance(effective.get(section, {}), dict):
+        given = effective.get(section, {})
+        if not isinstance(given, dict):
             raise ConfigError(f"section {section} must be an object")
-        block = dict(defaults)
-        block.update(effective.get(section, {}))
-        effective[section] = block
-    grid = effective["grid"]
-    if "n" not in grid:
-        raise ConfigError("missing field grid.n")
-    Ls = grid.get("L")
-    if Ls is None:
-        raise ConfigError("missing field grid.L")
-    if isinstance(Ls, (int, float)):
-        grid["L"] = [int(Ls)]
-    else:
-        grid["L"] = [int(v) for v in Ls]
+        # experiment fields vary per command; solve and output take only their defaults
+        unknown = sorted(set(given) - set(defaults)) if section != "experiment" else []
+        if unknown:
+            raise ConfigError(f"unknown field {section}.{unknown[0]}; {section} takes "
+                              f"only {', '.join(defaults)}")
+        effective[section] = {**defaults, **given}
+    _check_grid(effective["grid"])
     _check_experiment(effective["experiment"])
     return effective
 
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_grid(grid: dict):
+    """Reject grids no box can be built on; a scalar side becomes a list."""
+    n = _need(grid, "n", "grid")
+    if not (_is_int(n) and n >= 4):
+        raise ConfigError(f"grid.n must be an integer >= 4, got {n!r}")
+    Ls = _need(grid, "L", "grid")
+    Ls = [Ls] if _is_int(Ls) else Ls
+    if not (isinstance(Ls, list) and Ls and all(_is_int(v) and v >= 1 for v in Ls)):
+        raise ConfigError(f"grid.L must be an integer >= 1 or a non-empty list of them, "
+                          f"got {grid['L']!r}")
+    grid["L"] = Ls
 
 
 def _check_experiment(exp: dict):
@@ -184,9 +195,7 @@ def _check_experiment(exp: dict):
         raise ConfigError(f"experiment.bernoulli_p must be a list of numbers in (0, 1], "
                           f"got {ps!r}")
     lds = exp.get("bernoulli_Ld", [])
-    if not isinstance(lds, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in lds
-    ):
+    if not isinstance(lds, list) or not all(_is_int(v) and v >= 1 for v in lds):
         raise ConfigError(f"experiment.bernoulli_Ld must be a list of integers >= 1, "
                           f"got {lds!r}")
     gamma = exp.get("gamma")
@@ -325,9 +334,7 @@ class ResultCache:
 
 
 def _prepare(cfg, model):
-    n = int(cfg["grid"]["n"])
-    thresh = int(cfg["solve"]["dense_threshold"])
-    return prepare_model(model, n, dense_threshold=thresh)
+    return prepare_model(model, int(cfg["grid"]["n"]))
 
 
 def _bc_from_label(label, gs, grid):
@@ -378,8 +385,6 @@ def cmd_spectrum(cfg, out_dir: Path, digest: str):
     n_real = int(exp.get("realizations", 1))
     include_periodic = bool(exp.get("include_periodic", True))
     seed = int(exp["seed"])
-    thresh = int(cfg["solve"]["dense_threshold"])
-    tol = float(cfg["solve"]["eig_tol"])
 
     rows = []
     exit_code = 0
@@ -396,7 +401,7 @@ def cmd_spectrum(cfg, out_dir: Path, digest: str):
                         real = ids_mod.sample_realization(prepared.dist, seed, idx,
                                                           int(L), prepared.d)
                         H = assemble(prepared, grid, bc, couplings=real.couplings)
-                    res = lowest_eigenvalues(H, m, tol=tol, dense_threshold=thresh)
+                    res = lowest_eigenvalues(H, m)
                     for k in range(len(res.energies)):
                         rows.append((int(L), n, label, idx, k + 1,
                                      res.energies[k], res.residuals[k]))
@@ -422,7 +427,7 @@ def cmd_ids(cfg, out_dir: Path, digest: str):
     M = int(exp["samples"])
     seed = int(exp["seed"])
     workers = int(cfg["solve"]["workers"])
-    Ls = [int(L) for L in cfg["grid"]["L"]]
+    Ls = cfg["grid"]["L"]
 
     curves = []
     for L in Ls:
@@ -467,25 +472,6 @@ def _self_test_fit():
     return results
 
 
-def _read_curve_csv(path: str, d: int) -> ids_mod.IDSCurve:
-    lines = Path(path).read_text().strip().split("\n")
-    header = lines[0].split(",")
-    expected = ["E", "N_D", "se_D", "N_M", "se_M", "L", "n", "M", "seed"]
-    if header != expected:
-        raise ConfigError(f"curve CSV header {header} != {expected}")
-    rows = [line.split(",") for line in lines[1:]]
-    E = np.array([float(r[0]) for r in rows])
-    est = {"D": np.array([float(r[1]) for r in rows]),
-           "M": np.array([float(r[3]) for r in rows])}
-    err = {"D": np.array([float(r[2]) for r in rows]),
-           "M": np.array([float(r[4]) for r in rows])}
-    box = np.array([int(r[5]) for r in rows])
-    return ids_mod.IDSCurve(
-        energies=E, box_sizes=box, n=int(rows[0][6]), M=int(rows[0][7]),
-        seed=int(rows[0][8]), d=d, estimates=est, errors=err, counts=None,
-    )
-
-
 def cmd_lifshitz(cfg, out_dir: Path, digest: str):
     exp = cfg["experiment"]
     payload = {"config_hash": digest, "self_test": _self_test_fit()}
@@ -494,12 +480,15 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
     window = tuple(float(v) for v in exp.get("window", [1e-4, 1e-1]))
     band = exp.get("tolerance_band", [-0.8, -0.3])
     label = exp.get("fit_boundary", "M")
+    d = int(_need(cfg["model"], "d", "model"))
+    files = ["lifshitz.json"]
 
     if exp.get("curve_csv"):
-        curve = _read_curve_csv(exp["curve_csv"],
-                                int(_need(cfg["model"], "d", "model")))
+        try:
+            curve = ids_mod.IDSCurve.from_csv(exp["curve_csv"], d)
+        except InputError as err:
+            raise ConfigError(f"experiment.curve_csv: {err}") from err
         target = exp.get("target")
-        d_for_target = curve.d
     else:
         model = build_model(cfg)
         prepared, gs = _prepare(cfg, model)
@@ -523,21 +512,18 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
         curve = ids_mod.matched_box_curve(prepared, n, make_bcs, energies, M, seed,
                                           B2=B2, L_max=L_max, workers=workers)
         curve.to_csv(out_dir / "lifshitz_curve.csv")
+        files.append("lifshitz_curve.csv")
         target = None
-        d_for_target = prepared.d
 
     try:
         fit = ids_mod.fit_lifshitz(
             curve, window=window, label=label,
-            target=(target if target is not None else -d_for_target / 2.0),
+            target=(target if target is not None else -d / 2.0),
         )
     except InsufficientDataError as err:
         payload["error"] = str(err)
         dump_json(payload, out_dir / "lifshitz.json")
         print(f"insufficient window data: {err}", file=sys.stderr)
-        files = ["lifshitz.json"]
-        if (out_dir / "lifshitz_curve.csv").exists():
-            files.append("lifshitz_curve.csv")
         return 4, files
 
     payload.update(fit.to_dict())
@@ -546,9 +532,6 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
     dump_json(payload, out_dir / "lifshitz.json")
     print(f"lifshitz slope {fit.slope:.4f} target {fit.target} "
           f"band {band} pass={payload['band_pass']} self_test={self_ok}")
-    files = ["lifshitz.json"]
-    if (out_dir / "lifshitz_curve.csv").exists():
-        files.append("lifshitz_curve.csv")
     return (0 if (payload["band_pass"] and self_ok) else 1), files
 
 
@@ -559,12 +542,10 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
     n = int(cfg["grid"]["n"])
     M = int(exp["samples"])
     seed = int(exp["seed"])
-    thresh = int(cfg["solve"]["dense_threshold"])
 
     consts = bounds_mod.model_constants(prepared, gs)
     gap_Ls = tuple(int(v) for v in exp.get("gap_Ls", range(2, 11)))
-    gap = bounds_mod.fit_gap_constant(prepared, gs, n, Ls=gap_Ls,
-                                      dense_threshold=thresh)
+    gap = bounds_mod.fit_gap_constant(prepared, gs, n, Ls=gap_Ls)
     lam_star, p_star = prepared.dist.lambda_star()
     gamma = float(exp.get("gamma") or 2.0 / p_star)
 
@@ -609,8 +590,7 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
                 real = ids_mod.sample_realization(prepared.dist, rng_stream,
                                                   (L << 20) + i, L, prepared.d)
                 rep = bounds_mod.temple_lower_bound(gs, prepared, grid,
-                                                    real.couplings, tcfg,
-                                                    dense_threshold=thresh)
+                                                    real.couplings, tcfg)
                 passes += int(rep.passed)
                 mapped = bounds_mod.map_realization(gs, prepared, grid,
                                                     real.couplings, tcfg)
@@ -655,8 +635,7 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
         for i in range(M):
             real = ids_mod.sample_realization(prepared.dist, seed,
                                               (L << 21) + i, L, prepared.d)
-            rep = bounds_mod.dirichlet_upper_bound(prepared, grid, real.couplings,
-                                                   dense_threshold=thresh)
+            rep = bounds_mod.dirichlet_upper_bound(prepared, grid, real.couplings)
             diri["checks"] += 1
             diri["passes"] += int(rep.passed)
             diri["B1"], diri["B2"] = rep.constants["B1"], rep.constants["B2"]

@@ -24,6 +24,7 @@ from .model import DistributionSpec
 from .spectral import count_below, tridiag_count_below
 
 FAST_BC_KINDS = ("dirichlet", "neumann", "robin", "mezincescu")
+CSV_HEADER = "E,N_D,se_D,N_M,se_M,L,n,M,seed"
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ class IDSCurve:
     counts: dict = None
 
     def to_csv(self, file, header: bool = True):
-        """Write the pinned column layout: E,N_D,se_D,N_M,se_M,L,n,M,seed."""
+        """Write the pinned ``CSV_HEADER`` column layout."""
         if "D" not in self.estimates or "M" not in self.estimates:
             raise InputError("curve CSV needs both the D and M estimates")
         close = False
@@ -87,7 +88,7 @@ class IDSCurve:
             close = True
         try:
             if header:
-                file.write("E,N_D,se_D,N_M,se_M,L,n,M,seed\n")
+                file.write(CSV_HEADER + "\n")
             for j, E in enumerate(self.energies):
                 file.write(
                     f"{E:.17g},{self.estimates['D'][j]:.17g},{self.errors['D'][j]:.17g},"
@@ -97,6 +98,31 @@ class IDSCurve:
         finally:
             if close:
                 file.close()
+
+    @classmethod
+    def from_csv(cls, path, d: int) -> "IDSCurve":
+        """Read a curve written by ``to_csv`` (the file does not store d); a bad
+        header, row width or value, or a file without rows raises InputError."""
+        width = CSV_HEADER.count(",") + 1
+        try:
+            with open(path, encoding="utf-8") as fh:
+                header, *lines = fh.read().strip().split("\n")
+            if header != CSV_HEADER:
+                raise ValueError(f"header {header!r} != {CSV_HEADER!r}")
+            if not lines:
+                raise ValueError("no data rows")
+            table = []
+            for line in lines:
+                fields = line.split(",")
+                if len(fields) != width:
+                    raise ValueError(f"row {line!r} has {len(fields)} fields, not {width}")
+                table.append([float(v) for v in fields[:5]] + [int(v) for v in fields[5:]])
+        except (OSError, ValueError) as err:
+            raise InputError(f"curve CSV {path}: {err}") from err
+        E, N_D, se_D, N_M, se_M, box = (np.array([r[j] for r in table]) for j in range(6))
+        _, n, M, seed = table[0][5:]
+        return cls(energies=E, box_sizes=box, n=n, M=M, seed=seed, d=d,
+                   estimates={"D": N_D, "M": N_M}, errors={"D": se_D, "M": se_M})
 
 
 def _counts_fast_1d(model, grid, bcs, energies, master_seed, indices, index_offset):

@@ -324,7 +324,7 @@ def kinetic_operator(grid: GridSpec, bc: BoundaryCondition) -> DiscreteHamiltoni
     return DiscreteHamiltonian(grid=grid, bc=bc, matrix=mat)
 
 
-def periodic_ground_state(model: ModelSpec, n: int, dense_threshold: int = 2000) -> GroundStateData:
+def periodic_ground_state(model: ModelSpec, n: int) -> GroundStateData:
     """Lowest eigenpair of the unit-cell periodic operator, sign-fixed positive.
 
     The eigenvector is normalized so that the squared midpoint quadrature of
@@ -334,7 +334,7 @@ def periodic_ground_state(model: ModelSpec, n: int, dense_threshold: int = 2000)
     """
     grid = GridSpec(L=1, n=n, d=model.d)
     H = assemble(model, grid, PERIODIC)
-    res = lowest_eigenvalues(H, 1, dense_threshold=dense_threshold)
+    res = lowest_eigenvalues(H, 1)
     e0, vec = float(res.energies[0]), res.vectors[:, 0]
     vec = vec * np.sign(vec[int(np.argmax(np.abs(vec)))])
     if vec.min() <= 0.0:
@@ -368,11 +368,11 @@ def periodized_ground_state(gs: GroundStateData, grid: GridSpec) -> np.ndarray:
     return (tiled * grid.L ** (-gs.d / 2.0)).ravel()
 
 
-def prepare_model(model: ModelSpec, n: int, dense_threshold: int = 2000):
+def prepare_model(model: ModelSpec, n: int):
     """Standardize the site family and shift energies so the periodic ground
     level sits at zero; returns the prepared model and its ground state."""
     std = standardize(model)
-    gs0 = periodic_ground_state(std, n, dense_threshold)
+    gs0 = periodic_ground_state(std, n)
     normed = normalize_energy(std, gs0.energy)
-    gs = periodic_ground_state(normed, n, dense_threshold)
+    gs = periodic_ground_state(normed, n)
     return normed, gs

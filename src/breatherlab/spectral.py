@@ -1,13 +1,16 @@
-"""Spectral primitives: lowest eigenvalues, counting functions, gaps.
+"""Spectral primitives: lowest eigenvalues and counting functions.
+
+Solver settings are the module constants below, not options: eigensolves are
+dense up to ``DENSE_THRESHOLD`` degrees of freedom and shift-invert Lanczos
+above, with every residual within ``EIG_TOL * (1 + |E|)``.
 
 Counting uses matrix inertia: the number of negative pivots of a symmetric
 triangular factorization of H - E*I equals the number of eigenvalues below E.
 Sparse operators run sparse LDL^T (the Sturm recurrence when tridiagonal),
-with dense Bunch-Kaufman at the same energy when it breaks down;
-``dense_threshold`` governs the eigensolvers only.  Counts are always taken
-at E + 0: energies hitting a pivot within ``pivot_tol`` of zero are nudged
-up by 1e-12*(1+|E|) and recomputed, which matches the closed-under-"<="
-convention up to a measure-zero set of energies.
+with dense Bunch-Kaufman at the same energy when it breaks down.  Counts are
+always taken at E + 0: energies hitting a pivot within ``PIVOT_TOL`` of zero
+are nudged up by 1e-12*(1+|E|) and recomputed, which matches the
+closed-under-"<=" convention up to a measure-zero set of energies.
 """
 
 from dataclasses import dataclass
@@ -47,21 +50,20 @@ def _matrix_of(H):
     return H.matrix if hasattr(H, "matrix") else H
 
 
-def lowest_eigenvalues(H, m: int, tol: float = EIG_TOL,
-                       dense_threshold: int = DENSE_THRESHOLD) -> SpectralResult:
+def lowest_eigenvalues(H, m: int) -> SpectralResult:
     """The m smallest eigenvalues of a symmetric operator.
 
-    Dense solves below ``dense_threshold`` degrees of freedom; shift-invert
-    Lanczos above it.  Every returned pair satisfies
-    ||H v - E v|| <= tol * (1 + |E|), otherwise a ConvergenceError carrying
-    the best iterate is raised.
+    Dense solves up to ``DENSE_THRESHOLD`` degrees of freedom (read at call
+    time); shift-invert Lanczos above it.  Every returned pair satisfies
+    ||H v - E v|| <= EIG_TOL * (1 + |E|), otherwise a ConvergenceError
+    carrying the best iterate is raised.
     """
     A = _matrix_of(H)
     N = A.shape[0]
     if m < 1:
         raise ValueError("need m >= 1 eigenvalues")
     m = min(m, N)
-    if N <= dense_threshold or m >= N - 1:
+    if N <= DENSE_THRESHOLD or m >= N - 1:
         dense = A.toarray() if sps.issparse(A) else np.asarray(A)
         w, v = linalg.eigh(dense, subset_by_index=(0, m - 1))
         method = "dense"
@@ -70,7 +72,7 @@ def lowest_eigenvalues(H, m: int, tol: float = EIG_TOL,
         row_abs = np.asarray(np.abs(A).sum(axis=1)).ravel()
         sigma = float((diag - (row_abs - np.abs(diag))).min()) - 1.0
         try:
-            w, v = spla.eigsh(A, k=m, sigma=sigma, which="LM", tol=tol * 1e-2)
+            w, v = spla.eigsh(A, k=m, sigma=sigma, which="LM", tol=EIG_TOL * 1e-2)
         except spla.ArpackNoConvergence as err:
             raise ConvergenceError(
                 f"eigensolver stalled after max iterations ({err})",
@@ -82,7 +84,7 @@ def lowest_eigenvalues(H, m: int, tol: float = EIG_TOL,
     resid = np.array([
         np.linalg.norm(A @ v[:, j] - w[j] * v[:, j]) for j in range(m)
     ])
-    bad = resid > tol * (1.0 + np.abs(w))
+    bad = resid > EIG_TOL * (1.0 + np.abs(w))
     if np.any(bad):
         raise ConvergenceError(
             f"{int(bad.sum())} eigenpairs exceed the residual tolerance",
@@ -142,13 +144,13 @@ def _sparse_inertia(A: sps.csc_matrix, pivot_tol: float):
     return int(np.sum(pivots < 0.0)), True
 
 
-def tridiag_count_below(diag: np.ndarray, off: np.ndarray, E: float,
-                        pivot_tol: float = PIVOT_TOL, max_retries: int = 8):
+def tridiag_count_below(diag: np.ndarray, off: np.ndarray, E: float):
     """Eigenvalue counts <= E for a batch of symmetric tridiagonal matrices.
 
     ``diag`` has shape (..., N) and ``off`` shape (N-1,) or (..., N-1); the
     count is returned per batch row.  This is the LDL^T pivot recurrence
-    (Sturm sequence), vectorized across the batch.
+    (Sturm sequence), vectorized across the batch; a row that meets a
+    near-zero pivot is retried at a nudged energy, at most 8 times.
     """
     diag = np.atleast_2d(np.asarray(diag, dtype=float))
     off = np.asarray(off, dtype=float)
@@ -161,15 +163,15 @@ def tridiag_count_below(diag: np.ndarray, off: np.ndarray, E: float,
     counts = np.zeros(B, dtype=int)
     pending = np.arange(B)
     energy = np.full(B, float(E))
-    for attempt in range(max_retries + 1):
+    for attempt in range(9):
         dcur = diag[pending, 0] - energy[pending]
         neg = (dcur < 0.0).astype(int)
-        bad = np.abs(dcur) <= pivot_tol * scale
+        bad = np.abs(dcur) <= PIVOT_TOL * scale
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for i in range(1, N):
                 dcur = (diag[pending, i] - energy[pending]) - off2[pending, i - 1] / dcur
                 neg += dcur < 0.0
-                bad |= np.abs(dcur) <= pivot_tol * scale
+                bad |= np.abs(dcur) <= PIVOT_TOL * scale
                 bad |= ~np.isfinite(dcur)
         ok = ~bad
         counts[pending[ok]] = neg[ok]
@@ -182,7 +184,7 @@ def tridiag_count_below(diag: np.ndarray, off: np.ndarray, E: float,
     )
 
 
-def count_below(H, E: float, pivot_tol: float = PIVOT_TOL) -> CountingValue:
+def count_below(H, E: float) -> CountingValue:
     """N(E, H) = #{eigenvalues <= E} via the inertia of H - E*I.
 
     Sparse input: Sturm recurrence if tridiagonal, else sparse LDL^T with
@@ -198,7 +200,7 @@ def count_below(H, E: float, pivot_tol: float = PIVOT_TOL) -> CountingValue:
         if bandwidth <= 1:
             diag = A.diagonal()
             off = A.diagonal(1)
-            cnt = tridiag_count_below(diag[None, :], off, E, pivot_tol)
+            cnt = tridiag_count_below(diag[None, :], off, E)
             return CountingValue(energy=float(E), count=int(cnt[0]))
         A = A.tocsc()
 
@@ -207,18 +209,12 @@ def count_below(H, E: float, pivot_tol: float = PIVOT_TOL) -> CountingValue:
         ok = False
         if sparse:
             shifted = (A - energy * sps.identity(N, format="csc")).tocsc()
-            count, ok = _sparse_inertia(shifted, pivot_tol)
+            count, ok = _sparse_inertia(shifted, PIVOT_TOL)
         if not ok:
             dense = A.toarray() if sparse else np.asarray(A, dtype=float)
-            count, ok = _dense_inertia(dense - energy * np.eye(N), pivot_tol)
+            count, ok = _dense_inertia(dense - energy * np.eye(N), PIVOT_TOL)
         if ok:
             return CountingValue(energy=float(E), count=int(count))
         energy = energy + 1e-12 * (1.0 + abs(energy)) * (2.0**attempt)
     raise NumericalError(f"factorization breakdown persisted near E={E}")
 
-
-def spectral_gap(H, tol: float = EIG_TOL, dense_threshold: int = DENSE_THRESHOLD):
-    """(E1, E2, E2 - E1) with eigenvalues repeated by multiplicity."""
-    res = lowest_eigenvalues(H, 2, tol=tol, dense_threshold=dense_threshold)
-    e1, e2 = float(res.energies[0]), float(res.energies[1])
-    return e1, e2, e2 - e1

@@ -124,6 +124,40 @@ def test_bad_experiment_field_exit_2(tmp_path, capsys, command, field, value):
     assert not out.exists()
 
 
+BAD_SOLVE_OUTPUT_GRID_FIELDS = [
+    pytest.param("solve", {"dense_threshold": 100}, "solve.dense_threshold",
+                 id="dense-threshold"),
+    pytest.param("solve", {"eig_tol": 1e-9}, "solve.eig_tol", id="eig-tol"),
+    pytest.param("solve", {"pivot_tol": 1e-12}, "solve.pivot_tol", id="pivot-tol"),
+    pytest.param("output", {"formats": ["csv", "json"]}, "output.formats", id="formats"),
+    pytest.param("solve", {"worker": 2}, "solve.worker", id="solve-misspelt"),
+    pytest.param("grid", {"L": ["four"]}, "grid.L", id="L-string"),
+    pytest.param("grid", {"L": [4.5]}, "grid.L", id="L-fractional"),
+    pytest.param("grid", {"L": [0]}, "grid.L", id="L-zero"),
+    pytest.param("grid", {"n": 2}, "grid.n", id="n-two"),
+]
+
+
+@pytest.mark.parametrize("section,block,field", BAD_SOLVE_OUTPUT_GRID_FIELDS)
+def test_bad_solve_output_grid_field_exit_2(tmp_path, capsys, section, block, field):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **{section: block})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "readme.json"
+    cfg.write_text("\n".join(line.split("//", 1)[0] for line in block.splitlines()))
+    cli.build_model(cli.load_config(str(cfg)))
+
+
 class TestSpectrum:
     def test_free_dirichlet_matches_closed_form(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -339,6 +373,44 @@ class TestLifshitz:
         assert rep["slope"] == pytest.approx(-0.6, abs=1e-3)
         # the embedded config hash covers the config alone
         assert rep["config_hash"] == first["config_hash"] == meta["config_hash"]
+
+    def test_replay_caches_only_its_own_files(self, tmp_path):
+        # a curve file left by an earlier inline run is not part of a replay
+        curve_path = tmp_path / "curve.csv"
+        synthetic_curve(np.geomspace(0.05, 0.8, 12), c=2.0, s=0.5).to_csv(str(curve_path))
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, experiment={"seed": 1, "samples": 1,
+                                      "curve_csv": str(curve_path),
+                                      "window": [1e-7, 0.5], "target": -0.5})
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "lifshitz_curve.csv").write_text("stale\n")
+        main(["lifshitz", "--config", str(cfg), "--out", str(out)])
+        key = json.loads((out / "lifshitz_meta.json").read_text())["cache_key"]
+        manifest = json.loads((out / ".cache" / f"lifshitz-{key}" / "manifest.json")
+                              .read_text())
+        assert manifest["files"] == ["lifshitz.json"]
+
+    @pytest.mark.parametrize("mangle", [
+        pytest.param(lambda rows: rows[:1] + [rows[1].replace(",", ",x", 1)] + rows[2:],
+                     id="bad-value"),
+        pytest.param(lambda rows: rows[:1] + [rows[1].rsplit(",", 1)[0]] + rows[2:],
+                     id="short-row"),
+        pytest.param(lambda rows: rows[:1], id="empty-body"),
+    ])
+    def test_malformed_curve_csv_exit_2(self, tmp_path, capsys, mangle):
+        curve_path = tmp_path / "curve.csv"
+        synthetic_curve(np.geomspace(0.05, 0.8, 12), c=2.0, s=0.5).to_csv(str(curve_path))
+        rows = curve_path.read_text().strip().split("\n")
+        curve_path.write_text("\n".join(mangle(rows)) + "\n")
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, experiment={"seed": 1, "samples": 1,
+                                      "curve_csv": str(curve_path)})
+        assert main(["lifshitz", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "experiment.curve_csv" in err
+        assert "Traceback" not in err
 
     def test_impossible_window_exit_4(self, tmp_path):
         curve_path = tmp_path / "curve.csv"

@@ -8,6 +8,7 @@ from scipy import linalg
 
 from breatherlab.errors import InputError, InsufficientDataError
 from breatherlab.ids import (
+    IDSCurve,
     bracketing_report,
     choose_box_size,
     estimate_ids,
@@ -213,6 +214,20 @@ class TestEstimate:
         first = lines[1].split(",")
         assert float(first[0]) == 0.5
         assert first[5:] == ["4", "16", "10", "21"]
+
+    def test_csv_round_trip_exact(self, prepped, tmp_path):
+        model, gs = prepped
+        cur = estimate_ids(model, 16, 4, bc_pair(gs)(GridSpec(4, 16)),
+                           [0.5, 1.0, 3.0], 10, 21)
+        path = tmp_path / "curve.csv"
+        cur.to_csv(path)
+        back = IDSCurve.from_csv(path, 1)
+        for name in ("energies", "box_sizes"):
+            assert np.array_equal(getattr(back, name), getattr(cur, name))
+        for label in ("D", "M"):
+            assert np.array_equal(back.estimates[label], cur.estimates[label])
+            assert np.array_equal(back.errors[label], cur.errors[label])
+        assert (back.n, back.M, back.seed, back.d) == (16, 10, 21, 1)
 
 
 class TestBracketing:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+from breatherlab import spectral
 from breatherlab.errors import InputError, StateError
 from breatherlab.lattice import (
     GroundStateData,
@@ -168,10 +169,11 @@ class TestGroundState:
         vec = vec / np.sqrt(np.sum(vec**2) / 64)
         assert np.allclose(gs.psi, vec, atol=1e-10)
 
-    def test_iterative_path_matches_dense(self):
+    def test_iterative_path_matches_dense(self, monkeypatch):
         model = cosine_model()
         dense = periodic_ground_state(model, 64)
-        iterative = periodic_ground_state(model, 64, dense_threshold=10)
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 10)
+        iterative = periodic_ground_state(model, 64)
         assert iterative.energy == pytest.approx(dense.energy, abs=1e-9)
         assert np.allclose(iterative.psi, dense.psi, atol=1e-8)
 

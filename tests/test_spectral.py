@@ -24,7 +24,6 @@ from breatherlab.spectral import (
     CountingValue,
     count_below,
     lowest_eigenvalues,
-    spectral_gap,
     tridiag_count_below,
 )
 
@@ -62,12 +61,13 @@ class TestLowestEigenvalues:
         res = lowest_eigenvalues(H, 1)
         assert abs(res.energies[0]) <= 1e-9
 
-    def test_iterative_matches_dense(self):
+    def test_iterative_matches_dense(self, monkeypatch):
         # force the iterative path on a dim-200 random-coupling operator
         H = random_coupling_hamiltonian(L=25, n=8)
         assert H.num_dof == 200
-        it = lowest_eigenvalues(H, 4, dense_threshold=100)
         de = lowest_eigenvalues(H, 4)
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 100)
+        it = lowest_eigenvalues(H, 4)
         assert it.method == "iterative" and de.method == "dense"
         assert np.allclose(it.energies, de.energies, atol=1e-8)
 
@@ -77,9 +77,10 @@ class TestLowestEigenvalues:
         assert np.all(res.residuals <= 1e-9 * (1 + np.abs(res.energies)))
 
     @pytest.mark.parametrize("threshold", [2000, 100])
-    def test_vectors_are_the_checked_eigenvectors(self, threshold):
+    def test_vectors_are_the_checked_eigenvectors(self, threshold, monkeypatch):
         H = random_coupling_hamiltonian()
-        res = lowest_eigenvalues(H, 3, dense_threshold=threshold)
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", threshold)
+        res = lowest_eigenvalues(H, 3)
         assert res.vectors.shape == (H.num_dof, 3)
         for j in range(3):
             v = res.vectors[:, j]
@@ -230,7 +231,8 @@ class TestSpectralGap:
         L, n = 4, 16
         H = assemble(free_model(), GridSpec(L=L, n=n), PERIODIC)
         h = 1.0 / n
-        e1, e2, gap = spectral_gap(H)
+        e1, e2 = lowest_eigenvalues(H, 2).energies
+        gap = e2 - e1
         assert e1 == pytest.approx(0.0, abs=1e-9)
         assert gap == pytest.approx((4 / h**2) * np.sin(np.pi * h / L) ** 2, abs=1e-8)
         assert gap == pytest.approx(4 * np.pi**2 / L**2, rel=0.01)
@@ -238,7 +240,8 @@ class TestSpectralGap:
     def test_degenerate_second_level(self):
         # periodic free second/third eigenvalues coincide; gap is still E2-E1
         H = assemble(free_model(), GridSpec(L=4, n=8), PERIODIC)
-        e1, e2, gap = spectral_gap(H)
+        e1, e2 = lowest_eigenvalues(H, 2).energies
+        gap = e2 - e1
         w = np.sort(linalg.eigvalsh(H.to_dense()))
         assert e2 == pytest.approx(w[1], abs=1e-9)
         assert gap > 0
