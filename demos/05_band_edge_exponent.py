@@ -21,7 +21,7 @@ from breatherlab import (
     ModelSpec,
     PeriodicPotentialSpec,
     SingleSiteSpec,
-    dirichlet_upper_bound,
+    dirichlet_test_function,
     fit_lifshitz,
     matched_box_curve,
     mezincescu_correction,
@@ -57,7 +57,7 @@ def make_bcs(grid):
     return [DIRICHLET, mezincescu_correction(gs, grid)]
 
 
-B2 = dirichlet_upper_bound(model, GridSpec(4, 16), np.full(4, 1.0)).constants["B2"]
+B2 = dirichlet_test_function(model, GridSpec(4, 16)).B2
 energies = np.geomspace(0.05, 0.30, 8)
 print(f"\nmeasuring with energy-matched boxes (kinetic constant B2 = {B2:.4f}):")
 curve = matched_box_curve(model, 16, make_bcs, energies, 2000, 12345,

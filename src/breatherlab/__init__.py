@@ -9,6 +9,7 @@ desk scale.
 
 from .bounds import (
     BoundReport,
+    DirichletTestFunction,
     GapFit,
     MappedRealization,
     ModelConstants,
@@ -16,12 +17,14 @@ from .bounds import (
     bernoulli_tail,
     counting_corollary_check,
     deviation_chain_check,
+    dirichlet_test_function,
     dirichlet_upper_bound,
     fit_gap_constant,
     first_moment,
     make_temple_config,
     map_realization,
     model_constants,
+    periodic_levels,
     second_moment,
     temple_lower_bound,
 )

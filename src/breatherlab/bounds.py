@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, InputError, PreconditionError
 from .lattice import (
     DIRICHLET,
     GridSpec,
@@ -264,19 +264,28 @@ def second_moment(gs, mapped: MappedRealization, H_tilde, cfg: TempleConfig):
     return value, bound
 
 
-def temple_lower_bound(gs, model, grid: GridSpec, couplings,
-                       cfg: TempleConfig) -> BoundReport:
+def periodic_levels(model, gs, grid: GridSpec) -> np.ndarray:
+    """E1(per), E2(per): the two lowest levels of the periodic operator on the
+    box under the ground-state boundary condition (no couplings)."""
+    H = assemble(model, grid, mezincescu_correction(gs, grid))
+    return lowest_eigenvalues(H, 2).energies
+
+
+def temple_lower_bound(gs, model, grid: GridSpec, mapped: MappedRealization,
+                       cfg: TempleConfig, per) -> BoundReport:
     """Check E1 of the cutoff operator against (3/4) of the mean xi.
 
-    The applicability chain 0 = E1(per) <= E1(cut) <= form < nu <= E2(per)
-    <= E2(cut) is verified link by link; a broken link is reported as a
-    failure naming the link (that signals bad constants, not a solver bug).
+    ``mapped`` is the realization mapped on ``grid`` and ``per`` the box's
+    ``periodic_levels``.  The applicability chain 0 = E1(per) <= E1(cut) <=
+    form < nu <= E2(per) <= E2(cut) is verified link by link; a broken link
+    is reported as a failure naming the link (that signals bad constants,
+    not a solver bug).
     """
-    mapped = map_realization(gs, model, grid, couplings, cfg)
-    bc = mezincescu_correction(gs, grid)
-    H_per = assemble(model, grid, bc)
-    H_cut = assemble(model, grid, bc, couplings=mapped.cutoffs)
-    per = lowest_eigenvalues(H_per, 2).energies
+    cfg.validate()
+    if (mapped.L, mapped.d) != (grid.L, grid.d):
+        raise InputError(f"realization mapped on L={mapped.L}, d={mapped.d}, not on {grid}")
+    H_cut = assemble(model, grid, mezincescu_correction(gs, grid),
+                     couplings=mapped.cutoffs)
     cut = lowest_eigenvalues(H_cut, 2).energies
     form, mean_xi = first_moment(gs, mapped, H_cut)
     sq_value, sq_bound = second_moment(gs, mapped, H_cut, cfg)
@@ -301,20 +310,14 @@ def temple_lower_bound(gs, model, grid: GridSpec, couplings,
         "one_minus_4k1c2_over_eps0": factor,
         "links": {k: bool(v) for k, v in links.items()},
     })
-    lhs = float(cut[0])
-    rhs = 0.75 * mean_xi
-    if not all(links.values()):
-        broken = [k for k, v in links.items() if not v]
+    lhs, rhs = float(cut[0]), 0.75 * mean_xi
+    verdict = _float_verdict(lhs - rhs, scale=abs(rhs))
+    broken = [k for k, v in links.items() if not v]
+    if broken:
         constants["broken_link"] = broken[0]
-        return BoundReport(
-            name="temple-lower-bound", lhs=lhs, rhs=rhs, margin=lhs - rhs,
-            verdict="fail", constants=constants,
-        )
-    margin = lhs - rhs
-    return BoundReport(
-        name="temple-lower-bound", lhs=lhs, rhs=rhs, margin=margin,
-        verdict=_float_verdict(margin, scale=abs(rhs)), constants=constants,
-    )
+        verdict = "fail"
+    return BoundReport(name="temple-lower-bound", lhs=lhs, rhs=rhs, margin=lhs - rhs,
+                       verdict=verdict, constants=constants)
 
 
 def counting_corollary_check(mapped: MappedRealization, E1: float, escale: float,
@@ -328,15 +331,10 @@ def counting_corollary_check(mapped: MappedRealization, E1: float, escale: float
         "E1": E1, "energy_scale": escale, "gamma": gamma, "Ld": Ld,
         "vacuous": bool(E1 > escale),
     }
-    if E1 > escale:
-        return BoundReport(
-            name="counting-corollary", lhs=float(small), rhs=threshold,
-            margin=float(small) - threshold, verdict="pass", constants=constants,
-        )
-    ok = small > threshold
+    verdict = "pass" if E1 > escale else _exact_verdict(small > threshold)
     return BoundReport(
         name="counting-corollary", lhs=float(small), rhs=threshold,
-        margin=float(small) - threshold, verdict=_exact_verdict(ok), constants=constants,
+        margin=float(small) - threshold, verdict=verdict, constants=constants,
     )
 
 
@@ -382,19 +380,25 @@ def bernoulli_tail(p: float, gamma: float, Ld: int):
     return exact, bound
 
 
-def dirichlet_upper_bound(model, grid: GridSpec, couplings) -> BoundReport:
-    """Rayleigh-quotient upper bound with the product-cosine test function.
+@dataclass(frozen=True)
+class DirichletTestFunction:
+    """phi(x) = prod_i cos(pi t_i / L), t centered in the box (phi vanishes on
+    the faces), with its non-random quadrature constants on that box:
+    Q = ||phi||^2, T = <phi, K phi> for the Dirichlet kinetic K, P = <phi,
+    V_per phi>, B1 = sup phi^2 L^d / Q and B2 = L^2 (T + P) / Q."""
 
-    phi(x) = prod_i cos(pi t_i / L) with t centered in the box vanishes on
-    the box faces; realized constants are B1 = sup phi^2 * L^d / ||phi||^2
-    and B2 = L^2 times the non-random part of the quotient (the kinetic part
-    alone when the normalized periodic background vanishes).  The verified
-    inequality is E1 <= B1 L^-d int(V_omega) + B2 L^-2.
-    """
-    lam = couplings_array(grid, couplings)
-    H = assemble(model, grid, DIRICHLET, couplings=lam)
+    grid: GridSpec
+    phi: np.ndarray
+    Q: float
+    T: float
+    P: float
+    B1: float
+    B2: float
+
+
+def dirichlet_test_function(model, grid: GridSpec) -> DirichletTestFunction:
+    """Build the test function and its constants on one box."""
     L, d, hd = grid.L, grid.d, grid.h**grid.d
-
     t = grid.axis_coords() - (L - 1) / 2.0
     axis_phi = np.cos(np.pi * t / L)
     phi = axis_phi
@@ -406,19 +410,33 @@ def dirichlet_upper_bound(model, grid: GridSpec, couplings) -> BoundReport:
     Q = float(np.sum(phi**2)) * hd
     T = float(phi @ (K.matrix @ phi)) * hd
     vper = periodic_potential_on_grid(model, grid).ravel()
-    vrand = assemble_random_potential(model, grid, lam).ravel()
     P = float(np.sum(phi**2 * vper)) * hd
-    W = float(np.sum(phi**2 * vrand)) * hd
+    B1 = float(np.max(phi**2)) * L**d / Q
+    B2 = (T + P) / Q * L**2
+    return DirichletTestFunction(grid=grid, phi=phi, Q=Q, T=T, P=P, B1=B1, B2=B2)
+
+
+def dirichlet_upper_bound(model, grid: GridSpec, couplings,
+                          test: DirichletTestFunction) -> BoundReport:
+    """Rayleigh-quotient upper bound E1 <= B1 L^-d int(V_omega) + B2 L^-2,
+    with the test function and constants of ``dirichlet_test_function``."""
+    if test.grid != grid:
+        raise InputError(f"test function built on {test.grid}, box is {grid}")
+    lam = couplings_array(grid, couplings)
+    H = assemble(model, grid, DIRICHLET, couplings=lam)
+    L, d, hd = grid.L, grid.d, grid.h**grid.d
+    Q, T, P = test.Q, test.T, test.P
+
+    vrand = assemble_random_potential(model, grid, lam).ravel()
+    W = float(np.sum(test.phi**2 * vrand)) * hd
     quotient = (T + P + W) / Q
 
     e1 = float(lowest_eigenvalues(H, 1).energies[0])
-    B1 = float(np.max(phi**2)) * L**d / Q
-    B2 = (T + P) / Q * L**2
     int_v = float(np.sum(vrand)) * hd
-    rhs = B1 * int_v / L**d + B2 / L**2
+    rhs = test.B1 * int_v / L**d + test.B2 / L**2
     margin = rhs - e1
     constants = {
-        "B1": B1, "B2": B2, "kinetic_times_L2": T / Q * L**2,
+        "B1": test.B1, "B2": test.B2, "kinetic_times_L2": T / Q * L**2,
         "periodic_part": P / Q, "rayleigh_quotient": quotient,
         "int_V_omega": int_v, "E1": e1,
         "variational_ok": bool(e1 <= quotient + 1e-9 * (1 + abs(quotient))),
@@ -449,9 +467,7 @@ def fit_gap_constant(model, gs, n: int, Ls=tuple(range(2, 11))) -> GapFit:
     """Measure the ground-state-boundary gap across box sizes and fit."""
     gaps = []
     for L in Ls:
-        grid = GridSpec(L=L, n=n, d=model.d)
-        H = assemble(model, grid, mezincescu_correction(gs, grid))
-        e1, e2 = lowest_eigenvalues(H, 2).energies
+        e1, e2 = periodic_levels(model, gs, GridSpec(L=L, n=n, d=model.d))
         gaps.append(e2 - e1)
     gaps = np.asarray(gaps)
     eps0 = float(np.min(np.asarray(Ls, dtype=float) ** 2 * gaps))

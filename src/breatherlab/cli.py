@@ -18,6 +18,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -126,13 +127,20 @@ DEFAULTS = {
 }
 
 
+# integer experiment fields and the least value each takes
+INT_FIELDS = {"samples": 1, "eigenvalues": 1, "realizations": 0, "L_max": 1,
+              "lambda_grid_size": 16, "x_grid_size": 16}
+
+
 def _need(section: dict, key: str, path: str):
     if key not in section:
         raise ConfigError(f"missing field {path}.{key}")
     return section[key]
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, seed: int = None, workers: int = None) -> dict:
+    """Read, complete and check a configuration; ``seed`` and ``workers``
+    override ``experiment.seed`` and ``solve.workers`` before the checks."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -162,8 +170,15 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"unknown field {section}.{unknown[0]}; {section} takes "
                               f"only {', '.join(defaults)}")
         effective[section] = {**defaults, **given}
+    if seed is not None:
+        effective["experiment"]["seed"] = seed
+    if workers is not None:
+        effective["solve"]["workers"] = workers
     _check_grid(effective["grid"])
     _check_experiment(effective["experiment"])
+    if not (_is_int(effective["solve"]["workers"]) and effective["solve"]["workers"] >= 1):
+        raise ConfigError(f"solve.workers must be an integer >= 1, "
+                          f"got {effective['solve']['workers']!r}")
     return effective
 
 
@@ -175,21 +190,56 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    return _is_number(v) and math.isfinite(v)
+
+
+def _check_sizes(value, path: str, least: int):
+    """Box sizes: a list of at least ``least`` distinct integers >= 1."""
+    if not (isinstance(value, list) and all(_is_int(v) and v >= 1 for v in value)
+            and len(set(value)) == len(value) >= least):
+        raise ConfigError(f"{path} must be a list of at least {least} distinct integers "
+                          f">= 1, got {value!r}")
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_finite, v))
+
+
 def _check_grid(grid: dict):
     """Reject grids no box can be built on; a scalar side becomes a list."""
     n = _need(grid, "n", "grid")
     if not (_is_int(n) and n >= 4):
         raise ConfigError(f"grid.n must be an integer >= 4, got {n!r}")
     Ls = _need(grid, "L", "grid")
-    Ls = [Ls] if _is_int(Ls) else Ls
-    if not (isinstance(Ls, list) and Ls and all(_is_int(v) and v >= 1 for v in Ls)):
-        raise ConfigError(f"grid.L must be an integer >= 1 or a non-empty list of them, "
-                          f"got {grid['L']!r}")
-    grid["L"] = Ls
+    grid["L"] = [Ls] if _is_int(Ls) else Ls
+    _check_sizes(grid["L"], "grid.L", 1)
 
 
 def _check_experiment(exp: dict):
     """Reject experiment fields no command could run with, before any compute."""
+    if not (_is_int(exp["seed"]) and 0 <= exp["seed"] < 2**64):
+        raise ConfigError(f"experiment.seed must be an integer in [0, 2^64), "
+                          f"got {exp['seed']!r}")
+    for key, least in INT_FIELDS.items():
+        if key in exp and not (_is_int(exp[key]) and exp[key] >= least):
+            raise ConfigError(f"experiment.{key} must be an integer >= {least}, "
+                              f"got {exp[key]!r}")
+    for key, least in (("temple_Ls", 1), ("gap_Ls", 2)):
+        if key in exp:
+            _check_sizes(exp[key], f"experiment.{key}", least)
+    if "energies" in exp:
+        energies_from(exp["energies"])
+    for key, ordered, rule in (("window", lambda lo, hi: 0 < lo < hi < 1, "0 < lo < hi < 1"),
+                               ("tolerance_band", lambda lo, hi: lo <= hi, "lo <= hi")):
+        if key in exp and not (_is_pair(exp[key]) and ordered(*exp[key])):
+            raise ConfigError(f"experiment.{key} must be [lo, hi] with {rule}, "
+                              f"got {exp[key]!r}")
+    if exp.get("fit_boundary", "M") not in ("D", "M"):
+        raise ConfigError(f"experiment.fit_boundary must be \"D\" or \"M\", "
+                          f"got {exp['fit_boundary']!r}")
+    if exp.get("target") is not None and not _is_finite(exp["target"]):
+        raise ConfigError(f"experiment.target must be a finite number, got {exp['target']!r}")
     ps = exp.get("bernoulli_p", [])
     if not isinstance(ps, list) or not all(_is_number(p) and 0.0 < p <= 1.0 for p in ps):
         raise ConfigError(f"experiment.bernoulli_p must be a list of numbers in (0, 1], "
@@ -266,19 +316,32 @@ def build_model(cfg: dict) -> ModelSpec:
 
 
 def energies_from(cfg_block: dict) -> np.ndarray:
+    """The energy grid of an ``experiment.energies`` block; ConfigError names
+    the block when a field is missing or out of range."""
     if cfg_block is None:
         raise ConfigError("missing experiment.energies")
+    if not isinstance(cfg_block, dict):
+        raise ConfigError(f"experiment.energies must be an object, got {cfg_block!r}")
     kind = cfg_block.get("kind", "list")
     if kind == "list":
-        return np.asarray([float(v) for v in _need(cfg_block, "values", "energies")])
-    start = float(_need(cfg_block, "start", "energies"))
-    stop = float(_need(cfg_block, "stop", "energies"))
-    count = int(_need(cfg_block, "count", "energies"))
+        values = _need(cfg_block, "values", "experiment.energies")
+        if not (isinstance(values, list) and values and all(map(_is_finite, values))):
+            raise ConfigError(f"experiment.energies.values must be a non-empty list of "
+                              f"finite numbers, got {values!r}")
+        return np.asarray([float(v) for v in values])
+    if kind not in ("linear", "geometric"):
+        raise ConfigError(f"experiment.energies.kind unknown: {kind!r}")
+    start, stop, count = (_need(cfg_block, key, "experiment.energies")
+                          for key in ("start", "stop", "count"))
+    if not (_is_finite(start) and _is_finite(stop) and _is_int(count) and count >= 1):
+        raise ConfigError(f"experiment.energies needs finite start and stop and an integer "
+                          f"count >= 1, got {start!r}, {stop!r}, {count!r}")
     if kind == "linear":
-        return np.linspace(start, stop, count)
-    if kind == "geometric":
-        return np.geomspace(start, stop, count)
-    raise ConfigError(f"energies.kind unknown: {kind!r}")
+        return np.linspace(float(start), float(stop), count)
+    if not (start > 0 and stop > 0):
+        raise ConfigError(f"experiment.energies of kind geometric need start, stop > 0, "
+                          f"got {start!r}, {stop!r}")
+    return np.geomspace(float(start), float(stop), count)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +505,7 @@ def cmd_ids(cfg, out_dir: Path, digest: str):
     files = ["ids_curve.csv"]
     exit_code = 0
     if len(Ls) >= 2:
-        grid0 = GridSpec(L=Ls[0], n=n, d=prepared.d)
-        bcs = [DIRICHLET, mezincescu_correction(gs, grid0)]
-        report = ids_mod.bracketing_report(prepared, n, Ls, bcs, energies, M, seed,
-                                           workers=workers,
-                                           curves=dict(zip(Ls, curves)))
+        report = ids_mod.bracketing_report(dict(zip(Ls, curves)))
         report["config_hash"] = digest
         dump_json(report, out_dir / "bracketing.json")
         files.append("bracketing.json")
@@ -498,12 +557,7 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
         seed = int(exp["seed"])
         workers = int(cfg["solve"]["workers"])
         L_max = int(exp.get("L_max", 64))
-        grid_ref = GridSpec(L=4, n=n, d=prepared.d)
-        ref = bounds_mod.dirichlet_upper_bound(
-            prepared, grid_ref,
-            np.full((4,) * prepared.d, prepared.dist.lambda_minus),
-        )
-        B2 = ref.constants["B2"]
+        B2 = bounds_mod.dirichlet_test_function(prepared, GridSpec(L=4, n=n, d=prepared.d)).B2
         payload["B2"] = B2
 
         def make_bcs(grid):
@@ -575,25 +629,26 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
     }
 
     temple_Ls = [int(v) for v in exp.get("temple_Ls", [4, 6, 8])]
-    rng_stream = seed
     temple_out = {}
     corollary_out = {"checks": 0, "passes": 0, "nonvacuous": 0}
     deviation_out = {"checks": 0, "passes": 0, "premise_sites": 0}
+    diri = {"checks": 0, "passes": 0, "B1": None, "B2": None}
     all_pass = True
     try:
         for L in temple_Ls:
             tcfg = bounds_mod.make_temple_config(L=L, gamma=gamma, constants=consts,
                                                  epsilon0=gap.epsilon0)
             grid = GridSpec(L=L, n=n, d=prepared.d)
+            per = bounds_mod.periodic_levels(prepared, gs, grid)
+            test = bounds_mod.dirichlet_test_function(prepared, grid)
             passes = 0
             for i in range(M):
-                real = ids_mod.sample_realization(prepared.dist, rng_stream,
+                real = ids_mod.sample_realization(prepared.dist, seed,
                                                   (L << 20) + i, L, prepared.d)
-                rep = bounds_mod.temple_lower_bound(gs, prepared, grid,
-                                                    real.couplings, tcfg)
-                passes += int(rep.passed)
                 mapped = bounds_mod.map_realization(gs, prepared, grid,
                                                     real.couplings, tcfg)
+                rep = bounds_mod.temple_lower_bound(gs, prepared, grid, mapped, tcfg, per)
+                passes += int(rep.passed)
                 cor = bounds_mod.counting_corollary_check(
                     mapped, rep.constants["E1_cut"], tcfg.energy_scale, gamma)
                 corollary_out["checks"] += 1
@@ -603,6 +658,13 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
                 deviation_out["checks"] += 1
                 deviation_out["passes"] += int(dev.passed)
                 deviation_out["premise_sites"] += dev.constants["premise_count"]
+            for i in range(M):
+                real = ids_mod.sample_realization(prepared.dist, seed,
+                                                  (L << 21) + i, L, prepared.d)
+                rep = bounds_mod.dirichlet_upper_bound(prepared, grid, real.couplings, test)
+                diri["checks"] += 1
+                diri["passes"] += int(rep.passed)
+            diri["B1"], diri["B2"] = test.B1, test.B2
             temple_out[str(L)] = {
                 "passes": passes, "samples": M,
                 "c2": tcfg.c2, "c7": tcfg.c7, "gamma": gamma,
@@ -617,6 +679,7 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
 
     all_pass = all_pass and corollary_out["passes"] == corollary_out["checks"]
     all_pass = all_pass and deviation_out["passes"] == deviation_out["checks"]
+    all_pass = all_pass and diri["passes"] == diri["checks"]
 
     bern_ps = [float(v) for v in exp.get("bernoulli_p", [0.3, 0.5, 0.8])]
     bern_lds = [int(v) for v in exp.get("bernoulli_Ld", [8, 27, 64])]
@@ -628,18 +691,6 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
             all_pass = all_pass and ok
             bern_rows.append({"p": p, "Ld": Ld, "exact": exact, "bound": bound,
                               "pass": bool(ok)})
-
-    diri = {"checks": 0, "passes": 0, "B1": None, "B2": None}
-    for L in temple_Ls:
-        grid = GridSpec(L=L, n=n, d=prepared.d)
-        for i in range(M):
-            real = ids_mod.sample_realization(prepared.dist, seed,
-                                              (L << 21) + i, L, prepared.d)
-            rep = bounds_mod.dirichlet_upper_bound(prepared, grid, real.couplings)
-            diri["checks"] += 1
-            diri["passes"] += int(rep.passed)
-            diri["B1"], diri["B2"] = rep.constants["B1"], rep.constants["B2"]
-    all_pass = all_pass and diri["passes"] == diri["checks"]
 
     payload.update({
         "temple": temple_out,
@@ -684,11 +735,7 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["experiment"]["seed"] = int(args.seed)
-        if args.workers is not None:
-            cfg["solve"]["workers"] = int(args.workers)
+        cfg = load_config(args.config, seed=args.seed, workers=args.workers)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

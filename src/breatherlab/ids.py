@@ -174,8 +174,7 @@ def _count_block(args):
 
 
 def estimate_ids(model, n: int, L: int, bcs, energies, M: int, master_seed: int,
-                 workers: int = 1, keep_counts: bool = True,
-                 index_offset: int = 0) -> IDSCurve:
+                 workers: int = 1, index_offset: int = 0) -> IDSCurve:
     """Estimate N(E)/L^d for each boundary condition over M realizations.
 
     All boundary conditions share the same realizations (couplings depend on
@@ -222,41 +221,33 @@ def estimate_ids(model, n: int, L: int, bcs, energies, M: int, master_seed: int,
         energies=energies, box_sizes=np.full(len(energies), L, dtype=int),
         n=n, M=M, seed=master_seed, d=model.d,
         estimates=estimates, errors=errors,
-        counts=merged if keep_counts else None,
+        counts=merged,
     )
 
 
-def bracketing_report(model, n: int, Ls, bcs, energies, M: int, master_seed: int,
-                      workers: int = 1, curves=None) -> dict:
+def bracketing_report(curves) -> dict:
     """Monotone bracketing of the IDS between the two boundary conditions.
 
-    ``bcs`` must be the (Dirichlet, Mezincescu-type) pair.  Checks, within
-    two combined standard errors: the normalized Dirichlet means do not
-    decrease along increasing L, the upper-condition means do not increase,
-    and every Dirichlet value sits below every upper value per energy;
-    pathwise count ordering at equal L is checked exactly.
-
-    ``curves`` optionally maps box sizes to curves already estimated with raw
-    counts at these energies, M and seed; only the other box sizes are
-    estimated here.
+    ``curves`` maps box sizes to curves of one run (same energies, M and
+    seed) with raw counts under the labels "D" (Dirichlet) and "M"
+    (ground-state boundary).  Checks, within two combined standard errors:
+    the normalized Dirichlet means do not decrease along increasing L, the
+    upper-condition means do not increase, and every Dirichlet value sits
+    below every upper value per energy; pathwise count ordering at equal L is
+    checked exactly.
     """
+    Ls = list(curves)
     if len(Ls) < 2:
         raise InputError("bracketing needs at least two box sizes")
-    lab_lo, lab_hi = bcs[0].label, bcs[1].label
-    energies = np.asarray(energies, dtype=float)
-    given = curves or {}
-    for L, cur in given.items():
-        if cur.counts is None:
-            raise InputError(f"curve for L={L} carries no raw counts")
+    lab_lo, lab_hi = "D", "M"
+    first = curves[Ls[0]]
+    energies, M, master_seed = first.energies, first.M, first.seed
+    for L, cur in curves.items():
+        if cur.counts is None or not {lab_lo, lab_hi} <= set(cur.counts):
+            raise InputError(f"curve for L={L} carries no raw D and M counts")
         if (cur.M, cur.seed) != (M, master_seed) or not np.array_equal(
                 cur.energies, energies):
             raise InputError(f"curve for L={L} has other energies, M or seed")
-    curves = {
-        L: given[L] if L in given else estimate_ids(
-            model, n, L, bcs, energies, M, master_seed, workers=workers,
-            keep_counts=True)
-        for L in Ls
-    }
 
     pathwise_violations = 0
     total_pairs = 0
@@ -368,8 +359,7 @@ def matched_box_curve(model, n: int, make_bcs, energies, M: int, master_seed: in
         choice = choose_box_size(float(E), form="lower", B2=B2, L_max=L_max)
         bcs = make_bcs(GridSpec(L=choice.L, n=n, d=model.d))
         cur = estimate_ids(model, n, choice.L, bcs, [float(E)], M, master_seed,
-                           workers=workers, keep_counts=True,
-                           index_offset=(j + 1) << 32)
+                           workers=workers, index_offset=(j + 1) << 32)
         if labels is None:
             labels = list(cur.estimates)
         per_point.append(cur)

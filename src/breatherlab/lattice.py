@@ -78,12 +78,6 @@ class GridSpec:
         mesh = np.meshgrid(*([o] * self.d), indexing="ij")
         return np.stack([ax.ravel() for ax in mesh], axis=-1)
 
-    def sites(self):
-        """Lattice sites indexing the cells, shape (L**d, d), C-order."""
-        r = np.arange(self.L)
-        mesh = np.meshgrid(*([r] * self.d), indexing="ij")
-        return np.stack([ax.ravel() for ax in mesh], axis=-1)
-
     def point_coords(self, flat_indices):
         """Coordinates of flat grid indices, shape (K, d)."""
         multi = np.unravel_index(np.asarray(flat_indices), self.shape)

@@ -19,18 +19,21 @@ from breatherlab.bounds import (
     bernoulli_tail,
     counting_corollary_check,
     deviation_chain_check,
+    dirichlet_test_function,
     dirichlet_upper_bound,
     fit_gap_constant,
     first_moment,
     make_temple_config,
     map_realization,
     model_constants,
+    periodic_levels,
     second_moment,
     temple_lower_bound,
 )
 from breatherlab.cli import main
 from breatherlab.ids import (
     bracketing_report,
+    estimate_ids,
     fit_lifshitz,
     lower_tail_check,
     matched_box_curve,
@@ -215,9 +218,11 @@ def test_criterion_05_temple_bound(cosine_env):
         cfg = make_temple_config(L=L, gamma=2.0 / p, constants=consts,
                                  epsilon0=gap.epsilon0)
         grid = GridSpec(L, 16)
+        per = periodic_levels(model, gs, grid)
         for i in range(100):
             real = sample_realization(model.dist, 505, (L << 16) + i, L, 1)
-            rep = temple_lower_bound(gs, model, grid, real.couplings, cfg)
+            mapped = map_realization(gs, model, grid, real.couplings, cfg)
+            rep = temple_lower_bound(gs, model, grid, mapped, cfg, per)
             total += 1
             passes += int(rep.passed and all(rep.constants["links"].values()))
     elapsed = time.perf_counter() - t0
@@ -279,9 +284,10 @@ def test_criterion_07_lower_bound_lemma(flat_prepped):
     grid = GridSpec(6, 16)
     passes = 0
     B1 = B2 = None
+    test = dirichlet_test_function(model, grid)
     for i in range(100):
         real = sample_realization(model.dist, 707, i, 6, 1)
-        rep = dirichlet_upper_bound(model, grid, real.couplings)
+        rep = dirichlet_upper_bound(model, grid, real.couplings, test)
         passes += int(rep.passed)
         B1, B2 = rep.constants["B1"], rep.constants["B2"]
     consts = model_constants(model, gs)
@@ -321,8 +327,7 @@ def test_criterion_08_lifshitz_exponent():
     def make_bcs(g):
         return [DIRICHLET, mezincescu_correction(gs, g)]
 
-    ref = dirichlet_upper_bound(model, GridSpec(4, 16), np.full(4, 1.0))
-    B2 = ref.constants["B2"]
+    B2 = dirichlet_test_function(model, GridSpec(4, 16)).B2
     energies = np.geomspace(0.05, 0.30, 8)
     curve = matched_box_curve(model, 16, make_bcs, energies, 2000, 808,
                               B2=B2, L_max=64)
@@ -344,7 +349,8 @@ def test_criterion_09_bracketing(cosine_prepped):
     model, gs = cosine_prepped
     bcs = [DIRICHLET, mezincescu_correction(gs, GridSpec(4, 16))]
     energies = np.linspace(0.5, 8.0, 6)
-    rep = bracketing_report(model, 16, [4, 8, 16], bcs, energies, 200, 909)
+    rep = bracketing_report({L: estimate_ids(model, 16, L, bcs, energies, 200, 909)
+                             for L in (4, 8, 16)})
     elapsed = time.perf_counter() - t0
     ok = rep["all_pass"] and elapsed < 600.0
     report(9, "bracketing", ok, elapsed,

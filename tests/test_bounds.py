@@ -9,16 +9,18 @@ from breatherlab.bounds import (
     bernoulli_tail,
     counting_corollary_check,
     deviation_chain_check,
+    dirichlet_test_function,
     dirichlet_upper_bound,
     fit_gap_constant,
     first_moment,
     make_temple_config,
     map_realization,
     model_constants,
+    periodic_levels,
     second_moment,
     temple_lower_bound,
 )
-from breatherlab.errors import DomainError, PreconditionError
+from breatherlab.errors import DomainError, InputError, PreconditionError
 from breatherlab.lattice import (
     GridSpec,
     assemble,
@@ -94,6 +96,12 @@ class TestGapFit:
     def test_positive_epsilon0_and_inverse_square_scaling(self, gapfit):
         assert gapfit.epsilon0 > 0
         assert -2.3 <= gapfit.loglog_slope <= -1.7
+
+    def test_gaps_are_periodic_level_spacings(self, prepped, gapfit):
+        model, gs = prepped
+        for L, gap in zip(gapfit.Ls, gapfit.gaps):
+            e1, e2 = periodic_levels(model, gs, GridSpec(L=L, n=16))
+            assert gap == e2 - e1
 
 
 class TestMapRealization:
@@ -208,10 +216,16 @@ class TestMoments:
             assert val <= bnd + 1e-12
 
 
+def temple_at(gs, model, grid, couplings, cfg):
+    """Map one realization and run the Temple check on its box."""
+    mapped = map_realization(gs, model, grid, couplings, cfg)
+    return temple_lower_bound(gs, model, grid, mapped, cfg, periodic_levels(model, gs, grid))
+
+
 class TestTemple:
     def test_floor_realization_boundary(self, prepped, cfg6):
         model, gs = prepped
-        rep = temple_lower_bound(gs, model, GridSpec(L=6, n=16), np.full(6, 1.0), cfg6)
+        rep = temple_at(gs, model, GridSpec(L=6, n=16), np.full(6, 1.0), cfg6)
         assert rep.verdict in ("pass", "boundary")
         assert rep.passed
         assert abs(rep.margin) <= 1e-9
@@ -228,9 +242,11 @@ class TestTemple:
         cfg = make_temple_config(L=L, gamma=2.0 / p, constants=consts,
                                  epsilon0=gapfit.epsilon0)
         rng = np.random.default_rng(100 + L)
+        grid = GridSpec(L=L, n=16)
+        per = periodic_levels(model, gs, grid)
         for _ in range(20):
-            lams = draw_couplings(rng, L)
-            rep = temple_lower_bound(gs, model, GridSpec(L=L, n=16), lams, cfg)
+            mapped = map_realization(gs, model, grid, draw_couplings(rng, L), cfg)
+            rep = temple_lower_bound(gs, model, grid, mapped, cfg, per)
             assert rep.passed, rep.to_dict()
             assert all(rep.constants["links"].values())
 
@@ -238,11 +254,32 @@ class TestTemple:
         import json
 
         model, gs = prepped
-        rep = temple_lower_bound(gs, model, GridSpec(L=6, n=16),
-                                 np.full(6, 1.3), cfg6)
+        rep = temple_at(gs, model, GridSpec(L=6, n=16), np.full(6, 1.3), cfg6)
         payload = rep.to_dict()
         assert {"name", "lhs", "rhs", "margin", "pass", "constants"} <= set(payload)
         json.dumps(payload)
+
+    def test_mapped_from_other_box_rejected(self, prepped, consts, gapfit, cfg6):
+        model, gs = prepped
+        cfg4 = make_temple_config(L=4, gamma=cfg6.gamma, constants=consts,
+                                  epsilon0=gapfit.epsilon0)
+        grid4, grid6 = GridSpec(L=4, n=16), GridSpec(L=6, n=16)
+        mapped4 = map_realization(gs, model, grid4, np.full(4, 1.3), cfg4)
+        with pytest.raises(InputError, match="L=4"):
+            temple_lower_bound(gs, model, grid6, mapped4, cfg6,
+                               periodic_levels(model, gs, grid6))
+
+    def test_config_violation_named(self, prepped, consts, gapfit, cfg6):
+        from breatherlab.bounds import TempleConfig
+
+        model, gs = prepped
+        grid = GridSpec(L=6, n=16)
+        mapped = map_realization(gs, model, grid, np.full(6, 1.5), cfg6)
+        bad = TempleConfig(L=6, c2=5.0, gamma=4.0, c7=1.0, epsilon0=gapfit.epsilon0,
+                           energy_scale=1e-5, constants=consts)
+        with pytest.raises(PreconditionError, match="kappa1"):
+            temple_lower_bound(gs, model, grid, mapped, bad,
+                               periodic_levels(model, gs, grid))
 
 
 class TestCorollary:
@@ -371,7 +408,8 @@ class TestDirichletUpperBound:
         # V_omega = 0: E1 <= B2 / L^2 with B2 near d pi^2
         model, _ = prepare_model(flat_background_model(), 16)
         grid = GridSpec(L=4, n=16)
-        rep = dirichlet_upper_bound(model, grid, np.full(4, 1.0))
+        rep = dirichlet_upper_bound(model, grid, np.full(4, 1.0),
+                                    dirichlet_test_function(model, grid))
         assert rep.passed
         assert rep.constants["B2"] == pytest.approx(np.pi**2, rel=1e-3)
         assert rep.constants["int_V_omega"] == 0.0
@@ -379,7 +417,8 @@ class TestDirichletUpperBound:
     def test_realized_b1_is_two(self):
         model, _ = prepare_model(flat_background_model(), 16)
         grid = GridSpec(L=4, n=16)
-        rep = dirichlet_upper_bound(model, grid, np.full(4, 1.0))
+        rep = dirichlet_upper_bound(model, grid, np.full(4, 1.0),
+                                    dirichlet_test_function(model, grid))
         h, L = 1 / 16, 4
         assert rep.constants["B1"] == pytest.approx(
             2.0 * np.cos(np.pi * h / (2 * L)) ** 2, rel=1e-12
@@ -390,9 +429,10 @@ class TestDirichletUpperBound:
         model, _ = prepare_model(flat_background_model(), 16)
         grid = GridSpec(L=6, n=16)
         rng = np.random.default_rng(41)
+        test = dirichlet_test_function(model, grid)
         for _ in range(100):
             lams = rng.uniform(1.0, 2.0, 6)
-            rep = dirichlet_upper_bound(model, grid, lams)
+            rep = dirichlet_upper_bound(model, grid, lams, test)
             assert rep.passed, rep.to_dict()
             assert rep.constants["variational_ok"]
 
@@ -400,6 +440,22 @@ class TestDirichletUpperBound:
         # nonzero normalized background folds into the non-random part
         model, _ = prepped
         grid = GridSpec(L=4, n=16)
-        rep = dirichlet_upper_bound(model, grid, np.full(4, 1.4))
+        rep = dirichlet_upper_bound(model, grid, np.full(4, 1.4),
+                                    dirichlet_test_function(model, grid))
         assert rep.passed
         assert rep.constants["kinetic_times_L2"] == pytest.approx(np.pi**2, rel=1e-3)
+
+    def test_constants_independent_of_couplings(self, prepped):
+        model, _ = prepped
+        grid = GridSpec(L=4, n=16)
+        test = dirichlet_test_function(model, grid)
+        for lams in (np.full(4, 1.0), np.array([1.1, 1.9, 1.4, 2.0])):
+            rep = dirichlet_upper_bound(model, grid, lams, test)
+            assert (rep.constants["B1"], rep.constants["B2"]) == (test.B1, test.B2)
+
+    def test_test_function_from_other_box_rejected(self, prepped):
+        model, _ = prepped
+        test4 = dirichlet_test_function(model, GridSpec(L=4, n=16))
+        for grid in (GridSpec(L=6, n=16), GridSpec(L=4, n=8)):
+            with pytest.raises(InputError, match="test function"):
+                dirichlet_upper_bound(model, grid, np.full(grid.L, 1.0), test4)

@@ -104,6 +104,34 @@ BAD_EXPERIMENT_FIELDS = [
     pytest.param("bounds", "gamma", 0, id="gamma-zero"),
     pytest.param("lifshitz", "curve_csv", "no-such-curve.csv", id="csv-missing"),
     pytest.param("bounds", "experiment", [0.5], id="section-not-an-object"),
+    pytest.param("spectrum", "seed", -1, id="seed-negative"),
+    pytest.param("spectrum", "seed", 2**64, id="seed-too-large"),
+    pytest.param("spectrum", "seed", "7", id="seed-string"),
+    pytest.param("bounds", "samples", 0, id="bounds-samples-zero"),
+    pytest.param("ids", "samples", 0, id="ids-samples-zero"),
+    pytest.param("lifshitz", "samples", 0, id="lifshitz-samples-zero"),
+    pytest.param("spectrum", "eigenvalues", "four", id="eigenvalues-string"),
+    pytest.param("spectrum", "realizations", -1, id="realizations-negative"),
+    pytest.param("lifshitz", "L_max", 0, id="L_max-zero"),
+    pytest.param("validate", "lambda_grid_size", 8, id="lambda-grid-too-coarse"),
+    pytest.param("validate", "x_grid_size", 256.0, id="x-grid-float"),
+    pytest.param("bounds", "temple_Ls", [4.5], id="temple-Ls-fractional"),
+    pytest.param("bounds", "temple_Ls", [], id="temple-Ls-empty"),
+    pytest.param("bounds", "temple_Ls", [4, 4], id="temple-Ls-repeated"),
+    pytest.param("bounds", "gap_Ls", [4], id="gap-Ls-single"),
+    pytest.param("ids", "energies", {"kind": "linear", "start": 0.5, "stop": 8.0,
+                                     "count": "six"}, id="energies-count-string"),
+    pytest.param("ids", "energies", {"kind": "geometric", "start": 0.0, "stop": 1.0,
+                                     "count": 4}, id="energies-geometric-zero"),
+    pytest.param("ids", "energies", {"kind": "cubic", "start": 0.5, "stop": 1.0,
+                                     "count": 4}, id="energies-kind-unknown"),
+    pytest.param("ids", "energies", {"values": []}, id="energies-list-empty"),
+    pytest.param("lifshitz", "energies", [0.1, 0.2], id="energies-not-an-object"),
+    pytest.param("lifshitz", "window", [0.1, 1e-4], id="window-reversed"),
+    pytest.param("lifshitz", "window", [0.0, 0.1], id="window-zero"),
+    pytest.param("lifshitz", "tolerance_band", [-0.3, -0.8], id="band-reversed"),
+    pytest.param("lifshitz", "fit_boundary", "X", id="fit-boundary-unknown"),
+    pytest.param("lifshitz", "target", "half", id="target-string"),
 ]
 
 
@@ -135,7 +163,25 @@ BAD_SOLVE_OUTPUT_GRID_FIELDS = [
     pytest.param("grid", {"L": [4.5]}, "grid.L", id="L-fractional"),
     pytest.param("grid", {"L": [0]}, "grid.L", id="L-zero"),
     pytest.param("grid", {"n": 2}, "grid.n", id="n-two"),
+    pytest.param("grid", {"L": [4, 4]}, "grid.L", id="L-repeated"),
+    pytest.param("solve", {"workers": 1.5}, "solve.workers", id="workers-fractional"),
 ]
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    pytest.param("--seed", "-1", "experiment.seed", id="seed-negative"),
+    pytest.param("--workers", "0", "solve.workers", id="workers-zero"),
+])
+def test_bad_override_exit_2(tmp_path, capsys, flag, value, field):
+    # the overrides are checked like the config fields they replace
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,block,field", BAD_SOLVE_OUTPUT_GRID_FIELDS)
@@ -412,6 +458,30 @@ class TestLifshitz:
         assert "experiment.curve_csv" in err
         assert "Traceback" not in err
 
+    def test_inline_run_reads_B2_without_eigensolve(self, tmp_path, monkeypatch):
+        from breatherlab import bounds as bounds_mod
+        from breatherlab import lattice, spectral
+
+        kinds = []
+
+        def spy(H, m):
+            kinds.append(H.bc.kind)
+            return spectral.lowest_eigenvalues(H, m)
+
+        for module in (bounds_mod, lattice, cli):
+            monkeypatch.setattr(module, "lowest_eigenvalues", spy)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, experiment={"seed": 3, "samples": 20, "L_max": 8,
+                                      "energies": {"kind": "list", "values": [0.2, 0.3]}})
+        out = tmp_path / "out"
+        assert main(["lifshitz", "--config", str(cfg), "--out", str(out)]) == 4
+        # only the two unit-cell ground states of prepare_model are solved
+        assert kinds == ["periodic", "periodic"]
+        loaded = cli.load_config(str(cfg))
+        prepared, _ = cli._prepare(loaded, cli.build_model(loaded))
+        test = bounds_mod.dirichlet_test_function(prepared, lattice.GridSpec(L=4, n=16))
+        assert json.loads((out / "lifshitz.json").read_text())["B2"] == test.B2
+
     def test_impossible_window_exit_4(self, tmp_path):
         curve_path = tmp_path / "curve.csv"
         E = np.geomspace(0.05, 0.8, 12)
@@ -465,3 +535,35 @@ class TestBounds:
                      "--no-cache"]) == 0
         assert (a / "bounds_report.json").read_bytes() == \
             (b / "bounds_report.json").read_bytes()
+
+    def test_per_box_work_done_once(self, tmp_path, monkeypatch):
+        from breatherlab import bounds as bounds_mod
+
+        calls = {}
+
+        def spy(name, counts=lambda *args, **kwargs: True):
+            fn = getattr(bounds_mod, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + int(counts(*args, **kwargs))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(bounds_mod, name, wrapped)
+
+        spy("map_realization")
+        spy("kinetic_operator")
+        spy("lowest_eigenvalues")
+        # coupling-free assemblies are the periodic operators whose levels are solved
+        spy("assemble", lambda model, grid, bc, couplings=None: couplings is None)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, experiment={"seed": 11, "samples": 3, "temple_Ls": [4, 6],
+                                      "gap_Ls": [2, 3, 4], "bernoulli_p": [0.5],
+                                      "bernoulli_Ld": [8]})
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out), "--no-cache"]) == 0
+        M, temple, gap = 3, 2, 3
+        assert calls["map_realization"] == M * temple
+        assert calls["kinetic_operator"] == temple
+        assert calls["assemble"] == temple + gap
+        # periodic levels, then one cut-off and one Dirichlet solve per sample
+        assert calls["lowest_eigenvalues"] == temple + gap + 2 * M * temple

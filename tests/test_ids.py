@@ -1,5 +1,6 @@
 """IDS tests: seeded sampling, estimation, bracketing, exponent fits."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -20,6 +21,7 @@ from breatherlab.ids import (
 )
 from breatherlab.lattice import (
     DIRICHLET,
+    NEUMANN,
     GridSpec,
     assemble,
     mezincescu_correction,
@@ -230,49 +232,63 @@ class TestEstimate:
         assert (back.n, back.M, back.seed, back.d) == (16, 10, 21, 1)
 
 
+def run_curves(model, bcs, Ls, energies, M, seed):
+    """One run's curves, keyed by box size, as ``cmd_ids`` hands them over."""
+    return {L: estimate_ids(model, 16, L, bcs, energies, M, seed) for L in Ls}
+
+
 class TestBracketing:
     def test_report_passes(self, prepped):
         model, gs = prepped
-        def make(grid):
-            return [DIRICHLET, mezincescu_correction(gs, grid)]
         energies = np.linspace(0.5, 8.0, 6)
-        rep = bracketing_report(model, 16, [4, 8, 16],
-                                [DIRICHLET, mezincescu_correction(gs, GridSpec(4, 16))],
-                                energies, 60, 13)
+        rep = bracketing_report(run_curves(
+            model, [DIRICHLET, mezincescu_correction(gs, GridSpec(4, 16))],
+            [4, 8, 16], energies, 60, 13))
         assert rep["pathwise_violations"] == 0
         assert rep["lower_monotone"] and rep["upper_monotone"]
         assert rep["cross_ordering"]
         assert rep["all_pass"]
 
-    def test_given_curves_match_recomputed(self, prepped):
+    def test_report_reads_run_from_curves(self, prepped):
         model, gs = prepped
-        bcs = bc_pair(gs)(GridSpec(4, 16))
         energies = np.linspace(0.5, 8.0, 4)
-        args = (model, 16, [4, 8], bcs, energies, 12, 31)
-        curves = {L: estimate_ids(model, 16, L, bcs, energies, 12, 31)
-                  for L in (4, 8)}
-        assert bracketing_report(*args, curves=curves) == bracketing_report(*args)
-        # a partial mapping estimates only the missing box size
-        assert (bracketing_report(*args, curves={8: curves[8]})
-                == bracketing_report(*args))
+        curves = run_curves(model, bc_pair(gs)(GridSpec(4, 16)), [8, 4], energies, 12, 31)
+        rep = bracketing_report(curves)
+        assert (rep["Ls"], rep["samples"], rep["seed"]) == ([8, 4], 12, 31)
+        assert rep["energies"] == list(energies)
+        assert rep["pathwise_pairs"] == 2 * 12 * 4
+        for L, cur in curves.items():
+            for label in ("D", "M"):
+                assert rep["curves"][L][label] == list(cur.estimates[label])
 
     def test_given_curve_without_counts_rejected(self, prepped):
         model, gs = prepped
         bcs = bc_pair(gs)(GridSpec(4, 16))
-        energies = [0.5, 2.0]
-        bare = estimate_ids(model, 16, 4, bcs, energies, 6, 31, keep_counts=False)
+        curves = run_curves(model, bcs, [4, 8], [0.5, 2.0], 6, 31)
+        curves[4] = dataclasses.replace(curves[4], counts=None)
         with pytest.raises(InputError):
-            bracketing_report(model, 16, [4, 8], bcs, energies, 6, 31,
-                              curves={4: bare})
+            bracketing_report(curves)
+
+    def test_curve_without_upper_label_rejected(self, prepped):
+        model, _ = prepped
+        curves = run_curves(model, [DIRICHLET, NEUMANN], [4, 8], [0.5, 2.0], 6, 31)
+        with pytest.raises(InputError, match="D and M"):
+            bracketing_report(curves)
 
     def test_given_curve_other_run_rejected(self, prepped):
         model, gs = prepped
         bcs = bc_pair(gs)(GridSpec(4, 16))
         energies = [0.5, 2.0]
-        other = estimate_ids(model, 16, 4, bcs, energies, 6, 32)
+        curves = run_curves(model, bcs, [8], energies, 6, 31)
+        curves[4] = estimate_ids(model, 16, 4, bcs, energies, 6, 32)
         with pytest.raises(InputError):
-            bracketing_report(model, 16, [4, 8], bcs, energies, 6, 31,
-                              curves={4: other})
+            bracketing_report(curves)
+
+    def test_single_box_rejected(self, prepped):
+        model, gs = prepped
+        with pytest.raises(InputError, match="two box sizes"):
+            bracketing_report(run_curves(model, bc_pair(gs)(GridSpec(4, 16)), [4],
+                                         [0.5], 6, 31))
 
     def test_free_case_closed_form_counts(self):
         # deterministic check at E = 5 for the free operator: normalized
