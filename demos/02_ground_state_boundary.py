@@ -18,8 +18,10 @@ from breatherlab import (
     SingleSiteSpec,
     assemble,
     fit_gap_constant,
+    ground_state_box,
     lowest_eigenvalues,
     mezincescu_correction,
+    periodic_levels,
     periodized_ground_state,
     prepare_model,
 )
@@ -44,7 +46,8 @@ for L in (2, 4, 6, 8):
     e1 = lowest_eigenvalues(H, 1).energies[0]
     print(f"  L = {L}: residual {resid:.2e}, E1 = {e1: .2e}")
 
-gap = fit_gap_constant(model, gs, 16, Ls=tuple(range(2, 11)))
+gap = fit_gap_constant({L: periodic_levels(ground_state_box(model, gs, GridSpec(L=L, n=16)))
+                        for L in range(2, 11)})
 print(f"\ngap scaling over L = 2..10: epsilon0 = min L^2 (E2-E1) = {gap.epsilon0:.4f}")
 print(f"log-log slope of the gap in L: {gap.loglog_slope:.3f} (inverse-square: -2)")
 for L, g in zip(gap.Ls, gap.gaps):

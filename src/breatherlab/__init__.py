@@ -21,6 +21,7 @@ from .bounds import (
     dirichlet_upper_bound,
     fit_gap_constant,
     first_moment,
+    ground_state_box,
     make_temple_config,
     map_realization,
     model_constants,
@@ -32,14 +33,13 @@ from .ids import (
     BoxChoice,
     IDSCurve,
     LifshitzFit,
-    Realization,
     bracketing_report,
     choose_box_size,
     estimate_ids,
     fit_lifshitz,
     lower_tail_check,
     matched_box_curve,
-    sample_realization,
+    sample_fields,
     synthetic_curve,
 )
 from .lattice import (
@@ -47,18 +47,19 @@ from .lattice import (
     NEUMANN,
     PERIODIC,
     BoundaryCondition,
+    BoxSkeleton,
     DiscreteHamiltonian,
     GridSpec,
     GroundStateData,
     assemble,
     assemble_random_potential,
     couplings_array,
-    kinetic_operator,
     mezincescu_correction,
     periodic_ground_state,
-    periodic_potential_on_grid,
     periodized_ground_state,
     prepare_model,
+    random_potentials,
+    skeleton,
 )
 from .model import (
     AssumptionReport,

@@ -25,14 +25,13 @@ from scipy import special
 from .errors import DomainError, InputError, PreconditionError
 from .lattice import (
     DIRICHLET,
+    BoxSkeleton,
     GridSpec,
-    assemble,
     assemble_random_potential,
     couplings_array,
-    kinetic_operator,
     mezincescu_correction,
-    periodic_potential_on_grid,
     periodized_ground_state,
+    skeleton,
 )
 from .model import analytic_kappa1, integral_derivative_profile, site_values
 from .spectral import lowest_eigenvalues
@@ -264,28 +263,32 @@ def second_moment(gs, mapped: MappedRealization, H_tilde, cfg: TempleConfig):
     return value, bound
 
 
-def periodic_levels(model, gs, grid: GridSpec) -> np.ndarray:
-    """E1(per), E2(per): the two lowest levels of the periodic operator on the
-    box under the ground-state boundary condition (no couplings)."""
-    H = assemble(model, grid, mezincescu_correction(gs, grid))
-    return lowest_eigenvalues(H, 2).energies
+def ground_state_box(model, gs, grid: GridSpec) -> BoxSkeleton:
+    """The skeleton of the box under the ground-state boundary condition."""
+    return skeleton(model, grid, mezincescu_correction(gs, grid))
 
 
-def temple_lower_bound(gs, model, grid: GridSpec, mapped: MappedRealization,
+def periodic_levels(box: BoxSkeleton) -> np.ndarray:
+    """E1(per), E2(per): the two lowest levels of the coupling-free operator
+    of a ``ground_state_box``."""
+    return lowest_eigenvalues(box.hamiltonian(), 2).energies
+
+
+def temple_lower_bound(gs, model, box: BoxSkeleton, mapped: MappedRealization,
                        cfg: TempleConfig, per) -> BoundReport:
     """Check E1 of the cutoff operator against (3/4) of the mean xi.
 
-    ``mapped`` is the realization mapped on ``grid`` and ``per`` the box's
-    ``periodic_levels``.  The applicability chain 0 = E1(per) <= E1(cut) <=
-    form < nu <= E2(per) <= E2(cut) is verified link by link; a broken link
-    is reported as a failure naming the link (that signals bad constants,
-    not a solver bug).
+    ``box`` is the ``ground_state_box``, ``mapped`` the realization mapped on
+    its grid and ``per`` its ``periodic_levels``.  The applicability chain
+    0 = E1(per) <= E1(cut) <= form < nu <= E2(per) <= E2(cut) is verified link
+    by link; a broken link is reported as a failure naming the link (that
+    signals bad constants, not a solver bug).
     """
     cfg.validate()
+    grid = box.grid
     if (mapped.L, mapped.d) != (grid.L, grid.d):
         raise InputError(f"realization mapped on L={mapped.L}, d={mapped.d}, not on {grid}")
-    H_cut = assemble(model, grid, mezincescu_correction(gs, grid),
-                     couplings=mapped.cutoffs)
+    H_cut = box.hamiltonian(assemble_random_potential(model, grid, mapped.cutoffs).ravel())
     cut = lowest_eigenvalues(H_cut, 2).energies
     form, mean_xi = first_moment(gs, mapped, H_cut)
     sq_value, sq_bound = second_moment(gs, mapped, H_cut, cfg)
@@ -394,10 +397,12 @@ class DirichletTestFunction:
     P: float
     B1: float
     B2: float
+    box: BoxSkeleton
 
 
 def dirichlet_test_function(model, grid: GridSpec) -> DirichletTestFunction:
-    """Build the test function and its constants on one box."""
+    """Build the test function and its constants on one box, with the box's
+    Dirichlet skeleton (K is its zero-potential operator)."""
     L, d, hd = grid.L, grid.d, grid.h**grid.d
     t = grid.axis_coords() - (L - 1) / 2.0
     axis_phi = np.cos(np.pi * t / L)
@@ -406,14 +411,14 @@ def dirichlet_test_function(model, grid: GridSpec) -> DirichletTestFunction:
         phi = np.multiply.outer(phi, axis_phi)
     phi = phi.ravel()
 
-    K = kinetic_operator(grid, DIRICHLET)
+    box = skeleton(model, grid, DIRICHLET)
+    K = box.operator(0.0)
     Q = float(np.sum(phi**2)) * hd
     T = float(phi @ (K.matrix @ phi)) * hd
-    vper = periodic_potential_on_grid(model, grid).ravel()
-    P = float(np.sum(phi**2 * vper)) * hd
+    P = float(np.sum(phi**2 * box.vper)) * hd
     B1 = float(np.max(phi**2)) * L**d / Q
     B2 = (T + P) / Q * L**2
-    return DirichletTestFunction(grid=grid, phi=phi, Q=Q, T=T, P=P, B1=B1, B2=B2)
+    return DirichletTestFunction(grid=grid, phi=phi, Q=Q, T=T, P=P, B1=B1, B2=B2, box=box)
 
 
 def dirichlet_upper_bound(model, grid: GridSpec, couplings,
@@ -422,12 +427,11 @@ def dirichlet_upper_bound(model, grid: GridSpec, couplings,
     with the test function and constants of ``dirichlet_test_function``."""
     if test.grid != grid:
         raise InputError(f"test function built on {test.grid}, box is {grid}")
-    lam = couplings_array(grid, couplings)
-    H = assemble(model, grid, DIRICHLET, couplings=lam)
     L, d, hd = grid.L, grid.d, grid.h**grid.d
     Q, T, P = test.Q, test.T, test.P
 
-    vrand = assemble_random_potential(model, grid, lam).ravel()
+    vrand = assemble_random_potential(model, grid, couplings).ravel()
+    H = test.box.hamiltonian(vrand)
     W = float(np.sum(test.phi**2 * vrand)) * hd
     quotient = (T + P + W) / Q
 
@@ -463,14 +467,12 @@ class GapFit:
         }
 
 
-def fit_gap_constant(model, gs, n: int, Ls=tuple(range(2, 11))) -> GapFit:
-    """Measure the ground-state-boundary gap across box sizes and fit."""
-    gaps = []
-    for L in Ls:
-        e1, e2 = periodic_levels(model, gs, GridSpec(L=L, n=n, d=model.d))
-        gaps.append(e2 - e1)
-    gaps = np.asarray(gaps)
+def fit_gap_constant(levels) -> GapFit:
+    """Fit the ground-state-boundary gap across box sizes; ``levels`` maps each
+    side L to its ``periodic_levels``."""
+    Ls = tuple(levels)
+    gaps = np.asarray([levels[L][1] - levels[L][0] for L in Ls])
     eps0 = float(np.min(np.asarray(Ls, dtype=float) ** 2 * gaps))
     slope = float(np.polyfit(np.log(np.asarray(Ls, float)), np.log(gaps), 1)[0])
-    return GapFit(epsilon0=eps0, Ls=tuple(Ls), gaps=tuple(float(g) for g in gaps),
+    return GapFit(epsilon0=eps0, Ls=Ls, gaps=tuple(float(g) for g in gaps),
                   loglog_slope=slope)

@@ -40,9 +40,10 @@ from .lattice import (
     NEUMANN,
     PERIODIC,
     GridSpec,
-    assemble,
     mezincescu_correction,
     prepare_model,
+    random_potentials,
+    skeleton,
 )
 from .model import (
     DistributionSpec,
@@ -174,6 +175,7 @@ def load_config(path: str, seed: int = None, workers: int = None) -> dict:
         effective["experiment"]["seed"] = seed
     if workers is not None:
         effective["solve"]["workers"] = workers
+    _check_model(effective["model"])
     _check_grid(effective["grid"])
     _check_experiment(effective["experiment"])
     if not (_is_int(effective["solve"]["workers"]) and effective["solve"]["workers"] >= 1):
@@ -206,6 +208,29 @@ def _is_pair(v) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(map(_is_finite, v))
 
 
+# numeric model fields; the model classes check their ranges
+MODEL_NUMBERS = (("dist", "lambda_minus"), ("dist", "lambda_plus"),
+                 ("dist", "atom_mass_at_min"), ("site", "amplitude"), ("site", "radius"))
+
+
+def _check_model(model: dict):
+    """Reject model fields of the wrong type before the model is built."""
+    d = _need(model, "d", "model")
+    if not (_is_int(d) and d in (1, 2, 3)):
+        raise ConfigError(f"model.d must be 1, 2 or 3, got {d!r}")
+    for section in ("dist", "site"):
+        if not isinstance(model.get(section, {}), dict):
+            raise ConfigError(f"model.{section} must be an object, got {model[section]!r}")
+    for section, key in MODEL_NUMBERS:
+        value = model.get(section, {}).get(key, 0.0)
+        if not _is_finite(value):
+            raise ConfigError(f"model.{section}.{key} must be a finite number, got {value!r}")
+    standardized = model.get("site", {}).get("standardized", False)
+    if not isinstance(standardized, bool):
+        raise ConfigError(f"model.site.standardized must be true or false, "
+                          f"got {standardized!r}")
+
+
 def _check_grid(grid: dict):
     """Reject grids no box can be built on; a scalar side becomes a list."""
     n = _need(grid, "n", "grid")
@@ -228,13 +253,17 @@ def _check_experiment(exp: dict):
     for key, least in (("temple_Ls", 1), ("gap_Ls", 2)):
         if key in exp:
             _check_sizes(exp[key], f"experiment.{key}", least)
-    if "energies" in exp:
-        energies_from(exp["energies"])
+    if "energies" in exp and np.any(np.diff(energies_from(exp["energies"])) < 0):
+        raise ConfigError(f"experiment.energies must be in increasing order, "
+                          f"got {energies_from(exp['energies']).tolist()}")
     for key, ordered, rule in (("window", lambda lo, hi: 0 < lo < hi < 1, "0 < lo < hi < 1"),
                                ("tolerance_band", lambda lo, hi: lo <= hi, "lo <= hi")):
         if key in exp and not (_is_pair(exp[key]) and ordered(*exp[key])):
             raise ConfigError(f"experiment.{key} must be [lo, hi] with {rule}, "
                               f"got {exp[key]!r}")
+    if not isinstance(exp.get("include_periodic", True), bool):
+        raise ConfigError(f"experiment.include_periodic must be true or false, "
+                          f"got {exp['include_periodic']!r}")
     if exp.get("fit_boundary", "M") not in ("D", "M"):
         raise ConfigError(f"experiment.fit_boundary must be \"D\" or \"M\", "
                           f"got {exp['fit_boundary']!r}")
@@ -263,7 +292,7 @@ def input_files(exp: dict) -> list:
 
 def build_model(cfg: dict) -> ModelSpec:
     m = cfg["model"]
-    d = int(_need(m, "d", "model"))
+    d = _need(m, "d", "model")
     vper_cfg = _need(m, "vper", "model")
     kind = _need(vper_cfg, "kind", "model.vper")
     if kind == "zero":
@@ -299,7 +328,7 @@ def build_model(cfg: dict) -> ModelSpec:
             radius=float(site_cfg.get("radius", 0.4)),
             lambda_minus=dist.lambda_minus,
             lambda_plus=dist.lambda_plus,
-            standardized=bool(site_cfg.get("standardized", False)),
+            standardized=site_cfg.get("standardized", False),
         )
     elif site_kind == "tabulated":
         site = SingleSiteSpec(
@@ -446,7 +475,7 @@ def cmd_spectrum(cfg, out_dir: Path, digest: str):
     m = int(exp.get("eigenvalues", 4))
     labels = exp.get("boundary", ["D", "M"])
     n_real = int(exp.get("realizations", 1))
-    include_periodic = bool(exp.get("include_periodic", True))
+    include_periodic = exp.get("include_periodic", True)
     seed = int(exp["seed"])
 
     rows = []
@@ -454,16 +483,13 @@ def cmd_spectrum(cfg, out_dir: Path, digest: str):
     try:
         for L in cfg["grid"]["L"]:
             grid = GridSpec(L=int(L), n=n, d=prepared.d)
+            fields = ids_mod.sample_fields(prepared.dist, seed, range(n_real), L, prepared.d)
+            vrand = random_potentials(prepared, grid, fields)
             for label in labels:
-                bc = _bc_from_label(label, gs, grid)
+                box = skeleton(prepared, grid, _bc_from_label(label, gs, grid))
                 indices = ([-1] if include_periodic else []) + list(range(n_real))
                 for idx in indices:
-                    if idx < 0:
-                        H = assemble(prepared, grid, bc)
-                    else:
-                        real = ids_mod.sample_realization(prepared.dist, seed, idx,
-                                                          int(L), prepared.d)
-                        H = assemble(prepared, grid, bc, couplings=real.couplings)
+                    H = box.hamiltonian(None if idx < 0 else vrand[idx])
                     res = lowest_eigenvalues(H, m)
                     for k in range(len(res.energies)):
                         rows.append((int(L), n, label, idx, k + 1,
@@ -539,7 +565,7 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
     window = tuple(float(v) for v in exp.get("window", [1e-4, 1e-1]))
     band = exp.get("tolerance_band", [-0.8, -0.3])
     label = exp.get("fit_boundary", "M")
-    d = int(_need(cfg["model"], "d", "model"))
+    d = cfg["model"]["d"]
     files = ["lifshitz.json"]
 
     if exp.get("curve_csv"):
@@ -599,7 +625,12 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
 
     consts = bounds_mod.model_constants(prepared, gs)
     gap_Ls = tuple(int(v) for v in exp.get("gap_Ls", range(2, 11)))
-    gap = bounds_mod.fit_gap_constant(prepared, gs, n, Ls=gap_Ls)
+    temple_Ls = [int(v) for v in exp.get("temple_Ls", [4, 6, 8])]
+    # one ground-state-boundary box, and its periodic levels, per side
+    boxes = {L: bounds_mod.ground_state_box(prepared, gs, GridSpec(L=L, n=n, d=prepared.d))
+             for L in dict.fromkeys([*gap_Ls, *temple_Ls])}
+    levels = {L: bounds_mod.periodic_levels(box) for L, box in boxes.items()}
+    gap = bounds_mod.fit_gap_constant({L: levels[L] for L in gap_Ls})
     lam_star, p_star = prepared.dist.lambda_star()
     gamma = float(exp.get("gamma") or 2.0 / p_star)
 
@@ -628,7 +659,6 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
         "gap_fit": gap.to_dict(),
     }
 
-    temple_Ls = [int(v) for v in exp.get("temple_Ls", [4, 6, 8])]
     temple_out = {}
     corollary_out = {"checks": 0, "passes": 0, "nonvacuous": 0}
     deviation_out = {"checks": 0, "passes": 0, "premise_sites": 0}
@@ -638,16 +668,17 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
         for L in temple_Ls:
             tcfg = bounds_mod.make_temple_config(L=L, gamma=gamma, constants=consts,
                                                  epsilon0=gap.epsilon0)
-            grid = GridSpec(L=L, n=n, d=prepared.d)
-            per = bounds_mod.periodic_levels(prepared, gs, grid)
+            box = boxes[L]
+            grid = box.grid
             test = bounds_mod.dirichlet_test_function(prepared, grid)
+            shape = (L,) * prepared.d
             passes = 0
-            for i in range(M):
-                real = ids_mod.sample_realization(prepared.dist, seed,
-                                                  (L << 20) + i, L, prepared.d)
-                mapped = bounds_mod.map_realization(gs, prepared, grid,
-                                                    real.couplings, tcfg)
-                rep = bounds_mod.temple_lower_bound(gs, prepared, grid, mapped, tcfg, per)
+            for lams in ids_mod.sample_fields(prepared.dist, seed, (L << 20) + np.arange(M),
+                                              L, prepared.d):
+                mapped = bounds_mod.map_realization(gs, prepared, grid, lams.reshape(shape),
+                                                    tcfg)
+                rep = bounds_mod.temple_lower_bound(gs, prepared, box, mapped, tcfg,
+                                                    levels[L])
                 passes += int(rep.passed)
                 cor = bounds_mod.counting_corollary_check(
                     mapped, rep.constants["E1_cut"], tcfg.energy_scale, gamma)
@@ -658,10 +689,10 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
                 deviation_out["checks"] += 1
                 deviation_out["passes"] += int(dev.passed)
                 deviation_out["premise_sites"] += dev.constants["premise_count"]
-            for i in range(M):
-                real = ids_mod.sample_realization(prepared.dist, seed,
-                                                  (L << 21) + i, L, prepared.d)
-                rep = bounds_mod.dirichlet_upper_bound(prepared, grid, real.couplings, test)
+            for lams in ids_mod.sample_fields(prepared.dist, seed, (L << 21) + np.arange(M),
+                                              L, prepared.d):
+                rep = bounds_mod.dirichlet_upper_bound(prepared, grid, lams.reshape(shape),
+                                                       test)
                 diri["checks"] += 1
                 diri["passes"] += int(rep.passed)
             diri["B1"], diri["B2"] = test.B1, test.B2

@@ -1,10 +1,13 @@
 """Monte Carlo estimation of the integrated density of states.
 
-Couplings are generated by the counter-based Philox generator keyed on
-(master_seed, realization index), with the per-site value read off at the
+Couplings are generated by the counter-based Philox4x64-10 generator keyed
+on (master_seed, realization index), with the per-site value read off at the
 site's row-major position, so every field is a pure function of
 (master_seed, index, site) and runs are reproducible bit for bit regardless
-of worker scheduling.
+of worker scheduling.  ``sample_fields`` draws all streams of a block in one
+vectorized call, equal bit for bit to NumPy's ``Philox``.  Each box and
+boundary condition is assembled once; tridiagonal rows of a block are counted
+in one Sturm sweep, other operators row by row.
 
 Estimates are normalized eigenvalue counts N(E, H^{L,X}) / L^d averaged over
 realizations; Dirichlet counts bound the limit from below and ground-state
@@ -19,43 +22,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InsufficientDataError
-from .lattice import GridSpec, assemble
+from .lattice import GridSpec, random_potentials, skeleton
 from .model import DistributionSpec
 from .spectral import count_below, tridiag_count_below
 
-FAST_BC_KINDS = ("dirichlet", "neumann", "robin", "mezincescu")
 CSV_HEADER = "E,N_D,se_D,N_M,se_M,L,n,M,seed"
 
 
-@dataclass(frozen=True)
-class Realization:
-    """Seeded coupling field on the sites of one box."""
-
-    master_seed: int
-    index: int
-    L: int
-    d: int
-    couplings: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.couplings, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "couplings", arr)
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC'11): round multipliers and Weyl key increments
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
-def _uniform_field(master_seed: int, index: int, count: int) -> np.ndarray:
-    key = np.array([master_seed, index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random(count)
+def _mulhilo(m: int, a: np.ndarray):
+    """High and low words of the 128-bit product m * a, through 32-bit halves."""
+    m_lo, m_hi, a_lo, a_hi = m & 0xFFFFFFFF, m >> 32, a & 0xFFFFFFFF, a >> 32
+    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    mid = (ll >> 32) + (lh & 0xFFFFFFFF) + (hl & 0xFFFFFFFF)
+    return a_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), a * m
 
 
-def sample_realization(dist: DistributionSpec, master_seed: int, index: int,
-                       L: int, d: int) -> Realization:
-    """Deterministic coupling field: site k holds the inverse-CDF image of the
-    k-th (row-major) variate of the stream keyed on (master_seed, index)."""
-    u = _uniform_field(master_seed, index, L**d)
-    lams = dist.sample(u).reshape((L,) * d)
-    return Realization(master_seed=master_seed, index=index, L=L, d=d, couplings=lams)
+def sample_fields(dist: DistributionSpec, seed: int, indices, L: int, d: int) -> np.ndarray:
+    """Coupling fields of the realizations ``indices``: read-only, (M, L**d).
+
+    Site k (row-major) of row i is the inverse-CDF image of the k-th double of
+    the Philox4x64-10 stream keyed on (seed, indices[i]) as two uint64 words,
+    the stream of ``Generator(Philox(key=key)).random``: counter from 1, four
+    words per block, 53 high bits per double.  All M streams run at once.
+    """
+    count, blocks = L**d, -(-L**d // 4)
+    k1 = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
+    k0 = np.full_like(k1, seed)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (k1.size, blocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + PHILOX_W[0], k1 + PHILOX_W[1]
+        (hi0, lo0), (hi1, lo1) = _mulhilo(PHILOX_M[0], c0), _mulhilo(PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(k1.size, 4 * blocks)[:, :count]
+    fields = dist.sample((words >> 11) * (1.0 / 9007199254740992.0))
+    fields.setflags(write=False)
+    return fields
 
 
 @dataclass(frozen=True)
@@ -125,52 +134,41 @@ class IDSCurve:
                    estimates={"D": N_D, "M": N_M}, errors={"D": se_D, "M": se_M})
 
 
-def _counts_fast_1d(model, grid, bcs, energies, master_seed, indices, index_offset):
-    """Vectorized tridiagonal path: batch all realizations per boundary case."""
-    from .model import site_values
-
-    M = len(indices)
-    L, n, N = grid.L, grid.n, grid.num_dof
-    u = np.empty((M, L))
-    for row, i in enumerate(indices):
-        u[row] = _uniform_field(master_seed, i + index_offset, L)
-    lams = model.dist.sample(u)
-    vals = site_values(model.site, lams.ravel(), grid.offset_points())
-    vrand = vals.reshape(M, N)
-
-    out = {}
-    for bc in bcs:
-        base = assemble(model, grid, bc)
-        diag = base.matrix.diagonal()[None, :] + vrand
-        off = base.matrix.diagonal(1)
-        counts = np.empty((M, len(energies)), dtype=int)
-        for j, E in enumerate(energies):
-            counts[:, j] = tridiag_count_below(diag, off, float(E))
-        out[bc.label] = counts
-    return out
-
-
-def _counts_general(model, grid, bcs, energies, master_seed, indices, index_offset):
-    out = {bc.label: np.empty((len(indices), len(energies)), dtype=int)
-           for bc in bcs}
-    for row, i in enumerate(indices):
-        real = sample_realization(model.dist, master_seed, i + index_offset,
-                                  grid.L, grid.d)
-        for bc in bcs:
-            H = assemble(model, grid, bc, couplings=real.couplings)
-            for j, E in enumerate(energies):
-                out[bc.label][row, j] = count_below(H, float(E)).count
-    return out
+def _sturm_counts(boxes, vrand, energies):
+    """Counts on tridiagonal boxes from one Sturm sweep over all (box, energy,
+    realization) rows; a row's pivot scale is max |diagonal| over its box's
+    block plus |E|, as when each box and energy was swept alone."""
+    M, N = vrand.shape
+    R = M * len(energies)
+    diag = np.empty((N, len(boxes) * R))
+    diag_max = np.empty(len(boxes) * R)
+    for k, box in enumerate(boxes):
+        block = diag[:, k * R:(k + 1) * R]
+        np.add(box.diagonal(box.vper)[:, None], vrand.T, out=block[:, :M])
+        for j in range(1, len(energies)):
+            block[:, j * M:(j + 1) * M] = block[:, :M]
+        diag_max[k * R:(k + 1) * R] = max(block[:, :M].max(), -block[:, :M].min())
+    counts = tridiag_count_below(diag.T, boxes[0].stencil.diagonal(1),
+                                 np.tile(np.repeat(energies, M), len(boxes)), diag_max)
+    return {box.bc.label: counts[k * R:(k + 1) * R].reshape(-1, M).T.copy()
+            for k, box in enumerate(boxes)}
 
 
 def _count_block(args):
+    """Counts (realizations x energies) per boundary label for one index block."""
     model, grid, bcs, energies, master_seed, indices, index_offset = args
-    fast = grid.d == 1 and all(bc.kind in FAST_BC_KINDS for bc in bcs)
-    if fast:
-        return _counts_fast_1d(model, grid, bcs, energies, master_seed, indices,
-                               index_offset)
-    return _counts_general(model, grid, bcs, energies, master_seed, indices,
-                           index_offset)
+    fields = sample_fields(model.dist, master_seed, np.asarray(indices) + index_offset,
+                           grid.L, grid.d)
+    vrand = random_potentials(model, grid, fields)
+    boxes = [skeleton(model, grid, bc) for bc in bcs]
+    tridiagonal = [box for box in boxes if box.tridiagonal]
+    out = _sturm_counts(tridiagonal, vrand, energies) if tridiagonal else {}
+    for box in boxes:
+        if not box.tridiagonal:
+            out[box.bc.label] = np.array([
+                [count_below(H, float(E)).count for E in energies]
+                for H in map(box.hamiltonian, vrand)]).reshape(len(vrand), len(energies))
+    return out
 
 
 def estimate_ids(model, n: int, L: int, bcs, energies, M: int, master_seed: int,

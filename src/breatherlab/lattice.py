@@ -15,6 +15,10 @@ c = (2 - rho h)/(2 + rho h) (Robin with coefficient rho at the face), and
 c = Psi(ghost)/Psi(inner) for the ground-state (Mezincescu) condition, Psi
 being the periodic extension of the unit-cell ground state.  All folds touch
 only the diagonal, so every assembled matrix is exactly symmetric.
+
+A box's ``skeleton`` (stencil, V_per, folds) is built once per (model, grid,
+boundary condition); a realization only supplies the diagonal V_omega.  In
+d = 1 under a non-periodic condition the operator is ``tridiagonal``.
 """
 
 import os
@@ -149,6 +153,11 @@ class DiscreteHamiltonian:
     matrix: sps.csr_matrix
 
     @property
+    def tridiagonal(self):
+        """d = 1 under a non-periodic condition: no wrap-around entry."""
+        return self.grid.d == 1 and self.bc.kind != "periodic"
+
+    @property
     def shape(self):
         return self.matrix.shape
 
@@ -173,6 +182,45 @@ class DiscreteHamiltonian:
         finally:
             if close:
                 file.close()
+
+
+@dataclass(frozen=True)
+class BoxSkeleton:
+    """Everything of H on one box that a realization does not change.
+
+    ``stencil`` is the CSR pattern of -Laplacian_h with its off-diagonal
+    values set and its diagonal entries at ``diag_slots`` of ``stencil.data``;
+    ``vper`` is V_per on the grid (flat) and ``folds[axis]`` the ghost folds
+    c/h^2 of that axis's two faces (zero off the faces).  A realization only
+    moves the diagonal: ``hamiltonian(v)`` is H with V_per + v.
+    """
+
+    grid: GridSpec
+    bc: BoundaryCondition
+    vper: np.ndarray
+    folds: np.ndarray
+    stencil: sps.csr_matrix
+    diag_slots: np.ndarray
+
+    tridiagonal = DiscreteHamiltonian.tridiagonal  # reads only grid and bc
+
+    def diagonal(self, potential) -> np.ndarray:
+        """Diagonal of -Laplacian_h + diag(potential), folds applied axis by axis."""
+        h2 = self.grid.h * self.grid.h
+        diag = np.full(self.grid.num_dof, 2.0 * self.grid.d / h2) + potential
+        for fold in self.folds:
+            diag -= fold
+        return diag
+
+    def operator(self, potential) -> DiscreteHamiltonian:
+        """-Laplacian_h + diag(potential) on this box; 0.0 gives the bare kinetic part."""
+        mat = self.stencil.copy()
+        mat.data[self.diag_slots] = self.diagonal(potential)
+        return DiscreteHamiltonian(grid=self.grid, bc=self.bc, matrix=mat)
+
+    def hamiltonian(self, v_random=None) -> DiscreteHamiltonian:
+        """H with V_per + ``v_random`` (flat); without it, the periodic operator."""
+        return self.operator(self.vper if v_random is None else self.vper + v_random)
 
 
 def couplings_array(grid: GridSpec, couplings) -> np.ndarray:
@@ -201,27 +249,20 @@ def assemble_random_potential(model: ModelSpec, grid: GridSpec, couplings) -> np
     inside their cells, so the sum has at most one nonzero term per point.
     """
     lams = couplings_array(grid, couplings)
-    pts = grid.offset_points()
-    vals = site_values(model.site, lams.ravel(), pts)  # (L**d, n**d)
-    return _scatter_cells(vals, grid)
+    return random_potentials(model, grid, lams.reshape(1, -1))[0].reshape(grid.shape)
 
 
-def _scatter_cells(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Place per-cell values (L**d, n**d) into the global grid (nL,)*d."""
+def random_potentials(model: ModelSpec, grid: GridSpec, fields) -> np.ndarray:
+    """V_omega for a batch of coupling fields (M, L**d), flat: shape (M, (nL)**d)."""
     L, n, d = grid.L, grid.n, grid.d
-    src = vals.reshape((L,) * d + (n,) * d)
-    # interleave (k1..kd, j1..jd) -> (k1, j1, k2, j2, ...)
-    perm = []
-    for axis in range(d):
+    fields = np.asarray(fields, dtype=float)
+    vals = site_values(model.site, fields.ravel(), grid.offset_points())
+    src = vals.reshape((fields.shape[0],) + (L,) * d + (n,) * d)
+    # interleave (k1..kd, j1..jd) -> (k1, j1, k2, j2, ...) behind the batch axis
+    perm = [0]
+    for axis in range(1, d + 1):
         perm.extend([axis, d + axis])
-    interleaved = np.transpose(src, perm)
-    return interleaved.reshape(grid.shape).copy()
-
-
-def periodic_potential_on_grid(model: ModelSpec, grid: GridSpec) -> np.ndarray:
-    """V_per sampled on the cube grid (the unit-cell samples tiled)."""
-    cell = model.vper.sample_cell(grid.n, model.d)
-    return np.tile(cell, (grid.L,) * model.d)
+    return np.transpose(src, perm).reshape(fields.shape[0], grid.num_dof)
 
 
 def _boundary_fold(grid: GridSpec, bc: BoundaryCondition, axis: int, side: int,
@@ -254,16 +295,17 @@ def _boundary_fold(grid: GridSpec, bc: BoundaryCondition, axis: int, side: int,
     return psi[tuple(ghost)] / psi[tuple(inner)]
 
 
-def _assemble_operator(grid: GridSpec, bc: BoundaryCondition, v_flat: np.ndarray) -> sps.csr_matrix:
-    """-Laplacian + diag(V) with the requested boundary treatment."""
+def skeleton(model: ModelSpec, grid: GridSpec, bc: BoundaryCondition) -> BoxSkeleton:
+    """Build the parts of H on one box that no realization changes."""
+    if model.d != grid.d:
+        raise InputError("model and grid dimension disagree")
     d, npa = grid.d, grid.points_per_axis
     N = grid.num_dof
     h2 = grid.h * grid.h
     flat = np.arange(N).reshape(grid.shape)
 
     rows, cols, data = [], [], []
-    diag = np.full(N, 2.0 * d / h2) + v_flat
-
+    folds = np.zeros((d, N))
     for axis in range(d):
         lo = flat.take(range(npa - 1), axis=axis).ravel()
         hi = flat.take(range(1, npa), axis=axis).ravel()
@@ -281,18 +323,21 @@ def _assemble_operator(grid: GridSpec, bc: BoundaryCondition, v_flat: np.ndarray
         else:
             for side, sel in ((0, flat.take([0], axis=axis).ravel()),
                               (1, flat.take([npa - 1], axis=axis).ravel())):
-                c = _boundary_fold(grid, bc, axis, side, sel)
-                diag[sel] -= c / h2
+                folds[axis, sel] = _boundary_fold(grid, bc, axis, side, sel) / h2
 
     rows.append(np.arange(N))
     cols.append(np.arange(N))
-    data.append(diag)
-    mat = sps.coo_matrix(
+    data.append(np.ones(N))  # diagonal slots, marked nonzero until filled
+    stencil = sps.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(N, N),
     ).tocsr()
-    mat.sum_duplicates()
-    return mat
+    stencil.sum_duplicates()
+    entry_rows = np.repeat(np.arange(N), np.diff(stencil.indptr))
+    diag_slots = np.flatnonzero(stencil.indices == entry_rows)
+    vper = np.tile(model.vper.sample_cell(grid.n, d), (grid.L,) * d).ravel()
+    return BoxSkeleton(grid=grid, bc=bc, vper=vper, folds=folds, stencil=stencil,
+                       diag_slots=diag_slots)
 
 
 def assemble(model: ModelSpec, grid: GridSpec, bc: BoundaryCondition,
@@ -300,22 +345,13 @@ def assemble(model: ModelSpec, grid: GridSpec, bc: BoundaryCondition,
     """Assemble H = -Laplacian_h + diag(V_per + V_omega) on the cube.
 
     ``couplings`` selects the random part; omit it for the purely periodic
-    operator.  Ghost-point elimination only modifies diagonals, so the result
-    is exactly symmetric for every boundary condition.
+    operator.  A one-off build: callers with many realizations on one box
+    hold its ``skeleton`` and move only the diagonal.
     """
-    if model.d != grid.d:
-        raise InputError("model and grid dimension disagree")
-    v = periodic_potential_on_grid(model, grid)
-    if couplings is not None:
-        v = v + assemble_random_potential(model, grid, couplings)
-    mat = _assemble_operator(grid, bc, v.ravel())
-    return DiscreteHamiltonian(grid=grid, bc=bc, matrix=mat)
-
-
-def kinetic_operator(grid: GridSpec, bc: BoundaryCondition) -> DiscreteHamiltonian:
-    """The bare -Laplacian_h with the requested boundary treatment."""
-    mat = _assemble_operator(grid, bc, np.zeros(grid.num_dof))
-    return DiscreteHamiltonian(grid=grid, bc=bc, matrix=mat)
+    box = skeleton(model, grid, bc)
+    if couplings is None:
+        return box.hamiltonian()
+    return box.hamiltonian(assemble_random_potential(model, grid, couplings).ravel())
 
 
 def periodic_ground_state(model: ModelSpec, n: int) -> GroundStateData:

@@ -1,13 +1,15 @@
 """Spectral primitives: lowest eigenvalues and counting functions.
 
 Solver settings are the module constants below, not options: eigensolves are
-dense up to ``DENSE_THRESHOLD`` degrees of freedom and shift-invert Lanczos
-above, with every residual within ``EIG_TOL * (1 + |E|)``.
+direct up to ``DENSE_THRESHOLD`` degrees of freedom (tridiagonal LAPACK for d = 1
+operators under a non-periodic condition, dense otherwise) and shift-invert
+Lanczos above, with every residual within ``EIG_TOL * (1 + |E|)``.
 
 Counting uses matrix inertia: the number of negative pivots of a symmetric
 triangular factorization of H - E*I equals the number of eigenvalues below E.
-Sparse operators run sparse LDL^T (the Sturm recurrence when tridiagonal),
-with dense Bunch-Kaufman at the same energy when it breaks down.  Counts are
+Tridiagonal operators run the Sturm recurrence, batched over rows that share
+one off-diagonal; other sparse operators run sparse LDL^T, with dense
+Bunch-Kaufman at the same energy when it breaks down.  Counts are
 always taken at E + 0: energies hitting a pivot within ``PIVOT_TOL`` of zero
 are nudged up by 1e-12*(1+|E|) and recomputed, which matches the
 closed-under-"<=" convention up to a measure-zero set of energies.
@@ -53,8 +55,10 @@ def _matrix_of(H):
 def lowest_eigenvalues(H, m: int) -> SpectralResult:
     """The m smallest eigenvalues of a symmetric operator.
 
-    Dense solves up to ``DENSE_THRESHOLD`` degrees of freedom (read at call
-    time); shift-invert Lanczos above it.  Every returned pair satisfies
+    Direct ("dense") solves up to ``DENSE_THRESHOLD`` degrees of freedom (read
+    at call time): LAPACK ``eigh_tridiagonal`` on an operator that says it is
+    ``tridiagonal``, dense ``eigh`` otherwise; shift-invert Lanczos above the
+    threshold.  Every returned pair satisfies
     ||H v - E v|| <= EIG_TOL * (1 + |E|), otherwise a ConvergenceError
     carrying the best iterate is raised.
     """
@@ -64,8 +68,12 @@ def lowest_eigenvalues(H, m: int) -> SpectralResult:
         raise ValueError("need m >= 1 eigenvalues")
     m = min(m, N)
     if N <= DENSE_THRESHOLD or m >= N - 1:
-        dense = A.toarray() if sps.issparse(A) else np.asarray(A)
-        w, v = linalg.eigh(dense, subset_by_index=(0, m - 1))
+        if getattr(H, "tridiagonal", False):
+            w, v = linalg.eigh_tridiagonal(A.diagonal(), A.diagonal(1), select="i",
+                                           select_range=(0, m - 1))
+        else:
+            dense = A.toarray() if sps.issparse(A) else np.asarray(A)
+            w, v = linalg.eigh(dense, subset_by_index=(0, m - 1))
         method = "dense"
     else:
         diag = A.diagonal()
@@ -144,38 +152,45 @@ def _sparse_inertia(A: sps.csc_matrix, pivot_tol: float):
     return int(np.sum(pivots < 0.0)), True
 
 
-def tridiag_count_below(diag: np.ndarray, off: np.ndarray, E: float):
+def tridiag_count_below(diag: np.ndarray, off: np.ndarray, E, diag_max=None):
     """Eigenvalue counts <= E for a batch of symmetric tridiagonal matrices.
 
-    ``diag`` has shape (..., N) and ``off`` shape (N-1,) or (..., N-1); the
-    count is returned per batch row.  This is the LDL^T pivot recurrence
-    (Sturm sequence), vectorized across the batch; a row that meets a
-    near-zero pivot is retried at a nudged energy, at most 8 times.
+    ``diag`` is (B, N), one row per matrix, ``off`` (N-1,) is shared and ``E``
+    is one energy or one per row; pass the transpose of a C-ordered (N, B)
+    array so each step of the LDL^T pivot recurrence (Sturm sequence) reads
+    contiguous memory.  A row's pivot tolerance is PIVOT_TOL * max(1,
+    diag_max + |E|), ``diag_max`` defaulting to max |diag|; a row that meets a
+    near-zero (or non-finite) pivot is retried at a nudged energy, at most 8
+    times.
     """
-    diag = np.atleast_2d(np.asarray(diag, dtype=float))
+    cols = np.asarray(diag, dtype=float).T
+    B = cols.shape[1]
     off = np.asarray(off, dtype=float)
-    if off.ndim == 1:
-        off = np.broadcast_to(off, diag.shape[:-1] + off.shape)
-    B, N = diag.shape[0], diag.shape[-1]
     off2 = off * off
-    scale = max(1.0, float(np.abs(diag).max()) + abs(E))
+    energy = np.array(np.broadcast_to(np.asarray(E, dtype=float), (B,)))
+    if diag_max is None:
+        diag_max = float(np.abs(cols).max())
+    tol = PIVOT_TOL * np.maximum(1.0, diag_max + np.abs(energy))
 
     counts = np.zeros(B, dtype=int)
     pending = np.arange(B)
-    energy = np.full(B, float(E))
     for attempt in range(9):
-        dcur = diag[pending, 0] - energy[pending]
+        rows = cols if pending.size == B else cols[:, pending]
+        e = energy[pending]
+        dcur = rows[0] - e
         neg = (dcur < 0.0).astype(int)
-        bad = np.abs(dcur) <= PIVOT_TOL * scale
+        smallest = np.abs(dcur)  # a NaN pivot keeps it NaN, so the row is retried
+        shifted, flag = np.empty_like(dcur), np.empty(dcur.shape, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for i in range(1, N):
-                dcur = (diag[pending, i] - energy[pending]) - off2[pending, i - 1] / dcur
-                neg += dcur < 0.0
-                bad |= np.abs(dcur) <= PIVOT_TOL * scale
-                bad |= ~np.isfinite(dcur)
-        ok = ~bad
+            for i in range(1, rows.shape[0]):
+                np.subtract(rows[i], e, out=shifted)
+                np.divide(off2[i - 1], dcur, out=dcur)
+                np.subtract(shifted, dcur, out=dcur)
+                neg += np.less(dcur, 0.0, out=flag)
+                np.minimum(smallest, np.abs(dcur, out=shifted), out=smallest)
+        ok = smallest > tol[pending]
         counts[pending[ok]] = neg[ok]
-        pending = pending[bad]
+        pending = pending[~ok]
         if pending.size == 0:
             return counts
         energy[pending] += 1e-12 * (1.0 + np.abs(energy[pending])) * (2.0**attempt)
@@ -187,21 +202,18 @@ def tridiag_count_below(diag: np.ndarray, off: np.ndarray, E: float):
 def count_below(H, E: float) -> CountingValue:
     """N(E, H) = #{eigenvalues <= E} via the inertia of H - E*I.
 
-    Sparse input: Sturm recurrence if tridiagonal, else sparse LDL^T with
-    Bunch-Kaufman at the same energy on breakdown; ndarray: Bunch-Kaufman.
+    An operator that says it is ``tridiagonal``: Sturm recurrence; other
+    sparse input: sparse LDL^T with Bunch-Kaufman at the same energy on
+    breakdown; ndarray: Bunch-Kaufman.
     """
     A = _matrix_of(H)
     N = A.shape[0]
     sparse = sps.issparse(A)
 
+    if getattr(H, "tridiagonal", False):
+        cnt = tridiag_count_below(A.diagonal()[None, :], A.diagonal(1), E)
+        return CountingValue(energy=float(E), count=int(cnt[0]))
     if sparse:
-        upper = sps.triu(A, k=1).tocoo()
-        bandwidth = 0 if upper.nnz == 0 else int(np.max(upper.col - upper.row))
-        if bandwidth <= 1:
-            diag = A.diagonal()
-            off = A.diagonal(1)
-            cnt = tridiag_count_below(diag[None, :], off, E)
-            return CountingValue(energy=float(E), count=int(cnt[0]))
         A = A.tocsc()
 
     energy = float(E)

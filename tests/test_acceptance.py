@@ -23,6 +23,7 @@ from breatherlab.bounds import (
     dirichlet_upper_bound,
     fit_gap_constant,
     first_moment,
+    ground_state_box,
     make_temple_config,
     map_realization,
     model_constants,
@@ -37,7 +38,7 @@ from breatherlab.ids import (
     fit_lifshitz,
     lower_tail_check,
     matched_box_curve,
-    sample_realization,
+    sample_fields,
     synthetic_curve,
 )
 from breatherlab.lattice import (
@@ -94,7 +95,8 @@ def cosine_prepped():
 def cosine_env(cosine_prepped):
     model, gs = cosine_prepped
     consts = model_constants(model, gs)
-    gap = fit_gap_constant(model, gs, 16, Ls=tuple(range(2, 11)))
+    gap = fit_gap_constant({L: periodic_levels(ground_state_box(model, gs, GridSpec(L, 16)))
+                            for L in range(2, 11)})
     _, p = model.dist.lambda_star()
     return model, gs, consts, gap, p
 
@@ -192,9 +194,8 @@ def test_criterion_04_moment_identities(cosine_env):
     worst_id = 0.0
     min_margin = np.inf
     passes = 0
-    for i in range(100):
-        real = sample_realization(model.dist, 404, i, 6, 1)
-        mapped = map_realization(gs, model, grid, real.couplings, cfg)
+    for lams in sample_fields(model.dist, 404, range(100), 6, 1):
+        mapped = map_realization(gs, model, grid, lams, cfg)
         H = assemble(model, grid, bc, couplings=mapped.cutoffs)
         form, total = first_moment(gs, mapped, H)
         worst_id = max(worst_id, abs(form - total))
@@ -218,11 +219,11 @@ def test_criterion_05_temple_bound(cosine_env):
         cfg = make_temple_config(L=L, gamma=2.0 / p, constants=consts,
                                  epsilon0=gap.epsilon0)
         grid = GridSpec(L, 16)
-        per = periodic_levels(model, gs, grid)
-        for i in range(100):
-            real = sample_realization(model.dist, 505, (L << 16) + i, L, 1)
-            mapped = map_realization(gs, model, grid, real.couplings, cfg)
-            rep = temple_lower_bound(gs, model, grid, mapped, cfg, per)
+        box = ground_state_box(model, gs, grid)
+        per = periodic_levels(box)
+        for lams in sample_fields(model.dist, 505, (L << 16) + np.arange(100), L, 1):
+            mapped = map_realization(gs, model, grid, lams, cfg)
+            rep = temple_lower_bound(gs, model, box, mapped, cfg, per)
             total += 1
             passes += int(rep.passed and all(rep.constants["links"].values()))
     elapsed = time.perf_counter() - t0
@@ -285,9 +286,8 @@ def test_criterion_07_lower_bound_lemma(flat_prepped):
     passes = 0
     B1 = B2 = None
     test = dirichlet_test_function(model, grid)
-    for i in range(100):
-        real = sample_realization(model.dist, 707, i, 6, 1)
-        rep = dirichlet_upper_bound(model, grid, real.couplings, test)
+    for lams in sample_fields(model.dist, 707, range(100), 6, 1):
+        rep = dirichlet_upper_bound(model, grid, lams, test)
         passes += int(rep.passed)
         B1, B2 = rep.constants["B1"], rep.constants["B2"]
     consts = model_constants(model, gs)

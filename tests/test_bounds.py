@@ -13,6 +13,7 @@ from breatherlab.bounds import (
     dirichlet_upper_bound,
     fit_gap_constant,
     first_moment,
+    ground_state_box,
     make_temple_config,
     map_realization,
     model_constants,
@@ -74,10 +75,15 @@ def consts(prepped):
     return model_constants(model, gs)
 
 
+def box_at(model, gs, L):
+    """The ground-state-boundary skeleton of the side-L box."""
+    return ground_state_box(model, gs, GridSpec(L=L, n=16))
+
+
 @pytest.fixture(scope="module")
 def gapfit(prepped):
     model, gs = prepped
-    return fit_gap_constant(model, gs, 16, Ls=tuple(range(2, 11)))
+    return fit_gap_constant({L: periodic_levels(box_at(model, gs, L)) for L in range(2, 11)})
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +106,7 @@ class TestGapFit:
     def test_gaps_are_periodic_level_spacings(self, prepped, gapfit):
         model, gs = prepped
         for L, gap in zip(gapfit.Ls, gapfit.gaps):
-            e1, e2 = periodic_levels(model, gs, GridSpec(L=L, n=16))
+            e1, e2 = periodic_levels(box_at(model, gs, L))
             assert gap == e2 - e1
 
 
@@ -219,7 +225,8 @@ class TestMoments:
 def temple_at(gs, model, grid, couplings, cfg):
     """Map one realization and run the Temple check on its box."""
     mapped = map_realization(gs, model, grid, couplings, cfg)
-    return temple_lower_bound(gs, model, grid, mapped, cfg, periodic_levels(model, gs, grid))
+    box = ground_state_box(model, gs, grid)
+    return temple_lower_bound(gs, model, box, mapped, cfg, periodic_levels(box))
 
 
 class TestTemple:
@@ -243,10 +250,11 @@ class TestTemple:
                                  epsilon0=gapfit.epsilon0)
         rng = np.random.default_rng(100 + L)
         grid = GridSpec(L=L, n=16)
-        per = periodic_levels(model, gs, grid)
+        box = ground_state_box(model, gs, grid)
+        per = periodic_levels(box)
         for _ in range(20):
             mapped = map_realization(gs, model, grid, draw_couplings(rng, L), cfg)
-            rep = temple_lower_bound(gs, model, grid, mapped, cfg, per)
+            rep = temple_lower_bound(gs, model, box, mapped, cfg, per)
             assert rep.passed, rep.to_dict()
             assert all(rep.constants["links"].values())
 
@@ -265,9 +273,9 @@ class TestTemple:
                                   epsilon0=gapfit.epsilon0)
         grid4, grid6 = GridSpec(L=4, n=16), GridSpec(L=6, n=16)
         mapped4 = map_realization(gs, model, grid4, np.full(4, 1.3), cfg4)
+        box6 = ground_state_box(model, gs, grid6)
         with pytest.raises(InputError, match="L=4"):
-            temple_lower_bound(gs, model, grid6, mapped4, cfg6,
-                               periodic_levels(model, gs, grid6))
+            temple_lower_bound(gs, model, box6, mapped4, cfg6, periodic_levels(box6))
 
     def test_config_violation_named(self, prepped, consts, gapfit, cfg6):
         from breatherlab.bounds import TempleConfig
@@ -277,9 +285,9 @@ class TestTemple:
         mapped = map_realization(gs, model, grid, np.full(6, 1.5), cfg6)
         bad = TempleConfig(L=6, c2=5.0, gamma=4.0, c7=1.0, epsilon0=gapfit.epsilon0,
                            energy_scale=1e-5, constants=consts)
+        box = ground_state_box(model, gs, grid)
         with pytest.raises(PreconditionError, match="kappa1"):
-            temple_lower_bound(gs, model, grid, mapped, bad,
-                               periodic_levels(model, gs, grid))
+            temple_lower_bound(gs, model, box, mapped, bad, periodic_levels(box))
 
 
 class TestCorollary:

@@ -39,6 +39,28 @@ def write_config(path, **overrides):
     return cfg
 
 
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+
+def spy_skeleton_builds(monkeypatch):
+    """Count skeleton builds (the only sparse assemblies) per (L, bc kind)."""
+    from collections import Counter
+
+    from breatherlab import bounds as bounds_mod
+    from breatherlab import lattice
+
+    builds = Counter()
+    build = lattice.skeleton
+
+    def counted(model, grid, bc):
+        builds[grid.L, bc.kind] += 1
+        return build(model, grid, bc)
+
+    for module in (lattice, bounds_mod, cli):
+        monkeypatch.setattr(module, "skeleton", counted)
+    return builds
+
+
 class TestValidate:
     def test_breather_passes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -132,6 +154,11 @@ BAD_EXPERIMENT_FIELDS = [
     pytest.param("lifshitz", "tolerance_band", [-0.3, -0.8], id="band-reversed"),
     pytest.param("lifshitz", "fit_boundary", "X", id="fit-boundary-unknown"),
     pytest.param("lifshitz", "target", "half", id="target-string"),
+    pytest.param("spectrum", "include_periodic", "false", id="include-periodic-string"),
+    pytest.param("ids", "energies", {"values": [2.0, 0.5]}, id="energies-unsorted"),
+    pytest.param("validate", "energies", {"values": [2.0, 0.5]}, id="energies-unsorted-validate"),
+    pytest.param("lifshitz", "energies", {"kind": "geometric", "start": 0.3, "stop": 0.05,
+                                          "count": 4}, id="energies-descending"),
 ]
 
 
@@ -152,7 +179,16 @@ def test_bad_experiment_field_exit_2(tmp_path, capsys, command, field, value):
     assert not out.exists()
 
 
-BAD_SOLVE_OUTPUT_GRID_FIELDS = [
+def dist(**fields):
+    return {"dist": {"kind": "uniform", "lambda_minus": 1.0, "lambda_plus": 2.0, **fields}}
+
+
+def site(**fields):
+    return {"site": {"kind": "breather", "amplitude": 1.0, "radius": 0.4,
+                     "standardized": True, **fields}}
+
+
+BAD_SECTION_FIELDS = [
     pytest.param("solve", {"dense_threshold": 100}, "solve.dense_threshold",
                  id="dense-threshold"),
     pytest.param("solve", {"eig_tol": 1e-9}, "solve.eig_tol", id="eig-tol"),
@@ -165,6 +201,19 @@ BAD_SOLVE_OUTPUT_GRID_FIELDS = [
     pytest.param("grid", {"n": 2}, "grid.n", id="n-two"),
     pytest.param("grid", {"L": [4, 4]}, "grid.L", id="L-repeated"),
     pytest.param("solve", {"workers": 1.5}, "solve.workers", id="workers-fractional"),
+    pytest.param("model", {"d": 4}, "model.d", id="d-four"),
+    pytest.param("model", {"d": "1"}, "model.d", id="d-string"),
+    pytest.param("model", dist(lambda_minus="one"), "model.dist.lambda_minus",
+                 id="lambda-minus-string"),
+    pytest.param("model", dist(lambda_plus=float("nan")), "model.dist.lambda_plus",
+                 id="lambda-plus-nan"),
+    pytest.param("model", dist(kind="two-point-plus-uniform", atom_mass_at_min="half"),
+                 "model.dist.atom_mass_at_min", id="atom-mass-string"),
+    pytest.param("model", site(amplitude=[1.0]), "model.site.amplitude",
+                 id="amplitude-list"),
+    pytest.param("model", site(radius=None), "model.site.radius", id="radius-null"),
+    pytest.param("model", site(standardized="false"), "model.site.standardized",
+                 id="standardized-string"),
 ]
 
 
@@ -184,7 +233,7 @@ def test_bad_override_exit_2(tmp_path, capsys, flag, value, field):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("section,block,field", BAD_SOLVE_OUTPUT_GRID_FIELDS)
+@pytest.mark.parametrize("section,block,field", BAD_SECTION_FIELDS)
 def test_bad_solve_output_grid_field_exit_2(tmp_path, capsys, section, block, field):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, **{section: block})
@@ -482,6 +531,22 @@ class TestLifshitz:
         test = bounds_mod.dirichlet_test_function(prepared, lattice.GridSpec(L=4, n=16))
         assert json.loads((out / "lifshitz.json").read_text())["B2"] == test.B2
 
+    def test_shipped_config_draws_fields_in_bulk(self, tmp_path, monkeypatch, capsys):
+        from breatherlab import ids as ids_mod
+
+        draws, philox = [], []
+        sample_fields, Philox = ids_mod.sample_fields, np.random.Philox
+        monkeypatch.setattr(ids_mod, "sample_fields",
+                            lambda *args: draws.append(1) or sample_fields(*args))
+        monkeypatch.setattr(np.random, "Philox",
+                            lambda *args, **kwargs: philox.append(1) or Philox(*args, **kwargs))
+        assert main(["lifshitz", "--config", str(SHIPPED / "lifshitz.json"),
+                     "--out", str(tmp_path / "out"), "--no-cache"]) == 0
+        # one bulk draw per energy point (8), no per-realization generator;
+        # only the bootstrap of fit_lifshitz builds a Philox
+        assert len(draws) == 8
+        assert len(philox) == 1
+
     def test_impossible_window_exit_4(self, tmp_path):
         curve_path = tmp_path / "curve.csv"
         E = np.geomspace(0.05, 0.8, 12)
@@ -551,19 +616,37 @@ class TestBounds:
             monkeypatch.setattr(bounds_mod, name, wrapped)
 
         spy("map_realization")
-        spy("kinetic_operator")
         spy("lowest_eigenvalues")
-        # coupling-free assemblies are the periodic operators whose levels are solved
-        spy("assemble", lambda model, grid, bc, couplings=None: couplings is None)
+        builds = spy_skeleton_builds(monkeypatch)
         cfg = tmp_path / "cfg.json"
         write_config(cfg, experiment={"seed": 11, "samples": 3, "temple_Ls": [4, 6],
                                       "gap_Ls": [2, 3, 4], "bernoulli_p": [0.5],
                                       "bernoulli_Ld": [8]})
         out = tmp_path / "out"
         assert main(["bounds", "--config", str(cfg), "--out", str(out), "--no-cache"]) == 0
-        M, temple, gap = 3, 2, 3
+        M, temple, sides = 3, 2, 4  # sides: the distinct L of temple_Ls and gap_Ls
         assert calls["map_realization"] == M * temple
-        assert calls["kinetic_operator"] == temple
-        assert calls["assemble"] == temple + gap
-        # periodic levels, then one cut-off and one Dirichlet solve per sample
-        assert calls["lowest_eigenvalues"] == temple + gap + 2 * M * temple
+        # one skeleton per (box, boundary condition); the unit cell once per
+        # model in prepare_model
+        assert builds == {(1, "periodic"): 2,
+                          **{(L, "mezincescu"): 1 for L in (2, 3, 4, 6)},
+                          **{(L, "dirichlet"): 1 for L in (4, 6)}}
+        # periodic levels once per side, then one cut-off and one Dirichlet
+        # solve per sample
+        assert calls["lowest_eigenvalues"] == sides + 2 * M * temple
+
+    def test_shipped_config_builds_each_box_once(self, tmp_path, monkeypatch, capsys):
+        from breatherlab import spectral
+
+        builds = spy_skeleton_builds(monkeypatch)
+        dense = []
+        eigh = spectral.linalg.eigh
+        monkeypatch.setattr(spectral.linalg, "eigh",
+                            lambda *args, **kwargs: dense.append(1) or eigh(*args, **kwargs))
+        assert main(["bounds", "--config", str(SHIPPED / "bounds.json"),
+                     "--out", str(tmp_path / "out"), "--no-cache"]) == 0
+        assert builds[1, "periodic"] == 2
+        assert sum(builds.values()) == 2 + 9 + 3
+        assert max(n for key, n in builds.items() if key != (1, "periodic")) == 1
+        # the d = 1 boxes are tridiagonal: only the two unit-cell solves are dense
+        assert len(dense) == 2

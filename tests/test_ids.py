@@ -16,7 +16,7 @@ from breatherlab.ids import (
     fit_lifshitz,
     lower_tail_check,
     matched_box_curve,
-    sample_realization,
+    sample_fields,
     synthetic_curve,
 )
 from breatherlab.lattice import (
@@ -33,6 +33,7 @@ from breatherlab.model import (
     PeriodicPotentialSpec,
     SingleSiteSpec,
 )
+from breatherlab.spectral import count_below
 
 
 def breather_model(dist_kind="uniform", atom=0.0, amp=1.0):
@@ -64,38 +65,49 @@ def bc_pair(gs):
 class TestSampling:
     def test_deterministic(self):
         dist = DistributionSpec(kind="uniform", lambda_minus=1.0, lambda_plus=2.0)
-        a = sample_realization(dist, 42, 7, 8, 1)
-        b = sample_realization(dist, 42, 7, 8, 1)
-        assert np.array_equal(a.couplings, b.couplings)
-        c = sample_realization(dist, 42, 8, 8, 1)
-        assert not np.array_equal(a.couplings, c.couplings)
+        a = sample_fields(dist, 42, [7], 8, 1)
+        b = sample_fields(dist, 42, [7], 8, 1)
+        assert np.array_equal(a, b)
+        c = sample_fields(dist, 42, [8], 8, 1)
+        assert not np.array_equal(a, c)
 
     def test_marginals_law_of_large_numbers(self):
         dist = DistributionSpec(kind="uniform", lambda_minus=1.0, lambda_plus=2.0)
-        draws = np.concatenate([
-            sample_realization(dist, 1, i, 100, 1).couplings for i in range(1000)
-        ])
+        draws = sample_fields(dist, 1, range(1000), 100, 1).ravel()
         mean = draws.mean()
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(mean - 1.5) <= 3 * se
 
     def test_independent_indices(self):
         dist = DistributionSpec(kind="uniform", lambda_minus=0.0, lambda_plus=1.0)
-        a = np.concatenate([
-            sample_realization(dist, 5, 2 * i, 100, 1).couplings for i in range(100)
-        ])
-        b = np.concatenate([
-            sample_realization(dist, 5, 2 * i + 1, 100, 1).couplings for i in range(100)
-        ])
+        a = sample_fields(dist, 5, 2 * np.arange(100), 100, 1).ravel()
+        b = sample_fields(dist, 5, 2 * np.arange(100) + 1, 100, 1).ravel()
         r = np.corrcoef(a, b)[0, 1]
         assert abs(r) <= 3.0 / np.sqrt(a.size)
 
     def test_couplings_immutable(self):
         dist = DistributionSpec(kind="uniform", lambda_minus=0.0, lambda_plus=1.0)
-        real = sample_realization(dist, 1, 1, 4, 2)
-        assert real.couplings.shape == (4, 4)
+        fields = sample_fields(dist, 1, [1], 4, 2)
+        assert fields.shape == (1, 16)
         with pytest.raises(ValueError):
-            real.couplings[0, 0] = 3.0
+            fields[0, 0] = 3.0
+
+
+    @pytest.mark.parametrize("seed,indices,L,d", [
+        pytest.param(42, [0, 1, 7], 7, 1, id="count-not-multiple-of-4"),
+        pytest.param(808, [(1 << 32) + 5, (8 << 32) + 1999], 64, 1, id="index-above-2^32"),
+        pytest.param(2**64 - 1, [0, 3], 5, 1, id="seed-max"),
+        pytest.param(2718, [0, 4, 11], 3, 2, id="d2"),
+    ])
+    def test_fields_are_numpy_philox_streams(self, seed, indices, L, d):
+        # with couplings uniform on [0, 1] the field is the raw stream
+        dist = DistributionSpec(kind="uniform", lambda_minus=0.0, lambda_plus=1.0)
+        fields = sample_fields(dist, seed, indices, L, d)
+        assert fields.shape == (len(indices), L**d)
+        for row, index in zip(fields, indices):
+            key = np.array([seed, index], dtype=np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key))
+            assert np.array_equal(row, gen.random(L**d))
 
 
 class TestEstimate:
@@ -131,8 +143,8 @@ class TestEstimate:
             assert np.array_equal(a.estimates[lab], b.estimates[lab])
 
     def test_fast_path_matches_general(self, prepped):
-        # drive the per-realization counting path directly, then compare
-        # against the batched path
+        # count each realization row by row with count_below, then compare
+        # against the batched Sturm sweep
         model, gs = prepped
         from breatherlab.ids import _count_block
 
@@ -141,12 +153,11 @@ class TestEstimate:
         energies = np.array([0.5, 1.5, 3.0])
         idx = np.arange(12)
         fast = _count_block((model, grid, bcs, energies, 7, idx, 0))
-        slow = {}
-        from breatherlab.ids import _counts_general
-
-        slow = _counts_general(model, grid, bcs, energies, 7, idx, 0)
-        for lab in ("D", "M"):
-            assert np.array_equal(fast[lab], slow[lab])
+        fields = sample_fields(model.dist, 7, idx, 4, 1)
+        for bc in bcs:
+            slow = np.array([[count_below(assemble(model, grid, bc, couplings=lams), E).count
+                              for E in energies] for lams in fields])
+            assert np.array_equal(fast[bc.label], slow)
 
     def test_workers_equivalent(self, prepped):
         model, gs = prepped
@@ -314,11 +325,18 @@ class TestChooseBoxSize:
         assert choice.L == 4 and not choice.clamped
 
     def test_upper_form_clamps(self, prepped):
-        from breatherlab.bounds import fit_gap_constant, make_temple_config, model_constants
+        from breatherlab.bounds import (
+            fit_gap_constant,
+            ground_state_box,
+            make_temple_config,
+            model_constants,
+            periodic_levels,
+        )
 
         model, gs = prepped
         consts = model_constants(model, gs)
-        gap = fit_gap_constant(model, gs, 16, Ls=(2, 3, 4))
+        gap = fit_gap_constant({L: periodic_levels(ground_state_box(model, gs, GridSpec(L, 16)))
+                                for L in (2, 3, 4)})
         cfg = make_temple_config(L=4, gamma=4.0, constants=consts, epsilon0=gap.epsilon0)
         # at E = c2/(2 c7) the raw size is exactly 1, clamped up to 2
         E = cfg.c2 / (2.0 * cfg.c7)

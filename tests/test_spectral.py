@@ -12,6 +12,7 @@ from breatherlab.lattice import (
     PERIODIC,
     GridSpec,
     assemble,
+    mezincescu_correction,
     prepare_model,
 )
 from breatherlab.model import (
@@ -92,6 +93,35 @@ class TestLowestEigenvalues:
         H = random_coupling_hamiltonian(seed=3)
         res = lowest_eigenvalues(H, 8)
         assert np.all(np.diff(res.energies) >= -1e-12)
+
+
+    def test_tridiagonal_solve_matches_dense_on_shipped_operators(self):
+        import json
+        from pathlib import Path
+
+        from breatherlab import cli
+
+        boxes = {}  # distinct (model, n) -> box sides used with it
+        for path in (Path(__file__).resolve().parents[1] / "configs").glob("*.json"):
+            cfg = cli.load_config(str(path))
+            key = json.dumps([cfg["model"], cfg["grid"]["n"]], sort_keys=True)
+            boxes.setdefault(key, (cfg, set()))[1].update(
+                cfg["grid"]["L"], cfg["experiment"].get("temple_Ls", []))
+        for cfg, Ls in boxes.values():
+            model, gs = cli._prepare(cfg, cli.build_model(cfg))
+            lams = np.random.default_rng(0).uniform(model.dist.lambda_minus,
+                                                    model.dist.lambda_plus, max(Ls))
+            for L in sorted(Ls):
+                grid = GridSpec(L=L, n=cfg["grid"]["n"])
+                for bc in (DIRICHLET, NEUMANN, mezincescu_correction(gs, grid)):
+                    for couplings in (None, lams[:L]):
+                        H = assemble(model, grid, bc, couplings=couplings)
+                        assert H.tridiagonal
+                        res = lowest_eigenvalues(H, 4)
+                        w = linalg.eigh(H.to_dense(), eigvals_only=True,
+                                        subset_by_index=(0, 3))
+                        assert np.allclose(res.energies, w, rtol=0.0,
+                                           atol=1e-12 * (1.0 + np.abs(w).max()))
 
 
 class TestCountBelow:
