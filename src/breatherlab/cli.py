@@ -46,10 +46,14 @@ from .lattice import (
     skeleton,
 )
 from .model import (
+    DIST_KINDS,
+    SITE_KINDS,
+    VPER_KINDS,
     DistributionSpec,
     ModelSpec,
     PeriodicPotentialSpec,
     SingleSiteSpec,
+    X_SCAN_POINTS,
     validate_assumptions,
 )
 from .spectral import lowest_eigenvalues
@@ -121,27 +125,156 @@ def config_hash(effective: dict) -> str:
 # configuration
 
 
-DEFAULTS = {
-    "solve": {"workers": 1},
-    "experiment": {"seed": 1, "samples": 50},
-    "output": {"dir": "out"},
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_finite, v))
+
+
+def _list_of(item, rule, least=0):
+    return (lambda v: isinstance(v, list) and len(v) >= least and all(map(item, v))), rule
+
+
+def _int(least):
+    return (lambda v: _is_int(v) and v >= least), f"an integer >= {least}"
+
+
+def _sizes(least):
+    """Box sizes: a list of at least ``least`` distinct integers >= 1."""
+    check, rule = _list_of(_int(1)[0], f"a list of at least {least} distinct integers >= 1",
+                           least)
+    return (lambda v: check(v) and len(set(v)) == len(v)), rule
+
+
+def _one_of(options):
+    return (lambda v: isinstance(v, str) and v in options), f"one of {', '.join(options)}"
+
+
+NUMBERS = _list_of(_is_finite, "a non-empty list of finite numbers", 1)
+
+
+def _is_array(v) -> bool:
+    """A non-empty rectangular (nested) list of finite numbers."""
+    flat = v
+    while isinstance(flat, list) and flat and all(isinstance(x, list) for x in flat):
+        if len({len(x) for x in flat}) != 1:
+            return False
+        flat = [x for row in flat for x in row]
+    return NUMBERS[0](flat)
+
+
+REQUIRED = object()
+OBJECT = (lambda v: isinstance(v, dict)), "an object"
+FINITE = _is_finite, "a finite number"
+ARRAY = _is_array, "a non-empty rectangular (nested) list of finite numbers"
+BOOL = (lambda v: isinstance(v, bool)), "true or false"
+FIXED_BCS = {"D": DIRICHLET, "N": NEUMANN, "P": PERIODIC}  # "M" is built per box
+
+# Every field of a configuration: dotted path -> (check, rule, default).  The
+# default is REQUIRED, the set of kinds of its object that need the field, a
+# value, or None for "absent"; null counts as absent where there is no value.
+# An object's fields follow it, and a key the table does not list is an
+# error.  The table is the union over the commands: each reads what it needs.
+FIELDS = {
+    "schema_version": (lambda v: _is_int(v) and v == SCHEMA_VERSION, str(SCHEMA_VERSION),
+                       REQUIRED),
+    "model": (*OBJECT, REQUIRED),
+    "model.d": (lambda v: _is_int(v) and v in (1, 2, 3), "1, 2 or 3", REQUIRED),
+    "model.vper": (*OBJECT, REQUIRED),
+    "model.vper.kind": (*_one_of(VPER_KINDS), REQUIRED),
+    "model.vper.amplitudes": (*NUMBERS, {"cosine-sum"}),
+    "model.vper.values": (*ARRAY, {"tabulated"}),
+    "model.site": (*OBJECT, REQUIRED),
+    "model.site.kind": (*_one_of(SITE_KINDS), REQUIRED),
+    "model.site.amplitude": (*FINITE, 1.0),
+    "model.site.radius": (*FINITE, 0.4),
+    "model.site.standardized": (*BOOL, False),
+    "model.site.lambda_nodes": (*NUMBERS, {"tabulated"}),
+    "model.site.x_nodes": (*_list_of(NUMBERS[0], "a non-empty list of per-axis node lists", 1),
+                           {"tabulated"}),
+    "model.site.values": (*ARRAY, {"tabulated"}),
+    "model.dist": (*OBJECT, REQUIRED),
+    "model.dist.kind": (*_one_of(DIST_KINDS), REQUIRED),
+    "model.dist.lambda_minus": (*FINITE, REQUIRED),
+    "model.dist.lambda_plus": (*FINITE, REQUIRED),
+    "model.dist.atom_mass_at_min": (*FINITE, 0.0),
+    "model.dist.beta_a": (*FINITE, {"truncated-beta"}),
+    "model.dist.beta_b": (*FINITE, {"truncated-beta"}),
+    "grid": (*OBJECT, REQUIRED),
+    "grid.n": (*_int(4), REQUIRED),
+    "grid.L": (lambda v: _int(1)[0](v) or _sizes(1)[0](v),
+               "an integer >= 1 or a non-empty list of distinct ones", REQUIRED),
+    "solve": (*OBJECT, {}),
+    "solve.workers": (*_int(1), 1),
+    "output": (*OBJECT, {}),
+    "output.dir": (lambda v: isinstance(v, str) and v != "", "a non-empty string", "out"),
+    "experiment": (*OBJECT, {}),
+    "experiment.seed": (lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2^64)", 1),
+    "experiment.samples": (*_int(1), 50),
+    "experiment.energies": (*OBJECT, None),
+    "experiment.energies.kind": (*_one_of(("list", "linear", "geometric")), "list"),
+    "experiment.energies.values": (*NUMBERS, {"list"}),
+    "experiment.energies.start": (*FINITE, {"linear", "geometric"}),
+    "experiment.energies.stop": (*FINITE, {"linear", "geometric"}),
+    "experiment.energies.count": (*_int(1), {"linear", "geometric"}),
+    "experiment.eigenvalues": (*_int(1), 4),
+    "experiment.realizations": (*_int(0), 1),
+    "experiment.boundary": (*_list_of(lambda b: b in (*FIXED_BCS, "M"),
+                                      "a non-empty list of D, N, P, M", 1), ["D", "M"]),
+    "experiment.include_periodic": (*BOOL, True),
+    "experiment.window": (lambda v: _is_pair(v) and 0 < v[0] < v[1] < 1,
+                          "[lo, hi] with 0 < lo < hi < 1", [1e-4, 1e-1]),
+    "experiment.tolerance_band": (lambda v: _is_pair(v) and v[0] <= v[1],
+                                  "[lo, hi] with lo <= hi", [-0.8, -0.3]),
+    "experiment.fit_boundary": (*_one_of(("D", "M")), "M"),
+    "experiment.target": (*FINITE, None),
+    "experiment.L_max": (*_int(1), 64),
+    "experiment.curve_csv": (lambda v: isinstance(v, str) and os.path.isfile(v)
+                             and os.access(v, os.R_OK), "a readable file", None),
+    "experiment.temple_Ls": (*_sizes(1), [4, 6, 8]),
+    "experiment.gap_Ls": (*_sizes(2), list(range(2, 11))),
+    "experiment.gamma": (lambda v: _is_finite(v) and v > 0, "a finite number > 0", None),
+    "experiment.bernoulli_p": (*_list_of(lambda p: _is_finite(p) and 0 < p <= 1,
+                                         "a list of numbers in (0, 1]"), [0.3, 0.5, 0.8]),
+    "experiment.bernoulli_Ld": (*_list_of(_int(1)[0], "a list of integers >= 1"), [8, 27, 64]),
+    "experiment.lambda_grid_size": (*_int(16), 64),
+    "experiment.x_grid_size": (*_int(16), None),  # 256, 64, 32 for d = 1, 2, 3
 }
 
-
-# integer experiment fields and the least value each takes
-INT_FIELDS = {"samples": 1, "eigenvalues": 1, "realizations": 0, "L_max": 1,
-              "lambda_grid_size": 16, "x_grid_size": 16}
-
-
-def _need(section: dict, key: str, path: str):
-    if key not in section:
-        raise ConfigError(f"missing field {path}.{key}")
-    return section[key]
+# the defaults that enter the effective configuration, and so config_hash; the
+# others are filled in by settled() where a command reads them
+WRITTEN = ("solve", "solve.workers", "output", "output.dir",
+           "experiment", "experiment.seed", "experiment.samples")
 
 
-def load_config(path: str, seed: int = None, workers: int = None) -> dict:
-    """Read, complete and check a configuration; ``seed`` and ``workers``
-    override ``experiment.seed`` and ``solve.workers`` before the checks."""
+def _defaults() -> dict:
+    """Parent path -> {key: default value, or None where there is none}."""
+    out = {}
+    for field, (_, _, default) in FIELDS.items():
+        parent, _, key = field.rpartition(".")
+        out.setdefault(parent, {})[key] = (
+            None if default is REQUIRED or isinstance(default, set) else default)
+    return out
+
+
+DEFAULTS = _defaults()
+
+
+def settled(node: dict, path: str) -> dict:
+    """The checked object at ``path`` with the table default of each absent field."""
+    return {**DEFAULTS[path], **node}
+
+
+def load_config(path: str, seed: int = None, workers: int = None, command: str = None) -> dict:
+    """Read, complete and check a configuration against FIELDS; ``seed`` and
+    ``workers`` override ``experiment.seed`` and ``solve.workers`` before the
+    checks, and ``command`` adds the fields that command needs."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -154,223 +287,86 @@ def load_config(path: str, seed: int = None, workers: int = None) -> dict:
         ) from err
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    version = cfg.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    for section in ("model", "grid"):
-        if section not in cfg or not isinstance(cfg[section], dict):
-            raise ConfigError(f"missing section {section}")
-    effective = copy.deepcopy(cfg)
-    for section, defaults in DEFAULTS.items():
-        given = effective.get(section, {})
-        if not isinstance(given, dict):
-            raise ConfigError(f"section {section} must be an object")
-        # experiment fields vary per command; solve and output take only their defaults
-        unknown = sorted(set(given) - set(defaults)) if section != "experiment" else []
-        if unknown:
-            raise ConfigError(f"unknown field {section}.{unknown[0]}; {section} takes "
-                              f"only {', '.join(defaults)}")
-        effective[section] = {**defaults, **given}
-    if seed is not None:
-        effective["experiment"]["seed"] = seed
-    if workers is not None:
-        effective["solve"]["workers"] = workers
-    _check_model(effective["model"])
-    _check_grid(effective["grid"])
-    _check_experiment(effective["experiment"])
-    if not (_is_int(effective["solve"]["workers"]) and effective["solve"]["workers"] >= 1):
-        raise ConfigError(f"solve.workers must be an integer >= 1, "
-                          f"got {effective['solve']['workers']!r}")
-    return effective
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_finite(v) -> bool:
-    return _is_number(v) and math.isfinite(v)
-
-
-def _check_sizes(value, path: str, least: int):
-    """Box sizes: a list of at least ``least`` distinct integers >= 1."""
-    if not (isinstance(value, list) and all(_is_int(v) and v >= 1 for v in value)
-            and len(set(value)) == len(value) >= least):
-        raise ConfigError(f"{path} must be a list of at least {least} distinct integers "
-                          f">= 1, got {value!r}")
-
-
-def _is_pair(v) -> bool:
-    return isinstance(v, list) and len(v) == 2 and all(map(_is_finite, v))
-
-
-# numeric model fields; the model classes check their ranges
-MODEL_NUMBERS = (("dist", "lambda_minus"), ("dist", "lambda_plus"),
-                 ("dist", "atom_mass_at_min"), ("site", "amplitude"), ("site", "radius"))
-
-
-def _check_model(model: dict):
-    """Reject model fields of the wrong type before the model is built."""
-    d = _need(model, "d", "model")
-    if not (_is_int(d) and d in (1, 2, 3)):
-        raise ConfigError(f"model.d must be 1, 2 or 3, got {d!r}")
-    for section in ("dist", "site"):
-        if not isinstance(model.get(section, {}), dict):
-            raise ConfigError(f"model.{section} must be an object, got {model[section]!r}")
-    for section, key in MODEL_NUMBERS:
-        value = model.get(section, {}).get(key, 0.0)
-        if not _is_finite(value):
-            raise ConfigError(f"model.{section}.{key} must be a finite number, got {value!r}")
-    standardized = model.get("site", {}).get("standardized", False)
-    if not isinstance(standardized, bool):
-        raise ConfigError(f"model.site.standardized must be true or false, "
-                          f"got {standardized!r}")
-
-
-def _check_grid(grid: dict):
-    """Reject grids no box can be built on; a scalar side becomes a list."""
-    n = _need(grid, "n", "grid")
-    if not (_is_int(n) and n >= 4):
-        raise ConfigError(f"grid.n must be an integer >= 4, got {n!r}")
-    Ls = _need(grid, "L", "grid")
-    grid["L"] = [Ls] if _is_int(Ls) else Ls
-    _check_sizes(grid["L"], "grid.L", 1)
-
-
-def _check_experiment(exp: dict):
-    """Reject experiment fields no command could run with, before any compute."""
-    if not (_is_int(exp["seed"]) and 0 <= exp["seed"] < 2**64):
-        raise ConfigError(f"experiment.seed must be an integer in [0, 2^64), "
-                          f"got {exp['seed']!r}")
-    for key, least in INT_FIELDS.items():
-        if key in exp and not (_is_int(exp[key]) and exp[key] >= least):
-            raise ConfigError(f"experiment.{key} must be an integer >= {least}, "
-                              f"got {exp[key]!r}")
-    for key, least in (("temple_Ls", 1), ("gap_Ls", 2)):
-        if key in exp:
-            _check_sizes(exp[key], f"experiment.{key}", least)
-    if "energies" in exp and np.any(np.diff(energies_from(exp["energies"])) < 0):
+    overrides = {"experiment.seed": seed, "solve.workers": workers}
+    objects = {"": cfg}  # the objects met so far, by path
+    for field, (check, rule, default) in FIELDS.items():
+        parent, _, key = field.rpartition(".")
+        node = objects.get(parent)
+        if node is None:  # a field of an absent optional object
+            continue
+        if overrides.get(field) is not None:
+            node[key] = overrides[field]
+        if node.get(key) is None and (key not in node or DEFAULTS[parent][key] is None):
+            kind = node.get("kind", DEFAULTS[parent].get("kind"))
+            if default is REQUIRED or isinstance(default, set) and kind in default:
+                raise ConfigError(f"missing field {field}")
+            if field in WRITTEN:
+                node[key] = copy.copy(default)
+        elif not check(node[key]):
+            raise ConfigError(f"{field} must be {rule}, got {node[key]!r}")
+        if isinstance(node.get(key), dict):
+            objects[field] = node[key]
+    for parent, node in objects.items():
+        for field in (f"{parent}.{key}" if parent else key for key in node):
+            if field not in FIELDS:
+                raise ConfigError(f"unknown field {field}")
+    if _is_int(cfg["grid"]["L"]):
+        cfg["grid"]["L"] = [cfg["grid"]["L"]]
+    # the rules that join two fields, or a field and the command
+    exp, d = cfg["experiment"], cfg["model"]["d"]
+    if exp.get("x_grid_size") and exp["x_grid_size"] ** d > X_SCAN_POINTS:
+        raise ConfigError(f"experiment.x_grid_size ** model.d must be <= {X_SCAN_POINTS}, "
+                          f"got {exp['x_grid_size']} ** {d}")
+    energies = exp.get("energies") and settled(exp["energies"], "experiment.energies")
+    if not energies:
+        if command == "ids" or command == "lifshitz" and exp.get("curve_csv") is None:
+            raise ConfigError(f"missing field experiment.energies, which {command} needs")
+    elif energies["kind"] == "geometric" and not (energies["start"] > 0 and energies["stop"] > 0):
+        raise ConfigError(f"experiment.energies of kind geometric need start, stop > 0, "
+                          f"got {energies['start']!r}, {energies['stop']!r}")
+    elif np.any(np.diff(energies_from(energies)) < 0):
         raise ConfigError(f"experiment.energies must be in increasing order, "
-                          f"got {energies_from(exp['energies']).tolist()}")
-    for key, ordered, rule in (("window", lambda lo, hi: 0 < lo < hi < 1, "0 < lo < hi < 1"),
-                               ("tolerance_band", lambda lo, hi: lo <= hi, "lo <= hi")):
-        if key in exp and not (_is_pair(exp[key]) and ordered(*exp[key])):
-            raise ConfigError(f"experiment.{key} must be [lo, hi] with {rule}, "
-                              f"got {exp[key]!r}")
-    if not isinstance(exp.get("include_periodic", True), bool):
-        raise ConfigError(f"experiment.include_periodic must be true or false, "
-                          f"got {exp['include_periodic']!r}")
-    if exp.get("fit_boundary", "M") not in ("D", "M"):
-        raise ConfigError(f"experiment.fit_boundary must be \"D\" or \"M\", "
-                          f"got {exp['fit_boundary']!r}")
-    if exp.get("target") is not None and not _is_finite(exp["target"]):
-        raise ConfigError(f"experiment.target must be a finite number, got {exp['target']!r}")
-    ps = exp.get("bernoulli_p", [])
-    if not isinstance(ps, list) or not all(_is_number(p) and 0.0 < p <= 1.0 for p in ps):
-        raise ConfigError(f"experiment.bernoulli_p must be a list of numbers in (0, 1], "
-                          f"got {ps!r}")
-    lds = exp.get("bernoulli_Ld", [])
-    if not isinstance(lds, list) or not all(_is_int(v) and v >= 1 for v in lds):
-        raise ConfigError(f"experiment.bernoulli_Ld must be a list of integers >= 1, "
-                          f"got {lds!r}")
-    gamma = exp.get("gamma")
-    if gamma is not None and not (_is_number(gamma) and 0 < gamma < float("inf")):
-        raise ConfigError(f"experiment.gamma must be a finite number > 0, got {gamma!r}")
-    for path in input_files(exp):
-        if not (isinstance(path, str) and os.path.isfile(path) and os.access(path, os.R_OK)):
-            raise ConfigError(f"experiment.curve_csv is not a readable file: {path!r}")
-
-
-def input_files(exp: dict) -> list:
-    """Paths of the input files an experiment block names."""
-    return [exp["curve_csv"]] if exp.get("curve_csv") else []
+                          f"got {energies_from(energies).tolist()}")
+    return cfg
 
 
 def build_model(cfg: dict) -> ModelSpec:
     m = cfg["model"]
-    d = _need(m, "d", "model")
-    vper_cfg = _need(m, "vper", "model")
-    kind = _need(vper_cfg, "kind", "model.vper")
-    if kind == "zero":
-        vper = PeriodicPotentialSpec(kind="zero")
-    elif kind == "cosine-sum":
-        vper = PeriodicPotentialSpec(
-            kind="cosine-sum",
-            amplitudes=tuple(_need(vper_cfg, "amplitudes", "model.vper")),
-        )
-    elif kind == "tabulated":
-        vper = PeriodicPotentialSpec(
-            kind="tabulated", values=np.asarray(_need(vper_cfg, "values", "model.vper")),
-        )
-    else:
-        raise ConfigError(f"model.vper.kind unknown: {kind!r}")
-
-    dist_cfg = _need(m, "dist", "model")
-    dist = DistributionSpec(
-        kind=_need(dist_cfg, "kind", "model.dist"),
-        lambda_minus=float(_need(dist_cfg, "lambda_minus", "model.dist")),
-        lambda_plus=float(_need(dist_cfg, "lambda_plus", "model.dist")),
-        atom_mass_at_min=float(dist_cfg.get("atom_mass_at_min", 0.0)),
-        beta_a=dist_cfg.get("beta_a"),
-        beta_b=dist_cfg.get("beta_b"),
+    vper, site, dist = (settled(m[key], f"model.{key}") for key in ("vper", "site", "dist"))
+    lambda_minus, lambda_plus = float(dist["lambda_minus"]), float(dist["lambda_plus"])
+    return ModelSpec(
+        d=m["d"],
+        vper=PeriodicPotentialSpec(kind=vper["kind"], amplitudes=vper["amplitudes"],
+                                   values=vper["values"]),
+        site=SingleSiteSpec(
+            kind=site["kind"],
+            amplitude=float(site["amplitude"]),
+            radius=float(site["radius"]),
+            lambda_minus=lambda_minus,
+            lambda_plus=lambda_plus,
+            standardized=site["standardized"],
+            lambda_nodes=site["lambda_nodes"] and tuple(site["lambda_nodes"]),
+            x_nodes=site["x_nodes"] and tuple(tuple(ax) for ax in site["x_nodes"]),
+            values=site["values"],
+        ),
+        dist=DistributionSpec(
+            kind=dist["kind"],
+            lambda_minus=lambda_minus,
+            lambda_plus=lambda_plus,
+            atom_mass_at_min=float(dist["atom_mass_at_min"]),
+            beta_a=dist["beta_a"],
+            beta_b=dist["beta_b"],
+        ),
     )
 
-    site_cfg = _need(m, "site", "model")
-    site_kind = _need(site_cfg, "kind", "model.site")
-    if site_kind in ("alloy", "breather"):
-        site = SingleSiteSpec(
-            kind=site_kind,
-            amplitude=float(site_cfg.get("amplitude", 1.0)),
-            radius=float(site_cfg.get("radius", 0.4)),
-            lambda_minus=dist.lambda_minus,
-            lambda_plus=dist.lambda_plus,
-            standardized=site_cfg.get("standardized", False),
-        )
-    elif site_kind == "tabulated":
-        site = SingleSiteSpec(
-            kind="tabulated",
-            lambda_minus=dist.lambda_minus,
-            lambda_plus=dist.lambda_plus,
-            lambda_nodes=tuple(_need(site_cfg, "lambda_nodes", "model.site")),
-            x_nodes=tuple(tuple(ax) for ax in _need(site_cfg, "x_nodes", "model.site")),
-            values=np.asarray(_need(site_cfg, "values", "model.site")),
-        )
-    else:
-        raise ConfigError(f"model.site.kind unknown: {site_kind!r}")
-    return ModelSpec(d=d, vper=vper, site=site, dist=dist)
 
-
-def energies_from(cfg_block: dict) -> np.ndarray:
-    """The energy grid of an ``experiment.energies`` block; ConfigError names
-    the block when a field is missing or out of range."""
-    if cfg_block is None:
-        raise ConfigError("missing experiment.energies")
-    if not isinstance(cfg_block, dict):
-        raise ConfigError(f"experiment.energies must be an object, got {cfg_block!r}")
-    kind = cfg_block.get("kind", "list")
-    if kind == "list":
-        values = _need(cfg_block, "values", "experiment.energies")
-        if not (isinstance(values, list) and values and all(map(_is_finite, values))):
-            raise ConfigError(f"experiment.energies.values must be a non-empty list of "
-                              f"finite numbers, got {values!r}")
-        return np.asarray([float(v) for v in values])
-    if kind not in ("linear", "geometric"):
-        raise ConfigError(f"experiment.energies.kind unknown: {kind!r}")
-    start, stop, count = (_need(cfg_block, key, "experiment.energies")
-                          for key in ("start", "stop", "count"))
-    if not (_is_finite(start) and _is_finite(stop) and _is_int(count) and count >= 1):
-        raise ConfigError(f"experiment.energies needs finite start and stop and an integer "
-                          f"count >= 1, got {start!r}, {stop!r}, {count!r}")
-    if kind == "linear":
-        return np.linspace(float(start), float(stop), count)
-    if not (start > 0 and stop > 0):
-        raise ConfigError(f"experiment.energies of kind geometric need start, stop > 0, "
-                          f"got {start!r}, {stop!r}")
-    return np.geomspace(float(start), float(stop), count)
+def energies_from(block: dict) -> np.ndarray:
+    """The energy grid of a checked ``experiment.energies`` block."""
+    block = settled(block, "experiment.energies")
+    if block["kind"] == "list":
+        return np.asarray([float(v) for v in block["values"]])
+    space = np.linspace if block["kind"] == "linear" else np.geomspace
+    return space(float(block["start"]), float(block["stop"]), block["count"])
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +383,8 @@ def _source_digest() -> bytes:
 def cache_key(cfg: dict, digest: str) -> str:
     """sha256 over the config hash, the named input files and the package source."""
     h = hashlib.sha256(digest.encode())
-    for path in input_files(cfg["experiment"]):
-        h.update(hashlib.sha256(Path(path).read_bytes()).digest())
+    if cfg["experiment"].get("curve_csv"):  # the only input file a config names
+        h.update(hashlib.sha256(Path(cfg["experiment"]["curve_csv"]).read_bytes()).digest())
     h.update(_source_digest())
     return h.hexdigest()
 
@@ -426,27 +422,15 @@ class ResultCache:
 
 
 def _prepare(cfg, model):
-    return prepare_model(model, int(cfg["grid"]["n"]))
-
-
-def _bc_from_label(label, gs, grid):
-    if label == "D":
-        return DIRICHLET
-    if label == "N":
-        return NEUMANN
-    if label == "P":
-        return PERIODIC
-    if label == "M":
-        return mezincescu_correction(gs, grid)
-    raise ConfigError(f"unknown boundary label {label!r}")
+    return prepare_model(model, cfg["grid"]["n"])
 
 
 def cmd_validate(cfg, out_dir: Path, digest: str):
     model = build_model(cfg)
-    exp = cfg["experiment"]
-    lam_grid = int(exp.get("lambda_grid_size", 64))
-    x_grid = int(exp.get("x_grid_size", {1: 256, 2: 64, 3: 32}[model.d]))
-    report = validate_assumptions(model, lambda_grid_size=lam_grid, x_grid_size=x_grid)
+    exp = settled(cfg["experiment"], "experiment")
+    x_grid = exp["x_grid_size"] or {1: 256, 2: 64, 3: 32}[model.d]
+    report = validate_assumptions(model, lambda_grid_size=exp["lambda_grid_size"],
+                                  x_grid_size=x_grid)
     payload = report.to_dict()
     payload["config_hash"] = digest
     dump_json(payload, out_dir / "validate_report.json")
@@ -470,29 +454,26 @@ def cmd_validate(cfg, out_dir: Path, digest: str):
 def cmd_spectrum(cfg, out_dir: Path, digest: str):
     model = build_model(cfg)
     prepared, gs = _prepare(cfg, model)
-    exp = cfg["experiment"]
-    n = int(cfg["grid"]["n"])
-    m = int(exp.get("eigenvalues", 4))
-    labels = exp.get("boundary", ["D", "M"])
-    n_real = int(exp.get("realizations", 1))
-    include_periodic = exp.get("include_periodic", True)
-    seed = int(exp["seed"])
+    exp = settled(cfg["experiment"], "experiment")
+    n, m, labels = cfg["grid"]["n"], exp["eigenvalues"], exp["boundary"]
+    n_real, seed = exp["realizations"], exp["seed"]
 
     rows = []
     exit_code = 0
     try:
         for L in cfg["grid"]["L"]:
-            grid = GridSpec(L=int(L), n=n, d=prepared.d)
+            grid = GridSpec(L=L, n=n, d=prepared.d)
             fields = ids_mod.sample_fields(prepared.dist, seed, range(n_real), L, prepared.d)
             vrand = random_potentials(prepared, grid, fields)
             for label in labels:
-                box = skeleton(prepared, grid, _bc_from_label(label, gs, grid))
-                indices = ([-1] if include_periodic else []) + list(range(n_real))
+                bc = FIXED_BCS.get(label) or mezincescu_correction(gs, grid)
+                box = skeleton(prepared, grid, bc)
+                indices = ([-1] if exp["include_periodic"] else []) + list(range(n_real))
                 for idx in indices:
                     H = box.hamiltonian(None if idx < 0 else vrand[idx])
                     res = lowest_eigenvalues(H, m)
                     for k in range(len(res.energies)):
-                        rows.append((int(L), n, label, idx, k + 1,
+                        rows.append((L, n, label, idx, k + 1,
                                      res.energies[k], res.residuals[k]))
     except ConvergenceError as err:
         print(f"solver non-convergence: {err}", file=sys.stderr)
@@ -511,12 +492,9 @@ def cmd_ids(cfg, out_dir: Path, digest: str):
     model = build_model(cfg)
     prepared, gs = _prepare(cfg, model)
     exp = cfg["experiment"]
-    n = int(cfg["grid"]["n"])
-    energies = energies_from(exp.get("energies"))
-    M = int(exp["samples"])
-    seed = int(exp["seed"])
-    workers = int(cfg["solve"]["workers"])
-    Ls = cfg["grid"]["L"]
+    n, Ls = cfg["grid"]["n"], cfg["grid"]["L"]
+    energies = energies_from(exp["energies"])
+    M, seed, workers = exp["samples"], exp["seed"], cfg["solve"]["workers"]
 
     curves = []
     for L in Ls:
@@ -558,47 +536,40 @@ def _self_test_fit():
 
 
 def cmd_lifshitz(cfg, out_dir: Path, digest: str):
-    exp = cfg["experiment"]
+    exp = settled(cfg["experiment"], "experiment")
     payload = {"config_hash": digest, "self_test": _self_test_fit()}
     self_ok = all(r["pass"] for r in payload["self_test"])
 
-    window = tuple(float(v) for v in exp.get("window", [1e-4, 1e-1]))
-    band = exp.get("tolerance_band", [-0.8, -0.3])
-    label = exp.get("fit_boundary", "M")
+    window = tuple(float(v) for v in exp["window"])
+    band = exp["tolerance_band"]
     d = cfg["model"]["d"]
     files = ["lifshitz.json"]
 
-    if exp.get("curve_csv"):
+    if exp["curve_csv"]:
         try:
             curve = ids_mod.IDSCurve.from_csv(exp["curve_csv"], d)
         except InputError as err:
             raise ConfigError(f"experiment.curve_csv: {err}") from err
-        target = exp.get("target")
     else:
         model = build_model(cfg)
         prepared, gs = _prepare(cfg, model)
-        n = int(cfg["grid"]["n"])
-        energies = energies_from(exp.get("energies"))
-        M = int(exp["samples"])
-        seed = int(exp["seed"])
-        workers = int(cfg["solve"]["workers"])
-        L_max = int(exp.get("L_max", 64))
+        n = cfg["grid"]["n"]
         B2 = bounds_mod.dirichlet_test_function(prepared, GridSpec(L=4, n=n, d=prepared.d)).B2
         payload["B2"] = B2
 
         def make_bcs(grid):
             return [DIRICHLET, mezincescu_correction(gs, grid)]
 
-        curve = ids_mod.matched_box_curve(prepared, n, make_bcs, energies, M, seed,
-                                          B2=B2, L_max=L_max, workers=workers)
+        curve = ids_mod.matched_box_curve(prepared, n, make_bcs, energies_from(exp["energies"]),
+                                          exp["samples"], exp["seed"], B2=B2,
+                                          L_max=exp["L_max"], workers=cfg["solve"]["workers"])
         curve.to_csv(out_dir / "lifshitz_curve.csv")
         files.append("lifshitz_curve.csv")
-        target = None
 
     try:
         fit = ids_mod.fit_lifshitz(
-            curve, window=window, label=label,
-            target=(target if target is not None else -d / 2.0),
+            curve, window=window, label=exp["fit_boundary"],
+            target=(exp["target"] if exp["curve_csv"] and exp["target"] is not None else -d / 2),
         )
     except InsufficientDataError as err:
         payload["error"] = str(err)
@@ -618,21 +589,18 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
 def cmd_bounds(cfg, out_dir: Path, digest: str):
     model = build_model(cfg)
     prepared, gs = _prepare(cfg, model)
-    exp = cfg["experiment"]
-    n = int(cfg["grid"]["n"])
-    M = int(exp["samples"])
-    seed = int(exp["seed"])
+    exp = settled(cfg["experiment"], "experiment")
+    n, M, seed = cfg["grid"]["n"], exp["samples"], exp["seed"]
 
     consts = bounds_mod.model_constants(prepared, gs)
-    gap_Ls = tuple(int(v) for v in exp.get("gap_Ls", range(2, 11)))
-    temple_Ls = [int(v) for v in exp.get("temple_Ls", [4, 6, 8])]
+    gap_Ls, temple_Ls = tuple(exp["gap_Ls"]), exp["temple_Ls"]
     # one ground-state-boundary box, and its periodic levels, per side
     boxes = {L: bounds_mod.ground_state_box(prepared, gs, GridSpec(L=L, n=n, d=prepared.d))
              for L in dict.fromkeys([*gap_Ls, *temple_Ls])}
     levels = {L: bounds_mod.periodic_levels(box) for L, box in boxes.items()}
     gap = bounds_mod.fit_gap_constant({L: levels[L] for L in gap_Ls})
     lam_star, p_star = prepared.dist.lambda_star()
-    gamma = float(exp.get("gamma") or 2.0 / p_star)
+    gamma = float(exp["gamma"] or 2.0 / p_star)
 
     payload = {
         "config_hash": digest,
@@ -712,11 +680,9 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
     all_pass = all_pass and deviation_out["passes"] == deviation_out["checks"]
     all_pass = all_pass and diri["passes"] == diri["checks"]
 
-    bern_ps = [float(v) for v in exp.get("bernoulli_p", [0.3, 0.5, 0.8])]
-    bern_lds = [int(v) for v in exp.get("bernoulli_Ld", [8, 27, 64])]
     bern_rows = []
-    for p in bern_ps:
-        for Ld in bern_lds:
+    for p in (float(v) for v in exp["bernoulli_p"]):
+        for Ld in exp["bernoulli_Ld"]:
             exact, bound = bounds_mod.bernoulli_tail(p, 2.0 / p, Ld)
             ok = exact <= bound
             all_pass = all_pass and ok
@@ -766,7 +732,8 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        cfg = load_config(args.config, seed=args.seed, workers=args.workers)
+        cfg = load_config(args.config, seed=args.seed, workers=args.workers,
+                          command=args.command)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -25,6 +25,8 @@ from .errors import DomainError, InputError
 SITE_KINDS = ("alloy", "breather", "tabulated")
 VPER_KINDS = ("zero", "cosine-sum", "tabulated")
 DIST_KINDS = ("uniform", "truncated-beta", "two-point-plus-uniform")
+# most x points an assumption scan visits (x_grid_size ** d)
+X_SCAN_POINTS = 4_000_000
 
 SIGN_TOL = 1e-9  # tolerance for sign conditions checked on grids
 
@@ -551,7 +553,7 @@ def validate_assumptions(
     """
     if lambda_grid_size < 16 or x_grid_size < 16:
         raise DomainError("assumption scans need grid sizes >= 16")
-    if x_grid_size**model.d > 4_000_000:
+    if x_grid_size**model.d > X_SCAN_POINTS:
         raise DomainError("x grid too large; reduce x_grid_size for this dimension")
 
     site = model.site

@@ -97,13 +97,23 @@ class TestValidate:
         cfg.write_text("{not json")
         assert main(["validate", "--config", str(cfg)]) == 2
 
-    def test_missing_field_exit_2(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        payload = write_config(cfg)
-        del payload["model"]["dist"]["lambda_minus"]
-        cfg.write_text(json.dumps(payload))
-        assert main(["validate", "--config", str(cfg), "--out",
-                     str(tmp_path / "o")]) == 2
+    def test_missing_field_exit_2(self, tmp_path, capsys):
+        for path in ("model.dist.lambda_minus", "model.dist.lambda_plus", "model.dist.kind",
+                     "model.site.kind", "model.vper.kind", "model.vper", "model.site",
+                     "model.dist", "grid.n", "schema_version"):
+            cfg = tmp_path / "cfg.json"
+            payload = write_config(cfg)
+            *parents, key = path.split(".")
+            node = payload
+            for parent in parents:
+                node = node[parent]
+            del node[key]
+            cfg.write_text(json.dumps(payload))
+            out = tmp_path / "o"
+            assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"missing field {path}" in err
+            assert not out.exists()
 
 
 def test_cli_import_skips_stats_and_interpolate():
@@ -159,6 +169,14 @@ BAD_EXPERIMENT_FIELDS = [
     pytest.param("validate", "energies", {"values": [2.0, 0.5]}, id="energies-unsorted-validate"),
     pytest.param("lifshitz", "energies", {"kind": "geometric", "start": 0.3, "stop": 0.05,
                                           "count": 4}, id="energies-descending"),
+    pytest.param("ids", "energies", {"kind": "linear", "start": 0.5, "stop": 8.0, "count": 6,
+                                     "cnt": 6}, id="energies-unknown-key"),
+    pytest.param("ids", "energies", {"kind": "linear", "start": 0.5, "count": 6},
+                 id="energies-stop-missing"),
+    pytest.param("lifshitz", "sampels", 10, id="samples-misspelt"),
+    pytest.param("spectrum", "boundary", 5, id="boundary-number"),
+    pytest.param("spectrum", "boundary", "DM", id="boundary-string"),
+    pytest.param("spectrum", "boundary", ["X"], id="boundary-unknown-label"),
 ]
 
 
@@ -214,6 +232,32 @@ BAD_SECTION_FIELDS = [
     pytest.param("model", site(radius=None), "model.site.radius", id="radius-null"),
     pytest.param("model", site(standardized="false"), "model.site.standardized",
                  id="standardized-string"),
+    pytest.param("model", {"vper": {"kind": "square"}}, "model.vper.kind", id="vper-kind"),
+    pytest.param("model", site(kind="bump"), "model.site.kind", id="site-kind"),
+    pytest.param("model", dist(kind="gauss"), "model.dist.kind", id="dist-kind"),
+    pytest.param("model", {"vper": {"kind": "cosine-sum", "amplitudes": "abc"}},
+                 "model.vper.amplitudes", id="amplitudes-string"),
+    pytest.param("model", {"vper": {"kind": "cosine-sum"}}, "model.vper.amplitudes",
+                 id="amplitudes-missing"),
+    pytest.param("model", {"vper": {"kind": "tabulated", "values": [[0.0], [0.0, 1.0]]}},
+                 "model.vper.values", id="vper-values-ragged"),
+    pytest.param("model", site(kind="tabulated", lambda_nodes=["a"], x_nodes=[[0.0, 1.0]],
+                               values=[[0.0, 0.0]]),
+                 "model.site.lambda_nodes", id="lambda-nodes-string"),
+    pytest.param("model", site(kind="tabulated", lambda_nodes=[1.0, 2.0], x_nodes=[0.0, 1.0],
+                               values=[[0.0, 0.0], [0.0, 1.0]]),
+                 "model.site.x_nodes", id="x-nodes-flat"),
+    pytest.param("model", site(kind="tabulated", lambda_nodes=[1.0, 2.0], x_nodes=[[0.0, 1.0]],
+                               values=[[0.0, float("nan")], [0.0, 1.0]]),
+                 "model.site.values", id="site-values-nan"),
+    pytest.param("model", dist(kind="truncated-beta", beta_a="x", beta_b=2.0),
+                 "model.dist.beta_a", id="beta-a-string"),
+    pytest.param("model", dist(kind="truncated-beta", beta_a=2.0), "model.dist.beta_b",
+                 id="beta-b-missing"),
+    pytest.param("model", dist(sigma=1.0), "model.dist.sigma", id="dist-unknown-key"),
+    pytest.param("grid", {"N": 16}, "grid.N", id="grid-unknown-key"),
+    pytest.param("output", {"dir": 5}, "output.dir", id="dir-number"),
+    pytest.param("modle", {"d": 1}, "modle", id="root-unknown-key"),
 ]
 
 
@@ -243,6 +287,33 @@ def test_bad_solve_output_grid_field_exit_2(tmp_path, capsys, section, block, fi
     assert field in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,overrides,field", [
+    pytest.param("ids", {}, "experiment.energies", id="ids-needs-energies"),
+    pytest.param("lifshitz", {}, "experiment.energies", id="inline-lifshitz-needs-energies"),
+    pytest.param("validate", {"model": {"d": 2, "vper": {"kind": "cosine-sum",
+                                                         "amplitudes": [0.5, 0.5]}},
+                              "experiment": {"seed": 1, "x_grid_size": 2048}},
+                 "experiment.x_grid_size", id="x-grid-over-scan-cap-at-d-2"),
+])
+def test_cross_field_rule_exit_2(tmp_path, capsys, command, overrides, field):
+    # rules that join two fields, or a field and the command, are checked at load too
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **overrides)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_readme_field_table_matches_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| path | rule | default |\n", 1)[1].split("\n\n", 1)[0]
+    paths = [row.split("|")[1].strip().strip("`") for row in table.splitlines()[1:]]
+    assert paths == list(cli.FIELDS)
 
 
 def test_readme_config_block_loads(tmp_path):
