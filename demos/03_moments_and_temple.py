@@ -70,7 +70,7 @@ per = periodic_levels(box)  # E1, E2 of the coupling-free box, once
 print(f"  periodic levels on the box: E1 = {per[0]:.2e}, E2 = {per[1]:.6f}")
 for i, lams in enumerate(sample_fields(model.dist, 43, range(5), 6, 1)):
     mapped = map_realization(gs, model, grid, lams, cfg)
-    rep = temple_lower_bound(gs, model, box, mapped, cfg, per)
+    rep = temple_lower_bound(box, mapped, cfg, per)
     print(f"  #{i}: E1 = {rep.lhs:.6f} >= (3/4) mean xi = {rep.rhs:.6f} "
           f"-> {rep.verdict}")
 

@@ -15,7 +15,6 @@ exponents, then applied to measured curves.
 import numpy as np
 
 from breatherlab import (
-    DIRICHLET,
     DistributionSpec,
     GridSpec,
     ModelSpec,
@@ -24,7 +23,6 @@ from breatherlab import (
     dirichlet_test_function,
     fit_lifshitz,
     matched_box_curve,
-    mezincescu_correction,
     prepare_model,
     synthetic_curve,
 )
@@ -52,16 +50,10 @@ model0 = ModelSpec(
 )
 model, gs = prepare_model(model0, 16)
 
-
-def make_bcs(grid):
-    return [DIRICHLET, mezincescu_correction(gs, grid)]
-
-
 B2 = dirichlet_test_function(model, GridSpec(4, 16)).B2
 energies = np.geomspace(0.05, 0.30, 8)
 print(f"\nmeasuring with energy-matched boxes (kinetic constant B2 = {B2:.4f}):")
-curve = matched_box_curve(model, 16, make_bcs, energies, 2000, 12345,
-                          B2=B2, L_max=64)
+curve = matched_box_curve(model, gs, energies, 2000, 12345, B2=B2, L_max=64)
 for j, E in enumerate(curve.energies):
     print(f"  E = {E:.4f}: L = {int(curve.box_sizes[j]):2d}, "
           f"N_M = {curve.estimates['M'][j]:.5f} +- {curve.errors['M'][j]:.5f}")

@@ -28,6 +28,7 @@ from .lattice import (
     BoxSkeleton,
     GridSpec,
     assemble_random_potential,
+    cells_on_grid,
     couplings_array,
     mezincescu_correction,
     periodized_ground_state,
@@ -140,7 +141,8 @@ class TempleConfig:
 
     The hypotheses tie the cutoff c2 to the gap constant epsilon0, the
     derivative sup kappa1 and the window (eps1, eps2); the coupling-window
-    constant c7 and the energy scale make the deviation chain close.
+    constant c7 and the energy scale make the deviation chain close.  They
+    are checked once, when the config is made.
     """
 
     L: int
@@ -151,7 +153,7 @@ class TempleConfig:
     energy_scale: float
     constants: ModelConstants
 
-    def validate(self):
+    def __post_init__(self):
         c = self.constants
         L2 = self.L**2
         checks = [
@@ -170,7 +172,6 @@ class TempleConfig:
         for ok, label in checks:
             if not ok:
                 raise PreconditionError(f"hypothesis violated: {label}")
-        return self
 
     def to_dict(self):
         return {
@@ -200,20 +201,20 @@ def make_temple_config(L: int, gamma: float, constants: ModelConstants,
         raise PreconditionError(f"infeasible: binding constraint {binding} forces c2 <= 0")
     c7 = 2.0 * gamma / (c.eps1 * c.c3**2)
     escale = c2 / (2.0 * c7 * L**2)
-    cfg = TempleConfig(L=L, c2=c2, gamma=gamma, c7=c7, epsilon0=epsilon0,
-                       energy_scale=escale, constants=constants)
-    return cfg.validate()
+    return TempleConfig(L=L, c2=c2, gamma=gamma, c7=c7, epsilon0=epsilon0,
+                        energy_scale=escale, constants=constants)
 
 
 @dataclass(frozen=True)
 class MappedRealization:
-    """Couplings, their cutoffs, and the mapped energy contributions xi_k."""
+    """Couplings, their cutoffs, the mapped energy contributions xi_k and the
+    cutoff potential on the flat ``grid`` (the random part of H_cut)."""
 
     couplings: np.ndarray
     cutoffs: np.ndarray
     xi: np.ndarray
-    L: int
-    d: int
+    potential: np.ndarray
+    grid: GridSpec
     lambda_minus: float
 
     @property
@@ -222,16 +223,16 @@ class MappedRealization:
 
 
 def map_realization(gs, model, grid: GridSpec, couplings, cfg: TempleConfig) -> MappedRealization:
-    """Cut the couplings at lambda_minus + c2/L^2 and quadrature-map them."""
-    cfg.validate()
+    """Cut the couplings at lambda_minus + c2/L^2 and quadrature-map them;
+    the one site-value evaluation also gives the cutoff potential."""
     lam = couplings_array(grid, couplings)
     cap = model.dist.lambda_minus + cfg.c2 / grid.L**2
     cut = np.minimum(lam, cap)
-    weights = gs.cell_weights()
     vals = site_values(model.site, cut.ravel(), grid.offset_points())
-    xi = vals @ weights
+    xi = vals @ gs.cell_weights()
     return MappedRealization(
-        couplings=lam, cutoffs=cut, xi=xi.reshape(lam.shape), L=grid.L, d=grid.d,
+        couplings=lam, cutoffs=cut, xi=xi.reshape(lam.shape),
+        potential=cells_on_grid(grid, vals)[0], grid=grid,
         lambda_minus=model.dist.lambda_minus,
     )
 
@@ -274,7 +275,7 @@ def periodic_levels(box: BoxSkeleton) -> np.ndarray:
     return lowest_eigenvalues(box.hamiltonian(), 2).energies
 
 
-def temple_lower_bound(gs, model, box: BoxSkeleton, mapped: MappedRealization,
+def temple_lower_bound(box: BoxSkeleton, mapped: MappedRealization,
                        cfg: TempleConfig, per) -> BoundReport:
     """Check E1 of the cutoff operator against (3/4) of the mean xi.
 
@@ -284,11 +285,10 @@ def temple_lower_bound(gs, model, box: BoxSkeleton, mapped: MappedRealization,
     by link; a broken link is reported as a failure naming the link (that
     signals bad constants, not a solver bug).
     """
-    cfg.validate()
-    grid = box.grid
-    if (mapped.L, mapped.d) != (grid.L, grid.d):
-        raise InputError(f"realization mapped on L={mapped.L}, d={mapped.d}, not on {grid}")
-    H_cut = box.hamiltonian(assemble_random_potential(model, grid, mapped.cutoffs).ravel())
+    grid, gs = box.grid, box.bc.ground_state
+    if mapped.grid != grid:
+        raise InputError(f"realization mapped on {mapped.grid}, not on {grid}")
+    H_cut = box.hamiltonian(mapped.potential)
     cut = lowest_eigenvalues(H_cut, 2).energies
     form, mean_xi = first_moment(gs, mapped, H_cut)
     sq_value, sq_bound = second_moment(gs, mapped, H_cut, cfg)
@@ -347,7 +347,6 @@ def deviation_chain_check(mapped: MappedRealization, cfg: TempleConfig) -> Bound
     Small mapped energy forces the coupling itself (not just the cutoff)
     into the window, because c7 E <= c2/(2 L^2) keeps the cutoff inactive.
     """
-    cfg.validate()
     thresh_xi = 2.0 * cfg.gamma * cfg.energy_scale
     lam_cap = cfg.c7 * cfg.energy_scale
     premise = mapped.xi.ravel() < thresh_xi
@@ -421,12 +420,11 @@ def dirichlet_test_function(model, grid: GridSpec) -> DirichletTestFunction:
     return DirichletTestFunction(grid=grid, phi=phi, Q=Q, T=T, P=P, B1=B1, B2=B2, box=box)
 
 
-def dirichlet_upper_bound(model, grid: GridSpec, couplings,
-                          test: DirichletTestFunction) -> BoundReport:
-    """Rayleigh-quotient upper bound E1 <= B1 L^-d int(V_omega) + B2 L^-2,
-    with the test function and constants of ``dirichlet_test_function``."""
-    if test.grid != grid:
-        raise InputError(f"test function built on {test.grid}, box is {grid}")
+def dirichlet_upper_bound(model, couplings, test: DirichletTestFunction) -> BoundReport:
+    """Rayleigh-quotient upper bound E1 <= B1 L^-d int(V_omega) + B2 L^-2 on
+    the box of ``test``, with the test function and constants of
+    ``dirichlet_test_function``."""
+    grid = test.grid
     L, d, hd = grid.L, grid.d, grid.h**grid.d
     Q, T, P = test.Q, test.T, test.P
 

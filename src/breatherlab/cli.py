@@ -492,16 +492,12 @@ def cmd_ids(cfg, out_dir: Path, digest: str):
     model = build_model(cfg)
     prepared, gs = _prepare(cfg, model)
     exp = cfg["experiment"]
-    n, Ls = cfg["grid"]["n"], cfg["grid"]["L"]
+    Ls = cfg["grid"]["L"]
     energies = energies_from(exp["energies"])
     M, seed, workers = exp["samples"], exp["seed"], cfg["solve"]["workers"]
 
-    curves = []
-    for L in Ls:
-        grid = GridSpec(L=L, n=n, d=prepared.d)
-        bcs = [DIRICHLET, mezincescu_correction(gs, grid)]
-        curves.append(ids_mod.estimate_ids(prepared, n, L, bcs, energies, M, seed,
-                                           workers=workers))
+    curves = [ids_mod.estimate_ids(prepared, gs, L, energies, M, seed, workers=workers)
+              for L in Ls]
     with open(out_dir / "ids_curve.csv", "w", newline="\n") as fh:
         for k, cur in enumerate(curves):
             cur.to_csv(fh, header=(k == 0))
@@ -553,14 +549,9 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
     else:
         model = build_model(cfg)
         prepared, gs = _prepare(cfg, model)
-        n = cfg["grid"]["n"]
-        B2 = bounds_mod.dirichlet_test_function(prepared, GridSpec(L=4, n=n, d=prepared.d)).B2
+        B2 = bounds_mod.dirichlet_test_function(prepared, GridSpec(L=4, n=gs.n, d=gs.d)).B2
         payload["B2"] = B2
-
-        def make_bcs(grid):
-            return [DIRICHLET, mezincescu_correction(gs, grid)]
-
-        curve = ids_mod.matched_box_curve(prepared, n, make_bcs, energies_from(exp["energies"]),
+        curve = ids_mod.matched_box_curve(prepared, gs, energies_from(exp["energies"]),
                                           exp["samples"], exp["seed"], B2=B2,
                                           L_max=exp["L_max"], workers=cfg["solve"]["workers"])
         curve.to_csv(out_dir / "lifshitz_curve.csv")
@@ -645,8 +636,7 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
                                               L, prepared.d):
                 mapped = bounds_mod.map_realization(gs, prepared, grid, lams.reshape(shape),
                                                     tcfg)
-                rep = bounds_mod.temple_lower_bound(gs, prepared, box, mapped, tcfg,
-                                                    levels[L])
+                rep = bounds_mod.temple_lower_bound(box, mapped, tcfg, levels[L])
                 passes += int(rep.passed)
                 cor = bounds_mod.counting_corollary_check(
                     mapped, rep.constants["E1_cut"], tcfg.energy_scale, gamma)
@@ -659,8 +649,7 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
                 deviation_out["premise_sites"] += dev.constants["premise_count"]
             for lams in ids_mod.sample_fields(prepared.dist, seed, (L << 21) + np.arange(M),
                                               L, prepared.d):
-                rep = bounds_mod.dirichlet_upper_bound(prepared, grid, lams.reshape(shape),
-                                                       test)
+                rep = bounds_mod.dirichlet_upper_bound(prepared, lams.reshape(shape), test)
                 diri["checks"] += 1
                 diri["passes"] += int(rep.passed)
             diri["B1"], diri["B2"] = test.B1, test.B2
@@ -740,7 +729,11 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out or os.environ.get(OUTPUT_ENV_VAR)
                    or cfg["output"]["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"config error: output directory {out_dir}: {err.strerror}", file=sys.stderr)
+        return 2
     digest = config_hash(cfg)
     key = cache_key(cfg, digest)
     cache = ResultCache(out_dir / ".cache")

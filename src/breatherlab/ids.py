@@ -10,8 +10,10 @@ boundary condition is assembled once; tridiagonal rows of a block are counted
 in one Sturm sweep, other operators row by row.
 
 Estimates are normalized eigenvalue counts N(E, H^{L,X}) / L^d averaged over
-realizations; Dirichlet counts bound the limit from below and ground-state
-(Mezincescu) counts from above, pathwise at equal box size.
+realizations; Dirichlet counts ("D") bound the limit from below and
+ground-state (Mezincescu) counts ("M") from above, pathwise at equal box
+size.  Every estimate counts under exactly that pair, built from the ground
+state of the prepared model.
 """
 
 import math
@@ -22,11 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InsufficientDataError
-from .lattice import GridSpec, random_potentials, skeleton
+from .lattice import DIRICHLET, GridSpec, mezincescu_correction, random_potentials, skeleton
 from .model import DistributionSpec
 from .spectral import count_below, tridiag_count_below
 
 CSV_HEADER = "E,N_D,se_D,N_M,se_M,L,n,M,seed"
+LABELS = ("D", "M")  # the bracketing pair: Dirichlet below, ground state above
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
@@ -155,12 +158,12 @@ def _sturm_counts(boxes, vrand, energies):
 
 
 def _count_block(args):
-    """Counts (realizations x energies) per boundary label for one index block."""
-    model, grid, bcs, energies, master_seed, indices, index_offset = args
+    """Counts (realizations x energies) under "D" and "M" for one index block."""
+    model, grid, gs, energies, master_seed, indices, index_offset = args
     fields = sample_fields(model.dist, master_seed, np.asarray(indices) + index_offset,
                            grid.L, grid.d)
     vrand = random_potentials(model, grid, fields)
-    boxes = [skeleton(model, grid, bc) for bc in bcs]
+    boxes = [skeleton(model, grid, bc) for bc in (DIRICHLET, mezincescu_correction(gs, grid))]
     tridiagonal = [box for box in boxes if box.tridiagonal]
     out = _sturm_counts(tridiagonal, vrand, energies) if tridiagonal else {}
     for box in boxes:
@@ -171,44 +174,42 @@ def _count_block(args):
     return out
 
 
-def estimate_ids(model, n: int, L: int, bcs, energies, M: int, master_seed: int,
+def estimate_ids(model, gs, L: int, energies, M: int, master_seed: int,
                  workers: int = 1, index_offset: int = 0) -> IDSCurve:
-    """Estimate N(E)/L^d for each boundary condition over M realizations.
+    """Estimate N(E)/L^d under Dirichlet ("D") and ground-state ("M") boundary
+    conditions over M realizations, on the side-L box at the resolution of the
+    ground state ``gs``.
 
-    All boundary conditions share the same realizations (couplings depend on
+    Both conditions share the same realizations (couplings depend on
     (master_seed, index) only), so pathwise comparisons are meaningful.  Work
     is split into contiguous index blocks; the merge is by block order,
     making the result independent of scheduling.
     """
     if np.any(np.diff(energies) < 0):
         raise InputError("energies must be sorted")
-    bcs = list(bcs)
-    labels = [bc.label for bc in bcs]
-    if len(set(labels)) != len(labels):
-        raise InputError("boundary conditions must carry distinct labels")
-    grid = GridSpec(L=L, n=n, d=model.d)
+    grid = GridSpec(L=L, n=gs.n, d=model.d)
     energies = np.asarray(energies, dtype=float)
 
     indices = np.arange(M)
     if workers > 1 and M >= 4 * workers:
         blocks = np.array_split(indices, workers)
         tasks = [
-            (model, grid, bcs, energies, master_seed, blk, index_offset)
+            (model, grid, gs, energies, master_seed, blk, index_offset)
             for blk in blocks if blk.size
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_count_block, tasks))
         merged = {
-            lab: np.concatenate([r[lab] for r in results], axis=0) for lab in labels
+            lab: np.concatenate([r[lab] for r in results], axis=0) for lab in LABELS
         }
     else:
         merged = _count_block(
-            (model, grid, bcs, energies, master_seed, indices, index_offset)
+            (model, grid, gs, energies, master_seed, indices, index_offset)
         )
 
     vol = float(L**model.d)
     estimates, errors = {}, {}
-    for lab in labels:
+    for lab in LABELS:
         cnt = merged[lab]
         estimates[lab] = cnt.mean(axis=0) / vol
         if M > 1:
@@ -217,7 +218,7 @@ def estimate_ids(model, n: int, L: int, bcs, energies, M: int, master_seed: int,
             errors[lab] = np.zeros(len(energies))
     return IDSCurve(
         energies=energies, box_sizes=np.full(len(energies), L, dtype=int),
-        n=n, M=M, seed=master_seed, d=model.d,
+        n=gs.n, M=M, seed=master_seed, d=model.d,
         estimates=estimates, errors=errors,
         counts=merged,
     )
@@ -341,36 +342,26 @@ def choose_box_size(E: float, cfg=None, form: str = "lower", B2: float = None,
     return BoxChoice(L=int(L), clamped=(L != L0), raw=raw)
 
 
-def matched_box_curve(model, n: int, make_bcs, energies, M: int, master_seed: int,
+def matched_box_curve(model, gs, energies, M: int, master_seed: int,
                       B2: float, L_max: int = 64, workers: int = 1) -> IDSCurve:
     """Estimate the IDS with the box size matched per energy, L ~ E^(-1/2).
 
-    ``make_bcs(grid)`` builds the boundary-condition pair for each box size.
     Realizations are independent across energy points (the point index is
     folded into the high bits of the stream index).
     """
-    energies = np.asarray(energies, dtype=float)
-    labels = None
+    energies = np.sort(np.asarray(energies, dtype=float))
     per_point = []
-    box = []
-    for j, E in enumerate(sorted(energies)):
-        choice = choose_box_size(float(E), form="lower", B2=B2, L_max=L_max)
-        bcs = make_bcs(GridSpec(L=choice.L, n=n, d=model.d))
-        cur = estimate_ids(model, n, choice.L, bcs, [float(E)], M, master_seed,
-                           workers=workers, index_offset=(j + 1) << 32)
-        if labels is None:
-            labels = list(cur.estimates)
-        per_point.append(cur)
-        box.append(choice.L)
-    estimates = {lab: np.array([c.estimates[lab][0] for c in per_point])
-                 for lab in labels}
-    errors = {lab: np.array([c.errors[lab][0] for c in per_point])
-              for lab in labels}
+    for j, E in enumerate(energies):
+        L = choose_box_size(float(E), form="lower", B2=B2, L_max=L_max).L
+        per_point.append(estimate_ids(model, gs, L, [float(E)], M, master_seed,
+                                      workers=workers, index_offset=(j + 1) << 32))
+    estimates = {lab: np.array([c.estimates[lab][0] for c in per_point]) for lab in LABELS}
+    errors = {lab: np.array([c.errors[lab][0] for c in per_point]) for lab in LABELS}
     counts = {lab: np.concatenate([c.counts[lab] for c in per_point], axis=1)
-              for lab in labels}
+              for lab in LABELS}
     return IDSCurve(
-        energies=np.sort(energies), box_sizes=np.asarray(box, dtype=int),
-        n=n, M=M, seed=master_seed, d=model.d,
+        energies=energies, box_sizes=np.array([c.box_sizes[0] for c in per_point]),
+        n=gs.n, M=M, seed=master_seed, d=model.d,
         estimates=estimates, errors=errors, counts=counts,
     )
 
@@ -477,34 +468,25 @@ def synthetic_curve(energies, c: float, s: float, d: int = 1) -> IDSCurve:
     )
 
 
-def lower_tail_check(model, n: int, make_bcs, energies, M: int, master_seed: int,
-                     B1: float, B2: float, eps1: float, eps2: float,
-                     L_max: int = 64, workers: int = 1) -> dict:
-    """Monte Carlo check of the analytic lower tail of the Dirichlet curve.
+def lower_tail_check(curve: IDSCurve, dist: DistributionSpec, B1: float,
+                     eps1: float, eps2: float) -> dict:
+    """Check the Dirichlet estimates of a ``matched_box_curve`` against the
+    analytic lower tail.
 
     At each energy, with the matched box L and the coupling window
     delta = eps1 E / (2 B1), the estimate must dominate
     P(lambda - lambda_minus <= delta)^(L^d) / L^d within two standard errors.
     """
     rows = []
-    all_pass = True
-    for j, E in enumerate(energies):
-        choice = choose_box_size(float(E), form="lower", B2=B2, L_max=L_max)
-        grid = GridSpec(L=choice.L, n=n, d=model.d)
-        bcs = make_bcs(grid)
-        cur = estimate_ids(model, n, choice.L, bcs, [float(E)], M, master_seed,
-                           workers=workers, index_offset=(j + 101) << 32)
-        est = float(cur.estimates["D"][0])
-        se = float(cur.errors["D"][0])
-        delta = eps1 * float(E) / (2.0 * B1)
-        p_site = model.dist.cdf_below(delta)
-        analytic = p_site ** (choice.L**model.d) / choice.L**model.d
-        ok = est >= analytic - 2.0 * se
-        all_pass = all_pass and ok
+    for j, E in enumerate(curve.energies.tolist()):
+        L, est, se = int(curve.box_sizes[j]), curve.estimates["D"][j], curve.errors["D"][j]
+        delta = eps1 * E / (2.0 * B1)
+        p_site = dist.cdf_below(delta)
+        analytic = p_site ** (L**curve.d) / L**curve.d
         rows.append({
-            "E": float(E), "L": choice.L, "delta": delta,
+            "E": E, "L": L, "delta": delta,
             "delta_within_eps2": bool(delta <= eps2),
             "p_site": p_site, "analytic": analytic,
-            "estimate": est, "se": se, "pass": bool(ok),
+            "estimate": float(est), "se": float(se), "pass": bool(est >= analytic - 2.0 * se),
         })
-    return {"rows": rows, "all_pass": bool(all_pass)}
+    return {"rows": rows, "all_pass": all(row["pass"] for row in rows)}

@@ -254,15 +254,20 @@ def assemble_random_potential(model: ModelSpec, grid: GridSpec, couplings) -> np
 
 def random_potentials(model: ModelSpec, grid: GridSpec, fields) -> np.ndarray:
     """V_omega for a batch of coupling fields (M, L**d), flat: shape (M, (nL)**d)."""
-    L, n, d = grid.L, grid.n, grid.d
     fields = np.asarray(fields, dtype=float)
-    vals = site_values(model.site, fields.ravel(), grid.offset_points())
-    src = vals.reshape((fields.shape[0],) + (L,) * d + (n,) * d)
+    return cells_on_grid(grid, site_values(model.site, fields.ravel(), grid.offset_points()))
+
+
+def cells_on_grid(grid: GridSpec, cell_values) -> np.ndarray:
+    """Place ``site_values`` rows of M realizations, (M * L**d, n**d) in site
+    order, on the flat grid: shape (M, (nL)**d)."""
+    L, n, d = grid.L, grid.n, grid.d
+    src = np.asarray(cell_values).reshape((-1,) + (L,) * d + (n,) * d)
     # interleave (k1..kd, j1..jd) -> (k1, j1, k2, j2, ...) behind the batch axis
     perm = [0]
     for axis in range(1, d + 1):
         perm.extend([axis, d + axis])
-    return np.transpose(src, perm).reshape(fields.shape[0], grid.num_dof)
+    return np.transpose(src, perm).reshape(src.shape[0], grid.num_dof)
 
 
 def _boundary_fold(grid: GridSpec, bc: BoundaryCondition, axis: int, side: int,

@@ -102,6 +102,10 @@ class SingleSiteSpec:
             vals = np.asarray(self.values, dtype=float)
             if not np.all(np.isfinite(vals)):
                 raise InputError("tabulated site values must be finite")
+            shape = (len(self.lambda_nodes), *map(len, self.x_nodes))
+            if vals.shape != shape:
+                raise InputError(f"tabulated site values have shape {vals.shape}, "
+                                 f"the nodes need {shape}")
             vals.setflags(write=False)
             object.__setattr__(self, "values", vals)
 

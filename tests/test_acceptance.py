@@ -223,7 +223,7 @@ def test_criterion_05_temple_bound(cosine_env):
         per = periodic_levels(box)
         for lams in sample_fields(model.dist, 505, (L << 16) + np.arange(100), L, 1):
             mapped = map_realization(gs, model, grid, lams, cfg)
-            rep = temple_lower_bound(gs, model, box, mapped, cfg, per)
+            rep = temple_lower_bound(box, mapped, cfg, per)
             total += 1
             passes += int(rep.passed and all(rep.constants["links"].values()))
     elapsed = time.perf_counter() - t0
@@ -287,16 +287,12 @@ def test_criterion_07_lower_bound_lemma(flat_prepped):
     B1 = B2 = None
     test = dirichlet_test_function(model, grid)
     for lams in sample_fields(model.dist, 707, range(100), 6, 1):
-        rep = dirichlet_upper_bound(model, grid, lams, test)
+        rep = dirichlet_upper_bound(model, lams, test)
         passes += int(rep.passed)
         B1, B2 = rep.constants["B1"], rep.constants["B2"]
     consts = model_constants(model, gs)
-
-    def make_bcs(g):
-        return [DIRICHLET, mezincescu_correction(gs, g)]
-
-    tail = lower_tail_check(model, 16, make_bcs, [0.5, 1.0, 2.0], 400, 708,
-                            B1=B1, B2=B2, eps1=consts.eps1, eps2=consts.eps2)
+    curve = matched_box_curve(model, gs, [0.5, 1.0, 2.0], 400, 708, B2=B2)
+    tail = lower_tail_check(curve, model.dist, B1=B1, eps1=consts.eps1, eps2=consts.eps2)
     elapsed = time.perf_counter() - t0
     ok = passes == 100 and tail["all_pass"] and elapsed < 300.0
     report(7, "lower-bound lemma and tail", ok, elapsed,
@@ -323,14 +319,9 @@ def test_criterion_08_lifshitz_exponent():
     dist = DistributionSpec(kind="two-point-plus-uniform", lambda_minus=1.0,
                             lambda_plus=2.0, atom_mass_at_min=0.5)
     model, gs = prepare_model(flat_model(amplitude=8.0, dist=dist), 16)
-
-    def make_bcs(g):
-        return [DIRICHLET, mezincescu_correction(gs, g)]
-
     B2 = dirichlet_test_function(model, GridSpec(4, 16)).B2
     energies = np.geomspace(0.05, 0.30, 8)
-    curve = matched_box_curve(model, 16, make_bcs, energies, 2000, 808,
-                              B2=B2, L_max=64)
+    curve = matched_box_curve(model, gs, energies, 2000, 808, B2=B2, L_max=64)
     fit = fit_lifshitz(curve, window=(1e-4, 1e-1), label="M")
     elapsed = time.perf_counter() - t0
     in_band = -0.8 <= fit.slope <= -0.3
@@ -347,9 +338,8 @@ def test_criterion_08_lifshitz_exponent():
 def test_criterion_09_bracketing(cosine_prepped):
     t0 = time.perf_counter()
     model, gs = cosine_prepped
-    bcs = [DIRICHLET, mezincescu_correction(gs, GridSpec(4, 16))]
     energies = np.linspace(0.5, 8.0, 6)
-    rep = bracketing_report({L: estimate_ids(model, 16, L, bcs, energies, 200, 909)
+    rep = bracketing_report({L: estimate_ids(model, gs, L, energies, 200, 909)
                              for L in (4, 8, 16)})
     elapsed = time.perf_counter() - t0
     ok = rep["all_pass"] and elapsed < 600.0

@@ -25,6 +25,7 @@ from breatherlab.errors import DomainError, InputError, PreconditionError
 from breatherlab.lattice import (
     GridSpec,
     assemble,
+    assemble_random_potential,
     mezincescu_correction,
     prepare_model,
 )
@@ -134,15 +135,23 @@ class TestMapRealization:
         assert np.all(mapped.xi >= 0.0)
         assert np.all(np.diff(mapped.xi) >= -1e-15)  # increasing couplings
 
-    def test_config_violation_named(self, prepped, consts, gapfit):
+    def test_config_violation_named(self, consts, gapfit):
         from breatherlab.bounds import TempleConfig
 
-        # c2 = 5 passes the eps2 L^2 cap but breaks the kappa1 smallness bound
-        bad = TempleConfig(L=6, c2=5.0, gamma=4.0, c7=1.0, epsilon0=gapfit.epsilon0,
-                           energy_scale=1e-5, constants=consts)
+        # c2 = 5 passes the eps2 L^2 cap but breaks the kappa1 smallness bound;
+        # the config is rejected when it is made, before any realization is mapped
         with pytest.raises(PreconditionError, match="kappa1"):
-            model, gs = prepped
-            map_realization(gs, model, GridSpec(L=6, n=16), np.full(6, 1.5), bad)
+            TempleConfig(L=6, c2=5.0, gamma=4.0, c7=1.0, epsilon0=gapfit.epsilon0,
+                         energy_scale=1e-5, constants=consts)
+
+    def test_potential_is_the_cutoff_potential_on_the_grid(self, prepped, cfg6):
+        # the one site-value evaluation gives the operator's random part too
+        model, gs = prepped
+        grid = GridSpec(L=6, n=16)
+        mapped = map_realization(gs, model, grid, np.linspace(1.0, 2.0, 6), cfg6)
+        assert mapped.grid == grid
+        assert np.array_equal(mapped.potential,
+                              assemble_random_potential(model, grid, mapped.cutoffs).ravel())
 
     def test_xi_refined_quadrature_oracle(self):
         # quadrature map at run resolution vs an 8x refined grid; the flat
@@ -226,7 +235,7 @@ def temple_at(gs, model, grid, couplings, cfg):
     """Map one realization and run the Temple check on its box."""
     mapped = map_realization(gs, model, grid, couplings, cfg)
     box = ground_state_box(model, gs, grid)
-    return temple_lower_bound(gs, model, box, mapped, cfg, periodic_levels(box))
+    return temple_lower_bound(box, mapped, cfg, periodic_levels(box))
 
 
 class TestTemple:
@@ -254,7 +263,7 @@ class TestTemple:
         per = periodic_levels(box)
         for _ in range(20):
             mapped = map_realization(gs, model, grid, draw_couplings(rng, L), cfg)
-            rep = temple_lower_bound(gs, model, box, mapped, cfg, per)
+            rep = temple_lower_bound(box, mapped, cfg, per)
             assert rep.passed, rep.to_dict()
             assert all(rep.constants["links"].values())
 
@@ -275,19 +284,15 @@ class TestTemple:
         mapped4 = map_realization(gs, model, grid4, np.full(4, 1.3), cfg4)
         box6 = ground_state_box(model, gs, grid6)
         with pytest.raises(InputError, match="L=4"):
-            temple_lower_bound(gs, model, box6, mapped4, cfg6, periodic_levels(box6))
+            temple_lower_bound(box6, mapped4, cfg6, periodic_levels(box6))
 
-    def test_config_violation_named(self, prepped, consts, gapfit, cfg6):
+    def test_config_violation_named(self, consts, gapfit):
         from breatherlab.bounds import TempleConfig
 
-        model, gs = prepped
-        grid = GridSpec(L=6, n=16)
-        mapped = map_realization(gs, model, grid, np.full(6, 1.5), cfg6)
-        bad = TempleConfig(L=6, c2=5.0, gamma=4.0, c7=1.0, epsilon0=gapfit.epsilon0,
-                           energy_scale=1e-5, constants=consts)
-        box = ground_state_box(model, gs, grid)
+        # a config that breaks a hypothesis never reaches the Temple check
         with pytest.raises(PreconditionError, match="kappa1"):
-            temple_lower_bound(gs, model, box, mapped, bad, periodic_levels(box))
+            TempleConfig(L=6, c2=5.0, gamma=4.0, c7=1.0, epsilon0=gapfit.epsilon0,
+                         energy_scale=1e-5, constants=consts)
 
 
 class TestCorollary:
@@ -416,7 +421,7 @@ class TestDirichletUpperBound:
         # V_omega = 0: E1 <= B2 / L^2 with B2 near d pi^2
         model, _ = prepare_model(flat_background_model(), 16)
         grid = GridSpec(L=4, n=16)
-        rep = dirichlet_upper_bound(model, grid, np.full(4, 1.0),
+        rep = dirichlet_upper_bound(model, np.full(4, 1.0),
                                     dirichlet_test_function(model, grid))
         assert rep.passed
         assert rep.constants["B2"] == pytest.approx(np.pi**2, rel=1e-3)
@@ -425,7 +430,7 @@ class TestDirichletUpperBound:
     def test_realized_b1_is_two(self):
         model, _ = prepare_model(flat_background_model(), 16)
         grid = GridSpec(L=4, n=16)
-        rep = dirichlet_upper_bound(model, grid, np.full(4, 1.0),
+        rep = dirichlet_upper_bound(model, np.full(4, 1.0),
                                     dirichlet_test_function(model, grid))
         h, L = 1 / 16, 4
         assert rep.constants["B1"] == pytest.approx(
@@ -440,7 +445,7 @@ class TestDirichletUpperBound:
         test = dirichlet_test_function(model, grid)
         for _ in range(100):
             lams = rng.uniform(1.0, 2.0, 6)
-            rep = dirichlet_upper_bound(model, grid, lams, test)
+            rep = dirichlet_upper_bound(model, lams, test)
             assert rep.passed, rep.to_dict()
             assert rep.constants["variational_ok"]
 
@@ -448,7 +453,7 @@ class TestDirichletUpperBound:
         # nonzero normalized background folds into the non-random part
         model, _ = prepped
         grid = GridSpec(L=4, n=16)
-        rep = dirichlet_upper_bound(model, grid, np.full(4, 1.4),
+        rep = dirichlet_upper_bound(model, np.full(4, 1.4),
                                     dirichlet_test_function(model, grid))
         assert rep.passed
         assert rep.constants["kinetic_times_L2"] == pytest.approx(np.pi**2, rel=1e-3)
@@ -458,12 +463,5 @@ class TestDirichletUpperBound:
         grid = GridSpec(L=4, n=16)
         test = dirichlet_test_function(model, grid)
         for lams in (np.full(4, 1.0), np.array([1.1, 1.9, 1.4, 2.0])):
-            rep = dirichlet_upper_bound(model, grid, lams, test)
+            rep = dirichlet_upper_bound(model, lams, test)
             assert (rep.constants["B1"], rep.constants["B2"]) == (test.B1, test.B2)
-
-    def test_test_function_from_other_box_rejected(self, prepped):
-        model, _ = prepped
-        test4 = dirichlet_test_function(model, GridSpec(L=4, n=16))
-        for grid in (GridSpec(L=6, n=16), GridSpec(L=4, n=8)):
-            with pytest.raises(InputError, match="test function"):
-                dirichlet_upper_bound(model, grid, np.full(grid.L, 1.0), test4)

@@ -92,6 +92,30 @@ class TestValidate:
         assert report["verdicts"]["iii"] is False
         assert report["violation_site"][0] == "iii"
 
+    def test_tabulated_values_of_wrong_shape_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={
+            "d": 1, "vper": {"kind": "zero"},
+            "site": {"kind": "tabulated", "lambda_nodes": [1.0, 2.0],
+                     "x_nodes": [[-0.5, 0.0, 0.5]], "values": [[0.0, 0.0], [0.0, 1.0]]},
+            "dist": {"kind": "uniform", "lambda_minus": 1.0, "lambda_plus": 2.0},
+        })
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "model rejected: tabulated site values have shape (2, 2)" in err
+        assert "Traceback" not in err
+
+    def test_out_naming_a_file_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        target = tmp_path / "afile"
+        target.write_text("kept\n")
+        assert main(["validate", "--config", str(cfg), "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: output directory {target}" in err
+        assert "Traceback" not in err
+        assert target.read_text() == "kept\n"
+
     def test_malformed_config_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -322,6 +346,14 @@ def test_readme_config_block_loads(tmp_path):
     cfg = tmp_path / "readme.json"
     cfg.write_text("\n".join(line.split("//", 1)[0] for line in block.splitlines()))
     cli.build_model(cli.load_config(str(cfg)))
+
+
+def test_readme_library_quickstart_runs(capsys):
+    # the documented library API: a signature change that breaks it fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quickstart\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.strip().splitlines()) == 5
 
 
 class TestSpectrum:
@@ -674,20 +706,25 @@ class TestBounds:
 
     def test_per_box_work_done_once(self, tmp_path, monkeypatch):
         from breatherlab import bounds as bounds_mod
+        from breatherlab import lattice
 
         calls = {}
 
-        def spy(name, counts=lambda *args, **kwargs: True):
-            fn = getattr(bounds_mod, name)
+        def spy(owner, name, label=None):
+            fn = getattr(owner, name)
+            label = label or name
 
             def wrapped(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + int(counts(*args, **kwargs))
+                calls[label] = calls.get(label, 0) + 1
                 return fn(*args, **kwargs)
 
-            monkeypatch.setattr(bounds_mod, name, wrapped)
+            monkeypatch.setattr(owner, name, wrapped)
 
-        spy("map_realization")
-        spy("lowest_eigenvalues")
+        spy(bounds_mod, "map_realization")
+        spy(bounds_mod, "lowest_eigenvalues")
+        spy(bounds_mod, "site_values")  # mapping: xi and the cut-off potential
+        spy(lattice, "site_values")  # the Dirichlet samples' V_omega
+        spy(bounds_mod.TempleConfig, "__post_init__", "hypothesis_checks")
         builds = spy_skeleton_builds(monkeypatch)
         cfg = tmp_path / "cfg.json"
         write_config(cfg, experiment={"seed": 11, "samples": 3, "temple_Ls": [4, 6],
@@ -697,6 +734,10 @@ class TestBounds:
         assert main(["bounds", "--config", str(cfg), "--out", str(out), "--no-cache"]) == 0
         M, temple, sides = 3, 2, 4  # sides: the distinct L of temple_Ls and gap_Ls
         assert calls["map_realization"] == M * temple
+        # site values once per mapped and once per Dirichlet sample; the
+        # Temple hypotheses once per config
+        assert calls["site_values"] == 2 * M * temple
+        assert calls["hypothesis_checks"] == temple
         # one skeleton per (box, boundary condition); the unit cell once per
         # model in prepare_model
         assert builds == {(1, "periodic"): 2,

@@ -1,9 +1,11 @@
 """Golden digests: the shipped configs, run at their own seeds, keep their bytes.
 
-Every primary output file of the five shipped configs is pinned by its
-SHA-256.  A change meant to be byte-neutral (a speed-up, a refactor) that
-moves any byte fails here; a change that moves bytes on purpose updates the
-digest and names the bytes and the reason in CHANGES.md.
+Every primary output file of the five shipped configs, and of the d = 2
+bench config (the sparse LDL^T counting path), is pinned by its SHA-256.  A
+change meant to be byte-neutral (a speed-up, a refactor) that moves any byte
+fails here; a change that moves bytes on purpose updates the digest and names
+the bytes and the reason in CHANGES.md.  ``ids`` and ``lifshitz`` run once
+more on two worker processes, against the same digests.
 """
 
 import hashlib
@@ -42,14 +44,27 @@ GOLDEN = {
         "lifshitz_curve.csv":
             "4bc0ceb63ada58a96e06e07aa9e48dce273e180f117cfda4b84936e9973d8c91",
     },
+    ("ids", "../bench/configs/ids_2d.json"): {
+        "ids_curve.csv":
+            "d9ab24ca9fd4925b5839ae3ebfbfa67e135ec9cc36c9f2fef192f909b68b68f2",
+        "bracketing.json":
+            "0bf0471db040cd4b60e022f28170262735f2c8be9765b8baa4eddcac75966b53",
+    },
 }
 
+# config paths are relative to configs/; ids and lifshitz also run on two workers
+CASES = [pytest.param(command, config, 1, id=f"{command}-{Path(config).name}")
+         for command, config in sorted(GOLDEN)]
+CASES += [pytest.param(command, config, 2, id=f"{command}-{config}-workers2")
+          for command, config in (("ids", "ids_bracketing.json"),
+                                  ("lifshitz", "lifshitz.json"))]
 
-@pytest.mark.parametrize("command,config", sorted(GOLDEN), ids=lambda v: str(v))
-def test_shipped_config_bytes(tmp_path, capsys, command, config):
+
+@pytest.mark.parametrize("command,config,workers", CASES)
+def test_shipped_config_bytes(tmp_path, capsys, command, config, workers):
     out = tmp_path / "out"
     code = main([command, "--config", str(CONFIGS / config), "--out", str(out),
-                 "--workers", "1", "--no-cache"])
+                 "--workers", str(workers), "--no-cache"])
     capsys.readouterr()
     assert code == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()

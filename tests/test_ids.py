@@ -21,7 +21,6 @@ from breatherlab.ids import (
 )
 from breatherlab.lattice import (
     DIRICHLET,
-    NEUMANN,
     GridSpec,
     assemble,
     mezincescu_correction,
@@ -56,10 +55,9 @@ def prepped():
     return prepare_model(breather_model(), 16)
 
 
-def bc_pair(gs):
-    def make(grid):
-        return [DIRICHLET, mezincescu_correction(gs, grid)]
-    return make
+def bc_pair(gs, grid):
+    """The boundary-condition pair every estimate counts under."""
+    return [DIRICHLET, mezincescu_correction(gs, grid)]
 
 
 class TestSampling:
@@ -113,31 +111,27 @@ class TestSampling:
 class TestEstimate:
     def test_negative_energies_zero(self, prepped):
         model, gs = prepped
-        cur = estimate_ids(model, 16, 4, bc_pair(gs)(GridSpec(4, 16)),
-                           [-1.0, -0.1], 20, 3)
+        cur = estimate_ids(model, gs, 4, [-1.0, -0.1], 20, 3)
         for lab in ("D", "M"):
             assert np.all(cur.estimates[lab] == 0.0)
             assert np.all(cur.errors[lab] == 0.0)
 
     def test_pathwise_bracketing(self, prepped):
         model, gs = prepped
-        cur = estimate_ids(model, 16, 8, bc_pair(gs)(GridSpec(8, 16)),
-                           np.linspace(0.0, 12.0, 7), 50, 11)
+        cur = estimate_ids(model, gs, 8, np.linspace(0.0, 12.0, 7), 50, 11)
         assert np.all(cur.counts["D"] <= cur.counts["M"])
         assert np.all(cur.estimates["D"] <= cur.estimates["M"])
 
     def test_curves_nondecreasing(self, prepped):
         model, gs = prepped
-        cur = estimate_ids(model, 16, 6, bc_pair(gs)(GridSpec(6, 16)),
-                           np.linspace(0.0, 20.0, 9), 30, 17)
+        cur = estimate_ids(model, gs, 6, np.linspace(0.0, 20.0, 9), 30, 17)
         for lab in ("D", "M"):
             assert np.all(np.diff(cur.estimates[lab]) >= 0.0)
 
     def test_reproducible(self, prepped):
         model, gs = prepped
-        mk = bc_pair(gs)
-        a = estimate_ids(model, 16, 4, mk(GridSpec(4, 16)), [0.5, 2.0], 25, 99)
-        b = estimate_ids(model, 16, 4, mk(GridSpec(4, 16)), [0.5, 2.0], 25, 99)
+        a = estimate_ids(model, gs, 4, [0.5, 2.0], 25, 99)
+        b = estimate_ids(model, gs, 4, [0.5, 2.0], 25, 99)
         for lab in ("D", "M"):
             assert np.array_equal(a.counts[lab], b.counts[lab])
             assert np.array_equal(a.estimates[lab], b.estimates[lab])
@@ -149,30 +143,26 @@ class TestEstimate:
         from breatherlab.ids import _count_block
 
         grid = GridSpec(4, 16)
-        bcs = bc_pair(gs)(grid)
         energies = np.array([0.5, 1.5, 3.0])
         idx = np.arange(12)
-        fast = _count_block((model, grid, bcs, energies, 7, idx, 0))
+        fast = _count_block((model, grid, gs, energies, 7, idx, 0))
         fields = sample_fields(model.dist, 7, idx, 4, 1)
-        for bc in bcs:
+        for bc in bc_pair(gs, grid):
             slow = np.array([[count_below(assemble(model, grid, bc, couplings=lams), E).count
                               for E in energies] for lams in fields])
             assert np.array_equal(fast[bc.label], slow)
 
     def test_workers_equivalent(self, prepped):
         model, gs = prepped
-        mk = bc_pair(gs)
-        serial = estimate_ids(model, 16, 4, mk(GridSpec(4, 16)), [1.0], 16, 5,
-                              workers=1)
-        parallel = estimate_ids(model, 16, 4, mk(GridSpec(4, 16)), [1.0], 16, 5,
-                                workers=2)
+        serial = estimate_ids(model, gs, 4, [1.0], 16, 5, workers=1)
+        parallel = estimate_ids(model, gs, 4, [1.0], 16, 5, workers=2)
         assert np.array_equal(serial.counts["D"], parallel.counts["D"])
         assert np.array_equal(serial.counts["M"], parallel.counts["M"])
 
     def test_unsorted_energies_rejected(self, prepped):
         model, gs = prepped
         with pytest.raises(InputError):
-            estimate_ids(model, 16, 4, bc_pair(gs)(GridSpec(4, 16)), [2.0, 1.0], 5, 1)
+            estimate_ids(model, gs, 4, [2.0, 1.0], 5, 1)
 
     def test_degenerate_coupling_law_reproduces_periodic_counts(self, prepped):
         # couplings pinned to the floor within 1e-12: the M = 1 curve matches
@@ -186,12 +176,11 @@ class TestEstimate:
         degen = replace(model, dist=tight,
                         site=replace(model.site, lambda_plus=1.0 + 1e-12))
         grid = GridSpec(4, 16)
-        bcs = bc_pair(gs)(grid)
         energies = [0.3, 1.1, 3.3]
-        cur = estimate_ids(degen, 16, 4, bcs, energies, 1, 1)
+        cur = estimate_ids(degen, gs, 4, energies, 1, 1)
         from breatherlab.spectral import count_below
 
-        for bc in bcs:
+        for bc in bc_pair(gs, grid):
             H = assemble(model, grid, bc, couplings=np.full(4, 1.0))
             for j, E in enumerate(energies):
                 assert cur.counts[bc.label][0, j] == count_below(H, E).count
@@ -208,17 +197,14 @@ class TestEstimate:
                                   lambda_plus=2.0),
         )
         model, gs = prepare_model(model2, 6)
-        grid = GridSpec(2, 6, d=2)
-        bcs = [DIRICHLET, mezincescu_correction(gs, grid)]
-        cur = estimate_ids(model, 6, 2, bcs, [2.0, 9.0], 5, 77)
-        again = estimate_ids(model, 6, 2, bcs, [2.0, 9.0], 5, 77)
+        cur = estimate_ids(model, gs, 2, [2.0, 9.0], 5, 77)
+        again = estimate_ids(model, gs, 2, [2.0, 9.0], 5, 77)
         assert np.all(cur.counts["D"] <= cur.counts["M"])
         assert np.array_equal(cur.counts["M"], again.counts["M"])
 
     def test_csv_layout(self, prepped):
         model, gs = prepped
-        cur = estimate_ids(model, 16, 4, bc_pair(gs)(GridSpec(4, 16)),
-                           [0.5, 1.0], 10, 21)
+        cur = estimate_ids(model, gs, 4, [0.5, 1.0], 10, 21)
         buf = io.StringIO()
         cur.to_csv(buf)
         lines = buf.getvalue().strip().split("\n")
@@ -230,8 +216,7 @@ class TestEstimate:
 
     def test_csv_round_trip_exact(self, prepped, tmp_path):
         model, gs = prepped
-        cur = estimate_ids(model, 16, 4, bc_pair(gs)(GridSpec(4, 16)),
-                           [0.5, 1.0, 3.0], 10, 21)
+        cur = estimate_ids(model, gs, 4, [0.5, 1.0, 3.0], 10, 21)
         path = tmp_path / "curve.csv"
         cur.to_csv(path)
         back = IDSCurve.from_csv(path, 1)
@@ -243,18 +228,16 @@ class TestEstimate:
         assert (back.n, back.M, back.seed, back.d) == (16, 10, 21, 1)
 
 
-def run_curves(model, bcs, Ls, energies, M, seed):
+def run_curves(model, gs, Ls, energies, M, seed):
     """One run's curves, keyed by box size, as ``cmd_ids`` hands them over."""
-    return {L: estimate_ids(model, 16, L, bcs, energies, M, seed) for L in Ls}
+    return {L: estimate_ids(model, gs, L, energies, M, seed) for L in Ls}
 
 
 class TestBracketing:
     def test_report_passes(self, prepped):
         model, gs = prepped
         energies = np.linspace(0.5, 8.0, 6)
-        rep = bracketing_report(run_curves(
-            model, [DIRICHLET, mezincescu_correction(gs, GridSpec(4, 16))],
-            [4, 8, 16], energies, 60, 13))
+        rep = bracketing_report(run_curves(model, gs, [4, 8, 16], energies, 60, 13))
         assert rep["pathwise_violations"] == 0
         assert rep["lower_monotone"] and rep["upper_monotone"]
         assert rep["cross_ordering"]
@@ -263,7 +246,7 @@ class TestBracketing:
     def test_report_reads_run_from_curves(self, prepped):
         model, gs = prepped
         energies = np.linspace(0.5, 8.0, 4)
-        curves = run_curves(model, bc_pair(gs)(GridSpec(4, 16)), [8, 4], energies, 12, 31)
+        curves = run_curves(model, gs, [8, 4], energies, 12, 31)
         rep = bracketing_report(curves)
         assert (rep["Ls"], rep["samples"], rep["seed"]) == ([8, 4], 12, 31)
         assert rep["energies"] == list(energies)
@@ -274,32 +257,30 @@ class TestBracketing:
 
     def test_given_curve_without_counts_rejected(self, prepped):
         model, gs = prepped
-        bcs = bc_pair(gs)(GridSpec(4, 16))
-        curves = run_curves(model, bcs, [4, 8], [0.5, 2.0], 6, 31)
+        curves = run_curves(model, gs, [4, 8], [0.5, 2.0], 6, 31)
         curves[4] = dataclasses.replace(curves[4], counts=None)
         with pytest.raises(InputError):
             bracketing_report(curves)
 
     def test_curve_without_upper_label_rejected(self, prepped):
-        model, _ = prepped
-        curves = run_curves(model, [DIRICHLET, NEUMANN], [4, 8], [0.5, 2.0], 6, 31)
+        model, gs = prepped
+        curves = {L: dataclasses.replace(cur, counts={"D": cur.counts["D"]})
+                  for L, cur in run_curves(model, gs, [4, 8], [0.5, 2.0], 6, 31).items()}
         with pytest.raises(InputError, match="D and M"):
             bracketing_report(curves)
 
     def test_given_curve_other_run_rejected(self, prepped):
         model, gs = prepped
-        bcs = bc_pair(gs)(GridSpec(4, 16))
         energies = [0.5, 2.0]
-        curves = run_curves(model, bcs, [8], energies, 6, 31)
-        curves[4] = estimate_ids(model, 16, 4, bcs, energies, 6, 32)
+        curves = run_curves(model, gs, [8], energies, 6, 31)
+        curves[4] = estimate_ids(model, gs, 4, energies, 6, 32)
         with pytest.raises(InputError):
             bracketing_report(curves)
 
     def test_single_box_rejected(self, prepped):
         model, gs = prepped
         with pytest.raises(InputError, match="two box sizes"):
-            bracketing_report(run_curves(model, bc_pair(gs)(GridSpec(4, 16)), [4],
-                                         [0.5], 6, 31))
+            bracketing_report(run_curves(model, gs, [4], [0.5], 6, 31))
 
     def test_free_case_closed_form_counts(self):
         # deterministic check at E = 5 for the free operator: normalized
@@ -394,7 +375,7 @@ class TestLifshitzFit:
 
     def test_bootstrap_interval_contains_slope(self, prepped):
         model, gs = prepped
-        cur = matched_box_curve(model, 16, bc_pair(gs),
+        cur = matched_box_curve(model, gs,
                                 np.geomspace(1.0, 6.0, 6), 200, 2024,
                                 B2=np.pi**2, L_max=24)
         est = cur.estimates["M"]
@@ -409,8 +390,11 @@ class TestLifshitzFit:
 class TestLowerTail:
     def test_analytic_tail_dominated(self, prepped):
         model, gs = prepped
-        rep = lower_tail_check(model, 16, bc_pair(gs), [0.5, 1.0, 2.0],
-                               200, 77, B1=2.0, B2=np.pi**2, eps1=0.1, eps2=1.0)
+        curve = matched_box_curve(model, gs, [0.5, 1.0, 2.0], 200, 77, B2=np.pi**2)
+        rep = lower_tail_check(curve, model.dist, B1=2.0, eps1=0.1, eps2=1.0)
         assert rep["all_pass"]
+        # the check reads the curve's Dirichlet estimates and boxes, no new samples
+        assert [row["estimate"] for row in rep["rows"]] == list(curve.estimates["D"])
+        assert [row["L"] for row in rep["rows"]] == list(curve.box_sizes)
         for row in rep["rows"]:
             assert row["estimate"] >= row["analytic"] - 2 * row["se"]

@@ -86,6 +86,13 @@ class TestEvaluateSite:
         with pytest.raises(DomainError):
             evaluate_site(site, 0.5, 0.0)
 
+    def test_tabulated_values_of_wrong_shape_rejected(self):
+        # two coupling nodes and three x nodes need 2 x 3 values, not 2 x 2
+        with pytest.raises(InputError, match=r"\(2, 2\).*\(2, 3\)"):
+            SingleSiteSpec(kind="tabulated", lambda_minus=0.0, lambda_plus=1.0,
+                           lambda_nodes=(0.0, 1.0), x_nodes=((-0.5, 0.0, 0.5),),
+                           values=[[0.0, 0.0], [0.0, 1.0]])
+
     def test_2d_points(self):
         site = breather_site(a=1.5, r=0.3, lo=1.0, hi=2.0)
         pt = np.array([0.05, -0.08])
