@@ -237,6 +237,17 @@ def map_realization(gs, model, grid: GridSpec, couplings, cfg: TempleConfig) -> 
     )
 
 
+def _moments(psi, mapped: MappedRealization, H_tilde, cfg=None):
+    """<psi, H psi>, the mean of xi, ||H psi||^2 and its bound (None without
+    ``cfg``), in the quadrature inner product and from one product H psi."""
+    grid = H_tilde.grid
+    hd = grid.h**grid.d
+    h_psi = H_tilde.matrix @ psi
+    mean_xi = float(mapped.xi.sum()) / grid.L**grid.d
+    bound = None if cfg is None else 2.0 * cfg.constants.kappa1 * cfg.c2 / grid.L**2 * mean_xi
+    return float(psi @ h_psi) * hd, mean_xi, float(np.sum(h_psi**2)) * hd, bound
+
+
 def first_moment(gs, mapped: MappedRealization, H_tilde):
     """Ground-state energy form vs the per-site sum; they agree exactly.
 
@@ -245,23 +256,12 @@ def first_moment(gs, mapped: MappedRealization, H_tilde):
     periodic part at level zero, and the site supports are disjoint on the
     grid, so the two numbers coincide to solver accuracy.
     """
-    grid = H_tilde.grid
-    psi = periodized_ground_state(gs, grid)
-    hd = grid.h**grid.d
-    form = float(psi @ (H_tilde.matrix @ psi)) * hd
-    total = float(mapped.xi.sum()) / grid.L**grid.d
-    return form, total
+    return _moments(periodized_ground_state(gs, H_tilde.grid), mapped, H_tilde)[:2]
 
 
 def second_moment(gs, mapped: MappedRealization, H_tilde, cfg: TempleConfig):
     """||H psi_L||^2 against the linearized bound 2 kappa1 c2 L^-2 * mean(xi)."""
-    grid = H_tilde.grid
-    psi = periodized_ground_state(gs, grid)
-    hd = grid.h**grid.d
-    value = float(np.sum((H_tilde.matrix @ psi) ** 2)) * hd
-    mean_xi = float(mapped.xi.sum()) / grid.L**grid.d
-    bound = 2.0 * cfg.constants.kappa1 * cfg.c2 / grid.L**2 * mean_xi
-    return value, bound
+    return _moments(periodized_ground_state(gs, H_tilde.grid), mapped, H_tilde, cfg)[2:]
 
 
 def ground_state_box(model, gs, grid: GridSpec) -> BoxSkeleton:
@@ -285,13 +285,12 @@ def temple_lower_bound(box: BoxSkeleton, mapped: MappedRealization,
     by link; a broken link is reported as a failure naming the link (that
     signals bad constants, not a solver bug).
     """
-    grid, gs = box.grid, box.bc.ground_state
+    grid = box.grid
     if mapped.grid != grid:
         raise InputError(f"realization mapped on {mapped.grid}, not on {grid}")
     H_cut = box.hamiltonian(mapped.potential)
     cut = lowest_eigenvalues(H_cut, 2).energies
-    form, mean_xi = first_moment(gs, mapped, H_cut)
-    sq_value, sq_bound = second_moment(gs, mapped, H_cut, cfg)
+    form, mean_xi, sq_value, sq_bound = _moments(box.psi, mapped, H_cut, cfg)
     nu = cfg.epsilon0 / (2.0 * grid.L**2) + form
 
     tol = 1e-9 * (1.0 + abs(per[1]))

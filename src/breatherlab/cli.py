@@ -9,54 +9,29 @@ the config hash, the bytes of every input file the config names and the
 package source, so an edited input or a code change is a miss.
 
 Exit codes: 0 success (all checked inequalities hold), 1 failed validation
-or failed inequality, 2 configuration/parse error, 3 eigensolver
-non-convergence, 4 insufficient window data for the exponent fit,
-5 infeasible cutoff configuration (the binding hypothesis is named).
+or failed inequality, or a model the library rejects, 2 configuration/parse
+error, 3 eigensolver non-convergence or numerical breakdown, 4 insufficient
+window data for the exponent fit, 5 infeasible cutoff configuration (the
+binding hypothesis is named).
+
+The numerical modules are imported inside the commands, so loading and
+checking a configuration and replaying a cache hit need neither NumPy nor
+SciPy.
 """
 
 import argparse
 import copy
 import hashlib
 import json
-import math
 import os
 import shutil
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import bounds as bounds_mod
-from . import ids as ids_mod
-from .errors import (
-    ConvergenceError,
-    InputError,
-    InsufficientDataError,
-    PreconditionError,
-)
-from .lattice import (
-    DIRICHLET,
-    NEUMANN,
-    PERIODIC,
-    GridSpec,
-    mezincescu_correction,
-    prepare_model,
-    random_potentials,
-    skeleton,
-)
-from .model import (
-    DIST_KINDS,
-    SITE_KINDS,
-    VPER_KINDS,
-    DistributionSpec,
-    ModelSpec,
-    PeriodicPotentialSpec,
-    SingleSiteSpec,
-    X_SCAN_POINTS,
-    validate_assumptions,
-)
-from .spectral import lowest_eigenvalues
+from .errors import (DIST_KINDS, SITE_KINDS, VPER_KINDS, X_SCAN_POINTS, ConvergenceError,
+                     DomainError, GroundStateError, InputError, InsufficientDataError,
+                     NumericalError, PreconditionError, StateError)
 
 OUTPUT_ENV_VAR = "BREATHERLAB_OUT"
 SCHEMA_VERSION = 1
@@ -71,15 +46,10 @@ class ConfigError(ValueError):
 
 
 def _json_default(o):
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, np.ndarray):
+    try:  # NumPy scalars and arrays, as their Python values
         return o.tolist()
-    if isinstance(o, (np.bool_,)):
-        return bool(o)
-    raise TypeError(f"not serializable: {type(o)}")
+    except AttributeError:
+        raise TypeError(f"not serializable: {type(o)}") from None
 
 
 class _SeventeenDigitEncoder(json.JSONEncoder):
@@ -130,7 +100,8 @@ def _is_int(v) -> bool:
 
 
 def _is_finite(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A number with a finite float value (a JSON integer can exceed the float range)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _is_pair(v) -> bool:
@@ -174,7 +145,6 @@ OBJECT = (lambda v: isinstance(v, dict)), "an object"
 FINITE = _is_finite, "a finite number"
 ARRAY = _is_array, "a non-empty rectangular (nested) list of finite numbers"
 BOOL = (lambda v: isinstance(v, bool)), "true or false"
-FIXED_BCS = {"D": DIRICHLET, "N": NEUMANN, "P": PERIODIC}  # "M" is built per box
 
 # Every field of a configuration: dotted path -> (check, rule, default).  The
 # default is REQUIRED, the set of kinds of its object that need the field, a
@@ -225,7 +195,7 @@ FIELDS = {
     "experiment.energies.count": (*_int(1), {"linear", "geometric"}),
     "experiment.eigenvalues": (*_int(1), 4),
     "experiment.realizations": (*_int(0), 1),
-    "experiment.boundary": (*_list_of(lambda b: b in (*FIXED_BCS, "M"),
+    "experiment.boundary": (*_list_of(lambda b: b in ("D", "N", "P", "M"),
                                       "a non-empty list of D, N, P, M", 1), ["D", "M"]),
     "experiment.include_periodic": (*BOOL, True),
     "experiment.window": (lambda v: _is_pair(v) and 0 < v[0] < v[1] < 1,
@@ -324,13 +294,27 @@ def load_config(path: str, seed: int = None, workers: int = None, command: str =
     elif energies["kind"] == "geometric" and not (energies["start"] > 0 and energies["stop"] > 0):
         raise ConfigError(f"experiment.energies of kind geometric need start, stop > 0, "
                           f"got {energies['start']!r}, {energies['stop']!r}")
-    elif np.any(np.diff(energies_from(energies)) < 0):
+    elif energies["kind"] == "linear" and not _is_finite(energies["stop"] - energies["start"]):
+        raise ConfigError(f"experiment.energies of kind linear need a finite stop - start, "
+                          f"got {energies['start']!r}, {energies['stop']!r}")
+    elif _descending(energies):
         raise ConfigError(f"experiment.energies must be in increasing order, "
-                          f"got {energies_from(energies).tolist()}")
+                          f"got {exp['energies']!r}")
     return cfg
 
 
-def build_model(cfg: dict) -> ModelSpec:
+def _descending(block: dict) -> bool:
+    """Whether the grid of a checked energies block decreases somewhere, decided
+    from the block alone: ``energies_from`` keeps a rising range sorted."""
+    if block["kind"] == "list":
+        values = [float(v) for v in block["values"]]
+        return any(b < a for a, b in zip(values, values[1:]))
+    return block["count"] > 1 and float(block["stop"]) < float(block["start"])
+
+
+def build_model(cfg: dict) -> "ModelSpec":
+    from .model import DistributionSpec, ModelSpec, PeriodicPotentialSpec, SingleSiteSpec
+
     m = cfg["model"]
     vper, site, dist = (settled(m[key], f"model.{key}") for key in ("vper", "site", "dist"))
     lambda_minus, lambda_plus = float(dist["lambda_minus"]), float(dist["lambda_plus"])
@@ -360,13 +344,20 @@ def build_model(cfg: dict) -> ModelSpec:
     )
 
 
-def energies_from(block: dict) -> np.ndarray:
+def energies_from(block: dict) -> "np.ndarray":
     """The energy grid of a checked ``experiment.energies`` block."""
+    import numpy as np
+
     block = settled(block, "experiment.energies")
     if block["kind"] == "list":
         return np.asarray([float(v) for v in block["values"]])
-    space = np.linspace if block["kind"] == "linear" else np.geomspace
-    return space(float(block["start"]), float(block["stop"]), block["count"])
+    start, stop = float(block["start"]), float(block["stop"])
+    if block["kind"] == "linear":
+        return np.linspace(start, stop, block["count"])
+    grid = np.geomspace(start, stop, block["count"])
+    # exp(log E) moves inner points by an ulp: keep a rising grid sorted in
+    # [start, stop], and constant when start == stop
+    return np.maximum.accumulate(np.clip(grid, start, stop)) if start <= stop else grid
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +413,14 @@ class ResultCache:
 
 
 def _prepare(cfg, model):
+    from .lattice import prepare_model
+
     return prepare_model(model, cfg["grid"]["n"])
 
 
 def cmd_validate(cfg, out_dir: Path, digest: str):
+    from .model import validate_assumptions
+
     model = build_model(cfg)
     exp = settled(cfg["experiment"], "experiment")
     x_grid = exp["x_grid_size"] or {1: 256, 2: 64, 3: 32}[model.d]
@@ -452,6 +447,12 @@ def cmd_validate(cfg, out_dir: Path, digest: str):
 
 
 def cmd_spectrum(cfg, out_dir: Path, digest: str):
+    from .ids import sample_fields
+    from .lattice import (DIRICHLET, NEUMANN, PERIODIC, GridSpec, mezincescu_correction,
+                          random_potentials, skeleton)
+    from .spectral import lowest_eigenvalues
+
+    fixed = {"D": DIRICHLET, "N": NEUMANN, "P": PERIODIC}  # "M" is built per box
     model = build_model(cfg)
     prepared, gs = _prepare(cfg, model)
     exp = settled(cfg["experiment"], "experiment")
@@ -463,10 +464,10 @@ def cmd_spectrum(cfg, out_dir: Path, digest: str):
     try:
         for L in cfg["grid"]["L"]:
             grid = GridSpec(L=L, n=n, d=prepared.d)
-            fields = ids_mod.sample_fields(prepared.dist, seed, range(n_real), L, prepared.d)
+            fields = sample_fields(prepared.dist, seed, range(n_real), L, prepared.d)
             vrand = random_potentials(prepared, grid, fields)
             for label in labels:
-                bc = FIXED_BCS.get(label) or mezincescu_correction(gs, grid)
+                bc = fixed.get(label) or mezincescu_correction(gs, grid)
                 box = skeleton(prepared, grid, bc)
                 indices = ([-1] if exp["include_periodic"] else []) + list(range(n_real))
                 for idx in indices:
@@ -489,6 +490,8 @@ def cmd_spectrum(cfg, out_dir: Path, digest: str):
 
 
 def cmd_ids(cfg, out_dir: Path, digest: str):
+    from . import ids as ids_mod
+
     model = build_model(cfg)
     prepared, gs = _prepare(cfg, model)
     exp = cfg["experiment"]
@@ -517,6 +520,10 @@ def cmd_ids(cfg, out_dir: Path, digest: str):
 
 
 def _self_test_fit():
+    import numpy as np
+
+    from . import ids as ids_mod
+
     results = []
     for s in (0.5, 1.0, 1.5):
         E = np.geomspace(0.05, 0.8, 12)
@@ -532,6 +539,10 @@ def _self_test_fit():
 
 
 def cmd_lifshitz(cfg, out_dir: Path, digest: str):
+    from . import bounds as bounds_mod
+    from . import ids as ids_mod
+    from .lattice import GridSpec
+
     exp = settled(cfg["experiment"], "experiment")
     payload = {"config_hash": digest, "self_test": _self_test_fit()}
     self_ok = all(r["pass"] for r in payload["self_test"])
@@ -578,6 +589,12 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
 
 
 def cmd_bounds(cfg, out_dir: Path, digest: str):
+    import numpy as np
+
+    from . import bounds as bounds_mod
+    from . import ids as ids_mod
+    from .lattice import GridSpec
+
     model = build_model(cfg)
     prepared, gs = _prepare(cfg, model)
     exp = settled(cfg["experiment"], "experiment")
@@ -701,6 +718,18 @@ COMMANDS = {
     "bounds": cmd_bounds,
 }
 
+# what a command may raise -> (exit code, message prefix)
+FAILURES = {
+    ConfigError: (2, "config error"),
+    InputError: (1, "model rejected"),
+    DomainError: (1, "model rejected"),
+    GroundStateError: (1, "model rejected"),
+    StateError: (1, "model rejected"),
+    ConvergenceError: (3, "solver non-convergence"),
+    NumericalError: (3, "numerical breakdown"),
+    PreconditionError: (5, "infeasible configuration"),
+}
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -750,18 +779,10 @@ def main(argv=None) -> int:
 
     try:
         exit_code, files = COMMANDS[args.command](cfg, out_dir, digest)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except InputError as err:
-        print(f"model rejected: {err}", file=sys.stderr)
-        return 1
-    except PreconditionError as err:
-        print(f"infeasible configuration: {err}", file=sys.stderr)
-        return 5
-    except ConvergenceError as err:
-        print(f"solver non-convergence: {err}", file=sys.stderr)
-        return 3
+    except tuple(FAILURES) as err:
+        code, what = next(v for kind, v in FAILURES.items() if isinstance(err, kind))
+        print(f"{what}: {err}", file=sys.stderr)
+        return code
 
     dump_json({"config_hash": digest, "cache_key": key, "cache": "miss",
                "elapsed_seconds": time.perf_counter() - t0,

@@ -23,6 +23,7 @@ d = 1 under a non-periodic condition the operator is ``tridiagonal``.
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
@@ -221,6 +222,11 @@ class BoxSkeleton:
     def hamiltonian(self, v_random=None) -> DiscreteHamiltonian:
         """H with V_per + ``v_random`` (flat); without it, the periodic operator."""
         return self.operator(self.vper if v_random is None else self.vper + v_random)
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        """psi_L of a box under the ground-state condition, tiled on first use."""
+        return periodized_ground_state(self.bc.ground_state, self.grid)
 
 
 def couplings_array(grid: GridSpec, couplings) -> np.ndarray:

@@ -20,13 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, InputError
-
-SITE_KINDS = ("alloy", "breather", "tabulated")
-VPER_KINDS = ("zero", "cosine-sum", "tabulated")
-DIST_KINDS = ("uniform", "truncated-beta", "two-point-plus-uniform")
-# most x points an assumption scan visits (x_grid_size ** d)
-X_SCAN_POINTS = 4_000_000
+from .errors import (DIST_KINDS, SITE_KINDS, VPER_KINDS, X_SCAN_POINTS, DomainError,
+                     InputError)
 
 SIGN_TOL = 1e-9  # tolerance for sign conditions checked on grids
 

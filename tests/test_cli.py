@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, file formats, determinism, cache."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import breatherlab
 from breatherlab import cli
 from breatherlab.cli import main
+from breatherlab.errors import DomainError, GroundStateError, NumericalError, StateError
 from breatherlab.ids import synthetic_curve
 
 
@@ -56,7 +60,7 @@ def spy_skeleton_builds(monkeypatch):
         builds[grid.L, bc.kind] += 1
         return build(model, grid, bc)
 
-    for module in (lattice, bounds_mod, cli):
+    for module in (lattice, bounds_mod):
         monkeypatch.setattr(module, "skeleton", counted)
     return builds
 
@@ -141,13 +145,69 @@ class TestValidate:
 
 
 def test_cli_import_skips_stats_and_interpolate():
+    # neither the package nor the command line loads a numerical library at import
     src = str(Path(breatherlab.__file__).resolve().parents[1])
-    probe = ("import sys, breatherlab.cli; "
-             "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') "
+    probe = ("import sys, breatherlab, breatherlab.cli; "
+             "print(sorted(m for m in ('numpy', 'scipy', 'scipy.stats', 'scipy.interpolate') "
              "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_public_names_resolve_to_their_submodule():
+    import importlib
+
+    for name in breatherlab.__all__:
+        home = importlib.import_module(f"breatherlab.{breatherlab._HOME[name]}")
+        assert getattr(breatherlab, name) is getattr(home, name), name
+    star = {}
+    exec("from breatherlab import *", star)
+    assert set(star) - {"__builtins__"} == set(breatherlab.__all__)
+    assert set(breatherlab.__all__) <= set(dir(breatherlab))
+    with pytest.raises(AttributeError):
+        breatherlab.no_such_name
+
+
+@pytest.mark.parametrize("command,name", [
+    ("validate", "validate_breather.json"), ("spectrum", "spectrum_small.json"),
+    ("ids", "ids_bracketing.json"), ("lifshitz", "lifshitz.json"), ("bounds", "bounds.json"),
+])
+def test_cache_hit_loads_no_numerical_library(tmp_path, command, name):
+    out = tmp_path / "out"
+    args = [command, "--config", str(SHIPPED / name), "--out", str(out)]
+    code = main(args)
+    primary = {p.name: p.read_bytes() for p in out.iterdir()
+               if p.is_file() and p.name != f"{command}_meta.json"}
+    for file in primary:
+        (out / file).unlink()
+    src = str(Path(breatherlab.__file__).resolve().parents[1])
+    probe = ("import sys; from breatherlab.cli import main; "
+             f"code = main({args!r}); "
+             "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    replay = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": src})
+    assert replay.stdout.strip().splitlines()[-1] == f"{code} []"
+    assert json.loads((out / f"{command}_meta.json").read_text())["cache"] == "hit"
+    assert {file: (out / file).read_bytes() for file in primary} == primary
+
+
+@pytest.mark.parametrize("error,code", [
+    (GroundStateError, 1), (DomainError, 1), (StateError, 1), (NumericalError, 3),
+])
+def test_library_error_maps_to_exit_code(tmp_path, monkeypatch, capsys, error, code):
+    def command(cfg, out_dir, digest):
+        raise error("raised inside the command")
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", command)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--no-cache"]) == code
+    err = capsys.readouterr().err
+    assert err.endswith(": raised inside the command\n")
+    assert err.startswith("model rejected: ") == (code == 1)
+    assert "Traceback" not in err
 
 
 BAD_EXPERIMENT_FIELDS = [
@@ -197,6 +257,8 @@ BAD_EXPERIMENT_FIELDS = [
                                      "cnt": 6}, id="energies-unknown-key"),
     pytest.param("ids", "energies", {"kind": "linear", "start": 0.5, "count": 6},
                  id="energies-stop-missing"),
+    pytest.param("ids", "energies", {"kind": "linear", "start": -1e308, "stop": 1e308,
+                                     "count": 3}, id="energies-linear-span-overflows"),
     pytest.param("lifshitz", "sampels", 10, id="samples-misspelt"),
     pytest.param("spectrum", "boundary", 5, id="boundary-number"),
     pytest.param("spectrum", "boundary", "DM", id="boundary-string"),
@@ -254,6 +316,9 @@ BAD_SECTION_FIELDS = [
     pytest.param("model", site(amplitude=[1.0]), "model.site.amplitude",
                  id="amplitude-list"),
     pytest.param("model", site(radius=None), "model.site.radius", id="radius-null"),
+    pytest.param("model", site(radius=10**400), "model.site.radius", id="radius-huge-integer"),
+    pytest.param("model", dist(lambda_plus=-10**400), "model.dist.lambda_plus",
+                 id="lambda-plus-huge-integer"),
     pytest.param("model", site(standardized="false"), "model.site.standardized",
                  id="standardized-string"),
     pytest.param("model", {"vper": {"kind": "square"}}, "model.vper.kind", id="vper-kind"),
@@ -357,6 +422,17 @@ def test_readme_library_quickstart_runs(capsys):
 
 
 class TestSpectrum:
+    def test_degenerate_ground_state_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={
+            "d": 1, "vper": {"kind": "cosine-sum", "amplitudes": [1e9]},
+            "site": {"kind": "breather", "amplitude": 1.0, "radius": 0.4},
+            "dist": {"kind": "uniform", "lambda_minus": 1.0, "lambda_plus": 2.0}})
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("model rejected: periodic ground state")
+        assert "Traceback" not in err
+
     def test_free_dirichlet_matches_closed_form(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, experiment={"seed": 7, "eigenvalues": 3,
@@ -403,7 +479,58 @@ class TestSpectrum:
         assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**60, 2**60)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def near(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place (towards +inf if positive)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+ENERGY_BLOCKS = st.one_of(
+    st.builds(lambda values: {"kind": "list", "values": values},
+              st.lists(FINITE, min_size=1, max_size=8)),
+    st.builds(lambda start, stop, count: {"kind": "linear", "start": start, "stop": stop,
+                                          "count": count},
+              FINITE, FINITE, st.integers(1, 40)),
+    st.builds(lambda start, stop, count: {"kind": "geometric", "start": start, "stop": stop,
+                                          "count": count},
+              POSITIVE, POSITIVE, st.integers(1, 40)),
+    # ranges whose ends are a few ulps apart, where exp(log E) can reorder the grid
+    st.builds(lambda kind, start, ulps, count: {"kind": kind, "start": start,
+                                                "stop": near(start, ulps), "count": count},
+              st.sampled_from(["linear", "geometric"]), POSITIVE.filter(lambda x: x < 1e300),
+              st.integers(-4, 4), st.integers(1, 40)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(block=ENERGY_BLOCKS)
+def test_order_check_matches_the_built_grid(block):
+    # the rules checked before the order: a linear span must be finite
+    if block["kind"] == "linear" and not math.isfinite(float(block["stop"])
+                                                      - float(block["start"])):
+        return
+    with np.errstate(all="ignore"):
+        built = bool(np.any(np.diff(cli.energies_from(block)) < 0))
+    assert cli._descending(block) == built
+
+
 class TestIds:
+    @pytest.mark.parametrize("kind", ["linear", "geometric"])
+    def test_constant_range_loads_and_runs(self, tmp_path, kind):
+        E = 8.55496088241544
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, experiment={"seed": 5, "samples": 3, "energies": {
+            "kind": kind, "start": E, "stop": E, "count": 14}})
+        out = tmp_path / "out"
+        assert main(["ids", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "ids_curve.csv").read_text().strip().split("\n")[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [E] * 14
+
     def test_smoke_run_nondecreasing(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(
@@ -620,7 +747,7 @@ class TestLifshitz:
             kinds.append(H.bc.kind)
             return spectral.lowest_eigenvalues(H, m)
 
-        for module in (bounds_mod, lattice, cli):
+        for module in (bounds_mod, lattice):
             monkeypatch.setattr(module, "lowest_eigenvalues", spy)
         cfg = tmp_path / "cfg.json"
         write_config(cfg, experiment={"seed": 3, "samples": 20, "L_max": 8,
@@ -746,6 +873,20 @@ class TestBounds:
         # periodic levels once per side, then one cut-off and one Dirichlet
         # solve per sample
         assert calls["lowest_eigenvalues"] == sides + 2 * M * temple
+
+    def test_ground_state_tiled_once_per_temple_box(self, tmp_path, monkeypatch, capsys):
+        from breatherlab import bounds as bounds_mod
+        from breatherlab import lattice
+
+        tiled = []
+        tile = lattice.periodized_ground_state
+        for module in (lattice, bounds_mod):
+            monkeypatch.setattr(module, "periodized_ground_state",
+                                lambda gs, grid: tiled.append(grid.L) or tile(gs, grid))
+        assert main(["bounds", "--config", str(SHIPPED / "bounds.json"),
+                     "--out", str(tmp_path / "out"), "--no-cache"]) == 0
+        # psi_L once per Temple box (temple_Ls = [4, 6, 8]), not twice per sample
+        assert tiled == [4, 6, 8]
 
     def test_shipped_config_builds_each_box_once(self, tmp_path, monkeypatch, capsys):
         from breatherlab import spectral
