@@ -70,5 +70,5 @@ H = assemble(model, GridSpec(L=8, n=16), DIRICHLET, couplings=lams)
 w = np.sort(linalg.eigvalsh(H.to_dense()))
 print("\neigenvalue counts by triangular-factorization inertia:")
 for E in (w[0] - 0.1, w[2] + 1e-9, 25.0):
-    c = count_below(H, E).count
+    c = count_below(H, E)
     print(f"  N({E: .4f}) = {c}  (dense count {int(np.sum(w <= E))})")

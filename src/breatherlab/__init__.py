@@ -27,7 +27,7 @@ _EXPORTS = {
     "model": """AssumptionReport DistributionSpec ModelSpec PeriodicPotentialSpec
         SingleSiteSpec evaluate_site normalize_energy site_lambda_derivative standardize
         validate_assumptions""",
-    "spectral": "CountingValue SpectralResult count_below lowest_eigenvalues",
+    "spectral": "SpectralResult count_below lowest_eigenvalues",
 }
 # public name -> the submodule that defines it
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -6,8 +6,9 @@ site's row-major position, so every field is a pure function of
 (master_seed, index, site) and runs are reproducible bit for bit regardless
 of worker scheduling.  ``sample_fields`` draws all streams of a block in one
 vectorized call, equal bit for bit to NumPy's ``Philox``.  Each box and
-boundary condition is assembled once; tridiagonal rows of a block are counted
-in one Sturm sweep, other operators row by row.
+boundary condition is assembled once, and every count of a block (both
+conditions, all realizations and energies) comes from one ``count_below``
+call.
 
 Estimates are normalized eigenvalue counts N(E, H^{L,X}) / L^d averaged over
 realizations; Dirichlet counts ("D") bound the limit from below and
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import InputError, InsufficientDataError
 from .lattice import DIRICHLET, GridSpec, mezincescu_correction, random_potentials, skeleton
 from .model import DistributionSpec
-from .spectral import count_below, tridiag_count_below
+from .spectral import count_below
 
 CSV_HEADER = "E,N_D,se_D,N_M,se_M,L,n,M,seed"
 LABELS = ("D", "M")  # the bracketing pair: Dirichlet below, ground state above
@@ -137,41 +138,21 @@ class IDSCurve:
                    estimates={"D": N_D, "M": N_M}, errors={"D": se_D, "M": se_M})
 
 
-def _sturm_counts(boxes, vrand, energies):
-    """Counts on tridiagonal boxes from one Sturm sweep over all (box, energy,
-    realization) rows; a row's pivot scale is max |diagonal| over its box's
-    block plus |E|, as when each box and energy was swept alone."""
-    M, N = vrand.shape
-    R = M * len(energies)
-    diag = np.empty((N, len(boxes) * R))
-    diag_max = np.empty(len(boxes) * R)
-    for k, box in enumerate(boxes):
-        block = diag[:, k * R:(k + 1) * R]
-        np.add(box.diagonal(box.vper)[:, None], vrand.T, out=block[:, :M])
-        for j in range(1, len(energies)):
-            block[:, j * M:(j + 1) * M] = block[:, :M]
-        diag_max[k * R:(k + 1) * R] = max(block[:, :M].max(), -block[:, :M].min())
-    counts = tridiag_count_below(diag.T, boxes[0].stencil.diagonal(1),
-                                 np.tile(np.repeat(energies, M), len(boxes)), diag_max)
-    return {box.bc.label: counts[k * R:(k + 1) * R].reshape(-1, M).T.copy()
-            for k, box in enumerate(boxes)}
-
-
 def _count_block(args):
-    """Counts (realizations x energies) under "D" and "M" for one index block."""
+    """Counts (realizations x energies) under "D" and "M" for one index block,
+    from one ``count_below`` call: the folds touch only the diagonal, so both
+    conditions share the off-diagonal part of one operator."""
     model, grid, gs, energies, master_seed, indices, index_offset = args
     fields = sample_fields(model.dist, master_seed, np.asarray(indices) + index_offset,
                            grid.L, grid.d)
     vrand = random_potentials(model, grid, fields)
     boxes = [skeleton(model, grid, bc) for bc in (DIRICHLET, mezincescu_correction(gs, grid))]
-    tridiagonal = [box for box in boxes if box.tridiagonal]
-    out = _sturm_counts(tridiagonal, vrand, energies) if tridiagonal else {}
-    for box in boxes:
-        if not box.tridiagonal:
-            out[box.bc.label] = np.array([
-                [count_below(H, float(E)).count for E in energies]
-                for H in map(box.hamiltonian, vrand)]).reshape(len(vrand), len(energies))
-    return out
+    M = len(vrand)
+    diagonals = np.empty((grid.num_dof, len(boxes) * M))  # column layout, see count_below
+    for k, box in enumerate(boxes):
+        np.add(box.diagonal(box.vper)[:, None], vrand.T, out=diagonals[:, k * M:(k + 1) * M])
+    counts = count_below(boxes[0].hamiltonian(), energies, diagonals.T)
+    return {box.bc.label: counts[k * M:(k + 1) * M] for k, box in enumerate(boxes)}
 
 
 def estimate_ids(model, gs, L: int, energies, M: int, master_seed: int,

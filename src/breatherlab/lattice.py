@@ -203,8 +203,6 @@ class BoxSkeleton:
     stencil: sps.csr_matrix
     diag_slots: np.ndarray
 
-    tridiagonal = DiscreteHamiltonian.tridiagonal  # reads only grid and bc
-
     def diagonal(self, potential) -> np.ndarray:
         """Diagonal of -Laplacian_h + diag(potential), folds applied axis by axis."""
         h2 = self.grid.h * self.grid.h

@@ -1,17 +1,18 @@
-"""Spectral primitives: lowest eigenvalues and counting functions.
+"""Spectral primitives: lowest eigenvalues and the eigenvalue count.
 
 Solver settings are the module constants below, not options: eigensolves are
 direct up to ``DENSE_THRESHOLD`` degrees of freedom (tridiagonal LAPACK for d = 1
 operators under a non-periodic condition, dense otherwise) and shift-invert
 Lanczos above, with every residual within ``EIG_TOL * (1 + |E|)``.
 
-Counting uses matrix inertia: the number of negative pivots of a symmetric
-triangular factorization of H - E*I equals the number of eigenvalues below E.
-Tridiagonal operators run the Sturm recurrence, batched over rows that share
-one off-diagonal; other sparse operators run sparse LDL^T, with dense
-Bunch-Kaufman at the same energy when it breaks down.  Counts are
-always taken at E + 0: energies hitting a pivot within ``PIVOT_TOL`` of zero
-are nudged up by 1e-12*(1+|E|) and recomputed, which matches the
+``count_below``, the one counting engine, uses matrix inertia: the number of
+negative pivots of a symmetric triangular factorization of H - E*I equals the
+number of eigenvalues below E.  Tridiagonal operators run one Sturm sweep over
+every (diagonal, energy) pair; other sparse operators run sparse LDL^T, with
+dense Bunch-Kaufman at the same energy when a pivot is near zero or SuperLU
+pivots off the diagonal (its signs are then not the inertia).  Counts are
+taken at E + 0: a pair hitting a pivot within ``PIVOT_TOL`` of zero is nudged
+up by 1e-12*(1+|E|), doubling on each of at most 8 retries, which matches the
 closed-under-"<=" convention up to a measure-zero set of energies.
 """
 
@@ -42,12 +43,6 @@ class SpectralResult:
     vectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class CountingValue:
-    energy: float
-    count: int
-
-
 def _matrix_of(H):
     return H.matrix if hasattr(H, "matrix") else H
 
@@ -55,12 +50,12 @@ def _matrix_of(H):
 def lowest_eigenvalues(H, m: int) -> SpectralResult:
     """The m smallest eigenvalues of a symmetric operator.
 
-    Direct ("dense") solves up to ``DENSE_THRESHOLD`` degrees of freedom (read
-    at call time): LAPACK ``eigh_tridiagonal`` on an operator that says it is
-    ``tridiagonal``, dense ``eigh`` otherwise; shift-invert Lanczos above the
-    threshold.  Every returned pair satisfies
-    ||H v - E v|| <= EIG_TOL * (1 + |E|), otherwise a ConvergenceError
-    carrying the best iterate is raised.
+    Direct solves up to ``DENSE_THRESHOLD`` degrees of freedom (read at call
+    time): LAPACK ``eigh_tridiagonal`` (method "tridiagonal") on an operator
+    that says it is ``tridiagonal``, dense ``eigh`` ("dense") otherwise;
+    shift-invert Lanczos ("iterative") above the threshold.  Every returned
+    pair satisfies ||H v - E v|| <= EIG_TOL * (1 + |E|), otherwise a
+    ConvergenceError carrying the best iterate is raised.
     """
     A = _matrix_of(H)
     N = A.shape[0]
@@ -71,10 +66,11 @@ def lowest_eigenvalues(H, m: int) -> SpectralResult:
         if getattr(H, "tridiagonal", False):
             w, v = linalg.eigh_tridiagonal(A.diagonal(), A.diagonal(1), select="i",
                                            select_range=(0, m - 1))
+            method = "tridiagonal"
         else:
             dense = A.toarray() if sps.issparse(A) else np.asarray(A)
             w, v = linalg.eigh(dense, subset_by_index=(0, m - 1))
-        method = "dense"
+            method = "dense"
     else:
         diag = A.diagonal()
         row_abs = np.asarray(np.abs(A).sum(axis=1)).ravel()
@@ -135,98 +131,100 @@ def _dense_inertia(A: np.ndarray, pivot_tol: float):
 
 
 def _sparse_inertia(A: sps.csc_matrix, pivot_tol: float):
-    """Negative-pivot count from a symmetric-permutation sparse factorization."""
+    """Negative-pivot count from a symmetric-permutation sparse factorization.
+
+    Returns (count, ok); ok is False when a pivot sits within pivot_tol of zero
+    relative to the matrix scale, or when SuperLU pivoted off the diagonal.
+    """
     scale = max(1.0, float(np.abs(A.data).max()) if A.nnz else 1.0)
     try:
-        lu = spla.splu(
-            A,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     except RuntimeError:
         return 0, False
     pivots = lu.U.diagonal()
-    if np.any(np.abs(pivots) <= pivot_tol * scale) or not np.all(np.isfinite(pivots)):
+    if (not np.array_equal(lu.perm_r, lu.perm_c) or not np.all(np.isfinite(pivots))
+            or np.any(np.abs(pivots) <= pivot_tol * scale)):
         return 0, False
     return int(np.sum(pivots < 0.0)), True
 
 
-def tridiag_count_below(diag: np.ndarray, off: np.ndarray, E, diag_max=None):
-    """Eigenvalue counts <= E for a batch of symmetric tridiagonal matrices.
-
-    ``diag`` is (B, N), one row per matrix, ``off`` (N-1,) is shared and ``E``
-    is one energy or one per row; pass the transpose of a C-ordered (N, B)
-    array so each step of the LDL^T pivot recurrence (Sturm sequence) reads
-    contiguous memory.  A row's pivot tolerance is PIVOT_TOL * max(1,
-    diag_max + |E|), ``diag_max`` defaulting to max |diag|; a row that meets a
-    near-zero (or non-finite) pivot is retried at a nudged energy, at most 8
-    times.
-    """
-    cols = np.asarray(diag, dtype=float).T
-    B = cols.shape[1]
-    off = np.asarray(off, dtype=float)
-    off2 = off * off
-    energy = np.array(np.broadcast_to(np.asarray(E, dtype=float), (B,)))
-    if diag_max is None:
-        diag_max = float(np.abs(cols).max())
-    tol = PIVOT_TOL * np.maximum(1.0, diag_max + np.abs(energy))
-
-    counts = np.zeros(B, dtype=int)
-    pending = np.arange(B)
-    for attempt in range(9):
-        rows = cols if pending.size == B else cols[:, pending]
-        e = energy[pending]
-        dcur = rows[0] - e
-        neg = (dcur < 0.0).astype(int)
-        smallest = np.abs(dcur)  # a NaN pivot keeps it NaN, so the row is retried
-        shifted, flag = np.empty_like(dcur), np.empty(dcur.shape, dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for i in range(1, rows.shape[0]):
-                np.subtract(rows[i], e, out=shifted)
-                np.divide(off2[i - 1], dcur, out=dcur)
-                np.subtract(shifted, dcur, out=dcur)
-                neg += np.less(dcur, 0.0, out=flag)
-                np.minimum(smallest, np.abs(dcur, out=shifted), out=smallest)
-        ok = smallest > tol[pending]
-        counts[pending[ok]] = neg[ok]
-        pending = pending[~ok]
-        if pending.size == 0:
-            return counts
-        energy[pending] += 1e-12 * (1.0 + np.abs(energy[pending])) * (2.0**attempt)
-    raise NumericalError(
-        f"tridiagonal factorization kept hitting near-zero pivots at E={E}"
-    )
+def _sturm_counts(A, rows, e):
+    """Sturm sweep of tridiagonal ``A`` over every pair of ``e`` (K, R), pair
+    (k, r) taking row r of ``rows`` (R, N) as its diagonal: the negative pivots
+    of the LDL^T recurrence, and whether every pivot of the pair stayed finite
+    and above PIVOT_TOL * max(1, max |row| + |E|)."""
+    cols = np.ascontiguousarray(rows.T)  # each step reads one contiguous row of cols
+    off2 = A.diagonal(1) ** 2
+    dcur = cols[0] - e
+    neg = (dcur < 0.0).astype(int)
+    smallest = np.abs(dcur)  # a NaN pivot keeps it NaN, so the pair is retried
+    shifted, flag = np.empty_like(dcur), np.empty(dcur.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(1, cols.shape[0]):
+            np.subtract(cols[i], e, out=shifted)
+            np.divide(off2[i - 1], dcur, out=dcur)
+            np.subtract(shifted, dcur, out=dcur)
+            neg += np.less(dcur, 0.0, out=flag)
+            np.minimum(smallest, np.abs(dcur, out=shifted), out=smallest)
+    row_max = np.maximum(cols.max(axis=0), -cols.min(axis=0))
+    return neg, smallest > PIVOT_TOL * np.maximum(1.0, row_max + np.abs(e))
 
 
-def count_below(H, E: float) -> CountingValue:
+def _factor_counts(A, rows, e):
+    """Inertia of A - E*I with its diagonal replaced by row r, for every pair
+    (k, r) of ``e`` (K, R): sparse LDL^T on one CSC copy of A whose diagonal
+    slots take each shifted row, Bunch-Kaufman at the same energy where it
+    breaks down (and always for ndarray input)."""
+    counts, ok = np.zeros(e.shape, dtype=int), np.zeros(e.shape, dtype=bool)
+    sparse = sps.issparse(A)
+    if sparse:  # a diagonal slot in every column, filled per pair
+        n = np.arange(A.shape[0])
+        A = sps.csc_matrix(sps.triu(A, 1) + sps.tril(A, -1) + sps.identity(n.size))
+        slots = np.flatnonzero(A.indices == np.repeat(n, np.diff(A.indptr)))
+    dense = None if sparse else np.array(A, dtype=float)
+    for (k, r), energy in np.ndenumerate(e):
+        shifted = rows[r] - energy
+        if sparse:
+            A.data[slots] = shifted
+            counts[k, r], ok[k, r] = _sparse_inertia(A, PIVOT_TOL)
+        if not ok[k, r]:
+            if dense is None:
+                dense = A.toarray()
+            np.fill_diagonal(dense, shifted)
+            counts[k, r], ok[k, r] = _dense_inertia(dense, PIVOT_TOL)
+    return counts, ok
+
+
+def count_below(H, E, diagonals=None):
     """N(E, H) = #{eigenvalues <= E} via the inertia of H - E*I.
 
-    An operator that says it is ``tridiagonal``: Sturm recurrence; other
-    sparse input: sparse LDL^T with Bunch-Kaufman at the same energy on
-    breakdown; ndarray: Bunch-Kaufman.
+    ``E`` is one energy or a 1-D grid.  ``diagonals`` (B, N) stands for B
+    operators that keep the off-diagonal part of H and take one row each as
+    their diagonal; pass the transpose of a C-ordered (N, B) array so the Sturm
+    sweep reads contiguous memory without a copy.  Returns int counts shaped
+    (B,) + shape(E), or shape(E) without ``diagonals``.
+
+    An operator that says it is ``tridiagonal`` runs one Sturm sweep over all
+    (row, energy) pairs; other sparse input runs sparse LDL^T, with
+    Bunch-Kaufman at the same energy on breakdown; ndarray input runs
+    Bunch-Kaufman.  A pair meeting a near-zero pivot is retried at a nudged
+    energy, at most 8 times.
     """
     A = _matrix_of(H)
-    N = A.shape[0]
-    sparse = sps.issparse(A)
-
-    if getattr(H, "tridiagonal", False):
-        cnt = tridiag_count_below(A.diagonal()[None, :], A.diagonal(1), E)
-        return CountingValue(energy=float(E), count=int(cnt[0]))
-    if sparse:
-        A = A.tocsc()
-
-    energy = float(E)
+    rows = A.diagonal()[None, :] if diagonals is None else np.asarray(diagonals, dtype=float)
+    kernel = _sturm_counts if getattr(H, "tridiagonal", False) else _factor_counts
+    energy = np.asarray(E, dtype=float)
+    e = np.repeat(energy.reshape(-1, 1), rows.shape[0], axis=1)  # (K, B), nudged per pair
+    counts, ok = kernel(A, rows, e)
     for attempt in range(8):
-        ok = False
-        if sparse:
-            shifted = (A - energy * sps.identity(N, format="csc")).tocsc()
-            count, ok = _sparse_inertia(shifted, PIVOT_TOL)
-        if not ok:
-            dense = A.toarray() if sparse else np.asarray(A, dtype=float)
-            count, ok = _dense_inertia(dense - energy * np.eye(N), PIVOT_TOL)
-        if ok:
-            return CountingValue(energy=float(E), count=int(count))
-        energy = energy + 1e-12 * (1.0 + abs(energy)) * (2.0**attempt)
-    raise NumericalError(f"factorization breakdown persisted near E={E}")
-
+        if ok.all():
+            break
+        k, r = np.nonzero(~ok)
+        e[k, r] += 1e-12 * (1.0 + np.abs(e[k, r])) * (2.0**attempt)
+        got, good = kernel(A, rows[r], e[k, r][None, :])
+        counts[k, r], ok[k, r] = got[0], good[0]
+    if not ok.all():
+        raise NumericalError(f"factorization kept hitting near-zero pivots near E={E}")
+    shape = energy.shape if diagonals is None else rows.shape[:1] + energy.shape
+    return np.ascontiguousarray(counts.T).reshape(shape)[()]

@@ -138,7 +138,7 @@ def test_criterion_01_solver_correctness():
         A = (B + B.T) / 2
         w = np.sort(linalg.eigvalsh(A))
         E = float(rng.normal(scale=max(1.0, np.abs(w).max() / 2)))
-        got = count_below(sps.csr_matrix(A), E).count
+        got = count_below(sps.csr_matrix(A), E)
         count_ok = count_ok and got == int(np.sum(w <= E))
     elapsed = time.perf_counter() - t0
     ok = spectra_ok and count_ok and elapsed < 10.0

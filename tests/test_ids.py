@@ -148,7 +148,7 @@ class TestEstimate:
         fast = _count_block((model, grid, gs, energies, 7, idx, 0))
         fields = sample_fields(model.dist, 7, idx, 4, 1)
         for bc in bc_pair(gs, grid):
-            slow = np.array([[count_below(assemble(model, grid, bc, couplings=lams), E).count
+            slow = np.array([[count_below(assemble(model, grid, bc, couplings=lams), E)
                               for E in energies] for lams in fields])
             assert np.array_equal(fast[bc.label], slow)
 
@@ -183,7 +183,7 @@ class TestEstimate:
         for bc in bc_pair(gs, grid):
             H = assemble(model, grid, bc, couplings=np.full(4, 1.0))
             for j, E in enumerate(energies):
-                assert cur.counts[bc.label][0, j] == count_below(H, E).count
+                assert cur.counts[bc.label][0, j] == count_below(H, E)
 
     def test_d2_general_path(self):
         # two-dimensional boxes run through the generic factorization path

@@ -1,8 +1,12 @@
 """Spectral tests: eigenvalue solves, inertia counts, gaps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg
 
 from breatherlab import spectral
@@ -14,6 +18,7 @@ from breatherlab.lattice import (
     assemble,
     mezincescu_correction,
     prepare_model,
+    skeleton,
 )
 from breatherlab.model import (
     DistributionSpec,
@@ -21,12 +26,7 @@ from breatherlab.model import (
     PeriodicPotentialSpec,
     SingleSiteSpec,
 )
-from breatherlab.spectral import (
-    CountingValue,
-    count_below,
-    lowest_eigenvalues,
-    tridiag_count_below,
-)
+from breatherlab.spectral import count_below, lowest_eigenvalues
 
 
 def free_model():
@@ -54,7 +54,7 @@ class TestLowestEigenvalues:
         res = lowest_eigenvalues(H, 6)
         N, h = 64, 1.0 / 16
         oracle = (4 / h**2) * np.sin(np.arange(1, 7) * np.pi / (2 * N)) ** 2
-        assert res.method == "dense"
+        assert res.method == "tridiagonal"
         assert np.allclose(res.energies, oracle, atol=1e-10 * (16**2))
 
     def test_neumann_zero_ground_energy(self):
@@ -69,7 +69,7 @@ class TestLowestEigenvalues:
         de = lowest_eigenvalues(H, 4)
         monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 100)
         it = lowest_eigenvalues(H, 4)
-        assert it.method == "iterative" and de.method == "dense"
+        assert it.method == "iterative" and de.method == "tridiagonal"
         assert np.allclose(it.energies, de.energies, atol=1e-8)
 
     def test_residuals_reported(self):
@@ -128,13 +128,13 @@ class TestCountBelow:
     def test_below_lowest_is_zero(self):
         H = random_coupling_hamiltonian(seed=1)
         e1 = lowest_eigenvalues(H, 1).energies[0]
-        assert count_below(H, e1 - 1e-6).count == 0
+        assert count_below(H, e1 - 1e-6) == 0
 
     def test_above_gershgorin_is_dim(self):
         H = random_coupling_hamiltonian(seed=2)
         A = H.matrix
         upper = float((A.diagonal() + np.asarray(np.abs(A).sum(axis=1)).ravel()).max())
-        assert count_below(H, upper + 1.0).count == H.num_dof
+        assert count_below(H, upper + 1.0) == H.num_dof
 
     def test_dense_oracle_50_random_instances(self):
         # inertia counts equal dense-eigensolve counts, exactly
@@ -145,14 +145,14 @@ class TestCountBelow:
             A = (B + B.T) / 2
             w = np.sort(linalg.eigvalsh(A))
             E = float(rng.normal(scale=np.abs(w).max()))
-            got = count_below(sps.csr_matrix(A), E).count
+            got = count_below(sps.csr_matrix(A), E)
             assert got == int(np.sum(w <= E))
 
     def test_tridiagonal_path_matches_dense(self):
         H = random_coupling_hamiltonian(seed=4)
         w = np.sort(linalg.eigvalsh(H.to_dense()))
         for E in np.linspace(0, float(w.max()), 9):
-            assert count_below(H, E).count == int(np.sum(w <= E))
+            assert count_below(H, E) == int(np.sum(w <= E))
 
     def test_sparse_path_matches_dense(self):
         # periodic corners break the tridiagonal structure, driving the
@@ -162,7 +162,7 @@ class TestCountBelow:
                      couplings=np.random.default_rng(9).uniform(1, 2, 30))
         w = np.sort(linalg.eigvalsh(H.to_dense()))
         for E in np.linspace(0.1, 50.0, 7):
-            got = count_below(H, E).count
+            got = count_below(H, E)
             assert got == int(np.sum(w <= E))
 
     def test_jump_by_multiplicity(self):
@@ -171,8 +171,8 @@ class TestCountBelow:
         w = np.sort(linalg.eigvalsh(H.to_dense()))
         e2 = w[1]
         assert np.isclose(w[1], w[2])
-        below = count_below(H, e2 - 1e-8).count
-        above = count_below(H, e2 + 1e-8).count
+        below = count_below(H, e2 - 1e-8)
+        above = count_below(H, e2 + 1e-8)
         assert above - below == 2
 
     def test_degenerate_level_falls_back_to_dense(self, monkeypatch):
@@ -189,7 +189,7 @@ class TestCountBelow:
         H = assemble(free_model(), GridSpec(L=4, n=8), PERIODIC)
         w = np.sort(linalg.eigvalsh(H.to_dense()))
         for E in (w[1] - 1e-8, w[1] + 1e-8):
-            assert count_below(H, E).count == int(np.sum(w <= E))
+            assert count_below(H, E) == int(np.sum(w <= E))
         assert len(calls) >= 1
 
     def test_d2_breather_counts_sparse_only(self, monkeypatch):
@@ -213,14 +213,14 @@ class TestCountBelow:
         assert H.num_dof == 1024
         w = np.sort(linalg.eigvalsh(H.to_dense()))
         for E in (0.5, 2.0, 8.0, 50.0, float(w[40] + w[41]) / 2):
-            assert count_below(H, E).count == int(np.sum(w <= E))
+            assert count_below(H, E) == int(np.sum(w <= E))
 
     def test_count_at_exact_eigenvalue_includes_it(self):
         # diagonal matrix with an eigenvalue exactly at E: the perturb policy
         # counts it (E_n <= E)
         A = sps.csr_matrix(np.diag([0.0, 1.0, 1.0, 2.0]))
-        assert count_below(A, 1.0).count == 3
-        assert count_below(A, 0.0).count == 1
+        assert count_below(A, 1.0) == 3
+        assert count_below(A, 0.0) == 1
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -229,31 +229,88 @@ class TestCountBelow:
         perm = rng.permutation(40)
         P = np.eye(40)[perm]
         for E in (-2.0, 0.0, 2.0):
-            c1 = count_below(sps.csr_matrix(A), E).count
-            c2 = count_below(sps.csr_matrix(P @ A @ P.T), E).count
+            c1 = count_below(sps.csr_matrix(A), E)
+            c2 = count_below(sps.csr_matrix(P @ A @ P.T), E)
             assert c1 == c2
 
     def test_counts_nondecreasing_in_energy(self):
         H = random_coupling_hamiltonian(seed=6)
         energies = np.linspace(-1, 60, 25)
-        counts = [count_below(H, E).count for E in energies]
+        counts = [count_below(H, E) for E in energies]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     def test_count_above_returned_eigenvalues(self):
         H = random_coupling_hamiltonian(seed=7)
         res = lowest_eigenvalues(H, 5)
-        c = count_below(H, float(res.energies[-1]) + 1e-8).count
+        c = count_below(H, float(res.energies[-1]) + 1e-8)
         assert c >= 5
 
     def test_batched_tridiag(self):
+        # each row of a batch is counted as its own operator, over an energy grid
+        H = random_coupling_hamiltonian(L=4, n=8)
         rng = np.random.default_rng(13)
-        B, N = 7, 30
-        diag = rng.uniform(1.0, 3.0, size=(B, N))
-        off = rng.uniform(-1.0, 1.0, size=N - 1)
-        counts = tridiag_count_below(diag, off, 2.0)
+        diag = rng.uniform(100.0, 400.0, size=(7, H.num_dof))
+        energies = np.array([150.0, 250.0, 350.0])
+        counts = count_below(H, energies, diag)
+        assert counts.shape == (7, 3)
+        for b in range(7):
+            A = H.to_dense()
+            np.fill_diagonal(A, diag[b])
+            w = linalg.eigvalsh(A)
+            assert list(counts[b]) == [int(np.sum(w <= E)) for E in energies]
+
+
+def bare_d2_model():
+    return ModelSpec(
+        d=2,
+        vper=PeriodicPotentialSpec(kind="zero"),
+        site=SingleSiteSpec(kind="breather", amplitude=1.0, radius=0.4, lambda_minus=1.0,
+                            lambda_plus=2.0, standardized=True),
+        dist=DistributionSpec(kind="uniform", lambda_minus=1.0, lambda_plus=2.0),
+    )
+
+
+class TestOneEngine:
+    @pytest.mark.parametrize("bc,n,E", [(NEUMANN, 4, 48.0), (DIRICHLET, 4, 80.0),
+                                        (NEUMANN, 8, 192.0), (DIRICHLET, 8, 320.0)])
+    def test_zero_diagonal_entry_counts_right(self, bc, n, E):
+        # E equals a diagonal entry of the bare d = 2 kinetic part, so H - E has
+        # exact zeros there and SuperLU pivots off the diagonal; those signs are
+        # not the inertia, and Bunch-Kaufman takes over
+        H = assemble(bare_d2_model(), GridSpec(L=2, n=n, d=2), bc)
+        assert E in H.matrix.diagonal()
+        w = linalg.eigvalsh(H.to_dense())
+        assert np.abs(w - E).min() > 1.0
+        assert count_below(H, E) == int(np.sum(w <= E))
+
+    def test_zero_diagonal_entry_small_matrix(self):
+        A = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 0.5, 5.0]])
+        assert count_below(sps.csr_matrix(A), 1.0) == int(np.sum(linalg.eigvalsh(A) <= 1.0)) == 1
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]), L=st.integers(2, 3),
+           bc=st.sampled_from([DIRICHLET, NEUMANN]), B=st.integers(1, 4))
+    def test_three_paths_agree(self, seed, d, L, bc, B):
+        # the Sturm (d = 1), sparse LDL^T and Bunch-Kaufman paths count a batch
+        # of diagonals alike, and as eigvalsh does away from the spectrum;
+        # some energies sit exactly on a diagonal entry
+        rng = np.random.default_rng(seed)
+        box = skeleton(bare_d2_model() if d == 2 else free_model(), GridSpec(L=L, n=4, d=d), bc)
+        H = box.hamiltonian()
+        rows = box.diagonal(box.vper) + rng.uniform(-20.0, 20.0, size=(B, H.num_dof))
+        energies = np.sort(np.r_[rng.uniform(rows.min() - 10.0, rows.max() + 10.0, 3),
+                                 rng.choice(rows.ravel(), 3)])
+        counts = count_below(H, energies, rows)
+        assert counts.shape == (B, energies.size)
+        assert np.array_equal(count_below(H.matrix, energies, rows), counts)
+        assert np.array_equal(count_below(H.to_dense(), energies, rows), counts)
         for b in range(B):
-            A = np.diag(diag[b]) + np.diag(off, 1) + np.diag(off, -1)
-            assert counts[b] == int(np.sum(linalg.eigvalsh(A) <= 2.0))
+            alone = replace(H, matrix=H.matrix.copy())
+            alone.matrix.setdiag(rows[b])
+            assert np.array_equal(count_below(alone, energies), counts[b])
+            w = linalg.eigvalsh(alone.to_dense())
+            far = np.abs(w[:, None] - energies).min(axis=0) >= 1e-8
+            assert np.array_equal(counts[b][far], (w[:, None] <= energies).sum(axis=0)[far])
 
 
 class TestSpectralGap:
@@ -277,7 +334,12 @@ class TestSpectralGap:
         assert gap > 0
 
     def test_counting_value_type(self):
+        # one energy gives one integer; a grid and a batch of diagonals add axes
         H = random_coupling_hamiltonian(seed=8)
-        cv = count_below(H, 5.0)
-        assert isinstance(cv, CountingValue)
-        assert cv.energy == 5.0
+        one = count_below(H, 5.0)
+        assert isinstance(one, np.integer)
+        grid = count_below(H, [5.0, 50.0])
+        assert grid.shape == (2,) and grid[0] == one
+        rows = np.stack([H.matrix.diagonal()] * 3)
+        assert count_below(H, [5.0, 50.0], rows).tolist() == [grid.tolist()] * 3
+        assert count_below(H, 5.0, rows).tolist() == [one] * 3
