@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, InputError, PreconditionError
 from .lattice import (
@@ -242,7 +241,7 @@ def _moments(psi, mapped: MappedRealization, H_tilde, cfg=None):
     ``cfg``), in the quadrature inner product and from one product H psi."""
     grid = H_tilde.grid
     hd = grid.h**grid.d
-    h_psi = H_tilde.matrix @ psi
+    h_psi = H_tilde @ psi
     mean_xi = float(mapped.xi.sum()) / grid.L**grid.d
     bound = None if cfg is None else 2.0 * cfg.constants.kappa1 * cfg.c2 / grid.L**2 * mean_xi
     return float(psi @ h_psi) * hd, mean_xi, float(np.sum(h_psi**2)) * hd, bound
@@ -285,13 +284,24 @@ def temple_lower_bound(box: BoxSkeleton, mapped: MappedRealization,
     by link; a broken link is reported as a failure naming the link (that
     signals bad constants, not a solver bug).
     """
+    return temple_lower_bounds(box, [mapped], cfg, per)[0]
+
+
+def temple_lower_bounds(box: BoxSkeleton, mapped, cfg: TempleConfig, per) -> list:
+    """``temple_lower_bound`` of each realization in ``mapped``, from one
+    batched eigensolve of their cutoff operators."""
     grid = box.grid
-    if mapped.grid != grid:
-        raise InputError(f"realization mapped on {mapped.grid}, not on {grid}")
-    H_cut = box.hamiltonian(mapped.potential)
-    cut = lowest_eigenvalues(H_cut, 2).energies
-    form, mean_xi, sq_value, sq_bound = _moments(box.psi, mapped, H_cut, cfg)
-    nu = cfg.epsilon0 / (2.0 * grid.L**2) + form
+    for one in mapped:
+        if one.grid != grid:
+            raise InputError(f"realization mapped on {one.grid}, not on {grid}")
+    ops = [box.hamiltonian(one.potential) for one in mapped]
+    levels = lowest_eigenvalues(box, 2, np.array([H.diag for H in ops])).energies
+    return [_temple_report(H, one, cfg, per, cut) for H, one, cut in zip(ops, mapped, levels)]
+
+
+def _temple_report(H_cut, mapped: MappedRealization, cfg: TempleConfig, per, cut):
+    form, mean_xi, sq_value, sq_bound = _moments(H_cut.box.psi, mapped, H_cut, cfg)
+    nu = cfg.epsilon0 / (2.0 * H_cut.grid.L**2) + form
 
     tol = 1e-9 * (1.0 + abs(per[1]))
     links = {
@@ -367,7 +377,11 @@ def bernoulli_tail(p: float, gamma: float, Ld: int):
     """Exact probability P(#successes < Ld/gamma) against exp(-p^2 Ld / 2).
 
     With gamma = 2/p the threshold is p*Ld/2 and the exponential bound is
-    Hoeffding's inequality, so exact <= bound holds for every (p, Ld).
+    Hoeffding's inequality, so exact <= bound holds for every (p, Ld).  The
+    float p is a/2^k exactly, so with b = 2^k - a and t the threshold the tail
+    is b^(Ld-t) sum_{i<=t} C(Ld, i) a^i b^(t-i) / 2^(k Ld): summed in integers,
+    each term from the one before by an exact multiply and divide, and
+    rounded once, by the int/int division.
     """
     if not 0.0 < p <= 1.0:
         raise DomainError("success probability must lie in (0, 1]")
@@ -376,7 +390,13 @@ def bernoulli_tail(p: float, gamma: float, Ld: int):
     if Ld < 1:
         raise DomainError("need at least one site")
     threshold = math.ceil(Ld / gamma) - 1  # #successes < Ld/gamma
-    exact = float(special.bdtr(threshold, Ld, p)) if threshold >= 0 else 0.0
+    a, scale = p.as_integer_ratio()  # p = a / scale, scale = 2^k
+    b = scale - a  # 0 at p = 1, where every trial succeeds and the tail is empty
+    term = total = b ** max(threshold, 0)
+    for i in range(threshold if b else 0):
+        term = term * (Ld - i) * a // ((i + 1) * b)
+        total += term
+    exact = total * b ** (Ld - threshold) / scale**Ld if threshold >= 0 else 0.0
     bound = math.exp(-0.5 * p * p * Ld)
     return exact, bound
 
@@ -412,7 +432,7 @@ def dirichlet_test_function(model, grid: GridSpec) -> DirichletTestFunction:
     box = skeleton(model, grid, DIRICHLET)
     K = box.operator(0.0)
     Q = float(np.sum(phi**2)) * hd
-    T = float(phi @ (K.matrix @ phi)) * hd
+    T = float(phi @ (K @ phi)) * hd
     P = float(np.sum(phi**2 * box.vper)) * hd
     B1 = float(np.max(phi**2)) * L**d / Q
     B2 = (T + P) / Q * L**2
@@ -423,29 +443,37 @@ def dirichlet_upper_bound(model, couplings, test: DirichletTestFunction) -> Boun
     """Rayleigh-quotient upper bound E1 <= B1 L^-d int(V_omega) + B2 L^-2 on
     the box of ``test``, with the test function and constants of
     ``dirichlet_test_function``."""
+    return dirichlet_upper_bounds(model, [couplings], test)[0]
+
+
+def dirichlet_upper_bounds(model, couplings, test: DirichletTestFunction) -> list:
+    """``dirichlet_upper_bound`` of each coupling field in ``couplings``, from
+    one batched eigensolve."""
     grid = test.grid
     L, d, hd = grid.L, grid.d, grid.h**grid.d
     Q, T, P = test.Q, test.T, test.P
-
-    vrand = assemble_random_potential(model, grid, couplings).ravel()
-    H = test.box.hamiltonian(vrand)
-    W = float(np.sum(test.phi**2 * vrand)) * hd
-    quotient = (T + P + W) / Q
-
-    e1 = float(lowest_eigenvalues(H, 1).energies[0])
-    int_v = float(np.sum(vrand)) * hd
-    rhs = test.B1 * int_v / L**d + test.B2 / L**2
-    margin = rhs - e1
-    constants = {
-        "B1": test.B1, "B2": test.B2, "kinetic_times_L2": T / Q * L**2,
-        "periodic_part": P / Q, "rayleigh_quotient": quotient,
-        "int_V_omega": int_v, "E1": e1,
-        "variational_ok": bool(e1 <= quotient + 1e-9 * (1 + abs(quotient))),
-    }
-    return BoundReport(
-        name="dirichlet-upper-bound", lhs=e1, rhs=rhs, margin=margin,
-        verdict=_float_verdict(margin, scale=abs(rhs)), constants=constants,
-    )
+    vrand = [assemble_random_potential(model, grid, lams).ravel() for lams in couplings]
+    ops = [test.box.hamiltonian(v) for v in vrand]
+    e1s = lowest_eigenvalues(test.box, 1, np.array([H.diag for H in ops])).energies[:, 0]
+    reports = []
+    for v, e1 in zip(vrand, e1s):
+        W = float(np.sum(test.phi**2 * v)) * hd
+        quotient = (T + P + W) / Q
+        e1 = float(e1)
+        int_v = float(np.sum(v)) * hd
+        rhs = test.B1 * int_v / L**d + test.B2 / L**2
+        margin = rhs - e1
+        constants = {
+            "B1": test.B1, "B2": test.B2, "kinetic_times_L2": T / Q * L**2,
+            "periodic_part": P / Q, "rayleigh_quotient": quotient,
+            "int_V_omega": int_v, "E1": e1,
+            "variational_ok": bool(e1 <= quotient + 1e-9 * (1 + abs(quotient))),
+        }
+        reports.append(BoundReport(
+            name="dirichlet-upper-bound", lhs=e1, rhs=rhs, margin=margin,
+            verdict=_float_verdict(margin, scale=abs(rhs)), constants=constants,
+        ))
+    return reports
 
 
 @dataclass(frozen=True)

@@ -112,14 +112,25 @@ def _list_of(item, rule, least=0):
     return (lambda v: isinstance(v, list) and len(v) >= least and all(map(item, v))), rule
 
 
-def _int(least):
-    return (lambda v: _is_int(v) and v >= least), f"an integer >= {least}"
+# Memory caps on the sizes, in float64 values: one box holds at most
+# MAX_POINTS grid points (32 MB), and what a command holds at once (a batch of
+# realizations, counts or scan points) at most MAX_VALUES values (256 MB).
+MAX_POINTS = 2**22
+MAX_VALUES = 2**25
+MAX_BERNOULLI_LD = 4096  # the exact tail is summed in integers: <= 0.3 s there
+MAX_WORKERS = 256
+X_GRID_DEFAULT = {1: 256, 2: 64, 3: 32}  # experiment.x_grid_size for d = 1, 2, 3
+
+
+def _int(least, most=MAX_POINTS):
+    return ((lambda v: _is_int(v) and least <= v <= most),
+            f"an integer >= {least} and <= {most}")
 
 
 def _sizes(least):
     """Box sizes: a list of at least ``least`` distinct integers >= 1."""
-    check, rule = _list_of(_int(1)[0], f"a list of at least {least} distinct integers >= 1",
-                           least)
+    check, rule = _list_of(_int(1)[0], f"a list of at least {least} distinct integers "
+                                       f">= 1 and <= {MAX_POINTS}", least)
     return (lambda v: check(v) and len(set(v)) == len(v)), rule
 
 
@@ -179,9 +190,10 @@ FIELDS = {
     "grid": (*OBJECT, REQUIRED),
     "grid.n": (*_int(4), REQUIRED),
     "grid.L": (lambda v: _int(1)[0](v) or _sizes(1)[0](v),
-               "an integer >= 1 or a non-empty list of distinct ones", REQUIRED),
+               f"an integer >= 1 and <= {MAX_POINTS} or a non-empty list of distinct ones",
+               REQUIRED),
     "solve": (*OBJECT, {}),
-    "solve.workers": (*_int(1), 1),
+    "solve.workers": (*_int(1, MAX_WORKERS), 1),
     "output": (*OBJECT, {}),
     "output.dir": (lambda v: isinstance(v, str) and v != "", "a non-empty string", "out"),
     "experiment": (*OBJECT, {}),
@@ -212,9 +224,11 @@ FIELDS = {
     "experiment.gamma": (lambda v: _is_finite(v) and v > 0, "a finite number > 0", None),
     "experiment.bernoulli_p": (*_list_of(lambda p: _is_finite(p) and 0 < p <= 1,
                                          "a list of numbers in (0, 1]"), [0.3, 0.5, 0.8]),
-    "experiment.bernoulli_Ld": (*_list_of(_int(1)[0], "a list of integers >= 1"), [8, 27, 64]),
+    "experiment.bernoulli_Ld": (*_list_of(_int(1, MAX_BERNOULLI_LD)[0],
+                                          f"a list of integers >= 1 and <= {MAX_BERNOULLI_LD}"),
+                                [8, 27, 64]),
     "experiment.lambda_grid_size": (*_int(16), 64),
-    "experiment.x_grid_size": (*_int(16), None),  # 256, 64, 32 for d = 1, 2, 3
+    "experiment.x_grid_size": (*_int(16), None),  # X_GRID_DEFAULT
 }
 
 # the defaults that enter the effective configuration, and so config_hash; the
@@ -255,6 +269,8 @@ def load_config(path: str, seed: int = None, workers: int = None, command: str =
         raise ConfigError(
             f"config is not valid JSON: line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except ValueError as err:  # an integer longer than the interpreter converts
+        raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
     overrides = {"experiment.seed": seed, "solve.workers": workers}
@@ -300,7 +316,35 @@ def load_config(path: str, seed: int = None, workers: int = None, command: str =
     elif _descending(energies):
         raise ConfigError(f"experiment.energies must be in increasing order, "
                           f"got {exp['energies']!r}")
+    _check_memory(cfg, command)
     return cfg
+
+
+def _check_memory(cfg: dict, command: str):
+    """The sizes that multiply stay within MAX_POINTS and MAX_VALUES.  The box
+    sides are grid.L and those of L_max, temple_Ls and gap_Ls that the config
+    gives or ``command`` reads by default."""
+    exp, d = settled(cfg["experiment"], "experiment"), cfg["model"]["d"]
+    reads = {"lifshitz": ("L_max",), "bounds": ("temple_Ls", "gap_Ls")}.get(command, ())
+    sides = list(cfg["grid"]["L"])
+    for key in ("L_max", "temple_Ls", "gap_Ls"):
+        if key in cfg["experiment"] or key in reads:
+            sides += exp[key] if isinstance(exp[key], list) else [exp[key]]
+    points = (cfg["grid"]["n"] * max(sides)) ** d
+    energies = exp["energies"] and settled(exp["energies"], "experiment.energies")
+    count = 0 if not energies else (
+        len(energies["values"]) if energies["kind"] == "list" else energies["count"])
+    x_points = (exp["x_grid_size"] or X_GRID_DEFAULT[d]) ** d
+    for label, size, cap in (
+            ("(grid.n * largest box side) ** model.d", points, MAX_POINTS),
+            ("experiment.samples * box points", exp["samples"] * points, MAX_VALUES),
+            ("(experiment.realizations + 1) * experiment.eigenvalues * box points",
+             (exp["realizations"] + 1) * exp["eigenvalues"] * points, MAX_VALUES),
+            ("experiment.samples * energies", exp["samples"] * count, MAX_VALUES),
+            ("experiment.lambda_grid_size * x_grid_size ** model.d",
+             exp["lambda_grid_size"] * x_points, MAX_VALUES)):
+        if size > cap:
+            raise ConfigError(f"{label} must be <= {cap}, got {size}")
 
 
 def _descending(block: dict) -> bool:
@@ -423,7 +467,7 @@ def cmd_validate(cfg, out_dir: Path, digest: str):
 
     model = build_model(cfg)
     exp = settled(cfg["experiment"], "experiment")
-    x_grid = exp["x_grid_size"] or {1: 256, 2: 64, 3: 32}[model.d]
+    x_grid = exp["x_grid_size"] or X_GRID_DEFAULT[model.d]
     report = validate_assumptions(model, lambda_grid_size=exp["lambda_grid_size"],
                                   x_grid_size=x_grid)
     payload = report.to_dict()
@@ -447,6 +491,8 @@ def cmd_validate(cfg, out_dir: Path, digest: str):
 
 
 def cmd_spectrum(cfg, out_dir: Path, digest: str):
+    import numpy as np
+
     from .ids import sample_fields
     from .lattice import (DIRICHLET, NEUMANN, PERIODIC, GridSpec, mezincescu_correction,
                           random_potentials, skeleton)
@@ -470,12 +516,14 @@ def cmd_spectrum(cfg, out_dir: Path, digest: str):
                 bc = fixed.get(label) or mezincescu_correction(gs, grid)
                 box = skeleton(prepared, grid, bc)
                 indices = ([-1] if exp["include_periodic"] else []) + list(range(n_real))
-                for idx in indices:
-                    H = box.hamiltonian(None if idx < 0 else vrand[idx])
-                    res = lowest_eigenvalues(H, m)
-                    for k in range(len(res.energies)):
-                        rows.append((L, n, label, idx, k + 1,
-                                     res.energies[k], res.residuals[k]))
+                if not indices:
+                    continue
+                diagonals = [box.hamiltonian(None if idx < 0 else vrand[idx]).diag
+                             for idx in indices]
+                res = lowest_eigenvalues(box, m, np.array(diagonals))
+                for idx, energies, residuals in zip(indices, res.energies, res.residuals):
+                    for k in range(len(energies)):
+                        rows.append((L, n, label, idx, k + 1, energies[k], residuals[k]))
     except ConvergenceError as err:
         print(f"solver non-convergence: {err}", file=sys.stderr)
         exit_code = 3
@@ -648,25 +696,26 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
             grid = box.grid
             test = bounds_mod.dirichlet_test_function(prepared, grid)
             shape = (L,) * prepared.d
-            passes = 0
-            for lams in ids_mod.sample_fields(prepared.dist, seed, (L << 20) + np.arange(M),
-                                              L, prepared.d):
-                mapped = bounds_mod.map_realization(gs, prepared, grid, lams.reshape(shape),
-                                                    tcfg)
-                rep = bounds_mod.temple_lower_bound(box, mapped, tcfg, levels[L])
-                passes += int(rep.passed)
+            fields = ids_mod.sample_fields(prepared.dist, seed, (L << 20) + np.arange(M), L,
+                                           prepared.d)
+            mapped = [bounds_mod.map_realization(gs, prepared, grid, lams.reshape(shape), tcfg)
+                      for lams in fields]
+            reports = bounds_mod.temple_lower_bounds(box, mapped, tcfg, levels[L])
+            passes = sum(rep.passed for rep in reports)
+            for one, rep in zip(mapped, reports):
                 cor = bounds_mod.counting_corollary_check(
-                    mapped, rep.constants["E1_cut"], tcfg.energy_scale, gamma)
+                    one, rep.constants["E1_cut"], tcfg.energy_scale, gamma)
                 corollary_out["checks"] += 1
                 corollary_out["passes"] += int(cor.passed)
                 corollary_out["nonvacuous"] += int(not cor.constants["vacuous"])
-                dev = bounds_mod.deviation_chain_check(mapped, tcfg)
+                dev = bounds_mod.deviation_chain_check(one, tcfg)
                 deviation_out["checks"] += 1
                 deviation_out["passes"] += int(dev.passed)
                 deviation_out["premise_sites"] += dev.constants["premise_count"]
-            for lams in ids_mod.sample_fields(prepared.dist, seed, (L << 21) + np.arange(M),
-                                              L, prepared.d):
-                rep = bounds_mod.dirichlet_upper_bound(prepared, lams.reshape(shape), test)
+            fields = ids_mod.sample_fields(prepared.dist, seed, (L << 21) + np.arange(M), L,
+                                           prepared.d)
+            for rep in bounds_mod.dirichlet_upper_bounds(prepared, fields.reshape((M,) + shape),
+                                                         test):
                 diri["checks"] += 1
                 diri["passes"] += int(rep.passed)
             diri["B1"], diri["B2"] = test.B1, test.B2

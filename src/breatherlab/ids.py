@@ -151,7 +151,7 @@ def _count_block(args):
     diagonals = np.empty((grid.num_dof, len(boxes) * M))  # column layout, see count_below
     for k, box in enumerate(boxes):
         np.add(box.diagonal(box.vper)[:, None], vrand.T, out=diagonals[:, k * M:(k + 1) * M])
-    counts = count_below(boxes[0].hamiltonian(), energies, diagonals.T)
+    counts = count_below(boxes[0], energies, diagonals.T)
     return {box.bc.label: counts[k * M:(k + 1) * M] for k, box in enumerate(boxes)}
 
 

@@ -16,9 +16,10 @@ c = Psi(ghost)/Psi(inner) for the ground-state (Mezincescu) condition, Psi
 being the periodic extension of the unit-cell ground state.  All folds touch
 only the diagonal, so every assembled matrix is exactly symmetric.
 
-A box's ``skeleton`` (stencil, V_per, folds) is built once per (model, grid,
-boundary condition); a realization only supplies the diagonal V_omega.  In
-d = 1 under a non-periodic condition the operator is ``tridiagonal``.
+A box's ``skeleton`` (V_per, folds, couplings) is built once per (model,
+grid, boundary condition); a realization only supplies the diagonal V_omega.
+In d = 1 under a non-periodic condition the operator is ``tridiagonal``, and
+no d = 1 operator needs SciPy until its sparse ``matrix`` is asked for.
 """
 
 import os
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sps
 
 from .errors import GroundStateError, InputError, StateError
 from .model import ModelSpec, normalize_energy, site_values, standardize
@@ -147,27 +147,67 @@ class GroundStateData:
 
 @dataclass(frozen=True)
 class DiscreteHamiltonian:
-    """Assembled symmetric sparse operator on the cube grid."""
+    """H on one box: the skeleton ``box`` with the diagonal ``diag``.
 
-    grid: GridSpec
-    bc: BoundaryCondition
-    matrix: sps.csr_matrix
+    ``H @ x`` sums each row in the order of the CSR ``matrix`` (built on first
+    use), so the two agree bit for bit and d = 1 products need no SciPy.
+    """
+
+    box: "BoxSkeleton"
+    diag: np.ndarray
+
+    @property
+    def grid(self):
+        return self.box.grid
+
+    @property
+    def bc(self):
+        return self.box.bc
 
     @property
     def tridiagonal(self):
-        """d = 1 under a non-periodic condition: no wrap-around entry."""
-        return self.grid.d == 1 and self.bc.kind != "periodic"
+        return self.box.tridiagonal
 
     @property
     def shape(self):
-        return self.matrix.shape
+        return (self.num_dof, self.num_dof)
 
     @property
     def num_dof(self):
-        return self.matrix.shape[0]
+        return self.diag.size
+
+    def diagonal(self) -> np.ndarray:
+        return self.diag
+
+    @cached_property
+    def matrix(self):
+        mat = self.box.stencil.copy()
+        mat.data[self.box.diag_slots] = self.diag
+        return mat
+
+    def __matmul__(self, x):
+        if self.grid.d > 1:
+            return self.matrix @ x
+        x = np.asarray(x)
+        column = (slice(None),) + (None,) * (x.ndim - 1)
+        diag, off, wrap = self.diag[column], self.box.off[column], self.box.wrap
+        y = diag * x  # row i: ((off x[i-1] + diag x[i]) + off x[i+1])
+        y[1:] = off * x[:-1] + y[1:]
+        y[:-1] += off * x[1:]
+        if wrap:  # row 0 ends with its wrap entry, row N-1 starts with it
+            y[0] += wrap * x[-1]
+            y[-1] = (wrap * x[0] + off[-1] * x[-2]) + diag[-1] * x[-1]
+        return y
 
     def to_dense(self):
-        return self.matrix.toarray()
+        if self.grid.d > 1:
+            return self.matrix.toarray()
+        dense = np.diag(self.diag)
+        i = np.arange(self.num_dof - 1)
+        dense[i, i + 1] = dense[i + 1, i] = self.box.off
+        if self.box.wrap:
+            dense[0, -1] = dense[-1, 0] = self.box.wrap
+        return dense
 
     def export_coo(self, file):
         """Write 'row col value' lines, sorted by (row, col), 17 digit floats."""
@@ -189,19 +229,41 @@ class DiscreteHamiltonian:
 class BoxSkeleton:
     """Everything of H on one box that a realization does not change.
 
-    ``stencil`` is the CSR pattern of -Laplacian_h with its off-diagonal
-    values set and its diagonal entries at ``diag_slots`` of ``stencil.data``;
     ``vper`` is V_per on the grid (flat) and ``folds[axis]`` the ghost folds
-    c/h^2 of that axis's two faces (zero off the faces).  A realization only
-    moves the diagonal: ``hamiltonian(v)`` is H with V_per + v.
+    c/h^2 of that axis's two faces (zero off the faces).  In d = 1 the
+    operator is ``off`` (the N - 1 couplings -1/h^2) plus, under the periodic
+    condition, the two corner entries ``wrap``.  ``stencil``, the CSR pattern
+    of -Laplacian_h with its diagonal entries at ``diag_slots`` of
+    ``stencil.data``, is built on first use.  A realization only moves the
+    diagonal: ``hamiltonian(v)`` is H with V_per + v.
     """
 
     grid: GridSpec
     bc: BoundaryCondition
     vper: np.ndarray
     folds: np.ndarray
-    stencil: sps.csr_matrix
-    diag_slots: np.ndarray
+
+    @property
+    def tridiagonal(self):
+        """d = 1 under a non-periodic condition: no wrap-around entry."""
+        return self.grid.d == 1 and self.bc.kind != "periodic"
+
+    @cached_property
+    def off(self) -> np.ndarray:
+        return np.full(self.grid.points_per_axis - 1, -1.0 / (self.grid.h * self.grid.h))
+
+    @property
+    def wrap(self) -> float:
+        return -1.0 / (self.grid.h * self.grid.h) if self.bc.kind == "periodic" else 0.0
+
+    @cached_property
+    def stencil(self):
+        return _stencil(self.grid, self.bc.kind == "periodic")
+
+    @cached_property
+    def diag_slots(self) -> np.ndarray:
+        entry_rows = np.repeat(np.arange(self.grid.num_dof), np.diff(self.stencil.indptr))
+        return np.flatnonzero(self.stencil.indices == entry_rows)
 
     def diagonal(self, potential) -> np.ndarray:
         """Diagonal of -Laplacian_h + diag(potential), folds applied axis by axis."""
@@ -213,9 +275,7 @@ class BoxSkeleton:
 
     def operator(self, potential) -> DiscreteHamiltonian:
         """-Laplacian_h + diag(potential) on this box; 0.0 gives the bare kinetic part."""
-        mat = self.stencil.copy()
-        mat.data[self.diag_slots] = self.diagonal(potential)
-        return DiscreteHamiltonian(grid=self.grid, bc=self.bc, matrix=mat)
+        return DiscreteHamiltonian(box=self, diag=self.diagonal(potential))
 
     def hamiltonian(self, v_random=None) -> DiscreteHamiltonian:
         """H with V_per + ``v_random`` (flat); without it, the periodic operator."""
@@ -304,49 +364,45 @@ def _boundary_fold(grid: GridSpec, bc: BoundaryCondition, axis: int, side: int,
     return psi[tuple(ghost)] / psi[tuple(inner)]
 
 
+def _stencil(grid: GridSpec, periodic: bool):
+    """CSR pattern of -Laplacian_h: off-diagonal values set, every diagonal
+    entry present (marked 1 until a realization fills it)."""
+    import scipy.sparse as sps
+
+    npa, N = grid.points_per_axis, grid.num_dof
+    flat = np.arange(N).reshape(grid.shape)
+    rows, cols = [np.arange(N)], [np.arange(N)]
+    for axis in range(grid.d):
+        lo = flat.take(range(npa - 1), axis=axis).ravel()
+        hi = flat.take(range(1, npa), axis=axis).ravel()
+        rows.extend([lo, hi])
+        cols.extend([hi, lo])
+        if periodic:
+            top = flat.take([npa - 1], axis=axis).ravel()
+            bot = flat.take([0], axis=axis).ravel()
+            rows.extend([top, bot])
+            cols.extend([bot, top])
+    data = np.full(sum(r.size for r in rows), -1.0 / (grid.h * grid.h))
+    data[:N] = 1.0
+    stencil = sps.coo_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(N, N)).tocsr()
+    stencil.sum_duplicates()
+    return stencil
+
+
 def skeleton(model: ModelSpec, grid: GridSpec, bc: BoundaryCondition) -> BoxSkeleton:
     """Build the parts of H on one box that no realization changes."""
     if model.d != grid.d:
         raise InputError("model and grid dimension disagree")
     d, npa = grid.d, grid.points_per_axis
-    N = grid.num_dof
-    h2 = grid.h * grid.h
-    flat = np.arange(N).reshape(grid.shape)
-
-    rows, cols, data = [], [], []
-    folds = np.zeros((d, N))
-    for axis in range(d):
-        lo = flat.take(range(npa - 1), axis=axis).ravel()
-        hi = flat.take(range(1, npa), axis=axis).ravel()
-        rows.extend([lo, hi])
-        cols.extend([hi, lo])
-        val = np.full(lo.size, -1.0 / h2)
-        data.extend([val, val])
-        if bc.kind == "periodic":
-            top = flat.take([npa - 1], axis=axis).ravel()
-            bot = flat.take([0], axis=axis).ravel()
-            rows.extend([top, bot])
-            cols.extend([bot, top])
-            wrap = np.full(top.size, -1.0 / h2)
-            data.extend([wrap, wrap])
-        else:
-            for side, sel in ((0, flat.take([0], axis=axis).ravel()),
-                              (1, flat.take([npa - 1], axis=axis).ravel())):
-                folds[axis, sel] = _boundary_fold(grid, bc, axis, side, sel) / h2
-
-    rows.append(np.arange(N))
-    cols.append(np.arange(N))
-    data.append(np.ones(N))  # diagonal slots, marked nonzero until filled
-    stencil = sps.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    ).tocsr()
-    stencil.sum_duplicates()
-    entry_rows = np.repeat(np.arange(N), np.diff(stencil.indptr))
-    diag_slots = np.flatnonzero(stencil.indices == entry_rows)
+    flat = np.arange(grid.num_dof).reshape(grid.shape)
+    folds = np.zeros((d, grid.num_dof))
+    for axis in range(d) if bc.kind != "periodic" else ():
+        for side, sel in ((0, flat.take([0], axis=axis).ravel()),
+                          (1, flat.take([npa - 1], axis=axis).ravel())):
+            folds[axis, sel] = _boundary_fold(grid, bc, axis, side, sel) / (grid.h * grid.h)
     vper = np.tile(model.vper.sample_cell(grid.n, d), (grid.L,) * d).ravel()
-    return BoxSkeleton(grid=grid, bc=bc, vper=vper, folds=folds, stencil=stencil,
-                       diag_slots=diag_slots)
+    return BoxSkeleton(grid=grid, bc=bc, vper=vper, folds=folds)
 
 
 def assemble(model: ModelSpec, grid: GridSpec, bc: BoundaryCondition,

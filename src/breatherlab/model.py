@@ -18,7 +18,6 @@ coordinates; bare scalars are accepted as d = 1 points.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .errors import (DIST_KINDS, SITE_KINDS, VPER_KINDS, X_SCAN_POINTS, DomainError,
                      InputError)
@@ -367,6 +366,8 @@ class DistributionSpec:
         # F(eps) = I_{eps/W}(a, b) >= (1-t)^{b-1} t^a / (a B(a,b)) at t = eps/W;
         # valid for eps <= W/2 with the worst case (1/2)^{b-1} when b > 1.
         guard = min(1.0, 0.5 ** (b - 1.0))
+        from scipy import special  # here and below: only the truncated-beta law needs it
+
         return guard / (a * special.beta(a, b) * W**a), a
 
     def tail_bound_range(self):
@@ -382,6 +383,8 @@ class DistributionSpec:
         if self.kind == "uniform":
             return lo + W * u
         if self.kind == "truncated-beta":
+            from scipy import special
+
             return lo + W * special.betaincinv(self.beta_a, self.beta_b, u)
         q = self.atom_mass_at_min
         cont = lo + W * np.clip((u - q) / (1.0 - q), 0.0, 1.0)
@@ -395,6 +398,8 @@ class DistributionSpec:
         if self.kind == "uniform":
             return t
         if self.kind == "truncated-beta":
+            from scipy import special
+
             return float(special.betainc(self.beta_a, self.beta_b, t))
         q = self.atom_mass_at_min
         return q + (1.0 - q) * t
@@ -415,6 +420,8 @@ class DistributionSpec:
         if self.kind == "uniform":
             return lo + 0.5 * W, 0.5
         if self.kind == "truncated-beta":
+            from scipy import special
+
             return lo + W * float(special.betaincinv(self.beta_a, self.beta_b, 0.5)), 0.5
         q = self.atom_mass_at_min
         if q < 0.5:

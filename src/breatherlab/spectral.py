@@ -1,9 +1,21 @@
 """Spectral primitives: lowest eigenvalues and the eigenvalue count.
 
-Solver settings are the module constants below, not options: eigensolves are
-direct up to ``DENSE_THRESHOLD`` degrees of freedom (tridiagonal LAPACK for d = 1
-operators under a non-periodic condition, dense otherwise) and shift-invert
-Lanczos above, with every residual within ``EIG_TOL * (1 + |E|)``.
+Both entry points take an operator (a ``DiscreteHamiltonian``) or a box
+skeleton with a batch of diagonals (B, N): B operators that share the
+skeleton's off-diagonal part and take one row each as their diagonal.
+
+Solver settings are the module constants below, not options.
+``lowest_eigenvalues`` solves directly up to ``DENSE_THRESHOLD`` degrees of
+freedom and by shift-invert Lanczos above, with every residual within
+``EIG_TOL * (1 + |E|)``.  A tridiagonal operator (d = 1 under a non-periodic
+condition) is solved by multisection on Sturm counts: each sweep counts K
+trial energies inside the bracket of every (operator, level) pair at once,
+until each bracket is as narrow as the rounding of the count.  Its
+eigenvectors come from inverse iteration shifted by those eigenvalues: a
+batched LDL^T solve over the same (N, B) columns, the levels of each operator
+orthonormalized after every solve.  Any other direct solve is dense: NumPy's
+``eigh`` at d = 1 (periodic boxes, the unit cell among them), SciPy's subset
+``eigh`` at d >= 2, where SciPy is loaded anyway.
 
 ``count_below``, the one counting engine, uses matrix inertia: the number of
 negative pivots of a symmetric triangular factorization of H - E*I equals the
@@ -14,27 +26,29 @@ pivots off the diagonal (its signs are then not the inertia).  Counts are
 taken at E + 0: a pair hitting a pivot within ``PIVOT_TOL`` of zero is nudged
 up by 1e-12*(1+|E|), doubling on each of at most 8 retries, which matches the
 closed-under-"<=" convention up to a measure-zero set of energies.
+
+SciPy is imported only by the paths that need it: sparse LDL^T, Bunch-Kaufman,
+shift-invert Lanczos and dense solves at d >= 2.  A d = 1 run loads none of it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
-import scipy.sparse.linalg as spla
-from scipy import linalg
 
 from .errors import ConvergenceError, NumericalError
 
 DENSE_THRESHOLD = 2000
 EIG_TOL = 1e-9
 PIVOT_TOL = 1e-12
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class SpectralResult:
     """Lowest eigenvalues in nondecreasing order, repeated by multiplicity.
 
-    ``vectors`` holds the matching unit eigenvectors as columns.
+    ``vectors`` holds the matching unit eigenvectors as columns.  For a batch
+    of diagonals every field but ``method`` gains a leading batch axis.
     """
 
     energies: np.ndarray
@@ -43,52 +57,74 @@ class SpectralResult:
     vectors: np.ndarray
 
 
-def _matrix_of(H):
-    return H.matrix if hasattr(H, "matrix") else H
+def _operands(H, diagonals):
+    """The skeleton of H (H itself for a skeleton or a matrix) and the (B, N)
+    diagonals to solve: ``diagonals``, or H's own diagonal."""
+    box = getattr(H, "box", H)
+    rows = H.diagonal()[None, :] if diagonals is None else np.asarray(diagonals, dtype=float)
+    return box, rows
 
 
-def lowest_eigenvalues(H, m: int) -> SpectralResult:
-    """The m smallest eigenvalues of a symmetric operator.
+def lowest_eigenvalues(H, m: int, diagonals=None) -> SpectralResult:
+    """The m smallest eigenvalues of a symmetric operator, or of each operator
+    of a batch: a skeleton with ``diagonals`` (B, N).
 
     Direct solves up to ``DENSE_THRESHOLD`` degrees of freedom (read at call
-    time): LAPACK ``eigh_tridiagonal`` (method "tridiagonal") on an operator
-    that says it is ``tridiagonal``, dense ``eigh`` ("dense") otherwise;
-    shift-invert Lanczos ("iterative") above the threshold.  Every returned
-    pair satisfies ||H v - E v|| <= EIG_TOL * (1 + |E|), otherwise a
-    ConvergenceError carrying the best iterate is raised.
+    time): multisection and inverse iteration (method "tridiagonal") on a
+    tridiagonal operator, dense ``eigh`` ("dense") otherwise, NumPy's at
+    d = 1 and SciPy's subset solver at d >= 2; shift-invert
+    Lanczos ("iterative") above the threshold.  Every returned pair satisfies
+    ||H v - E v|| <= EIG_TOL * (1 + |E|), otherwise a ConvergenceError
+    carrying the best iterate is raised.
     """
-    A = _matrix_of(H)
-    N = A.shape[0]
+    from .lattice import DiscreteHamiltonian  # lattice imports this module
+
+    box, rows = _operands(H, diagonals)
+    B, N = rows.shape
     if m < 1:
         raise ValueError("need m >= 1 eigenvalues")
     m = min(m, N)
-    if N <= DENSE_THRESHOLD or m >= N - 1:
-        if getattr(H, "tridiagonal", False):
-            w, v = linalg.eigh_tridiagonal(A.diagonal(), A.diagonal(1), select="i",
-                                           select_range=(0, m - 1))
-            method = "tridiagonal"
-        else:
-            dense = A.toarray() if sps.issparse(A) else np.asarray(A)
-            w, v = linalg.eigh(dense, subset_by_index=(0, m - 1))
-            method = "dense"
+    ops = [DiscreteHamiltonian(box=box, diag=row) for row in rows]
+    w, v = np.empty((B, m)), np.empty((B, N, m))
+    direct = N <= DENSE_THRESHOLD or m >= N - 1
+    if direct and box.tridiagonal:
+        w = _sturm_levels(box.off, rows, m)
+        v = _inverse_iteration(box.off, rows, w)
+        method = "tridiagonal"
+    elif direct:
+        for b, op in enumerate(ops):
+            if box.grid.d == 1:  # a periodic box, the unit cell among them
+                vals, vecs = np.linalg.eigh(op.to_dense())
+            else:  # SciPy is loaded at d >= 2; its subset solver forms only m vectors
+                from scipy.linalg import eigh
+
+                vals, vecs = eigh(op.to_dense(), subset_by_index=(0, m - 1))
+            w[b], v[b] = vals[:m], vecs[:, :m]
+        method = "dense"
     else:
-        diag = A.diagonal()
-        row_abs = np.asarray(np.abs(A).sum(axis=1)).ravel()
-        sigma = float((diag - (row_abs - np.abs(diag))).min()) - 1.0
-        try:
-            w, v = spla.eigsh(A, k=m, sigma=sigma, which="LM", tol=EIG_TOL * 1e-2)
-        except spla.ArpackNoConvergence as err:
-            raise ConvergenceError(
-                f"eigensolver stalled after max iterations ({err})",
-                best=(err.eigenvalues, err.eigenvectors),
-            ) from err
-        order = np.argsort(w)
-        w, v = w[order], v[:, order]
+        import scipy.sparse.linalg as spla
+
+        for b, op in enumerate(ops):
+            A = op.matrix
+            row_abs = np.asarray(np.abs(A).sum(axis=1)).ravel()
+            sigma = float((op.diag - (row_abs - np.abs(op.diag))).min()) - 1.0
+            try:
+                vals, vecs = spla.eigsh(A, k=m, sigma=sigma, which="LM", tol=EIG_TOL * 1e-2)
+            except spla.ArpackNoConvergence as err:
+                raise ConvergenceError(
+                    f"eigensolver stalled after max iterations ({err})",
+                    best=(err.eigenvalues, err.eigenvectors),
+                ) from err
+            order = np.argsort(vals)
+            w[b], v[b] = vals[order], vecs[:, order]
         method = "iterative"
-    resid = np.array([
-        np.linalg.norm(A @ v[:, j] - w[j] * v[:, j]) for j in range(m)
-    ])
-    bad = resid > EIG_TOL * (1.0 + np.abs(w))
+    resid = np.empty((B, m))
+    for b, op in enumerate(ops):
+        r = op @ v[b] - w[b] * v[b]
+        resid[b] = [np.linalg.norm(r[:, j]) for j in range(m)]
+    if diagonals is None:
+        w, v, resid = w[0], v[0], resid[0]
+    bad = ~(resid <= EIG_TOL * (1.0 + np.abs(w)))
     if np.any(bad):
         raise ConvergenceError(
             f"{int(bad.sum())} eigenpairs exceed the residual tolerance",
@@ -97,14 +133,80 @@ def lowest_eigenvalues(H, m: int) -> SpectralResult:
     return SpectralResult(energies=w, residuals=resid, method=method, vectors=v)
 
 
+def _sturm_levels(off, rows, m):
+    """The m lowest eigenvalues (B, m) of the tridiagonal operators with
+    couplings ``off`` and diagonals ``rows`` (B, N): multisection on
+    ``_sturm_counts``.  Each sweep counts K trial energies inside the bracket
+    of every (operator, level) pair, K chosen so that a sweep holds ~2048
+    pairs, and keeps the two trials between which the count passes the level.
+    A bracket is done once it is within EPS * max(4 |E|, |T| / 8), |T| the
+    Gershgorin bound of its operator: as narrow as the rounding of a count."""
+    B = rows.shape[0]
+    cols = np.ascontiguousarray(rows.T)  # every sweep reads it without a copy
+    radius = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
+    lo = np.repeat((rows - radius).min(axis=1)[None, :], m, axis=0)  # (m, B)
+    hi = np.repeat((rows + radius).max(axis=1)[None, :], m, axis=0)
+    floor = EPS / 8.0 * np.maximum(np.abs(lo), np.abs(hi))
+    level = np.arange(m)[:, None]
+    K = int(np.clip(2048 // (B * m), 4, 64))
+    frac = (np.arange(1, K + 1) / (K + 1))[:, None, None]
+    while np.any(hi - lo > np.maximum(floor, 4.0 * EPS * np.maximum(np.abs(lo), np.abs(hi)))):
+        trial = lo + (hi - lo) * frac  # (K, m, B)
+        counts, _ = _sturm_counts(off, cols.T, trial.reshape(K * m, B))
+        passed = (counts.reshape(K, m, B) <= level).sum(axis=0)  # trials below the level
+        below = np.take_along_axis(trial, np.maximum(passed - 1, 0)[None], axis=0)[0]
+        above = np.take_along_axis(trial, np.minimum(passed, K - 1)[None], axis=0)[0]
+        lo, hi = np.where(passed > 0, below, lo), np.where(passed < K, above, hi)
+    return ((lo + hi) / 2.0).T
+
+
+def _inverse_iteration(off, rows, w):
+    """Unit eigenvectors (B, N, m) for the eigenvalues ``w`` (B, m) of the
+    tridiagonal operators of ``_sturm_levels``: two steps of inverse iteration
+    from a fixed start vector per level, every (operator, level) column
+    shifted by its eigenvalue and solved through one LDL^T factorization (an
+    exact zero pivot replaced by EPS * |T|; a tiny one only makes the step
+    larger).  After each solve the levels of an operator are orthonormalized
+    in order, which also separates levels closer than the shifts can."""
+    N = rows.shape[1]
+    m = w.shape[1]
+    shifted = rows.T[:, :, None] - w  # (N, B, m)
+    tiny = EPS * (np.abs(rows).max() + 2.0 * np.abs(off).max())
+    piv = np.empty_like(shifted)
+    mult = np.empty((N - 1,) + w.shape)  # the subdiagonal of L: off / pivot
+    piv[0] = shifted[0]
+    for i in range(N):
+        if i:
+            np.divide(off[i - 1], piv[i - 1], out=mult[i - 1])
+            np.subtract(shifted[i], off[i - 1] * mult[i - 1], out=piv[i])
+        piv[i][piv[i] == 0.0] = tiny
+    inv = 1.0 / piv
+    x = np.empty_like(shifted)
+    x[:] = np.random.default_rng(0).uniform(-1.0, 1.0, (N, 1, m))  # one start per level
+    for _ in range(2):
+        for i in range(1, N):  # L y = x
+            x[i] -= mult[i - 1] * x[i - 1]
+        x[-1] *= inv[-1]
+        for i in range(N - 2, -1, -1):  # D L^T x = y
+            x[i] *= inv[i]
+            x[i] -= mult[i] * x[i + 1]
+        for j in range(m):
+            for k in range(j):
+                x[:, :, j] -= np.einsum("nb,nb->b", x[:, :, j], x[:, :, k]) * x[:, :, k]
+            x[:, :, j] /= np.sqrt(np.einsum("nb,nb->b", x[:, :, j], x[:, :, j]))
+    return np.ascontiguousarray(x.transpose(1, 0, 2))
+
+
 def _dense_inertia(A: np.ndarray, pivot_tol: float):
     """Negative-pivot count from a dense LDL^T factorization.
 
     Returns (count, ok); ok is False when a pivot sits within pivot_tol of
     zero relative to the matrix scale.
     """
+    from scipy.linalg import ldl
+
     scale = max(1.0, float(np.abs(A).max()))
-    _, D, _ = linalg.ldl(A)
+    _, D, _ = ldl(A)
     n = A.shape[0]
     count = 0
     i = 0
@@ -130,12 +232,14 @@ def _dense_inertia(A: np.ndarray, pivot_tol: float):
     return count, True
 
 
-def _sparse_inertia(A: sps.csc_matrix, pivot_tol: float):
+def _sparse_inertia(A, pivot_tol: float):
     """Negative-pivot count from a symmetric-permutation sparse factorization.
 
     Returns (count, ok); ok is False when a pivot sits within pivot_tol of zero
     relative to the matrix scale, or when SuperLU pivoted off the diagonal.
     """
+    import scipy.sparse.linalg as spla
+
     scale = max(1.0, float(np.abs(A.data).max()) if A.nnz else 1.0)
     try:
         lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -149,24 +253,35 @@ def _sparse_inertia(A: sps.csc_matrix, pivot_tol: float):
     return int(np.sum(pivots < 0.0)), True
 
 
-def _sturm_counts(A, rows, e):
-    """Sturm sweep of tridiagonal ``A`` over every pair of ``e`` (K, R), pair
-    (k, r) taking row r of ``rows`` (R, N) as its diagonal: the negative pivots
-    of the LDL^T recurrence, and whether every pivot of the pair stayed finite
-    and above PIVOT_TOL * max(1, max |row| + |E|)."""
+def _sturm_counts(off, rows, e):
+    """Sturm sweep of the tridiagonal operators with couplings ``off`` over
+    every pair of ``e`` (K, R), pair (k, r) taking row r of ``rows`` (R, N) as
+    its diagonal: the number of LDL^T pivots of H - E that are <= 0, and
+    whether every pivot of the pair stayed finite and above PIVOT_TOL *
+    max(1, max |row| + |E|).  The recurrence is LAPACK's (dstebz), run on the
+    negated pivots so that an exact zero pivot counts and is followed as -0;
+    the pivots of a block of rows (~32k pivots) are kept and counted at once."""
     cols = np.ascontiguousarray(rows.T)  # each step reads one contiguous row of cols
-    off2 = A.diagonal(1) ** 2
-    dcur = cols[0] - e
-    neg = (dcur < 0.0).astype(int)
-    smallest = np.abs(dcur)  # a NaN pivot keeps it NaN, so the pair is retried
-    shifted, flag = np.empty_like(dcur), np.empty(dcur.shape, dtype=bool)
+    off2 = off**2
+    N = cols.shape[0]
+    block = int(np.clip(32768 // e.size, 1, N))
+    piv = np.empty((block,) + e.shape)  # minus the pivots of the rows of a block
+    neg, smallest = np.zeros(e.shape, dtype=int), np.full(e.shape, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(1, cols.shape[0]):
-            np.subtract(cols[i], e, out=shifted)
-            np.divide(off2[i - 1], dcur, out=dcur)
-            np.subtract(shifted, dcur, out=dcur)
-            neg += np.less(dcur, 0.0, out=flag)
-            np.minimum(smallest, np.abs(dcur, out=shifted), out=smallest)
+        for i in range(N):
+            cur = piv[i % block]
+            if i:
+                np.divide(off2[i - 1], prev, out=cur)
+                np.add(cols[i], cur, out=cur)
+                np.subtract(e, cur, out=cur)
+            else:
+                np.subtract(e, cols[0], out=cur)
+            prev = cur
+            if i % block == block - 1 or i == N - 1:
+                done = piv[:i % block + 1]
+                neg += np.count_nonzero(done >= 0.0, axis=0)
+                # a NaN pivot keeps smallest NaN, so the pair is retried
+                np.minimum(smallest, np.abs(done).min(axis=0), out=smallest)
     row_max = np.maximum(cols.max(axis=0), -cols.min(axis=0))
     return neg, smallest > PIVOT_TOL * np.maximum(1.0, row_max + np.abs(e))
 
@@ -176,6 +291,8 @@ def _factor_counts(A, rows, e):
     (k, r) of ``e`` (K, R): sparse LDL^T on one CSC copy of A whose diagonal
     slots take each shifted row, Bunch-Kaufman at the same energy where it
     breaks down (and always for ndarray input)."""
+    import scipy.sparse as sps
+
     counts, ok = np.zeros(e.shape, dtype=int), np.zeros(e.shape, dtype=bool)
     sparse = sps.issparse(A)
     if sparse:  # a diagonal slot in every column, filled per pair
@@ -199,21 +316,23 @@ def _factor_counts(A, rows, e):
 def count_below(H, E, diagonals=None):
     """N(E, H) = #{eigenvalues <= E} via the inertia of H - E*I.
 
-    ``E`` is one energy or a 1-D grid.  ``diagonals`` (B, N) stands for B
-    operators that keep the off-diagonal part of H and take one row each as
-    their diagonal; pass the transpose of a C-ordered (N, B) array so the Sturm
-    sweep reads contiguous memory without a copy.  Returns int counts shaped
-    (B,) + shape(E), or shape(E) without ``diagonals``.
+    ``E`` is one energy or a 1-D grid.  ``H`` is an operator or a matrix, or a
+    skeleton with ``diagonals`` (B, N): B operators that keep the off-diagonal
+    part and take one row each as their diagonal; pass the transpose of a
+    C-ordered (N, B) array so the Sturm sweep reads contiguous memory without
+    a copy.  Returns int counts shaped (B,) + shape(E), or shape(E) without
+    ``diagonals``.
 
-    An operator that says it is ``tridiagonal`` runs one Sturm sweep over all
-    (row, energy) pairs; other sparse input runs sparse LDL^T, with
-    Bunch-Kaufman at the same energy on breakdown; ndarray input runs
-    Bunch-Kaufman.  A pair meeting a near-zero pivot is retried at a nudged
-    energy, at most 8 times.
+    A tridiagonal operator runs one Sturm sweep over all (row, energy) pairs;
+    other sparse input runs sparse LDL^T, with Bunch-Kaufman at the same
+    energy on breakdown; ndarray input runs Bunch-Kaufman.  A pair meeting a
+    near-zero pivot is retried at a nudged energy, at most 8 times.
     """
-    A = _matrix_of(H)
-    rows = A.diagonal()[None, :] if diagonals is None else np.asarray(diagonals, dtype=float)
-    kernel = _sturm_counts if getattr(H, "tridiagonal", False) else _factor_counts
+    box, rows = _operands(H, diagonals)
+    if getattr(box, "tridiagonal", False):
+        kernel, A = _sturm_counts, box.off
+    else:
+        kernel, A = _factor_counts, getattr(box, "stencil", box)
     energy = np.asarray(E, dtype=float)
     e = np.repeat(energy.reshape(-1, 1), rows.shape[0], axis=1)  # (K, B), nudged per pair
     counts, ok = kernel(A, rows, e)

@@ -411,6 +411,17 @@ class TestBernoulliTail:
             oracle = float(stats.binom.cdf(thresh, Ld, p)) if thresh >= 0 else 0.0
             assert exact == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.8, 0.999, 1.0])
+    def test_exact_is_the_rounded_rational_tail(self, p):
+        # the tail at the float p, summed in rationals and rounded once
+        from fractions import Fraction
+
+        q = Fraction(p)
+        for Ld in range(1, 65):
+            thresh = math.ceil(Ld / (2.0 / p)) - 1
+            tail = sum(math.comb(Ld, k) * q**k * (1 - q) ** (Ld - k) for k in range(thresh + 1))
+            assert bernoulli_tail(p, 2.0 / p, Ld)[0] == float(tail), Ld
+
     def test_gamma_mismatch_rejected(self):
         with pytest.raises(DomainError):
             bernoulli_tail(0.5, 3.0, 8)

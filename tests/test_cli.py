@@ -125,6 +125,15 @@ class TestValidate:
         cfg.write_text("{not json")
         assert main(["validate", "--config", str(cfg)]) == 2
 
+    def test_integer_past_the_digit_limit_exit_2(self, tmp_path, capsys):
+        # the interpreter converts at most 4300 digits of an integer literal
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"schema_version": ' + "1" * 5000 + "}")
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_field_exit_2(self, tmp_path, capsys):
         for path in ("model.dist.lambda_minus", "model.dist.lambda_plus", "model.dist.kind",
                      "model.site.kind", "model.vper.kind", "model.vper", "model.site",
@@ -190,6 +199,33 @@ def test_cache_hit_loads_no_numerical_library(tmp_path, command, name):
     assert replay.stdout.strip().splitlines()[-1] == f"{code} []"
     assert json.loads((out / f"{command}_meta.json").read_text())["cache"] == "hit"
     assert {file: (out / file).read_bytes() for file in primary} == primary
+
+
+@pytest.mark.parametrize("command,name,scipy", [
+    ("validate", "validate_breather.json", False), ("spectrum", "spectrum_small.json", False),
+    ("ids", "ids_bracketing.json", False), ("lifshitz", "lifshitz.json", False),
+    ("bounds", "bounds.json", False), ("ids", "../bench/configs/ids_2d.json", True),
+])
+def test_d1_commands_load_no_scipy(tmp_path, command, name, scipy):
+    # a d = 1 run computes on NumPy alone; d = 2 counts through SuperLU
+    args = [command, "--config", str(SHIPPED / name), "--out", str(tmp_path), "--no-cache"]
+    src = str(Path(breatherlab.__file__).resolve().parents[1])
+    probe = ("import sys; from breatherlab.cli import main; "
+             f"code = main({args!r}); "
+             "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip().splitlines()[-1] == f"0 {scipy}"
+
+
+def test_cli_import_is_stdlib_only():
+    src = str(Path(breatherlab.__file__).resolve().parents[1])
+    probe = ("import sys; before = set(sys.modules); import breatherlab.cli; "
+             "print(sorted({m.split('.')[0] for m in set(sys.modules) - before} "
+             "- set(sys.stdlib_module_names)))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip() == "['breatherlab']"
 
 
 @pytest.mark.parametrize("error,code", [
@@ -385,6 +421,15 @@ def test_bad_solve_output_grid_field_exit_2(tmp_path, capsys, section, block, fi
                                                          "amplitudes": [0.5, 0.5]}},
                               "experiment": {"seed": 1, "x_grid_size": 2048}},
                  "experiment.x_grid_size", id="x-grid-over-scan-cap-at-d-2"),
+    pytest.param("spectrum", {"grid": {"n": 16, "L": [4, 2**18 + 1]}}, "largest box side",
+                 id="box-over-point-cap"),
+    pytest.param("bounds", {"experiment": {"seed": 1, "temple_Ls": [2**18 + 1]}},
+                 "largest box side", id="temple-box-over-point-cap"),
+    pytest.param("ids", {"experiment": {"seed": 1, "samples": 2**20,
+                                        "energies": {"values": [1.0]}}},
+                 "experiment.samples * box points", id="samples-over-value-cap"),
+    pytest.param("validate", {"experiment": {"seed": 1, "lambda_grid_size": 2**20}},
+                 "experiment.lambda_grid_size * x_grid_size", id="scan-over-value-cap"),
 ])
 def test_cross_field_rule_exit_2(tmp_path, capsys, command, overrides, field):
     # rules that join two fields, or a field and the command, are checked at load too
@@ -848,7 +893,14 @@ class TestBounds:
             monkeypatch.setattr(owner, name, wrapped)
 
         spy(bounds_mod, "map_realization")
-        spy(bounds_mod, "lowest_eigenvalues")
+        solve = bounds_mod.lowest_eigenvalues
+
+        def solved(H, m, diagonals=None):  # counts operators: a batch adds its width
+            calls["lowest_eigenvalues"] = (calls.get("lowest_eigenvalues", 0)
+                                           + (1 if diagonals is None else len(diagonals)))
+            return solve(H, m, diagonals)
+
+        monkeypatch.setattr(bounds_mod, "lowest_eigenvalues", solved)
         spy(bounds_mod, "site_values")  # mapping: xi and the cut-off potential
         spy(lattice, "site_values")  # the Dirichlet samples' V_omega
         spy(bounds_mod.TempleConfig, "__post_init__", "hypothesis_checks")
@@ -893,8 +945,8 @@ class TestBounds:
 
         builds = spy_skeleton_builds(monkeypatch)
         dense = []
-        eigh = spectral.linalg.eigh
-        monkeypatch.setattr(spectral.linalg, "eigh",
+        eigh = spectral.np.linalg.eigh
+        monkeypatch.setattr(spectral.np.linalg, "eigh",
                             lambda *args, **kwargs: dense.append(1) or eigh(*args, **kwargs))
         assert main(["bounds", "--config", str(SHIPPED / "bounds.json"),
                      "--out", str(tmp_path / "out"), "--no-cache"]) == 0

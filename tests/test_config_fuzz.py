@@ -3,11 +3,11 @@
 Each case takes one shipped configuration and mutates one value in it: a
 scalar, a list element, a list or an object.  The mutations are a value of
 the wrong JSON type, a value just outside the field's range, NaN, an integer
-beyond the float range (in place of a number whose rule has no least value,
-so never a size), the string ``"false"``, deletion, and an extra sibling
-key.  ``main`` runs in-process and must return an exit code in 0-5 without
-raising, print no traceback, and leave no output directory behind when it
-exits with 2.
+beyond the float range (in place of any number, sizes included), the string
+``"false"``, deletion, and an extra sibling key.  ``main`` runs in-process and
+must return an exit code in 0-5 without raising, print no traceback, and
+leave no output directory behind when it exits with 2; a size past its
+memory cap exits with 2.
 
 The sample counts are capped before mutating (``SMALL``) so that every case
 that still runs takes milliseconds.  No mutation makes a run larger than its
@@ -85,8 +85,7 @@ def mutations(cfg: dict, path) -> list:
     found = [("wrong-type", ["x"] if isinstance(value, dict) else {"x": 1}),
              ("nan", math.nan), ("false", "false"), ("deleted", None)]
     found += [("out-of-range", v) for v in out_of_range(value, path)]
-    if isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and not least_value(path):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         found.append(("huge-integer", 10**400))
     if isinstance(parent, dict):
         found.append(("extra-key", 1))
@@ -127,5 +126,7 @@ def test_mutated_config_exits_cleanly(command, path, data):
             code = main([command, "--config", str(cfg), "--out", str(out), "--no-cache"])
         assert code in range(6)
         assert "Traceback" not in err.getvalue()
+        if name == "huge-integer" and least_value(path):  # a size
+            assert code == 2
         if code == 2:
             assert not out.exists()

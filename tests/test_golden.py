@@ -6,9 +6,16 @@ change meant to be byte-neutral (a speed-up, a refactor) that moves any byte
 fails here; a change that moves bytes on purpose updates the digest and names
 the bytes and the reason in CHANGES.md.  ``ids`` and ``lifshitz`` run once
 more on two worker processes, against the same digests.
+
+The three files whose numbers come from eigensolves are also held against
+their values before the eigensolver moved to NumPy (``tests/data/*_parent``,
+from LAPACK's ``eigh_tridiagonal`` and ``eigh``): every float within
+1e-12 (1 + |value|), everything else (verdicts, counts, labels) equal.
 """
 
+import csv
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -16,6 +23,7 @@ import pytest
 from breatherlab.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PARENT = Path(__file__).resolve().parent / "data"
 
 GOLDEN = {
     ("validate", "validate_breather.json"): {
@@ -26,7 +34,7 @@ GOLDEN = {
     },
     ("spectrum", "spectrum_small.json"): {
         "spectrum.csv":
-            "42790ae3f8cf2f2c6873f2a2e14c471f5dfe82144bd6aff0a16fd5fc2f50ddb2",
+            "a10b657f28bacc2aaad937ef11852aa00e27ee0ef458db16e24687184ff3e58a",
     },
     ("ids", "ids_bracketing.json"): {
         "ids_curve.csv":
@@ -36,11 +44,11 @@ GOLDEN = {
     },
     ("bounds", "bounds.json"): {
         "bounds_report.json":
-            "6e55a07f81ef1c8e81fdc40eaea48606f1aa62f8d4e22d34ca7ba67d1924b92d",
+            "39f1ac27c789ceba31d039aa0c327fa677eca6e6caf2442b36ff1271e986b835",
     },
     ("lifshitz", "lifshitz.json"): {
         "lifshitz.json":
-            "a29e2ec1f0e751e32837935a666b768cb6c87f51468dbb5e456195aea1ccc4b1",
+            "63890143c693acfe444ad0c5cda0dc77f2e34a0b964338f77c88a48fdeab9c08",
         "lifshitz_curve.csv":
             "4bc0ceb63ada58a96e06e07aa9e48dce273e180f117cfda4b84936e9973d8c91",
     },
@@ -70,3 +78,45 @@ def test_shipped_config_bytes(tmp_path, capsys, command, config, workers):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in GOLDEN[command, config]}
     assert digests == GOLDEN[command, config]
+
+
+def leaves(node, path=""):
+    """(path, value) of every scalar in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from leaves(value, f"{path}/{key}")
+        else:
+            yield f"{path}/{key}", value
+
+
+def csv_leaves(path):
+    """(row/column, value) of a CSV table; the E and residual columns as floats."""
+    with open(path, newline="") as fh:
+        for i, row in enumerate(csv.DictReader(fh)):
+            for key, value in row.items():
+                yield f"{i}/{key}", float(value) if key in ("E", "residual") else value
+
+
+@pytest.mark.parametrize("command,config,name,parent", [
+    ("spectrum", "spectrum_small.json", "spectrum.csv", "spectrum_parent.csv"),
+    ("bounds", "bounds.json", "bounds_report.json", "bounds_report_parent.json"),
+    ("lifshitz", "lifshitz.json", "lifshitz.json", "lifshitz_parent.json"),
+])
+def test_eigensolve_outputs_match_lapack_values(tmp_path, capsys, command, config, name,
+                                                parent):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / config), "--out", str(out),
+                 "--no-cache"]) == 0
+    capsys.readouterr()
+    if name.endswith(".csv"):
+        got, was = dict(csv_leaves(out / name)), dict(csv_leaves(PARENT / parent))
+    else:
+        got = dict(leaves(json.loads((out / name).read_text())))
+        was = dict(leaves(json.loads((PARENT / parent).read_text())))
+    assert got.keys() == was.keys()
+    for key, value in was.items():
+        if isinstance(value, float):
+            assert abs(got[key] - value) <= 1e-12 * (1.0 + abs(value)), key
+        else:
+            assert got[key] == value and type(got[key]) is type(value), key

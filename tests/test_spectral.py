@@ -14,6 +14,7 @@ from breatherlab.lattice import (
     DIRICHLET,
     NEUMANN,
     PERIODIC,
+    DiscreteHamiltonian,
     GridSpec,
     assemble,
     mezincescu_correction,
@@ -305,8 +306,7 @@ class TestOneEngine:
         assert np.array_equal(count_below(H.matrix, energies, rows), counts)
         assert np.array_equal(count_below(H.to_dense(), energies, rows), counts)
         for b in range(B):
-            alone = replace(H, matrix=H.matrix.copy())
-            alone.matrix.setdiag(rows[b])
+            alone = replace(H, diag=rows[b])
             assert np.array_equal(count_below(alone, energies), counts[b])
             w = linalg.eigvalsh(alone.to_dense())
             far = np.abs(w[:, None] - energies).min(axis=0) >= 1e-8
@@ -343,3 +343,79 @@ class TestSpectralGap:
         rows = np.stack([H.matrix.diagonal()] * 3)
         assert count_below(H, [5.0, 50.0], rows).tolist() == [grid.tolist()] * 3
         assert count_below(H, 5.0, rows).tolist() == [one] * 3
+
+
+def lapack_agreement(box, rows, m):
+    """Assert that the batched solve of ``rows`` on ``box`` gives LAPACK's m
+    lowest eigenvalues of each operator to 1e-12 (1 + |E|), and that every
+    returned pair is a checked eigenpair of its operator."""
+    res = lowest_eigenvalues(box, m, rows)
+    assert res.energies.shape == res.residuals.shape == (len(rows), m)
+    assert res.vectors.shape == (len(rows), box.grid.num_dof, m)
+    for b, row in enumerate(rows):
+        w = linalg.eigh_tridiagonal(row, box.off, eigvals_only=True, select="i",
+                                    select_range=(0, m - 1))
+        assert np.all(np.abs(res.energies[b] - w) <= 1e-12 * (1.0 + np.abs(w)))
+        H = DiscreteHamiltonian(box=box, diag=row)
+        for j in range(m):
+            v, E = res.vectors[b, :, j], res.energies[b, j]
+            assert np.linalg.norm(H.matrix @ v - E * v) == res.residuals[b, j]
+            assert res.residuals[b, j] <= spectral.EIG_TOL * (1.0 + abs(E))
+        assert np.allclose(res.vectors[b].T @ res.vectors[b], np.eye(m), atol=1e-10)
+
+
+class TestBatchedEigensolver:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), B=st.integers(1, 50), m=st.integers(1, 4),
+           L=st.integers(1, 12), n=st.sampled_from([4, 8, 16]),
+           bc=st.sampled_from([DIRICHLET, NEUMANN]), wells=st.booleans())
+    def test_matches_lapack(self, seed, B, m, L, n, bc, wells):
+        # random diagonals, or two equal wells behind a high barrier, whose
+        # two lowest levels split by far less than the other gaps
+        rng = np.random.default_rng(seed)
+        box = skeleton(free_model(), GridSpec(L=max(L, 2 if wells else 1), n=n), bc)
+        N = box.grid.num_dof
+        if wells:  # mirror images of each other
+            potential = np.full(N, 64.0 * n * n)
+            width = max(2, N // 8)
+            potential[width:2 * width] = potential[N - 2 * width:N - width] = 0.0
+            rows = box.diagonal(potential) + rng.uniform(0.0, 1.0, size=(B, 1))
+        else:
+            rows = box.diagonal(box.vper) + rng.uniform(0.0, 50.0, size=(B, N))
+        lapack_agreement(box, rows, min(m, N))
+
+    def test_a_dropped_level_fails_the_check(self, monkeypatch):
+        # a solver that skips the second level still returns checked eigenpairs,
+        # so only the comparison with LAPACK catches it
+        levels = spectral._sturm_levels
+        monkeypatch.setattr(spectral, "_sturm_levels",
+                            lambda off, rows, m: np.delete(levels(off, rows, m + 1), 1, axis=1))
+        box = skeleton(free_model(), GridSpec(L=4, n=8), DIRICHLET)
+        rows = box.diagonal(box.vper) + np.random.default_rng(3).uniform(0.0, 50.0, (5, 32))
+        with pytest.raises(AssertionError):
+            lapack_agreement(box, rows, 3)
+
+    def test_close_levels_get_orthogonal_vectors(self):
+        # two equal wells far apart: E1 and E2 agree to rounding, and inverse
+        # iteration alone returns two vectors of their plane that are not
+        # orthogonal
+        box = skeleton(free_model(), GridSpec(L=12, n=8), DIRICHLET)
+        potential = np.full(96, 4000.0)
+        potential[4:12] = potential[84:92] = 0.0
+        rows = box.diagonal(potential)[None, :]
+        res = lowest_eigenvalues(box, 2, rows)
+        assert res.energies[0, 1] - res.energies[0, 0] < 1e-10
+        lapack_agreement(box, rows, 2)
+
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN, PERIODIC])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_product_sums_in_matrix_order(self, bc, d):
+        # H @ x equals the CSR product bit for bit, with and without SciPy
+        model = free_model() if d == 1 else bare_d2_model()
+        box = skeleton(model, GridSpec(L=3, n=4, d=d), bc)
+        rng = np.random.default_rng(d)
+        H = box.hamiltonian(rng.uniform(-5.0, 5.0, box.grid.num_dof))
+        x = rng.normal(size=(box.grid.num_dof, 3))
+        assert np.array_equal(H @ x, H.matrix @ x)
+        assert np.array_equal(H @ x[:, 0], H.matrix @ x[:, 0])
+        assert np.array_equal(H.to_dense(), H.matrix.toarray())
