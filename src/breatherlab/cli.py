@@ -16,7 +16,9 @@ binding hypothesis is named).
 
 The numerical modules are imported inside the commands, so loading and
 checking a configuration and replaying a cache hit need neither NumPy nor
-SciPy.
+SciPy.  Before NumPy loads, ``main`` sets OpenBLAS's idle spin to 2^16 cycles
+unless the user set one; ``ids`` and ``lifshitz`` run all counting blocks of
+a run in one pool of min(workers, blocks) processes, or inline at one worker.
 """
 
 import argparse
@@ -35,6 +37,8 @@ from .errors import (DIST_KINDS, SITE_KINDS, VPER_KINDS, X_SCAN_POINTS, Converge
 
 OUTPUT_ENV_VAR = "BREATHERLAB_OUT"
 SCHEMA_VERSION = 1
+BLAS_SPIN = ("OPENBLAS_THREAD_TIMEOUT", "16")  # idle BLAS threads sleep after ~25 us
+RUN = {}  # the running command's notes for its meta sidecar; main resets it
 
 
 class ConfigError(ValueError):
@@ -547,8 +551,10 @@ def cmd_ids(cfg, out_dir: Path, digest: str):
     energies = energies_from(exp["energies"])
     M, seed, workers = exp["samples"], exp["seed"], cfg["solve"]["workers"]
 
-    curves = [ids_mod.estimate_ids(prepared, gs, L, energies, M, seed, workers=workers)
-              for L in Ls]
+    with ids_mod.worker_pool(workers, len(Ls) * min(workers, M)) as pool:
+        RUN["worker_pools"] = int(pool is not None)
+        curves = [ids_mod.estimate_ids(prepared, gs, L, energies, M, seed, workers=workers,
+                                       pool=pool) for L in Ls]
     with open(out_dir / "ids_curve.csv", "w", newline="\n") as fh:
         for k, cur in enumerate(curves):
             cur.to_csv(fh, header=(k == 0))
@@ -610,9 +616,12 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
         prepared, gs = _prepare(cfg, model)
         B2 = bounds_mod.dirichlet_test_function(prepared, GridSpec(L=4, n=gs.n, d=gs.d)).B2
         payload["B2"] = B2
-        curve = ids_mod.matched_box_curve(prepared, gs, energies_from(exp["energies"]),
-                                          exp["samples"], exp["seed"], B2=B2,
-                                          L_max=exp["L_max"], workers=cfg["solve"]["workers"])
+        energies, M = energies_from(exp["energies"]), exp["samples"]
+        workers = cfg["solve"]["workers"]
+        with ids_mod.worker_pool(workers, len(energies) * min(workers, M)) as pool:
+            RUN["worker_pools"] = int(pool is not None)
+            curve = ids_mod.matched_box_curve(prepared, gs, energies, M, exp["seed"], B2=B2,
+                                              L_max=exp["L_max"], workers=workers, pool=pool)
         curve.to_csv(out_dir / "lifshitz_curve.csv")
         files.append("lifshitz_curve.csv")
 
@@ -798,6 +807,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     t0 = time.perf_counter()
+    # OpenBLAS reads the spin once, as NumPy loads; worker processes inherit it
+    var, cycles = BLAS_SPIN
+    set_by = "user" if var in os.environ else None
+    if set_by is None and "numpy" not in sys.modules:
+        os.environ[var], set_by = cycles, "cli"
+    RUN.update(worker_pools=0, blas_spin={var: os.environ.get(var), "set_by": set_by})
     try:
         cfg = load_config(args.config, seed=args.seed, workers=args.workers,
                           command=args.command)
@@ -819,7 +834,7 @@ def main(argv=None) -> int:
     if not args.no_cache:
         hit = cache.fetch(args.command, key, out_dir)
         if hit is not None:
-            dump_json({"config_hash": digest, "cache_key": key, "cache": "hit",
+            dump_json({"config_hash": digest, "cache_key": key, "cache": "hit", **RUN,
                        "elapsed_seconds": time.perf_counter() - t0,
                        "timestamp": time.time()},
                       out_dir / f"{args.command}_meta.json")
@@ -833,7 +848,7 @@ def main(argv=None) -> int:
         print(f"{what}: {err}", file=sys.stderr)
         return code
 
-    dump_json({"config_hash": digest, "cache_key": key, "cache": "miss",
+    dump_json({"config_hash": digest, "cache_key": key, "cache": "miss", **RUN,
                "elapsed_seconds": time.perf_counter() - t0,
                "timestamp": time.time()},
               out_dir / f"{args.command}_meta.json")

@@ -8,7 +8,9 @@ of worker scheduling.  ``sample_fields`` draws all streams of a block in one
 vectorized call, equal bit for bit to NumPy's ``Philox``.  Each box and
 boundary condition is assembled once, and every count of a block (both
 conditions, all realizations and energies) comes from one ``count_below``
-call.
+call.  With more than one worker each estimate's realizations are split into
+min(workers, M) contiguous index blocks, and a run's blocks go to one process
+pool; merged in block order, the counts do not depend on the workers.
 
 Estimates are normalized eigenvalue counts N(E, H^{L,X}) / L^d averaged over
 realizations; Dirichlet counts ("D") bound the limit from below and
@@ -17,9 +19,9 @@ size.  Every estimate counts under exactly that pair, built from the ground
 state of the prepared model.
 """
 
+import contextlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,38 +157,39 @@ def _count_block(args):
     return {box.bc.label: counts[k * M:(k + 1) * M] for k, box in enumerate(boxes)}
 
 
+def worker_pool(workers: int, tasks: int, pool=None):
+    """The pool that runs ``tasks`` ``_count_block`` tasks, as a context: the
+    caller's ``pool`` (left open), else a new one of min(workers, tasks)
+    processes, or None where that is one process and the tasks run inline."""
+    if pool is not None or min(workers, tasks) < 2:
+        return contextlib.nullcontext(pool)
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=min(workers, tasks))
+
+
 def estimate_ids(model, gs, L: int, energies, M: int, master_seed: int,
-                 workers: int = 1, index_offset: int = 0) -> IDSCurve:
+                 workers: int = 1, index_offset: int = 0, pool=None) -> IDSCurve:
     """Estimate N(E)/L^d under Dirichlet ("D") and ground-state ("M") boundary
     conditions over M realizations, on the side-L box at the resolution of the
     ground state ``gs``.
 
     Both conditions share the same realizations (couplings depend on
     (master_seed, index) only), so pathwise comparisons are meaningful.  Work
-    is split into contiguous index blocks; the merge is by block order,
-    making the result independent of scheduling.
+    is split into min(workers, M) contiguous index blocks, run in ``pool`` or
+    in a ``worker_pool`` of their own; the merge is by block order, making the
+    result independent of scheduling.
     """
     if np.any(np.diff(energies) < 0):
         raise InputError("energies must be sorted")
     grid = GridSpec(L=L, n=gs.n, d=model.d)
     energies = np.asarray(energies, dtype=float)
 
-    indices = np.arange(M)
-    if workers > 1 and M >= 4 * workers:
-        blocks = np.array_split(indices, workers)
-        tasks = [
-            (model, grid, gs, energies, master_seed, blk, index_offset)
-            for blk in blocks if blk.size
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_count_block, tasks))
-        merged = {
-            lab: np.concatenate([r[lab] for r in results], axis=0) for lab in LABELS
-        }
-    else:
-        merged = _count_block(
-            (model, grid, gs, energies, master_seed, indices, index_offset)
-        )
+    tasks = [(model, grid, gs, energies, master_seed, blk, index_offset)
+             for blk in np.array_split(np.arange(M), workers) if blk.size]
+    with worker_pool(workers, len(tasks), pool) as pool:
+        results = list(pool.map(_count_block, tasks) if pool else map(_count_block, tasks))
+    merged = {lab: np.concatenate([r[lab] for r in results], axis=0) for lab in LABELS}
 
     vol = float(L**model.d)
     estimates, errors = {}, {}
@@ -323,19 +326,20 @@ def choose_box_size(E: float, cfg=None, form: str = "lower", B2: float = None,
     return BoxChoice(L=int(L), clamped=(L != L0), raw=raw)
 
 
-def matched_box_curve(model, gs, energies, M: int, master_seed: int,
-                      B2: float, L_max: int = 64, workers: int = 1) -> IDSCurve:
+def matched_box_curve(model, gs, energies, M: int, master_seed: int, B2: float,
+                      L_max: int = 64, workers: int = 1, pool=None) -> IDSCurve:
     """Estimate the IDS with the box size matched per energy, L ~ E^(-1/2).
 
     Realizations are independent across energy points (the point index is
-    folded into the high bits of the stream index).
+    folded into the high bits of the stream index).  The blocks of every
+    point run in ``pool``, or in one ``worker_pool`` for the whole curve.
     """
     energies = np.sort(np.asarray(energies, dtype=float))
-    per_point = []
-    for j, E in enumerate(energies):
-        L = choose_box_size(float(E), form="lower", B2=B2, L_max=L_max).L
-        per_point.append(estimate_ids(model, gs, L, [float(E)], M, master_seed,
-                                      workers=workers, index_offset=(j + 1) << 32))
+    Ls = [choose_box_size(float(E), form="lower", B2=B2, L_max=L_max).L for E in energies]
+    with worker_pool(workers, len(energies) * min(workers, M), pool) as pool:
+        per_point = [estimate_ids(model, gs, L, [float(E)], M, master_seed, workers=workers,
+                                  index_offset=(j + 1) << 32, pool=pool)
+                     for j, (E, L) in enumerate(zip(energies, Ls))]
     estimates = {lab: np.array([c.estimates[lab][0] for c in per_point]) for lab in LABELS}
     errors = {lab: np.array([c.errors[lab][0] for c in per_point]) for lab in LABELS}
     counts = {lab: np.concatenate([c.counts[lab] for c in per_point], axis=1)

@@ -21,11 +21,12 @@ orthonormalized after every solve.  Any other direct solve is dense: NumPy's
 negative pivots of a symmetric triangular factorization of H - E*I equals the
 number of eigenvalues below E.  Tridiagonal operators run one Sturm sweep over
 every (diagonal, energy) pair; other sparse operators run sparse LDL^T, with
-dense Bunch-Kaufman at the same energy when a pivot is near zero or SuperLU
-pivots off the diagonal (its signs are then not the inertia).  Counts are
-taken at E + 0: a pair hitting a pivot within ``PIVOT_TOL`` of zero is nudged
-up by 1e-12*(1+|E|), doubling on each of at most 8 retries, which matches the
-closed-under-"<=" convention up to a measure-zero set of energies.
+dense Bunch-Kaufman at the same energy when a pivot is near zero, the factor
+grows past ``GROWTH_TOL`` or SuperLU pivots off the diagonal (its signs are
+then not the inertia).  Counts are taken at E + 0: a pair hitting a pivot
+within ``PIVOT_TOL`` of zero is nudged up by 1e-12*(1+|E|), doubling on each
+of at most 8 retries, which matches the closed-under-"<=" convention up to a
+measure-zero set of energies.
 
 SciPy is imported only by the paths that need it: sparse LDL^T, Bunch-Kaufman,
 shift-invert Lanczos and dense solves at d >= 2.  A d = 1 run loads none of it.
@@ -40,6 +41,7 @@ from .errors import ConvergenceError, NumericalError
 DENSE_THRESHOLD = 2000
 EIG_TOL = 1e-9
 PIVOT_TOL = 1e-12
+GROWTH_TOL = 1e8
 EPS = np.finfo(float).eps
 
 
@@ -236,7 +238,10 @@ def _sparse_inertia(A, pivot_tol: float):
     """Negative-pivot count from a symmetric-permutation sparse factorization.
 
     Returns (count, ok); ok is False when a pivot sits within pivot_tol of zero
-    relative to the matrix scale, or when SuperLU pivoted off the diagonal.
+    relative to the matrix scale, when an entry of U is not finite or exceeds
+    GROWTH_TOL times that scale (next to a highly degenerate level the signs
+    of such a factorization miscount), or when SuperLU pivoted off the
+    diagonal.
     """
     import scipy.sparse.linalg as spla
 
@@ -246,9 +251,11 @@ def _sparse_inertia(A, pivot_tol: float):
                        options={"SymmetricMode": True})
     except RuntimeError:
         return 0, False
-    pivots = lu.U.diagonal()
-    if (not np.array_equal(lu.perm_r, lu.perm_c) or not np.all(np.isfinite(pivots))
-            or np.any(np.abs(pivots) <= pivot_tol * scale)):
+    U = lu.U
+    pivots = U.diagonal()
+    largest = np.maximum(U.data.max(initial=0.0), -U.data.min(initial=0.0))  # NaN stays NaN
+    if (not np.array_equal(lu.perm_r, lu.perm_c) or np.any(np.abs(pivots) <= pivot_tol * scale)
+            or not largest <= GROWTH_TOL * scale):
         return 0, False
     return int(np.sum(pivots < 0.0)), True
 

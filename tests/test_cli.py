@@ -207,15 +207,81 @@ def test_cache_hit_loads_no_numerical_library(tmp_path, command, name):
     ("bounds", "bounds.json", False), ("ids", "../bench/configs/ids_2d.json", True),
 ])
 def test_d1_commands_load_no_scipy(tmp_path, command, name, scipy):
-    # a d = 1 run computes on NumPy alone; d = 2 counts through SuperLU
+    # a d = 1 run computes on NumPy alone; d = 2 counts through SuperLU; at one
+    # worker no run loads the process-pool machinery (SciPy itself loads
+    # concurrent.futures, so that is asked of SciPy-free runs only)
     args = [command, "--config", str(SHIPPED / name), "--out", str(tmp_path), "--no-cache"]
     src = str(Path(breatherlab.__file__).resolve().parents[1])
     probe = ("import sys; from breatherlab.cli import main; "
              f"code = main({args!r}); "
-             "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+             "sp = any(m.split('.')[0] == 'scipy' for m in sys.modules); "
+             "print(code, sp, 'multiprocessing' in sys.modules, "
+             "not sp and 'concurrent.futures' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert run.stdout.strip().splitlines()[-1] == f"0 {scipy}"
+    assert run.stdout.strip().splitlines()[-1] == f"0 {scipy} False False"
+
+
+@pytest.mark.parametrize("user", [None, "3"])
+def test_cli_shortens_blas_spin(tmp_path, user):
+    # a CLI run sets OpenBLAS's idle spin before NumPy loads, unless the user
+    # set one, and its meta sidecar says which
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = str(Path(breatherlab.__file__).resolve().parents[1])
+    if user:
+        env["OPENBLAS_THREAD_TIMEOUT"] = user
+    args = ["validate", "--config", str(SHIPPED / "validate_breather.json"),
+            "--out", str(tmp_path), "--no-cache"]
+    probe = ("import os; from breatherlab.cli import main; "
+             f"code = main({args!r}); print(code, os.environ['OPENBLAS_THREAD_TIMEOUT'])")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    value = user or cli.BLAS_SPIN[1]
+    assert run.stdout.strip().splitlines()[-1] == f"0 {value}"
+    meta = json.loads((tmp_path / "validate_meta.json").read_text())
+    assert meta["blas_spin"] == {"OPENBLAS_THREAD_TIMEOUT": value,
+                                 "set_by": "user" if user else "cli"}
+    assert meta["worker_pools"] == 0
+
+
+def test_library_call_sets_no_blas_spin():
+    # only the command line touches the environment: the quickstart leaves it alone
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = str(Path(breatherlab.__file__).resolve().parents[1])
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    probe = ("import os, breatherlab; "
+             f"text = open({str(readme)!r}).read(); "
+             "block = text.split('## Library quickstart\\n\\n```python\\n', 1)[1]"
+             ".split('```', 1)[0]; "
+             "exec(block, {}); print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    assert run.stdout.strip().splitlines()[-1] == "None"
+
+
+@pytest.mark.parametrize("command,name", [("ids", "ids_bracketing.json"),
+                                          ("lifshitz", "lifshitz.json")])
+def test_one_worker_pool_per_run(tmp_path, monkeypatch, capsys, command, name):
+    # at two workers every counting block of a run (all box sides, all energy
+    # points) goes to one pool; at one worker none is built
+    import concurrent.futures
+
+    built = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    environ = dict(os.environ)
+    for workers, pools in ((1, []), (2, [2])):
+        out = tmp_path / str(workers)
+        assert main([command, "--config", str(SHIPPED / name), "--out", str(out),
+                     "--workers", str(workers), "--no-cache"]) == 0
+        assert built == pools
+        assert json.loads((out / f"{command}_meta.json").read_text())["worker_pools"] == len(pools)
+    assert dict(os.environ) == environ  # an in-process run leaves the environment alone
 
 
 def test_cli_import_is_stdlib_only():

@@ -65,6 +65,7 @@ CASES = [pytest.param(command, config, 1, id=f"{command}-{Path(config).name}")
          for command, config in sorted(GOLDEN)]
 CASES += [pytest.param(command, config, 2, id=f"{command}-{config}-workers2")
           for command, config in (("ids", "ids_bracketing.json"),
+                                  ("ids", "../bench/configs/ids_2d.json"),
                                   ("lifshitz", "lifshitz.json"))]
 
 

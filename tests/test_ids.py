@@ -153,11 +153,13 @@ class TestEstimate:
             assert np.array_equal(fast[bc.label], slow)
 
     def test_workers_equivalent(self, prepped):
+        # M = 6 < 4 * workers splits too: every M runs in min(workers, M) blocks
         model, gs = prepped
-        serial = estimate_ids(model, gs, 4, [1.0], 16, 5, workers=1)
-        parallel = estimate_ids(model, gs, 4, [1.0], 16, 5, workers=2)
-        assert np.array_equal(serial.counts["D"], parallel.counts["D"])
-        assert np.array_equal(serial.counts["M"], parallel.counts["M"])
+        for M in (16, 6):
+            serial = estimate_ids(model, gs, 4, [1.0], M, 5, workers=1)
+            parallel = estimate_ids(model, gs, 4, [1.0], M, 5, workers=2)
+            assert np.array_equal(serial.counts["D"], parallel.counts["D"])
+            assert np.array_equal(serial.counts["M"], parallel.counts["M"])
 
     def test_unsorted_energies_rejected(self, prepped):
         model, gs = prepped

@@ -284,6 +284,25 @@ class TestOneEngine:
         assert np.abs(w - E).min() > 1.0
         assert count_below(H, E) == int(np.sum(w <= E))
 
+    @pytest.mark.parametrize("E", [256.0 + 1e-9, 256.0 + 1e-8])
+    def test_pivot_growth_next_to_degenerate_level(self, monkeypatch, E):
+        # the bare d = 2 Neumann operator has a 15-fold level at 256: just above
+        # it SuperLU's U grows ~1e10-1e11 times max|A| and its signs miscount
+        # (144 and 145); the growth check hands the count to Bunch-Kaufman
+        calls = []
+        dense_inertia = spectral._dense_inertia
+
+        def spy(A, pivot_tol):
+            calls.append(pivot_tol)
+            return dense_inertia(A, pivot_tol)
+
+        monkeypatch.setattr(spectral, "_dense_inertia", spy)
+        H = assemble(bare_d2_model(), GridSpec(L=2, n=8, d=2), NEUMANN)
+        w = linalg.eigvalsh(H.to_dense())
+        assert np.sum(np.abs(w - 256.0) < 1e-9) == 15
+        assert count_below(H, E) == int(np.sum(w <= E)) == 151
+        assert calls
+
     def test_zero_diagonal_entry_small_matrix(self):
         A = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 0.5, 5.0]])
         assert count_below(sps.csr_matrix(A), 1.0) == int(np.sum(linalg.eigvalsh(A) <= 1.0)) == 1
