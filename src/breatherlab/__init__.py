@@ -15,18 +15,17 @@ import importlib
 _EXPORTS = {
     "bounds": """BoundReport DirichletTestFunction GapFit MappedRealization ModelConstants
         TempleConfig bernoulli_tail counting_corollary_check deviation_chain_check
-        dirichlet_test_function dirichlet_upper_bound fit_gap_constant first_moment
+        dirichlet_test_function dirichlet_upper_bounds fit_gap_constant first_moment
         ground_state_box make_temple_config map_realization model_constants
-        periodic_levels second_moment temple_lower_bound""",
-    "ids": """BoxChoice IDSCurve LifshitzFit bracketing_report choose_box_size estimate_ids
-        fit_lifshitz lower_tail_check matched_box_curve sample_fields synthetic_curve""",
+        periodic_levels second_moment temple_lower_bounds""",
+    "ids": """IDSCurve LifshitzFit bracketing_report estimate_ids fit_lifshitz
+        lower_tail_check matched_box_curve sample_fields synthetic_curve""",
     "lattice": """DIRICHLET NEUMANN PERIODIC BoundaryCondition BoxSkeleton DiscreteHamiltonian
-        GridSpec GroundStateData assemble assemble_random_potential couplings_array
-        mezincescu_correction periodic_ground_state periodized_ground_state prepare_model
-        random_potentials skeleton""",
+        GridSpec GroundStateData assemble couplings_array mezincescu_correction
+        periodic_ground_state periodized_ground_state prepare_model random_potentials
+        skeleton""",
     "model": """AssumptionReport DistributionSpec ModelSpec PeriodicPotentialSpec
-        SingleSiteSpec evaluate_site normalize_energy site_lambda_derivative standardize
-        validate_assumptions""",
+        SingleSiteSpec normalize_energy standardize validate_assumptions""",
     "spectral": "SpectralResult count_below lowest_eigenvalues",
 }
 # public name -> the submodule that defines it

@@ -26,11 +26,11 @@ from .lattice import (
     DIRICHLET,
     BoxSkeleton,
     GridSpec,
-    assemble_random_potential,
     cells_on_grid,
     couplings_array,
     mezincescu_correction,
     periodized_ground_state,
+    random_potentials,
     skeleton,
 )
 from .model import analytic_kappa1, integral_derivative_profile, site_values
@@ -274,22 +274,17 @@ def periodic_levels(box: BoxSkeleton) -> np.ndarray:
     return lowest_eigenvalues(box.hamiltonian(), 2).energies
 
 
-def temple_lower_bound(box: BoxSkeleton, mapped: MappedRealization,
-                       cfg: TempleConfig, per) -> BoundReport:
-    """Check E1 of the cutoff operator against (3/4) of the mean xi.
-
-    ``box`` is the ``ground_state_box``, ``mapped`` the realization mapped on
-    its grid and ``per`` its ``periodic_levels``.  The applicability chain
-    0 = E1(per) <= E1(cut) <= form < nu <= E2(per) <= E2(cut) is verified link
-    by link; a broken link is reported as a failure naming the link (that
-    signals bad constants, not a solver bug).
-    """
-    return temple_lower_bounds(box, [mapped], cfg, per)[0]
-
-
 def temple_lower_bounds(box: BoxSkeleton, mapped, cfg: TempleConfig, per) -> list:
-    """``temple_lower_bound`` of each realization in ``mapped``, from one
-    batched eigensolve of their cutoff operators."""
+    """Check E1 of each realization's cutoff operator against (3/4) of its
+    mean xi, from one batched eigensolve of those operators.
+
+    ``box`` is the ``ground_state_box``, ``mapped`` a list of realizations
+    mapped on its grid and ``per`` its ``periodic_levels``.  The applicability
+    chain 0 = E1(per) <= E1(cut) <= form < nu <= E2(per) <= E2(cut) is verified
+    link by link; a broken link is reported as a failure naming the link (that
+    signals bad constants, not a solver bug).  Returns one report per
+    realization.
+    """
     grid = box.grid
     for one in mapped:
         if one.grid != grid:
@@ -439,20 +434,16 @@ def dirichlet_test_function(model, grid: GridSpec) -> DirichletTestFunction:
     return DirichletTestFunction(grid=grid, phi=phi, Q=Q, T=T, P=P, B1=B1, B2=B2, box=box)
 
 
-def dirichlet_upper_bound(model, couplings, test: DirichletTestFunction) -> BoundReport:
-    """Rayleigh-quotient upper bound E1 <= B1 L^-d int(V_omega) + B2 L^-2 on
-    the box of ``test``, with the test function and constants of
-    ``dirichlet_test_function``."""
-    return dirichlet_upper_bounds(model, [couplings], test)[0]
-
-
 def dirichlet_upper_bounds(model, couplings, test: DirichletTestFunction) -> list:
-    """``dirichlet_upper_bound`` of each coupling field in ``couplings``, from
-    one batched eigensolve."""
+    """Rayleigh-quotient upper bound E1 <= B1 L^-d int(V_omega) + B2 L^-2 for
+    each coupling field in ``couplings`` on the box of ``test``, with the test
+    function and constants of ``dirichlet_test_function``, from one batched
+    eigensolve.  Returns one report per field."""
     grid = test.grid
     L, d, hd = grid.L, grid.d, grid.h**grid.d
     Q, T, P = test.Q, test.T, test.P
-    vrand = [assemble_random_potential(model, grid, lams).ravel() for lams in couplings]
+    vrand = random_potentials(model, grid, [couplings_array(grid, lams).ravel()
+                                            for lams in couplings])
     ops = [test.box.hamiltonian(v) for v in vrand]
     e1s = lowest_eigenvalues(test.box, 1, np.array([H.diag for H in ops])).energies[:, 0]
     reports = []

@@ -320,6 +320,10 @@ def load_config(path: str, seed: int = None, workers: int = None, command: str =
     elif _descending(energies):
         raise ConfigError(f"experiment.energies must be in increasing order, "
                           f"got {exp['energies']!r}")
+    elif command == "lifshitz" and exp.get("curve_csv") is None and float(
+            energies["values"][0] if energies["kind"] == "list" else energies["start"]) <= 0:
+        raise ConfigError(f"experiment.energies of lifshitz must be > 0 (box matching), "
+                          f"got {exp['energies']!r}")
     _check_memory(cfg, command)
     return cfg
 

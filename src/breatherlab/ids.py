@@ -292,50 +292,21 @@ def bracketing_report(curves) -> dict:
     return report
 
 
-@dataclass(frozen=True)
-class BoxChoice:
-    L: int
-    clamped: bool
-    raw: float
-
-
-def choose_box_size(E: float, cfg=None, form: str = "lower", B2: float = None,
-                    L_max: int = 64) -> BoxChoice:
-    """Energy-matched box size, L ~ E^(-1/2).
-
-    form="upper": floor(sqrt(c2 / (2 c7 E))) from the cutoff machinery (needs
-    ``cfg``); form="lower": ceil(2 sqrt(B2) / sqrt(E)) from the test-function
-    bound (needs ``B2``).  The result is clamped to [2, L_max] and the clamp
-    is flagged, never silent.
-    """
-    if E <= 0:
-        raise InputError("box matching needs E > 0")
-    if form == "upper":
-        if cfg is None:
-            raise InputError("upper form needs a TempleConfig")
-        raw = math.sqrt(cfg.c2 / (2.0 * cfg.c7 * E))
-        L0 = math.floor(raw)
-    elif form == "lower":
-        if B2 is None:
-            raise InputError("lower form needs the kinetic constant B2")
-        raw = 2.0 * math.sqrt(B2) / math.sqrt(E)
-        L0 = math.ceil(raw)
-    else:
-        raise InputError("form must be 'upper' or 'lower'")
-    L = min(max(L0, 2), L_max)
-    return BoxChoice(L=int(L), clamped=(L != L0), raw=raw)
-
-
 def matched_box_curve(model, gs, energies, M: int, master_seed: int, B2: float,
                       L_max: int = 64, workers: int = 1, pool=None) -> IDSCurve:
-    """Estimate the IDS with the box size matched per energy, L ~ E^(-1/2).
+    """Estimate the IDS with the box size matched per energy, L ~ E^(-1/2):
+    L = ceil(2 sqrt(B2) / sqrt(E)) from the test-function bound, clamped to
+    [2, L_max].
 
     Realizations are independent across energy points (the point index is
     folded into the high bits of the stream index).  The blocks of every
     point run in ``pool``, or in one ``worker_pool`` for the whole curve.
     """
     energies = np.sort(np.asarray(energies, dtype=float))
-    Ls = [choose_box_size(float(E), form="lower", B2=B2, L_max=L_max).L for E in energies]
+    if np.any(energies <= 0):
+        raise InputError("box matching needs E > 0")
+    # 2 sqrt(B2 / E) can differ by an ulp and move the ceiling
+    Ls = [min(max(math.ceil(2.0 * math.sqrt(B2) / math.sqrt(E)), 2), L_max) for E in energies]
     with worker_pool(workers, len(energies) * min(workers, M), pool) as pool:
         per_point = [estimate_ids(model, gs, L, [float(E)], M, master_seed, workers=workers,
                                   index_offset=(j + 1) << 32, pool=pool)

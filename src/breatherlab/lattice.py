@@ -22,7 +22,6 @@ In d = 1 under a non-periodic condition the operator is ``tridiagonal``, and
 no d = 1 operator needs SciPy until its sparse ``matrix`` is asked for.
 """
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -209,21 +208,6 @@ class DiscreteHamiltonian:
             dense[0, -1] = dense[-1, 0] = self.box.wrap
         return dense
 
-    def export_coo(self, file):
-        """Write 'row col value' lines, sorted by (row, col), 17 digit floats."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        close = False
-        if isinstance(file, (str, bytes, os.PathLike)):
-            file = open(file, "w", newline="\n")
-            close = True
-        try:
-            for i in order:
-                file.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}\n")
-        finally:
-            if close:
-                file.close()
-
 
 @dataclass(frozen=True)
 class BoxSkeleton:
@@ -288,36 +272,21 @@ class BoxSkeleton:
 
 
 def couplings_array(grid: GridSpec, couplings) -> np.ndarray:
-    """Normalize couplings (mapping site->lambda, or dense array) to (L,)*d."""
+    """The coupling field as a float array, checked to be shaped (L,)*d."""
     shape = (grid.L,) * grid.d
-    if isinstance(couplings, dict):
-        out = np.empty(shape)
-        out.fill(np.nan)
-        for k, lam in couplings.items():
-            key = (k,) if np.isscalar(k) else tuple(k)
-            out[key] = lam
-        if np.any(np.isnan(out)):
-            missing = np.argwhere(np.isnan(out))[0]
-            raise InputError(f"missing coupling for site {tuple(missing)}")
-        return out
     arr = np.asarray(couplings, dtype=float)
     if arr.shape != shape:
         raise InputError(f"couplings shape {arr.shape}, expected {shape}")
     return arr
 
 
-def assemble_random_potential(model: ModelSpec, grid: GridSpec, couplings) -> np.ndarray:
-    """Sample V_omega = sum_k u(lambda_k, . - k) on the grid, shape (nL,)*d.
+def random_potentials(model: ModelSpec, grid: GridSpec, fields) -> np.ndarray:
+    """V_omega = sum_k u(lambda_k, . - k) for a batch of coupling fields
+    (M, L**d), flat: shape (M, (nL)**d).
 
     Each grid point belongs to exactly one cell and the site supports stay
     inside their cells, so the sum has at most one nonzero term per point.
     """
-    lams = couplings_array(grid, couplings)
-    return random_potentials(model, grid, lams.reshape(1, -1))[0].reshape(grid.shape)
-
-
-def random_potentials(model: ModelSpec, grid: GridSpec, fields) -> np.ndarray:
-    """V_omega for a batch of coupling fields (M, L**d), flat: shape (M, (nL)**d)."""
     fields = np.asarray(fields, dtype=float)
     return cells_on_grid(grid, site_values(model.site, fields.ravel(), grid.offset_points()))
 
@@ -409,14 +378,15 @@ def assemble(model: ModelSpec, grid: GridSpec, bc: BoundaryCondition,
              couplings=None) -> DiscreteHamiltonian:
     """Assemble H = -Laplacian_h + diag(V_per + V_omega) on the cube.
 
-    ``couplings`` selects the random part; omit it for the purely periodic
-    operator.  A one-off build: callers with many realizations on one box
-    hold its ``skeleton`` and move only the diagonal.
+    ``couplings``, an array shaped (L,)*d, selects the random part; omit it
+    for the purely periodic operator.  A one-off build: callers with many
+    realizations on one box hold its ``skeleton`` and move only the diagonal.
     """
     box = skeleton(model, grid, bc)
     if couplings is None:
         return box.hamiltonian()
-    return box.hamiltonian(assemble_random_potential(model, grid, couplings).ravel())
+    lams = couplings_array(grid, couplings).reshape(1, -1)
+    return box.hamiltonian(random_potentials(model, grid, lams)[0])
 
 
 def periodic_ground_state(model: ModelSpec, n: int) -> GroundStateData:

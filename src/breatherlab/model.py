@@ -12,7 +12,7 @@ supported C^1 bump
     f(x) = a * (1 - |x|^2 / r^2)_+^2        (|.| Euclidean).
 
 All spatial points are passed as arrays whose trailing axis holds the d
-coordinates; bare scalars are accepted as d = 1 points.
+coordinates.
 """
 
 from dataclasses import dataclass, replace
@@ -35,17 +35,6 @@ def _bump_ramp_from_sqnorm(amplitude, radius, sqnorm):
     """Radial factor a*(1 - s/r^2)_+ shared by the repulsivity function."""
     t = 1.0 - sqnorm / (radius * radius)
     return amplitude * np.clip(t, 0.0, None)
-
-
-def _as_points(x):
-    """Normalize point input to an (..., d) float array.
-
-    Scalars become a single d = 1 point.  Returns (points, was_scalar).
-    """
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 0:
-        return pts.reshape(1, 1), True
-    return pts, False
 
 
 @dataclass(frozen=True)
@@ -200,24 +189,6 @@ def site_derivative_values(site: SingleSiteSpec, lams, pts) -> np.ndarray:
     return out
 
 
-def evaluate_site(site: SingleSiteSpec, lam: float, x):
-    """u(lam, x) at a single coupling; ``x`` is (..., d) or a scalar (d = 1)."""
-    pts, was_scalar = _as_points(x)
-    lead = pts.shape[:-1]
-    flat = pts.reshape(-1, pts.shape[-1])
-    vals = site_values(site, [lam], flat)[0].reshape(lead)
-    return float(vals[0]) if was_scalar else vals
-
-
-def site_lambda_derivative(site: SingleSiteSpec, lam: float, x):
-    """du/dlambda at a single coupling; same point convention as evaluate_site."""
-    pts, was_scalar = _as_points(x)
-    lead = pts.shape[:-1]
-    flat = pts.reshape(-1, pts.shape[-1])
-    vals = site_derivative_values(site, [lam], flat)[0].reshape(lead)
-    return float(vals[0]) if was_scalar else vals
-
-
 def analytic_kappa1(site: SingleSiteSpec):
     """Exact sup of du/dlambda for the built-in families, None for tabulated.
 
@@ -290,28 +261,6 @@ class PeriodicPotentialSpec:
                 self.site_floor, [self.site_floor.lambda_minus], pts
             )[0].reshape((n,) * d)
         return cell + self.offset
-
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        """Pointwise values at arbitrary points (..., d); tabulated kind is
-        evaluated as piecewise constant on its sampling cells."""
-        pts = np.asarray(pts, dtype=float)
-        d = pts.shape[-1]
-        frac = pts - np.round(pts)  # cell-relative offsets in [-1/2, 1/2)
-        if self.kind == "zero":
-            out = np.zeros(pts.shape[:-1])
-        elif self.kind == "cosine-sum":
-            out = sum(
-                amp * np.cos(2 * np.pi * frac[..., i]) for i, amp in enumerate(self.amplitudes)
-            )
-        else:
-            n = self.values.shape[0]
-            idx = np.clip(((frac + 0.5) * n).astype(int), 0, n - 1)
-            out = self.values[tuple(np.moveaxis(idx, -1, 0))]
-        if self.site_floor is not None:
-            flat = frac.reshape(-1, d)
-            floor = site_values(self.site_floor, [self.site_floor.lambda_minus], flat)[0]
-            out = out + floor.reshape(pts.shape[:-1])
-        return out + self.offset
 
 
 @dataclass(frozen=True)
@@ -404,11 +353,6 @@ class DistributionSpec:
         q = self.atom_mass_at_min
         return q + (1.0 - q) * t
 
-    def mass_below(self, eps: float) -> float:
-        """mu([lambda_minus, lambda_minus + eps)), the open-interval mass."""
-        # continuous parts have no atoms, so the half-open mass matches cdf_below
-        return self.cdf_below(eps)
-
     def lambda_star(self):
         """A split point with p = mu([lambda_star, lambda_plus]) in (0, 1).
 
@@ -472,22 +416,6 @@ def normalize_energy(model: ModelSpec, ground_energy: float) -> ModelSpec:
     return replace(
         model, vper=new_vper, energy_shift=model.energy_shift + ground_energy
     )
-
-
-def total_potential(model: ModelSpec, couplings: dict, pts) -> np.ndarray:
-    """Brute-force V_per(x) + sum_k u(lambda_k, x - k) at arbitrary points.
-
-    ``couplings`` maps lattice sites (int tuples) to coupling values.  Used as
-    an independent oracle; not the assembly path.
-    """
-    pts = np.asarray(pts, dtype=float)
-    out = model.vper.evaluate(pts)
-    flat = pts.reshape(-1, pts.shape[-1])
-    acc = np.zeros(flat.shape[0])
-    for k, lam in couplings.items():
-        shift = flat - np.asarray(k, dtype=float)
-        acc += site_values(model.site, [lam], shift)[0]
-    return out + acc.reshape(pts.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -631,11 +559,11 @@ def validate_assumptions(
     limit = min(eps2 if eps2 > 0 else dist.width, dist.tail_bound_range())
     eps_grid = np.linspace(limit / 32.0, limit, 32)
     bound_ok = all(
-        dist.mass_below(e) >= alpha * e**kappa * (1.0 - 1e-12) for e in eps_grid
+        dist.cdf_below(e) >= alpha * e**kappa * (1.0 - 1e-12) for e in eps_grid
     )
     verdicts["v"] = bool(bound_ok and dist.atom_mass_at_min < 1.0)
     if not verdicts["v"] and where is None:
-        gaps = [alpha * e**kappa - dist.mass_below(e) for e in eps_grid]
+        gaps = [alpha * e**kappa - dist.cdf_below(e) for e in eps_grid]
         worst = max(gaps)
         where = ("v", float(eps_grid[int(np.argmax(gaps))]), None)
 

@@ -5,17 +5,18 @@ skeleton with a batch of diagonals (B, N): B operators that share the
 skeleton's off-diagonal part and take one row each as their diagonal.
 
 Solver settings are the module constants below, not options.
-``lowest_eigenvalues`` solves directly up to ``DENSE_THRESHOLD`` degrees of
-freedom and by shift-invert Lanczos above, with every residual within
-``EIG_TOL * (1 + |E|)``.  A tridiagonal operator (d = 1 under a non-periodic
-condition) is solved by multisection on Sturm counts: each sweep counts K
+``lowest_eigenvalues`` returns every residual within ``EIG_TOL * (1 + |E|)``.
+A tridiagonal operator (d = 1 under a non-periodic condition), whatever its
+size, is solved by multisection on Sturm counts: each sweep counts K
 trial energies inside the bracket of every (operator, level) pair at once,
 until each bracket is as narrow as the rounding of the count.  Its
 eigenvectors come from inverse iteration shifted by those eigenvalues: a
 batched LDL^T solve over the same (N, B) columns, the levels of each operator
-orthonormalized after every solve.  Any other direct solve is dense: NumPy's
-``eigh`` at d = 1 (periodic boxes, the unit cell among them), SciPy's subset
-``eigh`` at d >= 2, where SciPy is loaded anyway.
+orthonormalized after every solve.  Any other operator is solved directly up
+to ``DENSE_THRESHOLD`` degrees of freedom and by shift-invert Lanczos above.
+A direct solve is dense: NumPy's ``eigh`` at d = 1 (periodic boxes, the unit
+cell among them), SciPy's subset ``eigh`` at d >= 2, where SciPy is loaded
+anyway.
 
 ``count_below``, the one counting engine, uses matrix inertia: the number of
 negative pivots of a symmetric triangular factorization of H - E*I equals the
@@ -71,11 +72,11 @@ def lowest_eigenvalues(H, m: int, diagonals=None) -> SpectralResult:
     """The m smallest eigenvalues of a symmetric operator, or of each operator
     of a batch: a skeleton with ``diagonals`` (B, N).
 
-    Direct solves up to ``DENSE_THRESHOLD`` degrees of freedom (read at call
-    time): multisection and inverse iteration (method "tridiagonal") on a
-    tridiagonal operator, dense ``eigh`` ("dense") otherwise, NumPy's at
-    d = 1 and SciPy's subset solver at d >= 2; shift-invert
-    Lanczos ("iterative") above the threshold.  Every returned pair satisfies
+    A tridiagonal operator takes multisection and inverse iteration (method
+    "tridiagonal") at any size.  Any other takes dense ``eigh`` ("dense") up to
+    ``DENSE_THRESHOLD`` degrees of freedom (read at call time), NumPy's at
+    d = 1 and SciPy's subset solver at d >= 2, and shift-invert Lanczos
+    ("iterative") above the threshold.  Every returned pair satisfies
     ||H v - E v|| <= EIG_TOL * (1 + |E|), otherwise a ConvergenceError
     carrying the best iterate is raised.
     """
@@ -88,12 +89,11 @@ def lowest_eigenvalues(H, m: int, diagonals=None) -> SpectralResult:
     m = min(m, N)
     ops = [DiscreteHamiltonian(box=box, diag=row) for row in rows]
     w, v = np.empty((B, m)), np.empty((B, N, m))
-    direct = N <= DENSE_THRESHOLD or m >= N - 1
-    if direct and box.tridiagonal:
+    if box.tridiagonal:
         w = _sturm_levels(box.off, rows, m)
         v = _inverse_iteration(box.off, rows, w)
         method = "tridiagonal"
-    elif direct:
+    elif N <= DENSE_THRESHOLD or m >= N - 1:
         for b, op in enumerate(ops):
             if box.grid.d == 1:  # a periodic box, the unit cell among them
                 vals, vecs = np.linalg.eigh(op.to_dense())

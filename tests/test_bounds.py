@@ -10,7 +10,7 @@ from breatherlab.bounds import (
     counting_corollary_check,
     deviation_chain_check,
     dirichlet_test_function,
-    dirichlet_upper_bound,
+    dirichlet_upper_bounds,
     fit_gap_constant,
     first_moment,
     ground_state_box,
@@ -19,15 +19,15 @@ from breatherlab.bounds import (
     model_constants,
     periodic_levels,
     second_moment,
-    temple_lower_bound,
+    temple_lower_bounds,
 )
 from breatherlab.errors import DomainError, InputError, PreconditionError
 from breatherlab.lattice import (
     GridSpec,
     assemble,
-    assemble_random_potential,
     mezincescu_correction,
     prepare_model,
+    random_potentials,
 )
 from breatherlab.model import (
     DistributionSpec,
@@ -36,7 +36,7 @@ from breatherlab.model import (
     SingleSiteSpec,
     site_values,
 )
-from breatherlab.spectral import lowest_eigenvalues
+from breatherlab.spectral import EIG_TOL, lowest_eigenvalues
 
 
 def base_model(vper_amp=0.5):
@@ -151,7 +151,7 @@ class TestMapRealization:
         mapped = map_realization(gs, model, grid, np.linspace(1.0, 2.0, 6), cfg6)
         assert mapped.grid == grid
         assert np.array_equal(mapped.potential,
-                              assemble_random_potential(model, grid, mapped.cutoffs).ravel())
+                              random_potentials(model, grid, [mapped.cutoffs])[0])
 
     def test_xi_refined_quadrature_oracle(self):
         # quadrature map at run resolution vs an 8x refined grid; the flat
@@ -235,7 +235,7 @@ def temple_at(gs, model, grid, couplings, cfg):
     """Map one realization and run the Temple check on its box."""
     mapped = map_realization(gs, model, grid, couplings, cfg)
     box = ground_state_box(model, gs, grid)
-    return temple_lower_bound(box, mapped, cfg, periodic_levels(box))
+    return temple_lower_bounds(box, [mapped], cfg, periodic_levels(box))[0]
 
 
 class TestTemple:
@@ -261,9 +261,9 @@ class TestTemple:
         grid = GridSpec(L=L, n=16)
         box = ground_state_box(model, gs, grid)
         per = periodic_levels(box)
-        for _ in range(20):
-            mapped = map_realization(gs, model, grid, draw_couplings(rng, L), cfg)
-            rep = temple_lower_bound(box, mapped, cfg, per)
+        mapped = [map_realization(gs, model, grid, draw_couplings(rng, L), cfg)
+                  for _ in range(20)]
+        for rep in temple_lower_bounds(box, mapped, cfg, per):
             assert rep.passed, rep.to_dict()
             assert all(rep.constants["links"].values())
 
@@ -284,7 +284,7 @@ class TestTemple:
         mapped4 = map_realization(gs, model, grid4, np.full(4, 1.3), cfg4)
         box6 = ground_state_box(model, gs, grid6)
         with pytest.raises(InputError, match="L=4"):
-            temple_lower_bound(box6, mapped4, cfg6, periodic_levels(box6))
+            temple_lower_bounds(box6, [mapped4], cfg6, periodic_levels(box6))
 
     def test_config_violation_named(self, consts, gapfit):
         from breatherlab.bounds import TempleConfig
@@ -432,8 +432,8 @@ class TestDirichletUpperBound:
         # V_omega = 0: E1 <= B2 / L^2 with B2 near d pi^2
         model, _ = prepare_model(flat_background_model(), 16)
         grid = GridSpec(L=4, n=16)
-        rep = dirichlet_upper_bound(model, np.full(4, 1.0),
-                                    dirichlet_test_function(model, grid))
+        rep, = dirichlet_upper_bounds(model, [np.full(4, 1.0)],
+                                      dirichlet_test_function(model, grid))
         assert rep.passed
         assert rep.constants["B2"] == pytest.approx(np.pi**2, rel=1e-3)
         assert rep.constants["int_V_omega"] == 0.0
@@ -441,8 +441,8 @@ class TestDirichletUpperBound:
     def test_realized_b1_is_two(self):
         model, _ = prepare_model(flat_background_model(), 16)
         grid = GridSpec(L=4, n=16)
-        rep = dirichlet_upper_bound(model, np.full(4, 1.0),
-                                    dirichlet_test_function(model, grid))
+        rep, = dirichlet_upper_bounds(model, [np.full(4, 1.0)],
+                                      dirichlet_test_function(model, grid))
         h, L = 1 / 16, 4
         assert rep.constants["B1"] == pytest.approx(
             2.0 * np.cos(np.pi * h / (2 * L)) ** 2, rel=1e-12
@@ -454,9 +454,8 @@ class TestDirichletUpperBound:
         grid = GridSpec(L=6, n=16)
         rng = np.random.default_rng(41)
         test = dirichlet_test_function(model, grid)
-        for _ in range(100):
-            lams = rng.uniform(1.0, 2.0, 6)
-            rep = dirichlet_upper_bound(model, lams, test)
+        fields = [rng.uniform(1.0, 2.0, 6) for _ in range(100)]
+        for rep in dirichlet_upper_bounds(model, fields, test):
             assert rep.passed, rep.to_dict()
             assert rep.constants["variational_ok"]
 
@@ -464,8 +463,8 @@ class TestDirichletUpperBound:
         # nonzero normalized background folds into the non-random part
         model, _ = prepped
         grid = GridSpec(L=4, n=16)
-        rep = dirichlet_upper_bound(model, np.full(4, 1.4),
-                                    dirichlet_test_function(model, grid))
+        rep, = dirichlet_upper_bounds(model, [np.full(4, 1.4)],
+                                      dirichlet_test_function(model, grid))
         assert rep.passed
         assert rep.constants["kinetic_times_L2"] == pytest.approx(np.pi**2, rel=1e-3)
 
@@ -473,6 +472,40 @@ class TestDirichletUpperBound:
         model, _ = prepped
         grid = GridSpec(L=4, n=16)
         test = dirichlet_test_function(model, grid)
-        for lams in (np.full(4, 1.0), np.array([1.1, 1.9, 1.4, 2.0])):
-            rep = dirichlet_upper_bound(model, lams, test)
+        fields = (np.full(4, 1.0), np.array([1.1, 1.9, 1.4, 2.0]))
+        for rep in dirichlet_upper_bounds(model, fields, test):
             assert (rep.constants["B1"], rep.constants["B2"]) == (test.B1, test.B2)
+
+
+class TestBatching:
+    """A batch of M realizations and M batches of one give the same verdicts
+    and links, and E1 within the solver tolerance: the multisection width
+    depends on the batch size, so the floats need not be equal."""
+
+    def test_temple_verdicts(self, prepped, cfg6):
+        model, gs = prepped
+        grid = GridSpec(L=6, n=16)
+        box = ground_state_box(model, gs, grid)
+        per = periodic_levels(box)
+        rng = np.random.default_rng(61)
+        fields = [np.full(6, 1.0)] + [draw_couplings(rng, 6) for _ in range(23)]
+        mapped = [map_realization(gs, model, grid, lams, cfg6) for lams in fields]
+        batch = temple_lower_bounds(box, mapped, cfg6, per)
+        assert {rep.verdict for rep in batch} == {"boundary", "pass"}
+        for one, rep in zip(mapped, batch):
+            alone, = temple_lower_bounds(box, [one], cfg6, per)
+            assert alone.verdict == rep.verdict
+            assert alone.constants["links"] == rep.constants["links"]
+            assert abs(alone.lhs - rep.lhs) <= EIG_TOL * (1 + abs(rep.lhs))
+
+    def test_dirichlet_verdicts(self):
+        model, _ = prepare_model(flat_background_model(), 16)
+        test = dirichlet_test_function(model, GridSpec(L=6, n=16))
+        rng = np.random.default_rng(62)
+        fields = [rng.uniform(1.0, 2.0, 6) for _ in range(24)]
+        batch = dirichlet_upper_bounds(model, fields, test)
+        for lams, rep in zip(fields, batch):
+            alone, = dirichlet_upper_bounds(model, [lams], test)
+            assert alone.verdict == rep.verdict
+            assert alone.constants["variational_ok"] == rep.constants["variational_ok"]
+            assert abs(alone.lhs - rep.lhs) <= EIG_TOL * (1 + abs(rep.lhs))

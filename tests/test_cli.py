@@ -205,12 +205,20 @@ def test_cache_hit_loads_no_numerical_library(tmp_path, command, name):
     ("validate", "validate_breather.json", False), ("spectrum", "spectrum_small.json", False),
     ("ids", "ids_bracketing.json", False), ("lifshitz", "lifshitz.json", False),
     ("bounds", "bounds.json", False), ("ids", "../bench/configs/ids_2d.json", True),
+    pytest.param("spectrum", {"grid": {"n": 64, "L": [40]}}, False,
+                 id="spectrum-above-dense-threshold"),
 ])
 def test_d1_commands_load_no_scipy(tmp_path, command, name, scipy):
-    # a d = 1 run computes on NumPy alone; d = 2 counts through SuperLU; at one
-    # worker no run loads the process-pool machinery (SciPy itself loads
-    # concurrent.futures, so that is asked of SciPy-free runs only)
-    args = [command, "--config", str(SHIPPED / name), "--out", str(tmp_path), "--no-cache"]
+    # a d = 1 run computes on NumPy alone, a box above DENSE_THRESHOLD too; d = 2
+    # counts through SuperLU; at one worker no run loads the process-pool
+    # machinery (SciPy itself loads concurrent.futures, so that is asked of
+    # SciPy-free runs only)
+    if isinstance(name, str):
+        config = SHIPPED / name
+    else:  # write_config overrides
+        config = tmp_path / "cfg.json"
+        write_config(config, **name)
+    args = [command, "--config", str(config), "--out", str(tmp_path / "out"), "--no-cache"]
     src = str(Path(breatherlab.__file__).resolve().parents[1])
     probe = ("import sys; from breatherlab.cli import main; "
              f"code = main({args!r}); "
@@ -506,6 +514,27 @@ def test_cross_field_rule_exit_2(tmp_path, capsys, command, overrides, field):
     err = capsys.readouterr().err
     assert field in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("energies", [
+    {"values": [-0.1, 0.5, 1.0]},
+    {"kind": "linear", "start": 0.0, "stop": 1.0, "count": 6},
+])
+def test_lifshitz_nonpositive_energy_exit_2(tmp_path, energies):
+    # box matching needs E > 0: decided from the block at load, before NumPy
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, experiment={"seed": 1, "energies": energies})
+    out = tmp_path / "out"
+    args = ["lifshitz", "--config", str(cfg), "--out", str(out)]
+    src = str(Path(breatherlab.__file__).resolve().parents[1])
+    probe = ("import sys; from breatherlab.cli import main; "
+             f"code = main({args!r}); print(code, 'numpy' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip().splitlines()[-1] == "2 False"
+    assert "experiment.energies" in run.stderr
+    assert "Traceback" not in run.stderr
     assert not out.exists()
 
 
@@ -979,9 +1008,9 @@ class TestBounds:
         assert main(["bounds", "--config", str(cfg), "--out", str(out), "--no-cache"]) == 0
         M, temple, sides = 3, 2, 4  # sides: the distinct L of temple_Ls and gap_Ls
         assert calls["map_realization"] == M * temple
-        # site values once per mapped and once per Dirichlet sample; the
-        # Temple hypotheses once per config
-        assert calls["site_values"] == 2 * M * temple
+        # site values once per mapped sample and once per box for all its
+        # Dirichlet samples; the Temple hypotheses once per config
+        assert calls["site_values"] == M * temple + temple
         assert calls["hypothesis_checks"] == temple
         # one skeleton per (box, boundary condition); the unit cell once per
         # model in prepare_model

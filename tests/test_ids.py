@@ -11,7 +11,6 @@ from breatherlab.errors import InputError, InsufficientDataError
 from breatherlab.ids import (
     IDSCurve,
     bracketing_report,
-    choose_box_size,
     estimate_ids,
     fit_lifshitz,
     lower_tail_check,
@@ -303,37 +302,26 @@ class TestBracketing:
 
 
 class TestChooseBoxSize:
-    def test_lower_form_example(self):
-        choice = choose_box_size(np.pi**2 / 4.0, form="lower", B2=np.pi**2)
-        assert choice.L == 4 and not choice.clamped
+    """The box side of ``matched_box_curve``: ceil(2 sqrt(B2) / sqrt(E)) in
+    [2, L_max]."""
 
-    def test_upper_form_clamps(self, prepped):
-        from breatherlab.bounds import (
-            fit_gap_constant,
-            ground_state_box,
-            make_temple_config,
-            model_constants,
-            periodic_levels,
-        )
-
+    def test_lower_form_example(self, prepped):
+        # 4 exactly at E = pi^2 / 4, and clamped at either end of [2, L_max]
         model, gs = prepped
-        consts = model_constants(model, gs)
-        gap = fit_gap_constant({L: periodic_levels(ground_state_box(model, gs, GridSpec(L, 16)))
-                                for L in (2, 3, 4)})
-        cfg = make_temple_config(L=4, gamma=4.0, constants=consts, epsilon0=gap.epsilon0)
-        # at E = c2/(2 c7) the raw size is exactly 1, clamped up to 2
-        E = cfg.c2 / (2.0 * cfg.c7)
-        choice = choose_box_size(E, cfg=cfg, form="upper")
-        assert choice.L == 2 and choice.clamped
+        curve = matched_box_curve(model, gs, [0.01, np.pi**2 / 4.0, 100.0], 1, 0,
+                                  B2=np.pi**2, L_max=10)
+        assert list(curve.box_sizes) == [10, 4, 2]
 
-    def test_sqrt_scaling(self):
-        a = choose_box_size(0.25, form="lower", B2=np.pi**2, L_max=1000)
-        b = choose_box_size(1.0, form="lower", B2=np.pi**2, L_max=1000)
-        assert a.raw == pytest.approx(2 * b.raw)
+    def test_sqrt_scaling(self, prepped):
+        # a quarter of the energy doubles the side (exact in floats at B2 = 4)
+        model, gs = prepped
+        curve = matched_box_curve(model, gs, [0.25, 1.0], 1, 0, B2=4.0, L_max=1000)
+        assert list(curve.box_sizes) == [8, 4]
 
-    def test_domain(self):
+    def test_domain(self, prepped):
+        model, gs = prepped
         with pytest.raises(InputError):
-            choose_box_size(-1.0, form="lower", B2=1.0)
+            matched_box_curve(model, gs, [-1.0, 1.0], 1, 0, B2=1.0)
 
 
 class TestLifshitzFit:

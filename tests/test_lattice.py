@@ -1,13 +1,11 @@
 """Lattice tests: stencils, boundary folds, ground state, random potential."""
 
-import io
-
 import numpy as np
 import pytest
 from scipy import linalg
 
 from breatherlab import spectral
-from breatherlab.errors import InputError, StateError
+from breatherlab.errors import StateError
 from breatherlab.lattice import (
     GroundStateData,
     DIRICHLET,
@@ -16,18 +14,18 @@ from breatherlab.lattice import (
     BoundaryCondition,
     GridSpec,
     assemble,
-    assemble_random_potential,
     mezincescu_correction,
     periodic_ground_state,
     periodized_ground_state,
     prepare_model,
+    random_potentials,
 )
 from breatherlab.model import (
     DistributionSpec,
     ModelSpec,
     PeriodicPotentialSpec,
     SingleSiteSpec,
-    evaluate_site,
+    site_values,
 )
 
 
@@ -228,16 +226,16 @@ class TestRandomPotential:
         model, _ = prepare_model(free_model(), 8)
         grid = GridSpec(L=4, n=8)
         lams = np.full(4, model.dist.lambda_minus)
-        v = assemble_random_potential(model, grid, lams)
+        v = random_potentials(model, grid, [lams])[0]
         assert np.all(v == 0.0)
 
     def test_single_cell_matches_site(self):
         model, _ = prepare_model(free_model(), 8)
         grid = GridSpec(L=1, n=8)
-        v = assemble_random_potential(model, grid, np.array([1.7]))
+        v = random_potentials(model, grid, [[1.7]])[0]
         pts = grid.offset_points()
-        direct = evaluate_site(model.site, 1.7, pts)
-        assert np.allclose(v.ravel(), direct, atol=1e-14)
+        direct = site_values(model.site, [1.7], pts)[0]
+        assert np.allclose(v, direct, atol=1e-14)
 
     def test_2d_brute_force_oracle(self):
         # power-of-two n keeps the coordinate arithmetic exact, so the
@@ -246,24 +244,18 @@ class TestRandomPotential:
         grid = GridSpec(L=3, n=8, d=2)
         rng = np.random.default_rng(5)
         lams = rng.uniform(1.0, 2.0, size=(3, 3))
-        v = assemble_random_potential(model, grid, lams)
+        v = random_potentials(model, grid, [lams.ravel()])[0].reshape(grid.shape)
         coords = grid.axis_coords()
         oracle = np.zeros(grid.shape)
         for kx in range(3):
             for ky in range(3):
                 for ix, x in enumerate(coords):
                     for iy, y in enumerate(coords):
-                        oracle[ix, iy] += evaluate_site(
-                            model.site, lams[kx, ky],
+                        oracle[ix, iy] += site_values(
+                            model.site, [lams[kx, ky]],
                             np.array([[x - kx, y - ky]]),
-                        )[0]
+                        )[0, 0]
         assert np.max(np.abs(v - oracle)) == 0.0
-
-    def test_missing_coupling_rejected(self):
-        model, _ = prepare_model(free_model(), 8)
-        grid = GridSpec(L=3, n=8)
-        with pytest.raises(InputError):
-            assemble_random_potential(model, grid, {(0,): 1.5, (2,): 1.5})
 
     def test_raising_single_coupling_monotone(self):
         # raising one coupling never lowers any eigenvalue
@@ -292,17 +284,6 @@ class TestOrderingAndExport:
             wX = linalg.eigvalsh(assemble(model, grid, bc, couplings=lams).to_dense())
             for E in np.linspace(0.0, 30.0, 7):
                 assert np.sum(wD <= E) <= np.sum(wX <= E)
-
-    def test_coo_export_roundtrip(self):
-        H = assemble(free_model(), GridSpec(L=2, n=4), DIRICHLET)
-        buf = io.StringIO()
-        H.export_coo(buf)
-        lines = buf.getvalue().strip().split("\n")
-        dense = np.zeros(H.shape)
-        for line in lines:
-            r, c, v = line.split()
-            dense[int(r), int(c)] = float(v)
-        assert np.allclose(dense, H.to_dense(), atol=0.0)
 
 
 class TestPrepare:

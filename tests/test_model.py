@@ -10,12 +10,10 @@ from breatherlab.model import (
     PeriodicPotentialSpec,
     SingleSiteSpec,
     analytic_kappa1,
-    evaluate_site,
     normalize_energy,
-    site_lambda_derivative,
+    site_derivative_values,
     site_values,
     standardize,
-    total_potential,
     validate_assumptions,
 )
 
@@ -25,6 +23,51 @@ def bump_scalar(a, r, x):
     s = float(np.sum(np.square(x)))
     t = 1.0 - s / r**2
     return a * max(t, 0.0) ** 2
+
+
+def u_at(site, lam, pts):
+    """u(lam, x) at one coupling for points (P, d), shape (P,)."""
+    return site_values(site, [lam], pts)[0]
+
+
+def du_at(site, lam, pts):
+    """du/dlambda at one coupling for points (P, d), shape (P,)."""
+    return site_derivative_values(site, [lam], pts)[0]
+
+
+def periodic_values(vper, pts):
+    """V_per at arbitrary points (..., d), tabulated kind piecewise constant on
+    its sampling cells: pointwise, not the cell sampling of the assembly."""
+    pts = np.asarray(pts, dtype=float)
+    d = pts.shape[-1]
+    frac = pts - np.round(pts)  # cell-relative offsets in [-1/2, 1/2)
+    if vper.kind == "zero":
+        out = np.zeros(pts.shape[:-1])
+    elif vper.kind == "cosine-sum":
+        out = sum(
+            amp * np.cos(2 * np.pi * frac[..., i]) for i, amp in enumerate(vper.amplitudes)
+        )
+    else:
+        n = vper.values.shape[0]
+        idx = np.clip(((frac + 0.5) * n).astype(int), 0, n - 1)
+        out = vper.values[tuple(np.moveaxis(idx, -1, 0))]
+    if vper.site_floor is not None:
+        flat = frac.reshape(-1, d)
+        floor = u_at(vper.site_floor, vper.site_floor.lambda_minus, flat)
+        out = out + floor.reshape(pts.shape[:-1])
+    return out + vper.offset
+
+
+def total_potential(model, couplings: dict, pts):
+    """Brute-force V_per(x) + sum_k u(lambda_k, x - k) at arbitrary points;
+    ``couplings`` maps lattice sites (int tuples) to coupling values."""
+    pts = np.asarray(pts, dtype=float)
+    out = periodic_values(model.vper, pts)
+    flat = pts.reshape(-1, pts.shape[-1])
+    acc = np.zeros(flat.shape[0])
+    for k, lam in couplings.items():
+        acc += u_at(model.site, lam, flat - np.asarray(k, dtype=float))
+    return out + acc.reshape(pts.shape[:-1])
 
 
 def breather_site(a=1.0, r=0.4, lo=1.0, hi=2.0, standardized=False):
@@ -57,34 +100,34 @@ class TestEvaluateSite:
     def test_breather_matches_scalar_formula(self):
         # u(lam, x) = -f(lam x); cross-check against the plain scalar formula
         site = breather_site(a=1.0, r=0.4)
-        val = evaluate_site(site, 2.0, 0.1)
+        val = u_at(site, 2.0, [[0.1]])[0]
         assert val == pytest.approx(-bump_scalar(1.0, 0.4, 0.2), abs=1e-15)
         assert val == pytest.approx(-0.5625, abs=1e-12)
 
     def test_breather_standardized_zero_at_floor(self):
         site = breather_site(standardized=True)
         xs = np.linspace(-0.5, 0.5, 41)[:, None]
-        vals = evaluate_site(site, site.lambda_minus, xs)
+        vals = u_at(site, site.lambda_minus, xs)
         assert np.all(vals == 0.0)
 
     def test_alloy_monotone_in_coupling(self):
         site = alloy_site()
         xs = np.linspace(-0.6, 0.6, 101)[:, None]
-        lo = evaluate_site(site, 0.3, xs)
-        hi = evaluate_site(site, 0.8, xs)
+        lo = u_at(site, 0.3, xs)
+        hi = u_at(site, 0.8, xs)
         assert np.all(hi >= lo)
 
     def test_outside_cell_is_exact_zero(self):
         for site in (breather_site(), alloy_site(a=2.0, r=0.5)):
             pts = np.array([[0.51], [0.75], [-0.9], [12.0]])
-            assert np.all(evaluate_site(site, site.lambda_plus, pts) == 0.0)
+            assert np.all(u_at(site, site.lambda_plus, pts) == 0.0)
 
     def test_coupling_domain_error(self):
         site = breather_site(lo=1.0, hi=2.0)
         with pytest.raises(DomainError):
-            evaluate_site(site, 2.5, 0.0)
+            u_at(site, 2.5, [[0.0]])
         with pytest.raises(DomainError):
-            evaluate_site(site, 0.5, 0.0)
+            u_at(site, 0.5, [[0.0]])
 
     def test_tabulated_values_of_wrong_shape_rejected(self):
         # two coupling nodes and three x nodes need 2 x 3 values, not 2 x 2
@@ -96,7 +139,7 @@ class TestEvaluateSite:
     def test_2d_points(self):
         site = breather_site(a=1.5, r=0.3, lo=1.0, hi=2.0)
         pt = np.array([0.05, -0.08])
-        got = evaluate_site(site, 1.7, pt[None, :])[0]
+        got = u_at(site, 1.7, pt[None, :])[0]
         assert got == pytest.approx(-bump_scalar(1.5, 0.3, 1.7 * pt), abs=1e-14)
 
 
@@ -104,8 +147,8 @@ class TestDerivative:
     def test_alloy_derivative_is_profile(self):
         site = alloy_site(a=0.7, r=0.45)
         xs = np.linspace(-0.5, 0.5, 31)[:, None]
-        d1 = site_lambda_derivative(site, 0.2, xs)
-        d2 = site_lambda_derivative(site, 0.9, xs)
+        d1 = du_at(site, 0.2, xs)
+        d2 = du_at(site, 0.9, xs)
         f = np.array([bump_scalar(0.7, 0.45, x) for x in xs])
         assert np.allclose(d1, f, atol=1e-14)
         assert np.allclose(d1, d2, atol=1e-14)
@@ -117,20 +160,19 @@ class TestDerivative:
         dv = site_values(site, lams, xs)  # sanity: values finite
         assert np.all(np.isfinite(dv))
         for lam in lams:
-            assert np.all(site_lambda_derivative(site, lam, xs) >= 0.0)
+            assert np.all(du_at(site, lam, xs) >= 0.0)
 
     def test_breather_derivative_against_finite_difference(self):
-        # analytic -x f'(lam x) vs difference quotient of evaluate_site
+        # analytic -x f'(lam x) vs difference quotient of the site values
         site = breather_site(a=1.0, r=0.4)
         step = 1e-5
         rng = np.random.default_rng(7)
         for _ in range(20):
             lam = rng.uniform(1.1, 1.9)
             x = rng.uniform(-0.45, 0.45)
-            fd = (evaluate_site(site, lam + step, x) - evaluate_site(site, lam - step, x)) / (
-                2 * step
-            )
-            assert site_lambda_derivative(site, lam, x) == pytest.approx(fd, abs=1e-6)
+            up, down = u_at(site, lam + step, [[x]])[0], u_at(site, lam - step, [[x]])[0]
+            fd = (up - down) / (2 * step)
+            assert du_at(site, lam, [[x]])[0] == pytest.approx(fd, abs=1e-6)
 
     def test_repulsivity_closed_form(self):
         # g(x) = -x f'(x) = (4 a |x|^2 / r^2)(1 - |x|^2/r^2)_+ and the breather
@@ -139,7 +181,7 @@ class TestDerivative:
         site = breather_site(a=a, r=r, lo=1.0, hi=2.0)
         lam = 1.6
         xs = np.linspace(-0.49, 0.49, 97)
-        got = site_lambda_derivative(site, lam, xs[:, None])
+        got = du_at(site, lam, xs[:, None])
         y2 = (lam * xs) ** 2
         g = 4.0 * a * y2 / r**2 * np.clip(1.0 - y2 / r**2, 0.0, None)
         assert np.allclose(got, g / lam, atol=1e-13)
@@ -155,7 +197,7 @@ class TestDerivative:
             kind="tabulated", lambda_minus=1.0, lambda_plus=2.0,
             lambda_nodes=lam_nodes, x_nodes=x_nodes, values=vals,
         )
-        d = site_lambda_derivative(site, 1.5, 0.1)
+        d = du_at(site, 1.5, [[0.1]])[0]
         assert d == pytest.approx(bump_scalar(1.0, 0.4, 0.1), rel=1e-3)
 
 
@@ -172,7 +214,7 @@ class TestStandardize:
         xs = np.linspace(-0.5, 0.5, 33)[:, None]
         for lam in (0.0, 0.4, 1.0):
             assert np.allclose(
-                evaluate_site(std.site, lam, xs), evaluate_site(model.site, lam, xs)
+                u_at(std.site, lam, xs), u_at(model.site, lam, xs)
             )
 
     def test_breather_standardized_nonnegative(self):
@@ -180,9 +222,9 @@ class TestStandardize:
         std = standardize(model)
         xs = np.linspace(-0.5, 0.5, 101)[:, None]
         for lam in np.linspace(1.0, 2.0, 11):
-            vals = evaluate_site(std.site, lam, xs)
+            vals = u_at(std.site, lam, xs)
             assert np.all(vals >= 0.0)
-        assert np.all(evaluate_site(std.site, 1.0, xs) == 0.0)
+        assert np.all(u_at(std.site, 1.0, xs) == 0.0)
 
     def test_total_potential_invariant(self):
         # V_per + V_omega evaluated at random points is unchanged by the
@@ -213,7 +255,7 @@ class TestDistributions:
         dist = DistributionSpec(kind="uniform", lambda_minus=1.0, lambda_plus=3.0)
         assert dist.alpha == pytest.approx(0.5)
         assert dist.kappa == 1.0
-        assert dist.mass_below(0.5) == pytest.approx(0.25)
+        assert dist.cdf_below(0.5) == pytest.approx(0.25)
 
     def test_beta_sampling_and_tail(self):
         dist = DistributionSpec(
@@ -223,7 +265,7 @@ class TestDistributions:
         x = dist.sample(u)
         assert np.all((x >= 0.0) & (x <= 1.0))
         for eps in (0.01, 0.1, 0.4):
-            assert dist.mass_below(eps) >= dist.alpha * eps**dist.kappa * (1 - 1e-9)
+            assert dist.cdf_below(eps) >= dist.alpha * eps**dist.kappa * (1 - 1e-9)
 
     @pytest.mark.parametrize("a,b", [(0.5, 1.0), (0.5, 0.5), (2.0, 3.0), (3.0, 2.0),
                                      (0.3, 4.0), (5.0, 0.7)])

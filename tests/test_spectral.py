@@ -64,14 +64,25 @@ class TestLowestEigenvalues:
         assert abs(res.energies[0]) <= 1e-9
 
     def test_iterative_matches_dense(self, monkeypatch):
-        # force the iterative path on a dim-200 random-coupling operator
-        H = random_coupling_hamiltonian(L=25, n=8)
+        # force the iterative path on a dim-200 random-coupling operator; a
+        # periodic one, since a tridiagonal operator never goes iterative
+        H = random_coupling_hamiltonian(L=25, n=8, bc=PERIODIC)
         assert H.num_dof == 200
         de = lowest_eigenvalues(H, 4)
         monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 100)
         it = lowest_eigenvalues(H, 4)
-        assert it.method == "iterative" and de.method == "tridiagonal"
+        assert it.method == "iterative" and de.method == "dense"
         assert np.allclose(it.energies, de.energies, atol=1e-8)
+
+    def test_tridiagonal_above_threshold(self):
+        # N = 2560 > DENSE_THRESHOLD: still multisection, no shift-invert Lanczos
+        H = assemble(free_model(), GridSpec(L=40, n=64), DIRICHLET)
+        assert H.num_dof > spectral.DENSE_THRESHOLD
+        res = lowest_eigenvalues(H, 4)
+        N, h = 2560, 1.0 / 64
+        oracle = (4 / h**2) * np.sin(np.arange(1, 5) * np.pi / (2 * N)) ** 2
+        assert res.method == "tridiagonal"
+        assert np.allclose(res.energies, oracle, atol=1e-10 * 64**2)
 
     def test_residuals_reported(self):
         H = random_coupling_hamiltonian()
@@ -80,9 +91,11 @@ class TestLowestEigenvalues:
 
     @pytest.mark.parametrize("threshold", [2000, 100])
     def test_vectors_are_the_checked_eigenvectors(self, threshold, monkeypatch):
-        H = random_coupling_hamiltonian()
+        # tridiagonal, or iterative: a periodic box above the threshold
+        H = random_coupling_hamiltonian(bc=DIRICHLET if threshold == 2000 else PERIODIC)
         monkeypatch.setattr(spectral, "DENSE_THRESHOLD", threshold)
         res = lowest_eigenvalues(H, 3)
+        assert res.method == ("tridiagonal" if threshold == 2000 else "iterative")
         assert res.vectors.shape == (H.num_dof, 3)
         for j in range(3):
             v = res.vectors[:, j]
