@@ -10,6 +10,8 @@ eigenvalue: E1 >= (3/4) * mean(xi).  The same machinery yields the deviation
 chain (small xi forces the coupling into a window) and a binomial tail bound.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 
 from breatherlab import (
@@ -48,7 +50,7 @@ gap = fit_gap_constant({L: periodic_levels(ground_state_box(model, gs, GridSpec(
                         for L in range(2, 11)})
 lam_star, p = model.dist.lambda_star()
 cfg = make_temple_config(L=6, gamma=2.0 / p, constants=consts, epsilon0=gap.epsilon0)
-print("constants:", consts.to_dict())
+print("constants:", asdict(consts))
 print(f"config: c2 = {cfg.c2:.4f}, gamma = {cfg.gamma}, c7 = {cfg.c7:.2f}, "
       f"energy scale = {cfg.energy_scale:.3e}")
 

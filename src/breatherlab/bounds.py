@@ -17,7 +17,7 @@ inequalities with every constant recorded.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,17 +59,6 @@ class BoundReport:
     def passed(self):
         return self.verdict != "fail"
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "pass": self.passed,
-            "verdict": self.verdict,
-            "constants": dict(self.constants),
-        }
-
 
 def _float_verdict(margin, scale=1.0):
     tol = BOUNDARY_TOL * (1.0 + abs(scale))
@@ -101,12 +90,6 @@ class ModelConstants:
     c3: float
     c4: float
     n: int
-
-    def to_dict(self):
-        return {
-            "kappa1": self.kappa1, "eps1": self.eps1, "eps2": self.eps2,
-            "c3": self.c3, "c4": self.c4, "n": self.n,
-        }
 
 
 def model_constants(model, gs, lambda_grid_size: int = 2049) -> ModelConstants:
@@ -171,13 +154,6 @@ class TempleConfig:
         for ok, label in checks:
             if not ok:
                 raise PreconditionError(f"hypothesis violated: {label}")
-
-    def to_dict(self):
-        return {
-            "L": self.L, "c2": self.c2, "gamma": self.gamma, "c7": self.c7,
-            "epsilon0": self.epsilon0, "energy_scale": self.energy_scale,
-            "constants": self.constants.to_dict(),
-        }
 
 
 def make_temple_config(L: int, gamma: float, constants: ModelConstants,
@@ -308,7 +284,7 @@ def _temple_report(H_cut, mapped: MappedRealization, cfg: TempleConfig, per, cut
         "E2(per) <= E2(cut)": cut[1] >= per[1] - tol,
     }
     factor = 1.0 - 4.0 * cfg.constants.kappa1 * cfg.c2 / cfg.epsilon0
-    constants = dict(cfg.to_dict())
+    constants = asdict(cfg)
     constants.update({
         "E1_per": float(per[0]), "E2_per": float(per[1]),
         "E1_cut": float(cut[0]), "E2_cut": float(cut[1]),
@@ -475,12 +451,6 @@ class GapFit:
     Ls: tuple
     gaps: tuple
     loglog_slope: float
-
-    def to_dict(self):
-        return {
-            "epsilon0": self.epsilon0, "Ls": list(self.Ls),
-            "gaps": list(self.gaps), "loglog_slope": self.loglog_slope,
-        }
 
 
 def fit_gap_constant(levels) -> GapFit:

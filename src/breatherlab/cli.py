@@ -442,14 +442,19 @@ class ResultCache:
         return self.root / f"{command}-{key}"
 
     def fetch(self, command: str, key: str, out_dir: Path):
+        """The slot's manifest after copying its files to ``out_dir``; None for a
+        missing or damaged slot (unparsable manifest, a field or file gone)."""
         slot = self._slot(command, key)
-        manifest = slot / "manifest.json"
-        if not manifest.is_file():
+        try:
+            info = json.loads((slot / "manifest.json").read_text())
+            files, exit_code = info["files"], int(info["exit_code"])
+            if not all((slot / name).is_file() for name in files):
+                return None
+        except (OSError, ValueError, TypeError, KeyError):
             return None
-        info = json.loads(manifest.read_text())
-        for name in info["files"]:
+        for name in files:
             shutil.copyfile(slot / name, out_dir / name)
-        return info
+        return {"files": files, "exit_code": exit_code}
 
     def store(self, command: str, key: str, out_dir: Path, files, exit_code: int):
         slot = self._slot(command, key)
@@ -471,6 +476,8 @@ def _prepare(cfg, model):
 
 
 def cmd_validate(cfg, out_dir: Path, digest: str):
+    from dataclasses import asdict
+
     from .model import validate_assumptions
 
     model = build_model(cfg)
@@ -478,8 +485,7 @@ def cmd_validate(cfg, out_dir: Path, digest: str):
     x_grid = exp["x_grid_size"] or X_GRID_DEFAULT[model.d]
     report = validate_assumptions(model, lambda_grid_size=exp["lambda_grid_size"],
                                   x_grid_size=x_grid)
-    payload = report.to_dict()
-    payload["config_hash"] = digest
+    payload = {**asdict(report), "passed": report.passed, "config_hash": digest}
     dump_json(payload, out_dir / "validate_report.json")
     lines = [f"assumption ({k}): {'PASS' if v else 'FAIL'}"
              for k, v in report.verdicts.items()]
@@ -597,6 +603,8 @@ def _self_test_fit():
 
 
 def cmd_lifshitz(cfg, out_dir: Path, digest: str):
+    from dataclasses import asdict
+
     from . import bounds as bounds_mod
     from . import ids as ids_mod
     from .lattice import GridSpec
@@ -640,7 +648,7 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
         print(f"insufficient window data: {err}", file=sys.stderr)
         return 4, files
 
-    payload.update(fit.to_dict())
+    payload.update(asdict(fit))
     payload["tolerance_band"] = band
     payload["band_pass"] = bool(band[0] <= fit.slope <= band[1])
     dump_json(payload, out_dir / "lifshitz.json")
@@ -650,6 +658,8 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
 
 
 def cmd_bounds(cfg, out_dir: Path, digest: str):
+    from dataclasses import asdict
+
     import numpy as np
 
     from . import bounds as bounds_mod
@@ -674,7 +684,7 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
     payload = {
         "config_hash": digest,
         "constants": {
-            **consts.to_dict(),
+            **asdict(consts),
             "epsilon0": gap.epsilon0,
             "gap_loglog_slope": gap.loglog_slope,
             "lambda_star": lam_star,
@@ -693,7 +703,7 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
                 "B1_B2": "realized from the product-cosine test function",
             },
         },
-        "gap_fit": gap.to_dict(),
+        "gap_fit": asdict(gap),
     }
 
     temple_out = {}

@@ -116,8 +116,9 @@ class IDSCurve:
 
     @classmethod
     def from_csv(cls, path, d: int) -> "IDSCurve":
-        """Read a curve written by ``to_csv`` (the file does not store d); a bad
-        header, row width or value, or a file without rows raises InputError."""
+        """Read one curve written by ``to_csv`` (the file does not store d); a bad
+        header, row width or value, a file without rows, or rows of a second
+        curve (a decreasing energy, another n, M or seed) raise InputError."""
         width = CSV_HEADER.count(",") + 1
         try:
             with open(path, encoding="utf-8") as fh:
@@ -132,6 +133,10 @@ class IDSCurve:
                 if len(fields) != width:
                     raise ValueError(f"row {line!r} has {len(fields)} fields, not {width}")
                 table.append([float(v) for v in fields[:5]] + [int(v) for v in fields[5:]])
+            for k in range(1, len(table)):  # one curve: energies nondecreasing, one run
+                if table[k][0] < table[k - 1][0] or table[k][6:] != table[0][6:]:
+                    raise ValueError(f"row {lines[k]!r} starts a second curve "
+                                     "(a decreasing energy, or another n, M or seed)")
         except (OSError, ValueError) as err:
             raise InputError(f"curve CSV {path}: {err}") from err
         E, N_D, se_D, N_M, se_M, box = (np.array([r[j] for r in table]) for j in range(6))
@@ -335,19 +340,6 @@ class LifshitzFit:
     label: str
     n_points: int
     n_resamples: int
-
-    def to_dict(self):
-        return {
-            "window": list(self.window),
-            "slope": self.slope,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "target": self.target,
-            "points": [list(p) for p in self.points],
-            "label": self.label,
-            "n_points": self.n_points,
-            "n_resamples": self.n_resamples,
-        }
 
 
 def fit_lifshitz(curve: IDSCurve, window=(1e-4, 1e-1), label: str = "M",

@@ -160,14 +160,6 @@ class DiscreteHamiltonian:
         return self.box.grid
 
     @property
-    def bc(self):
-        return self.box.bc
-
-    @property
-    def tridiagonal(self):
-        return self.box.tridiagonal
-
-    @property
     def shape(self):
         return (self.num_dof, self.num_dof)
 

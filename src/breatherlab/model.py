@@ -255,10 +255,8 @@ class PeriodicPotentialSpec:
                 )
             cell = self.values.copy()
         if self.site_floor is not None:
-            mesh = np.meshgrid(*([offsets] * d), indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
             cell = cell + site_values(
-                self.site_floor, [self.site_floor.lambda_minus], pts
+                self.site_floor, [self.site_floor.lambda_minus], _midpoint_grid(n, d)
             )[0].reshape((n,) * d)
         return cell + self.offset
 
@@ -441,20 +439,6 @@ class AssumptionReport:
     @property
     def passed(self):
         return all(self.verdicts.values())
-
-    def to_dict(self):
-        return {
-            "verdicts": dict(self.verdicts),
-            "kappa1": self.kappa1,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "alpha": self.alpha,
-            "kappa": self.kappa,
-            "worst_violation": self.worst_violation,
-            "violation_site": list(self.violation_site) if self.violation_site else None,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def _midpoint_grid(m: int, d: int):

@@ -264,16 +264,17 @@ class TestTemple:
         mapped = [map_realization(gs, model, grid, draw_couplings(rng, L), cfg)
                   for _ in range(20)]
         for rep in temple_lower_bounds(box, mapped, cfg, per):
-            assert rep.passed, rep.to_dict()
+            assert rep.passed, rep
             assert all(rep.constants["links"].values())
 
     def test_report_serializes(self, prepped, cfg6):
         import json
+        from dataclasses import asdict
 
         model, gs = prepped
         rep = temple_at(gs, model, GridSpec(L=6, n=16), np.full(6, 1.3), cfg6)
-        payload = rep.to_dict()
-        assert {"name", "lhs", "rhs", "margin", "pass", "constants"} <= set(payload)
+        payload = asdict(rep)
+        assert {"name", "lhs", "rhs", "margin", "verdict", "constants"} <= set(payload)
         json.dumps(payload)
 
     def test_mapped_from_other_box_rejected(self, prepped, consts, gapfit, cfg6):
@@ -456,7 +457,7 @@ class TestDirichletUpperBound:
         test = dirichlet_test_function(model, grid)
         fields = [rng.uniform(1.0, 2.0, 6) for _ in range(100)]
         for rep in dirichlet_upper_bounds(model, fields, test):
-            assert rep.passed, rep.to_dict()
+            assert rep.passed, rep
             assert rep.constants["variational_ok"]
 
     def test_with_periodic_background(self, prepped):

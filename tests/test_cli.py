@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import breatherlab
 from breatherlab import cli
 from breatherlab.cli import main
-from breatherlab.errors import DomainError, GroundStateError, NumericalError, StateError
+from breatherlab.errors import (ConvergenceError, DomainError, GroundStateError, InputError,
+                                NumericalError, PreconditionError, StateError)
 from breatherlab.ids import synthetic_curve
 
 
@@ -152,6 +153,34 @@ class TestValidate:
             assert f"missing field {path}" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("damage", ["truncated-manifest", "missing-file"])
+    def test_damaged_cache_entry_is_a_miss(self, tmp_path, damage):
+        # a truncated manifest or a file gone from the slot: recomputed and
+        # stored again, never a traceback
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        out = tmp_path / "out"
+        args = ["validate", "--config", str(cfg), "--out", str(out)]
+        assert main(args) == 0
+        key = json.loads((out / "validate_meta.json").read_text())["cache_key"]
+        slot = out / ".cache" / f"validate-{key}"
+        if damage == "truncated-manifest":
+            text = (slot / "manifest.json").read_text()
+            (slot / "manifest.json").write_text(text[:len(text) // 2])
+        else:
+            (slot / "validate_report.txt").unlink()
+        primary = ("validate_report.json", "validate_report.txt")
+        for name in primary:
+            (out / name).unlink()
+        assert main(args) == 0
+        assert json.loads((out / "validate_meta.json").read_text())["cache"] == "miss"
+        fresh = tmp_path / "fresh"
+        assert main([*args[:-1], str(fresh), "--no-cache"]) == 0
+        for name in primary:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        assert main(args) == 0
+        assert json.loads((out / "validate_meta.json").read_text())["cache"] == "hit"
+
 
 def test_cli_import_skips_stats_and_interpolate():
     # neither the package nor the command line loads a numerical library at import
@@ -193,7 +222,8 @@ def test_cache_hit_loads_no_numerical_library(tmp_path, command, name):
     src = str(Path(breatherlab.__file__).resolve().parents[1])
     probe = ("import sys; from breatherlab.cli import main; "
              f"code = main({args!r}); "
-             "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+             "print(code, sorted(m for m in ('numpy', 'scipy', 'dataclasses') "
+             "if m in sys.modules))")
     replay = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": src})
     assert replay.stdout.strip().splitlines()[-1] == f"{code} []"
@@ -304,6 +334,7 @@ def test_cli_import_is_stdlib_only():
 
 @pytest.mark.parametrize("error,code", [
     (GroundStateError, 1), (DomainError, 1), (StateError, 1), (NumericalError, 3),
+    (ConvergenceError, 3), (PreconditionError, 5), (InputError, 1),
 ])
 def test_library_error_maps_to_exit_code(tmp_path, monkeypatch, capsys, error, code):
     def command(cfg, out_dir, digest):
@@ -607,6 +638,30 @@ class TestSpectrum:
         # normalized model: the periodic ground level sits at zero for every L
         assert all(abs(e) <= 1e-8 for e in firsts)
 
+    def test_convergence_failure_exit_3_keeps_rows(self, tmp_path, monkeypatch, capsys):
+        from breatherlab import spectral
+
+        solve, calls = spectral.lowest_eigenvalues, []
+
+        def second_fails(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ConvergenceError("no convergence in the second solve")
+            return solve(*args)
+
+        monkeypatch.setattr(spectral, "lowest_eigenvalues", second_fails)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, grid={"n": 16, "L": [4, 6]},
+                     experiment={"seed": 3, "eigenvalues": 2, "realizations": 1,
+                                 "boundary": ["D"]})
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        rows = (out / "spectrum.csv").read_text().strip().split("\n")[1:]
+        # the first box's two operators (periodic and one realization), m = 2 each
+        assert len(rows) == 4 and {row.split(",")[0] for row in rows} == {"4"}
+        assert not (out / ".cache").exists()
+
     def test_rerun_identical_bytes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, experiment={"seed": 3, "eigenvalues": 2,
@@ -862,6 +917,7 @@ class TestLifshitz:
         pytest.param(lambda rows: rows[:1] + [rows[1].rsplit(",", 1)[0]] + rows[2:],
                      id="short-row"),
         pytest.param(lambda rows: rows[:1], id="empty-body"),
+        pytest.param(lambda rows: rows + rows[1:], id="two-curves"),
     ])
     def test_malformed_curve_csv_exit_2(self, tmp_path, capsys, mangle):
         curve_path = tmp_path / "curve.csv"
@@ -884,7 +940,7 @@ class TestLifshitz:
         kinds = []
 
         def spy(H, m):
-            kinds.append(H.bc.kind)
+            kinds.append(H.box.bc.kind)
             return spectral.lowest_eigenvalues(H, m)
 
         for module in (bounds_mod, lattice):
@@ -954,6 +1010,16 @@ class TestBounds:
                     "lambda_star", "gamma", "p", "provenance"):
             assert key in consts
         assert rep["dirichlet_upper"]["passes"] == rep["dirichlet_upper"]["checks"]
+
+    def test_gamma_below_one_exit_5(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, experiment={"seed": 11, "samples": 3, "gamma": 0.5})
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 5
+        assert "Traceback" not in capsys.readouterr().err
+        rep = json.loads((out / "bounds_report.json").read_text())
+        assert "gamma > 1" in rep["infeasible"]
+        assert not (out / ".cache").exists()
 
     def test_determinism_bounds_report(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 """Model-layer tests: site families, standardization, assumption scans."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -306,7 +308,7 @@ class TestValidateAssumptions:
     def test_breather_passes(self):
         model = breather_model()
         rep = validate_assumptions(model, lambda_grid_size=64, x_grid_size=256)
-        assert rep.passed, rep.to_dict()
+        assert rep.passed, rep
         assert rep.kappa1 <= analytic_kappa1(model.site) + 1e-12
         assert rep.eps1 > 0 and rep.eps2 > 0
 
@@ -342,7 +344,7 @@ class TestValidateAssumptions:
         model = breather_model(vper_kind="cosine-sum")
         r1 = validate_assumptions(model)
         r2 = validate_assumptions(model)
-        assert r1.to_dict() == r2.to_dict()
+        assert asdict(r1) == asdict(r2)
 
     def test_grid_size_guard(self):
         with pytest.raises(DomainError):

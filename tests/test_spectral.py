@@ -130,7 +130,7 @@ class TestLowestEigenvalues:
                 for bc in (DIRICHLET, NEUMANN, mezincescu_correction(gs, grid)):
                     for couplings in (None, lams[:L]):
                         H = assemble(model, grid, bc, couplings=couplings)
-                        assert H.tridiagonal
+                        assert H.box.tridiagonal
                         res = lowest_eigenvalues(H, 4)
                         w = linalg.eigh(H.to_dense(), eigvals_only=True,
                                         subset_by_index=(0, 3))
