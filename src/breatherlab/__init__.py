@@ -1,7 +1,7 @@
 """Numerical laboratory for random Schrodinger operators with breather-type disorder.
 
 The package discretizes the operators on cubes, computes finite-volume
-spectra under Dirichlet, Neumann, periodic, Robin and ground-state (Mezincescu)
+spectra under Dirichlet, Neumann, periodic and ground-state (Mezincescu)
 boundary conditions, estimates the integrated density of states by seeded
 Monte Carlo, and verifies the band-edge (Lifshitz tail) proof machinery at
 desk scale.

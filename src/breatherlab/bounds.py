@@ -17,7 +17,7 @@ inequalities with every constant recorded.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from .model import analytic_kappa1, integral_derivative_profile, site_values
 from .spectral import lowest_eigenvalues
 
 BOUNDARY_TOL = 1e-10
+LAMBDA_GRID_SIZE = 2049  # couplings at which model_constants reads the window
+SAFETY = 0.99  # make_temple_config sets c2 this fraction of its binding constraint
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,10 @@ class ModelConstants:
     n: int
 
 
-def model_constants(model, gs, lambda_grid_size: int = 2049) -> ModelConstants:
+def model_constants(model, gs) -> ModelConstants:
     """Measure (kappa1, eps1, eps2) at the run resolution and read off c3, c4."""
     site = model.site
-    lams = np.linspace(site.lambda_minus, site.lambda_plus, lambda_grid_size)
+    lams = np.linspace(site.lambda_minus, site.lambda_plus, LAMBDA_GRID_SIZE)
     phi_prime = integral_derivative_profile(model, lams, x_grid_size=gs.n)
     positive = phi_prime > 1e-12
     if not positive[0]:
@@ -157,7 +159,7 @@ class TempleConfig:
 
 
 def make_temple_config(L: int, gamma: float, constants: ModelConstants,
-                       epsilon0: float, safety: float = 0.99) -> TempleConfig:
+                       epsilon0: float) -> TempleConfig:
     """Choose (c2, c7, energy scale) maximal under the stated hypotheses."""
     c = constants
     if c.eps1 <= 0 or c.eps2 <= 0 or epsilon0 <= 0:
@@ -171,7 +173,7 @@ def make_temple_config(L: int, gamma: float, constants: ModelConstants,
         "4 kappa1 c2 / epsilon0 < 1/4": epsilon0 / (16.0 * c.kappa1),
     }
     binding = min(candidates, key=candidates.get)
-    c2 = safety * candidates[binding]
+    c2 = SAFETY * candidates[binding]
     if not c2 > 0:
         raise PreconditionError(f"infeasible: binding constraint {binding} forces c2 <= 0")
     c7 = 2.0 * gamma / (c.eps1 * c.c3**2)
@@ -265,9 +267,10 @@ def temple_lower_bounds(box: BoxSkeleton, mapped, cfg: TempleConfig, per) -> lis
     for one in mapped:
         if one.grid != grid:
             raise InputError(f"realization mapped on {one.grid}, not on {grid}")
-    ops = [box.hamiltonian(one.potential) for one in mapped]
-    levels = lowest_eigenvalues(box, 2, np.array([H.diag for H in ops])).energies
-    return [_temple_report(H, one, cfg, per, cut) for H, one, cut in zip(ops, mapped, levels)]
+    H = box.hamiltonian(np.array([one.potential for one in mapped]))
+    levels = lowest_eigenvalues(H, 2).energies
+    return [_temple_report(replace(H, diag=row), one, cfg, per, cut)
+            for row, one, cut in zip(H.diag, mapped, levels)]
 
 
 def _temple_report(H_cut, mapped: MappedRealization, cfg: TempleConfig, per, cut):
@@ -284,15 +287,14 @@ def _temple_report(H_cut, mapped: MappedRealization, cfg: TempleConfig, per, cut
         "E2(per) <= E2(cut)": cut[1] >= per[1] - tol,
     }
     factor = 1.0 - 4.0 * cfg.constants.kappa1 * cfg.c2 / cfg.epsilon0
-    constants = asdict(cfg)
-    constants.update({
+    constants = {
         "E1_per": float(per[0]), "E2_per": float(per[1]),
         "E1_cut": float(cut[0]), "E2_cut": float(cut[1]),
         "form": form, "mean_xi": mean_xi, "nu": nu,
         "second_moment": sq_value, "second_moment_bound": sq_bound,
         "one_minus_4k1c2_over_eps0": factor,
         "links": {k: bool(v) for k, v in links.items()},
-    })
+    }
     lhs, rhs = float(cut[0]), 0.75 * mean_xi
     verdict = _float_verdict(lhs - rhs, scale=abs(rhs))
     broken = [k for k, v in links.items() if not v]
@@ -420,8 +422,7 @@ def dirichlet_upper_bounds(model, couplings, test: DirichletTestFunction) -> lis
     Q, T, P = test.Q, test.T, test.P
     vrand = random_potentials(model, grid, [couplings_array(grid, lams).ravel()
                                             for lams in couplings])
-    ops = [test.box.hamiltonian(v) for v in vrand]
-    e1s = lowest_eigenvalues(test.box, 1, np.array([H.diag for H in ops])).energies[:, 0]
+    e1s = lowest_eigenvalues(test.box.hamiltonian(vrand), 1).energies[:, 0]
     reports = []
     for v, e1 in zip(vrand, e1s):
         W = float(np.sum(test.phi**2 * v)) * hd

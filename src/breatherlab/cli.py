@@ -519,22 +519,19 @@ def cmd_spectrum(cfg, out_dir: Path, digest: str):
     n, m, labels = cfg["grid"]["n"], exp["eigenvalues"], exp["boundary"]
     n_real, seed = exp["realizations"], exp["seed"]
 
+    indices = ([-1] if exp["include_periodic"] else []) + list(range(n_real))
     rows = []
     exit_code = 0
     try:
-        for L in cfg["grid"]["L"]:
+        for L in cfg["grid"]["L"] if indices else ():  # no operator: the header alone
             grid = GridSpec(L=L, n=n, d=prepared.d)
             fields = sample_fields(prepared.dist, seed, range(n_real), L, prepared.d)
             vrand = random_potentials(prepared, grid, fields)
+            if exp["include_periodic"]:  # index -1: V_per alone
+                vrand = np.vstack([np.zeros(grid.num_dof), vrand])
             for label in labels:
                 bc = fixed.get(label) or mezincescu_correction(gs, grid)
-                box = skeleton(prepared, grid, bc)
-                indices = ([-1] if exp["include_periodic"] else []) + list(range(n_real))
-                if not indices:
-                    continue
-                diagonals = [box.hamiltonian(None if idx < 0 else vrand[idx]).diag
-                             for idx in indices]
-                res = lowest_eigenvalues(box, m, np.array(diagonals))
+                res = lowest_eigenvalues(skeleton(prepared, grid, bc).hamiltonian(vrand), m)
                 for idx, energies, residuals in zip(indices, res.energies, res.residuals):
                     for k in range(len(energies)):
                         rows.append((L, n, label, idx, k + 1, energies[k], residuals[k]))

@@ -27,12 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InsufficientDataError
-from .lattice import DIRICHLET, GridSpec, mezincescu_correction, random_potentials, skeleton
+from .lattice import (DIRICHLET, DiscreteHamiltonian, GridSpec, mezincescu_correction,
+                      random_potentials, skeleton)
 from .model import DistributionSpec
 from .spectral import count_below
 
 CSV_HEADER = "E,N_D,se_D,N_M,se_M,L,n,M,seed"
 LABELS = ("D", "M")  # the bracketing pair: Dirichlet below, ground state above
+BOOT_RESAMPLES, BOOT_SEED = 200, 0xB007  # the percentile bootstrap of fit_lifshitz
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
@@ -148,17 +150,17 @@ class IDSCurve:
 def _count_block(args):
     """Counts (realizations x energies) under "D" and "M" for one index block,
     from one ``count_below`` call: the folds touch only the diagonal, so both
-    conditions share the off-diagonal part of one operator."""
+    conditions are one batch of operators on one box."""
     model, grid, gs, energies, master_seed, indices, index_offset = args
     fields = sample_fields(model.dist, master_seed, np.asarray(indices) + index_offset,
                            grid.L, grid.d)
     vrand = random_potentials(model, grid, fields)
     boxes = [skeleton(model, grid, bc) for bc in (DIRICHLET, mezincescu_correction(gs, grid))]
     M = len(vrand)
-    diagonals = np.empty((grid.num_dof, len(boxes) * M))  # column layout, see count_below
+    cols = np.empty((grid.num_dof, len(boxes) * M))  # column layout, see count_below
     for k, box in enumerate(boxes):
-        np.add(box.diagonal(box.vper)[:, None], vrand.T, out=diagonals[:, k * M:(k + 1) * M])
-    counts = count_below(boxes[0], energies, diagonals.T)
+        np.add(box.diagonal(box.vper)[:, None], vrand.T, out=cols[:, k * M:(k + 1) * M])
+    counts = count_below(DiscreteHamiltonian(box=boxes[0], diag=cols.T), energies)
     return {box.bc.label: counts[k * M:(k + 1) * M] for k, box in enumerate(boxes)}
 
 
@@ -344,13 +346,13 @@ class LifshitzFit:
 
 def fit_lifshitz(curve: IDSCurve, window=(1e-4, 1e-1), label: str = "M",
                  max_rel_se: float = 0.25, min_points: int = 5,
-                 target: float = None, n_boot: int = 200,
-                 boot_seed: int = 0xB007) -> LifshitzFit:
+                 target: float = None) -> LifshitzFit:
     """Least-squares slope of log|log N| against log E on the window.
 
     Points need estimates inside [N_min, N_max] with relative standard error
     under ``max_rel_se``.  The confidence interval is a percentile bootstrap
-    over realizations (200 resamples) when raw counts are available.
+    over realizations (``BOOT_RESAMPLES`` resamples) when raw counts are
+    available.
     """
     lo, hi = window
     if not 0.0 < lo < hi < 1.0:
@@ -377,14 +379,14 @@ def fit_lifshitz(curve: IDSCurve, window=(1e-4, 1e-1), label: str = "M",
 
     slopes = []
     n_used = 0
-    if curve.counts is not None and n_boot > 0:
+    if curve.counts is not None:
         counts = curve.counts[label][:, admissible]
         vols = (curve.box_sizes[admissible].astype(float)) ** curve.d
         M = counts.shape[0]
         gen = np.random.Generator(
-            np.random.Philox(key=np.array([boot_seed, curve.seed], dtype=np.uint64))
+            np.random.Philox(key=np.array([BOOT_SEED, curve.seed], dtype=np.uint64))
         )
-        for _ in range(n_boot):
+        for _ in range(BOOT_RESAMPLES):
             sel = gen.integers(0, M, size=M)
             mean_b = counts[sel].mean(axis=0) / vols
             if np.any(mean_b <= 0.0) or np.any(mean_b >= 1.0):

@@ -10,8 +10,7 @@ cell boundary.
 
 The Laplacian is the second-order stencil with ghost-point elimination at the
 box faces: the ghost value is a multiple c of the adjacent inner value, with
-c = -1 (Dirichlet, odd reflection through the face), c = +1 (Neumann),
-c = (2 - rho h)/(2 + rho h) (Robin with coefficient rho at the face), and
+c = -1 (Dirichlet, odd reflection through the face), c = +1 (Neumann), and
 c = Psi(ghost)/Psi(inner) for the ground-state (Mezincescu) condition, Psi
 being the periodic extension of the unit-cell ground state.  All folds touch
 only the diagonal, so every assembled matrix is exactly symmetric.
@@ -31,7 +30,7 @@ from .errors import GroundStateError, InputError, StateError
 from .model import ModelSpec, normalize_energy, site_values, standardize
 from .spectral import lowest_eigenvalues
 
-BC_KINDS = ("dirichlet", "neumann", "periodic", "robin", "mezincescu")
+BC_KINDS = ("dirichlet", "neumann", "periodic", "mezincescu")
 
 
 @dataclass(frozen=True)
@@ -82,24 +81,16 @@ class GridSpec:
         mesh = np.meshgrid(*([o] * self.d), indexing="ij")
         return np.stack([ax.ravel() for ax in mesh], axis=-1)
 
-    def point_coords(self, flat_indices):
-        """Coordinates of flat grid indices, shape (K, d)."""
-        multi = np.unravel_index(np.asarray(flat_indices), self.shape)
-        coords = [(m + 0.5) * self.h - 0.5 for m in multi]
-        return np.stack(coords, axis=-1)
-
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """One of dirichlet | neumann | periodic | robin | mezincescu.
+    """One of dirichlet | neumann | periodic | mezincescu.
 
-    ``rho`` (robin only) is a scalar or a callable mapping boundary points
-    (K, d) to coefficients (K,).  ``ground_state`` (mezincescu only) supplies
-    the periodic unit-cell ground state used for the ghost ratios.
+    ``ground_state`` (mezincescu only) supplies the periodic unit-cell ground
+    state used for the ghost ratios.
     """
 
     kind: str
-    rho: object = 0.0
     ground_state: object = None
 
     def __post_init__(self):
@@ -109,7 +100,7 @@ class BoundaryCondition:
     @property
     def label(self):
         return {"dirichlet": "D", "neumann": "N", "periodic": "P",
-                "robin": "R", "mezincescu": "M"}[self.kind]
+                "mezincescu": "M"}[self.kind]
 
 
 DIRICHLET = BoundaryCondition("dirichlet")
@@ -146,10 +137,12 @@ class GroundStateData:
 
 @dataclass(frozen=True)
 class DiscreteHamiltonian:
-    """H on one box: the skeleton ``box`` with the diagonal ``diag``.
+    """H on one box: the skeleton ``box`` with the diagonal ``diag`` (N,), or
+    a batch of B operators on that box with one diagonal each, ``diag`` (B, N).
 
-    ``H @ x`` sums each row in the order of the CSR ``matrix`` (built on first
-    use), so the two agree bit for bit and d = 1 products need no SciPy.
+    ``H @ x``, ``matrix`` and ``to_dense`` take one operator.  ``H @ x`` sums
+    each row in the order of the CSR ``matrix`` (built on first use), so the
+    two agree bit for bit and d = 1 products need no SciPy.
     """
 
     box: "BoxSkeleton"
@@ -160,12 +153,8 @@ class DiscreteHamiltonian:
         return self.box.grid
 
     @property
-    def shape(self):
-        return (self.num_dof, self.num_dof)
-
-    @property
     def num_dof(self):
-        return self.diag.size
+        return self.diag.shape[-1]
 
     def diagonal(self) -> np.ndarray:
         return self.diag
@@ -211,7 +200,7 @@ class BoxSkeleton:
     condition, the two corner entries ``wrap``.  ``stencil``, the CSR pattern
     of -Laplacian_h with its diagonal entries at ``diag_slots`` of
     ``stencil.data``, is built on first use.  A realization only moves the
-    diagonal: ``hamiltonian(v)`` is H with V_per + v.
+    diagonal: ``hamiltonian(v)`` is H with V_per + v, a batch for v (B, N).
     """
 
     grid: GridSpec
@@ -302,14 +291,6 @@ def _boundary_fold(grid: GridSpec, bc: BoundaryCondition, axis: int, side: int,
         return np.full(flat_idx.size, -1.0)
     if bc.kind == "neumann":
         return np.full(flat_idx.size, 1.0)
-    if bc.kind == "robin":
-        pts = grid.point_coords(flat_idx)
-        rho = bc.rho(pts) if callable(bc.rho) else np.full(flat_idx.size, float(bc.rho))
-        rho = np.asarray(rho, dtype=float)
-        denom = 2.0 + rho * grid.h
-        if np.any(denom <= 0):
-            raise InputError("robin coefficient too negative for this mesh (needs rho*h > -2)")
-        return (2.0 - rho * grid.h) / denom
     # mezincescu: ratio of the periodic ground-state extension ghost/inner
     gs = bc.ground_state
     if gs is None:

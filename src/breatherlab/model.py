@@ -15,7 +15,7 @@ All spatial points are passed as arrays whose trailing axis holds the d
 coordinates.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -267,7 +267,7 @@ class DistributionSpec:
 
     ``alpha`` and ``kappa`` certify the small-window mass bound
     mu([lambda_minus, lambda_minus + eps)) >= alpha * eps**kappa; they are
-    derived analytically for the built-in kinds when not given.
+    derived from the kind and its parameters, never passed in.
     """
 
     kind: str
@@ -276,8 +276,8 @@ class DistributionSpec:
     atom_mass_at_min: float = 0.0
     beta_a: float = None
     beta_b: float = None
-    alpha: float = None
-    kappa: float = None
+    alpha: float = field(init=False)
+    kappa: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in DIST_KINDS:
@@ -294,10 +294,8 @@ class DistributionSpec:
             if self.beta_a <= 0 or self.beta_b <= 0:
                 raise InputError("beta shape parameters must be positive")
         alpha, kappa = self._tail_constants()
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", alpha)
-        if self.kappa is None:
-            object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "kappa", kappa)
 
     @property
     def width(self):
@@ -448,7 +446,7 @@ def _midpoint_grid(m: int, d: int):
     return np.stack([ax.ravel() for ax in mesh], axis=-1)
 
 
-def integral_derivative_profile(model: ModelSpec, lams, x_grid_size: int = 256):
+def integral_derivative_profile(model: ModelSpec, lams, x_grid_size: int):
     """Quadrature of du/dlambda over the unit cell at each coupling in ``lams``.
 
     This is the discrete version of d/dlambda of the space integral of u; the

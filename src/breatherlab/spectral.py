@@ -1,8 +1,8 @@
 """Spectral primitives: lowest eigenvalues and the eigenvalue count.
 
-Both entry points take an operator (a ``DiscreteHamiltonian``) or a box
-skeleton with a batch of diagonals (B, N): B operators that share the
-skeleton's off-diagonal part and take one row each as their diagonal.
+Both entry points take an operator (a ``DiscreteHamiltonian``) whose
+``diag`` is one diagonal (N,) or a batch (B, N): B operators that share the
+box's off-diagonal part and take one row each as their diagonal.
 
 Solver settings are the module constants below, not options.
 ``lowest_eigenvalues`` returns every residual within ``EIG_TOL * (1 + |E|)``.
@@ -33,7 +33,7 @@ SciPy is imported only by the paths that need it: sparse LDL^T, Bunch-Kaufman,
 shift-invert Lanczos and dense solves at d >= 2.  A d = 1 run loads none of it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class SpectralResult:
     """Lowest eigenvalues in nondecreasing order, repeated by multiplicity.
 
     ``vectors`` holds the matching unit eigenvectors as columns.  For a batch
-    of diagonals every field but ``method`` gains a leading batch axis.
+    of operators every field but ``method`` gains a leading batch axis.
     """
 
     energies: np.ndarray
@@ -60,17 +60,9 @@ class SpectralResult:
     vectors: np.ndarray
 
 
-def _operands(H, diagonals):
-    """The skeleton of H (H itself for a skeleton or a matrix) and the (B, N)
-    diagonals to solve: ``diagonals``, or H's own diagonal."""
-    box = getattr(H, "box", H)
-    rows = H.diagonal()[None, :] if diagonals is None else np.asarray(diagonals, dtype=float)
-    return box, rows
-
-
-def lowest_eigenvalues(H, m: int, diagonals=None) -> SpectralResult:
+def lowest_eigenvalues(H, m: int) -> SpectralResult:
     """The m smallest eigenvalues of a symmetric operator, or of each operator
-    of a batch: a skeleton with ``diagonals`` (B, N).
+    of a batch (``H.diag`` shaped (B, N)).
 
     A tridiagonal operator takes multisection and inverse iteration (method
     "tridiagonal") at any size.  Any other takes dense ``eigh`` ("dense") up to
@@ -80,14 +72,12 @@ def lowest_eigenvalues(H, m: int, diagonals=None) -> SpectralResult:
     ||H v - E v|| <= EIG_TOL * (1 + |E|), otherwise a ConvergenceError
     carrying the best iterate is raised.
     """
-    from .lattice import DiscreteHamiltonian  # lattice imports this module
-
-    box, rows = _operands(H, diagonals)
+    box, rows = H.box, np.atleast_2d(H.diag)
     B, N = rows.shape
     if m < 1:
         raise ValueError("need m >= 1 eigenvalues")
     m = min(m, N)
-    ops = [DiscreteHamiltonian(box=box, diag=row) for row in rows]
+    ops = [replace(H, diag=row) for row in rows]
     w, v = np.empty((B, m)), np.empty((B, N, m))
     if box.tridiagonal:
         w = _sturm_levels(box.off, rows, m)
@@ -124,7 +114,7 @@ def lowest_eigenvalues(H, m: int, diagonals=None) -> SpectralResult:
     for b, op in enumerate(ops):
         r = op @ v[b] - w[b] * v[b]
         resid[b] = [np.linalg.norm(r[:, j]) for j in range(m)]
-    if diagonals is None:
+    if H.diag.ndim == 1:
         w, v, resid = w[0], v[0], resid[0]
     bad = ~(resid <= EIG_TOL * (1.0 + np.abs(w)))
     if np.any(bad):
@@ -137,7 +127,7 @@ def lowest_eigenvalues(H, m: int, diagonals=None) -> SpectralResult:
 
 def _sturm_levels(off, rows, m):
     """The m lowest eigenvalues (B, m) of the tridiagonal operators with
-    couplings ``off`` and diagonals ``rows`` (B, N): multisection on
+    couplings ``off`` and diagonal rows ``rows`` (B, N): multisection on
     ``_sturm_counts``.  Each sweep counts K trial energies inside the bracket
     of every (operator, level) pair, K chosen so that a sweep holds ~2048
     pairs, and keeps the two trials between which the count passes the level.
@@ -320,22 +310,23 @@ def _factor_counts(A, rows, e):
     return counts, ok
 
 
-def count_below(H, E, diagonals=None):
+def count_below(H, E):
     """N(E, H) = #{eigenvalues <= E} via the inertia of H - E*I.
 
-    ``E`` is one energy or a 1-D grid.  ``H`` is an operator or a matrix, or a
-    skeleton with ``diagonals`` (B, N): B operators that keep the off-diagonal
-    part and take one row each as their diagonal; pass the transpose of a
-    C-ordered (N, B) array so the Sturm sweep reads contiguous memory without
-    a copy.  Returns int counts shaped (B,) + shape(E), or shape(E) without
-    ``diagonals``.
+    ``E`` is one energy or a 1-D grid.  ``H`` is a matrix or an operator,
+    whose ``diag`` may be a batch (B, N): B operators that share the
+    off-diagonal part and take one row each as their diagonal; make it the
+    transpose of a C-ordered (N, B) array so the Sturm sweep reads contiguous
+    memory without a copy.  Returns int counts shaped shape(E), with a leading
+    B axis for a batch.
 
     A tridiagonal operator runs one Sturm sweep over all (row, energy) pairs;
     other sparse input runs sparse LDL^T, with Bunch-Kaufman at the same
     energy on breakdown; ndarray input runs Bunch-Kaufman.  A pair meeting a
     near-zero pivot is retried at a nudged energy, at most 8 times.
     """
-    box, rows = _operands(H, diagonals)
+    box, diag = getattr(H, "box", H), H.diagonal()
+    rows = np.atleast_2d(diag)
     if getattr(box, "tridiagonal", False):
         kernel, A = _sturm_counts, box.off
     else:
@@ -352,5 +343,5 @@ def count_below(H, E, diagonals=None):
         counts[k, r], ok[k, r] = got[0], good[0]
     if not ok.all():
         raise NumericalError(f"factorization kept hitting near-zero pivots near E={E}")
-    shape = energy.shape if diagonals is None else rows.shape[:1] + energy.shape
+    shape = rows.shape[:1] + energy.shape if diag.ndim == 2 else energy.shape
     return np.ascontiguousarray(counts.T).reshape(shape)[()]

@@ -257,8 +257,8 @@ def test_criterion_06_deviation_machinery(cosine_env):
         realizations.append(map_realization(gs, model, grid, lams, cfg))
         sites += 6
     # E1 of every cutoff operator from one batched solve on the box
-    diagonals = np.array([box.hamiltonian(one.potential).diag for one in realizations])
-    e1s = lowest_eigenvalues(box, 1, diagonals).energies[:, 0]
+    H = box.hamiltonian(np.array([one.potential for one in realizations]))
+    e1s = lowest_eigenvalues(H, 1).energies[:, 0]
     for mapped, e1 in zip(realizations, e1s):
         cor = counting_corollary_check(mapped, float(e1), cfg.energy_scale, cfg.gamma)
         dev = deviation_chain_check(mapped, cfg)

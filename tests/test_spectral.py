@@ -265,7 +265,7 @@ class TestCountBelow:
         rng = np.random.default_rng(13)
         diag = rng.uniform(100.0, 400.0, size=(7, H.num_dof))
         energies = np.array([150.0, 250.0, 350.0])
-        counts = count_below(H, energies, diag)
+        counts = count_below(replace(H, diag=diag), energies)
         assert counts.shape == (7, 3)
         for b in range(7):
             A = H.to_dense()
@@ -324,22 +324,23 @@ class TestOneEngine:
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]), L=st.integers(2, 3),
            bc=st.sampled_from([DIRICHLET, NEUMANN]), B=st.integers(1, 4))
     def test_three_paths_agree(self, seed, d, L, bc, B):
-        # the Sturm (d = 1), sparse LDL^T and Bunch-Kaufman paths count a batch
-        # of diagonals alike, and as eigvalsh does away from the spectrum;
-        # some energies sit exactly on a diagonal entry
+        # a batch (Sturm at d = 1, sparse LDL^T at d = 2) counts each of its
+        # operators as that operator alone does, and as its sparse (LDL^T) and
+        # dense (Bunch-Kaufman) matrices do; counts equal eigvalsh away from
+        # the spectrum; some energies sit exactly on a diagonal entry
         rng = np.random.default_rng(seed)
         box = skeleton(bare_d2_model() if d == 2 else free_model(), GridSpec(L=L, n=4, d=d), bc)
         H = box.hamiltonian()
         rows = box.diagonal(box.vper) + rng.uniform(-20.0, 20.0, size=(B, H.num_dof))
         energies = np.sort(np.r_[rng.uniform(rows.min() - 10.0, rows.max() + 10.0, 3),
                                  rng.choice(rows.ravel(), 3)])
-        counts = count_below(H, energies, rows)
+        counts = count_below(replace(H, diag=rows), energies)
         assert counts.shape == (B, energies.size)
-        assert np.array_equal(count_below(H.matrix, energies, rows), counts)
-        assert np.array_equal(count_below(H.to_dense(), energies, rows), counts)
         for b in range(B):
             alone = replace(H, diag=rows[b])
             assert np.array_equal(count_below(alone, energies), counts[b])
+            assert np.array_equal(count_below(alone.matrix, energies), counts[b])
+            assert np.array_equal(count_below(alone.to_dense(), energies), counts[b])
             w = linalg.eigvalsh(alone.to_dense())
             far = np.abs(w[:, None] - energies).min(axis=0) >= 1e-8
             assert np.array_equal(counts[b][far], (w[:, None] <= energies).sum(axis=0)[far])
@@ -366,24 +367,30 @@ class TestSpectralGap:
         assert gap > 0
 
     def test_counting_value_type(self):
-        # one energy gives one integer; a grid and a batch of diagonals add axes
+        # one energy gives one integer; a grid and a batch add axes, a batch of
+        # one too
         H = random_coupling_hamiltonian(seed=8)
         one = count_below(H, 5.0)
         assert isinstance(one, np.integer)
         grid = count_below(H, [5.0, 50.0])
         assert grid.shape == (2,) and grid[0] == one
-        rows = np.stack([H.matrix.diagonal()] * 3)
-        assert count_below(H, [5.0, 50.0], rows).tolist() == [grid.tolist()] * 3
-        assert count_below(H, 5.0, rows).tolist() == [one] * 3
+        batch = replace(H, diag=np.stack([H.matrix.diagonal()] * 3))
+        assert count_below(batch, [5.0, 50.0]).tolist() == [grid.tolist()] * 3
+        assert count_below(batch, 5.0).tolist() == [one] * 3
+        assert count_below(replace(H, diag=H.diag[None, :]), 5.0).tolist() == [one]
 
 
 def lapack_agreement(box, rows, m):
     """Assert that the batched solve of ``rows`` on ``box`` gives LAPACK's m
     lowest eigenvalues of each operator to 1e-12 (1 + |E|), and that every
-    returned pair is a checked eigenpair of its operator."""
-    res = lowest_eigenvalues(box, m, rows)
+    returned pair is a checked eigenpair of its operator.  A batch of one
+    keeps its batch axis in both entry points."""
+    res = lowest_eigenvalues(DiscreteHamiltonian(box=box, diag=rows), m)
     assert res.energies.shape == res.residuals.shape == (len(rows), m)
     assert res.vectors.shape == (len(rows), box.grid.num_dof, m)
+    first = DiscreteHamiltonian(box=box, diag=rows[:1])
+    assert lowest_eigenvalues(first, m).energies.shape == (1, m)
+    assert count_below(first, res.energies[0]).shape == (1, m)
     for b, row in enumerate(rows):
         w = linalg.eigh_tridiagonal(row, box.off, eigvals_only=True, select="i",
                                     select_range=(0, m - 1))
@@ -435,7 +442,7 @@ class TestBatchedEigensolver:
         potential = np.full(96, 4000.0)
         potential[4:12] = potential[84:92] = 0.0
         rows = box.diagonal(potential)[None, :]
-        res = lowest_eigenvalues(box, 2, rows)
+        res = lowest_eigenvalues(DiscreteHamiltonian(box=box, diag=rows), 2)
         assert res.energies[0, 1] - res.energies[0, 0] < 1e-10
         lapack_agreement(box, rows, 2)
 
