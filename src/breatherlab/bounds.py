@@ -14,10 +14,15 @@ the discrete quadrature of the single-site energy in the ground-state
 measure.  The Temple lower bound, the counting corollary, the deviation
 chain and the Dirichlet upper bound are checked as concrete numerical
 inequalities with every constant recorded.
+
+A leading batch axis is optional throughout: ``map_realization`` maps one
+coupling field (L,)*d or a batch (B,)+(L,)*d, and each check returns one
+``BoundReport`` whose sides, margin, verdict and per-realization constants
+are arrays over that batch (0-d for one realization).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +48,8 @@ SAFETY = 0.99  # make_temple_config sets c2 this fraction of its binding constra
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One verified inequality: sides, signed margin, verdict, constants.
+    """One verified inequality over a batch of realizations: sides, signed
+    margin, verdict and constants, each an array over the batch.
 
     ``margin`` is oriented so that a nonnegative value means the inequality
     holds.  Float comparisons at |margin| <= boundary tolerance are reported
@@ -51,10 +57,10 @@ class BoundReport:
     """
 
     name: str
-    lhs: float
-    rhs: float
-    margin: float
-    verdict: str
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    verdict: np.ndarray
     constants: dict
 
     @property
@@ -62,17 +68,13 @@ class BoundReport:
         return self.verdict != "fail"
 
 
-def _float_verdict(margin, scale=1.0):
-    tol = BOUNDARY_TOL * (1.0 + abs(scale))
-    if margin > tol:
-        return "pass"
-    if margin < -tol:
-        return "fail"
-    return "boundary"
+def _float_verdict(margin, scale):
+    tol = BOUNDARY_TOL * (1.0 + np.abs(scale))
+    return np.where(margin > tol, "pass", np.where(margin < -tol, "fail", "boundary"))
 
 
 def _exact_verdict(ok):
-    return "pass" if ok else "fail"
+    return np.where(ok, "pass", "fail")
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,9 @@ def make_temple_config(L: int, gamma: float, constants: ModelConstants,
 
 @dataclass(frozen=True)
 class MappedRealization:
-    """Couplings, their cutoffs, the mapped energy contributions xi_k and the
-    cutoff potential on the flat ``grid`` (the random part of H_cut)."""
+    """Couplings, their cutoffs, the mapped energy contributions xi_k, each
+    shaped (L,)*d or (B,)+(L,)*d, and the cutoff potential on the flat
+    ``grid``, (N,) or (B, N): the random part of H_cut."""
 
     couplings: np.ndarray
     cutoffs: np.ndarray
@@ -196,33 +199,46 @@ class MappedRealization:
 
     @property
     def num_sites(self):
-        return self.couplings.size
+        """Sites of one realization, L^d."""
+        return self.grid.L**self.grid.d
+
+    def per_realization(self, values):
+        """Sum per-site ``values``, shaped like the couplings, over each realization."""
+        return values.sum(axis=tuple(range(-self.grid.d, 0)))
+
+
+def _dot(a, b):
+    """a . b over the last axis, row by row the contiguous 1-D dot product, so a
+    batch's row equals that of its realization alone bit for bit."""
+    return (a[..., None, :] @ b)[..., 0]
 
 
 def map_realization(gs, model, grid: GridSpec, couplings, cfg: TempleConfig) -> MappedRealization:
-    """Cut the couplings at lambda_minus + c2/L^2 and quadrature-map them;
-    the one site-value evaluation also gives the cutoff potential."""
+    """Cut the couplings, one field or a batch, at lambda_minus + c2/L^2 and
+    quadrature-map them; the one site-value evaluation also gives the cutoff
+    potential."""
     lam = couplings_array(grid, couplings)
     cap = model.dist.lambda_minus + cfg.c2 / grid.L**2
     cut = np.minimum(lam, cap)
     vals = site_values(model.site, cut.ravel(), grid.offset_points())
-    xi = vals @ gs.cell_weights()
+    potential = cells_on_grid(grid, vals)
     return MappedRealization(
-        couplings=lam, cutoffs=cut, xi=xi.reshape(lam.shape),
-        potential=cells_on_grid(grid, vals)[0], grid=grid,
-        lambda_minus=model.dist.lambda_minus,
+        couplings=lam, cutoffs=cut, xi=_dot(vals, gs.cell_weights()).reshape(lam.shape),
+        potential=potential.reshape(lam.shape[:lam.ndim - grid.d] + potential.shape[1:]),
+        grid=grid, lambda_minus=model.dist.lambda_minus,
     )
 
 
 def _moments(psi, mapped: MappedRealization, H_tilde, cfg=None):
     """<psi, H psi>, the mean of xi, ||H psi||^2 and its bound (None without
-    ``cfg``), in the quadrature inner product and from one product H psi."""
+    ``cfg``), in the quadrature inner product and from one product H psi; for
+    a batch, each realization's against its own operator of ``H_tilde``."""
     grid = H_tilde.grid
     hd = grid.h**grid.d
     h_psi = H_tilde @ psi
-    mean_xi = float(mapped.xi.sum()) / grid.L**grid.d
+    mean_xi = mapped.per_realization(mapped.xi) / grid.L**grid.d
     bound = None if cfg is None else 2.0 * cfg.constants.kappa1 * cfg.c2 / grid.L**2 * mean_xi
-    return float(psi @ h_psi) * hd, mean_xi, float(np.sum(h_psi**2)) * hd, bound
+    return _dot(h_psi, psi) * hd, mean_xi, np.sum(h_psi**2, axis=-1) * hd, bound
 
 
 def first_moment(gs, mapped: MappedRealization, H_tilde):
@@ -252,74 +268,58 @@ def periodic_levels(box: BoxSkeleton) -> np.ndarray:
     return lowest_eigenvalues(box.hamiltonian(), 2).energies
 
 
-def temple_lower_bounds(box: BoxSkeleton, mapped, cfg: TempleConfig, per) -> list:
+def temple_lower_bounds(box: BoxSkeleton, mapped: MappedRealization, cfg: TempleConfig,
+                        per) -> BoundReport:
     """Check E1 of each realization's cutoff operator against (3/4) of its
     mean xi, from one batched eigensolve of those operators.
 
-    ``box`` is the ``ground_state_box``, ``mapped`` a list of realizations
+    ``box`` is the ``ground_state_box``, ``mapped`` one realization or a batch
     mapped on its grid and ``per`` its ``periodic_levels``.  The applicability
     chain 0 = E1(per) <= E1(cut) <= form < nu <= E2(per) <= E2(cut) is verified
-    link by link; a broken link is reported as a failure naming the link (that
-    signals bad constants, not a solver bug).  Returns one report per
-    realization.
+    link by link; a broken link fails the realization (that signals bad
+    constants, not a solver bug), and ``links`` tells which.
     """
     grid = box.grid
-    for one in mapped:
-        if one.grid != grid:
-            raise InputError(f"realization mapped on {one.grid}, not on {grid}")
-    H = box.hamiltonian(np.array([one.potential for one in mapped]))
-    levels = lowest_eigenvalues(H, 2).energies
-    return [_temple_report(replace(H, diag=row), one, cfg, per, cut)
-            for row, one, cut in zip(H.diag, mapped, levels)]
-
-
-def _temple_report(H_cut, mapped: MappedRealization, cfg: TempleConfig, per, cut):
-    form, mean_xi, sq_value, sq_bound = _moments(H_cut.box.psi, mapped, H_cut, cfg)
-    nu = cfg.epsilon0 / (2.0 * H_cut.grid.L**2) + form
-
+    if mapped.grid != grid:
+        raise InputError(f"realization mapped on {mapped.grid}, not on {grid}")
+    H = box.hamiltonian(mapped.potential)
+    cut = lowest_eigenvalues(H, 2).energies
+    E1, E2 = cut[..., 0], cut[..., 1]
+    form, mean_xi, sq_value, _ = _moments(box.psi, mapped, H)
+    nu = cfg.epsilon0 / (2.0 * grid.L**2) + form
     tol = 1e-9 * (1.0 + abs(per[1]))
     links = {
-        "E1(per) = 0": abs(per[0]) <= tol,
-        "E1(per) <= E1(cut)": cut[0] >= per[0] - tol,
-        "E1(cut) <= form": form >= cut[0] - tol,
+        "E1(per) = 0": np.full(E1.shape, abs(per[0]) <= tol),
+        "E1(per) <= E1(cut)": E1 >= per[0] - tol,
+        "E1(cut) <= form": form >= E1 - tol,
         "form < nu": nu > form,
         "nu <= E2(per)": per[1] >= nu,
-        "E2(per) <= E2(cut)": cut[1] >= per[1] - tol,
+        "E2(per) <= E2(cut)": E2 >= per[1] - tol,
     }
-    factor = 1.0 - 4.0 * cfg.constants.kappa1 * cfg.c2 / cfg.epsilon0
-    constants = {
-        "E1_per": float(per[0]), "E2_per": float(per[1]),
-        "E1_cut": float(cut[0]), "E2_cut": float(cut[1]),
-        "form": form, "mean_xi": mean_xi, "nu": nu,
-        "second_moment": sq_value, "second_moment_bound": sq_bound,
-        "one_minus_4k1c2_over_eps0": factor,
-        "links": {k: bool(v) for k, v in links.items()},
-    }
-    lhs, rhs = float(cut[0]), 0.75 * mean_xi
-    verdict = _float_verdict(lhs - rhs, scale=abs(rhs))
-    broken = [k for k, v in links.items() if not v]
-    if broken:
-        constants["broken_link"] = broken[0]
-        verdict = "fail"
-    return BoundReport(name="temple-lower-bound", lhs=lhs, rhs=rhs, margin=lhs - rhs,
-                       verdict=verdict, constants=constants)
+    rhs = 0.75 * mean_xi
+    chain = np.logical_and.reduce(list(links.values()))
+    constants = {"E1_cut": E1, "E2_cut": E2, "form": form, "second_moment": sq_value,
+                 "links": links}
+    return BoundReport(name="temple-lower-bound", lhs=E1, rhs=rhs, margin=E1 - rhs,
+                       verdict=np.where(chain, _float_verdict(E1 - rhs, rhs), "fail"),
+                       constants=constants)
 
 
-def counting_corollary_check(mapped: MappedRealization, E1: float, escale: float,
+def counting_corollary_check(mapped: MappedRealization, E1, escale: float,
                              gamma: float) -> BoundReport:
     """If E1 <= escale, most mapped values must be small:
-    #{xi_k < 2 gamma escale} > ((gamma-1)/gamma) L^d.  Vacuous when E1 > escale."""
+    #{xi_k < 2 gamma escale} > ((gamma-1)/gamma) L^d.  Vacuous when E1 > escale.
+    ``E1`` holds one level per realization of ``mapped``."""
     Ld = mapped.num_sites
-    small = int(np.sum(mapped.xi < 2.0 * gamma * escale))
+    small = mapped.per_realization(mapped.xi < 2.0 * gamma * escale)
     threshold = (gamma - 1.0) / gamma * Ld
-    constants = {
-        "E1": E1, "energy_scale": escale, "gamma": gamma, "Ld": Ld,
-        "vacuous": bool(E1 > escale),
-    }
-    verdict = "pass" if E1 > escale else _exact_verdict(small > threshold)
+    vacuous = np.asarray(E1) > escale
+    constants = {"E1": E1, "energy_scale": escale, "gamma": gamma, "Ld": Ld,
+                 "vacuous": vacuous}
+    verdict = np.where(vacuous, "pass", _exact_verdict(small > threshold))
     return BoundReport(
-        name="counting-corollary", lhs=float(small), rhs=threshold,
-        margin=float(small) - threshold, verdict=verdict, constants=constants,
+        name="counting-corollary", lhs=small, rhs=np.full(small.shape, threshold),
+        margin=small - threshold, verdict=verdict, constants=constants,
     )
 
 
@@ -331,18 +331,17 @@ def deviation_chain_check(mapped: MappedRealization, cfg: TempleConfig) -> Bound
     """
     thresh_xi = 2.0 * cfg.gamma * cfg.energy_scale
     lam_cap = cfg.c7 * cfg.energy_scale
-    premise = mapped.xi.ravel() < thresh_xi
-    conclusion = (mapped.couplings.ravel() - mapped.lambda_minus) < lam_cap
-    violations = int(np.sum(premise & ~conclusion))
+    premise = mapped.xi < thresh_xi
+    conclusion = (mapped.couplings - mapped.lambda_minus) < lam_cap
+    violations = mapped.per_realization(premise & ~conclusion)
     constants = {
         "xi_threshold": thresh_xi, "coupling_window": lam_cap,
-        "premise_count": int(premise.sum()), "sites": mapped.num_sites,
+        "premise_count": mapped.per_realization(premise), "sites": mapped.num_sites,
         "violations": violations,
     }
     return BoundReport(
-        name="deviation-chain", lhs=float(violations), rhs=0.0,
-        margin=-float(violations), verdict=_exact_verdict(violations == 0),
-        constants=constants,
+        name="deviation-chain", lhs=violations, rhs=np.zeros(violations.shape),
+        margin=-violations, verdict=_exact_verdict(violations == 0), constants=constants,
     )
 
 
@@ -412,36 +411,27 @@ def dirichlet_test_function(model, grid: GridSpec) -> DirichletTestFunction:
     return DirichletTestFunction(grid=grid, phi=phi, Q=Q, T=T, P=P, B1=B1, B2=B2, box=box)
 
 
-def dirichlet_upper_bounds(model, couplings, test: DirichletTestFunction) -> list:
+def dirichlet_upper_bounds(model, couplings, test: DirichletTestFunction) -> BoundReport:
     """Rayleigh-quotient upper bound E1 <= B1 L^-d int(V_omega) + B2 L^-2 for
-    each coupling field in ``couplings`` on the box of ``test``, with the test
+    one coupling field or a batch on the box of ``test``, with the test
     function and constants of ``dirichlet_test_function``, from one batched
-    eigensolve.  Returns one report per field."""
+    eigensolve."""
     grid = test.grid
     L, d, hd = grid.L, grid.d, grid.h**grid.d
-    Q, T, P = test.Q, test.T, test.P
-    vrand = random_potentials(model, grid, [couplings_array(grid, lams).ravel()
-                                            for lams in couplings])
-    e1s = lowest_eigenvalues(test.box.hamiltonian(vrand), 1).energies[:, 0]
-    reports = []
-    for v, e1 in zip(vrand, e1s):
-        W = float(np.sum(test.phi**2 * v)) * hd
-        quotient = (T + P + W) / Q
-        e1 = float(e1)
-        int_v = float(np.sum(v)) * hd
-        rhs = test.B1 * int_v / L**d + test.B2 / L**2
-        margin = rhs - e1
-        constants = {
-            "B1": test.B1, "B2": test.B2, "kinetic_times_L2": T / Q * L**2,
-            "periodic_part": P / Q, "rayleigh_quotient": quotient,
-            "int_V_omega": int_v, "E1": e1,
-            "variational_ok": bool(e1 <= quotient + 1e-9 * (1 + abs(quotient))),
-        }
-        reports.append(BoundReport(
-            name="dirichlet-upper-bound", lhs=e1, rhs=rhs, margin=margin,
-            verdict=_float_verdict(margin, scale=abs(rhs)), constants=constants,
-        ))
-    return reports
+    lams = couplings_array(grid, couplings)
+    v = random_potentials(model, grid, lams.reshape(-1, L**d))
+    v = v.reshape(lams.shape[:lams.ndim - d] + v.shape[1:])
+    e1 = lowest_eigenvalues(test.box.hamiltonian(v), 1).energies[..., 0]
+    quotient = (test.T + test.P + np.sum(test.phi**2 * v, axis=-1) * hd) / test.Q
+    int_v = np.sum(v, axis=-1) * hd
+    rhs = test.B1 * int_v / L**d + test.B2 / L**2
+    constants = {
+        "B1": test.B1, "B2": test.B2, "kinetic_times_L2": test.T / test.Q * L**2,
+        "int_V_omega": int_v, "E1": e1,
+        "variational_ok": e1 <= quotient + 1e-9 * (1 + np.abs(quotient)),
+    }
+    return BoundReport(name="dirichlet-upper-bound", lhs=e1, rhs=rhs, margin=rhs - e1,
+                       verdict=_float_verdict(rhs - e1, rhs), constants=constants)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 Every run is a pure function of its configuration file plus the seed
 override; primary outputs (CSV tables, JSON reports) are byte-deterministic,
 carry the effective-config hash, and contain no timestamps.  Timing and
-environment notes go to a ``<command>_meta.json`` sidecar.  A content-
-addressed cache can replay prior outputs byte-identically; its key covers
-the config hash, the bytes of every input file the config names and the
-package source, so an edited input or a code change is a miss.
+environment notes, and the reason a command failed, go to a
+``<command>_meta.json`` sidecar.  A content-addressed cache can replay prior
+outputs byte-identically; its key covers the config hash, the bytes of every
+input file the config names and the package source, so an edited input or a
+code change is a miss.
 
 Exit codes: 0 success (all checked inequalities hold), 1 failed validation
 or failed inequality, or a model the library rejects, 2 configuration/parse
@@ -38,7 +39,10 @@ from .errors import (DIST_KINDS, SITE_KINDS, VPER_KINDS, X_SCAN_POINTS, Converge
 OUTPUT_ENV_VAR = "BREATHERLAB_OUT"
 SCHEMA_VERSION = 1
 BLAS_SPIN = ("OPENBLAS_THREAD_TIMEOUT", "16")  # idle BLAS threads sleep after ~25 us
-RUN = {}  # the running command's notes for its meta sidecar; main resets it
+# The running command's notes for its meta sidecar; main resets it.  A command
+# that fails leaves its reason in RUN["error"]: main prints that line to stderr
+# and writes it to the sidecar, and the run stores no cache slot.
+RUN = {}
 
 
 class ConfigError(ValueError):
@@ -536,8 +540,7 @@ def cmd_spectrum(cfg, out_dir: Path, digest: str):
                     for k in range(len(energies)):
                         rows.append((L, n, label, idx, k + 1, energies[k], residuals[k]))
     except ConvergenceError as err:
-        print(f"solver non-convergence: {err}", file=sys.stderr)
-        exit_code = 3
+        RUN["error"], exit_code = f"solver non-convergence: {err}", 3
 
     with open(out_dir / "spectrum.csv", "w", newline="\n") as fh:
         fh.write("L,n,bc,index,k,E,residual\n")
@@ -642,7 +645,7 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
     except InsufficientDataError as err:
         payload["error"] = str(err)
         dump_json(payload, out_dir / "lifshitz.json")
-        print(f"insufficient window data: {err}", file=sys.stderr)
+        RUN["error"] = f"insufficient window data: {err}"
         return 4, files
 
     payload.update(asdict(fit))
@@ -707,53 +710,43 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
     corollary_out = {"checks": 0, "passes": 0, "nonvacuous": 0}
     deviation_out = {"checks": 0, "passes": 0, "premise_sites": 0}
     diri = {"checks": 0, "passes": 0, "B1": None, "B2": None}
-    all_pass = True
     try:
         for L in temple_Ls:
             tcfg = bounds_mod.make_temple_config(L=L, gamma=gamma, constants=consts,
                                                  epsilon0=gap.epsilon0)
-            box = boxes[L]
-            grid = box.grid
+            grid = boxes[L].grid
             test = bounds_mod.dirichlet_test_function(prepared, grid)
-            shape = (L,) * prepared.d
+            shape = (M,) + (L,) * prepared.d
             fields = ids_mod.sample_fields(prepared.dist, seed, (L << 20) + np.arange(M), L,
                                            prepared.d)
-            mapped = [bounds_mod.map_realization(gs, prepared, grid, lams.reshape(shape), tcfg)
-                      for lams in fields]
-            reports = bounds_mod.temple_lower_bounds(box, mapped, tcfg, levels[L])
-            passes = sum(rep.passed for rep in reports)
-            for one, rep in zip(mapped, reports):
-                cor = bounds_mod.counting_corollary_check(
-                    one, rep.constants["E1_cut"], tcfg.energy_scale, gamma)
-                corollary_out["checks"] += 1
-                corollary_out["passes"] += int(cor.passed)
-                corollary_out["nonvacuous"] += int(not cor.constants["vacuous"])
-                dev = bounds_mod.deviation_chain_check(one, tcfg)
-                deviation_out["checks"] += 1
-                deviation_out["passes"] += int(dev.passed)
-                deviation_out["premise_sites"] += dev.constants["premise_count"]
+            mapped = bounds_mod.map_realization(gs, prepared, grid, fields.reshape(shape), tcfg)
+            temple = bounds_mod.temple_lower_bounds(boxes[L], mapped, tcfg, levels[L])
+            cor = bounds_mod.counting_corollary_check(mapped, temple.lhs, tcfg.energy_scale,
+                                                      gamma)
+            dev = bounds_mod.deviation_chain_check(mapped, tcfg)
             fields = ids_mod.sample_fields(prepared.dist, seed, (L << 21) + np.arange(M), L,
                                            prepared.d)
-            for rep in bounds_mod.dirichlet_upper_bounds(prepared, fields.reshape((M,) + shape),
-                                                         test):
-                diri["checks"] += 1
-                diri["passes"] += int(rep.passed)
+            upper = bounds_mod.dirichlet_upper_bounds(prepared, fields.reshape(shape), test)
+            for out, rep in ((corollary_out, cor), (deviation_out, dev), (diri, upper)):
+                out["checks"] += M
+                out["passes"] += int(rep.passed.sum())
+            corollary_out["nonvacuous"] += int((~cor.constants["vacuous"]).sum())
+            deviation_out["premise_sites"] += int(dev.constants["premise_count"].sum())
             diri["B1"], diri["B2"] = test.B1, test.B2
             temple_out[str(L)] = {
-                "passes": passes, "samples": M,
+                "passes": int(temple.passed.sum()), "samples": M,
                 "c2": tcfg.c2, "c7": tcfg.c7, "gamma": gamma,
                 "energy_scale": tcfg.energy_scale,
             }
-            all_pass = all_pass and passes == M
     except PreconditionError as err:
-        print(f"cutoff configuration infeasible: {err}", file=sys.stderr)
+        RUN["error"] = f"cutoff configuration infeasible: {err}"
         payload["infeasible"] = str(err)
         dump_json(payload, out_dir / "bounds_report.json")
         return 5, ["bounds_report.json"]
 
-    all_pass = all_pass and corollary_out["passes"] == corollary_out["checks"]
-    all_pass = all_pass and deviation_out["passes"] == deviation_out["checks"]
-    all_pass = all_pass and diri["passes"] == diri["checks"]
+    all_pass = all(v["passes"] == v["samples"] for v in temple_out.values())
+    all_pass = all_pass and all(out["passes"] == out["checks"]
+                                for out in (corollary_out, deviation_out, diri))
 
     bern_rows = []
     for p in (float(v) for v in exp["bernoulli_p"]):
@@ -823,6 +816,7 @@ def main(argv=None) -> int:
     set_by = "user" if var in os.environ else None
     if set_by is None and "numpy" not in sys.modules:
         os.environ[var], set_by = cycles, "cli"
+    RUN.clear()
     RUN.update(worker_pools=0, blas_spin={var: os.environ.get(var), "set_by": set_by})
     try:
         cfg = load_config(args.config, seed=args.seed, workers=args.workers,
@@ -842,28 +836,22 @@ def main(argv=None) -> int:
     key = cache_key(cfg, digest)
     cache = ResultCache(out_dir / ".cache")
 
-    if not args.no_cache:
-        hit = cache.fetch(args.command, key, out_dir)
-        if hit is not None:
-            dump_json({"config_hash": digest, "cache_key": key, "cache": "hit", **RUN,
-                       "elapsed_seconds": time.perf_counter() - t0,
-                       "timestamp": time.time()},
-                      out_dir / f"{args.command}_meta.json")
-            print(f"cache hit for {args.command} ({key[:12]})")
-            return int(hit["exit_code"])
-
-    try:
-        exit_code, files = COMMANDS[args.command](cfg, out_dir, digest)
-    except tuple(FAILURES) as err:
-        code, what = next(v for kind, v in FAILURES.items() if isinstance(err, kind))
-        print(f"{what}: {err}", file=sys.stderr)
-        return code
-
-    dump_json({"config_hash": digest, "cache_key": key, "cache": "miss", **RUN,
-               "elapsed_seconds": time.perf_counter() - t0,
-               "timestamp": time.time()},
+    hit = None if args.no_cache else cache.fetch(args.command, key, out_dir)
+    if hit is not None:
+        exit_code = hit["exit_code"]
+        print(f"cache hit for {args.command} ({key[:12]})")
+    else:
+        try:
+            exit_code, files = COMMANDS[args.command](cfg, out_dir, digest)
+        except tuple(FAILURES) as err:
+            exit_code, what = next(v for kind, v in FAILURES.items() if isinstance(err, kind))
+            RUN["error"] = f"{what}: {err}"
+    if "error" in RUN:
+        print(RUN["error"], file=sys.stderr)
+    dump_json({"config_hash": digest, "cache_key": key, "cache": "miss" if hit is None else "hit",
+               **RUN, "elapsed_seconds": time.perf_counter() - t0, "timestamp": time.time()},
               out_dir / f"{args.command}_meta.json")
-    if not args.no_cache and exit_code in (0, 1):
+    if hit is None and not args.no_cache and "error" not in RUN:
         cache.store(args.command, key, out_dir, files, exit_code)
     return exit_code
 

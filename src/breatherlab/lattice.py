@@ -140,9 +140,12 @@ class DiscreteHamiltonian:
     """H on one box: the skeleton ``box`` with the diagonal ``diag`` (N,), or
     a batch of B operators on that box with one diagonal each, ``diag`` (B, N).
 
-    ``H @ x``, ``matrix`` and ``to_dense`` take one operator.  ``H @ x`` sums
-    each row in the order of the CSR ``matrix`` (built on first use), so the
-    two agree bit for bit and d = 1 products need no SciPy.
+    ``matrix`` is the CSR matrix, for a batch the block-diagonal one of its B
+    operators, built on first use; ``to_dense`` takes one operator.  ``H @ x``
+    takes x (N,) or (N, k), for a batch also each operator's own x (B, N) or
+    (B, N, k), and sums each row in the order of ``matrix``, so the two agree
+    bit for bit, a batch's row b with its operator alone, and d = 1 products
+    need no SciPy.
     """
 
     box: "BoxSkeleton"
@@ -161,23 +164,34 @@ class DiscreteHamiltonian:
 
     @cached_property
     def matrix(self):
-        mat = self.box.stencil.copy()
-        mat.data[self.box.diag_slots] = self.diag
-        return mat
+        import scipy.sparse as sps
+
+        st, rows = self.box.stencil, self.diag.reshape(-1, self.num_dof)
+        data = np.tile(st.data, (len(rows), 1))
+        data[:, self.box.diag_slots] = rows
+        shift = np.arange(len(rows))[:, None]  # block b: rows and columns b N + i
+        return sps.csr_matrix((data.ravel(), (st.indices + self.num_dof * shift).ravel(),
+                               np.r_[0, (st.indptr[1:] + st.nnz * shift).ravel()]),
+                              shape=(rows.size, rows.size))
 
     def __matmul__(self, x):
-        if self.grid.d > 1:
-            return self.matrix @ x
         x = np.asarray(x)
-        column = (slice(None),) + (None,) * (x.ndim - 1)
-        diag, off, wrap = self.diag[column], self.box.off[column], self.box.wrap
+        cols = x.ndim > self.diag.ndim  # x holds columns: (..., N, k)
+        if self.grid.d > 1:
+            x = np.broadcast_to(x, self.diag.shape + x.shape[x.ndim - cols:])
+            flat = x.reshape((-1,) + x.shape[self.diag.ndim:])  # (B N,) or (B N, k)
+            return (self.matrix @ flat).reshape(x.shape)
+        if cols:  # work on (..., k, N): the points on the last axis
+            x = np.swapaxes(x, -1, -2)
+        diag = self.diag[..., None, :] if cols else self.diag
+        off, wrap = self.box.off, self.box.wrap
         y = diag * x  # row i: ((off x[i-1] + diag x[i]) + off x[i+1])
-        y[1:] = off * x[:-1] + y[1:]
-        y[:-1] += off * x[1:]
+        y[..., 1:] = off * x[..., :-1] + y[..., 1:]
+        y[..., :-1] += off * x[..., 1:]
         if wrap:  # row 0 ends with its wrap entry, row N-1 starts with it
-            y[0] += wrap * x[-1]
-            y[-1] = (wrap * x[0] + off[-1] * x[-2]) + diag[-1] * x[-1]
-        return y
+            y[..., 0] += wrap * x[..., -1]
+            y[..., -1] = (wrap * x[..., 0] + off[-1] * x[..., -2]) + diag[..., -1] * x[..., -1]
+        return np.swapaxes(y, -1, -2) if cols else y
 
     def to_dense(self):
         if self.grid.d > 1:
@@ -253,11 +267,12 @@ class BoxSkeleton:
 
 
 def couplings_array(grid: GridSpec, couplings) -> np.ndarray:
-    """The coupling field as a float array, checked to be shaped (L,)*d."""
+    """The coupling field as a float array, checked to be shaped (L,)*d, or a
+    batch of fields shaped (B,)+(L,)*d."""
     shape = (grid.L,) * grid.d
     arr = np.asarray(couplings, dtype=float)
-    if arr.shape != shape:
-        raise InputError(f"couplings shape {arr.shape}, expected {shape}")
+    if arr.shape[arr.ndim - grid.d:] != shape or arr.ndim > grid.d + 1:
+        raise InputError(f"couplings shape {arr.shape}, expected {shape} or (B,) + {shape}")
     return arr
 
 
@@ -351,15 +366,17 @@ def assemble(model: ModelSpec, grid: GridSpec, bc: BoundaryCondition,
              couplings=None) -> DiscreteHamiltonian:
     """Assemble H = -Laplacian_h + diag(V_per + V_omega) on the cube.
 
-    ``couplings``, an array shaped (L,)*d, selects the random part; omit it
-    for the purely periodic operator.  A one-off build: callers with many
-    realizations on one box hold its ``skeleton`` and move only the diagonal.
+    ``couplings``, an array shaped (L,)*d or a batch (B,)+(L,)*d, selects the
+    random part; omit it for the purely periodic operator.  A one-off build:
+    callers with many realizations on one box hold its ``skeleton`` and move
+    only the diagonal.
     """
     box = skeleton(model, grid, bc)
     if couplings is None:
         return box.hamiltonian()
-    lams = couplings_array(grid, couplings).reshape(1, -1)
-    return box.hamiltonian(random_potentials(model, grid, lams)[0])
+    lams = couplings_array(grid, couplings)
+    v = random_potentials(model, grid, lams.reshape(-1, grid.L**grid.d))
+    return box.hamiltonian(v.reshape(lams.shape[:lams.ndim - grid.d] + (grid.num_dof,)))
 
 
 def periodic_ground_state(model: ModelSpec, n: int) -> GroundStateData:

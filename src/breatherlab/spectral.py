@@ -2,7 +2,8 @@
 
 Both entry points take an operator (a ``DiscreteHamiltonian``) whose
 ``diag`` is one diagonal (N,) or a batch (B, N): B operators that share the
-box's off-diagonal part and take one row each as their diagonal.
+box's off-diagonal part and take one row each as their diagonal.  A batch of
+none (B = 0) gives empty results, shaped as for B operators.
 
 Solver settings are the module constants below, not options.
 ``lowest_eigenvalues`` returns every residual within ``EIG_TOL * (1 + |E|)``.
@@ -77,14 +78,14 @@ def lowest_eigenvalues(H, m: int) -> SpectralResult:
     if m < 1:
         raise ValueError("need m >= 1 eigenvalues")
     m = min(m, N)
-    ops = [replace(H, diag=row) for row in rows]
     w, v = np.empty((B, m)), np.empty((B, N, m))
     if box.tridiagonal:
         w = _sturm_levels(box.off, rows, m)
         v = _inverse_iteration(box.off, rows, w)
         method = "tridiagonal"
     elif N <= DENSE_THRESHOLD or m >= N - 1:
-        for b, op in enumerate(ops):
+        for b, row in enumerate(rows):
+            op = replace(H, diag=row)
             if box.grid.d == 1:  # a periodic box, the unit cell among them
                 vals, vecs = np.linalg.eigh(op.to_dense())
             else:  # SciPy is loaded at d >= 2; its subset solver forms only m vectors
@@ -96,10 +97,10 @@ def lowest_eigenvalues(H, m: int) -> SpectralResult:
     else:
         import scipy.sparse.linalg as spla
 
-        for b, op in enumerate(ops):
-            A = op.matrix
+        for b, row in enumerate(rows):
+            A = replace(H, diag=row).matrix
             row_abs = np.asarray(np.abs(A).sum(axis=1)).ravel()
-            sigma = float((op.diag - (row_abs - np.abs(op.diag))).min()) - 1.0
+            sigma = float((row - (row_abs - np.abs(row))).min()) - 1.0
             try:
                 vals, vecs = spla.eigsh(A, k=m, sigma=sigma, which="LM", tol=EIG_TOL * 1e-2)
             except spla.ArpackNoConvergence as err:
@@ -110,12 +111,11 @@ def lowest_eigenvalues(H, m: int) -> SpectralResult:
             order = np.argsort(vals)
             w[b], v[b] = vals[order], vecs[:, order]
         method = "iterative"
-    resid = np.empty((B, m))
-    for b, op in enumerate(ops):
-        r = op @ v[b] - w[b] * v[b]
-        resid[b] = [np.linalg.norm(r[:, j]) for j in range(m)]
     if H.diag.ndim == 1:
-        w, v, resid = w[0], v[0], resid[0]
+        w, v = w[0], v[0]
+    # the residual of each column, a contiguous 1-D dot product as in np.linalg.norm
+    r = np.swapaxes(H @ v - w[..., None, :] * v, -1, -2).copy()
+    resid = np.sqrt((r[..., None, :] @ r[..., None])[..., 0, 0])
     bad = ~(resid <= EIG_TOL * (1.0 + np.abs(w)))
     if np.any(bad):
         raise ConvergenceError(
@@ -140,7 +140,7 @@ def _sturm_levels(off, rows, m):
     hi = np.repeat((rows + radius).max(axis=1)[None, :], m, axis=0)
     floor = EPS / 8.0 * np.maximum(np.abs(lo), np.abs(hi))
     level = np.arange(m)[:, None]
-    K = int(np.clip(2048 // (B * m), 4, 64))
+    K = int(np.clip(2048 // max(B * m, 1), 4, 64))
     frac = (np.arange(1, K + 1) / (K + 1))[:, None, None]
     while np.any(hi - lo > np.maximum(floor, 4.0 * EPS * np.maximum(np.abs(lo), np.abs(hi)))):
         trial = lo + (hi - lo) * frac  # (K, m, B)
@@ -163,7 +163,7 @@ def _inverse_iteration(off, rows, w):
     N = rows.shape[1]
     m = w.shape[1]
     shifted = rows.T[:, :, None] - w  # (N, B, m)
-    tiny = EPS * (np.abs(rows).max() + 2.0 * np.abs(off).max())
+    tiny = EPS * (np.abs(rows).max(initial=0.0) + 2.0 * np.abs(off).max())
     piv = np.empty_like(shifted)
     mult = np.empty((N - 1,) + w.shape)  # the subdiagonal of L: off / pivot
     piv[0] = shifted[0]
@@ -261,7 +261,7 @@ def _sturm_counts(off, rows, e):
     cols = np.ascontiguousarray(rows.T)  # each step reads one contiguous row of cols
     off2 = off**2
     N = cols.shape[0]
-    block = int(np.clip(32768 // e.size, 1, N))
+    block = int(np.clip(32768 // max(e.size, 1), 1, N))
     piv = np.empty((block,) + e.shape)  # minus the pivots of the rows of a block
     neg, smallest = np.zeros(e.shape, dtype=int), np.full(e.shape, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

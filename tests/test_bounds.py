@@ -153,6 +153,38 @@ class TestMapRealization:
         assert np.array_equal(mapped.potential,
                               random_potentials(model, grid, [mapped.cutoffs])[0])
 
+    def test_batch_rows_are_the_realizations(self, prepped, cfg6):
+        # a batch maps each field as that field alone does, bit for bit, and
+        # its potential is the batch of cutoff potentials
+        model, gs = prepped
+        grid = GridSpec(L=6, n=16)
+        fields = np.random.default_rng(51).uniform(1.0, 2.0, (7, 6))
+        batch = map_realization(gs, model, grid, fields, cfg6)
+        assert batch.xi.shape == batch.cutoffs.shape == (7, 6)
+        assert batch.potential.shape == (7, grid.num_dof)
+        assert np.array_equal(batch.potential, random_potentials(model, grid, batch.cutoffs))
+        for lams, xi, potential in zip(fields, batch.xi, batch.potential):
+            one = map_realization(gs, model, grid, lams, cfg6)
+            assert np.array_equal(one.xi, xi)
+            assert np.array_equal(one.potential, potential)
+
+    def test_empty_batch(self, prepped, cfg6):
+        # no realization: every array and every check holds an empty batch axis
+        model, gs = prepped
+        grid = GridSpec(L=6, n=16)
+        mapped = map_realization(gs, model, grid, np.empty((0, 6)), cfg6)
+        assert mapped.xi.shape == (0, 6) and mapped.potential.shape == (0, grid.num_dof)
+        box = ground_state_box(model, gs, grid)
+        temple = temple_lower_bounds(box, mapped, cfg6, periodic_levels(box))
+        reports = [temple,
+                   counting_corollary_check(mapped, temple.lhs, cfg6.energy_scale, cfg6.gamma),
+                   deviation_chain_check(mapped, cfg6),
+                   dirichlet_upper_bounds(model, mapped.couplings,
+                                          dirichlet_test_function(model, grid))]
+        for rep in reports:
+            assert rep.lhs.shape == rep.rhs.shape == rep.margin.shape == rep.passed.shape == (0,)
+        assert all(link.shape == (0,) for link in temple.constants["links"].values())
+
     def test_xi_refined_quadrature_oracle(self):
         # quadrature map at run resolution vs an 8x refined grid; the flat
         # background keeps psi exactly constant at both resolutions
@@ -235,7 +267,7 @@ def temple_at(gs, model, grid, couplings, cfg):
     """Map one realization and run the Temple check on its box."""
     mapped = map_realization(gs, model, grid, couplings, cfg)
     box = ground_state_box(model, gs, grid)
-    return temple_lower_bounds(box, [mapped], cfg, periodic_levels(box))[0]
+    return temple_lower_bounds(box, mapped, cfg, periodic_levels(box))
 
 
 class TestTemple:
@@ -261,21 +293,26 @@ class TestTemple:
         grid = GridSpec(L=L, n=16)
         box = ground_state_box(model, gs, grid)
         per = periodic_levels(box)
-        mapped = [map_realization(gs, model, grid, draw_couplings(rng, L), cfg)
-                  for _ in range(20)]
-        for rep in temple_lower_bounds(box, mapped, cfg, per):
-            assert rep.passed, rep
-            assert all(rep.constants["links"].values())
+        mapped = map_realization(gs, model, grid, [draw_couplings(rng, L) for _ in range(20)],
+                                 cfg)
+        rep = temple_lower_bounds(box, mapped, cfg, per)
+        assert rep.passed.shape == (20,)
+        assert rep.passed.all(), rep
+        assert all(link.all() for link in rep.constants["links"].values())
 
-    def test_report_serializes(self, prepped, cfg6):
+    def test_report_serializes(self, prepped, cfg6, tmp_path):
         import json
         from dataclasses import asdict
 
+        from breatherlab.cli import dump_json
+
         model, gs = prepped
         rep = temple_at(gs, model, GridSpec(L=6, n=16), np.full(6, 1.3), cfg6)
-        payload = asdict(rep)
+        dump_json(asdict(rep), tmp_path / "rep.json")
+        payload = json.loads((tmp_path / "rep.json").read_text())
         assert {"name", "lhs", "rhs", "margin", "verdict", "constants"} <= set(payload)
-        json.dumps(payload)
+        assert payload["verdict"] == "pass"
+        assert all(v is True for v in payload["constants"]["links"].values())
 
     def test_mapped_from_other_box_rejected(self, prepped, consts, gapfit, cfg6):
         model, gs = prepped
@@ -285,7 +322,7 @@ class TestTemple:
         mapped4 = map_realization(gs, model, grid4, np.full(4, 1.3), cfg4)
         box6 = ground_state_box(model, gs, grid6)
         with pytest.raises(InputError, match="L=4"):
-            temple_lower_bounds(box6, [mapped4], cfg6, periodic_levels(box6))
+            temple_lower_bounds(box6, mapped4, cfg6, periodic_levels(box6))
 
     def test_config_violation_named(self, consts, gapfit):
         from breatherlab.bounds import TempleConfig
@@ -433,8 +470,7 @@ class TestDirichletUpperBound:
         # V_omega = 0: E1 <= B2 / L^2 with B2 near d pi^2
         model, _ = prepare_model(flat_background_model(), 16)
         grid = GridSpec(L=4, n=16)
-        rep, = dirichlet_upper_bounds(model, [np.full(4, 1.0)],
-                                      dirichlet_test_function(model, grid))
+        rep = dirichlet_upper_bounds(model, np.full(4, 1.0), dirichlet_test_function(model, grid))
         assert rep.passed
         assert rep.constants["B2"] == pytest.approx(np.pi**2, rel=1e-3)
         assert rep.constants["int_V_omega"] == 0.0
@@ -442,8 +478,7 @@ class TestDirichletUpperBound:
     def test_realized_b1_is_two(self):
         model, _ = prepare_model(flat_background_model(), 16)
         grid = GridSpec(L=4, n=16)
-        rep, = dirichlet_upper_bounds(model, [np.full(4, 1.0)],
-                                      dirichlet_test_function(model, grid))
+        rep = dirichlet_upper_bounds(model, np.full(4, 1.0), dirichlet_test_function(model, grid))
         h, L = 1 / 16, 4
         assert rep.constants["B1"] == pytest.approx(
             2.0 * np.cos(np.pi * h / (2 * L)) ** 2, rel=1e-12
@@ -456,16 +491,16 @@ class TestDirichletUpperBound:
         rng = np.random.default_rng(41)
         test = dirichlet_test_function(model, grid)
         fields = [rng.uniform(1.0, 2.0, 6) for _ in range(100)]
-        for rep in dirichlet_upper_bounds(model, fields, test):
-            assert rep.passed, rep
-            assert rep.constants["variational_ok"]
+        rep = dirichlet_upper_bounds(model, fields, test)
+        assert rep.passed.shape == (100,)
+        assert rep.passed.all(), rep
+        assert rep.constants["variational_ok"].all()
 
     def test_with_periodic_background(self, prepped):
         # nonzero normalized background folds into the non-random part
         model, _ = prepped
         grid = GridSpec(L=4, n=16)
-        rep, = dirichlet_upper_bounds(model, [np.full(4, 1.4)],
-                                      dirichlet_test_function(model, grid))
+        rep = dirichlet_upper_bounds(model, np.full(4, 1.4), dirichlet_test_function(model, grid))
         assert rep.passed
         assert rep.constants["kinetic_times_L2"] == pytest.approx(np.pi**2, rel=1e-3)
 
@@ -473,15 +508,16 @@ class TestDirichletUpperBound:
         model, _ = prepped
         grid = GridSpec(L=4, n=16)
         test = dirichlet_test_function(model, grid)
-        fields = (np.full(4, 1.0), np.array([1.1, 1.9, 1.4, 2.0]))
-        for rep in dirichlet_upper_bounds(model, fields, test):
+        for fields in (np.full(4, 1.0), np.array([1.1, 1.9, 1.4, 2.0])):
+            rep = dirichlet_upper_bounds(model, fields, test)
             assert (rep.constants["B1"], rep.constants["B2"]) == (test.B1, test.B2)
 
 
 class TestBatching:
-    """A batch of M realizations and M batches of one give the same verdicts
-    and links, and E1 within the solver tolerance: the multisection width
-    depends on the batch size, so the floats need not be equal."""
+    """A batch of M realizations and M batches of one give the same verdicts,
+    links and integer constants, and E1 within the solver tolerance: the
+    multisection width depends on the batch size, so the floats need not be
+    equal."""
 
     def test_temple_verdicts(self, prepped, cfg6):
         model, gs = prepped
@@ -489,15 +525,43 @@ class TestBatching:
         box = ground_state_box(model, gs, grid)
         per = periodic_levels(box)
         rng = np.random.default_rng(61)
-        fields = [np.full(6, 1.0)] + [draw_couplings(rng, 6) for _ in range(23)]
-        mapped = [map_realization(gs, model, grid, lams, cfg6) for lams in fields]
-        batch = temple_lower_bounds(box, mapped, cfg6, per)
-        assert {rep.verdict for rep in batch} == {"boundary", "pass"}
-        for one, rep in zip(mapped, batch):
-            alone, = temple_lower_bounds(box, [one], cfg6, per)
-            assert alone.verdict == rep.verdict
-            assert alone.constants["links"] == rep.constants["links"]
-            assert abs(alone.lhs - rep.lhs) <= EIG_TOL * (1 + abs(rep.lhs))
+        fields = np.array([np.full(6, 1.0)] + [draw_couplings(rng, 6) for _ in range(23)])
+        batch = temple_lower_bounds(box, map_realization(gs, model, grid, fields, cfg6), cfg6, per)
+        assert set(batch.verdict.tolist()) == {"boundary", "pass"}
+        for b, lams in enumerate(fields):
+            one = map_realization(gs, model, grid, lams, cfg6)
+            alone = temple_lower_bounds(box, one, cfg6, per)
+            assert alone.verdict == batch.verdict[b]
+            assert {k: bool(v) for k, v in alone.constants["links"].items()} == \
+                {k: bool(v[b]) for k, v in batch.constants["links"].items()}
+            assert abs(alone.lhs - batch.lhs[b]) <= EIG_TOL * (1 + abs(batch.lhs[b]))
+
+    def test_corollary_and_deviation_verdicts(self, prepped, cfg6):
+        # every other field hugs the floor, so the premise holds at some sites,
+        # and every fourth sits on it, so the corollary is not always vacuous
+        model, gs = prepped
+        grid = GridSpec(L=6, n=16)
+        box = ground_state_box(model, gs, grid)
+        rng = np.random.default_rng(63)
+        width = np.where(np.arange(24) % 2 == 0, 2.0 * cfg6.c7 * cfg6.energy_scale, 1.0)
+        fields = 1.0 + width[:, None] * rng.random((24, 6))
+        fields[::4] = 1.0
+        mapped = map_realization(gs, model, grid, fields, cfg6)
+        e1 = temple_lower_bounds(box, mapped, cfg6, periodic_levels(box)).lhs
+        cor = counting_corollary_check(mapped, e1, cfg6.energy_scale, cfg6.gamma)
+        dev = deviation_chain_check(mapped, cfg6)
+        assert 0 < cor.constants["vacuous"].sum() < 24
+        assert dev.constants["premise_count"].sum() > 0
+        for b, lams in enumerate(fields):
+            one = map_realization(gs, model, grid, lams, cfg6)
+            alone = counting_corollary_check(one, e1[b], cfg6.energy_scale, cfg6.gamma)
+            assert alone.verdict == cor.verdict[b]
+            assert alone.lhs == cor.lhs[b] and alone.rhs == cor.rhs[b]
+            assert alone.constants["vacuous"] == cor.constants["vacuous"][b]
+            alone = deviation_chain_check(one, cfg6)
+            assert alone.verdict == dev.verdict[b]
+            for key in ("premise_count", "violations"):
+                assert alone.constants[key] == dev.constants[key][b]
 
     def test_dirichlet_verdicts(self):
         model, _ = prepare_model(flat_background_model(), 16)
@@ -505,8 +569,8 @@ class TestBatching:
         rng = np.random.default_rng(62)
         fields = [rng.uniform(1.0, 2.0, 6) for _ in range(24)]
         batch = dirichlet_upper_bounds(model, fields, test)
-        for lams, rep in zip(fields, batch):
-            alone, = dirichlet_upper_bounds(model, [lams], test)
-            assert alone.verdict == rep.verdict
-            assert alone.constants["variational_ok"] == rep.constants["variational_ok"]
-            assert abs(alone.lhs - rep.lhs) <= EIG_TOL * (1 + abs(rep.lhs))
+        for b, lams in enumerate(fields):
+            alone = dirichlet_upper_bounds(model, lams, test)
+            assert alone.verdict == batch.verdict[b]
+            assert alone.constants["variational_ok"] == batch.constants["variational_ok"][b]
+            assert abs(alone.lhs - batch.lhs[b]) <= EIG_TOL * (1 + abs(batch.lhs[b]))

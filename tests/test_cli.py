@@ -105,10 +105,15 @@ class TestValidate:
                      "x_nodes": [[-0.5, 0.0, 0.5]], "values": [[0.0, 0.0], [0.0, 1.0]]},
             "dist": {"kind": "uniform", "lambda_minus": 1.0, "lambda_plus": 2.0},
         })
-        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "model rejected: tabulated site values have shape (2, 2)" in err
         assert "Traceback" not in err
+        # the sidecar explains the failed run with the printed line; no cache slot
+        meta = json.loads((out / "validate_meta.json").read_text())
+        assert meta["error"] == err.strip() and meta["cache"] == "miss"
+        assert not (out / ".cache").exists()
 
     def test_out_naming_a_file_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -346,6 +351,8 @@ def test_library_error_maps_to_exit_code(tmp_path, monkeypatch, capsys, error, c
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--no-cache"]) == code
     err = capsys.readouterr().err
+    meta = json.loads((tmp_path / "out" / "validate_meta.json").read_text())
+    assert meta["error"] == err.strip()
     assert err.endswith(": raised inside the command\n")
     assert err.startswith("model rejected: ") == (code == 1)
     assert "Traceback" not in err
@@ -661,6 +668,9 @@ class TestSpectrum:
         # the first box's two operators (periodic and one realization), m = 2 each
         assert len(rows) == 4 and {row.split(",")[0] for row in rows} == {"4"}
         assert not (out / ".cache").exists()
+        meta = json.loads((out / "spectrum_meta.json").read_text())
+        assert meta["error"] == "solver non-convergence: no convergence in the second solve"
+        assert meta["cache"] == "miss"
 
     def test_rerun_identical_bytes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1073,10 +1083,10 @@ class TestBounds:
         out = tmp_path / "out"
         assert main(["bounds", "--config", str(cfg), "--out", str(out), "--no-cache"]) == 0
         M, temple, sides = 3, 2, 4  # sides: the distinct L of temple_Ls and gap_Ls
-        assert calls["map_realization"] == M * temple
-        # site values once per mapped sample and once per box for all its
-        # Dirichlet samples; the Temple hypotheses once per config
-        assert calls["site_values"] == M * temple + temple
+        # all samples of a box are mapped at once; site values once for them and
+        # once for all its Dirichlet samples; the Temple hypotheses once per config
+        assert calls["map_realization"] == temple
+        assert calls["site_values"] == 2 * temple
         assert calls["hypothesis_checks"] == temple
         # one skeleton per (box, boundary condition); the unit cell once per
         # model in prepare_model

@@ -458,3 +458,45 @@ class TestBatchedEigensolver:
         assert np.array_equal(H @ x, H.matrix @ x)
         assert np.array_equal(H @ x[:, 0], H.matrix @ x[:, 0])
         assert np.array_equal(H.to_dense(), H.matrix.toarray())
+
+    @pytest.mark.parametrize("bc,d", [(DIRICHLET, 1), (PERIODIC, 1), (DIRICHLET, 2)])
+    def test_batched_product_is_each_operators_own(self, bc, d):
+        # a batch's H @ x equals, row by row, the product of that operator
+        # alone bit for bit: for one x, one x per operator, and k columns each
+        model = free_model() if d == 1 else bare_d2_model()
+        box = skeleton(model, GridSpec(L=3, n=4, d=d), bc)
+        N, B = box.grid.num_dof, 4
+        rng = np.random.default_rng(10 + d)
+        H = box.hamiltonian(rng.uniform(-5.0, 5.0, (B, N)))
+        for x in (rng.normal(size=N), rng.normal(size=(B, N)), rng.normal(size=(B, N, 3))):
+            y = H @ x
+            assert y.shape == (B, N) + x.shape[2:]
+            for b in range(B):
+                alone, xb = replace(H, diag=H.diag[b]), x if x.ndim == 1 else x[b]
+                assert np.array_equal(y[b], alone @ xb)
+                assert np.array_equal(y[b], alone.matrix @ xb)
+
+
+class TestEmptyBatch:
+    """A batch of no operators gives empty results, shaped as for B operators."""
+
+    CASES = [(1, DIRICHLET), (1, PERIODIC), (2, DIRICHLET)]
+
+    @staticmethod
+    def empty(d, bc):
+        model = free_model() if d == 1 else bare_d2_model()
+        box = skeleton(model, GridSpec(L=4, n=16 if d == 1 else 4, d=d), bc)
+        return DiscreteHamiltonian(box=box, diag=np.empty((0, box.grid.num_dof)))
+
+    @pytest.mark.parametrize("d,bc", CASES)
+    def test_count_below(self, d, bc):
+        H = self.empty(d, bc)
+        assert count_below(H, 5.0).shape == (0,)
+        assert count_below(H, [1.0, 5.0]).shape == (0, 2)
+
+    @pytest.mark.parametrize("d,bc", CASES)
+    def test_lowest_eigenvalues(self, d, bc):
+        H = self.empty(d, bc)
+        res = lowest_eigenvalues(H, 3)
+        assert res.energies.shape == res.residuals.shape == (0, 3)
+        assert res.vectors.shape == (0, H.num_dof, 3)
