@@ -57,8 +57,13 @@ print(f"config: c2 = {cfg.c2:.4f}, gamma = {cfg.gamma}, c7 = {cfg.c7:.2f}, "
 grid = GridSpec(L=6, n=16)
 bc = mezincescu_correction(gs, grid)
 
-print("\nmoment identities on five random realizations:")
-mapped = map_realization(gs, model, grid, sample_fields(model.dist, 42, range(5), 6, 1), cfg)
+# couplings above the cap lambda_minus + c2/L^2 all cut off to the cap, so these
+# five realizations are drawn inside [lambda_minus, lambda_minus + c2/L^2]
+cap = cfg.c2 / grid.L**2
+print(f"\nmoment identities on five realizations with couplings below the cap "
+      f"(lambda_minus + {cap:.4f}):")
+couplings = model.dist.lambda_minus + cap * np.random.default_rng(42).random((5, 6))
+mapped = map_realization(gs, model, grid, couplings, cfg)
 H = assemble(model, grid, bc, couplings=mapped.cutoffs)  # five operators, one per realization
 form, total = first_moment(gs, mapped, H)
 val, bnd = second_moment(gs, mapped, H, cfg)

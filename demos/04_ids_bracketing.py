@@ -31,10 +31,10 @@ model, gs = prepare_model(model0, 16)
 energies = np.linspace(0.5, 8.0, 6)
 
 print("normalized counting estimates, 200 realizations each:")
-curves = {}
-for L in (4, 8, 16):
-    # Dirichlet ("D") and ground-state ("M") counts on the same realizations
-    cur = curves[L] = estimate_ids(model, gs, L, energies, 200, 2718)
+# Dirichlet ("D") and ground-state ("M") counts on the same realizations, one
+# curve per box side from one call
+curves = estimate_ids(model, gs, [4, 8, 16], energies, 200, 2718)
+for L, cur in curves.items():
     print(f"  L = {L:2d}:  E      N_D        N_M")
     for j, E in enumerate(energies):
         print(f"         {E:4.1f}  {cur.estimates['D'][j]:.5f} "

@@ -18,8 +18,8 @@ binding hypothesis is named).
 The numerical modules are imported inside the commands, so loading and
 checking a configuration and replaying a cache hit need neither NumPy nor
 SciPy.  Before NumPy loads, ``main`` sets OpenBLAS's idle spin to 2^16 cycles
-unless the user set one; ``ids`` and ``lifshitz`` run all counting blocks of
-a run in one pool of min(workers, blocks) processes, or inline at one worker.
+unless the user set one; ``ids`` and ``lifshitz`` make one estimator call,
+which opens at most one process pool (``worker_pools`` reads ``ids.pool_size``).
 """
 
 import argparse
@@ -561,18 +561,16 @@ def cmd_ids(cfg, out_dir: Path, digest: str):
     energies = energies_from(exp["energies"])
     M, seed, workers = exp["samples"], exp["seed"], cfg["solve"]["workers"]
 
-    with ids_mod.worker_pool(workers, len(Ls) * min(workers, M)) as pool:
-        RUN["worker_pools"] = int(pool is not None)
-        curves = [ids_mod.estimate_ids(prepared, gs, L, energies, M, seed, workers=workers,
-                                       pool=pool) for L in Ls]
+    RUN["worker_pools"] = int(ids_mod.pool_size(workers, len(Ls), M) > 1)
+    curves = ids_mod.estimate_ids(prepared, gs, Ls, energies, M, seed, workers=workers)
     with open(out_dir / "ids_curve.csv", "w", newline="\n") as fh:
-        for k, cur in enumerate(curves):
+        for k, cur in enumerate(curves.values()):
             cur.to_csv(fh, header=(k == 0))
 
     files = ["ids_curve.csv"]
     exit_code = 0
     if len(Ls) >= 2:
-        report = ids_mod.bracketing_report(dict(zip(Ls, curves)))
+        report = ids_mod.bracketing_report(curves)
         report["config_hash"] = digest
         dump_json(report, out_dir / "bracketing.json")
         files.append("bracketing.json")
@@ -630,10 +628,9 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
         payload["B2"] = B2
         energies, M = energies_from(exp["energies"]), exp["samples"]
         workers = cfg["solve"]["workers"]
-        with ids_mod.worker_pool(workers, len(energies) * min(workers, M)) as pool:
-            RUN["worker_pools"] = int(pool is not None)
-            curve = ids_mod.matched_box_curve(prepared, gs, energies, M, exp["seed"], B2=B2,
-                                              L_max=exp["L_max"], workers=workers, pool=pool)
+        RUN["worker_pools"] = int(ids_mod.pool_size(workers, len(energies), M) > 1)
+        curve = ids_mod.matched_box_curve(prepared, gs, energies, M, exp["seed"], B2=B2,
+                                          L_max=exp["L_max"], workers=workers)
         curve.to_csv(out_dir / "lifshitz_curve.csv")
         files.append("lifshitz_curve.csv")
 

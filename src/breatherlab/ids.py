@@ -8,9 +8,12 @@ of worker scheduling.  ``sample_fields`` draws all streams of a block in one
 vectorized call, equal bit for bit to NumPy's ``Philox``.  Each box and
 boundary condition is assembled once, and every count of a block (both
 conditions, all realizations and energies) comes from one ``count_below``
-call.  With more than one worker each estimate's realizations are split into
-min(workers, M) contiguous index blocks, and a run's blocks go to one process
-pool; merged in block order, the counts do not depend on the workers.
+call.  A run is (box side, energies, stream offset): ``estimate_ids`` makes
+one per box side and ``matched_box_curve`` one per energy point.  Each run's
+realizations are split into min(workers, M) contiguous index blocks, and with
+more than one worker every block of every run is submitted to one process pool
+before any is awaited; merged in block order, the counts do not depend on the
+workers.
 
 Estimates are normalized eigenvalue counts N(E, H^{L,X}) / L^d averaged over
 realizations; Dirichlet counts ("D") bound the limit from below and
@@ -19,7 +22,6 @@ size.  Every estimate counts under exactly that pair, built from the ground
 state of the prepared model.
 """
 
-import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -151,9 +153,8 @@ def _count_block(args):
     """Counts (realizations x energies) under "D" and "M" for one index block,
     from one ``count_below`` call: the folds touch only the diagonal, so both
     conditions are one batch of operators on one box."""
-    model, grid, gs, energies, master_seed, indices, index_offset = args
-    fields = sample_fields(model.dist, master_seed, np.asarray(indices) + index_offset,
-                           grid.L, grid.d)
+    model, grid, gs, energies, master_seed, indices = args
+    fields = sample_fields(model.dist, master_seed, indices, grid.L, grid.d)
     vrand = random_potentials(model, grid, fields)
     boxes = [skeleton(model, grid, bc) for bc in (DIRICHLET, mezincescu_correction(gs, grid))]
     M = len(vrand)
@@ -164,55 +165,56 @@ def _count_block(args):
     return {box.bc.label: counts[k * M:(k + 1) * M] for k, box in enumerate(boxes)}
 
 
-def worker_pool(workers: int, tasks: int, pool=None):
-    """The pool that runs ``tasks`` ``_count_block`` tasks, as a context: the
-    caller's ``pool`` (left open), else a new one of min(workers, tasks)
-    processes, or None where that is one process and the tasks run inline."""
-    if pool is not None or min(workers, tasks) < 2:
-        return contextlib.nullcontext(pool)
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=min(workers, tasks))
+def pool_size(workers: int, runs: int, M: int) -> int:
+    """Processes for ``runs`` runs of M realizations, each split into
+    min(workers, M) index blocks; a pool is opened only where this exceeds 1."""
+    return min(workers, runs * min(workers, M))
 
 
-def estimate_ids(model, gs, L: int, energies, M: int, master_seed: int,
-                 workers: int = 1, index_offset: int = 0, pool=None) -> IDSCurve:
+def _estimate_runs(model, gs, runs, M: int, master_seed: int, workers: int):
+    """(estimates, errors, counts) of each run (L, energies, index offset):
+    every index block of every run is submitted to one pool before any result
+    is awaited, and each run is reduced over its own (M, len(energies)) counts."""
+    blocks = [blk for blk in np.array_split(np.arange(M), workers) if blk.size]
+    tasks = [(model, GridSpec(L=L, n=gs.n, d=model.d), gs, energies, master_seed, blk + offset)
+             for L, energies, offset in runs for blk in blocks]
+    processes = pool_size(workers, len(runs), M)
+    if processes > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            results = list(pool.map(_count_block, tasks))
+    else:
+        results = list(map(_count_block, tasks))
+    out = []
+    for k, (L, energies, _) in enumerate(runs):
+        run = results[k * len(blocks):(k + 1) * len(blocks)]  # merged in block order
+        counts = {lab: np.concatenate([r[lab] for r in run]) for lab in LABELS}
+        vol = float(L**model.d)
+        out.append(({lab: c.mean(axis=0) / vol for lab, c in counts.items()},
+                    {lab: c.std(axis=0, ddof=1) / math.sqrt(M) / vol if M > 1
+                     else np.zeros(len(energies)) for lab, c in counts.items()}, counts))
+    return out
+
+
+def estimate_ids(model, gs, Ls, energies, M: int, master_seed: int,
+                 workers: int = 1) -> dict:
     """Estimate N(E)/L^d under Dirichlet ("D") and ground-state ("M") boundary
-    conditions over M realizations, on the side-L box at the resolution of the
-    ground state ``gs``.
+    conditions over M realizations, on the side-L box of every L in ``Ls`` at
+    the resolution of the ground state ``gs``: ``{L: IDSCurve}``.
 
-    Both conditions share the same realizations (couplings depend on
-    (master_seed, index) only), so pathwise comparisons are meaningful.  Work
-    is split into min(workers, M) contiguous index blocks, run in ``pool`` or
-    in a ``worker_pool`` of their own; the merge is by block order, making the
-    result independent of scheduling.
+    Both conditions and all sides share the same realizations (couplings
+    depend on (master_seed, index) only), so pathwise comparisons are
+    meaningful.  The blocks of all sides run in one pool.
     """
     if np.any(np.diff(energies) < 0):
         raise InputError("energies must be sorted")
-    grid = GridSpec(L=L, n=gs.n, d=model.d)
     energies = np.asarray(energies, dtype=float)
-
-    tasks = [(model, grid, gs, energies, master_seed, blk, index_offset)
-             for blk in np.array_split(np.arange(M), workers) if blk.size]
-    with worker_pool(workers, len(tasks), pool) as pool:
-        results = list(pool.map(_count_block, tasks) if pool else map(_count_block, tasks))
-    merged = {lab: np.concatenate([r[lab] for r in results], axis=0) for lab in LABELS}
-
-    vol = float(L**model.d)
-    estimates, errors = {}, {}
-    for lab in LABELS:
-        cnt = merged[lab]
-        estimates[lab] = cnt.mean(axis=0) / vol
-        if M > 1:
-            errors[lab] = cnt.std(axis=0, ddof=1) / math.sqrt(M) / vol
-        else:
-            errors[lab] = np.zeros(len(energies))
-    return IDSCurve(
-        energies=energies, box_sizes=np.full(len(energies), L, dtype=int),
-        n=gs.n, M=M, seed=master_seed, d=model.d,
-        estimates=estimates, errors=errors,
-        counts=merged,
-    )
+    runs = _estimate_runs(model, gs, [(L, energies, 0) for L in Ls], M, master_seed, workers)
+    return {L: IDSCurve(energies=energies, box_sizes=np.full(len(energies), L, dtype=int),
+                        n=gs.n, M=M, seed=master_seed, d=model.d,
+                        estimates=estimates, errors=errors, counts=counts)
+            for L, (estimates, errors, counts) in zip(Ls, runs)}
 
 
 def bracketing_report(curves) -> dict:
@@ -300,30 +302,27 @@ def bracketing_report(curves) -> dict:
 
 
 def matched_box_curve(model, gs, energies, M: int, master_seed: int, B2: float,
-                      L_max: int = 64, workers: int = 1, pool=None) -> IDSCurve:
+                      L_max: int = 64, workers: int = 1) -> IDSCurve:
     """Estimate the IDS with the box size matched per energy, L ~ E^(-1/2):
     L = ceil(2 sqrt(B2) / sqrt(E)) from the test-function bound, clamped to
     [2, L_max].
 
     Realizations are independent across energy points (the point index is
-    folded into the high bits of the stream index).  The blocks of every
-    point run in ``pool``, or in one ``worker_pool`` for the whole curve.
+    folded into the high bits of the stream index).  Each point is one run of
+    ``_estimate_runs``, so the blocks of every point go to one pool at once.
     """
     energies = np.sort(np.asarray(energies, dtype=float))
     if np.any(energies <= 0):
         raise InputError("box matching needs E > 0")
     # 2 sqrt(B2 / E) can differ by an ulp and move the ceiling
     Ls = [min(max(math.ceil(2.0 * math.sqrt(B2) / math.sqrt(E)), 2), L_max) for E in energies]
-    with worker_pool(workers, len(energies) * min(workers, M), pool) as pool:
-        per_point = [estimate_ids(model, gs, L, [float(E)], M, master_seed, workers=workers,
-                                  index_offset=(j + 1) << 32, pool=pool)
-                     for j, (E, L) in enumerate(zip(energies, Ls))]
-    estimates = {lab: np.array([c.estimates[lab][0] for c in per_point]) for lab in LABELS}
-    errors = {lab: np.array([c.errors[lab][0] for c in per_point]) for lab in LABELS}
-    counts = {lab: np.concatenate([c.counts[lab] for c in per_point], axis=1)
-              for lab in LABELS}
+    runs = _estimate_runs(model, gs, [(L, energies[j:j + 1], (j + 1) << 32)
+                                      for j, L in enumerate(Ls)], M, master_seed, workers)
+    estimates, errors = ({lab: np.concatenate([run[k][lab] for run in runs]) for lab in LABELS}
+                         for k in (0, 1))
+    counts = {lab: np.concatenate([run[2][lab] for run in runs], axis=1) for lab in LABELS}
     return IDSCurve(
-        energies=energies, box_sizes=np.array([c.box_sizes[0] for c in per_point]),
+        energies=energies, box_sizes=np.array(Ls),
         n=gs.n, M=M, seed=master_seed, d=model.d,
         estimates=estimates, errors=errors, counts=counts,
     )

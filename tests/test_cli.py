@@ -306,15 +306,20 @@ def test_library_call_sets_no_blas_spin():
                                           ("lifshitz", "lifshitz.json")])
 def test_one_worker_pool_per_run(tmp_path, monkeypatch, capsys, command, name):
     # at two workers every counting block of a run (all box sides, all energy
-    # points) goes to one pool; at one worker none is built
+    # points) goes to one pool in one map call, which submits them all before
+    # it waits on any; at one worker no pool is built
     import concurrent.futures
 
-    built = []
+    built, maps = [], []
 
     class Spy(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             built.append(max_workers)
             super().__init__(max_workers, **kwargs)
+
+        def map(self, fn, *iterables, **kwargs):
+            maps.append(fn)
+            return super().map(fn, *iterables, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
     environ = dict(os.environ)
@@ -323,6 +328,7 @@ def test_one_worker_pool_per_run(tmp_path, monkeypatch, capsys, command, name):
         assert main([command, "--config", str(SHIPPED / name), "--out", str(out),
                      "--workers", str(workers), "--no-cache"]) == 0
         assert built == pools
+        assert len(maps) == len(pools)
         assert json.loads((out / f"{command}_meta.json").read_text())["worker_pools"] == len(pools)
     assert dict(os.environ) == environ  # an in-process run leaves the environment alone
 
@@ -782,7 +788,7 @@ class TestIds:
         estimate = ids_mod.estimate_ids
 
         def spy(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(list(args[2]))
             return estimate(*args, **kwargs)
 
         monkeypatch.setattr(ids_mod, "estimate_ids", spy)
@@ -795,7 +801,7 @@ class TestIds:
         )
         out = tmp_path / "out"
         assert main(["ids", "--config", str(cfg), "--out", str(out)]) == 0
-        assert calls == [4, 8]
+        assert calls == [[4, 8]]
         assert (out / "bracketing.json").is_file()
 
     def test_cache_hit_identical(self, tmp_path):

@@ -15,6 +15,7 @@ from breatherlab.ids import (
     fit_lifshitz,
     lower_tail_check,
     matched_box_curve,
+    pool_size,
     sample_fields,
     synthetic_curve,
 )
@@ -110,27 +111,27 @@ class TestSampling:
 class TestEstimate:
     def test_negative_energies_zero(self, prepped):
         model, gs = prepped
-        cur = estimate_ids(model, gs, 4, [-1.0, -0.1], 20, 3)
+        cur = estimate_ids(model, gs, [4], [-1.0, -0.1], 20, 3)[4]
         for lab in ("D", "M"):
             assert np.all(cur.estimates[lab] == 0.0)
             assert np.all(cur.errors[lab] == 0.0)
 
     def test_pathwise_bracketing(self, prepped):
         model, gs = prepped
-        cur = estimate_ids(model, gs, 8, np.linspace(0.0, 12.0, 7), 50, 11)
+        cur = estimate_ids(model, gs, [8], np.linspace(0.0, 12.0, 7), 50, 11)[8]
         assert np.all(cur.counts["D"] <= cur.counts["M"])
         assert np.all(cur.estimates["D"] <= cur.estimates["M"])
 
     def test_curves_nondecreasing(self, prepped):
         model, gs = prepped
-        cur = estimate_ids(model, gs, 6, np.linspace(0.0, 20.0, 9), 30, 17)
+        cur = estimate_ids(model, gs, [6], np.linspace(0.0, 20.0, 9), 30, 17)[6]
         for lab in ("D", "M"):
             assert np.all(np.diff(cur.estimates[lab]) >= 0.0)
 
     def test_reproducible(self, prepped):
         model, gs = prepped
-        a = estimate_ids(model, gs, 4, [0.5, 2.0], 25, 99)
-        b = estimate_ids(model, gs, 4, [0.5, 2.0], 25, 99)
+        a = estimate_ids(model, gs, [4], [0.5, 2.0], 25, 99)[4]
+        b = estimate_ids(model, gs, [4], [0.5, 2.0], 25, 99)[4]
         for lab in ("D", "M"):
             assert np.array_equal(a.counts[lab], b.counts[lab])
             assert np.array_equal(a.estimates[lab], b.estimates[lab])
@@ -144,7 +145,7 @@ class TestEstimate:
         grid = GridSpec(4, 16)
         energies = np.array([0.5, 1.5, 3.0])
         idx = np.arange(12)
-        fast = _count_block((model, grid, gs, energies, 7, idx, 0))
+        fast = _count_block((model, grid, gs, energies, 7, idx))
         fields = sample_fields(model.dist, 7, idx, 4, 1)
         for bc in bc_pair(gs, grid):
             slow = np.array([[count_below(assemble(model, grid, bc, couplings=lams), E)
@@ -152,18 +153,44 @@ class TestEstimate:
             assert np.array_equal(fast[bc.label], slow)
 
     def test_workers_equivalent(self, prepped):
-        # M = 6 < 4 * workers splits too: every M runs in min(workers, M) blocks
+        # M = 6 < 4 * workers splits too: every M runs in min(workers, M) blocks,
+        # for one box side and for a matched curve's three energy points alike
         model, gs = prepped
         for M in (16, 6):
-            serial = estimate_ids(model, gs, 4, [1.0], M, 5, workers=1)
-            parallel = estimate_ids(model, gs, 4, [1.0], M, 5, workers=2)
-            assert np.array_equal(serial.counts["D"], parallel.counts["D"])
-            assert np.array_equal(serial.counts["M"], parallel.counts["M"])
+            for estimate in (
+                    lambda workers: estimate_ids(model, gs, [4], [1.0], M, 5, workers=workers)[4],
+                    lambda workers: matched_box_curve(model, gs, [0.5, 1.0, 2.0], M, 5,
+                                                      B2=np.pi**2, workers=workers)):
+                serial, parallel = estimate(1), estimate(2)
+                assert np.array_equal(serial.counts["D"], parallel.counts["D"])
+                assert np.array_equal(serial.counts["M"], parallel.counts["M"])
+
+    def test_sides_of_one_call_match_single_sides(self, prepped):
+        # one call over several sides at two workers gives each side the curve
+        # of a one-side call at one worker: the same realizations, in order
+        model, gs = prepped
+        energies = [0.5, 1.0, 2.0]
+        curves = estimate_ids(model, gs, [6, 4], energies, 7, 13, workers=2)
+        assert list(curves) == [6, 4]
+        for L, cur in curves.items():
+            alone = estimate_ids(model, gs, [L], energies, 7, 13)[L]
+            for lab in ("D", "M"):
+                assert np.array_equal(cur.counts[lab], alone.counts[lab])
+                assert np.array_equal(cur.estimates[lab], alone.estimates[lab])
+                assert np.array_equal(cur.errors[lab], alone.errors[lab])
+            assert np.array_equal(cur.box_sizes, [L] * 3)
+
+    @pytest.mark.parametrize("workers,runs,M,size", [
+        (1, 3, 50, 1), (2, 1, 1, 1), (2, 3, 6, 2), (4, 1, 3, 3), (4, 8, 1, 4),
+    ])
+    def test_pool_size(self, workers, runs, M, size):
+        # min(workers, blocks) over runs * min(workers, M) blocks; > 1 opens a pool
+        assert pool_size(workers, runs, M) == size
 
     def test_unsorted_energies_rejected(self, prepped):
         model, gs = prepped
         with pytest.raises(InputError):
-            estimate_ids(model, gs, 4, [2.0, 1.0], 5, 1)
+            estimate_ids(model, gs, [4], [2.0, 1.0], 5, 1)
 
     def test_degenerate_coupling_law_reproduces_periodic_counts(self, prepped):
         # couplings pinned to the floor within 1e-12: the M = 1 curve matches
@@ -178,7 +205,7 @@ class TestEstimate:
                         site=replace(model.site, lambda_plus=1.0 + 1e-12))
         grid = GridSpec(4, 16)
         energies = [0.3, 1.1, 3.3]
-        cur = estimate_ids(degen, gs, 4, energies, 1, 1)
+        cur = estimate_ids(degen, gs, [4], energies, 1, 1)[4]
         from breatherlab.spectral import count_below
 
         for bc in bc_pair(gs, grid):
@@ -198,14 +225,14 @@ class TestEstimate:
                                   lambda_plus=2.0),
         )
         model, gs = prepare_model(model2, 6)
-        cur = estimate_ids(model, gs, 2, [2.0, 9.0], 5, 77)
-        again = estimate_ids(model, gs, 2, [2.0, 9.0], 5, 77)
+        cur = estimate_ids(model, gs, [2], [2.0, 9.0], 5, 77)[2]
+        again = estimate_ids(model, gs, [2], [2.0, 9.0], 5, 77)[2]
         assert np.all(cur.counts["D"] <= cur.counts["M"])
         assert np.array_equal(cur.counts["M"], again.counts["M"])
 
     def test_csv_layout(self, prepped):
         model, gs = prepped
-        cur = estimate_ids(model, gs, 4, [0.5, 1.0], 10, 21)
+        cur = estimate_ids(model, gs, [4], [0.5, 1.0], 10, 21)[4]
         buf = io.StringIO()
         cur.to_csv(buf)
         lines = buf.getvalue().strip().split("\n")
@@ -217,7 +244,7 @@ class TestEstimate:
 
     def test_csv_round_trip_exact(self, prepped, tmp_path):
         model, gs = prepped
-        cur = estimate_ids(model, gs, 4, [0.5, 1.0, 3.0], 10, 21)
+        cur = estimate_ids(model, gs, [4], [0.5, 1.0, 3.0], 10, 21)[4]
         path = tmp_path / "curve.csv"
         cur.to_csv(path)
         back = IDSCurve.from_csv(path, 1)
@@ -231,7 +258,7 @@ class TestEstimate:
 
 def run_curves(model, gs, Ls, energies, M, seed):
     """One run's curves, keyed by box size, as ``cmd_ids`` hands them over."""
-    return {L: estimate_ids(model, gs, L, energies, M, seed) for L in Ls}
+    return estimate_ids(model, gs, Ls, energies, M, seed)
 
 
 class TestBracketing:
@@ -274,7 +301,7 @@ class TestBracketing:
         model, gs = prepped
         energies = [0.5, 2.0]
         curves = run_curves(model, gs, [8], energies, 6, 31)
-        curves[4] = estimate_ids(model, gs, 4, energies, 6, 32)
+        curves[4] = estimate_ids(model, gs, [4], energies, 6, 32)[4]
         with pytest.raises(InputError):
             bracketing_report(curves)
 
