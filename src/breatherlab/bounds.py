@@ -220,7 +220,7 @@ def map_realization(gs, model, grid: GridSpec, couplings, cfg: TempleConfig) -> 
     lam = couplings_array(grid, couplings)
     cap = model.dist.lambda_minus + cfg.c2 / grid.L**2
     cut = np.minimum(lam, cap)
-    vals = site_values(model.site, cut.ravel(), grid.offset_points())
+    vals = site_values(model.site, cut.ravel()[:, None], grid.offset_points())
     potential = cells_on_grid(grid, vals)
     return MappedRealization(
         couplings=lam, cutoffs=cut, xi=_dot(vals, gs.cell_weights()).reshape(lam.shape),
@@ -419,7 +419,7 @@ def dirichlet_upper_bounds(model, couplings, test: DirichletTestFunction) -> Bou
     grid = test.grid
     L, d, hd = grid.L, grid.d, grid.h**grid.d
     lams = couplings_array(grid, couplings)
-    v = random_potentials(model, grid, lams.reshape(-1, L**d))
+    v = np.ascontiguousarray(random_potentials(model, grid, lams.reshape(-1, L**d)))
     v = v.reshape(lams.shape[:lams.ndim - d] + v.shape[1:])
     e1 = lowest_eigenvalues(test.box.hamiltonian(v), 1).energies[..., 0]
     quotient = (test.T + test.P + np.sum(test.phi**2 * v, axis=-1) * hd) / test.Q

@@ -121,8 +121,8 @@ def _list_of(item, rule, least=0):
 
 
 # Memory caps on the sizes, in float64 values: one box holds at most
-# MAX_POINTS grid points (32 MB), and what a command holds at once (a batch of
-# realizations, counts or scan points) at most MAX_VALUES values (256 MB).
+# MAX_POINTS grid points (32 MB), and what a command holds at once (realizations
+# under both boundary conditions, counts or scan points) at most MAX_VALUES (256 MB).
 MAX_POINTS = 2**22
 MAX_VALUES = 2**25
 MAX_BERNOULLI_LD = 4096  # the exact tail is summed in integers: <= 0.3 s there
@@ -349,7 +349,7 @@ def _check_memory(cfg: dict, command: str):
     x_points = (exp["x_grid_size"] or X_GRID_DEFAULT[d]) ** d
     for label, size, cap in (
             ("(grid.n * largest box side) ** model.d", points, MAX_POINTS),
-            ("experiment.samples * box points", exp["samples"] * points, MAX_VALUES),
+            ("2 * experiment.samples * box points", 2 * exp["samples"] * points, MAX_VALUES),
             ("(experiment.realizations + 1) * experiment.eigenvalues * box points",
              (exp["realizations"] + 1) * exp["eigenvalues"] * points, MAX_VALUES),
             ("experiment.samples * energies", exp["samples"] * count, MAX_VALUES),
@@ -845,8 +845,15 @@ def main(argv=None) -> int:
             RUN["error"] = f"{what}: {err}"
     if "error" in RUN:
         print(RUN["error"], file=sys.stderr)
+    try:  # ru_maxrss in KiB: this process, and the largest child (pool worker) it waited for
+        import resource
+        rss = [resource.getrusage(who).ru_maxrss / 1024
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+    except ImportError:
+        rss = [None, None]
     dump_json({"config_hash": digest, "cache_key": key, "cache": "miss" if hit is None else "hit",
-               **RUN, "elapsed_seconds": time.perf_counter() - t0, "timestamp": time.time()},
+               **RUN, "elapsed_seconds": time.perf_counter() - t0, "timestamp": time.time(),
+               "peak_rss_mb": rss[0], "pool_peak_rss_mb": rss[1]},
               out_dir / f"{args.command}_meta.json")
     if hit is None and not args.no_cache and "error" not in RUN:
         cache.store(args.command, key, out_dir, files, exit_code)

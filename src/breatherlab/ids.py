@@ -5,11 +5,13 @@ on (master_seed, realization index), with the per-site value read off at the
 site's row-major position, so every field is a pure function of
 (master_seed, index, site) and runs are reproducible bit for bit regardless
 of worker scheduling.  ``sample_fields`` draws all streams of a block in one
-vectorized call, equal bit for bit to NumPy's ``Philox``.  Each box and
-boundary condition is assembled once, and every count of a block (both
-conditions, all realizations and energies) comes from one ``count_below``
-call.  A run is (box side, energies, stream offset): ``estimate_ids`` makes
-one per box side and ``matched_box_curve`` one per energy point.  Each run's
+vectorized call, equal bit for bit to NumPy's ``Philox``.  A block of M
+realizations holds one (N, 2M) buffer of diagonals, both conditions side by
+side in the column layout of ``count_below``; its potentials are evaluated in
+place, and every count of the block (both conditions, all realizations and
+energies) comes from one ``count_below`` call.  A run is (box side, energies,
+stream offset): ``estimate_ids`` makes one per box side and
+``matched_box_curve`` one per energy point.  Each run's
 realizations are split into min(workers, M) contiguous index blocks, and with
 more than one worker every block of every run is submitted to one process pool
 before any is awaited; merged in block order, the counts do not depend on the
@@ -151,18 +153,20 @@ class IDSCurve:
 
 def _count_block(args):
     """Counts (realizations x energies) under "D" and "M" for one index block,
-    from one ``count_below`` call: the folds touch only the diagonal, so both
-    conditions are one batch of operators on one box."""
+    from one ``count_below`` call on one (N, 2M) buffer: the folds touch only
+    the diagonal, so both conditions are one batch of operators on one box.
+    The potentials are written into the "M" half, the "D" half is their sum
+    with the Dirichlet diagonal, and the "M" half then adds its own."""
     model, grid, gs, energies, master_seed, indices = args
     fields = sample_fields(model.dist, master_seed, indices, grid.L, grid.d)
-    vrand = random_potentials(model, grid, fields)
-    boxes = [skeleton(model, grid, bc) for bc in (DIRICHLET, mezincescu_correction(gs, grid))]
-    M = len(vrand)
-    cols = np.empty((grid.num_dof, len(boxes) * M))  # column layout, see count_below
-    for k, box in enumerate(boxes):
-        np.add(box.diagonal(box.vper)[:, None], vrand.T, out=cols[:, k * M:(k + 1) * M])
-    counts = count_below(DiscreteHamiltonian(box=boxes[0], diag=cols.T), energies)
-    return {box.bc.label: counts[k * M:(k + 1) * M] for k, box in enumerate(boxes)}
+    diri, mez = (skeleton(model, grid, bc) for bc in (DIRICHLET, mezincescu_correction(gs, grid)))
+    M = len(fields)
+    cols = np.empty((grid.num_dof, 2 * M))
+    v = random_potentials(model, grid, fields, out=cols[:, M:]).T
+    np.add(diri.diagonal(diri.vper)[:, None], v, out=cols[:, :M])
+    np.add(v, mez.diagonal(mez.vper)[:, None], out=v)
+    counts = count_below(DiscreteHamiltonian(box=diri, diag=cols.T), energies)
+    return {"D": counts[:M], "M": counts[M:]}
 
 
 def pool_size(workers: int, runs: int, M: int) -> int:

@@ -245,9 +245,10 @@ class BoxSkeleton:
         return np.flatnonzero(self.stencil.indices == entry_rows)
 
     def diagonal(self, potential) -> np.ndarray:
-        """Diagonal of -Laplacian_h + diag(potential), folds applied axis by axis."""
+        """Diagonal of -Laplacian_h + diag(potential), folds applied axis by
+        axis; a batch comes out C-ordered whatever the layout of ``potential``."""
         h2 = self.grid.h * self.grid.h
-        diag = np.full(self.grid.num_dof, 2.0 * self.grid.d / h2) + potential
+        diag = np.add(np.full(self.grid.num_dof, 2.0 * self.grid.d / h2), potential, order="C")
         for fold in self.folds:
             diag -= fold
         return diag
@@ -276,15 +277,22 @@ def couplings_array(grid: GridSpec, couplings) -> np.ndarray:
     return arr
 
 
-def random_potentials(model: ModelSpec, grid: GridSpec, fields) -> np.ndarray:
+def random_potentials(model: ModelSpec, grid: GridSpec, fields, out=None) -> np.ndarray:
     """V_omega = sum_k u(lambda_k, . - k) for a batch of coupling fields
-    (M, L**d), flat: shape (M, (nL)**d).
+    (M, L**d), flat: shape (M, (nL)**d), the transpose of a C-ordered
+    ((nL)**d, M) array, the layout ``count_below`` reads.  ``out``, a
+    ((nL)**d, M) array or a view of one, receives the values in place.
 
     Each grid point belongs to exactly one cell and the site supports stay
     inside their cells, so the sum has at most one nonzero term per point.
     """
     fields = np.asarray(fields, dtype=float)
-    return cells_on_grid(grid, site_values(model.site, fields.ravel(), grid.offset_points()))
+    L, n, d, M = grid.L, grid.n, grid.d, len(fields)
+    out = np.empty((grid.num_dof, M)) if out is None else out
+    site_values(model.site, fields.reshape(M, L**d).T.reshape((L, 1) * d + (M,)),
+                grid.offset_points().reshape((1, n) * d + (1, d)),
+                out=out.reshape((L, n) * d + (M,)))  # a view: the point axis is only split
+    return out.T
 
 
 def cells_on_grid(grid: GridSpec, cell_values) -> np.ndarray:

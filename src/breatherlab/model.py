@@ -25,10 +25,12 @@ from .errors import (DIST_KINDS, SITE_KINDS, VPER_KINDS, X_SCAN_POINTS, DomainEr
 SIGN_TOL = 1e-9  # tolerance for sign conditions checked on grids
 
 
-def _bump_from_sqnorm(amplitude, radius, sqnorm):
-    """Bump profile a*(1 - s/r^2)_+^2 evaluated from the squared norm s."""
-    t = 1.0 - sqnorm / (radius * radius)
-    return amplitude * np.clip(t, 0.0, None) ** 2
+def _bump_from_sqnorm(amplitude, radius, sqnorm, out=None):
+    """Bump profile a*(1 - s/r^2)_+^2 evaluated from the squared norm s, in
+    ``out`` if given (``sqnorm`` itself may be it)."""
+    t = np.divide(sqnorm, radius * radius, out=np.empty(np.shape(sqnorm)) if out is None else out)
+    np.clip(np.subtract(1.0, t, out=t), 0.0, None, out=t)
+    return np.multiply(amplitude, np.square(t, out=t), out=t)
 
 
 def _bump_ramp_from_sqnorm(amplitude, radius, sqnorm):
@@ -113,44 +115,42 @@ class SingleSiteSpec:
             )
 
 
-def site_values(site: SingleSiteSpec, lams, pts) -> np.ndarray:
-    """Evaluate u(lam, x) for couplings ``lams`` (K,) at points ``pts`` (P, d).
+def site_values(site: SingleSiteSpec, lams, pts, out=None) -> np.ndarray:
+    """Evaluate u(lam, x) for couplings ``lams`` at points ``pts`` (..., d).
 
-    Returns a (K, P) matrix.  Values are exactly zero outside the closed unit
-    cell (any coordinate beyond 1/2 in modulus).
+    The couplings broadcast against the points without their coordinate
+    axis: (K, 1) against (P, d) gives a (K, P) matrix, and (L, 1, ..., M)
+    against (1, n, ..., 1, d) gives M realizations in grid order with the
+    realization axis last.  ``out``, shaped as the broadcast, receives the
+    values; the built-in families compute in it with no temporary of that
+    shape.  Values are exactly zero outside the closed unit cell (any
+    coordinate beyond 1/2 in modulus).
     """
     site._check_lambda(lams)
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    lams = np.asarray(lams, dtype=float)
     pts = np.asarray(pts, dtype=float)
-    sq = np.sum(pts * pts, axis=-1)  # (P,)
+    sq = np.sum(pts * pts, axis=-1)
     outside = np.any(np.abs(pts) > 0.5, axis=-1)
-
+    out = np.empty(np.broadcast_shapes(lams.shape, sq.shape)) if out is None else out
     if site.kind == "alloy":
-        prof = _bump_from_sqnorm(site.amplitude, site.radius, sq)
-        prof = np.where(outside, 0.0, prof)
+        prof = np.where(outside, 0.0, _bump_from_sqnorm(site.amplitude, site.radius, sq))
         coef = lams - site.lambda_minus if site.standardized else lams
-        out = coef[:, None] * prof[None, :]
-    elif site.kind == "breather":
-        scaled = lams[:, None] ** 2 * sq[None, :]
-        out = -_bump_from_sqnorm(site.amplitude, site.radius, scaled)
+        return np.multiply(coef, prof, out=out)
+    if site.kind == "breather":
+        np.multiply(lams**2, sq, out=out)
+        np.negative(_bump_from_sqnorm(site.amplitude, site.radius, out, out=out), out=out)
         if site.standardized:
-            base = site.lambda_minus**2 * sq
-            out = _bump_from_sqnorm(site.amplitude, site.radius, base)[None, :] + out
-        out = np.where(outside[None, :], 0.0, out)
+            base = _bump_from_sqnorm(site.amplitude, site.radius, site.lambda_minus**2 * sq)
+            np.add(base, out, out=out)
     else:
-        interp = site._interpolator()
-        K, P = lams.size, sq.size
-        flat_pts = pts.reshape(P, -1)
-        query = np.concatenate(
-            [np.repeat(lams, P)[:, None], np.tile(flat_pts, (K, 1))], axis=1
-        )
-        out = interp(query).reshape(K, P)
+        interp, d = site._interpolator(), pts.shape[-1]  # it takes queries (..., 1 + d)
+        vals = interp(np.concatenate([np.broadcast_to(lams[..., None], out.shape + (1,)),
+                                      np.broadcast_to(pts, out.shape + (d,))], axis=-1))
         if site.standardized:
-            base_query = np.concatenate(
-                [np.full((P, 1), site.lambda_minus), flat_pts], axis=1
-            )
-            out = out - interp(base_query)[None, :]
-        out = np.where(outside[None, :], 0.0, out)
+            vals = vals - interp(np.concatenate([np.full(sq.shape + (1,), site.lambda_minus),
+                                                 pts], axis=-1))
+        out[...] = vals
+    np.copyto(out, 0.0, where=outside)
     return out
 
 
@@ -183,7 +183,7 @@ def site_derivative_values(site: SingleSiteSpec, lams, pts) -> np.ndarray:
         lo = np.clip(lams - step, site.lambda_minus, site.lambda_plus)
         hi = np.clip(lams + step, site.lambda_minus, site.lambda_plus)
         unstd = replace(site, standardized=False)
-        out = (site_values(unstd, hi, pts) - site_values(unstd, lo, pts)) / (
+        out = (site_values(unstd, hi[:, None], pts) - site_values(unstd, lo[:, None], pts)) / (
             (hi - lo)[:, None]
         )
     return out
@@ -256,8 +256,8 @@ class PeriodicPotentialSpec:
             cell = self.values.copy()
         if self.site_floor is not None:
             cell = cell + site_values(
-                self.site_floor, [self.site_floor.lambda_minus], _midpoint_grid(n, d)
-            )[0].reshape((n,) * d)
+                self.site_floor, self.site_floor.lambda_minus, _midpoint_grid(n, d)
+            ).reshape((n,) * d)
         return cell + self.offset
 
 
@@ -494,7 +494,7 @@ def validate_assumptions(
             shifted2[:, axis] = -s
             shell.append(shifted2)
     shell = np.concatenate(shell, axis=0)
-    outside_vals = site_values(site, lams[:: max(1, lambda_grid_size // 16)], shell)
+    outside_vals = site_values(site, lams[:: max(1, lambda_grid_size // 16), None], shell)
     verdicts["i"] = bool(np.all(outside_vals == 0.0))
     if not verdicts["i"]:
         i_bad = np.unravel_index(np.argmax(np.abs(outside_vals)), outside_vals.shape)

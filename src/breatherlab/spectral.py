@@ -160,6 +160,7 @@ def _inverse_iteration(off, rows, w):
     exact zero pivot replaced by EPS * |T|; a tiny one only makes the step
     larger).  After each solve the levels of an operator are orthonormalized
     in order, which also separates levels closer than the shifts can."""
+    rows = np.ascontiguousarray(rows)  # the sums below run in stride order
     N = rows.shape[1]
     m = w.shape[1]
     shifted = rows.T[:, :, None] - w  # (N, B, m)
@@ -316,9 +317,9 @@ def count_below(H, E):
     ``E`` is one energy or a 1-D grid.  ``H`` is a matrix or an operator,
     whose ``diag`` may be a batch (B, N): B operators that share the
     off-diagonal part and take one row each as their diagonal; make it the
-    transpose of a C-ordered (N, B) array so the Sturm sweep reads contiguous
-    memory without a copy.  Returns int counts shaped shape(E), with a leading
-    B axis for a batch.
+    transpose of a C-ordered (N, B) array, as ``random_potentials`` returns,
+    so the Sturm sweep reads contiguous memory without a copy.  Returns int
+    counts shaped shape(E), with a leading B axis for a batch.
 
     A tridiagonal operator runs one Sturm sweep over all (row, energy) pairs;
     other sparse input runs sparse LDL^T, with Bunch-Kaufman at the same

@@ -333,6 +333,17 @@ def test_one_worker_pool_per_run(tmp_path, monkeypatch, capsys, command, name):
     assert dict(os.environ) == environ  # an in-process run leaves the environment alone
 
 
+def test_meta_records_peak_rss(tmp_path):
+    # the sidecar, not a primary output, records the peak RSS of the run's own
+    # process and of the largest pool worker it waited for
+    out = tmp_path / "out"
+    assert main(["lifshitz", "--config", str(SHIPPED / "lifshitz.json"), "--out", str(out),
+                 "--workers", "2"]) == 0
+    meta = json.loads((out / "lifshitz_meta.json").read_text())
+    assert meta["peak_rss_mb"] > 0 and meta["pool_peak_rss_mb"] > 0
+    assert "rss" not in (out / "lifshitz.json").read_text()
+
+
 def test_cli_import_is_stdlib_only():
     src = str(Path(breatherlab.__file__).resolve().parents[1])
     probe = ("import sys; before = set(sys.modules); import breatherlab.cli; "
@@ -559,6 +570,21 @@ def test_cross_field_rule_exit_2(tmp_path, capsys, command, overrides, field):
     assert field in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("samples,ok", [(2**16, True), (2**16 + 1, False)])
+def test_samples_cap_charges_both_conditions(tmp_path, samples, ok):
+    # a counting block holds its realizations under D and M: 2 * samples * box
+    # points <= MAX_VALUES, which 2 * 2^16 * (16 * 16) meets exactly
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, grid={"n": 16, "L": [16]},
+                 experiment={"seed": 1, "samples": samples, "energies": {"values": [1.0]}})
+    assert 2 * 2**16 * 16 * 16 == cli.MAX_VALUES
+    if ok:
+        cli.load_config(str(cfg), command="ids")
+    else:
+        with pytest.raises(cli.ConfigError, match=r"2 \* experiment.samples \* box points"):
+            cli.load_config(str(cfg), command="ids")
 
 
 @pytest.mark.parametrize("energies", [

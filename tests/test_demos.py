@@ -1,5 +1,6 @@
 """Smoke test: every demo script runs to completion in-process."""
 
+import re
 import runpy
 from pathlib import Path
 
@@ -18,3 +19,6 @@ def test_demo_runs(path, capsys):
     out = capsys.readouterr().out
     assert out.strip()
     assert "FAIL" not in out
+    if path.stem == "03_moments_and_temple":  # five realizations, five Temple checks
+        lowest = re.findall(r"#\d: E1 = (\S+) >=", out)
+        assert len(lowest) == len(set(lowest)) == 5

@@ -2,6 +2,8 @@
 
 import dataclasses
 import io
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +153,28 @@ class TestEstimate:
             slow = np.array([[count_below(assemble(model, grid, bc, couplings=lams), E)
                               for E in energies] for lams in fields])
             assert np.array_equal(fast[bc.label], slow)
+
+    def test_count_block_holds_one_buffer(self):
+        # the largest block of configs/lifshitz.json (L = 29 at E = 0.05,
+        # M = 2000): the potentials are written into the block's (N, 2M)
+        # buffer, so its peak stays close to that buffer alone
+        from breatherlab import cli
+        from breatherlab.ids import _count_block
+
+        cfg = cli.load_config(str(Path(__file__).parents[1] / "configs" / "lifshitz.json"),
+                              command="lifshitz")
+        model, gs = cli._prepare(cfg, cli.build_model(cfg))
+        exp = cfg["experiment"]
+        M, N = exp["samples"], 29 * gs.n
+        task = (model, GridSpec(L=29, n=gs.n), gs, cli.energies_from(exp["energies"])[:1],
+                exp["seed"], np.arange(M) + (1 << 32))
+        tracemalloc.start()
+        try:
+            _count_block(task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * 2 * M * N * 8
 
     def test_workers_equivalent(self, prepped):
         # M = 6 < 4 * workers splits too: every M runs in min(workers, M) blocks,

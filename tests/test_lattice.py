@@ -14,6 +14,7 @@ from breatherlab.lattice import (
     BoundaryCondition,
     GridSpec,
     assemble,
+    cells_on_grid,
     mezincescu_correction,
     periodic_ground_state,
     periodized_ground_state,
@@ -233,7 +234,7 @@ class TestRandomPotential:
         grid = GridSpec(L=1, n=8)
         v = random_potentials(model, grid, [[1.7]])[0]
         pts = grid.offset_points()
-        direct = site_values(model.site, [1.7], pts)[0]
+        direct = site_values(model.site, 1.7, pts)
         assert np.allclose(v, direct, atol=1e-14)
 
     def test_2d_brute_force_oracle(self):
@@ -251,10 +252,35 @@ class TestRandomPotential:
                 for ix, x in enumerate(coords):
                     for iy, y in enumerate(coords):
                         oracle[ix, iy] += site_values(
-                            model.site, [lams[kx, ky]],
-                            np.array([[x - kx, y - ky]]),
-                        )[0, 0]
+                            model.site, lams[kx, ky], np.array([[x - kx, y - ky]]),
+                        )[0]
         assert np.max(np.abs(v - oracle)) == 0.0
+
+    @pytest.mark.parametrize("standardized", [False, True])
+    @pytest.mark.parametrize("kind", ["alloy", "breather", "tabulated"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_grid_order_matches_site_order(self, d, kind, standardized):
+        # evaluated in grid order with the realization axis last, the
+        # potentials equal the site-order evaluation placed by cells_on_grid
+        # bit for bit, as the transpose of a C-ordered (N, M) array, and
+        # written in place into a caller's buffer
+        tab = {} if kind != "tabulated" else dict(
+            lambda_nodes=tuple(np.linspace(1.0, 2.0, 5)),
+            x_nodes=(tuple(np.linspace(-0.5, 0.5, 9)),) * d,
+            values=np.random.default_rng(1).uniform(0.0, 1.0, (5,) + (9,) * d))
+        site = SingleSiteSpec(kind=kind, amplitude=1.3, radius=0.4, lambda_minus=1.0,
+                              lambda_plus=2.0, standardized=standardized, **tab)
+        model = ModelSpec(d=d, vper=PeriodicPotentialSpec(kind="zero"), site=site,
+                          dist=DistributionSpec(kind="uniform", lambda_minus=1.0, lambda_plus=2.0))
+        grid = GridSpec(L=3, n=6, d=d)
+        fields = np.random.default_rng(d).uniform(1.0, 2.0, (5, 3**d))
+        v = random_potentials(model, grid, fields)
+        site_order = site_values(site, fields.ravel()[:, None], grid.offset_points())
+        assert np.array_equal(v, cells_on_grid(grid, site_order))
+        assert v.shape == (5, grid.num_dof) and v.T.flags.c_contiguous
+        buf = np.full((grid.num_dof, 10), np.nan)
+        assert np.shares_memory(random_potentials(model, grid, fields, out=buf[:, 5:]), buf)
+        assert np.array_equal(buf[:, 5:].T, v) and np.all(np.isnan(buf[:, :5]))
 
     def test_raising_single_coupling_monotone(self):
         # raising one coupling never lowers any eigenvalue

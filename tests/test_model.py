@@ -29,7 +29,7 @@ def bump_scalar(a, r, x):
 
 def u_at(site, lam, pts):
     """u(lam, x) at one coupling for points (P, d), shape (P,)."""
-    return site_values(site, [lam], pts)[0]
+    return site_values(site, lam, pts)
 
 
 def du_at(site, lam, pts):
@@ -159,7 +159,7 @@ class TestDerivative:
         site = breather_site()
         lams = np.linspace(1.0, 2.0, 23)
         xs = np.linspace(-0.5, 0.5, 57)[:, None]
-        dv = site_values(site, lams, xs)  # sanity: values finite
+        dv = site_values(site, lams[:, None], xs)  # sanity: values finite
         assert np.all(np.isfinite(dv))
         for lam in lams:
             assert np.all(du_at(site, lam, xs) >= 0.0)
@@ -248,7 +248,7 @@ class TestStandardize:
         std = standardize(breather_model())
         xs = np.linspace(-0.5, 0.5, 64)[:, None]
         lams = np.linspace(1.0, 2.0, 16)
-        vals = site_values(std.site, lams, xs)
+        vals = site_values(std.site, lams[:, None], xs)
         assert np.all(np.diff(vals, axis=0) >= -1e-12)
 
 

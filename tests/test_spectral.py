@@ -476,6 +476,15 @@ class TestBatchedEigensolver:
                 assert np.array_equal(y[b], alone @ xb)
                 assert np.array_equal(y[b], alone.matrix @ xb)
 
+    def test_eigenpairs_do_not_depend_on_layout(self):
+        # the same batch C-ordered and F-ordered gives the same bits
+        box = skeleton(free_model(), GridSpec(L=6, n=8), DIRICHLET)
+        rows = box.diagonal(box.vper) + np.random.default_rng(4).uniform(0.0, 50.0, (3, 48))
+        c_res, f_res = (lowest_eigenvalues(DiscreteHamiltonian(box=box, diag=diag), 4)
+                        for diag in (np.ascontiguousarray(rows), np.asfortranarray(rows)))
+        for field in ("energies", "vectors", "residuals"):
+            assert np.array_equal(getattr(c_res, field), getattr(f_res, field))
+
 
 class TestEmptyBatch:
     """A batch of no operators gives empty results, shaped as for B operators."""
