@@ -38,7 +38,7 @@ from .lattice import (
     random_potentials,
     skeleton,
 )
-from .model import analytic_kappa1, integral_derivative_profile, site_values
+from .model import analytic_kappa1, derivative_window, site_values
 from .spectral import lowest_eigenvalues
 
 BOUNDARY_TOL = 1e-10
@@ -82,9 +82,10 @@ class ModelConstants:
     """Measured/analytic constants of a prepared model at run resolution.
 
     kappa1: sup of du/dlambda (analytic for built-in families).
-    eps1, eps2: the integral-derivative window; the space integral uses the
-    same n-point midpoint quadrature as the xi functionals, so the chain of
-    discrete inequalities is self-consistent.
+    eps1, eps2: the integral-derivative window; the space integral is the
+    quadrature on ``model._midpoint_grid(n, d)``, the very points at which
+    ``map_realization`` evaluates V_omega and the xi functionals, so the chain
+    of discrete inequalities is self-consistent.
     c3, c4: min/max of the unit-cell ground state.
     """
 
@@ -97,28 +98,21 @@ class ModelConstants:
 
 
 def model_constants(model, gs) -> ModelConstants:
-    """Measure (kappa1, eps1, eps2) at the run resolution and read off c3, c4."""
+    """Read (eps1, eps2) off the ``derivative_window`` at the run resolution,
+    kappa1 analytically (for tabulated sites, from the window's own
+    derivative values) and c3, c4 off the ground state."""
     site = model.site
     lams = np.linspace(site.lambda_minus, site.lambda_plus, LAMBDA_GRID_SIZE)
-    phi_prime = integral_derivative_profile(model, lams, x_grid_size=gs.n)
-    positive = phi_prime > 1e-12
-    if not positive[0]:
+    deriv, _, stop, (eps1, eps2) = derivative_window(model, lams, gs.n, 1e-12)
+    if stop == 0:
         raise PreconditionError(
             "integral derivative vanishes at the coupling floor (assumption iv fails)"
         )
-    stop = int(np.argmin(positive)) if not positive.all() else lams.size
-    window = phi_prime[:stop]
-    eps2 = float(lams[stop - 1] - site.lambda_minus)
-    eps1 = float(min(window.min(), 1.0 / window.max()))
     kappa1 = analytic_kappa1(site)
     if kappa1 is None:
-        pts_n = GridSpec(L=1, n=gs.n, d=gs.d).offset_points()
-        from .model import site_derivative_values
-
-        kappa1 = float(np.abs(site_derivative_values(site, lams, pts_n)).max())
-    return ModelConstants(
-        kappa1=float(kappa1), eps1=eps1, eps2=eps2, c3=gs.c3, c4=gs.c4, n=gs.n
-    )
+        kappa1 = np.abs(deriv).max()
+    return ModelConstants(kappa1=float(kappa1), eps1=eps1, eps2=eps2, c3=gs.c3, c4=gs.c4,
+                          n=gs.n)
 
 
 @dataclass(frozen=True)

@@ -721,8 +721,9 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
             cor = bounds_mod.counting_corollary_check(mapped, temple.lhs, tcfg.energy_scale,
                                                       gamma)
             dev = bounds_mod.deviation_chain_check(mapped, tcfg)
-            fields = ids_mod.sample_fields(prepared.dist, seed, (L << 21) + np.arange(M), L,
-                                           prepared.d)
+            # the Dirichlet streams lie above every Temple stream (L << 20) + k
+            fields = ids_mod.sample_fields(prepared.dist, seed, (1 << 62) + (L << 22)
+                                           + np.arange(M), L, prepared.d)
             upper = bounds_mod.dirichlet_upper_bounds(prepared, fields.reshape(shape), test)
             for out, rep in ((corollary_out, cor), (deviation_out, dev), (diri, upper)):
                 out["checks"] += M

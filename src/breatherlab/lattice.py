@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GroundStateError, InputError, StateError
-from .model import ModelSpec, normalize_energy, site_values, standardize
+from .model import ModelSpec, _midpoint_grid, normalize_energy, site_values, standardize
 from .spectral import lowest_eigenvalues
 
 BC_KINDS = ("dirichlet", "neumann", "periodic", "mezincescu")
@@ -70,16 +70,10 @@ class GridSpec:
         m = np.arange(self.points_per_axis)
         return (m + 0.5) * self.h - 0.5
 
-    def cell_offsets(self):
-        """Cell-relative offsets along one axis, strictly inside (-1/2, 1/2)."""
-        j = np.arange(self.n)
-        return (j + 0.5) * self.h - 0.5
-
     def offset_points(self):
-        """All cell-relative points of one cell, shape (n**d, d)."""
-        o = self.cell_offsets()
-        mesh = np.meshgrid(*([o] * self.d), indexing="ij")
-        return np.stack([ax.ravel() for ax in mesh], axis=-1)
+        """All cell-relative points of one cell, shape (n**d, d): the midpoint
+        grid ``model._midpoint_grid(n, d)`` that every cell quadrature reads."""
+        return _midpoint_grid(self.n, self.d)
 
 
 @dataclass(frozen=True)

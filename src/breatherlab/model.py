@@ -166,27 +166,22 @@ def site_derivative_values(site: SingleSiteSpec, lams, pts) -> np.ndarray:
     sq = np.sum(pts * pts, axis=-1)
     outside = np.any(np.abs(pts) > 0.5, axis=-1)
 
-    if site.kind == "alloy":
-        prof = _bump_from_sqnorm(site.amplitude, site.radius, sq)
-        prof = np.where(outside, 0.0, prof)
-        out = np.broadcast_to(prof[None, :], (lams.size, sq.size)).copy()
-    elif site.kind == "breather":
-        # d/dlam [-f(lam x)] = -x . grad f(lam x) = g(lam x)/lam  with
-        # g(y) = -y . grad f(y) = (4 a |y|^2 / r^2) (1 - |y|^2/r^2)_+ >= 0.
-        scaled = lams[:, None] ** 2 * sq[None, :]
-        ramp = _bump_ramp_from_sqnorm(4.0 * site.amplitude, site.radius, scaled)
-        out = lams[:, None] * sq[None, :] / site.radius**2 * ramp
-        out = np.where(outside[None, :], 0.0, out)
-    else:
-        width = site.lambda_plus - site.lambda_minus
-        step = 1e-6 * width
+    if site.kind == "tabulated":
+        step = 1e-6 * (site.lambda_plus - site.lambda_minus)
         lo = np.clip(lams - step, site.lambda_minus, site.lambda_plus)
         hi = np.clip(lams + step, site.lambda_minus, site.lambda_plus)
         unstd = replace(site, standardized=False)
-        out = (site_values(unstd, hi[:, None], pts) - site_values(unstd, lo[:, None], pts)) / (
-            (hi - lo)[:, None]
-        )
-    return out
+        return (site_values(unstd, hi[:, None], pts)
+                - site_values(unstd, lo[:, None], pts)) / (hi - lo)[:, None]
+    if site.kind == "alloy":
+        out = np.broadcast_to(_bump_from_sqnorm(site.amplitude, site.radius, sq),
+                              (lams.size, sq.size))
+    else:
+        # d/dlam [-f(lam x)] = -x . grad f(lam x) = g(lam x)/lam  with
+        # g(y) = -y . grad f(y) = (4 a |y|^2 / r^2) (1 - |y|^2/r^2)_+ >= 0.
+        ramp = _bump_ramp_from_sqnorm(4.0 * site.amplitude, site.radius, lams[:, None] ** 2 * sq)
+        out = lams[:, None] * sq / site.radius**2 * ramp
+    return np.where(outside, 0.0, out)
 
 
 def analytic_kappa1(site: SingleSiteSpec):
@@ -235,30 +230,25 @@ class PeriodicPotentialSpec:
             object.__setattr__(self, "values", vals)
 
     def sample_cell(self, n: int, d: int) -> np.ndarray:
-        """Sample on the cell-centered unit-cell grid, shape (n,)*d."""
-        offsets = (np.arange(n) + 0.5) / n - 0.5
+        """Sample on the midpoint grid of the unit cell, shape (n,)*d."""
+        pts = _midpoint_grid(n, d)
         if self.kind == "zero":
-            cell = np.zeros((n,) * d)
+            cell = np.zeros(len(pts))
         elif self.kind == "cosine-sum":
-            amps = self.amplitudes
-            if len(amps) != d:
-                raise InputError(f"cosine-sum needs {d} amplitudes, got {len(amps)}")
-            cell = np.zeros((n,) * d)
-            for axis, amp in enumerate(amps):
-                shape = [1] * d
-                shape[axis] = n
-                cell = cell + amp * np.cos(2 * np.pi * offsets).reshape(shape)
+            if len(self.amplitudes) != d:
+                raise InputError(f"cosine-sum needs {d} amplitudes, got {len(self.amplitudes)}")
+            cos, cell = np.cos(2 * np.pi * pts), np.zeros(len(pts))
+            for axis, amp in enumerate(self.amplitudes):
+                cell = cell + amp * cos[:, axis]
         else:
             if self.values.shape != (n,) * d:
                 raise InputError(
                     f"tabulated potential sampled at {self.values.shape}, grid wants {(n,) * d}"
                 )
-            cell = self.values.copy()
+            cell = self.values.ravel()
         if self.site_floor is not None:
-            cell = cell + site_values(
-                self.site_floor, self.site_floor.lambda_minus, _midpoint_grid(n, d)
-            ).reshape((n,) * d)
-        return cell + self.offset
+            cell = cell + site_values(self.site_floor, self.site_floor.lambda_minus, pts)
+        return (cell + self.offset).reshape((n,) * d)
 
 
 @dataclass(frozen=True)
@@ -439,24 +429,34 @@ class AssumptionReport:
         return all(self.verdicts.values())
 
 
-def _midpoint_grid(m: int, d: int):
-    """Cell-centered product grid on the unit cell, (m**d, d) points."""
-    offsets = (np.arange(m) + 0.5) / m - 0.5
+def _midpoint_grid(n: int, d: int):
+    """The midpoint grid of the unit cell, (n**d, d) points in C order: per
+    axis the midpoints (j + 1/2)/n - 1/2 of n equal intervals.  V_per, V_omega,
+    the coupling floor, the xi functionals and the assumption scans all read it."""
+    offsets = (np.arange(n) + 0.5) / n - 0.5
     mesh = np.meshgrid(*([offsets] * d), indexing="ij")
     return np.stack([ax.ravel() for ax in mesh], axis=-1)
 
 
-def integral_derivative_profile(model: ModelSpec, lams, x_grid_size: int):
-    """Quadrature of du/dlambda over the unit cell at each coupling in ``lams``.
+def derivative_window(model: ModelSpec, lams, n: int, threshold: float):
+    """Read the window of assumption (iv) off couplings ``lams`` ascending from
+    lambda_minus, at the n-point midpoint quadrature of the cell.
 
-    This is the discrete version of d/dlambda of the space integral of u; the
-    same midpoint rule is used everywhere downstream, so the constants
-    measured from this profile are the ones the finite-volume estimates obey.
+    Returns du/dlambda at (lams, grid points), (K, n**d); its quadrature
+    phi'(lambda) over the cell, (K,); the count ``stop`` of leading couplings
+    on which phi' > ``threshold``; and (eps1, eps2) with phi' in
+    [eps1, 1/eps1] on [lambda_minus, lambda_minus + eps2] over those couplings,
+    (0, 0) when ``stop`` is 0.
     """
-    pts = _midpoint_grid(x_grid_size, model.d)
-    weight = (1.0 / x_grid_size) ** model.d
-    deriv = site_derivative_values(model.site, lams, pts)
-    return deriv.sum(axis=1) * weight
+    deriv = site_derivative_values(model.site, lams, _midpoint_grid(n, model.d))
+    phi_prime = deriv.sum(axis=1) * (1.0 / n) ** model.d
+    positive = phi_prime > threshold
+    stop = int(np.argmin(positive)) if not positive.all() else len(positive)
+    if stop == 0:
+        return deriv, phi_prime, stop, (0.0, 0.0)
+    window = phi_prime[:stop]
+    eps1 = float(min(window.min(), 1.0 / window.max()))
+    return deriv, phi_prime, stop, (eps1, float(lams[stop - 1] - model.site.lambda_minus))
 
 
 def validate_assumptions(
@@ -465,7 +465,10 @@ def validate_assumptions(
     """Scan the model assumptions on (lambda, x) grids and report constants.
 
     Grid sizes are per axis; the x scan uses x_grid_size**d points, so reduce
-    the resolution for d >= 2.
+    the resolution for d >= 2.  (iv) reads the ``derivative_window`` at
+    threshold ``tol`` and holds when the window spans at least two grid
+    couplings; when it fails, eps1 = 0 and the worst violation is
+    |phi'(lambda_minus)|.
     """
     if lambda_grid_size < 16 or x_grid_size < 16:
         raise DomainError("assumption scans need grid sizes >= 16")
@@ -474,25 +477,20 @@ def validate_assumptions(
 
     site = model.site
     lams = np.linspace(site.lambda_minus, site.lambda_plus, lambda_grid_size)
-    pts = _midpoint_grid(x_grid_size, model.d)
-    deriv = site_derivative_values(site, lams, pts)
+    deriv, phi_prime, stop, (eps1, eps2) = derivative_window(model, lams, x_grid_size, tol)
 
     verdicts = {}
     worst = 0.0
     where = None
 
-    # (i) support containment: u vanishes identically outside the unit cell
-    out_axis = 0.5 + (np.arange(8) + 0.5) / 16.0  # coordinates in (1/2, 1]
-    shell = []
+    # (i) support containment: u vanishes identically outside the unit cell, on
+    # copies of the 8-point grid with one coordinate moved to +-s, s in (1/2, 1]
+    base, shell = _midpoint_grid(8, model.d), []
     for axis in range(model.d):
-        base = _midpoint_grid(8, model.d)
-        for s in out_axis:
-            shifted = base.copy()
-            shifted[:, axis] = s
-            shell.append(shifted)
-            shifted2 = base.copy()
-            shifted2[:, axis] = -s
-            shell.append(shifted2)
+        for s in 0.5 + (np.arange(8) + 0.5) / 16.0:
+            for c in (s, -s):
+                shell.append(base.copy())
+                shell[-1][:, axis] = c
     shell = np.concatenate(shell, axis=0)
     outside_vals = site_values(site, lams[:: max(1, lambda_grid_size // 16), None], shell)
     verdicts["i"] = bool(np.all(outside_vals == 0.0))
@@ -512,25 +510,13 @@ def validate_assumptions(
     if not verdicts["iii"] and where is None:
         i_bad = np.unravel_index(np.argmin(deriv), deriv.shape)
         worst = abs(dmin)
-        where = ("iii", float(lams[i_bad[0]]), tuple(pts[i_bad[1]]))
+        where = ("iii", float(lams[i_bad[0]]),
+                 tuple(_midpoint_grid(x_grid_size, model.d)[i_bad[1]]))
 
     # (iv) derivative of the space integral pinned away from 0 and infinity
-    weight = (1.0 / x_grid_size) ** model.d
-    phi_prime = deriv.sum(axis=1) * weight
-    positive = phi_prime > tol
-    if positive[0]:
-        stop = int(np.argmin(positive)) if not positive.all() else lambda_grid_size
-        j_star = stop - 1
-    else:
-        j_star = 0
-    eps2 = float(lams[j_star] - site.lambda_minus)
-    if j_star >= 1:
-        window = phi_prime[: j_star + 1]
-        eps1 = float(min(window.min(), 1.0 / window.max()))
-        verdicts["iv"] = True
-    else:
+    verdicts["iv"] = stop >= 2
+    if not verdicts["iv"]:
         eps1 = 0.0
-        verdicts["iv"] = False
         if where is None:
             worst = abs(float(phi_prime[0]))
             where = ("iv", float(lams[0]), None)
@@ -549,14 +535,6 @@ def validate_assumptions(
         worst = max(gaps)
         where = ("v", float(eps_grid[int(np.argmax(gaps))]), None)
 
-    return AssumptionReport(
-        verdicts=verdicts,
-        kappa1=kappa1,
-        eps1=eps1,
-        eps2=eps2,
-        alpha=float(alpha),
-        kappa=float(kappa),
-        worst_violation=float(worst),
-        violation_site=where,
-        tol=tol,
-    )
+    return AssumptionReport(verdicts=verdicts, kappa1=kappa1, eps1=eps1, eps2=eps2,
+                            alpha=float(alpha), kappa=float(kappa),
+                            worst_violation=float(worst), violation_site=where, tol=tol)

@@ -1063,6 +1063,45 @@ class TestBounds:
         assert "gamma > 1" in rep["infeasible"]
         assert not (out / ".cache").exists()
 
+    def test_flat_floor_exit_5_names_iv(self, tmp_path, capsys):
+        # u flat in lambda on [lambda_minus, lambda_minus + 1/2]: no window
+        xg = list(np.linspace(-0.5, 0.5, 33))
+        bump = [max(1.0 - (x / 0.4) ** 2, 0.0) ** 2 for x in xg]
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={
+            "d": 1, "vper": {"kind": "zero"},
+            "site": {"kind": "tabulated", "lambda_nodes": [0.0, 0.5, 1.0], "x_nodes": [xg],
+                     "values": [[0.0] * 33, [0.0] * 33, bump]},
+            "dist": {"kind": "uniform", "lambda_minus": 0.0, "lambda_plus": 1.0},
+        }, experiment={"seed": 11, "samples": 3})
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert "assumption iv" in err and "Traceback" not in err
+        assert not (out / ".cache").exists()
+
+    def test_temple_and_dirichlet_streams_disjoint(self, tmp_path, monkeypatch):
+        # sides 4 and 8: a Dirichlet range (L << 21) + k at L = 4 would be the
+        # Temple range (L << 20) + k at L = 8
+        from breatherlab import ids
+
+        drawn = []
+        sample = ids.sample_fields
+
+        def spy(dist, seed, indices, L, d):
+            drawn.append(set(np.asarray(indices).tolist()))
+            return sample(dist, seed, indices, L, d)
+
+        monkeypatch.setattr(ids, "sample_fields", spy)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, experiment={"seed": 11, "samples": 3, "temple_Ls": [4, 8],
+                                      "gap_Ls": [2, 3, 4], "bernoulli_p": [0.5],
+                                      "bernoulli_Ld": [8]})
+        assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--no-cache"]) == 0
+        assert len(drawn) == 4  # Temple and Dirichlet samples of both sides
+        assert sum(map(len, drawn)) == len(set().union(*drawn)) == 4 * 3
+
     def test_determinism_bounds_report(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(

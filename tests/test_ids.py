@@ -334,6 +334,47 @@ class TestBracketing:
         with pytest.raises(InputError, match="two box sizes"):
             bracketing_report(run_curves(model, gs, [4], [0.5], 6, 31))
 
+    def test_failing_checks_and_exact_margins(self):
+        # hand-made curves, sides unsorted; estimates and errors are dyadic and
+        # every 2 sqrt(s_a^2 + s_b^2) is exact (3/32 against 4/32 gives 5/32),
+        # so each margin below is exact
+        energies = np.array([1.0, 2.0])
+        D = {4: [0.25, 0.5], 8: [0.5, 0.25], 16: [0.375, 1.375]}
+        Mg = {4: [1.0, 1.5], 8: [0.75, 1.75], 16: [1.25, 1.25]}
+        sD = {4: 0.0, 8: 3 / 32, 16: 0.0}
+        sM = {4: 0.0, 8: 4 / 32, 16: 0.0}
+        counts_D = {L: np.zeros((2, 2), dtype=int) for L in (8, 4, 16)}
+        counts_M = {L: np.ones((2, 2), dtype=int) for L in (8, 4, 16)}
+        counts_D[8][1, 0] = 2  # one realization counts more under D than under M
+        curves = {L: IDSCurve(energies=energies, box_sizes=np.full(2, L), n=8, M=2, seed=5,
+                              d=1, estimates={"D": np.array(D[L]), "M": np.array(Mg[L])},
+                              errors={"D": np.full(2, sD[L]), "M": np.full(2, sM[L])},
+                              counts={"D": counts_D[L], "M": counts_M[L]})
+                  for L in (8, 4, 16)}
+        rep = bracketing_report(curves)
+        assert rep["Ls"] == [8, 4, 16]
+        assert (rep["pathwise_violations"], rep["pathwise_pairs"]) == (1, 12)
+        # lower: D(8) - D(4) + 2 (3/32) at E = 2 is -1/4 + 3/16
+        assert (rep["lower_monotone"], rep["lower_worst_margin"]) == (False, -0.0625)
+        # upper: M(8) - M(16) + 2 (4/32) at E = 1 is -1/2 + 1/4
+        assert (rep["upper_monotone"], rep["upper_worst_margin"]) == (False, -0.25)
+        # cross: M(16) - D(16) at E = 2 is 1.25 - 1.375
+        assert (rep["cross_ordering"], rep["cross_worst_margin"]) == (False, -0.125)
+        assert rep["all_pass"] is False
+        # mend every failure: the pathwise count and the three least margins
+        counts_D[8][1, 0] = 0
+        D[8][1], Mg[16][0], D[16][1] = 0.4375, 1.0, 1.25
+        for L in (8, 16):
+            curves[L].estimates["D"][:] = D[L]
+            curves[L].estimates["M"][:] = Mg[L]
+        rep = bracketing_report(curves)
+        assert rep["pathwise_violations"] == 0
+        # zero margins pass: M(8) - M(16) + 1/4 at E = 1, M(16) - D(16) at E = 2
+        assert (rep["lower_worst_margin"], rep["upper_worst_margin"],
+                rep["cross_worst_margin"]) == (0.0625, 0.0, 0.0)
+        assert rep["lower_monotone"] and rep["upper_monotone"] and rep["cross_ordering"]
+        assert rep["all_pass"] is True
+
     def test_free_case_closed_form_counts(self):
         # deterministic check at E = 5 for the free operator: normalized
         # Dirichlet counts do not decrease along L = 4, 8, 16

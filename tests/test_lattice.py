@@ -26,6 +26,7 @@ from breatherlab.model import (
     ModelSpec,
     PeriodicPotentialSpec,
     SingleSiteSpec,
+    _midpoint_grid,
     site_values,
 )
 
@@ -219,6 +220,17 @@ class TestMezincescu:
         with pytest.raises(StateError):
             assemble(free_model(), GridSpec(L=2, n=8),
                      BoundaryCondition("mezincescu", ground_state=None))
+
+
+class TestMidpointGrid:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(4, 14))
+    def test_one_grid_for_every_cell_quadrature(self, n, d):
+        # V_omega and xi read the grid's points, V_per and the window scans the
+        # model's: the same bits, also where 1/n is not a power of two
+        points = GridSpec(L=1, n=n, d=d).offset_points()
+        assert points.tobytes() == _midpoint_grid(n, d).tobytes()
+        assert points.shape == (n**d, d)
 
 
 class TestRandomPotential:

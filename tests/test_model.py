@@ -340,6 +340,22 @@ class TestValidateAssumptions:
         assert rep.violation_site is not None and rep.violation_site[0] == "iii"
         assert rep.worst_violation > 0
 
+    def test_flat_floor_fails_iv_with_empty_window(self):
+        # u is flat in lambda on [lambda_minus, lambda_minus + 1/2]: the window
+        # of (iv) holds no coupling, so eps1 = eps2 = 0 and (iv) is the site
+        x_nodes = (tuple(np.linspace(-0.5, 0.5, 33)),)
+        bump = np.clip(1.0 - (np.asarray(x_nodes[0]) / 0.4) ** 2, 0.0, None) ** 2
+        site = SingleSiteSpec(kind="tabulated", lambda_minus=0.0, lambda_plus=1.0,
+                              lambda_nodes=(0.0, 0.5, 1.0), x_nodes=x_nodes,
+                              values=np.stack([0.0 * bump, 0.0 * bump, bump]))
+        model = ModelSpec(d=1, vper=PeriodicPotentialSpec(kind="zero"), site=site,
+                          dist=DistributionSpec(kind="uniform", lambda_minus=0.0,
+                                                lambda_plus=1.0))
+        rep = validate_assumptions(model, lambda_grid_size=16, x_grid_size=64)
+        assert rep.verdicts == {"i": True, "ii": True, "iii": True, "iv": False, "v": True}
+        assert rep.violation_site[0] == "iv"
+        assert (rep.eps1, rep.eps2, rep.worst_violation) == (0.0, 0.0, 0.0)
+
     def test_deterministic(self):
         model = breather_model(vper_kind="cosine-sum")
         r1 = validate_assumptions(model)
