@@ -25,6 +25,7 @@ which opens at most one process pool (``worker_pools`` reads ``ids.pool_size``).
 import argparse
 import copy
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -120,9 +121,9 @@ def _list_of(item, rule, least=0):
     return (lambda v: isinstance(v, list) and len(v) >= least and all(map(item, v))), rule
 
 
-# Memory caps on the sizes, in float64 values: one box holds at most
-# MAX_POINTS grid points (32 MB), and what a command holds at once (realizations
-# under both boundary conditions, counts or scan points) at most MAX_VALUES (256 MB).
+# Caps on the sizes, in float64 values: one box holds at most MAX_POINTS grid
+# points (32 MB), and what a command works through (the diagonals of all its
+# realizations under both conditions, counts or scan points) at most MAX_VALUES.
 MAX_POINTS = 2**22
 MAX_VALUES = 2**25
 MAX_BERNOULLI_LD = 4096  # the exact tail is summed in integers: <= 0.3 s there
@@ -308,6 +309,9 @@ def load_config(path: str, seed: int = None, workers: int = None, command: str =
         cfg["grid"]["L"] = [cfg["grid"]["L"]]
     # the rules that join two fields, or a field and the command
     exp, d = cfg["experiment"], cfg["model"]["d"]
+    if command == "bounds" and exp["samples"] > 2**20:  # side L's Temple streams (L << 20) + k
+        raise ConfigError(f"experiment.samples of bounds must be <= {2**20} (disjoint Temple "
+                          f"streams per box side), got {exp['samples']}")
     if exp.get("x_grid_size") and exp["x_grid_size"] ** d > X_SCAN_POINTS:
         raise ConfigError(f"experiment.x_grid_size ** model.d must be <= {X_SCAN_POINTS}, "
                           f"got {exp['x_grid_size']} ** {d}")
@@ -428,11 +432,14 @@ def _source_digest() -> bytes:
 
 
 def cache_key(cfg: dict, digest: str) -> str:
-    """sha256 over the config hash, the named input files and the package source."""
+    """sha256 over the config hash, the named input files, the package source,
+    the Python version and the ``version.py`` files of NumPy and SciPy."""
     h = hashlib.sha256(digest.encode())
     if cfg["experiment"].get("curve_csv"):  # the only input file a config names
         h.update(hashlib.sha256(Path(cfg["experiment"]["curve_csv"]).read_bytes()).digest())
-    h.update(_source_digest())
+    h.update(_source_digest() + sys.version.encode())
+    for name in ("numpy", "scipy"):  # found, not imported: a cache hit loads neither
+        h.update(Path(importlib.util.find_spec(name).origin).with_name("version.py").read_bytes())
     return h.hexdigest()
 
 

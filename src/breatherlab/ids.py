@@ -5,11 +5,12 @@ on (master_seed, realization index), with the per-site value read off at the
 site's row-major position, so every field is a pure function of
 (master_seed, index, site) and runs are reproducible bit for bit regardless
 of worker scheduling.  ``sample_fields`` draws all streams of a block in one
-vectorized call, equal bit for bit to NumPy's ``Philox``.  A block of M
-realizations holds one (N, 2M) buffer of diagonals, both conditions side by
-side in the column layout of ``count_below``; its potentials are evaluated in
-place, and every count of the block (both conditions, all realizations and
-energies) comes from one ``count_below`` call.  A run is (box side, energies,
+vectorized call, equal bit for bit to NumPy's ``Philox``.  A block holds one
+buffer of at most ``BLOCK_VALUES`` diagonal values, reused chunk by chunk in
+the column layout of ``count_below``: a chunk's potentials are evaluated in
+place, become its Dirichlet diagonals and then, rewritten on the boundary rows
+alone, its ground-state ones, two ``count_below`` calls per chunk, each over
+all its realizations and energies.  A run is (box side, energies,
 stream offset): ``estimate_ids`` makes one per box side and
 ``matched_box_curve`` one per energy point.  Each run's
 realizations are split into min(workers, M) contiguous index blocks, and with
@@ -39,6 +40,7 @@ from .spectral import count_below
 CSV_HEADER = "E,N_D,se_D,N_M,se_M,L,n,M,seed"
 LABELS = ("D", "M")  # the bracketing pair: Dirichlet below, ground state above
 BOOT_RESAMPLES, BOOT_SEED = 200, 0xB007  # the percentile bootstrap of fit_lifshitz
+BLOCK_VALUES = 2**19  # float64 diagonals a counting block holds at once (4 MB)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
@@ -153,20 +155,28 @@ class IDSCurve:
 
 def _count_block(args):
     """Counts (realizations x energies) under "D" and "M" for one index block,
-    from one ``count_below`` call on one (N, 2M) buffer: the folds touch only
-    the diagonal, so both conditions are one batch of operators on one box.
-    The potentials are written into the "M" half, the "D" half is their sum
-    with the Dirichlet diagonal, and the "M" half then adds its own."""
+    from one buffer of at most ``BLOCK_VALUES`` values, reused chunk by chunk.
+    The folds touch only the diagonal, so the two conditions differ only on
+    the ``edge`` rows: a chunk's potentials become the "D" diagonals, counted
+    by one ``count_below`` call, and then, rewritten on the edge rows alone,
+    the "M" diagonals, counted by a second."""
     model, grid, gs, energies, master_seed, indices = args
     fields = sample_fields(model.dist, master_seed, indices, grid.L, grid.d)
     diri, mez = (skeleton(model, grid, bc) for bc in (DIRICHLET, mezincescu_correction(gs, grid)))
-    M = len(fields)
-    cols = np.empty((grid.num_dof, 2 * M))
-    v = random_potentials(model, grid, fields, out=cols[:, M:]).T
-    np.add(diri.diagonal(diri.vper)[:, None], v, out=cols[:, :M])
-    np.add(v, mez.diagonal(mez.vper)[:, None], out=v)
-    counts = count_below(DiscreteHamiltonian(box=diri, diag=cols.T), energies)
-    return {"D": counts[:M], "M": counts[M:]}
+    base_d, base_m = diri.diagonal(diri.vper), mez.diagonal(mez.vper)
+    edge = np.flatnonzero(base_d.view(np.int64) != base_m.view(np.int64))
+    N, M = grid.num_dof, len(fields)
+    step = min(M, max(1, BLOCK_VALUES // N))
+    buf, out = np.empty(N * step), {"D": [], "M": []}
+    for start in range(0, M, step):
+        cols = buf[:N * min(step, M - start)].reshape(N, -1)  # C-ordered (N, c)
+        random_potentials(model, grid, fields[start:start + cols.shape[1]], out=cols)
+        v_edge = cols[edge]
+        np.add(base_d[:, None], cols, out=cols)  # "D"; off the edge, v + base_m bit for bit
+        out["D"].append(count_below(DiscreteHamiltonian(box=diri, diag=cols.T), energies))
+        cols[edge] = v_edge + base_m[edge, None]
+        out["M"].append(count_below(DiscreteHamiltonian(box=diri, diag=cols.T), energies))
+    return {lab: np.concatenate(c) for lab, c in out.items()}
 
 
 def pool_size(workers: int, runs: int, M: int) -> int:

@@ -497,7 +497,7 @@ def validate_assumptions(
     if not verdicts["i"]:
         i_bad = np.unravel_index(np.argmax(np.abs(outside_vals)), outside_vals.shape)
         worst = float(np.abs(outside_vals).max())
-        where = ("i", float(lams[i_bad[0]]), tuple(shell[i_bad[1]]))
+        where = ("i", float(lams[i_bad[0]]), tuple(shell[i_bad[1]].tolist()))
 
     # (ii) finite derivative sup
     finite = bool(np.all(np.isfinite(deriv)))
@@ -511,7 +511,7 @@ def validate_assumptions(
         i_bad = np.unravel_index(np.argmin(deriv), deriv.shape)
         worst = abs(dmin)
         where = ("iii", float(lams[i_bad[0]]),
-                 tuple(_midpoint_grid(x_grid_size, model.d)[i_bad[1]]))
+                 tuple(_midpoint_grid(x_grid_size, model.d)[i_bad[1]].tolist()))
 
     # (iv) derivative of the space integral pinned away from 0 and infinity
     verdicts["iv"] = stop >= 2

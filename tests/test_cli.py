@@ -76,7 +76,9 @@ class TestValidate:
         assert report["passed"] is True
         assert "config_hash" in report
 
-    def test_sign_changing_alloy_fails(self, tmp_path):
+    @staticmethod
+    def run_sign_changing_site(tmp_path):
+        """``validate`` on a tabulated site that takes both signs: (exit, out dir)."""
         cfg = tmp_path / "cfg.json"
         xg = list(np.linspace(-0.5, 0.5, 33))
         f = [float(np.sin(2 * np.pi * x)) for x in xg]
@@ -92,10 +94,23 @@ class TestValidate:
             },
         )
         out = tmp_path / "out"
-        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
+        return main(["validate", "--config", str(cfg), "--out", str(out)]), out
+
+    def test_sign_changing_alloy_fails(self, tmp_path):
+        code, out = self.run_sign_changing_site(tmp_path)
+        assert code == 1
         report = json.loads((out / "validate_report.json").read_text())
         assert report["verdicts"]["iii"] is False
         assert report["violation_site"][0] == "iii"
+
+    def test_violation_site_prints_python_floats(self, tmp_path, capsys):
+        # the report text reads the same under every NumPy version: no np.float64(...)
+        code, out = self.run_sign_changing_site(tmp_path)
+        text, stdout = (out / "validate_report.txt").read_text(), capsys.readouterr().out
+        assert code == 1 and "np." not in text and "np." not in stdout
+        kind, lam, point = json.loads((out / "validate_report.json").read_text())["violation_site"]
+        line = next(ln for ln in text.splitlines() if ln.startswith("worst violation"))
+        assert line.endswith(f" at {(kind, lam, tuple(point))!r}")
 
     def test_tabulated_values_of_wrong_shape_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -867,6 +882,33 @@ class TestIds:
         assert main(args) == 0
         assert json.loads((out / "ids_meta.json").read_text())["cache"] == "hit"
 
+    @pytest.mark.parametrize("library", ["python", "numpy", "scipy"])
+    def test_library_version_change_misses_cache(self, tmp_path, monkeypatch, library):
+        # a slot stored under other library versions is not replayed
+        import importlib.util
+        from importlib.machinery import ModuleSpec
+
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, experiment={"seed": 5, "samples": 3,
+                                      "energies": {"kind": "list", "values": [0.5]}})
+        out = tmp_path / "out"
+        args = ["ids", "--config", str(cfg), "--out", str(out)]
+        assert main(args) == 0
+        if library == "python":
+            monkeypatch.setattr(sys, "version", sys.version + " (faked)")
+        else:
+            fake = tmp_path / library / "version.py"
+            fake.parent.mkdir()
+            fake.write_text('version = "0.0.0+faked"\n')
+            find_spec = importlib.util.find_spec
+            monkeypatch.setattr(importlib.util, "find_spec", lambda name, *rest: (
+                ModuleSpec(name, None, origin=str(fake.with_name("__init__.py")))
+                if name == library else find_spec(name, *rest)))
+        assert main(args) == 0
+        assert json.loads((out / "ids_meta.json").read_text())["cache"] == "miss"
+        assert main(args) == 0
+        assert json.loads((out / "ids_meta.json").read_text())["cache"] == "hit"
+
 
 class TestLifshitz:
     def test_replay_synthetic_half(self, tmp_path):
@@ -1101,6 +1143,20 @@ class TestBounds:
                      "--no-cache"]) == 0
         assert len(drawn) == 4  # Temple and Dirichlet samples of both sides
         assert sum(map(len, drawn)) == len(set().union(*drawn)) == 4 * 3
+
+    @pytest.mark.parametrize("samples", [2**20, 2**20 + 1])
+    def test_samples_capped_by_temple_streams(self, tmp_path, capsys, samples):
+        # side L's Temple streams are (L << 20) + k, k < samples: more than 2^20
+        # would share fields with side L + 1; tiny boxes keep the memory check quiet
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, grid={"n": 4, "L": [1]},
+                     experiment={"samples": samples, "temple_Ls": [1], "gap_Ls": [1, 2]})
+        if samples <= 2**20:
+            assert cli.load_config(str(cfg), command="bounds")["experiment"]["samples"] == samples
+            return
+        assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"experiment.samples of bounds must be <= {2**20}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_determinism_bounds_report(self, tmp_path):
         cfg = tmp_path / "cfg.json"

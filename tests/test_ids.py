@@ -37,14 +37,14 @@ from breatherlab.model import (
 from breatherlab.spectral import count_below
 
 
-def breather_model(dist_kind="uniform", atom=0.0, amp=1.0):
+def breather_model(dist_kind="uniform", atom=0.0, amp=1.0, d=1):
     if dist_kind == "uniform":
         dist = DistributionSpec(kind="uniform", lambda_minus=1.0, lambda_plus=2.0)
     else:
         dist = DistributionSpec(kind="two-point-plus-uniform", lambda_minus=1.0,
                                 lambda_plus=2.0, atom_mass_at_min=atom)
     return ModelSpec(
-        d=1,
+        d=d,
         vper=PeriodicPotentialSpec(kind="zero"),
         site=SingleSiteSpec(kind="breather", amplitude=amp, radius=0.4,
                             lambda_minus=1.0, lambda_plus=2.0, standardized=True),
@@ -138,6 +138,15 @@ class TestEstimate:
             assert np.array_equal(a.counts[lab], b.counts[lab])
             assert np.array_equal(a.estimates[lab], b.estimates[lab])
 
+    @staticmethod
+    def counts_alone(model, gs, grid, energies, seed, idx):
+        """Counts of each realization alone, assembled and counted row by row."""
+        fields = sample_fields(model.dist, seed, idx, grid.L, grid.d)
+        return {bc.label: np.array([[count_below(assemble(model, grid, bc, couplings=lams), E)
+                                     for E in energies]
+                                    for lams in fields.reshape((-1,) + (grid.L,) * grid.d)])
+                for bc in bc_pair(gs, grid)}
+
     def test_fast_path_matches_general(self, prepped):
         # count each realization row by row with count_below, then compare
         # against the batched Sturm sweep
@@ -148,25 +157,95 @@ class TestEstimate:
         energies = np.array([0.5, 1.5, 3.0])
         idx = np.arange(12)
         fast = _count_block((model, grid, gs, energies, 7, idx))
-        fields = sample_fields(model.dist, 7, idx, 4, 1)
-        for bc in bc_pair(gs, grid):
-            slow = np.array([[count_below(assemble(model, grid, bc, couplings=lams), E)
-                              for E in energies] for lams in fields])
-            assert np.array_equal(fast[bc.label], slow)
+        slow = self.counts_alone(model, gs, grid, energies, 7, idx)
+        for lab in ("D", "M"):
+            assert np.array_equal(fast[lab], slow[lab])
+
+    def test_fast_path_matches_general_d2(self):
+        # at d = 2 the two conditions differ on the whole boundary layer of the
+        # box, the rows a chunk rewrites before its "M" count
+        from breatherlab.ids import _count_block
+
+        model, gs = prepare_model(breather_model(d=2), 4)
+        grid = GridSpec(L=2, n=4, d=2)
+        energies = np.array([2.0, 9.0, 40.0])
+        idx = np.arange(5)
+        fast = _count_block((model, grid, gs, energies, 7, idx))
+        slow = self.counts_alone(model, gs, grid, energies, 7, idx)
+        for lab in ("D", "M"):
+            assert np.array_equal(fast[lab], slow[lab])
+        assert np.any(slow["D"] != slow["M"])
+
+    @pytest.mark.parametrize("rows,extra", [
+        (3, 1),  # chunks of 3, 3, 3, 3 in a buffer that is no multiple of N
+        (5, 0),  # chunks of 5, 5 and a ragged 2
+        (0, 1),  # a cap below one realization: one per chunk
+    ])
+    def test_capped_block_matches_default_and_alone(self, prepped, monkeypatch, rows, extra):
+        # chunking a block cannot change a count: each (realization, energy)
+        # pair is swept on its own
+        from breatherlab import ids
+
+        model, gs = prepped
+        grid = GridSpec(4, 16)
+        energies = np.array([0.5, 1.5, 3.0])
+        idx = np.arange(12) + 40
+        task = (model, grid, gs, energies, 3, idx)
+        default = ids._count_block(task)
+        monkeypatch.setattr(ids, "BLOCK_VALUES", rows * grid.num_dof + extra)
+        capped = ids._count_block(task)
+        alone = self.counts_alone(model, gs, grid, energies, 3, idx)
+        for lab in ("D", "M"):
+            assert capped[lab].shape == (12, 3)
+            assert np.array_equal(capped[lab], default[lab])
+            assert np.array_equal(capped[lab], alone[lab])
+
+    @pytest.mark.parametrize("d,L,n", [(1, 6, 16), (2, 3, 4)])
+    def test_counts_read_the_block_buffer(self, monkeypatch, d, L, n):
+        # every count_below call of a block reads its diagonals in the buffer
+        # the potentials were written to, in the (N, c) column layout: no copy
+        from breatherlab import ids
+
+        model, gs = prepare_model(breather_model(d=d), n)
+        grid = GridSpec(L=L, n=n, d=d)
+        written, counted = [], []
+        potentials, count = ids.random_potentials, ids.count_below
+
+        def spy_potentials(model, grid, fields, out=None):
+            written.append(out)
+            return potentials(model, grid, fields, out=out)
+
+        def spy_count(H, E):
+            counted.append(H.diag)
+            return count(H, E)
+
+        monkeypatch.setattr(ids, "random_potentials", spy_potentials)
+        monkeypatch.setattr(ids, "count_below", spy_count)
+        monkeypatch.setattr(ids, "BLOCK_VALUES", 4 * grid.num_dof)
+        counts = ids._count_block((model, grid, gs, np.array([1.0, 4.0]), 5, np.arange(10)))
+        assert counts["D"].shape == counts["M"].shape == (10, 2)
+        assert [out.shape[1] for out in written] == [4, 4, 2]
+        assert len(counted) == 2 * len(written)
+        base = written[0].base
+        for k, diag in enumerate(counted):
+            out = written[k // 2]
+            assert out.base is base and diag.T.flags.c_contiguous
+            assert np.shares_memory(diag, out) and diag.T.shape == out.shape
 
     def test_count_block_holds_one_buffer(self):
         # the largest block of configs/lifshitz.json (L = 29 at E = 0.05,
-        # M = 2000): the potentials are written into the block's (N, 2M)
-        # buffer, so its peak stays close to that buffer alone
+        # M = 2000): chunk after chunk, the potentials and both conditions'
+        # diagonals live in one buffer of at most BLOCK_VALUES values, so the
+        # peak stays close to that buffer plus the block's coupling fields
         from breatherlab import cli
-        from breatherlab.ids import _count_block
+        from breatherlab.ids import BLOCK_VALUES, _count_block
 
         cfg = cli.load_config(str(Path(__file__).parents[1] / "configs" / "lifshitz.json"),
                               command="lifshitz")
         model, gs = cli._prepare(cfg, cli.build_model(cfg))
         exp = cfg["experiment"]
-        M, N = exp["samples"], 29 * gs.n
-        task = (model, GridSpec(L=29, n=gs.n), gs, cli.energies_from(exp["energies"])[:1],
+        M, L = exp["samples"], 29
+        task = (model, GridSpec(L=L, n=gs.n), gs, cli.energies_from(exp["energies"])[:1],
                 exp["seed"], np.arange(M) + (1 << 32))
         tracemalloc.start()
         try:
@@ -174,7 +253,7 @@ class TestEstimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.15 * 2 * M * N * 8
+        assert peak <= 1.15 * (BLOCK_VALUES + M * L) * 8
 
     def test_workers_equivalent(self, prepped):
         # M = 6 < 4 * workers splits too: every M runs in min(workers, M) blocks,
