@@ -15,14 +15,19 @@ measure.  The Temple lower bound, the counting corollary, the deviation
 chain and the Dirichlet upper bound are checked as concrete numerical
 inequalities with every constant recorded.
 
+Inequalities on random levels are inertia counts: with N(x) the number of
+eigenvalues <= x, E1 > x iff N(x) = 0 and E2 > x iff N(x) <= 1.  Each check
+makes one ``count_below`` call; only ``periodic_levels`` solves for levels.
+
 A leading batch axis is optional throughout: ``map_realization`` maps one
 coupling field (L,)*d or a batch (B,)+(L,)*d, and each check returns one
-``BoundReport`` whose sides, margin, verdict and per-realization constants
-are arrays over that batch (0-d for one realization).
+``BoundReport`` whose sides, verdict and per-realization constants are
+arrays over that batch (0-d for one realization).
 """
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from .lattice import (
     skeleton,
 )
 from .model import analytic_kappa1, derivative_window, site_values
-from .spectral import lowest_eigenvalues
+from .spectral import count_below, lowest_eigenvalues
 
 BOUNDARY_TOL = 1e-10
 LAMBDA_GRID_SIZE = 2049  # couplings at which model_constants reads the window
@@ -48,18 +53,18 @@ SAFETY = 0.99  # make_temple_config sets c2 this fraction of its binding constra
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One verified inequality over a batch of realizations: sides, signed
-    margin, verdict and constants, each an array over the batch.
+    """One verified inequality over a batch of realizations: sides, verdict
+    and constants, each an array over the batch.
 
-    ``margin`` is oriented so that a nonnegative value means the inequality
-    holds.  Float comparisons at |margin| <= boundary tolerance are reported
-    as "boundary" rather than pass/fail; exact integer checks never are.
+    A check of a level E1 against ``rhs`` has as ``lhs`` the counts
+    (N(rhs - t), N(rhs + t)), t = BOUNDARY_TOL * (1 + |rhs|), on a trailing
+    axis; it is "boundary" where the two differ (E1 within t of ``rhs``).
+    Integer checks are pass or fail.
     """
 
     name: str
     lhs: np.ndarray
     rhs: np.ndarray
-    margin: np.ndarray
     verdict: np.ndarray
     constants: dict
 
@@ -68,13 +73,14 @@ class BoundReport:
         return self.verdict != "fail"
 
 
-def _float_verdict(margin, scale):
-    tol = BOUNDARY_TOL * (1.0 + np.abs(scale))
-    return np.where(margin > tol, "pass", np.where(margin < -tol, "fail", "boundary"))
-
-
-def _exact_verdict(ok):
-    return np.where(ok, "pass", "fail")
+def _level_check(H, rhs, upper, *energies):
+    """Count each operator of ``H`` at rhs -+ t and at ``energies`` in one call:
+    the ``lhs`` pair, the verdict of E1 >= rhs (<= if ``upper``), the other counts."""
+    t = BOUNDARY_TOL * (1.0 + np.abs(rhs))
+    counts = count_below(H, np.stack(np.broadcast_arrays(rhs - t, rhs + t, *energies), axis=-1))
+    below, within = counts[..., 0] >= 1, counts[..., 1] >= 1  # E1 <= rhs - t, E1 <= rhs + t
+    verdict = np.where(below == within, np.where(below == upper, "pass", "fail"), "boundary")
+    return counts[..., :2], verdict, np.moveaxis(counts[..., 2:], -1, 0)
 
 
 @dataclass(frozen=True)
@@ -262,59 +268,60 @@ def periodic_levels(box: BoxSkeleton) -> np.ndarray:
     return lowest_eigenvalues(box.hamiltonian(), 2).energies
 
 
+def _cutoff_operator(box: BoxSkeleton, mapped: MappedRealization):
+    """H_cut of each realization of ``mapped`` on its ``ground_state_box``."""
+    if mapped.grid != box.grid:
+        raise InputError(f"realization mapped on {mapped.grid}, not on {box.grid}")
+    return box.hamiltonian(mapped.potential)
+
+
 def temple_lower_bounds(box: BoxSkeleton, mapped: MappedRealization, cfg: TempleConfig,
                         per) -> BoundReport:
     """Check E1 of each realization's cutoff operator against (3/4) of its
-    mean xi, from one batched eigensolve of those operators.
+    mean xi: "pass" where N(rhs + t) = 0, "fail" where N(rhs - t) >= 1.
 
     ``box`` is the ``ground_state_box``, ``mapped`` one realization or a batch
     mapped on its grid and ``per`` its ``periodic_levels``.  The applicability
     chain 0 = E1(per) <= E1(cut) <= form < nu <= E2(per) <= E2(cut) is verified
-    link by link; a broken link fails the realization (that signals bad
-    constants, not a solver bug), and ``links`` tells which.
+    link by link, the cutoff levels' links by the same count; a broken link
+    fails the realization (bad constants, not a solver bug), and ``links``
+    tells which.
     """
-    grid = box.grid
-    if mapped.grid != grid:
-        raise InputError(f"realization mapped on {mapped.grid}, not on {grid}")
-    H = box.hamiltonian(mapped.potential)
-    cut = lowest_eigenvalues(H, 2).energies
-    E1, E2 = cut[..., 0], cut[..., 1]
+    H = _cutoff_operator(box, mapped)
     form, mean_xi, sq_value, _ = _moments(box.psi, mapped, H)
-    nu = cfg.epsilon0 / (2.0 * grid.L**2) + form
-    tol = 1e-9 * (1.0 + abs(per[1]))
+    nu = cfg.epsilon0 / (2.0 * box.grid.L**2) + form
+    tau = 1e-9 * (1.0 + abs(per[1]))
+    rhs = 0.75 * mean_xi
+    lhs, verdict, (n_e1, n_form, n_e2) = _level_check(H, rhs, False, per[0] - tau, form + tau,
+                                                      per[1] - tau)
     links = {
-        "E1(per) = 0": np.full(E1.shape, abs(per[0]) <= tol),
-        "E1(per) <= E1(cut)": E1 >= per[0] - tol,
-        "E1(cut) <= form": form >= E1 - tol,
+        "E1(per) = 0": np.full(rhs.shape, abs(per[0]) <= tau),
+        "E1(per) <= E1(cut)": n_e1 == 0,
+        "E1(cut) <= form": n_form >= 1,
         "form < nu": nu > form,
         "nu <= E2(per)": per[1] >= nu,
-        "E2(per) <= E2(cut)": E2 >= per[1] - tol,
+        "E2(per) <= E2(cut)": n_e2 <= 1,
     }
-    rhs = 0.75 * mean_xi
     chain = np.logical_and.reduce(list(links.values()))
-    constants = {"E1_cut": E1, "E2_cut": E2, "form": form, "second_moment": sq_value,
-                 "links": links}
-    return BoundReport(name="temple-lower-bound", lhs=E1, rhs=rhs, margin=E1 - rhs,
-                       verdict=np.where(chain, _float_verdict(E1 - rhs, rhs), "fail"),
-                       constants=constants)
+    constants = {"form": form, "second_moment": sq_value, "links": links}
+    return BoundReport(name="temple-lower-bound", lhs=lhs, rhs=rhs,
+                       verdict=np.where(chain, verdict, "fail"), constants=constants)
 
 
-def counting_corollary_check(mapped: MappedRealization, E1, escale: float,
+def counting_corollary_check(box: BoxSkeleton, mapped: MappedRealization, escale: float,
                              gamma: float) -> BoundReport:
     """If E1 <= escale, most mapped values must be small:
-    #{xi_k < 2 gamma escale} > ((gamma-1)/gamma) L^d.  Vacuous when E1 > escale.
-    ``E1`` holds one level per realization of ``mapped``."""
+    #{xi_k < 2 gamma escale} > ((gamma-1)/gamma) L^d.  Vacuous when E1 > escale:
+    where the cutoff operator on ``box``, the ``ground_state_box``, has N(escale) = 0."""
     Ld = mapped.num_sites
     small = mapped.per_realization(mapped.xi < 2.0 * gamma * escale)
     threshold = (gamma - 1.0) / gamma * Ld
-    vacuous = np.asarray(E1) > escale
-    constants = {"E1": E1, "energy_scale": escale, "gamma": gamma, "Ld": Ld,
-                 "vacuous": vacuous}
-    verdict = np.where(vacuous, "pass", _exact_verdict(small > threshold))
-    return BoundReport(
-        name="counting-corollary", lhs=small, rhs=np.full(small.shape, threshold),
-        margin=small - threshold, verdict=verdict, constants=constants,
-    )
+    vacuous = count_below(_cutoff_operator(box, mapped), escale) == 0
+    constants = {"energy_scale": escale, "gamma": gamma, "Ld": Ld, "vacuous": vacuous}
+    return BoundReport(name="counting-corollary", lhs=small,
+                       rhs=np.full(small.shape, threshold),
+                       verdict=np.where(vacuous | (small > threshold), "pass", "fail"),
+                       constants=constants)
 
 
 def deviation_chain_check(mapped: MappedRealization, cfg: TempleConfig) -> BoundReport:
@@ -333,10 +340,8 @@ def deviation_chain_check(mapped: MappedRealization, cfg: TempleConfig) -> Bound
         "premise_count": mapped.per_realization(premise), "sites": mapped.num_sites,
         "violations": violations,
     }
-    return BoundReport(
-        name="deviation-chain", lhs=violations, rhs=np.zeros(violations.shape),
-        margin=-violations, verdict=_exact_verdict(violations == 0), constants=constants,
-    )
+    return BoundReport(name="deviation-chain", lhs=violations, rhs=np.zeros(violations.shape),
+                       verdict=np.where(violations == 0, "pass", "fail"), constants=constants)
 
 
 def bernoulli_tail(p: float, gamma: float, Ld: int):
@@ -389,11 +394,7 @@ def dirichlet_test_function(model, grid: GridSpec) -> DirichletTestFunction:
     Dirichlet skeleton (K is its zero-potential operator)."""
     L, d, hd = grid.L, grid.d, grid.h**grid.d
     t = grid.axis_coords() - (L - 1) / 2.0
-    axis_phi = np.cos(np.pi * t / L)
-    phi = axis_phi
-    for _ in range(d - 1):
-        phi = np.multiply.outer(phi, axis_phi)
-    phi = phi.ravel()
+    phi = reduce(np.multiply.outer, [np.cos(np.pi * t / L)] * d).ravel()
 
     box = skeleton(model, grid, DIRICHLET)
     K = box.operator(0.0)
@@ -408,24 +409,25 @@ def dirichlet_test_function(model, grid: GridSpec) -> DirichletTestFunction:
 def dirichlet_upper_bounds(model, couplings, test: DirichletTestFunction) -> BoundReport:
     """Rayleigh-quotient upper bound E1 <= B1 L^-d int(V_omega) + B2 L^-2 for
     one coupling field or a batch on the box of ``test``, with the test
-    function and constants of ``dirichlet_test_function``, from one batched
-    eigensolve."""
+    function and constants of ``dirichlet_test_function``: "pass" where
+    N(rhs - t) >= 1, "fail" where N(rhs + t) = 0; ``variational_ok`` is E1 <= q,
+    the Rayleigh quotient, i.e. N(q + 1e-9 (1 + |q|)) >= 1."""
     grid = test.grid
     L, d, hd = grid.L, grid.d, grid.h**grid.d
     lams = couplings_array(grid, couplings)
     v = np.ascontiguousarray(random_potentials(model, grid, lams.reshape(-1, L**d)))
     v = v.reshape(lams.shape[:lams.ndim - d] + v.shape[1:])
-    e1 = lowest_eigenvalues(test.box.hamiltonian(v), 1).energies[..., 0]
     quotient = (test.T + test.P + np.sum(test.phi**2 * v, axis=-1) * hd) / test.Q
     int_v = np.sum(v, axis=-1) * hd
     rhs = test.B1 * int_v / L**d + test.B2 / L**2
+    lhs, verdict, (n_q,) = _level_check(test.box.hamiltonian(v), rhs, True,
+                                        quotient + 1e-9 * (1 + np.abs(quotient)))
     constants = {
         "B1": test.B1, "B2": test.B2, "kinetic_times_L2": test.T / test.Q * L**2,
-        "int_V_omega": int_v, "E1": e1,
-        "variational_ok": e1 <= quotient + 1e-9 * (1 + np.abs(quotient)),
+        "int_V_omega": int_v, "variational_ok": n_q >= 1,
     }
-    return BoundReport(name="dirichlet-upper-bound", lhs=e1, rhs=rhs, margin=rhs - e1,
-                       verdict=_float_verdict(rhs - e1, rhs), constants=constants)
+    return BoundReport(name="dirichlet-upper-bound", lhs=lhs, rhs=rhs, verdict=verdict,
+                       constants=constants)
 
 
 @dataclass(frozen=True)

@@ -725,8 +725,7 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
                                            prepared.d)
             mapped = bounds_mod.map_realization(gs, prepared, grid, fields.reshape(shape), tcfg)
             temple = bounds_mod.temple_lower_bounds(boxes[L], mapped, tcfg, levels[L])
-            cor = bounds_mod.counting_corollary_check(mapped, temple.lhs, tcfg.energy_scale,
-                                                      gamma)
+            cor = bounds_mod.counting_corollary_check(boxes[L], mapped, tcfg.energy_scale, gamma)
             dev = bounds_mod.deviation_chain_check(mapped, tcfg)
             # the Dirichlet streams lie above every Temple stream (L << 20) + k
             fields = ids_mod.sample_fields(prepared.dist, seed, (1 << 62) + (L << 22)

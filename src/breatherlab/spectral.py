@@ -69,7 +69,8 @@ def lowest_eigenvalues(H, m: int) -> SpectralResult:
     "tridiagonal") at any size.  Any other takes dense ``eigh`` ("dense") up to
     ``DENSE_THRESHOLD`` degrees of freedom (read at call time), NumPy's at
     d = 1 and SciPy's subset solver at d >= 2, and shift-invert Lanczos
-    ("iterative") above the threshold.  Every returned pair satisfies
+    ("iterative") above the threshold, from one fixed generic start vector so
+    that a call repeats bit for bit.  Every returned pair satisfies
     ||H v - E v|| <= EIG_TOL * (1 + |E|), otherwise a ConvergenceError
     carrying the best iterate is raised.
     """
@@ -102,7 +103,8 @@ def lowest_eigenvalues(H, m: int) -> SpectralResult:
             row_abs = np.asarray(np.abs(A).sum(axis=1)).ravel()
             sigma = float((row - (row_abs - np.abs(row))).min()) - 1.0
             try:
-                vals, vecs = spla.eigsh(A, k=m, sigma=sigma, which="LM", tol=EIG_TOL * 1e-2)
+                vals, vecs = spla.eigsh(A, k=m, sigma=sigma, which="LM", tol=EIG_TOL * 1e-2,
+                                        v0=np.random.default_rng(0).uniform(-1.0, 1.0, N))
             except spla.ArpackNoConvergence as err:
                 raise ConvergenceError(
                     f"eigensolver stalled after max iterations ({err})",
@@ -200,28 +202,19 @@ def _dense_inertia(A: np.ndarray, pivot_tol: float):
 
     scale = max(1.0, float(np.abs(A).max()))
     _, D, _ = ldl(A)
-    n = A.shape[0]
-    count = 0
-    i = 0
+    n, count, i = A.shape[0], 0, 0
     while i < n:
-        if i + 1 < n and D[i, i + 1] != 0.0:
+        if i + 1 < n and D[i, i + 1] != 0.0:  # a 2x2 block
             a, b, c = D[i, i], D[i, i + 1], D[i + 1, i + 1]
-            det = a * c - b * b
-            tr = a + c
-            if abs(det) <= (pivot_tol * scale) ** 2:
-                return count, False
-            if det < 0.0:
-                count += 1
-            elif tr < 0.0:
-                count += 2
-            i += 2
+            det, step = a * c - b * b, 2
+            small = abs(det) <= (pivot_tol * scale) ** 2
+            negative = 1 if det < 0.0 else 2 if a + c < 0.0 else 0
         else:
-            p = D[i, i]
-            if abs(p) <= pivot_tol * scale:
-                return count, False
-            if p < 0.0:
-                count += 1
-            i += 1
+            small, step = abs(D[i, i]) <= pivot_tol * scale, 1
+            negative = int(D[i, i] < 0.0)
+        if small:
+            return count, False
+        count, i = count + negative, i + step
     return count, True
 
 
@@ -319,7 +312,9 @@ def count_below(H, E):
     off-diagonal part and take one row each as their diagonal; make it the
     transpose of a C-ordered (N, B) array, as ``random_potentials`` returns,
     so the Sturm sweep reads contiguous memory without a copy.  Returns int
-    counts shaped shape(E), with a leading B axis for a batch.
+    counts shaped shape(E), with a leading B axis for a batch.  For a batch,
+    a 2-D ``E`` (B, K) is one grid per operator, row b counted on operator b,
+    and the counts are shaped (B, K) too.
 
     A tridiagonal operator runs one Sturm sweep over all (row, energy) pairs;
     other sparse input runs sparse LDL^T, with Bunch-Kaufman at the same
@@ -333,7 +328,10 @@ def count_below(H, E):
     else:
         kernel, A = _factor_counts, getattr(box, "stencil", box)
     energy = np.asarray(E, dtype=float)
-    e = np.repeat(energy.reshape(-1, 1), rows.shape[0], axis=1)  # (K, B), nudged per pair
+    grids = diag.ndim == 2 and energy.ndim == 2  # a batch, one grid per operator
+    grid = energy if grids else energy.reshape(1, -1)
+    e = np.broadcast_to(grid, (len(rows), grid.shape[1])).T.copy()  # (K, B), nudged per pair
+    shape = rows.shape[:1] + energy.shape[1 if grids else 0:] if diag.ndim == 2 else energy.shape
     counts, ok = kernel(A, rows, e)
     for attempt in range(8):
         if ok.all():
@@ -344,5 +342,4 @@ def count_below(H, E):
         counts[k, r], ok[k, r] = got[0], good[0]
     if not ok.all():
         raise NumericalError(f"factorization kept hitting near-zero pivots near E={E}")
-    shape = rows.shape[:1] + energy.shape if diag.ndim == 2 else energy.shape
     return np.ascontiguousarray(counts.T).reshape(shape)[()]

@@ -253,9 +253,8 @@ def test_criterion_06_deviation_machinery(cosine_env):
         fields.append(lams)
         sites += 6
     mapped = map_realization(gs, model, grid, np.array(fields), cfg)
-    # E1 of every cutoff operator from one batched solve on the box
-    e1s = lowest_eigenvalues(box.hamiltonian(mapped.potential), 1).energies[:, 0]
-    cor = counting_corollary_check(mapped, e1s, cfg.energy_scale, cfg.gamma)
+    # whether E1 <= escale, for every cutoff operator from one batched count on the box
+    cor = counting_corollary_check(box, mapped, cfg.energy_scale, cfg.gamma)
     dev = deviation_chain_check(mapped, cfg)
     corollary_bad = int(np.sum(~cor.passed))
     deviation_bad = int(np.sum(dev.constants["violations"]))

@@ -1,11 +1,14 @@
 """Bounds tests: mapped variables, moments, Temple chain, tail estimates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from breatherlab import bounds, spectral
 from breatherlab.bounds import (
+    BOUNDARY_TOL,
     bernoulli_tail,
     counting_corollary_check,
     deviation_chain_check,
@@ -36,7 +39,7 @@ from breatherlab.model import (
     SingleSiteSpec,
     site_values,
 )
-from breatherlab.spectral import EIG_TOL, lowest_eigenvalues
+from breatherlab.spectral import lowest_eigenvalues
 
 
 def base_model(vper_amp=0.5):
@@ -50,6 +53,12 @@ def base_model(vper_amp=0.5):
         ),
         dist=DistributionSpec(kind="uniform", lambda_minus=1.0, lambda_plus=2.0),
     )
+
+
+def d2_model():
+    """The shipped bounds model at d = 2: V_per amplitudes 0.5 along each axis."""
+    return replace(base_model(), d=2, vper=PeriodicPotentialSpec(kind="cosine-sum",
+                                                                 amplitudes=(0.5, 0.5)))
 
 
 def flat_background_model():
@@ -177,12 +186,14 @@ class TestMapRealization:
         box = ground_state_box(model, gs, grid)
         temple = temple_lower_bounds(box, mapped, cfg6, periodic_levels(box))
         reports = [temple,
-                   counting_corollary_check(mapped, temple.lhs, cfg6.energy_scale, cfg6.gamma),
+                   counting_corollary_check(box, mapped, cfg6.energy_scale, cfg6.gamma),
                    deviation_chain_check(mapped, cfg6),
                    dirichlet_upper_bounds(model, mapped.couplings,
                                           dirichlet_test_function(model, grid))]
         for rep in reports:
-            assert rep.lhs.shape == rep.rhs.shape == rep.margin.shape == rep.passed.shape == (0,)
+            assert rep.rhs.shape == rep.passed.shape == (0,)
+        # the level checks hold a count pair per realization, the integer checks one integer
+        assert [rep.lhs.shape for rep in reports] == [(0, 2), (0,), (0,), (0, 2)]
         assert all(link.shape == (0,) for link in temple.constants["links"].values())
 
     def test_xi_refined_quadrature_oracle(self):
@@ -274,9 +285,10 @@ class TestTemple:
     def test_floor_realization_boundary(self, prepped, cfg6):
         model, gs = prepped
         rep = temple_at(gs, model, GridSpec(L=6, n=16), np.full(6, 1.0), cfg6)
-        assert rep.verdict in ("pass", "boundary")
+        # E1 = rhs = 0: no level at or below rhs - t, the ground level by rhs + t
+        assert rep.verdict == "boundary"
         assert rep.passed
-        assert abs(rep.margin) <= 1e-9
+        assert rep.lhs.tolist() == [0, 1]
 
     def test_three_quarter_factor(self, cfg6):
         c = cfg6.constants
@@ -310,8 +322,8 @@ class TestTemple:
         rep = temple_at(gs, model, GridSpec(L=6, n=16), np.full(6, 1.3), cfg6)
         dump_json(asdict(rep), tmp_path / "rep.json")
         payload = json.loads((tmp_path / "rep.json").read_text())
-        assert {"name", "lhs", "rhs", "margin", "verdict", "constants"} <= set(payload)
-        assert payload["verdict"] == "pass"
+        assert {"name", "lhs", "rhs", "verdict", "constants"} <= set(payload)
+        assert payload["verdict"] == "pass" and payload["lhs"] == [0, 0]
         assert all(v is True for v in payload["constants"]["links"].values())
 
     def test_mapped_from_other_box_rejected(self, prepped, consts, gapfit, cfg6):
@@ -338,8 +350,9 @@ class TestCorollary:
         model, gs = prepped
         grid = GridSpec(L=6, n=16)
         mapped = map_realization(gs, model, grid, np.full(6, 1.0), cfg6)
-        rep = counting_corollary_check(mapped, E1=0.0, escale=cfg6.energy_scale,
-                                       gamma=cfg6.gamma)
+        # the floor field's E1 = 0 <= escale, so the check is not vacuous
+        rep = counting_corollary_check(ground_state_box(model, gs, grid), mapped,
+                                       escale=cfg6.energy_scale, gamma=cfg6.gamma)
         assert rep.verdict == "pass"
         assert rep.lhs == 6  # every site counts as small
         assert not rep.constants["vacuous"]
@@ -348,8 +361,10 @@ class TestCorollary:
         model, gs = prepped
         grid = GridSpec(L=6, n=16)
         mapped = map_realization(gs, model, grid, np.full(6, 1.0), cfg6)
-        rep = counting_corollary_check(mapped, E1=0.0, escale=1e-3, gamma=2.0)
+        rep = counting_corollary_check(ground_state_box(model, gs, grid), mapped, escale=1e-3,
+                                       gamma=2.0)
         assert rep.rhs == pytest.approx(3.0)  # (gamma-1)/gamma = 1/2 of L^d
+        assert not rep.constants["vacuous"]
 
     def test_sweep_no_counterexample(self, prepped, consts, gapfit):
         model, gs = prepped
@@ -357,21 +372,20 @@ class TestCorollary:
         cfg = make_temple_config(L=4, gamma=2.0 / p, constants=consts,
                                  epsilon0=gapfit.epsilon0)
         grid = GridSpec(L=4, n=16)
-        bc = mezincescu_correction(gs, grid)
+        box = ground_state_box(model, gs, grid)
         atom = DistributionSpec(kind="two-point-plus-uniform", lambda_minus=1.0,
                                 lambda_plus=2.0, atom_mass_at_min=0.8)
         rng = np.random.default_rng(31)
-        nonvacuous = 0
-        for _ in range(200):
-            lams = atom.sample(rng.random(4))
-            mapped = map_realization(gs, model, grid, lams, cfg)
-            H = assemble(model, grid, bc, couplings=mapped.cutoffs)
-            e1 = float(lowest_eigenvalues(H, 1).energies[0])
-            rep = counting_corollary_check(mapped, e1, cfg.energy_scale, cfg.gamma)
-            assert rep.passed
-            if not rep.constants["vacuous"]:
-                nonvacuous += 1
-        assert nonvacuous > 0
+        lams = atom.sample(rng.random((200, 4)))  # the stream of 200 draws of 4
+        mapped = map_realization(gs, model, grid, lams, cfg)
+        rep = counting_corollary_check(box, mapped, cfg.energy_scale, cfg.gamma)
+        assert rep.passed.all()
+        # vacuity is E1 > escale: the count agrees with an independent eigensolve
+        # of each realization's cutoff operator, assembled from its couplings
+        bc = mezincescu_correction(gs, grid)
+        e1 = lowest_eigenvalues(assemble(model, grid, bc, couplings=mapped.cutoffs), 1).energies
+        assert np.array_equal(rep.constants["vacuous"], e1[:, 0] > cfg.energy_scale)
+        assert (~rep.constants["vacuous"]).sum() > 0
 
 
 class TestDeviationChain:
@@ -515,9 +529,7 @@ class TestDirichletUpperBound:
 
 class TestBatching:
     """A batch of M realizations and M batches of one give the same verdicts,
-    links and integer constants, and E1 within the solver tolerance: the
-    multisection width depends on the batch size, so the floats need not be
-    equal."""
+    links, count pairs and integer constants, exactly."""
 
     def test_temple_verdicts(self, prepped, cfg6):
         model, gs = prepped
@@ -534,7 +546,7 @@ class TestBatching:
             assert alone.verdict == batch.verdict[b]
             assert {k: bool(v) for k, v in alone.constants["links"].items()} == \
                 {k: bool(v[b]) for k, v in batch.constants["links"].items()}
-            assert abs(alone.lhs - batch.lhs[b]) <= EIG_TOL * (1 + abs(batch.lhs[b]))
+            assert np.array_equal(alone.lhs, batch.lhs[b])
 
     def test_corollary_and_deviation_verdicts(self, prepped, cfg6):
         # every other field hugs the floor, so the premise holds at some sites,
@@ -547,14 +559,13 @@ class TestBatching:
         fields = 1.0 + width[:, None] * rng.random((24, 6))
         fields[::4] = 1.0
         mapped = map_realization(gs, model, grid, fields, cfg6)
-        e1 = temple_lower_bounds(box, mapped, cfg6, periodic_levels(box)).lhs
-        cor = counting_corollary_check(mapped, e1, cfg6.energy_scale, cfg6.gamma)
+        cor = counting_corollary_check(box, mapped, cfg6.energy_scale, cfg6.gamma)
         dev = deviation_chain_check(mapped, cfg6)
         assert 0 < cor.constants["vacuous"].sum() < 24
         assert dev.constants["premise_count"].sum() > 0
         for b, lams in enumerate(fields):
             one = map_realization(gs, model, grid, lams, cfg6)
-            alone = counting_corollary_check(one, e1[b], cfg6.energy_scale, cfg6.gamma)
+            alone = counting_corollary_check(box, one, cfg6.energy_scale, cfg6.gamma)
             assert alone.verdict == cor.verdict[b]
             assert alone.lhs == cor.lhs[b] and alone.rhs == cor.rhs[b]
             assert alone.constants["vacuous"] == cor.constants["vacuous"][b]
@@ -573,4 +584,121 @@ class TestBatching:
             alone = dirichlet_upper_bounds(model, lams, test)
             assert alone.verdict == batch.verdict[b]
             assert alone.constants["variational_ok"] == batch.constants["variational_ok"][b]
-            assert abs(alone.lhs - batch.lhs[b]) <= EIG_TOL * (1 + abs(batch.lhs[b]))
+            assert np.array_equal(alone.lhs, batch.lhs[b])
+
+
+class TestCountedVerdicts:
+    """Each count-decided verdict and link turns when the level it is about is
+    moved 10 tolerances across its threshold, every other input fixed."""
+
+    @staticmethod
+    def below_cap(prepped, cfg6, seed):
+        """A realization on the L = 6 box with couplings below the cutoff cap."""
+        model, gs = prepped
+        grid = GridSpec(L=6, n=16)
+        lams = 1.0 + cfg6.c2 / 36.0 * np.random.default_rng(seed).random(6)
+        return ground_state_box(model, gs, grid), map_realization(gs, model, grid, lams, cfg6)
+
+    def test_temple_bound_turns_with_e1(self, prepped, cfg6):
+        box, mapped = self.below_cap(prepped, cfg6, 71)
+        per = periodic_levels(box)
+        rhs = temple_lower_bounds(box, mapped, cfg6, per).rhs
+        t = BOUNDARY_TOL * (1.0 + abs(rhs))
+        tau = 1e-9 * (1.0 + abs(per[1]))
+        e1 = lowest_eigenvalues(box.hamiltonian(mapped.potential), 1).energies[0]
+        for target, verdict, pair in ((rhs - 10 * t, "fail", [1, 1]),
+                                      (rhs + 10 * t, "pass", [0, 0])):
+            # a constant shift of the potential moves every level by it, not xi
+            shifted = replace(mapped, potential=mapped.potential + (target - e1))
+            rep = temple_lower_bounds(box, shifted, cfg6, per)
+            assert rep.rhs == rhs
+            assert all(rep.constants["links"].values())
+            assert (rep.verdict, rep.lhs.tolist()) == (verdict, pair)
+        # shifted to 10 tau below E1(per), the first link on the cutoff operator breaks
+        shifted = replace(mapped, potential=mapped.potential + (per[0] - 10 * tau - e1))
+        rep = temple_lower_bounds(box, shifted, cfg6, per)
+        assert not rep.constants["links"]["E1(per) <= E1(cut)"] and rep.verdict == "fail"
+
+    def test_temple_e2_link_turns_with_e2_per(self, prepped, cfg6):
+        box, mapped = self.below_cap(prepped, cfg6, 72)
+        e1_per = periodic_levels(box)[0]
+        e2 = lowest_eigenvalues(box.hamiltonian(mapped.potential), 2).energies[1]
+        for sign, holds in ((1, False), (-1, True)):
+            per = np.array([e1_per, e2 + sign * 10e-9 * (1.0 + abs(e2))])
+            rep = temple_lower_bounds(box, mapped, cfg6, per)
+            links = dict(rep.constants["links"])
+            assert links.pop("E2(per) <= E2(cut)") == holds
+            assert all(links.values())
+            assert rep.verdict == ("pass" if holds else "fail")
+
+    def test_temple_form_link_turns_with_form(self, prepped, cfg6, monkeypatch):
+        # E1(cut) <= form holds for every operator (psi is a unit vector), so
+        # the form is moved instead, to 10 tau on either side of E1(cut)
+        box, mapped = self.below_cap(prepped, cfg6, 74)
+        per = periodic_levels(box)
+        tau = 1e-9 * (1.0 + abs(per[1]))
+        e1 = lowest_eigenvalues(box.hamiltonian(mapped.potential), 1).energies[0]
+        moments = bounds._moments
+        for offset, holds in ((-10, False), (10, True)):
+            monkeypatch.setattr(bounds, "_moments", lambda *args, form=e1 + offset * tau:
+                                (form, *moments(*args)[1:]))
+            rep = temple_lower_bounds(box, mapped, cfg6, per)
+            links = dict(rep.constants["links"])
+            assert links.pop("E1(cut) <= form") == holds
+            assert all(links.values())
+            assert rep.verdict == ("pass" if holds else "fail")
+
+    def test_corollary_vacuity_turns_with_e1(self, prepped, cfg6):
+        box, mapped = self.below_cap(prepped, cfg6, 75)
+        escale, tol = cfg6.energy_scale, 10 * BOUNDARY_TOL
+        e1 = lowest_eigenvalues(box.hamiltonian(mapped.potential), 1).energies[0]
+        for target, vacuous in ((escale - tol, False), (escale + tol, True)):
+            shifted = replace(mapped, potential=mapped.potential + (target - e1))
+            rep = counting_corollary_check(box, shifted, escale, cfg6.gamma)
+            assert rep.constants["vacuous"] == vacuous
+
+    def test_dirichlet_bound_turns_with_rhs(self):
+        model, _ = prepare_model(flat_background_model(), 16)
+        grid = GridSpec(L=6, n=16)
+        test = dirichlet_test_function(model, grid)
+        lams = np.random.default_rng(73).uniform(1.0, 2.0, 6)
+        v = random_potentials(model, grid, [lams])[0]
+        e1 = lowest_eigenvalues(test.box.hamiltonian(v), 1).energies[0]
+        random_part = test.B1 * dirichlet_upper_bounds(model, lams, test).constants[
+            "int_V_omega"] / 6
+        for offset, verdict, pair in ((-10, "fail", [0, 0]), (10, "pass", [1, 1])):
+            rhs = e1 + offset * BOUNDARY_TOL * (1.0 + abs(e1))
+            rep = dirichlet_upper_bounds(model, lams, replace(test, B2=(rhs - random_part) * 36))
+            assert rep.rhs == pytest.approx(rhs, rel=1e-14)
+            assert rep.constants["variational_ok"]
+            assert (rep.verdict, rep.lhs.tolist()) == (verdict, pair)
+
+
+class TestTwoDimensions:
+    @pytest.fixture(scope="class")
+    def prepped2(self):
+        return prepare_model(d2_model(), 8)
+
+    def test_temple_chain_holds(self, prepped2):
+        model, gs = prepped2
+        boxes = {L: ground_state_box(model, gs, GridSpec(L=L, n=8, d=2)) for L in (2, 3, 4)}
+        levels = {L: periodic_levels(box) for L, box in boxes.items()}
+        _, p = model.dist.lambda_star()
+        cfg = make_temple_config(L=3, gamma=2.0 / p, constants=model_constants(model, gs),
+                                 epsilon0=fit_gap_constant(levels).epsilon0)
+        fields = np.random.default_rng(81).uniform(1.0, 2.0, (4, 3, 3))
+        mapped = map_realization(gs, model, boxes[3].grid, fields, cfg)
+        rep = temple_lower_bounds(boxes[3], mapped, cfg, levels[3])
+        assert rep.verdict.tolist() == ["pass"] * 4
+        assert all(link.all() for link in rep.constants["links"].values())
+
+    def test_iterative_levels_repeat(self, prepped2, monkeypatch):
+        # shift-invert Lanczos starts from one fixed vector, so repeated solves
+        # of one box agree bit for bit
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 10)
+        model, gs = prepped2
+        H = ground_state_box(model, gs, GridSpec(L=3, n=8, d=2)).hamiltonian()
+        assert H.num_dof == 576
+        solves = [lowest_eigenvalues(H, 2) for _ in range(6)]
+        assert {res.method for res in solves} == {"iterative"}
+        assert len({res.energies.tobytes() for res in solves}) == 1

@@ -1095,6 +1095,24 @@ class TestBounds:
             assert key in consts
         assert rep["dirichlet_upper"]["passes"] == rep["dirichlet_upper"]["checks"]
 
+    def test_d2_chain_all_pass(self, tmp_path, capsys):
+        # the whole chain at d = 2: sparse LDL^T counts decide every verdict
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            model={"d": 2, "vper": {"kind": "cosine-sum", "amplitudes": [0.5, 0.5]},
+                   "site": {"kind": "breather", "amplitude": 1.0, "radius": 0.4}},
+            grid={"n": 8, "L": [2]},
+            experiment={"seed": 505, "samples": 4, "temple_Ls": [2, 3], "gap_Ls": [2, 3, 4],
+                        "bernoulli_p": [0.5], "bernoulli_Ld": [8]},
+        )
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out), "--no-cache"]) == 0
+        rep = json.loads((out / "bounds_report.json").read_text())
+        assert rep["all_pass"] is True
+        assert {L: side["passes"] for L, side in rep["temple"].items()} == {"2": 4, "3": 4}
+        assert "temple L=2: 4/4, L=3: 4/4" in capsys.readouterr().out
+
     def test_gamma_below_one_exit_5(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, experiment={"seed": 11, "samples": 3, "gamma": 0.5})
@@ -1191,6 +1209,7 @@ class TestBounds:
             monkeypatch.setattr(owner, name, wrapped)
 
         spy(bounds_mod, "map_realization")
+        spy(bounds_mod, "count_below")
         solve = bounds_mod.lowest_eigenvalues
 
         def solved(H, m):  # counts operators: a batch adds its width
@@ -1220,9 +1239,10 @@ class TestBounds:
         assert builds == {(1, "periodic"): 2,
                           **{(L, "mezincescu"): 1 for L in (2, 3, 4, 6)},
                           **{(L, "dirichlet"): 1 for L in (4, 6)}}
-        # periodic levels once per side, then one cut-off and one Dirichlet
-        # solve per sample
-        assert calls["lowest_eigenvalues"] == sides + 2 * M * temple
+        # periodic levels are the only solve, once per side; the Temple,
+        # corollary and Dirichlet verdicts are one count each per Temple box
+        assert calls["lowest_eigenvalues"] == sides
+        assert calls["count_below"] == 3 * temple
 
     def test_ground_state_tiled_once_per_temple_box(self, tmp_path, monkeypatch, capsys):
         from breatherlab import bounds as bounds_mod

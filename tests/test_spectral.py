@@ -346,6 +346,31 @@ class TestOneEngine:
             assert np.array_equal(counts[b][far], (w[:, None] <= energies).sum(axis=0)[far])
 
 
+class TestPerOperatorGrid:
+    """For a batch, a 2-D energy grid (B, K) is one grid per operator: row b of
+    the counts is operator b counted alone on row b of the grid."""
+
+    @pytest.mark.parametrize("d,bc", [(1, DIRICHLET), (1, NEUMANN), (2, DIRICHLET)])
+    def test_rows_are_single_operator_calls(self, d, bc):
+        # d = 1 runs the Sturm sweep, d = 2 the factorization path
+        rng = np.random.default_rng(70 + d)
+        box = skeleton(bare_d2_model() if d == 2 else free_model(), GridSpec(L=3, n=4, d=d), bc)
+        assert box.tridiagonal == (d == 1)
+        rows = box.diagonal(box.vper) + rng.uniform(-20.0, 20.0, size=(5, box.grid.num_dof))
+        grid = rng.uniform(rows.min(), rows.max(), size=(5, 4))
+        grid[:, 0] = rows[:, 0]  # on a diagonal entry of its own operator
+        counts = count_below(replace(box.hamiltonian(), diag=rows), grid)
+        assert counts.shape == (5, 4) and counts.dtype.kind == "i"
+        for b in range(5):
+            assert np.array_equal(count_below(replace(box.hamiltonian(), diag=rows[b]), grid[b]),
+                                  counts[b])
+
+    def test_grid_rows_must_match_operators(self):
+        H = random_coupling_hamiltonian(L=4, n=8)
+        with pytest.raises(ValueError, match="broadcast"):
+            count_below(replace(H, diag=np.zeros((2, H.num_dof))), np.zeros((3, 4)))
+
+
 class TestSpectralGap:
     def test_free_periodic_gap_formula(self):
         L, n = 4, 16
@@ -502,6 +527,7 @@ class TestEmptyBatch:
         H = self.empty(d, bc)
         assert count_below(H, 5.0).shape == (0,)
         assert count_below(H, [1.0, 5.0]).shape == (0, 2)
+        assert count_below(H, np.empty((0, 2))).shape == (0, 2)
 
     @pytest.mark.parametrize("d,bc", CASES)
     def test_lowest_eigenvalues(self, d, bc):
