@@ -339,7 +339,8 @@ def load_config(path: str, seed: int = None, workers: int = None, command: str =
 def _check_memory(cfg: dict, command: str):
     """The sizes that multiply stay within MAX_POINTS and MAX_VALUES.  The box
     sides are grid.L and those of L_max, temple_Ls and gap_Ls that the config
-    gives or ``command`` reads by default."""
+    gives or ``command`` reads by default.  Each rule is charged to the
+    commands that allocate its memory; with no command, every rule applies."""
     exp, d = settled(cfg["experiment"], "experiment"), cfg["model"]["d"]
     reads = {"lifshitz": ("L_max",), "bounds": ("temple_Ls", "gap_Ls")}.get(command, ())
     sides = list(cfg["grid"]["L"])
@@ -351,15 +352,18 @@ def _check_memory(cfg: dict, command: str):
     count = 0 if not energies else (
         len(energies["values"]) if energies["kind"] == "list" else energies["count"])
     x_points = (exp["x_grid_size"] or X_GRID_DEFAULT[d]) ** d
-    for label, size, cap in (
-            ("(grid.n * largest box side) ** model.d", points, MAX_POINTS),
-            ("2 * experiment.samples * box points", 2 * exp["samples"] * points, MAX_VALUES),
+    for label, size, cap, commands in (
+            ("(grid.n * largest box side) ** model.d", points, MAX_POINTS,
+             ("spectrum", "ids", "lifshitz", "bounds")),
+            ("2 * experiment.samples * box points", 2 * exp["samples"] * points, MAX_VALUES,
+             ("ids", "lifshitz", "bounds")),
             ("(experiment.realizations + 1) * experiment.eigenvalues * box points",
-             (exp["realizations"] + 1) * exp["eigenvalues"] * points, MAX_VALUES),
-            ("experiment.samples * energies", exp["samples"] * count, MAX_VALUES),
+             (exp["realizations"] + 1) * exp["eigenvalues"] * points, MAX_VALUES, ("spectrum",)),
+            ("experiment.samples * energies", exp["samples"] * count, MAX_VALUES,
+             ("ids", "lifshitz")),
             ("experiment.lambda_grid_size * x_grid_size ** model.d",
-             exp["lambda_grid_size"] * x_points, MAX_VALUES)):
-        if size > cap:
+             exp["lambda_grid_size"] * x_points, MAX_VALUES, ("validate",))):
+        if size > cap and command in (None, *commands):
             raise ConfigError(f"{label} must be <= {cap}, got {size}")
 
 

@@ -257,7 +257,8 @@ class DistributionSpec:
 
     ``alpha`` and ``kappa`` certify the small-window mass bound
     mu([lambda_minus, lambda_minus + eps)) >= alpha * eps**kappa; they are
-    derived from the kind and its parameters, never passed in.
+    derived from the kind and its parameters, never passed in.  The uniform
+    law is the two-point law without its atom and shares its formulas.
     """
 
     kind: str
@@ -293,17 +294,15 @@ class DistributionSpec:
 
     def _tail_constants(self):
         W = self.width
-        if self.kind == "uniform":
-            return 1.0 / W, 1.0
-        if self.kind == "two-point-plus-uniform":
-            return (1.0 - self.atom_mass_at_min) / W, 1.0
-        a, b = self.beta_a, self.beta_b
-        # F(eps) = I_{eps/W}(a, b) >= (1-t)^{b-1} t^a / (a B(a,b)) at t = eps/W;
-        # valid for eps <= W/2 with the worst case (1/2)^{b-1} when b > 1.
-        guard = min(1.0, 0.5 ** (b - 1.0))
-        from scipy import special  # here and below: only the truncated-beta law needs it
+        if self.kind == "truncated-beta":
+            a, b = self.beta_a, self.beta_b
+            # F(eps) = I_{eps/W}(a, b) >= (1-t)^{b-1} t^a / (a B(a,b)) at t = eps/W;
+            # valid for eps <= W/2 with the worst case (1/2)^{b-1} when b > 1.
+            guard = min(1.0, 0.5 ** (b - 1.0))
+            from scipy import special  # here and below: only the truncated-beta law needs it
 
-        return guard / (a * special.beta(a, b) * W**a), a
+            return guard / (a * special.beta(a, b) * W**a), a
+        return (1.0 - self.atom_mass_at_min) / W, 1.0
 
     def tail_bound_range(self):
         """Largest eps up to which the (alpha, kappa) bound is certified."""
@@ -315,8 +314,6 @@ class DistributionSpec:
         """Map uniform [0,1) variates through the inverse CDF."""
         u = np.asarray(uniforms, dtype=float)
         lo, W = self.lambda_minus, self.width
-        if self.kind == "uniform":
-            return lo + W * u
         if self.kind == "truncated-beta":
             from scipy import special
 
@@ -330,8 +327,6 @@ class DistributionSpec:
         if delta < 0:
             return 0.0
         t = min(delta / self.width, 1.0)
-        if self.kind == "uniform":
-            return t
         if self.kind == "truncated-beta":
             from scipy import special
 
@@ -347,8 +342,6 @@ class DistributionSpec:
         quantile of the continuous part is used instead.
         """
         lo, W = self.lambda_minus, self.width
-        if self.kind == "uniform":
-            return lo + 0.5 * W, 0.5
         if self.kind == "truncated-beta":
             from scipy import special
 

@@ -23,15 +23,15 @@ anyway.
 negative pivots of a symmetric triangular factorization of H - E*I equals the
 number of eigenvalues below E.  Tridiagonal operators run one Sturm sweep over
 every (diagonal, energy) pair; other sparse operators run sparse LDL^T, with
-dense Bunch-Kaufman at the same energy when a pivot is near zero, the factor
-grows past ``GROWTH_TOL`` or SuperLU pivots off the diagonal (its signs are
-then not the inertia).  Counts are taken at E + 0: a pair hitting a pivot
-within ``PIVOT_TOL`` of zero is nudged up by 1e-12*(1+|E|), doubling on each
-of at most 8 retries, which matches the closed-under-"<=" convention up to a
-measure-zero set of energies.
+a dense eigenvalue count (NumPy's ``eigvalsh``) at the same energy when a
+pivot is near zero, the factor grows past ``GROWTH_TOL`` or SuperLU pivots off
+the diagonal (its signs are then not the inertia).  Counts are taken at E + 0:
+a pair hitting a pivot or eigenvalue within ``PIVOT_TOL`` of zero is nudged up
+by 1e-12*(1+|E|), doubling on each of at most 8 retries, which matches the
+closed-under-"<=" convention up to a measure-zero set of energies.
 
-SciPy is imported only by the paths that need it: sparse LDL^T, Bunch-Kaufman,
-shift-invert Lanczos and dense solves at d >= 2.  A d = 1 run loads none of it.
+SciPy is imported only by the paths that need it: sparse LDL^T, shift-invert
+Lanczos and dense solves at d >= 2.  A d = 1 run loads none of it.
 """
 
 from dataclasses import dataclass, replace
@@ -193,29 +193,14 @@ def _inverse_iteration(off, rows, w):
 
 
 def _dense_inertia(A: np.ndarray, pivot_tol: float):
-    """Negative-pivot count from a dense LDL^T factorization.
+    """Count of the eigenvalues of the dense symmetric A below zero.
 
-    Returns (count, ok); ok is False when a pivot sits within pivot_tol of
-    zero relative to the matrix scale.
+    Returns (count, ok); ok is False when an eigenvalue sits within pivot_tol
+    of zero relative to the matrix scale.
     """
-    from scipy.linalg import ldl
-
+    w = np.linalg.eigvalsh(A)
     scale = max(1.0, float(np.abs(A).max()))
-    _, D, _ = ldl(A)
-    n, count, i = A.shape[0], 0, 0
-    while i < n:
-        if i + 1 < n and D[i, i + 1] != 0.0:  # a 2x2 block
-            a, b, c = D[i, i], D[i, i + 1], D[i + 1, i + 1]
-            det, step = a * c - b * b, 2
-            small = abs(det) <= (pivot_tol * scale) ** 2
-            negative = 1 if det < 0.0 else 2 if a + c < 0.0 else 0
-        else:
-            small, step = abs(D[i, i]) <= pivot_tol * scale, 1
-            negative = int(D[i, i] < 0.0)
-        if small:
-            return count, False
-        count, i = count + negative, i + step
-    return count, True
+    return int(np.sum(w < 0.0)), not np.any(np.abs(w) <= pivot_tol * scale)
 
 
 def _sparse_inertia(A, pivot_tol: float):
@@ -280,8 +265,8 @@ def _sturm_counts(off, rows, e):
 def _factor_counts(A, rows, e):
     """Inertia of A - E*I with its diagonal replaced by row r, for every pair
     (k, r) of ``e`` (K, R): sparse LDL^T on one CSC copy of A whose diagonal
-    slots take each shifted row, Bunch-Kaufman at the same energy where it
-    breaks down (and always for ndarray input)."""
+    slots take each shifted row, the dense eigenvalue count at the same energy
+    where it breaks down (and always for ndarray input)."""
     import scipy.sparse as sps
 
     counts, ok = np.zeros(e.shape, dtype=int), np.zeros(e.shape, dtype=bool)
@@ -317,9 +302,9 @@ def count_below(H, E):
     and the counts are shaped (B, K) too.
 
     A tridiagonal operator runs one Sturm sweep over all (row, energy) pairs;
-    other sparse input runs sparse LDL^T, with Bunch-Kaufman at the same
-    energy on breakdown; ndarray input runs Bunch-Kaufman.  A pair meeting a
-    near-zero pivot is retried at a nudged energy, at most 8 times.
+    other sparse input runs sparse LDL^T, with a dense eigenvalue count at the
+    same energy on breakdown; ndarray input runs the eigenvalue count.  A pair
+    meeting a near-zero pivot is retried at a nudged energy, at most 8 times.
     """
     box, diag = getattr(H, "box", H), H.diagonal()
     rows = np.atleast_2d(diag)

@@ -602,6 +602,33 @@ def test_samples_cap_charges_both_conditions(tmp_path, samples, ok):
             cli.load_config(str(cfg), command="ids")
 
 
+def test_samples_cap_spares_commands_without_samples(tmp_path):
+    # spectrum reads no experiment.samples: its default of 50 would charge
+    # 2 * 50 * 480000 > MAX_VALUES to a box that spectrum accepts; a library
+    # call (no command) still meets every rule
+    path = tmp_path / "cfg.json"
+    cfg = write_config(path, grid={"n": 16, "L": [30000]},
+                       experiment={"seed": 1, "eigenvalues": 1, "realizations": 0,
+                                   "boundary": ["D"], "energies": {"values": [1.0]}})
+    del cfg["experiment"]["samples"]
+    path.write_text(json.dumps(cfg))
+    assert cli.load_config(str(path), command="spectrum")["grid"]["L"] == [30000]
+    for command in ("ids", "lifshitz", "bounds", None):
+        with pytest.raises(cli.ConfigError, match=r"2 \* experiment.samples \* box points"):
+            cli.load_config(str(path), command=command)
+
+
+def test_validate_builds_no_box(tmp_path):
+    # validate builds no box and reads no experiment.samples, so a wide grid.L
+    # charges it nothing; a library call (no command) still meets every rule
+    path, cfg = tmp_path / "cfg.json", json.loads((SHIPPED / "validate_breather.json").read_text())
+    cfg["grid"]["L"] = [30000]
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    with pytest.raises(cli.ConfigError, match=r"2 \* experiment.samples \* box points"):
+        cli.load_config(str(path))
+
+
 @pytest.mark.parametrize("energies", [
     {"values": [-0.1, 0.5, 1.0]},
     {"kind": "linear", "start": 0.0, "stop": 1.0, "count": 6},

@@ -296,6 +296,27 @@ class TestDistributions:
         assert 1.0 < star < 2.0
         assert 0.0 < p < 1.0
 
+    @pytest.mark.parametrize("lo,hi", [(1.0, 2.0), (0.0, 1.0), (-0.3, 2.7)])
+    def test_uniform_is_two_point_without_atom(self, lo, hi):
+        # the uniform law runs the two-point formulas at atom 0: bit for bit the
+        # closed forms lo + W u, min(delta / W, 1), lo + W / 2 and 1 / W
+        uniform = DistributionSpec(kind="uniform", lambda_minus=lo, lambda_plus=hi)
+        atomless = DistributionSpec(kind="two-point-plus-uniform", lambda_minus=lo,
+                                    lambda_plus=hi, atom_mass_at_min=0.0)
+        W = hi - lo
+        u = np.r_[0.0, 1.0 - 2.0**-53, np.random.default_rng(3).random(1000)]
+        for dist in (uniform, atomless):
+            assert np.array_equal(dist.sample(u), lo + W * u)
+            for delta in (-0.25, -1e-300, 0.0, 0.3 * W, W, 1.7 * W):
+                want = 0.0 if delta < 0 else min(delta / W, 1.0)
+                assert np.float64(dist.cdf_below(delta)).tobytes() == np.float64(want).tobytes()
+            assert dist.lambda_star() == (lo + 0.5 * W, 0.5)
+            assert (dist.alpha, dist.kappa) == (1.0 / W, 1.0)
+            assert dist.tail_bound_range() == W
+        with pytest.raises(InputError, match="carries no atom"):
+            DistributionSpec(kind="uniform", lambda_minus=lo, lambda_plus=hi,
+                             atom_mass_at_min=0.1)
+
     def test_atom_mass_one_rejected(self):
         with pytest.raises(InputError):
             DistributionSpec(

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sps
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
@@ -191,7 +191,7 @@ class TestCountBelow:
 
     def test_degenerate_level_falls_back_to_dense(self, monkeypatch):
         # the unpivoted sparse factorization breaks down next to the doubly
-        # degenerate periodic level; Bunch-Kaufman takes over at that energy
+        # degenerate periodic level; the eigenvalue count takes over at that energy
         calls = []
         dense_inertia = spectral._dense_inertia
 
@@ -290,7 +290,7 @@ class TestOneEngine:
     def test_zero_diagonal_entry_counts_right(self, bc, n, E):
         # E equals a diagonal entry of the bare d = 2 kinetic part, so H - E has
         # exact zeros there and SuperLU pivots off the diagonal; those signs are
-        # not the inertia, and Bunch-Kaufman takes over
+        # not the inertia, and the eigenvalue count takes over
         H = assemble(bare_d2_model(), GridSpec(L=2, n=n, d=2), bc)
         assert E in H.matrix.diagonal()
         w = linalg.eigvalsh(H.to_dense())
@@ -301,7 +301,7 @@ class TestOneEngine:
     def test_pivot_growth_next_to_degenerate_level(self, monkeypatch, E):
         # the bare d = 2 Neumann operator has a 15-fold level at 256: just above
         # it SuperLU's U grows ~1e10-1e11 times max|A| and its signs miscount
-        # (144 and 145); the growth check hands the count to Bunch-Kaufman
+        # (144 and 145); the growth check hands the count to the eigenvalue count
         calls = []
         dense_inertia = spectral._dense_inertia
 
@@ -321,19 +321,37 @@ class TestOneEngine:
         assert count_below(sps.csr_matrix(A), 1.0) == int(np.sum(linalg.eigvalsh(A) <= 1.0)) == 1
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]), L=st.integers(2, 3),
-           bc=st.sampled_from([DIRICHLET, NEUMANN]), B=st.integers(1, 4))
-    def test_three_paths_agree(self, seed, d, L, bc, B):
-        # a batch (Sturm at d = 1, sparse LDL^T at d = 2) counts each of its
-        # operators as that operator alone does, and as its sparse (LDL^T) and
-        # dense (Bunch-Kaufman) matrices do; counts equal eigvalsh away from
-        # the spectrum; some energies sit exactly on a diagonal entry
+    @example(seed=1, d=1, L=3, bc=PERIODIC, B=2, degenerate=True)
+    @example(seed=2, d=2, L=2, bc=PERIODIC, B=1, degenerate=True)
+    @example(seed=3, d=3, L=2, bc=DIRICHLET, B=3, degenerate=False)
+    @example(seed=4, d=3, L=2, bc=NEUMANN, B=2, degenerate=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]), L=st.integers(2, 3),
+           bc=st.sampled_from([DIRICHLET, NEUMANN, PERIODIC]), B=st.integers(1, 4),
+           degenerate=st.booleans())
+    def test_three_paths_agree(self, seed, d, L, bc, B, degenerate):
+        # a batch (Sturm at d = 1 under D and N, sparse LDL^T otherwise) counts
+        # each of its operators as that operator alone does, and as its sparse
+        # (LDL^T) and dense (eigenvalue count) matrices do; counts equal
+        # eigvalsh away from the spectrum; some energies sit exactly on a
+        # diagonal entry.  A degenerate batch repeats the bare operator, whose
+        # periodic and d >= 2 spectra hold multiple levels, and adds energies
+        # 1e-9 below and above its most degenerate level
         rng = np.random.default_rng(seed)
-        box = skeleton(bare_d2_model() if d == 2 else free_model(), GridSpec(L=L, n=4, d=d), bc)
+        grid = GridSpec(L=L if d < 3 else 1, n=4, d=d)  # N = 64 at d = 3
+        box = skeleton(replace(free_model(), d=d), grid, bc)
         H = box.hamiltonian()
-        rows = box.diagonal(box.vper) + rng.uniform(-20.0, 20.0, size=(B, H.num_dof))
-        energies = np.sort(np.r_[rng.uniform(rows.min() - 10.0, rows.max() + 10.0, 3),
-                                 rng.choice(rows.ravel(), 3)])
+        shift = 0.0 if degenerate else rng.uniform(-20.0, 20.0, size=(B, H.num_dof))
+        rows = np.broadcast_to(box.diagonal(box.vper) + shift, (B, H.num_dof)).copy()
+        energies = np.r_[rng.uniform(rows.min() - 10.0, rows.max() + 10.0, 3),
+                         rng.choice(rows.ravel(), 3)]
+        if degenerate:
+            w = linalg.eigvalsh(H.to_dense())
+            mult = (np.abs(w[:, None] - w) < 1e-9).sum(axis=0)
+            level = w[np.argmax(mult)]
+            assert mult.max() >= 2 or (d == 1 and bc is not PERIODIC)
+            near = [level - 1e-9, level + 1e-9]
+            energies = np.r_[energies, near]
+        energies = np.sort(energies)
         counts = count_below(replace(H, diag=rows), energies)
         assert counts.shape == (B, energies.size)
         for b in range(B):
@@ -342,8 +360,33 @@ class TestOneEngine:
             assert np.array_equal(count_below(alone.matrix, energies), counts[b])
             assert np.array_equal(count_below(alone.to_dense(), energies), counts[b])
             w = linalg.eigvalsh(alone.to_dense())
-            far = np.abs(w[:, None] - energies).min(axis=0) >= 1e-8
+            far = np.abs(w[:, None] - energies).min(axis=0) >= 5e-10
             assert np.array_equal(counts[b][far], (w[:, None] <= energies).sum(axis=0)[far])
+            if degenerate:  # the near-level counts are compared and differ by the multiplicity
+                at = np.searchsorted(energies, near)
+                assert far[at].all() and counts[b][at[1]] - counts[b][at[0]] == mult.max()
+
+    def test_forced_breakdown_counts_by_eigenvalues(self, monkeypatch):
+        # sparse LDL^T reports a breakdown on every pair of a d = 2 batch: the
+        # eigenvalue count takes each pair at its own energy, with the same counts
+        rng = np.random.default_rng(41)
+        box = skeleton(bare_d2_model(), GridSpec(L=3, n=4, d=2), NEUMANN)
+        rows = box.diagonal(box.vper) + rng.uniform(-20.0, 20.0, size=(3, box.grid.num_dof))
+        H = replace(box.hamiltonian(), diag=rows)
+        energies = np.sort(rng.uniform(rows.min(), rows.max(), 5))
+        unforced = count_below(H, energies)
+        assert unforced.min() < unforced.max()
+        calls = []
+        dense_inertia = spectral._dense_inertia
+
+        def spy(A, pivot_tol):
+            calls.append(pivot_tol)
+            return dense_inertia(A, pivot_tol)
+
+        monkeypatch.setattr(spectral, "_sparse_inertia", lambda A, pivot_tol: (0, False))
+        monkeypatch.setattr(spectral, "_dense_inertia", spy)
+        assert np.array_equal(count_below(H, energies), unforced)
+        assert len(calls) == unforced.size
 
 
 class TestPerOperatorGrid:
