@@ -33,9 +33,9 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import (DIST_KINDS, SITE_KINDS, VPER_KINDS, X_SCAN_POINTS, ConvergenceError,
-                     DomainError, GroundStateError, InputError, InsufficientDataError,
-                     NumericalError, PreconditionError, StateError)
+from .errors import (DIST_KINDS, SITE_KINDS, VPER_KINDS, ConvergenceError, DomainError,
+                     GroundStateError, InputError, InsufficientDataError, NumericalError,
+                     PreconditionError, StateError)
 
 OUTPUT_ENV_VAR = "BREATHERLAB_OUT"
 SCHEMA_VERSION = 1
@@ -308,13 +308,10 @@ def load_config(path: str, seed: int = None, workers: int = None, command: str =
     if _is_int(cfg["grid"]["L"]):
         cfg["grid"]["L"] = [cfg["grid"]["L"]]
     # the rules that join two fields, or a field and the command
-    exp, d = cfg["experiment"], cfg["model"]["d"]
+    exp = cfg["experiment"]
     if command == "bounds" and exp["samples"] > 2**20:  # side L's Temple streams (L << 20) + k
         raise ConfigError(f"experiment.samples of bounds must be <= {2**20} (disjoint Temple "
                           f"streams per box side), got {exp['samples']}")
-    if exp.get("x_grid_size") and exp["x_grid_size"] ** d > X_SCAN_POINTS:
-        raise ConfigError(f"experiment.x_grid_size ** model.d must be <= {X_SCAN_POINTS}, "
-                          f"got {exp['x_grid_size']} ** {d}")
     energies = exp.get("energies") and settled(exp["energies"], "experiment.energies")
     if not energies:
         if command == "ids" or command == "lifshitz" and exp.get("curve_csv") is None:

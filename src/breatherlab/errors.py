@@ -1,4 +1,4 @@
-"""Exception types and model vocabulary shared across the package.
+"""Exception types and the kind names of the model, shared across the package.
 
 This leaf imports nothing, so the configuration checks of the command line
 can read it without loading NumPy or SciPy.
@@ -7,8 +7,6 @@ can read it without loading NumPy or SciPy.
 SITE_KINDS = ("alloy", "breather", "tabulated")
 VPER_KINDS = ("zero", "cosine-sum", "tabulated")
 DIST_KINDS = ("uniform", "truncated-beta", "two-point-plus-uniform")
-# most x points an assumption scan visits (x_grid_size ** d)
-X_SCAN_POINTS = 4_000_000
 
 
 class DomainError(ValueError):

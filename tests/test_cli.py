@@ -130,6 +130,42 @@ class TestValidate:
         assert meta["error"] == err.strip() and meta["cache"] == "miss"
         assert not (out / ".cache").exists()
 
+    @pytest.mark.parametrize("command,primary", [("validate", "validate_report.json"),
+                                                 ("spectrum", "spectrum.csv")])
+    def test_site_table_past_cell_face_exit_1(self, tmp_path, capsys, command, primary):
+        # u = lambda on [-1, 1] reaches into the neighbouring cells: assumption
+        # (i) fails when the model is built, before any scan or assembly
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={
+            "d": 1, "vper": {"kind": "zero"},
+            "site": {"kind": "tabulated", "lambda_nodes": [1.0, 2.0],
+                     "x_nodes": [[-1.0, 0.0, 1.0]], "values": [[1.0] * 3, [2.0] * 3]},
+            "dist": {"kind": "uniform", "lambda_minus": 1.0, "lambda_plus": 2.0},
+        }, experiment={"seed": 1, "realizations": 1})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("model rejected: tabulated site x_nodes must lie in [-1/2, 1/2]")
+        assert "assumption (i)" in err and "Traceback" not in err
+        assert not (out / primary).exists() and not (out / ".cache").exists()
+
+    def test_truncated_beta_law_passes(self, tmp_path):
+        # assumption (v) of a truncated-beta law: kappa is its first shape
+        # parameter, certified on half the coupling range
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={
+            "d": 1, "vper": {"kind": "cosine-sum", "amplitudes": [0.5]},
+            "site": {"kind": "breather", "amplitude": 1.0, "radius": 0.4},
+            "dist": {"kind": "truncated-beta", "lambda_minus": 1.0, "lambda_plus": 2.0,
+                     "beta_a": 2.0, "beta_b": 3.0}})
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "validate_report.json").read_text())
+        assert report["passed"] is True and report["verdicts"]["v"] is True
+        assert report["kappa"] == 2.0
+        # alpha = (1/2)^(b-1) / (a B(a, b) W^a) with B(2, 3) = 1/12
+        assert report["alpha"] == pytest.approx(0.25 * 12.0 / 2.0, rel=1e-12)
+
     def test_out_naming_a_file_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
@@ -564,7 +600,7 @@ def test_bad_solve_output_grid_field_exit_2(tmp_path, capsys, section, block, fi
     pytest.param("validate", {"model": {"d": 2, "vper": {"kind": "cosine-sum",
                                                          "amplitudes": [0.5, 0.5]}},
                               "experiment": {"seed": 1, "x_grid_size": 2048}},
-                 "experiment.x_grid_size", id="x-grid-over-scan-cap-at-d-2"),
+                 "x_grid_size ** model.d", id="x-grid-over-scan-cap-at-d-2"),
     pytest.param("spectrum", {"grid": {"n": 16, "L": [4, 2**18 + 1]}}, "largest box side",
                  id="box-over-point-cap"),
     pytest.param("bounds", {"experiment": {"seed": 1, "temple_Ls": [2**18 + 1]}},
@@ -616,6 +652,21 @@ def test_samples_cap_spares_commands_without_samples(tmp_path):
     for command in ("ids", "lifshitz", "bounds", None):
         with pytest.raises(cli.ConfigError, match=r"2 \* experiment.samples \* box points"):
             cli.load_config(str(path), command=command)
+
+
+def test_x_grid_size_charged_to_validate_only(tmp_path):
+    # only validate reads experiment.x_grid_size: spectrum runs at d = 2 with
+    # 2048 ** 2 scan points, more than an assumption scan may visit
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, model={"d": 2, "vper": {"kind": "cosine-sum", "amplitudes": [0.5, 0.5]},
+                             "site": {"kind": "breather", "amplitude": 1.0, "radius": 0.4},
+                             "dist": {"kind": "uniform", "lambda_minus": 1.0,
+                                      "lambda_plus": 2.0}},
+                 grid={"n": 4, "L": [2]},
+                 experiment={"seed": 1, "x_grid_size": 2048, "realizations": 1})
+    assert 2048**2 > breatherlab.model.X_SCAN_POINTS
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "spectrum.csv").exists()
 
 
 def test_validate_builds_no_box(tmp_path):
@@ -746,6 +797,28 @@ class TestSpectrum:
         assert meta["error"] == "solver non-convergence: no convergence in the second solve"
         assert meta["cache"] == "miss"
 
+    def test_tabulated_background_matches_cosine_sum(self, tmp_path):
+        # V_per tabulated at the cosine sum's own cell samples gives the same
+        # spectrum, bit for bit; samples on a grid of another size exit 1
+        from breatherlab.model import PeriodicPotentialSpec
+
+        shipped = json.loads((SHIPPED / "spectrum_small.json").read_text())
+        cell = PeriodicPotentialSpec(kind="cosine-sum", amplitudes=(0.5,)).sample_cell(16, 1)
+        outs = {}
+        for name, vper in (("cosine", shipped["model"]["vper"]),
+                           ("tabulated", {"kind": "tabulated", "values": cell.tolist()}),
+                           ("coarse", {"kind": "tabulated", "values": cell[::2].tolist()})):
+            cfg, outs[name] = tmp_path / f"{name}.json", tmp_path / name
+            cfg.write_text(json.dumps({**shipped, "model": {**shipped["model"], "vper": vper}}))
+            code = main(["spectrum", "--config", str(cfg), "--out", str(outs[name]),
+                         "--no-cache"])
+            assert code == (1 if name == "coarse" else 0)
+        assert ((outs["tabulated"] / "spectrum.csv").read_bytes()
+                == (outs["cosine"] / "spectrum.csv").read_bytes())
+        meta = json.loads((outs["coarse"] / "spectrum_meta.json").read_text())
+        assert meta["error"] == ("model rejected: tabulated potential sampled at (8,), "
+                                 "grid wants (16,)")
+
     def test_rerun_identical_bytes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, experiment={"seed": 3, "eigenvalues": 2,
@@ -809,6 +882,19 @@ class TestIds:
         assert main(["ids", "--config", str(cfg), "--out", str(out)]) == 0
         rows = (out / "ids_curve.csv").read_text().strip().split("\n")[1:]
         assert [float(row.split(",")[0]) for row in rows] == [E] * 14
+
+    def test_scalar_box_side_is_a_one_side_list(self, tmp_path):
+        # grid.L = 4 loads as [4]: the same files, config_hash included
+        shipped = json.loads((SHIPPED / "ids_bracketing.json").read_text())
+        outs = []
+        for side in (4, [4]):
+            cfg, out = tmp_path / f"{side!r}.json", tmp_path / f"out{len(outs)}"
+            cfg.write_text(json.dumps({**shipped, "grid": {**shipped["grid"], "L": side}}))
+            assert main(["ids", "--config", str(cfg), "--out", str(out), "--no-cache"]) == 0
+            outs.append(out)
+        assert (outs[0] / "ids_curve.csv").read_bytes() == (outs[1] / "ids_curve.csv").read_bytes()
+        hashes = [json.loads((out / "ids_meta.json").read_text())["config_hash"] for out in outs]
+        assert hashes[0] == hashes[1]
 
     def test_smoke_run_nondecreasing(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1121,6 +1207,34 @@ class TestBounds:
                     "lambda_star", "gamma", "p", "provenance"):
             assert key in consts
         assert rep["dirichlet_upper"]["passes"] == rep["dirichlet_upper"]["checks"]
+
+    @pytest.mark.parametrize("kind", ["alloy", "tabulated"])
+    def test_kappa1_of_alloy_and_tabulated_sites(self, tmp_path, kind):
+        # kappa1 is the alloy amplitude, and for a table the largest |du/dlambda|
+        # on the run's derivative window: u = lambda f at the nodes, so the
+        # largest linear interpolant of f on the n = 16 midpoint grid
+        xg = np.linspace(-0.5, 0.5, 33)
+        bump = np.clip(1.0 - (xg / 0.4) ** 2, 0.0, None) ** 2
+        site = {"kind": "alloy", "amplitude": 1.3, "radius": 0.4} if kind == "alloy" else {
+            "kind": "tabulated", "lambda_nodes": [1.0, 1.5, 2.0], "x_nodes": [xg.tolist()],
+            "values": [(lam * bump).tolist() for lam in (1.0, 1.5, 2.0)]}
+        lo = 0.0 if kind == "alloy" else 1.0
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"d": 1, "vper": {"kind": "cosine-sum", "amplitudes": [0.5]},
+                                 "site": site, "dist": {"kind": "uniform", "lambda_minus": lo,
+                                                        "lambda_plus": lo + 1.0}},
+                     experiment={"seed": 11, "samples": 5, "temple_Ls": [4],
+                                 "gap_Ls": [2, 3, 4], "bernoulli_p": [0.5],
+                                 "bernoulli_Ld": [8]})
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        kappa1 = json.loads((out / "bounds_report.json").read_text())["constants"]["kappa1"]
+        if kind == "alloy":
+            assert kappa1 == 1.3
+        else:
+            midpoints = (np.arange(16) + 0.5) / 16 - 0.5
+            assert kappa1 == pytest.approx(np.interp(midpoints, xg, bump).max(), rel=1e-9)
+            assert kappa1 < 1.0
 
     def test_d2_chain_all_pass(self, tmp_path, capsys):
         # the whole chain at d = 2: sparse LDL^T counts decide every verdict

@@ -4,6 +4,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from breatherlab.errors import DomainError, InputError
 from breatherlab.model import (
@@ -120,9 +122,33 @@ class TestEvaluateSite:
         assert np.all(hi >= lo)
 
     def test_outside_cell_is_exact_zero(self):
-        for site in (breather_site(), alloy_site(a=2.0, r=0.5)):
+        xg = np.linspace(-0.5, 0.5, 9)
+        tabulated = SingleSiteSpec(kind="tabulated", lambda_minus=1.0, lambda_plus=2.0,
+                                   lambda_nodes=(1.0, 2.0), x_nodes=(tuple(xg),),
+                                   values=np.ones((2, 9)))
+        for site in (breather_site(), alloy_site(a=2.0, r=0.5), tabulated):
             pts = np.array([[0.51], [0.75], [-0.9], [12.0]])
             assert np.all(u_at(site, site.lambda_plus, pts) == 0.0)
+
+    @pytest.mark.parametrize("face", [-0.5, 0.5])
+    def test_tabulated_node_on_cell_face_accepted(self, face):
+        # the closed cell holds its faces: a table may reach them, and is 1 there
+        nodes = (-0.5, 0.0, 0.5) if face > 0 else (-0.5, 0.25)
+        site = SingleSiteSpec(kind="tabulated", lambda_minus=0.0, lambda_plus=1.0,
+                              lambda_nodes=(0.0, 1.0), x_nodes=(nodes,),
+                              values=np.ones((2, len(nodes))))
+        assert u_at(site, 0.5, [[face]])[0] == 1.0
+        assert u_at(site, 0.5, [[face * (1 + 1e-15)]])[0] == 0.0
+
+    @pytest.mark.parametrize("x_nodes", [((-1.0, 0.0, 1.0),), ((-0.5, 0.5), (0.0, 0.5000001)),
+                                         ((-0.5, float("nan")),)],
+                             ids=["reaches-next-cell", "second-axis-past-face", "nan-node"])
+    def test_tabulated_nodes_outside_cell_rejected(self, x_nodes):
+        # assumption (i): u(lambda, .) is supported in the unit cell
+        values = np.ones((2,) + tuple(map(len, x_nodes)))
+        with pytest.raises(InputError, match=r"x_nodes .*assumption \(i\)"):
+            SingleSiteSpec(kind="tabulated", lambda_minus=0.0, lambda_plus=1.0,
+                           lambda_nodes=(0.0, 1.0), x_nodes=x_nodes, values=values)
 
     def test_coupling_domain_error(self):
         site = breather_site(lo=1.0, hi=2.0)
@@ -143,6 +169,55 @@ class TestEvaluateSite:
         pt = np.array([0.05, -0.08])
         got = u_at(site, 1.7, pt[None, :])[0]
         assert got == pytest.approx(-bump_scalar(1.5, 0.3, 1.7 * pt), abs=1e-14)
+
+
+@st.composite
+def constructible_sites(draw, d):
+    """Any SingleSiteSpec the constructor accepts, of every kind, plain or
+    standardized; tabulated nodes anywhere in the closed cell."""
+    kind = draw(st.sampled_from(["alloy", "breather", "tabulated"]))
+    standardized = draw(st.booleans())
+    lo = draw(st.floats(0.1, 4.0))
+    hi = lo + draw(st.floats(0.01, 4.0))
+    amplitude = draw(st.floats(0.0, 10.0))
+    if kind != "tabulated":
+        cap = 0.5 if kind == "alloy" else 0.5 * lo
+        radius = draw(st.floats(0.01, 1.0)) * cap
+        return SingleSiteSpec(kind=kind, amplitude=amplitude, radius=radius, lambda_minus=lo,
+                              lambda_plus=hi, standardized=standardized)
+    axes = tuple(tuple(sorted(draw(st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=6,
+                                            unique=True)))) for _ in range(d))
+    lam_nodes = tuple(np.linspace(lo, hi, draw(st.integers(2, 4))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-amplitude, amplitude, (len(lam_nodes),) + tuple(map(len, axes)))
+    return SingleSiteSpec(kind=kind, lambda_minus=lo, lambda_plus=hi, standardized=standardized,
+                          lambda_nodes=lam_nodes, x_nodes=axes, values=values)
+
+
+@st.composite
+def sites_and_outside_points(draw):
+    """A site at d = 1 or 2 and points (P, d) each with one coordinate beyond 1/2
+    in modulus (the others anywhere), with couplings in the site's range."""
+    d = draw(st.sampled_from([1, 2]))
+    site = draw(constructible_sites(d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-3.0, 3.0, (32, d))
+    beyond = np.nextafter(0.5, 1.0) + rng.exponential(draw(st.sampled_from([1e-15, 1e-3, 1.0])),
+                                                      32)
+    pts[np.arange(32), rng.integers(0, d, 32)] = rng.choice([-1.0, 1.0], 32) * beyond
+    lams = np.concatenate([[site.lambda_minus, site.lambda_plus],
+                           rng.uniform(site.lambda_minus, site.lambda_plus, 3)])
+    return site, pts, lams
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(case=sites_and_outside_points())
+def test_every_family_vanishes_outside_the_cell(case):
+    # assumption (i) holds by construction: site_values keeps no cell-face
+    # mask, so every family the constructor accepts must be 0 off the cell
+    site, pts, lams = case
+    assert np.all(site_values(site, lams[:, None], pts) == 0.0)
+    assert np.all(site_derivative_values(site, lams, pts) == 0.0)
 
 
 class TestDerivative:
