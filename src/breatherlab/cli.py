@@ -7,7 +7,10 @@ environment notes, and the reason a command failed, go to a
 ``<command>_meta.json`` sidecar.  A content-addressed cache can replay prior
 outputs byte-identically; its key covers the config hash, the bytes of every
 input file the config names and the package source, so an edited input or a
-code change is a miss.
+code change is a miss.  Every digest is SHA-256 from the interpreter's
+built-in module (``_sha2``, or ``_sha256`` before Python 3.12), the digests
+of ``hashlib`` without loading OpenSSL's libcrypto; ``hashlib`` serves only
+where neither module exists.
 
 Exit codes: 0 success (all checked inequalities hold), 1 failed validation
 or failed inequality, or a model the library rejects, 2 configuration/parse
@@ -24,7 +27,6 @@ which opens at most one process pool (``worker_pools`` reads ``ids.pool_size``).
 
 import argparse
 import copy
-import hashlib
 import importlib.util
 import json
 import os
@@ -32,6 +34,14 @@ import shutil
 import sys
 import time
 from pathlib import Path
+
+try:  # the interpreter's own SHA-256: hashlib would map OpenSSL's libcrypto
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import (DIST_KINDS, SITE_KINDS, VPER_KINDS, ConvergenceError, DomainError,
                      GroundStateError, InputError, InsufficientDataError, NumericalError,
@@ -97,7 +107,7 @@ def config_hash(effective: dict) -> str:
     hashed.get("solve", {}).pop("workers", None)
     blob = json.dumps(hashed, cls=_SeventeenDigitEncoder, sort_keys=True,
                       separators=(",", ":"), default=_json_default)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +436,7 @@ def energies_from(block: dict) -> "np.ndarray":
 
 
 def _source_digest() -> bytes:
-    h = hashlib.sha256()
+    h = sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.digest()
@@ -435,9 +445,9 @@ def _source_digest() -> bytes:
 def cache_key(cfg: dict, digest: str) -> str:
     """sha256 over the config hash, the named input files, the package source,
     the Python version and the ``version.py`` files of NumPy and SciPy."""
-    h = hashlib.sha256(digest.encode())
+    h = sha256(digest.encode())
     if cfg["experiment"].get("curve_csv"):  # the only input file a config names
-        h.update(hashlib.sha256(Path(cfg["experiment"]["curve_csv"]).read_bytes()).digest())
+        h.update(sha256(Path(cfg["experiment"]["curve_csv"]).read_bytes()).digest())
     h.update(_source_digest() + sys.version.encode())
     for name in ("numpy", "scipy"):  # found, not imported: a cache hit loads neither
         h.update(Path(importlib.util.find_spec(name).origin).with_name("version.py").read_bytes())

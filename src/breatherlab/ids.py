@@ -4,8 +4,10 @@ Couplings are generated by the counter-based Philox4x64-10 generator keyed
 on (master_seed, realization index), with the per-site value read off at the
 site's row-major position, so every field is a pure function of
 (master_seed, index, site) and runs are reproducible bit for bit regardless
-of worker scheduling.  ``sample_fields`` draws all streams of a block in one
-vectorized call, equal bit for bit to NumPy's ``Philox``.  A block holds one
+of worker scheduling.  One Philox, the package's own (``philox``, equal bit
+for bit to NumPy's), serves the fields, the bootstrap of ``fit_lifshitz`` and
+the eigensolvers' start vectors.  ``sample_fields`` draws all streams of a
+block in one call, a bounded group of streams at a time.  A block holds one
 buffer of at most ``BLOCK_VALUES`` diagonal values, reused chunk by chunk in
 the column layout of ``count_below``: a chunk's potentials are evaluated in
 place, become its Dirichlet diagonals and then, rewritten on the boundary rows
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import philox
 from .errors import InputError, InsufficientDataError
 from .lattice import (DIRICHLET, DiscreteHamiltonian, GridSpec, mezincescu_correction,
                       random_potentials, skeleton)
@@ -43,40 +46,21 @@ BOOT_RESAMPLES, BOOT_SEED = 200, 0xB007  # the percentile bootstrap of fit_lifsh
 BLOCK_VALUES = 2**19  # float64 diagonals a counting block holds at once (4 MB)
 
 
-# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-# SC'11): round multipliers and Weyl key increments
-PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-
-
-def _mulhilo(m: int, a: np.ndarray):
-    """High and low words of the 128-bit product m * a, through 32-bit halves."""
-    m_lo, m_hi, a_lo, a_hi = m & 0xFFFFFFFF, m >> 32, a & 0xFFFFFFFF, a >> 32
-    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
-    mid = (ll >> 32) + (lh & 0xFFFFFFFF) + (hl & 0xFFFFFFFF)
-    return a_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), a * m
-
-
 def sample_fields(dist: DistributionSpec, seed: int, indices, L: int, d: int) -> np.ndarray:
     """Coupling fields of the realizations ``indices``: read-only, (M, L**d).
 
     Site k (row-major) of row i is the inverse-CDF image of the k-th double of
-    the Philox4x64-10 stream keyed on (seed, indices[i]) as two uint64 words,
-    the stream of ``Generator(Philox(key=key)).random``: counter from 1, four
-    words per block, 53 high bits per double.  All M streams run at once.
+    the Philox4x64-10 stream keyed on (seed, indices[i]), the stream of
+    ``Generator(Philox(key=key)).random``.  The streams run in groups of about
+    ``philox.ROUND_BLOCKS`` blocks, each written into the output in place.
     """
-    count, blocks = L**d, -(-L**d // 4)
-    k1 = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
-    k0 = np.full_like(k1, seed)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (k1.size, blocks))
-    c1 = c2 = c3 = np.zeros_like(c0)
-    for r in range(10):
-        if r:
-            k0, k1 = k0 + PHILOX_W[0], k1 + PHILOX_W[1]
-        (hi0, lo0), (hi1, lo1) = _mulhilo(PHILOX_M[0], c0), _mulhilo(PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(k1.size, 4 * blocks)[:, :count]
-    fields = dist.sample((words >> 11) * (1.0 / 9007199254740992.0))
+    count, idx = L**d, np.asarray(indices, dtype=np.uint64).ravel()
+    fields = np.empty((idx.size, count))
+    group = max(1, philox.ROUND_BLOCKS // -(-count // 4))  # streams per round
+    for start in range(0, idx.size, group):
+        part = idx[start:start + group]
+        keys = np.column_stack([np.full_like(part, seed), part])
+        fields[start:start + group] = dist.sample(philox.doubles(keys, count))
     fields.setflags(write=False)
     return fields
 
@@ -345,7 +329,8 @@ def fit_lifshitz(curve: IDSCurve, window=(1e-4, 1e-1), label: str = "M",
     Points need estimates inside [N_min, N_max] with relative standard error
     under ``max_rel_se``.  The confidence interval is a percentile bootstrap
     over realizations (``BOOT_RESAMPLES`` resamples) when raw counts are
-    available.
+    available; the resamples are the draws of ``Generator(Philox(key=(BOOT_SEED,
+    seed))).integers``, taken from ``philox.integer_rows``.
     """
     lo, hi = window
     if not 0.0 < lo < hi < 1.0:
@@ -376,11 +361,9 @@ def fit_lifshitz(curve: IDSCurve, window=(1e-4, 1e-1), label: str = "M",
         counts = curve.counts[label][:, admissible]
         vols = (curve.box_sizes[admissible].astype(float)) ** curve.d
         M = counts.shape[0]
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([BOOT_SEED, curve.seed], dtype=np.uint64))
-        )
+        rows = philox.integer_rows((BOOT_SEED, curve.seed), M, M)
         for _ in range(BOOT_RESAMPLES):
-            sel = gen.integers(0, M, size=M)
+            sel = next(rows)
             mean_b = counts[sel].mean(axis=0) / vols
             if np.any(mean_b <= 0.0) or np.any(mean_b >= 1.0):
                 continue

@@ -48,7 +48,8 @@ class SingleSiteSpec:
     profile.  For the breather kind the dilated support at the weakest
     coupling must still fit in the cell, which forces radius <= lambda_minus
     / 2; the alloy kind needs radius <= 1/2; a tabulated site needs every
-    ``x_nodes`` entry in [-1/2, 1/2], and is 0 beyond its nodes.
+    ``x_nodes`` entry in [-1/2, 1/2] and ``lambda_nodes`` that cover
+    [lambda_minus, lambda_plus], and is 0 beyond its nodes.
     ``standardized`` marks the family after the floor slice u(lambda_minus,
     .) has been subtracted.
     """
@@ -98,6 +99,12 @@ class SingleSiteSpec:
             if not np.all(np.abs(nodes) <= 0.5):
                 raise InputError("tabulated site x_nodes must lie in [-1/2, 1/2]: assumption "
                                  "(i) keeps u(lambda, .) inside the unit cell")
+            lams = np.asarray(self.lambda_nodes, dtype=float)
+            if not (lams.min(initial=np.inf) <= self.lambda_minus
+                    and lams.max(initial=-np.inf) >= self.lambda_plus):  # a NaN node fails too
+                raise InputError(f"tabulated site lambda_nodes must cover the coupling range "
+                                 f"[{self.lambda_minus}, {self.lambda_plus}]: u is 0 beyond "
+                                 "its nodes")
             vals.setflags(write=False)
             object.__setattr__(self, "values", vals)
 

@@ -15,6 +15,9 @@ eigenvectors come from inverse iteration shifted by those eigenvalues: a
 batched LDL^T solve over the same (N, B) columns, the levels of each operator
 orthonormalized after every solve.  Any other operator is solved directly up
 to ``DENSE_THRESHOLD`` degrees of freedom and by shift-invert Lanczos above.
+Inverse iteration and Lanczos start from one fixed vector on [-1, 1), drawn
+from the package's Philox stream keyed on ``START_KEY``, so a solve repeats
+bit for bit and loads no ``numpy.random``.
 A direct solve is dense: NumPy's ``eigh`` at d = 1 (periodic boxes, the unit
 cell among them), SciPy's subset ``eigh`` at d >= 2, where SciPy is loaded
 anyway.
@@ -38,6 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import philox
 from .errors import ConvergenceError, NumericalError
 
 DENSE_THRESHOLD = 2000
@@ -45,6 +49,7 @@ EIG_TOL = 1e-9
 PIVOT_TOL = 1e-12
 GROWTH_TOL = 1e8
 EPS = np.finfo(float).eps
+START_KEY = (0x57A127, 0)  # the Philox stream of the fixed start vectors
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ def lowest_eigenvalues(H, m: int) -> SpectralResult:
             sigma = float((row - (row_abs - np.abs(row))).min()) - 1.0
             try:
                 vals, vecs = spla.eigsh(A, k=m, sigma=sigma, which="LM", tol=EIG_TOL * 1e-2,
-                                        v0=np.random.default_rng(0).uniform(-1.0, 1.0, N))
+                                        v0=_start(N))
             except spla.ArpackNoConvergence as err:
                 raise ConvergenceError(
                     f"eigensolver stalled after max iterations ({err})",
@@ -177,7 +182,7 @@ def _inverse_iteration(off, rows, w):
         piv[i][piv[i] == 0.0] = tiny
     inv = 1.0 / piv
     x = np.empty_like(shifted)
-    x[:] = np.random.default_rng(0).uniform(-1.0, 1.0, (N, 1, m))  # one start per level
+    x[:] = _start(N * m).reshape(N, 1, m)  # one start per level
     for _ in range(2):
         for i in range(1, N):  # L y = x
             x[i] -= mult[i - 1] * x[i - 1]
@@ -190,6 +195,12 @@ def _inverse_iteration(off, rows, w):
                 x[:, :, j] -= np.einsum("nb,nb->b", x[:, :, j], x[:, :, k]) * x[:, :, k]
             x[:, :, j] /= np.sqrt(np.einsum("nb,nb->b", x[:, :, j], x[:, :, j]))
     return np.ascontiguousarray(x.transpose(1, 0, 2))
+
+
+def _start(size: int) -> np.ndarray:
+    """The fixed generic start vector of the eigensolvers: ``size`` draws on
+    [-1, 1) from the Philox stream keyed on ``START_KEY``."""
+    return 2.0 * philox.doubles([START_KEY], size)[0] - 1.0
 
 
 def _dense_inertia(A: np.ndarray, pivot_tol: float):

@@ -130,6 +130,23 @@ class TestValidate:
         assert meta["error"] == err.strip() and meta["cache"] == "miss"
         assert not (out / ".cache").exists()
 
+    def test_site_table_short_of_coupling_range_exit_1(self, tmp_path, capsys):
+        # nodes on [1, 1.5] leave u = 0 for couplings in (1.5, 2]
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={
+            "d": 1, "vper": {"kind": "zero"},
+            "site": {"kind": "tabulated", "lambda_nodes": [1.0, 1.5],
+                     "x_nodes": [[-0.5, 0.0, 0.5]], "values": [[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]]},
+            "dist": {"kind": "uniform", "lambda_minus": 1.0, "lambda_plus": 2.0},
+        })
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("model rejected: tabulated site lambda_nodes must cover the "
+                              "coupling range [1.0, 2.0]")
+        assert "Traceback" not in err
+        assert not (out / "validate_report.json").exists() and not (out / ".cache").exists()
+
     @pytest.mark.parametrize("command,primary", [("validate", "validate_report.json"),
                                                  ("spectrum", "spectrum.csv")])
     def test_site_table_past_cell_face_exit_1(self, tmp_path, capsys, command, primary):
@@ -249,6 +266,25 @@ def test_cli_import_skips_stats_and_interpolate():
     assert out.stdout.strip() == "[]"
 
 
+def test_sha256_is_hashlibs(tmp_path):
+    # the interpreter's SHA-256 gives hashlib's digests, so every config hash,
+    # cache key and stored slot keeps its value; without it cli takes hashlib's
+    import hashlib
+
+    blob = json.dumps(write_config(tmp_path / "cfg.json"), sort_keys=True).encode()
+    assert cli.sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
+    source = hashlib.sha256()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        source.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert cli._source_digest() == source.digest()
+    src = str(Path(breatherlab.__file__).resolve().parents[1])
+    probe = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+             "import hashlib; from breatherlab import cli; print(cli.sha256 is hashlib.sha256)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "True"
+
+
 def test_public_names_resolve_to_their_submodule():
     import importlib
 
@@ -278,8 +314,8 @@ def test_cache_hit_loads_no_numerical_library(tmp_path, command, name):
     src = str(Path(breatherlab.__file__).resolve().parents[1])
     probe = ("import sys; from breatherlab.cli import main; "
              f"code = main({args!r}); "
-             "print(code, sorted(m for m in ('numpy', 'scipy', 'dataclasses') "
-             "if m in sys.modules))")
+             "print(code, sorted(m for m in ('numpy', 'scipy', 'dataclasses', 'numpy.random', "
+             "'_hashlib') if m in sys.modules))")
     replay = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": src})
     assert replay.stdout.strip().splitlines()[-1] == f"{code} []"
@@ -297,8 +333,9 @@ def test_cache_hit_loads_no_numerical_library(tmp_path, command, name):
 def test_d1_commands_load_no_scipy(tmp_path, command, name, scipy):
     # a d = 1 run computes on NumPy alone, a box above DENSE_THRESHOLD too; d = 2
     # counts through SuperLU; at one worker no run loads the process-pool
-    # machinery (SciPy itself loads concurrent.futures, so that is asked of
-    # SciPy-free runs only)
+    # machinery, and a SciPy-free run loads neither numpy.random nor OpenSSL's
+    # _hashlib (SciPy itself loads all three, so they are asked of SciPy-free
+    # runs only)
     if isinstance(name, str):
         config = SHIPPED / name
     else:  # write_config overrides
@@ -310,10 +347,11 @@ def test_d1_commands_load_no_scipy(tmp_path, command, name, scipy):
              f"code = main({args!r}); "
              "sp = any(m.split('.')[0] == 'scipy' for m in sys.modules); "
              "print(code, sp, 'multiprocessing' in sys.modules, "
-             "not sp and 'concurrent.futures' in sys.modules)")
+             "not sp and 'concurrent.futures' in sys.modules, "
+             "not sp and 'numpy.random' in sys.modules, not sp and '_hashlib' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert run.stdout.strip().splitlines()[-1] == f"0 {scipy} False False"
+    assert run.stdout.strip().splitlines()[-1] == f"0 {scipy} False False False False"
 
 
 @pytest.mark.parametrize("user", [None, "3"])
@@ -1166,9 +1204,9 @@ class TestLifshitz:
         assert main(["lifshitz", "--config", str(SHIPPED / "lifshitz.json"),
                      "--out", str(tmp_path / "out"), "--no-cache"]) == 0
         # one bulk draw per energy point (8), no per-realization generator;
-        # only the bootstrap of fit_lifshitz builds a Philox
+        # the bootstrap of fit_lifshitz draws from the package's Philox too
         assert len(draws) == 8
-        assert len(philox) == 1
+        assert len(philox) == 0
 
     def test_impossible_window_exit_4(self, tmp_path):
         curve_path = tmp_path / "curve.csv"

@@ -34,7 +34,7 @@ GOLDEN = {
     },
     ("spectrum", "spectrum_small.json"): {
         "spectrum.csv":
-            "a10b657f28bacc2aaad937ef11852aa00e27ee0ef458db16e24687184ff3e58a",
+            "903be090ab10d7facd04a4b40d5e87f750975a28e684ab95b64a0704444c3558",
     },
     ("ids", "ids_bracketing.json"): {
         "ids_curve.csv":

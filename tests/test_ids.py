@@ -98,6 +98,7 @@ class TestSampling:
         pytest.param(808, [(1 << 32) + 5, (8 << 32) + 1999], 64, 1, id="index-above-2^32"),
         pytest.param(2**64 - 1, [0, 3], 5, 1, id="seed-max"),
         pytest.param(2718, [0, 4, 11], 3, 2, id="d2"),
+        pytest.param(11, range(4100), 7, 1, id="two-rounds"),
     ])
     def test_fields_are_numpy_philox_streams(self, seed, indices, L, d):
         # with couplings uniform on [0, 1] the field is the raw stream
@@ -108,6 +109,23 @@ class TestSampling:
             key = np.array([seed, index], dtype=np.uint64)
             gen = np.random.Generator(np.random.Philox(key=key))
             assert np.array_equal(row, gen.random(L**d))
+
+    def test_temporaries_do_not_grow_with_samples(self):
+        # the streams run a round of ROUND_BLOCKS blocks at a time, written into
+        # the output in place: twice the realizations add only their fields and
+        # their indices
+        dist = DistributionSpec(kind="two-point-plus-uniform", lambda_minus=1.0,
+                                lambda_plus=2.0, atom_mass_at_min=0.5)
+        peaks = []
+        for M in (20_000, 40_000):
+            indices = np.arange(M)
+            tracemalloc.start()
+            try:
+                sample_fields(dist, 808, indices, 8, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1.1 * 20_000 * (8 + 1) * 8
 
 
 class TestEstimate:

@@ -150,6 +150,15 @@ class TestEvaluateSite:
             SingleSiteSpec(kind="tabulated", lambda_minus=0.0, lambda_plus=1.0,
                            lambda_nodes=(0.0, 1.0), x_nodes=x_nodes, values=values)
 
+    @pytest.mark.parametrize("lambda_nodes", [(1.0, 1.5), (1.25, 2.0), (1.0, float("nan"), 2.0)],
+                             ids=["stops-short", "starts-late", "nan-node"])
+    def test_tabulated_nodes_short_of_coupling_range_rejected(self, lambda_nodes):
+        # the table is 0 beyond its nodes: u would read 0.0 at lambda = 1.8
+        values = np.ones((len(lambda_nodes), 3))
+        with pytest.raises(InputError, match=r"lambda_nodes must cover .*\[1.0, 2.0\]"):
+            SingleSiteSpec(kind="tabulated", lambda_minus=1.0, lambda_plus=2.0,
+                           lambda_nodes=lambda_nodes, x_nodes=((-0.5, 0.0, 0.5),), values=values)
+
     def test_coupling_domain_error(self):
         site = breather_site(lo=1.0, hi=2.0)
         with pytest.raises(DomainError):

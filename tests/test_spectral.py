@@ -74,6 +74,25 @@ class TestLowestEigenvalues:
         assert it.method == "iterative" and de.method == "dense"
         assert np.allclose(it.energies, de.energies, atol=1e-8)
 
+    def test_lanczos_start_vector_repeats(self, monkeypatch):
+        # shift-invert Lanczos starts from the Philox stream keyed on START_KEY,
+        # the same vector on every call, so an iterative solve repeats bit for bit
+        import scipy.sparse.linalg as spla
+
+        starts, eigsh = [], spla.eigsh
+        monkeypatch.setattr(spla, "eigsh",
+                            lambda *a, **kw: starts.append(kw["v0"]) or eigsh(*a, **kw))
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 100)
+        H = random_coupling_hamiltonian(L=25, n=8, bc=PERIODIC)
+        first, second = lowest_eigenvalues(H, 3), lowest_eigenvalues(H, 3)
+        key = np.array(spectral.START_KEY, dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        assert len(starts) == 2
+        assert np.array_equal(starts[0], 2.0 * gen.random(H.num_dof) - 1.0)
+        assert starts[0].tobytes() == starts[1].tobytes()
+        assert first.energies.tobytes() == second.energies.tobytes()
+        assert first.vectors.tobytes() == second.vectors.tobytes()
+
     def test_tridiagonal_above_threshold(self):
         # N = 2560 > DENSE_THRESHOLD: still multisection, no shift-invert Lanczos
         H = assemble(free_model(), GridSpec(L=40, n=64), DIRICHLET)
