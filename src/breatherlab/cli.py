@@ -610,8 +610,7 @@ def _self_test_fit():
         cur = ids_mod.synthetic_curve(E, c=2.0, s=s)
         vals = cur.estimates["M"]
         window = (max(vals.min() * 0.5, 1e-300), min(vals.max() * 2.0, 0.999))
-        fit = ids_mod.fit_lifshitz(cur, window=window, label="M", max_rel_se=10.0,
-                                   target=-s)
+        fit = ids_mod.fit_lifshitz(cur, window=window, label="M", target=-s)
         results.append({"s": s, "slope": fit.slope,
                         "error": abs(fit.slope + s),
                         "pass": bool(abs(fit.slope + s) <= 1e-3)})
@@ -655,7 +654,7 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
     try:
         fit = ids_mod.fit_lifshitz(
             curve, window=window, label=exp["fit_boundary"],
-            target=(exp["target"] if exp["curve_csv"] and exp["target"] is not None else -d / 2),
+            target=exp["target"] if exp["curve_csv"] else None,
         )
     except InsufficientDataError as err:
         payload["error"] = str(err)

@@ -330,7 +330,11 @@ def fit_lifshitz(curve: IDSCurve, window=(1e-4, 1e-1), label: str = "M",
     under ``max_rel_se``.  The confidence interval is a percentile bootstrap
     over realizations (``BOOT_RESAMPLES`` resamples) when raw counts are
     available; the resamples are the draws of ``Generator(Philox(key=(BOOT_SEED,
-    seed))).integers``, taken from ``philox.integer_rows``.
+    seed))).integers``, taken from ``philox.integer_rows``.  A resample's
+    means are its draw counts times the integer counts, over M and the box
+    volumes: exact sums, equal to the means of its drawn rows bit for bit.
+    One slope expression fits the point estimate and every resample whose
+    means all lie strictly inside (0, 1).
     """
     lo, hi = window
     if not 0.0 < lo < hi < 1.0:
@@ -346,39 +350,29 @@ def fit_lifshitz(curve: IDSCurve, window=(1e-4, 1e-1), label: str = "M",
             f"window [{lo:g}, {hi:g}] admits {int(admissible.sum())} points "
             f"(need {min_points}) with relative error < {max_rel_se:g}"
         )
-    E = curve.energies[admissible]
-    N = est[admissible]
-    x = np.log(E)
-    y = np.log(np.abs(np.log(N)))
-    slope, _ = np.polyfit(x, y, 1)
-
-    if target is None:
-        target = -curve.d / 2.0
-
-    slopes = []
-    n_used = 0
+    means = [est[admissible]]  # the point estimate, then the kept resamples
     if curve.counts is not None:
         counts = curve.counts[label][:, admissible]
         vols = (curve.box_sizes[admissible].astype(float)) ** curve.d
         M = counts.shape[0]
         rows = philox.integer_rows((BOOT_SEED, curve.seed), M, M)
         for _ in range(BOOT_RESAMPLES):
-            sel = next(rows)
-            mean_b = counts[sel].mean(axis=0) / vols
-            if np.any(mean_b <= 0.0) or np.any(mean_b >= 1.0):
-                continue
-            yb = np.log(np.abs(np.log(mean_b)))
-            slopes.append(np.polyfit(x, yb, 1)[0])
-        n_used = len(slopes)
-    if n_used >= 10:
+            mean_b = np.bincount(next(rows), minlength=M) @ counts / M / vols
+            if np.all((mean_b > 0.0) & (mean_b < 1.0)):
+                means.append(mean_b)
+    x = np.log(curve.energies[admissible])
+    y = np.log(np.abs(np.log(np.array(means))))
+    slope, *slopes = [np.polyfit(x, row, 1)[0] for row in y]
+    if len(slopes) >= 10:
         ci_lo, ci_hi = np.percentile(slopes, [2.5, 97.5])
     else:
-        ci_lo = ci_hi = float(slope)
+        ci_lo = ci_hi = slope
     return LifshitzFit(
         window=(float(lo), float(hi)), slope=float(slope),
-        ci_lo=float(ci_lo), ci_hi=float(ci_hi), target=float(target),
-        points=tuple((float(a), float(b)) for a, b in zip(x, y)),
-        label=label, n_points=int(admissible.sum()), n_resamples=n_used,
+        ci_lo=float(ci_lo), ci_hi=float(ci_hi),
+        target=float(-curve.d / 2.0 if target is None else target),
+        points=tuple((float(a), float(b)) for a, b in zip(x, y[0])),
+        label=label, n_points=int(admissible.sum()), n_resamples=len(slopes),
     )
 
 

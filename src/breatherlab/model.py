@@ -48,8 +48,9 @@ class SingleSiteSpec:
     profile.  For the breather kind the dilated support at the weakest
     coupling must still fit in the cell, which forces radius <= lambda_minus
     / 2; the alloy kind needs radius <= 1/2; a tabulated site needs every
-    ``x_nodes`` entry in [-1/2, 1/2] and ``lambda_nodes`` that cover
-    [lambda_minus, lambda_plus], and is 0 beyond its nodes.
+    ``x_nodes`` entry in [-1/2, 1/2], ``lambda_nodes`` that cover
+    [lambda_minus, lambda_plus] and strictly monotone node axes, and is 0
+    beyond its nodes.
     ``standardized`` marks the family after the floor slice u(lambda_minus,
     .) has been subtracted.
     """
@@ -105,6 +106,11 @@ class SingleSiteSpec:
                 raise InputError(f"tabulated site lambda_nodes must cover the coupling range "
                                  f"[{self.lambda_minus}, {self.lambda_plus}]: u is 0 beyond "
                                  "its nodes")
+            for name, axes in (("lambda_nodes", [self.lambda_nodes]), ("x_nodes", self.x_nodes)):
+                steps = [np.diff(np.asarray(ax, dtype=float).ravel()) for ax in axes]
+                if not all(np.all(s > 0) or np.all(s < 0) for s in steps):  # a repeat fails both
+                    raise InputError(f"tabulated site {name} must be strictly increasing or "
+                                     "strictly decreasing on every axis")
             vals.setflags(write=False)
             object.__setattr__(self, "values", vals)
 

@@ -147,6 +147,23 @@ class TestValidate:
         assert "Traceback" not in err
         assert not (out / "validate_report.json").exists() and not (out / ".cache").exists()
 
+    def test_site_table_unsorted_lambda_nodes_exit_1(self, tmp_path, capsys):
+        # SciPy's interpolator would raise ValueError on the axis [2, 1, 1.5]
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={
+            "d": 1, "vper": {"kind": "zero"},
+            "site": {"kind": "tabulated", "lambda_nodes": [2.0, 1.0, 1.5],
+                     "x_nodes": [[-0.5, 0.0, 0.5]], "values": [[0.0, 1.0, 0.0]] * 3},
+            "dist": {"kind": "uniform", "lambda_minus": 1.0, "lambda_plus": 2.0},
+        })
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("model rejected: tabulated site lambda_nodes must be strictly "
+                              "increasing or strictly decreasing")
+        assert "Traceback" not in err
+        assert not (out / "validate_report.json").exists() and not (out / ".cache").exists()
+
     @pytest.mark.parametrize("command,primary", [("validate", "validate_report.json"),
                                                  ("spectrum", "spectrum.csv")])
     def test_site_table_past_cell_face_exit_1(self, tmp_path, capsys, command, primary):

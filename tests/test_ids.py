@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+from breatherlab import philox
 from breatherlab.errors import InputError, InsufficientDataError
 from breatherlab.ids import (
+    BOOT_RESAMPLES,
+    BOOT_SEED,
     IDSCurve,
     bracketing_report,
     estimate_ids,
@@ -564,6 +567,75 @@ class TestLifshitzFit:
                            min_points=3)
         assert fit.ci_lo <= fit.slope <= fit.ci_hi
         assert fit.n_resamples > 0
+
+
+def gathered_bootstrap(curve, window, label, max_rel_se):
+    """(slope, ci_lo, ci_hi, n_resamples) by the gather-and-mean loop: each
+    resample's means are those of its drawn rows of counts, each fitted alone."""
+    est, se = curve.estimates[label], curve.errors[label]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(est > 0, se / est, np.inf)
+    admissible = (est >= window[0]) & (est <= window[1]) & (rel < max_rel_se)
+    x = np.log(curve.energies[admissible])
+    slope = np.polyfit(x, np.log(np.abs(np.log(est[admissible]))), 1)[0]
+    counts = curve.counts[label][:, admissible]
+    vols = curve.box_sizes[admissible].astype(float) ** curve.d
+    M = counts.shape[0]
+    rows, slopes = philox.integer_rows((BOOT_SEED, curve.seed), M, M), []
+    for _ in range(BOOT_RESAMPLES):
+        mean_b = counts[next(rows)].mean(axis=0) / vols
+        if np.any(mean_b <= 0.0) or np.any(mean_b >= 1.0):
+            continue
+        slopes.append(np.polyfit(x, np.log(np.abs(np.log(mean_b))), 1)[0])
+    if len(slopes) >= 10:
+        ci_lo, ci_hi = np.percentile(slopes, [2.5, 97.5])
+    else:
+        ci_lo = ci_hi = slope
+    return float(slope), float(ci_lo), float(ci_hi), len(slopes)
+
+
+def counts_curve(counts, L, seed):
+    """Curve of the raw "M" counts (M, P) on a side-L box at d = 1."""
+    counts = np.asarray(counts)
+    M, P = counts.shape
+    vol = float(L)
+    est = counts.mean(axis=0) / vol
+    err = counts.std(axis=0, ddof=1) / np.sqrt(M) / vol if M > 1 else np.zeros(P)
+    return IDSCurve(energies=np.geomspace(0.1, 0.8, P), box_sizes=np.full(P, L), n=0, M=M,
+                    seed=seed, d=1, estimates={"M": est}, errors={"M": err},
+                    counts={"M": counts})
+
+
+class TestBootstrapDrawCounts:
+    """The draw-count products reproduce the gather-and-mean bootstrap exactly."""
+
+    def check(self, cur, window, max_rel_se, min_points):
+        fit = fit_lifshitz(cur, window=window, label="M", max_rel_se=max_rel_se,
+                           min_points=min_points)
+        ref = gathered_bootstrap(cur, window, "M", max_rel_se)
+        assert (fit.slope, fit.ci_lo, fit.ci_hi, fit.n_resamples) == ref
+        return fit
+
+    def test_matched_box_curve(self, prepped):
+        model, gs = prepped
+        cur = matched_box_curve(model, gs, np.geomspace(1.0, 6.0, 6), 200, 2024,
+                                B2=np.pi**2, L_max=24)
+        est = cur.estimates["M"]
+        window = (max(1e-6, est[est > 0].min() * 0.5), min(0.9, est.max() * 1.5))
+        fit = self.check(cur, window, max_rel_se=2.0, min_points=3)
+        assert fit.n_resamples > 0
+
+    def test_small_sample_drops_resamples_at_0_and_1(self):
+        # M = 3: a resample drawing realization 0 alone reads mean 0 at the first
+        # energy, one drawing realization 2 alone reads 1 at the last; both drop
+        cur = counts_curve([[0, 1, 1, 2, 3], [1, 1, 2, 2, 3], [1, 2, 2, 3, 4]], L=4, seed=5)
+        fit = self.check(cur, (1e-3, 0.99), max_rel_se=10.0, min_points=5)
+        assert 10 <= fit.n_resamples < BOOT_RESAMPLES
+
+    def test_single_realization(self):
+        cur = counts_curve([[1, 2, 3, 5, 6]], L=8, seed=9)
+        fit = self.check(cur, (1e-3, 0.99), max_rel_se=10.0, min_points=5)
+        assert fit.n_resamples == BOOT_RESAMPLES and fit.ci_lo == fit.slope == fit.ci_hi
 
 
 class TestLowerTail:

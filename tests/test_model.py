@@ -159,6 +159,36 @@ class TestEvaluateSite:
             SingleSiteSpec(kind="tabulated", lambda_minus=1.0, lambda_plus=2.0,
                            lambda_nodes=lambda_nodes, x_nodes=((-0.5, 0.0, 0.5),), values=values)
 
+    @pytest.mark.parametrize("lambda_nodes", [(2.0, 1.0, 1.5), (1.0, 1.5, 1.5, 2.0)],
+                             ids=["unsorted", "repeated-node"])
+    def test_tabulated_lambda_axis_not_monotone_rejected(self, lambda_nodes):
+        # SciPy's interpolator raises ValueError on such an axis
+        values = np.ones((len(lambda_nodes), 3))
+        with pytest.raises(InputError, match="lambda_nodes must be strictly increasing or "
+                                             "strictly decreasing"):
+            SingleSiteSpec(kind="tabulated", lambda_minus=1.0, lambda_plus=2.0,
+                           lambda_nodes=lambda_nodes, x_nodes=((-0.5, 0.0, 0.5),), values=values)
+
+    @pytest.mark.parametrize("x_nodes", [((-0.5, 0.25, 0.0),), ((-0.5, 0.5), (0.0, 0.0, 0.5))],
+                             ids=["unsorted", "second-axis-repeated-node"])
+    def test_tabulated_x_axis_not_monotone_rejected(self, x_nodes):
+        values = np.ones((2,) + tuple(map(len, x_nodes)))
+        with pytest.raises(InputError, match="x_nodes must be strictly increasing or "
+                                             "strictly decreasing"):
+            SingleSiteSpec(kind="tabulated", lambda_minus=0.0, lambda_plus=1.0,
+                           lambda_nodes=(0.0, 1.0), x_nodes=x_nodes, values=values)
+
+    def test_tabulated_descending_axes_accepted(self):
+        # SciPy accepts descending axes; u reads the same table either way
+        up = SingleSiteSpec(kind="tabulated", lambda_minus=1.0, lambda_plus=2.0,
+                            lambda_nodes=(1.0, 2.0), x_nodes=((-0.5, 0.0, 0.5),),
+                            values=np.array([[0.0, 1.0, 0.0], [0.0, 3.0, 1.0]]))
+        down = SingleSiteSpec(kind="tabulated", lambda_minus=1.0, lambda_plus=2.0,
+                              lambda_nodes=(2.0, 1.0), x_nodes=((0.5, 0.0, -0.5),),
+                              values=up.values[::-1, ::-1])
+        pts = np.array([[-0.25], [0.0], [0.3]])
+        assert np.allclose(u_at(down, 1.5, pts), u_at(up, 1.5, pts))
+
     def test_coupling_domain_error(self):
         site = breather_site(lo=1.0, hi=2.0)
         with pytest.raises(DomainError):
