@@ -7,13 +7,11 @@ site's row-major position, so every field is a pure function of
 of worker scheduling.  One Philox, the package's own (``philox``, equal bit
 for bit to NumPy's), serves the fields, the bootstrap of ``fit_lifshitz`` and
 the eigensolvers' start vectors.  ``sample_fields`` draws all streams of a
-block in one call, a bounded group of streams at a time.  A block holds one
-buffer of at most ``BLOCK_VALUES`` diagonal values, reused chunk by chunk in
-the column layout of ``count_below``: a chunk's potentials are evaluated in
-place, become its Dirichlet diagonals and then, rewritten on the boundary rows
-alone, its ground-state ones, two ``count_below`` calls per chunk, each over
-all its realizations and energies.  A run is (box side, energies,
-stream offset): ``estimate_ids`` makes one per box side and
+block in one call, a bounded group of streams at a time.  A block's
+Dirichlet and ground-state diagonals are one ``lattice.RandomBatch``, which
+one ``count_below`` call sweeps over all its realizations and energies,
+computing each row block from the fields as it reads it.  A run is (box side,
+energies, stream offset): ``estimate_ids`` makes one per box side and
 ``matched_box_curve`` one per energy point.  Each run's
 realizations are split into min(workers, M) contiguous index blocks, and with
 more than one worker every block of every run is submitted to one process pool
@@ -35,15 +33,14 @@ import numpy as np
 
 from . import philox
 from .errors import InputError, InsufficientDataError
-from .lattice import (DIRICHLET, DiscreteHamiltonian, GridSpec, mezincescu_correction,
-                      random_potentials, skeleton)
+from .lattice import (DIRICHLET, DiscreteHamiltonian, GridSpec, RandomBatch,
+                      mezincescu_correction, skeleton)
 from .model import DistributionSpec
 from .spectral import count_below
 
 CSV_HEADER = "E,N_D,se_D,N_M,se_M,L,n,M,seed"
 LABELS = ("D", "M")  # the bracketing pair: Dirichlet below, ground state above
 BOOT_RESAMPLES, BOOT_SEED = 200, 0xB007  # the percentile bootstrap of fit_lifshitz
-BLOCK_VALUES = 2**19  # float64 diagonals a counting block holds at once (4 MB)
 
 
 def sample_fields(dist: DistributionSpec, seed: int, indices, L: int, d: int) -> np.ndarray:
@@ -138,29 +135,16 @@ class IDSCurve:
 
 
 def _count_block(args):
-    """Counts (realizations x energies) under "D" and "M" for one index block,
-    from one buffer of at most ``BLOCK_VALUES`` values, reused chunk by chunk.
-    The folds touch only the diagonal, so the two conditions differ only on
-    the ``edge`` rows: a chunk's potentials become the "D" diagonals, counted
-    by one ``count_below`` call, and then, rewritten on the edge rows alone,
-    the "M" diagonals, counted by a second."""
+    """Counts (realizations x energies) under "D" and "M" for one index block:
+    one ``count_below`` call over a ``RandomBatch`` of its coupling fields on
+    the two conditions' base diagonals (the folds touch only the diagonal),
+    2M diagonals, "D" then "M", of which no (N, 2M) array is ever held."""
     model, grid, gs, energies, master_seed, indices = args
     fields = sample_fields(model.dist, master_seed, indices, grid.L, grid.d)
     diri, mez = (skeleton(model, grid, bc) for bc in (DIRICHLET, mezincescu_correction(gs, grid)))
-    base_d, base_m = diri.diagonal(diri.vper), mez.diagonal(mez.vper)
-    edge = np.flatnonzero(base_d.view(np.int64) != base_m.view(np.int64))
-    N, M = grid.num_dof, len(fields)
-    step = min(M, max(1, BLOCK_VALUES // N))
-    buf, out = np.empty(N * step), {"D": [], "M": []}
-    for start in range(0, M, step):
-        cols = buf[:N * min(step, M - start)].reshape(N, -1)  # C-ordered (N, c)
-        random_potentials(model, grid, fields[start:start + cols.shape[1]], out=cols)
-        v_edge = cols[edge]
-        np.add(base_d[:, None], cols, out=cols)  # "D"; off the edge, v + base_m bit for bit
-        out["D"].append(count_below(DiscreteHamiltonian(box=diri, diag=cols.T), energies))
-        cols[edge] = v_edge + base_m[edge, None]
-        out["M"].append(count_below(DiscreteHamiltonian(box=diri, diag=cols.T), energies))
-    return {lab: np.concatenate(c) for lab, c in out.items()}
+    batch = RandomBatch(model, grid, fields, np.column_stack([box.diagonal(box.vper)
+                                                             for box in (diri, mez)]))
+    return dict(zip(LABELS, np.split(count_below(DiscreteHamiltonian(diri, batch), energies), 2)))
 
 
 def pool_size(workers: int, runs: int, M: int) -> int:
@@ -364,7 +348,7 @@ def fit_lifshitz(curve: IDSCurve, window=(1e-4, 1e-1), label: str = "M",
     y = np.log(np.abs(np.log(np.array(means))))
     slope, *slopes = [np.polyfit(x, row, 1)[0] for row in y]
     if len(slopes) >= 10:
-        ci_lo, ci_hi = np.percentile(slopes, [2.5, 97.5])
+        ci_lo, ci_hi = _percentiles(slopes, [2.5, 97.5])
     else:
         ci_lo = ci_hi = slope
     return LifshitzFit(
@@ -374,6 +358,15 @@ def fit_lifshitz(curve: IDSCurve, window=(1e-4, 1e-1), label: str = "M",
         points=tuple((float(a), float(b)) for a, b in zip(x, y[0])),
         label=label, n_points=int(admissible.sum()), n_resamples=len(slopes),
     )
+
+
+def _percentiles(values, q) -> np.ndarray:
+    """``np.percentile(values, q)``, 0 <= q < 100, by its linear method and
+    NumPy's ``_lerp``, without the ``numpy.ma`` import of its first call."""
+    ordered, at = np.sort(values), (len(values) - 1) * (np.asarray(q, dtype=float) / 100)
+    i = np.floor(at).astype(int)
+    a, b, t = ordered[i], ordered[i + 1], at - i
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
 def synthetic_curve(energies, c: float, s: float, d: int = 1) -> IDSCurve:

@@ -289,6 +289,39 @@ def random_potentials(model: ModelSpec, grid: GridSpec, fields, out=None) -> np.
     return out.T
 
 
+@dataclass(frozen=True)
+class RandomBatch:
+    """Diagonals (C M, N) computed as they are read, column c M + m of the
+    (N, C M) layout being base c of ``bases`` (N, C) + V_omega of field m of
+    ``fields`` (M, L**d), by the operations of ``random_potentials``."""
+
+    model: ModelSpec
+    grid: GridSpec
+    fields: np.ndarray
+    bases: np.ndarray
+    ndim = 2
+    shape = property(lambda self: (self.bases.shape[1] * len(self.fields), self.grid.num_dof))
+
+    @cached_property
+    def _sites(self):
+        """The cell (field column) and cell-relative point (1, d) of each grid row."""
+        g = self.grid
+        at = np.indices(g.shape).reshape(g.d, -1)  # the grid coordinates of each row
+        return (np.ravel_multi_index(at // g.n, (g.L,) * g.d),
+                g.offset_points()[np.ravel_multi_index(at % g.n, (g.n,) * g.d)][:, None])
+
+    def rows(self, start: int, stop: int, which=None) -> np.ndarray:
+        """Rows start:stop, C-ordered: all columns (each field once) or those of ``which``."""
+        cells, pts = (a[start:stop] for a in self._sites)
+        M, bases = len(self.fields), self.bases[start:stop]
+        if which is not None:
+            v = site_values(self.model.site, self.fields[which % M, cells[:, None]], pts)
+            return bases[:, which // M] + v
+        cells = cells[:1] if (cells == cells[0]).all() else cells  # one cell: couplings (1, M)
+        v = site_values(self.model.site, self.fields[:, cells].T, pts)
+        return (bases[:, :, None] + v[:, None]).reshape(stop - start, -1)
+
+
 def cells_on_grid(grid: GridSpec, cell_values) -> np.ndarray:
     """Place ``site_values`` rows of M realizations, (M * L**d, n**d) in site
     order, on the flat grid: shape (M, (nL)**d)."""

@@ -29,7 +29,7 @@ def _bump_from_sqnorm(amplitude, radius, sqnorm, out=None):
     """Bump profile a*(1 - s/r^2)_+^2 evaluated from the squared norm s, in
     ``out`` if given (``sqnorm`` itself may be it)."""
     t = np.divide(sqnorm, radius * radius, out=np.empty(np.shape(sqnorm)) if out is None else out)
-    np.clip(np.subtract(1.0, t, out=t), 0.0, None, out=t)
+    np.maximum(np.subtract(1.0, t, out=t), 0.0, out=t)  # np.clip(t, 0, None) minus its wrappers
     return np.multiply(amplitude, np.square(t, out=t), out=t)
 
 
@@ -129,7 +129,7 @@ class SingleSiteSpec:
         lo, hi = self.lambda_minus, self.lambda_plus
         slack = 1e-12 * (1.0 + abs(lo) + abs(hi))
         lam = np.asarray(lam, dtype=float)
-        if np.any(lam < lo - slack) or np.any(lam > hi + slack):
+        if lam.min(initial=np.inf) < lo - slack or lam.max(initial=-np.inf) > hi + slack:
             raise DomainError(
                 f"coupling {lam} outside [{lo}, {hi}]"
             )
@@ -149,8 +149,8 @@ def site_values(site: SingleSiteSpec, lams, pts, out=None) -> np.ndarray:
     site._check_lambda(lams)
     lams = np.asarray(lams, dtype=float)
     pts = np.asarray(pts, dtype=float)
-    sq = np.sum(pts * pts, axis=-1)
-    out = np.empty(np.broadcast_shapes(lams.shape, sq.shape)) if out is None else out
+    sq = (pts * pts).sum(axis=-1)
+    out = np.empty(np.broadcast(lams, sq).shape) if out is None else out
     if site.kind == "alloy":
         prof = _bump_from_sqnorm(site.amplitude, site.radius, sq)
         coef = lams - site.lambda_minus if site.standardized else lams

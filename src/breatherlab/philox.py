@@ -6,8 +6,8 @@ is word j of ten cipher rounds on the counter (c, 0, 0, 0).  The streams are
 those of NumPy's ``Philox(key=(k0, k1))`` bit for bit, its first block at
 counter 1, so coupling fields, bootstrap resamples and eigensolver start
 vectors all come from here and no command loads ``numpy.random``.  Work is
-done in rounds of at most ``ROUND_BLOCKS`` blocks, so the temporaries of a
-draw do not grow with its size.
+done in rounds of ``ROUND_BLOCKS`` (integers: ``DRAW_BLOCKS``) blocks at most,
+so the temporaries of a draw do not grow with its size.
 """
 
 import numpy as np
@@ -15,7 +15,8 @@ import numpy as np
 # round multipliers and Weyl key increments
 PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-ROUND_BLOCKS = 2**13  # blocks of one round: 32k words, 64k 32-bit draws
+ROUND_BLOCKS = 2**13  # blocks of one round of coupling fields: 32k words
+DRAW_BLOCKS = 2**11  # of integer_rows, whose temporaries are 8x its words: 16k draws
 
 
 def _mulhilo(m: int, a: np.ndarray):
@@ -65,8 +66,8 @@ def integer_rows(key, bound: int, length: int):
     while True:
         parts, short = [buf[pos:]], length - (buf.size - pos)
         while short > 0:
-            w = words(keys, first, ROUND_BLOCKS)[0]
-            first += ROUND_BLOCKS
+            w = words(keys, first, DRAW_BLOCKS)[0]
+            first += DRAW_BLOCKS
             m = np.stack([w & 0xFFFFFFFF, w >> 32], axis=-1).ravel() * np.uint64(bound)
             parts.append((m >> 32)[(m & 0xFFFFFFFF) >= threshold].astype(np.int64))
             short -= parts[-1].size

@@ -25,10 +25,12 @@ anyway.
 ``count_below``, the one counting engine, uses matrix inertia: the number of
 negative pivots of a symmetric triangular factorization of H - E*I equals the
 number of eigenvalues below E.  Tridiagonal operators run one Sturm sweep over
-every (diagonal, energy) pair; other sparse operators run sparse LDL^T, with
-a dense eigenvalue count (NumPy's ``eigvalsh``) at the same energy when a
-pivot is near zero, the factor grows past ``GROWTH_TOL`` or SuperLU pivots off
-the diagonal (its signs are then not the inertia).  Counts are taken at E + 0:
+every (diagonal, energy) pair, reading ~``SWEEP_VALUES`` diagonal values at a
+time (a ``lattice.RandomBatch`` computes them from its coupling fields); other
+sparse operators run sparse LDL^T on each whole diagonal, with a dense
+eigenvalue count (NumPy's ``eigvalsh``) at the same energy when a pivot is
+near zero, the factor grows past ``GROWTH_TOL`` or SuperLU pivots off the
+diagonal (its signs are then not the inertia).  Counts are taken at E + 0:
 a pair hitting a pivot or eigenvalue within ``PIVOT_TOL`` of zero is nudged up
 by 1e-12*(1+|E|), doubling on each of at most 8 retries, which matches the
 closed-under-"<=" convention up to a measure-zero set of energies.
@@ -50,6 +52,7 @@ PIVOT_TOL = 1e-12
 GROWTH_TOL = 1e8
 EPS = np.finfo(float).eps
 START_KEY = (0x57A127, 0)  # the Philox stream of the fixed start vectors
+SWEEP_VALUES = 2**15  # pivots, and diagonal values, a Sturm sweep holds per block of rows
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,7 @@ def _sturm_levels(off, rows, m):
     frac = (np.arange(1, K + 1) / (K + 1))[:, None, None]
     while np.any(hi - lo > np.maximum(floor, 4.0 * EPS * np.maximum(np.abs(lo), np.abs(hi)))):
         trial = lo + (hi - lo) * frac  # (K, m, B)
-        counts, _ = _sturm_counts(off, cols.T, trial.reshape(K * m, B))
+        counts, _ = _sturm_counts(off, lambda i, j, _: cols[i:j], None, trial.reshape(K * m, B))
         passed = (counts.reshape(K, m, B) <= level).sum(axis=0)  # trials below the level
         below = np.take_along_axis(trial, np.maximum(passed - 1, 0)[None], axis=0)[0]
         above = np.take_along_axis(trial, np.minimum(passed, K - 1)[None], axis=0)[0]
@@ -240,44 +243,47 @@ def _sparse_inertia(A, pivot_tol: float):
     return int(np.sum(pivots < 0.0)), True
 
 
-def _sturm_counts(off, rows, e):
+def _sturm_counts(off, read, which, e):
     """Sturm sweep of the tridiagonal operators with couplings ``off`` over
-    every pair of ``e`` (K, R), pair (k, r) taking row r of ``rows`` (R, N) as
-    its diagonal: the number of LDL^T pivots of H - E that are <= 0, and
-    whether every pivot of the pair stayed finite and above PIVOT_TOL *
-    max(1, max |row| + |E|).  The recurrence is LAPACK's (dstebz), run on the
-    negated pivots so that an exact zero pivot counts and is followed as -0;
-    the pivots of a block of rows (~32k pivots) are kept and counted at once."""
-    cols = np.ascontiguousarray(rows.T)  # each step reads one contiguous row of cols
+    every pair of ``e`` (K, R), pair (k, r) taking column r of ``read(..,
+    which)`` as its diagonal: the number of LDL^T pivots of H - E that are
+    <= 0, and whether every pivot of the pair stayed finite and above
+    PIVOT_TOL * max(1, max |row| + |E|).  The recurrence is LAPACK's (dstebz),
+    run on the negated pivots so that an exact zero pivot counts and is
+    followed as -0, a block of ~``SWEEP_VALUES`` pivots read and counted at once."""
     off2 = off**2
-    N = cols.shape[0]
-    block = int(np.clip(32768 // max(e.size, 1), 1, N))
+    N = off.size + 1
+    block = int(np.clip(SWEEP_VALUES // max(e.size, 1), 1, N))
     piv = np.empty((block,) + e.shape)  # minus the pivots of the rows of a block
     neg, smallest = np.zeros(e.shape, dtype=int), np.full(e.shape, np.inf)
+    top = np.zeros(e.shape[1])  # the largest |diagonal value| of each column
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(N):
-            cur = piv[i % block]
-            if i:
-                np.divide(off2[i - 1], prev, out=cur)
-                np.add(cols[i], cur, out=cur)
-                np.subtract(e, cur, out=cur)
-            else:
-                np.subtract(e, cols[0], out=cur)
-            prev = cur
-            if i % block == block - 1 or i == N - 1:
-                done = piv[:i % block + 1]
-                neg += np.count_nonzero(done >= 0.0, axis=0)
-                # a NaN pivot keeps smallest NaN, so the pair is retried
-                np.minimum(smallest, np.abs(done).min(axis=0), out=smallest)
-    row_max = np.maximum(cols.max(axis=0), -cols.min(axis=0))
-    return neg, smallest > PIVOT_TOL * np.maximum(1.0, row_max + np.abs(e))
+        for start in range(0, N, block):
+            rows = np.ascontiguousarray(read(start, min(start + block, N), which))
+            np.maximum(top, np.maximum(rows.max(axis=0), -rows.min(axis=0)), out=top)
+            for j, row in enumerate(rows):
+                cur = piv[j]
+                if start + j:
+                    np.divide(off2[start + j - 1], prev, out=cur)
+                    np.add(row, cur, out=cur)
+                    np.subtract(e, cur, out=cur)
+                else:
+                    np.subtract(e, row, out=cur)
+                prev = cur
+            done = piv[:len(rows)]
+            neg += (done >= 0.0).sum(axis=0)
+            # a NaN pivot keeps smallest NaN, so the pair is retried
+            np.minimum(smallest, np.abs(done).min(axis=0), out=smallest)
+            del rows, row  # freed before the next block is read
+    return neg, smallest > PIVOT_TOL * np.maximum(1.0, top + np.abs(e))
 
 
-def _factor_counts(A, rows, e):
-    """Inertia of A - E*I with its diagonal replaced by row r, for every pair
-    (k, r) of ``e`` (K, R): sparse LDL^T on one CSC copy of A whose diagonal
-    slots take each shifted row, the dense eigenvalue count at the same energy
-    where it breaks down (and always for ndarray input)."""
+def _factor_counts(A, read, which, e):
+    """Inertia of A - E*I with its diagonal replaced by column r of ``read(..,
+    which)``, read once for all its energies, for every pair (k, r) of ``e``
+    (K, R): sparse LDL^T on one CSC copy of A whose diagonal slots take each
+    shifted column, the dense eigenvalue count at the same energy where it
+    breaks down (and always for ndarray input)."""
     import scipy.sparse as sps
 
     counts, ok = np.zeros(e.shape, dtype=int), np.zeros(e.shape, dtype=bool)
@@ -287,16 +293,18 @@ def _factor_counts(A, rows, e):
         A = sps.csc_matrix(sps.triu(A, 1) + sps.tril(A, -1) + sps.identity(n.size))
         slots = np.flatnonzero(A.indices == np.repeat(n, np.diff(A.indptr)))
     dense = None if sparse else np.array(A, dtype=float)
-    for (k, r), energy in np.ndenumerate(e):
-        shifted = rows[r] - energy
-        if sparse:
-            A.data[slots] = shifted
-            counts[k, r], ok[k, r] = _sparse_inertia(A, PIVOT_TOL)
-        if not ok[k, r]:
-            if dense is None:
-                dense = A.toarray()
-            np.fill_diagonal(dense, shifted)
-            counts[k, r], ok[k, r] = _dense_inertia(dense, PIVOT_TOL)
+    for r, col in enumerate(np.arange(e.shape[1]) if which is None else which):
+        column = read(0, A.shape[0], np.array([col]))[:, 0]
+        for k, energy in enumerate(e[:, r]):
+            shifted = column - energy
+            if sparse:
+                A.data[slots] = shifted
+                counts[k, r], ok[k, r] = _sparse_inertia(A, PIVOT_TOL)
+            if not ok[k, r]:
+                if dense is None:
+                    dense = A.toarray()
+                np.fill_diagonal(dense, shifted)
+                counts[k, r], ok[k, r] = _dense_inertia(dense, PIVOT_TOL)
     return counts, ok
 
 
@@ -305,20 +313,20 @@ def count_below(H, E):
 
     ``E`` is one energy or a 1-D grid.  ``H`` is a matrix or an operator,
     whose ``diag`` may be a batch (B, N): B operators that share the
-    off-diagonal part and take one row each as their diagonal; make it the
-    transpose of a C-ordered (N, B) array, as ``random_potentials`` returns,
-    so the Sturm sweep reads contiguous memory without a copy.  Returns int
-    counts shaped shape(E), with a leading B axis for a batch.  For a batch,
-    a 2-D ``E`` (B, K) is one grid per operator, row b counted on operator b,
-    and the counts are shaped (B, K) too.
+    off-diagonal part and take one row each as their diagonal: an array, best
+    the transpose of a C-ordered (N, B) one as ``random_potentials`` returns,
+    or a ``lattice.RandomBatch``.  Returns int counts shaped shape(E), with a
+    leading B axis for a batch.  For a batch, a 2-D ``E`` (B, K) is one grid
+    per operator, row b counted on operator b, and the counts are shaped (B, K) too.
 
     A tridiagonal operator runs one Sturm sweep over all (row, energy) pairs;
     other sparse input runs sparse LDL^T, with a dense eigenvalue count at the
     same energy on breakdown; ndarray input runs the eigenvalue count.  A pair
-    meeting a near-zero pivot is retried at a nudged energy, at most 8 times.
+    meeting a near-zero pivot is retried at a nudged energy, at most 8 times,
+    reading the diagonals of the retried pairs alone.
     """
     box, diag = getattr(H, "box", H), H.diagonal()
-    rows = np.atleast_2d(diag)
+    B = diag.shape[0] if diag.ndim == 2 else 1
     if getattr(box, "tridiagonal", False):
         kernel, A = _sturm_counts, box.off
     else:
@@ -326,15 +334,19 @@ def count_below(H, E):
     energy = np.asarray(E, dtype=float)
     grids = diag.ndim == 2 and energy.ndim == 2  # a batch, one grid per operator
     grid = energy if grids else energy.reshape(1, -1)
-    e = np.broadcast_to(grid, (len(rows), grid.shape[1])).T.copy()  # (K, B), nudged per pair
-    shape = rows.shape[:1] + energy.shape[1 if grids else 0:] if diag.ndim == 2 else energy.shape
-    counts, ok = kernel(A, rows, e)
+    e = np.broadcast_to(grid, (B, grid.shape[1])).T.copy()  # (K, B), nudged per pair
+    shape = (B,) + energy.shape[1 if grids else 0:] if diag.ndim == 2 else energy.shape
+    # the one row-block accessor: rows i:j of the (N, B) layout, all columns or ``which``
+    cols = np.atleast_2d(diag).T if isinstance(diag, np.ndarray) else None
+    read = diag.rows if cols is None else (
+        lambda i, j, which: cols[i:j] if which is None else cols[i:j, which])
+    counts, ok = kernel(A, read, None, e)
     for attempt in range(8):
         if ok.all():
             break
         k, r = np.nonzero(~ok)
         e[k, r] += 1e-12 * (1.0 + np.abs(e[k, r])) * (2.0**attempt)
-        got, good = kernel(A, rows[r], e[k, r][None, :])
+        got, good = kernel(A, read, r, e[k, r][None, :])
         counts[k, r], ok[k, r] = got[0], good[0]
     if not ok.all():
         raise NumericalError(f"factorization kept hitting near-zero pivots near E={E}")

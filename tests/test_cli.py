@@ -350,9 +350,9 @@ def test_cache_hit_loads_no_numerical_library(tmp_path, command, name):
 def test_d1_commands_load_no_scipy(tmp_path, command, name, scipy):
     # a d = 1 run computes on NumPy alone, a box above DENSE_THRESHOLD too; d = 2
     # counts through SuperLU; at one worker no run loads the process-pool
-    # machinery, and a SciPy-free run loads neither numpy.random nor OpenSSL's
-    # _hashlib (SciPy itself loads all three, so they are asked of SciPy-free
-    # runs only)
+    # machinery, and a SciPy-free run loads neither numpy.random, numpy.ma nor
+    # OpenSSL's _hashlib (SciPy itself loads them, so they are asked of
+    # SciPy-free runs only)
     if isinstance(name, str):
         config = SHIPPED / name
     else:  # write_config overrides
@@ -365,10 +365,11 @@ def test_d1_commands_load_no_scipy(tmp_path, command, name, scipy):
              "sp = any(m.split('.')[0] == 'scipy' for m in sys.modules); "
              "print(code, sp, 'multiprocessing' in sys.modules, "
              "not sp and 'concurrent.futures' in sys.modules, "
-             "not sp and 'numpy.random' in sys.modules, not sp and '_hashlib' in sys.modules)")
+             "not sp and 'numpy.random' in sys.modules, not sp and '_hashlib' in sys.modules, "
+             "not sp and 'numpy.ma' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert run.stdout.strip().splitlines()[-1] == f"0 {scipy} False False False False"
+    assert run.stdout.strip().splitlines()[-1] == f"0 {scipy} False False False False False"
 
 
 @pytest.mark.parametrize("user", [None, "3"])

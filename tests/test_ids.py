@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import linalg
 
 from breatherlab import philox
@@ -15,6 +18,7 @@ from breatherlab.ids import (
     BOOT_RESAMPLES,
     BOOT_SEED,
     IDSCurve,
+    _percentiles,
     bracketing_report,
     estimate_ids,
     fit_lifshitz,
@@ -198,68 +202,139 @@ class TestEstimate:
         assert np.any(slow["D"] != slow["M"])
 
     @pytest.mark.parametrize("rows,extra", [
-        (3, 1),  # chunks of 3, 3, 3, 3 in a buffer that is no multiple of N
-        (5, 0),  # chunks of 5, 5 and a ragged 2
-        (0, 1),  # a cap below one realization: one per chunk
+        (1, 0),  # one row a block
+        (5, 1),  # blocks smaller than a cell (n = 16), ragged: 12 of 5 rows, then 4
+        (24, 7),  # blocks across cells that do not divide n: 24, 24, then 16
+        (64, 0),  # the whole box in one block
     ])
-    def test_capped_block_matches_default_and_alone(self, prepped, monkeypatch, rows, extra):
-        # chunking a block cannot change a count: each (realization, energy)
-        # pair is swept on its own
-        from breatherlab import ids
+    def test_stream_blocks_match_counts_alone(self, prepped, monkeypatch, rows, extra):
+        # reading the diagonals a row block at a time cannot change a count:
+        # each (realization, energy) pair is swept on its own, and the blocks
+        # cover the N = 64 rows once, in order, none above SWEEP_VALUES values
+        from breatherlab import ids, lattice, spectral
 
         model, gs = prepped
         grid = GridSpec(4, 16)
         energies = np.array([0.5, 1.5, 3.0])
         idx = np.arange(12) + 40
-        task = (model, grid, gs, energies, 3, idx)
-        default = ids._count_block(task)
-        monkeypatch.setattr(ids, "BLOCK_VALUES", rows * grid.num_dof + extra)
-        capped = ids._count_block(task)
+        values = rows * energies.size * 2 * idx.size + extra  # e holds K x 2M pairs
+        monkeypatch.setattr(spectral, "SWEEP_VALUES", values)
+        reads, batch_rows = [], lattice.RandomBatch.rows
+
+        def spy(self, start, stop, which=None):
+            block = batch_rows(self, start, stop, which)
+            reads.append((start, stop, block.shape, block.flags.c_contiguous))
+            return block
+
+        monkeypatch.setattr(lattice.RandomBatch, "rows", spy)
+        counts = ids._count_block((model, grid, gs, energies, 3, idx))
         alone = self.counts_alone(model, gs, grid, energies, 3, idx)
         for lab in ("D", "M"):
-            assert capped[lab].shape == (12, 3)
-            assert np.array_equal(capped[lab], default[lab])
-            assert np.array_equal(capped[lab], alone[lab])
+            assert counts[lab].shape == (12, 3)
+            assert np.array_equal(counts[lab], alone[lab])
+        stops = list(range(rows, grid.num_dof, rows)) + [grid.num_dof]
+        assert [(start, stop) for start, stop, _, _ in reads] == list(zip([0] + stops, stops))
+        assert all(shape == (stop - start, 24) and contiguous and shape[0] * 24 <= values
+                   for start, stop, shape, contiguous in reads)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("standardized", [True, False])
+    @pytest.mark.parametrize("kind", ["alloy", "breather", "tabulated"])
+    def test_stream_of_every_family_matches_counts_alone(self, kind, standardized, d):
+        # a block computed from the coupling fields is base + V_omega of each
+        # field, the bits of random_potentials + np.add for every site family
+        from breatherlab.ids import _count_block
+        from breatherlab.lattice import RandomBatch, random_potentials
+
+        xs = np.linspace(-0.5, 0.5, 5)
+        bump = np.cos(np.pi * xs) if d == 1 else np.outer(np.cos(np.pi * xs), np.cos(np.pi * xs))
+        family = {"alloy": dict(amplitude=3.0, radius=0.45),
+                  "breather": dict(amplitude=3.0, radius=0.4),
+                  "tabulated": dict(lambda_nodes=(1.0, 1.5, 2.0), x_nodes=(tuple(xs),) * d,
+                                    values=np.multiply.outer([1.0, 2.5, 4.0], bump))}[kind]
+        site = SingleSiteSpec(kind=kind, lambda_minus=1.0, lambda_plus=2.0,
+                              standardized=standardized, **family)
+        model = dataclasses.replace(breather_model(d=d), site=site)
+        n = 8 if d == 1 else 4
+        _, gs = prepare_model(model, n)
+        grid = GridSpec(L=3, n=n, d=d)
+        energies = np.array([2.0, 15.0, 60.0])
+        idx = np.arange(4) + 9
+        counts = _count_block((model, grid, gs, energies, 21, idx))
+        alone = self.counts_alone(model, gs, grid, energies, 21, idx)
+        for lab in ("D", "M"):
+            assert np.array_equal(counts[lab], alone[lab])
+        assert np.any(alone["D"] != alone["M"]) and len(np.unique(alone["M"])) > 2
+        fields = sample_fields(model.dist, 21, idx, grid.L, d)
+        bases = np.random.default_rng(5).uniform(-3.0, 3.0, (grid.num_dof, 2))
+        batch = RandomBatch(model, grid, fields, bases)
+        whole = np.concatenate([bases[:, c, None] + random_potentials(model, grid, fields).T
+                                for c in range(2)], axis=1)
+        assert batch.shape == whole.T.shape
+        for start, stop in ((0, grid.num_dof), (1, 6), (5, 7), (6, 11)):  # one cell or more
+            assert np.array_equal(batch.rows(start, stop), whole[start:stop])
+            which = np.array([7, 0, 3, 3, 5])
+            assert np.array_equal(batch.rows(start, stop, which), whole[start:stop, which])
+
+    def test_forced_retry_reads_only_its_columns(self, prepped, monkeypatch):
+        # pairs that fail their pivot check are counted again, and the retry
+        # computes the diagonals of their columns alone, not the whole batch
+        from breatherlab import ids, lattice, spectral
+
+        model, gs = prepped
+        task = (model, GridSpec(4, 16), gs, np.array([0.5, 1.5, 3.0]), 3, np.arange(12))
+        plain = ids._count_block(task)
+        reads, batch_rows, sweep = [], lattice.RandomBatch.rows, spectral._sturm_counts
+
+        def spy(self, start, stop, which=None):
+            reads.append(None if which is None else which.tolist())
+            return batch_rows(self, start, stop, which)
+
+        def failing(off, read, which, e):
+            counts, ok = sweep(off, read, which, e)
+            if which is None:  # the first sweep: three pairs fail, two on column 17 ("M" 5)
+                ok[[1, 0, 2], [3, 17, 17]] = False
+            return counts, ok
+
+        monkeypatch.setattr(lattice.RandomBatch, "rows", spy)
+        monkeypatch.setattr(spectral, "_sturm_counts", failing)
+        forced = ids._count_block(task)
+        for lab in ("D", "M"):
+            assert np.array_equal(forced[lab], plain[lab])
+        # 72 pairs: one block of all 64 rows, then the failed pairs' columns in
+        # (energy, column) order
+        assert reads == [None, [17, 3, 17]]
 
     @pytest.mark.parametrize("d,L,n", [(1, 6, 16), (2, 3, 4)])
-    def test_counts_read_the_block_buffer(self, monkeypatch, d, L, n):
-        # every count_below call of a block reads its diagonals in the buffer
-        # the potentials were written to, in the (N, c) column layout: no copy
+    def test_count_block_is_one_count(self, monkeypatch, d, L, n):
+        # a block's realizations are one batch of 2M diagonals, "D" then "M":
+        # one count_below call, so a d >= 2 block builds its CSC stencil copy once
         from breatherlab import ids
+        from breatherlab.lattice import RandomBatch
 
         model, gs = prepare_model(breather_model(d=d), n)
         grid = GridSpec(L=L, n=n, d=d)
-        written, counted = [], []
-        potentials, count = ids.random_potentials, ids.count_below
+        calls, count = [], ids.count_below
 
-        def spy_potentials(model, grid, fields, out=None):
-            written.append(out)
-            return potentials(model, grid, fields, out=out)
-
-        def spy_count(H, E):
-            counted.append(H.diag)
+        def spy(H, E):
+            calls.append(H.diag)
             return count(H, E)
 
-        monkeypatch.setattr(ids, "random_potentials", spy_potentials)
-        monkeypatch.setattr(ids, "count_below", spy_count)
-        monkeypatch.setattr(ids, "BLOCK_VALUES", 4 * grid.num_dof)
+        monkeypatch.setattr(ids, "count_below", spy)
         counts = ids._count_block((model, grid, gs, np.array([1.0, 4.0]), 5, np.arange(10)))
         assert counts["D"].shape == counts["M"].shape == (10, 2)
-        assert [out.shape[1] for out in written] == [4, 4, 2]
-        assert len(counted) == 2 * len(written)
-        base = written[0].base
-        for k, diag in enumerate(counted):
-            out = written[k // 2]
-            assert out.base is base and diag.T.flags.c_contiguous
-            assert np.shares_memory(diag, out) and diag.T.shape == out.shape
+        assert len(calls) == 1
+        batch = calls[0]
+        assert isinstance(batch, RandomBatch) and batch.shape == (20, grid.num_dof)
 
-    def test_count_block_holds_one_buffer(self):
+    def test_count_block_streams_its_diagonals(self):
         # the largest block of configs/lifshitz.json (L = 29 at E = 0.05,
-        # M = 2000): chunk after chunk, the potentials and both conditions'
-        # diagonals live in one buffer of at most BLOCK_VALUES values, so the
-        # peak stays close to that buffer plus the block's coupling fields
+        # M = 2000): the sweep holds its pivots and one row block of diagonals
+        # (each about SWEEP_VALUES values) and the block's temporaries, so the
+        # peak stays close to the block's coupling fields plus four such blocks
         from breatherlab import cli
-        from breatherlab.ids import BLOCK_VALUES, _count_block
+        from breatherlab.ids import _count_block
+        from breatherlab.spectral import SWEEP_VALUES
 
         cfg = cli.load_config(str(Path(__file__).parents[1] / "configs" / "lifshitz.json"),
                               command="lifshitz")
@@ -274,7 +349,7 @@ class TestEstimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.15 * (BLOCK_VALUES + M * L) * 8
+        assert peak <= 1.15 * (M * L + 4 * SWEEP_VALUES) * 8
 
     def test_workers_equivalent(self, prepped):
         # M = 6 < 4 * workers splits too: every M runs in min(workers, M) blocks,
@@ -567,6 +642,17 @@ class TestLifshitzFit:
                            min_points=3)
         assert fit.ci_lo <= fit.slope <= fit.ci_hi
         assert fit.n_resamples > 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(values=arrays(np.float64, st.integers(10, 400), elements=st.sampled_from(
+    [-3.5, -1.0, -0.0, 0.25, 2.0]) | st.floats(-1e6, 1e6, allow_subnormal=False)))
+def test_percentiles_are_numpy_linear(values):
+    # the bootstrap interval of fit_lifshitz is np.percentile's linear method
+    # (its t >= 0.5 branch included), value for value, ties and negatives too;
+    # np.percentile itself imports numpy.ma on its first call
+    assert np.array_equal(_percentiles(values, [2.5, 97.5]),
+                          np.percentile(values, [2.5, 97.5]))
 
 
 def gathered_bootstrap(curve, window, label, max_rel_se):

@@ -18,10 +18,13 @@ def test_doubles_are_numpy_random():
         assert np.array_equal(row, numpy_generator(key).random(23))
 
 
-@pytest.mark.parametrize("M", [1, 3, 1999, 2000])
+@pytest.mark.parametrize("M", [1, 3, 1999, 2000, 5461, 16383, 16384, 16385])
 def test_bootstrap_rows_are_numpy_integers(M):
     # the rows of fit_lifshitz: M draws from [0, M) per resample, a round
-    # boundary and an odd M's leftover 32-bit half crossed on the way
+    # boundary and an odd M's leftover 32-bit half crossed on the way; a round
+    # of DRAW_BLOCKS blocks holds 2**14 halves less its rejects, so rows of
+    # M = 16383...16385 cross a round boundary in nearly every row, and three
+    # rows of M = 5461 fill about one round
     key = (BOOT_SEED, 808)
     gen, rows = numpy_generator(key), philox.integer_rows(key, M, M)
     for _ in range(40 if M > 3 else 5):
