@@ -35,7 +35,7 @@ for s in (0.5, 1.0, 1.5):
     cur = synthetic_curve(E, c=2.0, s=s)
     vals = cur.estimates["M"]
     window = (vals.min() * 0.5, min(vals.max() * 2.0, 0.999))
-    fit = fit_lifshitz(cur, window=window, max_rel_se=10.0, target=-s)
+    fit = fit_lifshitz(cur, window=window, target=-s)
     print(f"  s = {s}: recovered slope {fit.slope:.6f} (error {abs(fit.slope + s):.1e})")
 
 # -- measured curve ------------------------------------------------------------

@@ -220,7 +220,7 @@ def map_realization(gs, model, grid: GridSpec, couplings, cfg: TempleConfig) -> 
     lam = couplings_array(grid, couplings)
     cap = model.dist.lambda_minus + cfg.c2 / grid.L**2
     cut = np.minimum(lam, cap)
-    vals = site_values(model.site, cut.ravel()[:, None], grid.offset_points())
+    vals = site_values(model.site, cut.ravel()[:, None], grid.offset_points)
     potential = cells_on_grid(grid, vals)
     return MappedRealization(
         couplings=lam, cutoffs=cut, xi=_dot(vals, gs.cell_weights()).reshape(lam.shape),

@@ -41,6 +41,7 @@ from .spectral import count_below
 CSV_HEADER = "E,N_D,se_D,N_M,se_M,L,n,M,seed"
 LABELS = ("D", "M")  # the bracketing pair: Dirichlet below, ground state above
 BOOT_RESAMPLES, BOOT_SEED = 200, 0xB007  # the percentile bootstrap of fit_lifshitz
+MAX_REL_SE, MIN_POINTS = 0.25, 5  # a fit point's largest relative error; the fewest points
 
 
 def sample_fields(dist: DistributionSpec, seed: int, indices, L: int, d: int) -> np.ndarray:
@@ -306,19 +307,18 @@ class LifshitzFit:
 
 
 def fit_lifshitz(curve: IDSCurve, window=(1e-4, 1e-1), label: str = "M",
-                 max_rel_se: float = 0.25, min_points: int = 5,
                  target: float = None) -> LifshitzFit:
     """Least-squares slope of log|log N| against log E on the window.
 
-    Points need estimates inside [N_min, N_max] with relative standard error
-    under ``max_rel_se``.  The confidence interval is a percentile bootstrap
-    over realizations (``BOOT_RESAMPLES`` resamples) when raw counts are
-    available; the resamples are the draws of ``Generator(Philox(key=(BOOT_SEED,
-    seed))).integers``, taken from ``philox.integer_rows``.  A resample's
-    means are its draw counts times the integer counts, over M and the box
-    volumes: exact sums, equal to the means of its drawn rows bit for bit.
-    One slope expression fits the point estimate and every resample whose
-    means all lie strictly inside (0, 1).
+    At least ``MIN_POINTS`` points need estimates inside [N_min, N_max] with
+    relative standard error under ``MAX_REL_SE``.  The confidence interval is
+    a percentile bootstrap over realizations (``BOOT_RESAMPLES`` resamples)
+    when raw counts are available; the resamples are the draws of
+    ``Generator(Philox(key=(BOOT_SEED, seed))).integers``, taken from
+    ``philox.integer_rows``.  A resample's means are its draw counts times the
+    integer counts, over M and the box volumes: exact sums, equal to the means
+    of its drawn rows bit for bit.  One slope expression fits the point
+    estimate and every resample whose means all lie strictly inside (0, 1).
     """
     lo, hi = window
     if not 0.0 < lo < hi < 1.0:
@@ -328,11 +328,11 @@ def fit_lifshitz(curve: IDSCurve, window=(1e-4, 1e-1), label: str = "M",
     admissible = (est >= lo) & (est <= hi)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(est > 0, se / est, np.inf)
-    admissible &= rel < max_rel_se
-    if int(admissible.sum()) < min_points:
+    admissible &= rel < MAX_REL_SE
+    if int(admissible.sum()) < MIN_POINTS:
         raise InsufficientDataError(
             f"window [{lo:g}, {hi:g}] admits {int(admissible.sum())} points "
-            f"(need {min_points}) with relative error < {max_rel_se:g}"
+            f"(need {MIN_POINTS}) with relative error < {MAX_REL_SE:g}"
         )
     means = [est[admissible]]  # the point estimate, then the kept resamples
     if curve.counts is not None:

@@ -6,7 +6,9 @@ integer translate of the centered cube; every spectral quantity is invariant
 under that translation, and integer cell centers keep the periodic extension
 of the unit-cell ground state exactly sampled for every L).  Each cell holds
 n**d cell-centered grid points with spacing h = 1/n; no grid point lies on a
-cell boundary.
+cell boundary.  ``GridSpec.cell_map``, the cell and cell point of each grid
+row, is the one statement of this layout: V_omega (``random_potentials``, any
+rows), V_per, psi_L, the ghost ratios and ``cells_on_grid`` all read it.
 
 The Laplacian is the second-order stencil with ghost-point elimination at the
 box faces: the ghost value is a multiple c of the adjacent inner value, with
@@ -70,10 +72,24 @@ class GridSpec:
         m = np.arange(self.points_per_axis)
         return (m + 0.5) * self.h - 0.5
 
+    @cached_property
     def offset_points(self):
-        """All cell-relative points of one cell, shape (n**d, d): the midpoint
-        grid ``model._midpoint_grid(n, d)`` that every cell quadrature reads."""
-        return _midpoint_grid(self.n, self.d)
+        """All cell-relative points of one cell, read-only (n**d, d): the
+        midpoint grid ``model._midpoint_grid(n, d)`` that every cell quadrature reads."""
+        pts = _midpoint_grid(self.n, self.d)
+        pts.setflags(write=False)
+        return pts
+
+    @cached_property
+    def cell_map(self):
+        """(cells, points), two int arrays (N,): grid row r lies in cell
+        ``cells[r]`` (a coupling-field column, row-major over I_L) at cell point
+        ``points[r]`` (a row of ``offset_points``)."""
+        cells = points = np.zeros(1, dtype=int)
+        for c, p in [np.divmod(np.arange(self.points_per_axis), self.n)] * self.d:
+            cells, points = ((cells[:, None] * self.L + c).ravel(),  # C order: the last
+                             (points[:, None] * self.n + p).ravel())  # axis runs fastest
+        return cells, points
 
 
 @dataclass(frozen=True)
@@ -161,7 +177,7 @@ class DiscreteHamiltonian:
         import scipy.sparse as sps
 
         st, rows = self.box.stencil, self.diag.reshape(-1, self.num_dof)
-        data = np.tile(st.data, (len(rows), 1))
+        data = np.repeat(st.data[None], len(rows), axis=0)
         data[:, self.box.diag_slots] = rows
         shift = np.arange(len(rows))[:, None]  # block b: rows and columns b N + i
         return sps.csr_matrix((data.ravel(), (st.indices + self.num_dof * shift).ravel(),
@@ -271,29 +287,28 @@ def couplings_array(grid: GridSpec, couplings) -> np.ndarray:
     return arr
 
 
-def random_potentials(model: ModelSpec, grid: GridSpec, fields, out=None) -> np.ndarray:
-    """V_omega = sum_k u(lambda_k, . - k) for a batch of coupling fields
-    (M, L**d), flat: shape (M, (nL)**d), the transpose of a C-ordered
-    ((nL)**d, M) array, the layout ``count_below`` reads.  ``out``, a
-    ((nL)**d, M) array or a view of one, receives the values in place.
+def random_potentials(model: ModelSpec, grid: GridSpec, fields, start: int = 0,
+                      stop: int = None) -> np.ndarray:
+    """V_omega = sum_k u(lambda_k, . - k) on the grid rows start:stop for a
+    batch of coupling fields (M, L**d): shape (M, stop - start), the transpose
+    of a C-ordered (stop - start, M) array, the layout ``count_below`` reads.
 
-    Each grid point belongs to exactly one cell and the site supports stay
-    inside their cells, so the sum has at most one nonzero term per point.
+    Each grid point lies in one cell and the site supports stay inside their
+    cells, so a row takes the one term that ``grid.cell_map`` names; rows of
+    one cell share one (1, M) coupling row.
     """
     fields = np.asarray(fields, dtype=float)
-    L, n, d, M = grid.L, grid.n, grid.d, len(fields)
-    out = np.empty((grid.num_dof, M)) if out is None else out
-    site_values(model.site, fields.reshape(M, L**d).T.reshape((L, 1) * d + (M,)),
-                grid.offset_points().reshape((1, n) * d + (1, d)),
-                out=out.reshape((L, n) * d + (M,)))  # a view: the point axis is only split
-    return out.T
+    cells, points = (a[start:stop] for a in grid.cell_map)
+    cells = cells[:1] if cells.size and cells.min() == cells.max() else cells
+    lams = fields.reshape(len(fields), grid.L**grid.d)[:, cells].T
+    return site_values(model.site, lams, grid.offset_points[points][:, None]).T
 
 
 @dataclass(frozen=True)
 class RandomBatch:
     """Diagonals (C M, N) computed as they are read, column c M + m of the
     (N, C M) layout being base c of ``bases`` (N, C) + V_omega of field m of
-    ``fields`` (M, L**d), by the operations of ``random_potentials``."""
+    ``fields`` (M, L**d), each row block by one ``random_potentials`` call."""
 
     model: ModelSpec
     grid: GridSpec
@@ -302,58 +317,38 @@ class RandomBatch:
     ndim = 2
     shape = property(lambda self: (self.bases.shape[1] * len(self.fields), self.grid.num_dof))
 
-    @cached_property
-    def _sites(self):
-        """The cell (field column) and cell-relative point (1, d) of each grid row."""
-        g = self.grid
-        at = np.indices(g.shape).reshape(g.d, -1)  # the grid coordinates of each row
-        return (np.ravel_multi_index(at // g.n, (g.L,) * g.d),
-                g.offset_points()[np.ravel_multi_index(at % g.n, (g.n,) * g.d)][:, None])
-
     def rows(self, start: int, stop: int, which=None) -> np.ndarray:
         """Rows start:stop, C-ordered: all columns (each field once) or those of ``which``."""
-        cells, pts = (a[start:stop] for a in self._sites)
         M, bases = len(self.fields), self.bases[start:stop]
+        fields = self.fields if which is None else self.fields[which % M]
+        v = random_potentials(self.model, self.grid, fields, start, stop).T
         if which is not None:
-            v = site_values(self.model.site, self.fields[which % M, cells[:, None]], pts)
             return bases[:, which // M] + v
-        cells = cells[:1] if (cells == cells[0]).all() else cells  # one cell: couplings (1, M)
-        v = site_values(self.model.site, self.fields[:, cells].T, pts)
         return (bases[:, :, None] + v[:, None]).reshape(stop - start, -1)
 
 
 def cells_on_grid(grid: GridSpec, cell_values) -> np.ndarray:
     """Place ``site_values`` rows of M realizations, (M * L**d, n**d) in site
     order, on the flat grid: shape (M, (nL)**d)."""
-    L, n, d = grid.L, grid.n, grid.d
-    src = np.asarray(cell_values).reshape((-1,) + (L,) * d + (n,) * d)
-    # interleave (k1..kd, j1..jd) -> (k1, j1, k2, j2, ...) behind the batch axis
-    perm = [0]
-    for axis in range(1, d + 1):
-        perm.extend([axis, d + axis])
-    return np.transpose(src, perm).reshape(src.shape[0], grid.num_dof)
+    cells, points = grid.cell_map
+    return np.asarray(cell_values).reshape(-1, grid.L**grid.d, grid.n**grid.d)[:, cells, points]
 
 
-def _boundary_fold(grid: GridSpec, bc: BoundaryCondition, axis: int, side: int,
-                   flat_idx: np.ndarray) -> np.ndarray:
-    """Ghost multiplier c for each boundary point on one face."""
-    if bc.kind == "dirichlet":
-        return np.full(flat_idx.size, -1.0)
-    if bc.kind == "neumann":
-        return np.full(flat_idx.size, 1.0)
+def _boundary_fold(grid: GridSpec, bc: BoundaryCondition, inner: np.ndarray,
+                   ghost: np.ndarray) -> np.ndarray:
+    """Ghost multiplier c for the face rows ``inner``.  The ghost point of
+    inner[i] is one step out of the box; psi is periodic, so it has the cell
+    point of ghost[i], the row across the box on the opposite face."""
+    if bc.kind != "mezincescu":  # Dirichlet: odd reflection, Neumann: even
+        return np.full(inner.size, -1.0 if bc.kind == "dirichlet" else 1.0)
     # mezincescu: ratio of the periodic ground-state extension ghost/inner
     gs = bc.ground_state
     if gs is None:
         raise StateError("mezincescu boundary requested before the ground state was computed")
     if gs.n != grid.n or gs.d != grid.d:
         raise StateError("ground state resolution does not match the grid")
-    multi = list(np.unravel_index(flat_idx, grid.shape))
-    inner = [m % grid.n for m in multi]
-    ghost = list(inner)
-    shift = -1 if side == 0 else 1
-    ghost[axis] = (multi[axis] + shift) % grid.n
-    psi = gs.psi
-    return psi[tuple(ghost)] / psi[tuple(inner)]
+    psi, points = gs.psi.ravel(), grid.cell_map[1]
+    return psi[points[ghost]] / psi[points[inner]]
 
 
 def _stencil(grid: GridSpec, periodic: bool):
@@ -390,10 +385,10 @@ def skeleton(model: ModelSpec, grid: GridSpec, bc: BoundaryCondition) -> BoxSkel
     flat = np.arange(grid.num_dof).reshape(grid.shape)
     folds = np.zeros((d, grid.num_dof))
     for axis in range(d) if bc.kind != "periodic" else ():
-        for side, sel in ((0, flat.take([0], axis=axis).ravel()),
-                          (1, flat.take([npa - 1], axis=axis).ravel())):
-            folds[axis, sel] = _boundary_fold(grid, bc, axis, side, sel) / (grid.h * grid.h)
-    vper = np.tile(model.vper.sample_cell(grid.n, d), (grid.L,) * d).ravel()
+        faces = (flat.take([0], axis=axis).ravel(), flat.take([npa - 1], axis=axis).ravel())
+        for inner, ghost in (faces, faces[::-1]):
+            folds[axis, inner] = _boundary_fold(grid, bc, inner, ghost) / (grid.h * grid.h)
+    vper = model.vper.sample_cell(grid.n, d).ravel()[grid.cell_map[1]]
     return BoxSkeleton(grid=grid, bc=bc, vper=vper, folds=folds)
 
 
@@ -454,8 +449,7 @@ def mezincescu_correction(gs: GroundStateData, grid: GridSpec) -> BoundaryCondit
 
 def periodized_ground_state(gs: GroundStateData, grid: GridSpec) -> np.ndarray:
     """psi_L: periodic extension of psi on the cube, unit quadrature norm, flat."""
-    tiled = np.tile(gs.psi, (grid.L,) * gs.d)
-    return (tiled * grid.L ** (-gs.d / 2.0)).ravel()
+    return gs.psi.ravel()[grid.cell_map[1]] * grid.L ** (-gs.d / 2.0)
 
 
 def prepare_model(model: ModelSpec, n: int):

@@ -135,28 +135,26 @@ class SingleSiteSpec:
             )
 
 
-def site_values(site: SingleSiteSpec, lams, pts, out=None) -> np.ndarray:
+def site_values(site: SingleSiteSpec, lams, pts) -> np.ndarray:
     """Evaluate u(lam, x) for couplings ``lams`` at points ``pts`` (..., d).
 
     The couplings broadcast against the points without their coordinate
-    axis: (K, 1) against (P, d) gives a (K, P) matrix, and (L, 1, ..., M)
-    against (1, n, ..., 1, d) gives M realizations in grid order with the
-    realization axis last.  ``out``, shaped as the broadcast, receives the
-    values; the built-in families compute in it with no temporary of that
-    shape.  Values are zero outside the closed unit cell (any coordinate
+    axis: (K, 1) against (P, d) gives a (K, P) matrix, and (R, M) against
+    (R, 1, d) gives M realizations on R grid rows with the realization axis
+    last.  Values are zero outside the closed unit cell (any coordinate
     beyond 1/2 in modulus), since every family is supported inside it.
     """
     site._check_lambda(lams)
     lams = np.asarray(lams, dtype=float)
     pts = np.asarray(pts, dtype=float)
     sq = (pts * pts).sum(axis=-1)
-    out = np.empty(np.broadcast(lams, sq).shape) if out is None else out
+    out = np.empty(np.broadcast(lams, sq).shape)
     if site.kind == "alloy":
         prof = _bump_from_sqnorm(site.amplitude, site.radius, sq)
-        coef = lams - site.lambda_minus if site.standardized else lams
+        coef = np.subtract(lams, site.lambda_minus, out=out) if site.standardized else lams
         return np.multiply(coef, prof, out=out)
     if site.kind == "breather":
-        np.multiply(lams**2, sq, out=out)
+        np.multiply(np.multiply(lams, lams, out=out), sq, out=out)
         np.negative(_bump_from_sqnorm(site.amplitude, site.radius, out, out=out), out=out)
         if site.standardized:
             base = _bump_from_sqnorm(site.amplitude, site.radius, site.lambda_minus**2 * sq)
@@ -504,7 +502,7 @@ def validate_assumptions(
     # (iii) monotonicity in the coupling
     dmin = float(deriv.min())
     verdicts["iii"] = dmin >= -SIGN_TOL
-    if not verdicts["iii"] and where is None:
+    if not verdicts["iii"]:
         i_bad = np.unravel_index(np.argmin(deriv), deriv.shape)
         worst = abs(dmin)
         where = ("iii", float(lams[i_bad[0]]),
@@ -523,10 +521,7 @@ def validate_assumptions(
     alpha, kappa = dist.alpha, dist.kappa
     limit = min(eps2 if eps2 > 0 else dist.width, dist.tail_bound_range())
     eps_grid = np.linspace(limit / 32.0, limit, 32)
-    bound_ok = all(
-        dist.cdf_below(e) >= alpha * e**kappa * (1.0 - 1e-12) for e in eps_grid
-    )
-    verdicts["v"] = bool(bound_ok and dist.atom_mass_at_min < 1.0)
+    verdicts["v"] = all(dist.cdf_below(e) >= alpha * e**kappa * (1.0 - 1e-12) for e in eps_grid)
     if not verdicts["v"] and where is None:
         gaps = [alpha * e**kappa - dist.cdf_below(e) for e in eps_grid]
         worst = max(gaps)

@@ -26,7 +26,8 @@ anyway.
 negative pivots of a symmetric triangular factorization of H - E*I equals the
 number of eigenvalues below E.  Tridiagonal operators run one Sturm sweep over
 every (diagonal, energy) pair, reading ~``SWEEP_VALUES`` diagonal values at a
-time (a ``lattice.RandomBatch`` computes them from its coupling fields); other
+time (a ``lattice.RandomBatch`` computes each row block as its base diagonals
+plus one ``random_potentials`` call over those rows); other
 sparse operators run sparse LDL^T on each whole diagonal, with a dense
 eigenvalue count (NumPy's ``eigvalsh``) at the same energy when a pivot is
 near zero, the factor grows past ``GROWTH_TOL`` or SuperLU pivots off the

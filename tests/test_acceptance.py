@@ -307,7 +307,7 @@ def test_criterion_08_lifshitz_exponent():
         cur = synthetic_curve(E, c=2.0, s=s)
         vals = cur.estimates["M"]
         window = (max(vals.min() * 0.5, 1e-300), min(vals.max() * 2.0, 0.999))
-        fit = fit_lifshitz(cur, window=window, label="M", max_rel_se=10.0, target=-s)
+        fit = fit_lifshitz(cur, window=window, label="M", target=-s)
         self_ok = self_ok and abs(fit.slope + s) <= 1e-3
     assert self_ok
 

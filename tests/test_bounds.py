@@ -202,10 +202,10 @@ class TestMapRealization:
         model, gs64 = prepare_model(flat_background_model(), 64)
         lam = 1.02
         g64 = GridSpec(L=1, n=64)
-        xi64 = site_values(model.site, lam, g64.offset_points()) @ gs64.cell_weights()
+        xi64 = site_values(model.site, lam, g64.offset_points) @ gs64.cell_weights()
         _, gs512 = prepare_model(flat_background_model(), 512)
         g512 = GridSpec(L=1, n=512)
-        xi512 = site_values(model.site, lam, g512.offset_points()) @ gs512.cell_weights()
+        xi512 = site_values(model.site, lam, g512.offset_points) @ gs512.cell_weights()
         assert xi64 == pytest.approx(xi512, rel=1e-3)
 
 
@@ -258,7 +258,7 @@ class TestMoments:
             H = assemble(model, grid, bc, couplings=mapped.cutoffs)
             val, _ = second_moment(gs, mapped, H, cfg6)
             w = gs.cell_weights()
-            u = site_values(model.site, mapped.cutoffs.ravel()[:, None], grid.offset_points())
+            u = site_values(model.site, mapped.cutoffs.ravel()[:, None], grid.offset_points)
             oracle = float((u**2 @ w).sum()) / 6.0
             assert abs(val - oracle) <= 1e-10
 

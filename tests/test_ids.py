@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import linalg
 
-from breatherlab import philox
+from breatherlab import ids, philox
 from breatherlab.errors import InputError, InsufficientDataError
 from breatherlab.ids import (
     BOOT_RESAMPLES,
@@ -599,7 +599,7 @@ class TestLifshitzFit:
         # keep every N(E) value inside a window it actually visits
         vals = cur.estimates["M"]
         window = (max(vals.min() * 0.5, 1e-300), min(vals.max() * 2, 0.999))
-        fit = fit_lifshitz(cur, window=window, label="M", max_rel_se=1.0, target=-s)
+        fit = fit_lifshitz(cur, window=window, label="M", target=-s)
         assert fit.slope == pytest.approx(-s, abs=1e-3)
 
     def test_constant_c_does_not_shift_slope(self):
@@ -607,7 +607,7 @@ class TestLifshitzFit:
         cur = synthetic_curve(E, c=3.0, s=1.0)
         vals = cur.estimates["M"]
         window = (vals.min() * 0.5, min(vals.max() * 2, 0.999))
-        fit = fit_lifshitz(cur, window=window, max_rel_se=1.0)
+        fit = fit_lifshitz(cur, window=window)
         assert fit.slope == pytest.approx(-1.0, abs=1e-3)
 
     def test_insufficient_data_names_window(self):
@@ -627,10 +627,10 @@ class TestLifshitzFit:
         cur = synthetic_curve(E, c=2.0, s=1.0, d=2)
         vals = cur.estimates["M"]
         window = (vals.min() * 0.5, min(vals.max() * 2, 0.999))
-        fit = fit_lifshitz(cur, window=window, max_rel_se=10.0)
+        fit = fit_lifshitz(cur, window=window)
         assert fit.target == -1.0
 
-    def test_bootstrap_interval_contains_slope(self, prepped):
+    def test_bootstrap_interval_contains_slope(self, prepped, monkeypatch):
         model, gs = prepped
         cur = matched_box_curve(model, gs,
                                 np.geomspace(1.0, 6.0, 6), 200, 2024,
@@ -638,8 +638,9 @@ class TestLifshitzFit:
         est = cur.estimates["M"]
         lo = max(1e-6, est[est > 0].min() * 0.5)
         hi = min(0.9, est.max() * 1.5)
-        fit = fit_lifshitz(cur, window=(lo, hi), label="M", max_rel_se=2.0,
-                           min_points=3)
+        monkeypatch.setattr(ids, "MAX_REL_SE", 2.0)
+        monkeypatch.setattr(ids, "MIN_POINTS", 3)
+        fit = fit_lifshitz(cur, window=(lo, hi), label="M")
         assert fit.ci_lo <= fit.slope <= fit.ci_hi
         assert fit.n_resamples > 0
 
@@ -695,32 +696,33 @@ def counts_curve(counts, L, seed):
 class TestBootstrapDrawCounts:
     """The draw-count products reproduce the gather-and-mean bootstrap exactly."""
 
-    def check(self, cur, window, max_rel_se, min_points):
-        fit = fit_lifshitz(cur, window=window, label="M", max_rel_se=max_rel_se,
-                           min_points=min_points)
+    def check(self, monkeypatch, cur, window, max_rel_se, min_points):
+        monkeypatch.setattr(ids, "MAX_REL_SE", max_rel_se)
+        monkeypatch.setattr(ids, "MIN_POINTS", min_points)
+        fit = fit_lifshitz(cur, window=window, label="M")
         ref = gathered_bootstrap(cur, window, "M", max_rel_se)
         assert (fit.slope, fit.ci_lo, fit.ci_hi, fit.n_resamples) == ref
         return fit
 
-    def test_matched_box_curve(self, prepped):
+    def test_matched_box_curve(self, prepped, monkeypatch):
         model, gs = prepped
         cur = matched_box_curve(model, gs, np.geomspace(1.0, 6.0, 6), 200, 2024,
                                 B2=np.pi**2, L_max=24)
         est = cur.estimates["M"]
         window = (max(1e-6, est[est > 0].min() * 0.5), min(0.9, est.max() * 1.5))
-        fit = self.check(cur, window, max_rel_se=2.0, min_points=3)
+        fit = self.check(monkeypatch, cur, window, max_rel_se=2.0, min_points=3)
         assert fit.n_resamples > 0
 
-    def test_small_sample_drops_resamples_at_0_and_1(self):
+    def test_small_sample_drops_resamples_at_0_and_1(self, monkeypatch):
         # M = 3: a resample drawing realization 0 alone reads mean 0 at the first
         # energy, one drawing realization 2 alone reads 1 at the last; both drop
         cur = counts_curve([[0, 1, 1, 2, 3], [1, 1, 2, 2, 3], [1, 2, 2, 3, 4]], L=4, seed=5)
-        fit = self.check(cur, (1e-3, 0.99), max_rel_se=10.0, min_points=5)
+        fit = self.check(monkeypatch, cur, (1e-3, 0.99), max_rel_se=10.0, min_points=5)
         assert 10 <= fit.n_resamples < BOOT_RESAMPLES
 
-    def test_single_realization(self):
+    def test_single_realization(self, monkeypatch):
         cur = counts_curve([[1, 2, 3, 5, 6]], L=8, seed=9)
-        fit = self.check(cur, (1e-3, 0.99), max_rel_se=10.0, min_points=5)
+        fit = self.check(monkeypatch, cur, (1e-3, 0.99), max_rel_se=10.0, min_points=5)
         assert fit.n_resamples == BOOT_RESAMPLES and fit.ci_lo == fit.slope == fit.ci_hi
 
 

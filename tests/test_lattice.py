@@ -1,7 +1,13 @@
 """Lattice tests: stencils, boundary folds, ground state, random potential."""
 
+import dataclasses
+import functools
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg
 
 from breatherlab import spectral
@@ -20,6 +26,7 @@ from breatherlab.lattice import (
     periodized_ground_state,
     prepare_model,
     random_potentials,
+    skeleton,
 )
 from breatherlab.model import (
     DistributionSpec,
@@ -78,6 +85,81 @@ def periodic_free_spectrum(L, n):
     N = n * L
     h = 1.0 / n
     return np.sort((4.0 / h**2) * np.sin(np.arange(N) * np.pi / N) ** 2)
+
+
+def family_case(d, kind, standardized):
+    """A zero-V_per model of one site family, its grid (n a power of two, so
+    grid coordinates minus cell centers are the cell points exactly) and five
+    coupling fields."""
+    tab = {} if kind != "tabulated" else dict(
+        lambda_nodes=tuple(np.linspace(1.0, 2.0, 5)),
+        x_nodes=(tuple(np.linspace(-0.5, 0.5, 9)),) * d,
+        values=np.random.default_rng(1).uniform(0.0, 1.0, (5,) + (9,) * d))
+    site = SingleSiteSpec(kind=kind, amplitude=1.3, radius=0.4, lambda_minus=1.0,
+                          lambda_plus=2.0, standardized=standardized, **tab)
+    model = ModelSpec(d=d, vper=PeriodicPotentialSpec(kind="zero"), site=site,
+                      dist=DistributionSpec(kind="uniform", lambda_minus=1.0, lambda_plus=2.0))
+    grid = GridSpec(L=5 if d == 1 else 3, n=8 if d == 1 else 4, d=d)
+    fields = np.random.default_rng(d).uniform(1.0, 2.0, (5, grid.L**d))
+    return model, grid, fields
+
+
+@functools.lru_cache(maxsize=None)
+def brute_force_potentials(d, kind, standardized):
+    """V_omega of the ``family_case`` fields point by point: at each grid point
+    x, site_values(lambda_k, x - k) with k the cell center nearest x."""
+    model, grid, fields = family_case(d, kind, standardized)
+    out = np.empty((len(fields), grid.num_dof))
+    for r, x in enumerate(itertools.product(grid.axis_coords(), repeat=d)):
+        k = np.rint(x).astype(int)  # no grid point lies on a cell face
+        site = np.ravel_multi_index(k, (grid.L,) * d)
+        out[:, r] = site_values(model.site, fields[:, site], (np.array(x) - k)[None])
+    return out
+
+
+def unravel_ghost_ratios(grid, gs, axis, side, rows):
+    """psi(ghost) / psi(inner) of face rows, from each row's grid coordinates:
+    the cell point is the coordinate modulo n, the ghost one step out of the box."""
+    multi = list(np.unravel_index(rows, grid.shape))
+    inner = [m % grid.n for m in multi]
+    ghost = list(inner)
+    ghost[axis] = (multi[axis] + (-1 if side == 0 else 1)) % grid.n
+    return gs.psi[tuple(ghost)] / gs.psi[tuple(inner)]
+
+
+class TestCellMap:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cell_values_tile_the_box(self, d):
+        # V_per and psi_L are the unit-cell samples repeated in every cell
+        vper = PeriodicPotentialSpec(kind="tabulated",
+                                     values=np.random.default_rng(d).uniform(-1, 1, (4,) * d))
+        model = dataclasses.replace(cosine_model(d=d), vper=vper)
+        gs = periodic_ground_state(model, 4)
+        grid = GridSpec(L=3, n=4, d=d)
+        assert np.array_equal(skeleton(model, grid, DIRICHLET).vper,
+                              np.tile(vper.sample_cell(4, d), (3,) * d).ravel())
+        assert np.array_equal(periodized_ground_state(gs, grid),
+                              (np.tile(gs.psi, (3,) * d) * 3 ** (-d / 2.0)).ravel())
+
+    @pytest.mark.parametrize("L", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ghost_ratios_match_unravel_formula(self, d, L):
+        # an asymmetric cell potential: psi differs at the two faces of a cell
+        vper = PeriodicPotentialSpec(kind="tabulated",
+                                     values=np.random.default_rng(d).uniform(-9, 9, (4,) * d))
+        model = dataclasses.replace(cosine_model(d=d), vper=vper)
+        gs = periodic_ground_state(model, 4)
+        grid = GridSpec(L=L, n=4, d=d)
+        folds = skeleton(model, grid, mezincescu_correction(gs, grid)).folds
+        flat = np.arange(grid.num_dof).reshape(grid.shape)
+        expect = np.zeros_like(folds)
+        for axis in range(d):
+            for side, face in enumerate((flat.take([0], axis=axis).ravel(),
+                                         flat.take([-1], axis=axis).ravel())):
+                ratios = unravel_ghost_ratios(grid, gs, axis, side, face)
+                assert not np.all(ratios == 1.0)
+                expect[axis, face] = ratios / (grid.h * grid.h)
+        assert np.array_equal(folds, expect)
 
 
 class TestFreeSpectra:
@@ -228,7 +310,7 @@ class TestMidpointGrid:
     def test_one_grid_for_every_cell_quadrature(self, n, d):
         # V_omega and xi read the grid's points, V_per and the window scans the
         # model's: the same bits, also where 1/n is not a power of two
-        points = GridSpec(L=1, n=n, d=d).offset_points()
+        points = GridSpec(L=1, n=n, d=d).offset_points
         assert points.tobytes() == _midpoint_grid(n, d).tobytes()
         assert points.shape == (n**d, d)
 
@@ -245,7 +327,7 @@ class TestRandomPotential:
         model, _ = prepare_model(free_model(), 8)
         grid = GridSpec(L=1, n=8)
         v = random_potentials(model, grid, [[1.7]])[0]
-        pts = grid.offset_points()
+        pts = grid.offset_points
         direct = site_values(model.site, 1.7, pts)
         assert np.allclose(v, direct, atol=1e-14)
 
@@ -272,27 +354,34 @@ class TestRandomPotential:
     @pytest.mark.parametrize("kind", ["alloy", "breather", "tabulated"])
     @pytest.mark.parametrize("d", [1, 2])
     def test_grid_order_matches_site_order(self, d, kind, standardized):
-        # evaluated in grid order with the realization axis last, the
-        # potentials equal the site-order evaluation placed by cells_on_grid
-        # bit for bit, as the transpose of a C-ordered (N, M) array, and
-        # written in place into a caller's buffer
-        tab = {} if kind != "tabulated" else dict(
-            lambda_nodes=tuple(np.linspace(1.0, 2.0, 5)),
-            x_nodes=(tuple(np.linspace(-0.5, 0.5, 9)),) * d,
-            values=np.random.default_rng(1).uniform(0.0, 1.0, (5,) + (9,) * d))
-        site = SingleSiteSpec(kind=kind, amplitude=1.3, radius=0.4, lambda_minus=1.0,
-                              lambda_plus=2.0, standardized=standardized, **tab)
-        model = ModelSpec(d=d, vper=PeriodicPotentialSpec(kind="zero"), site=site,
-                          dist=DistributionSpec(kind="uniform", lambda_minus=1.0, lambda_plus=2.0))
-        grid = GridSpec(L=3, n=6, d=d)
-        fields = np.random.default_rng(d).uniform(1.0, 2.0, (5, 3**d))
+        # the potentials over the whole box, the site-order evaluation placed by
+        # cells_on_grid and the point-by-point sum all agree bit for bit, and
+        # the potentials come as the transpose of a C-ordered (N, M) array
+        model, grid, fields = family_case(d, kind, standardized)
         v = random_potentials(model, grid, fields)
-        site_order = site_values(site, fields.ravel()[:, None], grid.offset_points())
-        assert np.array_equal(v, cells_on_grid(grid, site_order))
+        site_order = site_values(model.site, fields.ravel()[:, None], grid.offset_points)
+        assert np.array_equal(v, brute_force_potentials(d, kind, standardized))
+        assert np.array_equal(cells_on_grid(grid, site_order), v)
         assert v.shape == (5, grid.num_dof) and v.T.flags.c_contiguous
-        buf = np.full((grid.num_dof, 10), np.nan)
-        assert np.shares_memory(random_potentials(model, grid, fields, out=buf[:, 5:]), buf)
-        assert np.array_equal(buf[:, 5:].T, v) and np.all(np.isnan(buf[:, :5]))
+        # at d = 2 rows 8:21 leave cell 2 and come back into it; 9:10 is one cell
+        for start, stop in ((8, 21), (9, 10), (0, 0)):
+            assert np.array_equal(random_potentials(model, grid, fields, start, stop),
+                                  brute_force_potentials(d, kind, standardized)[:, start:stop])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(case=st.tuples(st.sampled_from([1, 2]),
+                          st.sampled_from(["alloy", "breather", "tabulated"]), st.booleans()),
+           data=st.data())
+    def test_row_ranges_match_brute_force(self, case, data):
+        # any rows start:stop of any subset of the fields, one cell or many
+        model, grid, fields = family_case(*case)
+        start = data.draw(st.integers(0, grid.num_dof), label="start")
+        stop = data.draw(st.integers(start, grid.num_dof), label="stop")
+        which = np.array(data.draw(st.lists(st.integers(0, len(fields) - 1), max_size=7),
+                                   label="which"), dtype=int)
+        v = random_potentials(model, grid, fields[which], start, stop)
+        assert v.shape == (which.size, stop - start) and v.T.flags.c_contiguous
+        assert np.array_equal(v, brute_force_potentials(*case)[which, start:stop])
 
     def test_raising_single_coupling_monotone(self):
         # raising one coupling never lowers any eigenvalue
