@@ -20,9 +20,9 @@ eigenvalues <= x, E1 > x iff N(x) = 0 and E2 > x iff N(x) <= 1.  Each check
 makes one ``count_below`` call; only ``periodic_levels`` solves for levels.
 
 A leading batch axis is optional throughout: ``map_realization`` maps one
-coupling field (L,)*d or a batch (B,)+(L,)*d, and each check returns one
-``BoundReport`` whose sides, verdict and per-realization constants are
-arrays over that batch (0-d for one realization).
+coupling field (L**d,) or a batch (B, L**d), in site order as ``ids.sample_fields``
+draws them, and each check returns one ``BoundReport`` whose sides, verdict and
+per-realization constants are arrays over that batch (0-d for one realization).
 """
 
 import math
@@ -187,8 +187,8 @@ def make_temple_config(L: int, gamma: float, constants: ModelConstants,
 @dataclass(frozen=True)
 class MappedRealization:
     """Couplings, their cutoffs, the mapped energy contributions xi_k, each
-    shaped (L,)*d or (B,)+(L,)*d, and the cutoff potential on the flat
-    ``grid``, (N,) or (B, N): the random part of H_cut."""
+    shaped (L**d,) or (B, L**d) in site order, and the cutoff potential on the
+    flat ``grid``, (N,) or (B, N): the random part of H_cut."""
 
     couplings: np.ndarray
     cutoffs: np.ndarray
@@ -196,15 +196,6 @@ class MappedRealization:
     potential: np.ndarray
     grid: GridSpec
     lambda_minus: float
-
-    @property
-    def num_sites(self):
-        """Sites of one realization, L^d."""
-        return self.grid.L**self.grid.d
-
-    def per_realization(self, values):
-        """Sum per-site ``values``, shaped like the couplings, over each realization."""
-        return values.sum(axis=tuple(range(-self.grid.d, 0)))
 
 
 def _dot(a, b):
@@ -220,11 +211,10 @@ def map_realization(gs, model, grid: GridSpec, couplings, cfg: TempleConfig) -> 
     lam = couplings_array(grid, couplings)
     cap = model.dist.lambda_minus + cfg.c2 / grid.L**2
     cut = np.minimum(lam, cap)
-    vals = site_values(model.site, cut.ravel()[:, None], grid.offset_points)
-    potential = cells_on_grid(grid, vals)
+    vals = site_values(model.site, cut[..., None], grid.offset_points)  # (..., L**d, n**d)
     return MappedRealization(
-        couplings=lam, cutoffs=cut, xi=_dot(vals, gs.cell_weights()).reshape(lam.shape),
-        potential=potential.reshape(lam.shape[:lam.ndim - grid.d] + potential.shape[1:]),
+        couplings=lam, cutoffs=cut, xi=_dot(vals, gs.cell_weights()),
+        potential=cells_on_grid(grid, vals).reshape(lam.shape[:-1] + (grid.num_dof,)),
         grid=grid, lambda_minus=model.dist.lambda_minus,
     )
 
@@ -236,7 +226,7 @@ def _moments(psi, mapped: MappedRealization, H_tilde, cfg=None):
     grid = H_tilde.grid
     hd = grid.h**grid.d
     h_psi = H_tilde @ psi
-    mean_xi = mapped.per_realization(mapped.xi) / grid.L**grid.d
+    mean_xi = mapped.xi.sum(axis=-1) / grid.L**grid.d
     bound = None if cfg is None else 2.0 * cfg.constants.kappa1 * cfg.c2 / grid.L**2 * mean_xi
     return _dot(h_psi, psi) * hd, mean_xi, np.sum(h_psi**2, axis=-1) * hd, bound
 
@@ -313,8 +303,8 @@ def counting_corollary_check(box: BoxSkeleton, mapped: MappedRealization, escale
     """If E1 <= escale, most mapped values must be small:
     #{xi_k < 2 gamma escale} > ((gamma-1)/gamma) L^d.  Vacuous when E1 > escale:
     where the cutoff operator on ``box``, the ``ground_state_box``, has N(escale) = 0."""
-    Ld = mapped.num_sites
-    small = mapped.per_realization(mapped.xi < 2.0 * gamma * escale)
+    Ld = mapped.xi.shape[-1]
+    small = (mapped.xi < 2.0 * gamma * escale).sum(axis=-1)
     threshold = (gamma - 1.0) / gamma * Ld
     vacuous = count_below(_cutoff_operator(box, mapped), escale) == 0
     constants = {"energy_scale": escale, "gamma": gamma, "Ld": Ld, "vacuous": vacuous}
@@ -334,10 +324,10 @@ def deviation_chain_check(mapped: MappedRealization, cfg: TempleConfig) -> Bound
     lam_cap = cfg.c7 * cfg.energy_scale
     premise = mapped.xi < thresh_xi
     conclusion = (mapped.couplings - mapped.lambda_minus) < lam_cap
-    violations = mapped.per_realization(premise & ~conclusion)
+    violations = (premise & ~conclusion).sum(axis=-1)
     constants = {
         "xi_threshold": thresh_xi, "coupling_window": lam_cap,
-        "premise_count": mapped.per_realization(premise), "sites": mapped.num_sites,
+        "premise_count": premise.sum(axis=-1), "sites": premise.shape[-1],
         "violations": violations,
     }
     return BoundReport(name="deviation-chain", lhs=violations, rhs=np.zeros(violations.shape),
@@ -410,13 +400,12 @@ def dirichlet_upper_bounds(model, couplings, test: DirichletTestFunction) -> Bou
     """Rayleigh-quotient upper bound E1 <= B1 L^-d int(V_omega) + B2 L^-2 for
     one coupling field or a batch on the box of ``test``, with the test
     function and constants of ``dirichlet_test_function``: "pass" where
-    N(rhs - t) >= 1, "fail" where N(rhs + t) = 0; ``variational_ok`` is E1 <= q,
-    the Rayleigh quotient, i.e. N(q + 1e-9 (1 + |q|)) >= 1."""
+    N(rhs - t) >= 1, "fail" where N(rhs + t) = 0.  A realization also fails
+    where its variational link ``variational_ok``, E1 <= q for the Rayleigh
+    quotient q (N(q + 1e-9 (1 + |q|)) >= 1, true by min-max), breaks."""
     grid = test.grid
     L, d, hd = grid.L, grid.d, grid.h**grid.d
-    lams = couplings_array(grid, couplings)
-    v = np.ascontiguousarray(random_potentials(model, grid, lams.reshape(-1, L**d)))
-    v = v.reshape(lams.shape[:lams.ndim - d] + v.shape[1:])
+    v = np.ascontiguousarray(random_potentials(model, grid, couplings_array(grid, couplings)))
     quotient = (test.T + test.P + np.sum(test.phi**2 * v, axis=-1) * hd) / test.Q
     int_v = np.sum(v, axis=-1) * hd
     rhs = test.B1 * int_v / L**d + test.B2 / L**2
@@ -426,8 +415,8 @@ def dirichlet_upper_bounds(model, couplings, test: DirichletTestFunction) -> Bou
         "B1": test.B1, "B2": test.B2, "kinetic_times_L2": test.T / test.Q * L**2,
         "int_V_omega": int_v, "variational_ok": n_q >= 1,
     }
-    return BoundReport(name="dirichlet-upper-bound", lhs=lhs, rhs=rhs, verdict=verdict,
-                       constants=constants)
+    return BoundReport(name="dirichlet-upper-bound", lhs=lhs, rhs=rhs,
+                       verdict=np.where(n_q >= 1, verdict, "fail"), constants=constants)
 
 
 @dataclass(frozen=True)

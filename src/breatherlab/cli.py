@@ -43,9 +43,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .errors import (DIST_KINDS, SITE_KINDS, VPER_KINDS, ConvergenceError, DomainError,
-                     GroundStateError, InputError, InsufficientDataError, NumericalError,
-                     PreconditionError, StateError)
+from .errors import (DIST_KINDS, SITE_KINDS, STREAMS, VPER_KINDS, ConvergenceError,
+                     DomainError, GroundStateError, InputError, InsufficientDataError,
+                     NumericalError, PreconditionError, StateError)
 
 OUTPUT_ENV_VAR = "BREATHERLAB_OUT"
 SCHEMA_VERSION = 1
@@ -136,6 +136,8 @@ def _list_of(item, rule, least=0):
 # realizations under both conditions, counts or scan points) at most MAX_VALUES.
 MAX_POINTS = 2**22
 MAX_VALUES = 2**25
+# bounds draws the samples of a box side from one slot of each of its two stream roles
+MAX_BOUNDS_SAMPLES = 2 ** min(STREAMS[role][2] for role in ("temple", "dirichlet"))
 MAX_BERNOULLI_LD = 4096  # the exact tail is summed in integers: <= 0.3 s there
 MAX_WORKERS = 256
 X_GRID_DEFAULT = {1: 256, 2: 64, 3: 32}  # experiment.x_grid_size for d = 1, 2, 3
@@ -319,9 +321,9 @@ def load_config(path: str, seed: int = None, workers: int = None, command: str =
         cfg["grid"]["L"] = [cfg["grid"]["L"]]
     # the rules that join two fields, or a field and the command
     exp = cfg["experiment"]
-    if command == "bounds" and exp["samples"] > 2**20:  # side L's Temple streams (L << 20) + k
-        raise ConfigError(f"experiment.samples of bounds must be <= {2**20} (disjoint Temple "
-                          f"streams per box side), got {exp['samples']}")
+    if command == "bounds" and exp["samples"] > MAX_BOUNDS_SAMPLES:
+        raise ConfigError(f"experiment.samples of bounds must be <= {MAX_BOUNDS_SAMPLES} "
+                          f"(disjoint Temple streams per box side), got {exp['samples']}")
     energies = exp.get("energies") and settled(exp["energies"], "experiment.energies")
     if not energies:
         if command == "ids" or command == "lifshitz" and exp.get("curve_csv") is None:
@@ -529,7 +531,7 @@ def cmd_validate(cfg, out_dir: Path, digest: str):
 def cmd_spectrum(cfg, out_dir: Path, digest: str):
     import numpy as np
 
-    from .ids import sample_fields
+    from .ids import sample_fields, stream_indices
     from .lattice import (DIRICHLET, NEUMANN, PERIODIC, GridSpec, mezincescu_correction,
                           random_potentials, skeleton)
     from .spectral import lowest_eigenvalues
@@ -547,8 +549,8 @@ def cmd_spectrum(cfg, out_dir: Path, digest: str):
     try:
         for L in cfg["grid"]["L"] if indices else ():  # no operator: the header alone
             grid = GridSpec(L=L, n=n, d=prepared.d)
-            fields = sample_fields(prepared.dist, seed, range(n_real), L, prepared.d)
-            vrand = random_potentials(prepared, grid, fields)
+            vrand = random_potentials(prepared, grid, sample_fields(
+                prepared.dist, seed, stream_indices("realization", 0, n_real), L, prepared.d))
             if exp["include_periodic"]:  # index -1: V_per alone
                 vrand = np.vstack([np.zeros(grid.num_dof), vrand])
             for label in labels:
@@ -674,8 +676,6 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
 def cmd_bounds(cfg, out_dir: Path, digest: str):
     from dataclasses import asdict
 
-    import numpy as np
-
     from . import bounds as bounds_mod
     from . import ids as ids_mod
     from .lattice import GridSpec
@@ -724,23 +724,21 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
     corollary_out = {"checks": 0, "passes": 0, "nonvacuous": 0}
     deviation_out = {"checks": 0, "passes": 0, "premise_sites": 0}
     diri = {"checks": 0, "passes": 0, "B1": None, "B2": None}
+
+    def draw(role, L):  # the M sample fields of side L in the role's streams
+        return ids_mod.sample_fields(prepared.dist, seed, ids_mod.stream_indices(role, L, M), L,
+                                     prepared.d)
+
     try:
         for L in temple_Ls:
             tcfg = bounds_mod.make_temple_config(L=L, gamma=gamma, constants=consts,
                                                  epsilon0=gap.epsilon0)
-            grid = boxes[L].grid
-            test = bounds_mod.dirichlet_test_function(prepared, grid)
-            shape = (M,) + (L,) * prepared.d
-            fields = ids_mod.sample_fields(prepared.dist, seed, (L << 20) + np.arange(M), L,
-                                           prepared.d)
-            mapped = bounds_mod.map_realization(gs, prepared, grid, fields.reshape(shape), tcfg)
+            test = bounds_mod.dirichlet_test_function(prepared, boxes[L].grid)
+            mapped = bounds_mod.map_realization(gs, prepared, test.grid, draw("temple", L), tcfg)
             temple = bounds_mod.temple_lower_bounds(boxes[L], mapped, tcfg, levels[L])
             cor = bounds_mod.counting_corollary_check(boxes[L], mapped, tcfg.energy_scale, gamma)
             dev = bounds_mod.deviation_chain_check(mapped, tcfg)
-            # the Dirichlet streams lie above every Temple stream (L << 20) + k
-            fields = ids_mod.sample_fields(prepared.dist, seed, (1 << 62) + (L << 22)
-                                           + np.arange(M), L, prepared.d)
-            upper = bounds_mod.dirichlet_upper_bounds(prepared, fields.reshape(shape), test)
+            upper = bounds_mod.dirichlet_upper_bounds(prepared, draw("dirichlet", L), test)
             for out, rep in ((corollary_out, cor), (deviation_out, dev), (diri, upper)):
                 out["checks"] += M
                 out["passes"] += int(rep.passed.sum())

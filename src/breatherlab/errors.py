@@ -1,4 +1,4 @@
-"""Exception types and the kind names of the model, shared across the package.
+"""Exception types, model kind names and the random-stream layout of the package.
 
 This leaf imports nothing, so the configuration checks of the command line
 can read it without loading NumPy or SciPy.
@@ -7,6 +7,9 @@ can read it without loading NumPy or SciPy.
 SITE_KINDS = ("alloy", "breather", "tabulated")
 VPER_KINDS = ("zero", "cosine-sum", "tabulated")
 DIST_KINDS = ("uniform", "truncated-beta", "two-point-plus-uniform")
+# Philox stream index base + (slot << shift) + k of realization k < 2**width of a
+# role's slot, where slot < 2**(62 - shift) keeps the role in [base, base + 2**62)
+STREAMS = {"realization": (0, 32, 32), "temple": (0, 20, 20), "dirichlet": (1 << 62, 22, 22)}
 
 
 class DomainError(ValueError):

@@ -1,22 +1,22 @@
 """Monte Carlo estimation of the integrated density of states.
 
-Couplings are generated by the counter-based Philox4x64-10 generator keyed
-on (master_seed, realization index), with the per-site value read off at the
-site's row-major position, so every field is a pure function of
-(master_seed, index, site) and runs are reproducible bit for bit regardless
-of worker scheduling.  One Philox, the package's own (``philox``, equal bit
-for bit to NumPy's), serves the fields, the bootstrap of ``fit_lifshitz`` and
-the eigensolvers' start vectors.  ``sample_fields`` draws all streams of a
-block in one call, a bounded group of streams at a time.  A block's
-Dirichlet and ground-state diagonals are one ``lattice.RandomBatch``, which
-one ``count_below`` call sweeps over all its realizations and energies,
-computing each row block from the fields as it reads it.  A run is (box side,
-energies, stream offset): ``estimate_ids`` makes one per box side and
-``matched_box_curve`` one per energy point.  Each run's
-realizations are split into min(workers, M) contiguous index blocks, and with
-more than one worker every block of every run is submitted to one process pool
-before any is awaited; merged in block order, the counts do not depend on the
-workers.
+Couplings are generated by the counter-based Philox4x64-10 generator keyed on
+(master_seed, stream index), the index of ``stream_indices``, with the value
+of a site read off at its position in site order (row-major over the cells),
+so every field is a pure function of (master_seed, index, site) and runs are
+reproducible bit for bit regardless of worker scheduling.  One Philox, the
+package's own (``philox``, equal bit for bit to NumPy's), serves the fields,
+the bootstrap of ``fit_lifshitz`` and the eigensolvers' start vectors.
+``sample_fields`` draws all streams of a block in one call, a bounded group of
+streams at a time.  A block's Dirichlet and ground-state diagonals are one
+``lattice.RandomBatch``, which one ``count_below`` call sweeps over all its
+realizations and energies, computing each row block from the fields as it
+reads it.  A run is (box side, energies, stream slot): ``estimate_ids`` makes
+one per box side, all at slot 0, and ``matched_box_curve`` one per energy
+point.  Each run's realizations are split into min(workers, M) contiguous
+index blocks, and with more than one worker every block of every run is
+submitted to one process pool before any is awaited; merged in block order,
+the counts do not depend on the workers.
 
 Estimates are normalized eigenvalue counts N(E, H^{L,X}) / L^d averaged over
 realizations; Dirichlet counts ("D") bound the limit from below and
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import philox
-from .errors import InputError, InsufficientDataError
+from .errors import STREAMS, DomainError, InputError, InsufficientDataError
 from .lattice import (DIRICHLET, DiscreteHamiltonian, GridSpec, RandomBatch,
                       mezincescu_correction, skeleton)
 from .model import DistributionSpec
@@ -42,6 +42,15 @@ CSV_HEADER = "E,N_D,se_D,N_M,se_M,L,n,M,seed"
 LABELS = ("D", "M")  # the bracketing pair: Dirichlet below, ground state above
 BOOT_RESAMPLES, BOOT_SEED = 200, 0xB007  # the percentile bootstrap of fit_lifshitz
 MAX_REL_SE, MIN_POINTS = 0.25, 5  # a fit point's largest relative error; the fewest points
+
+
+def stream_indices(role: str, slot: int, count: int) -> np.ndarray:
+    """Stream indices of realizations 0..count-1 of ``slot`` of ``role`` (``errors.STREAMS``)."""
+    base, shift, width = STREAMS[role]
+    if not (0 <= slot < 1 << (62 - shift) and 0 <= count <= 1 << width):
+        raise DomainError(f"{role} streams need 0 <= slot < 2**{62 - shift} and "
+                          f"0 <= count <= 2**{width}, got slot {slot}, count {count}")
+    return np.uint64(base + (slot << shift)) + np.arange(count, dtype=np.uint64)
 
 
 def sample_fields(dist: DistributionSpec, seed: int, indices, L: int, d: int) -> np.ndarray:
@@ -155,12 +164,13 @@ def pool_size(workers: int, runs: int, M: int) -> int:
 
 
 def _estimate_runs(model, gs, runs, M: int, master_seed: int, workers: int):
-    """(estimates, errors, counts) of each run (L, energies, index offset):
-    every index block of every run is submitted to one pool before any result
-    is awaited, and each run is reduced over its own (M, len(energies)) counts."""
-    blocks = [blk for blk in np.array_split(np.arange(M), workers) if blk.size]
-    tasks = [(model, GridSpec(L=L, n=gs.n, d=model.d), gs, energies, master_seed, blk + offset)
-             for L, energies, offset in runs for blk in blocks]
+    """(estimates, errors, counts) of each run (L, energies, "realization" stream
+    slot): every index block of every run is submitted to one pool before any
+    result is awaited, and each run is reduced over its own (M, len(energies)) counts."""
+    blocks = min(workers, M)  # per run
+    tasks = [(model, GridSpec(L=L, n=gs.n, d=model.d), gs, energies, master_seed, blk)
+             for L, energies, slot in runs
+             for blk in np.array_split(stream_indices("realization", slot, M), blocks)]
     processes = pool_size(workers, len(runs), M)
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -171,7 +181,7 @@ def _estimate_runs(model, gs, runs, M: int, master_seed: int, workers: int):
         results = list(map(_count_block, tasks))
     out = []
     for k, (L, energies, _) in enumerate(runs):
-        run = results[k * len(blocks):(k + 1) * len(blocks)]  # merged in block order
+        run = results[k * blocks:(k + 1) * blocks]  # merged in block order
         counts = {lab: np.concatenate([r[lab] for r in run]) for lab in LABELS}
         vol = float(L**model.d)
         out.append(({lab: c.mean(axis=0) / vol for lab, c in counts.items()},
@@ -270,8 +280,8 @@ def matched_box_curve(model, gs, energies, M: int, master_seed: int, B2: float,
     L = ceil(2 sqrt(B2) / sqrt(E)) from the test-function bound, clamped to
     [2, L_max].
 
-    Realizations are independent across energy points (the point index is
-    folded into the high bits of the stream index).  Each point is one run of
+    Realizations are independent across energy points: point j draws slot
+    j + 1 of the "realization" streams.  Each point is one run of
     ``_estimate_runs``, so the blocks of every point go to one pool at once.
     """
     energies = np.sort(np.asarray(energies, dtype=float))
@@ -279,8 +289,8 @@ def matched_box_curve(model, gs, energies, M: int, master_seed: int, B2: float,
         raise InputError("box matching needs E > 0")
     # 2 sqrt(B2 / E) can differ by an ulp and move the ceiling
     Ls = [min(max(math.ceil(2.0 * math.sqrt(B2) / math.sqrt(E)), 2), L_max) for E in energies]
-    runs = _estimate_runs(model, gs, [(L, energies[j:j + 1], (j + 1) << 32)
-                                      for j, L in enumerate(Ls)], M, master_seed, workers)
+    runs = _estimate_runs(model, gs, [(L, energies[j:j + 1], j + 1) for j, L in enumerate(Ls)],
+                          M, master_seed, workers)
     estimates, errors = ({lab: np.concatenate([run[k][lab] for run in runs]) for lab in LABELS}
                          for k in (0, 1))
     counts = {lab: np.concatenate([run[2][lab] for run in runs], axis=1) for lab in LABELS}

@@ -278,30 +278,30 @@ class BoxSkeleton:
 
 
 def couplings_array(grid: GridSpec, couplings) -> np.ndarray:
-    """The coupling field as a float array, checked to be shaped (L,)*d, or a
-    batch of fields shaped (B,)+(L,)*d."""
-    shape = (grid.L,) * grid.d
-    arr = np.asarray(couplings, dtype=float)
-    if arr.shape[arr.ndim - grid.d:] != shape or arr.ndim > grid.d + 1:
-        raise InputError(f"couplings shape {arr.shape}, expected {shape} or (B,) + {shape}")
+    """The coupling field as a float array, checked to be in site order (row-major
+    over I_L, the layout of ``ids.sample_fields``): (L**d,), or a batch (B, L**d)."""
+    arr, sites = np.asarray(couplings, dtype=float), grid.L**grid.d
+    if arr.ndim not in (1, 2) or arr.shape[-1] != sites:
+        raise InputError(f"couplings shape {arr.shape}, expected ({sites},) or (B, {sites})")
     return arr
 
 
 def random_potentials(model: ModelSpec, grid: GridSpec, fields, start: int = 0,
                       stop: int = None) -> np.ndarray:
-    """V_omega = sum_k u(lambda_k, . - k) on the grid rows start:stop for a
-    batch of coupling fields (M, L**d): shape (M, stop - start), the transpose
-    of a C-ordered (stop - start, M) array, the layout ``count_below`` reads.
+    """V_omega = sum_k u(lambda_k, . - k) on the R grid rows start:stop for one
+    coupling field (L**d,) or a batch (M, L**d): shape (R,) or (M, R), the
+    transpose of a C-ordered (R, M) array, the layout ``count_below`` reads.
 
     Each grid point lies in one cell and the site supports stay inside their
     cells, so a row takes the one term that ``grid.cell_map`` names; rows of
-    one cell share one (1, M) coupling row.
+    one cell share one coupling per field.
     """
     fields = np.asarray(fields, dtype=float)
     cells, points = (a[start:stop] for a in grid.cell_map)
     cells = cells[:1] if cells.size and cells.min() == cells.max() else cells
-    lams = fields.reshape(len(fields), grid.L**grid.d)[:, cells].T
-    return site_values(model.site, lams, grid.offset_points[points][:, None]).T
+    pts = grid.offset_points[points]
+    return site_values(model.site, fields[..., cells].T,
+                       pts[:, None] if fields.ndim == 2 else pts).T
 
 
 @dataclass(frozen=True)
@@ -328,8 +328,8 @@ class RandomBatch:
 
 
 def cells_on_grid(grid: GridSpec, cell_values) -> np.ndarray:
-    """Place ``site_values`` rows of M realizations, (M * L**d, n**d) in site
-    order, on the flat grid: shape (M, (nL)**d)."""
+    """Place ``site_values`` rows of M realizations, (M * L**d, n**d) or
+    (M, L**d, n**d) in site order, on the flat grid: shape (M, (nL)**d)."""
     cells, points = grid.cell_map
     return np.asarray(cell_values).reshape(-1, grid.L**grid.d, grid.n**grid.d)[:, cells, points]
 
@@ -396,17 +396,15 @@ def assemble(model: ModelSpec, grid: GridSpec, bc: BoundaryCondition,
              couplings=None) -> DiscreteHamiltonian:
     """Assemble H = -Laplacian_h + diag(V_per + V_omega) on the cube.
 
-    ``couplings``, an array shaped (L,)*d or a batch (B,)+(L,)*d, selects the
-    random part; omit it for the purely periodic operator.  A one-off build:
+    ``couplings``, one field (L**d,) or a batch (B, L**d) in site order, selects
+    the random part; omit it for the purely periodic operator.  A one-off build:
     callers with many realizations on one box hold its ``skeleton`` and move
     only the diagonal.
     """
     box = skeleton(model, grid, bc)
     if couplings is None:
         return box.hamiltonian()
-    lams = couplings_array(grid, couplings)
-    v = random_potentials(model, grid, lams.reshape(-1, grid.L**grid.d))
-    return box.hamiltonian(v.reshape(lams.shape[:lams.ndim - grid.d] + (grid.num_dof,)))
+    return box.hamiltonian(random_potentials(model, grid, couplings_array(grid, couplings)))
 
 
 def periodic_ground_state(model: ModelSpec, n: int) -> GroundStateData:

@@ -61,7 +61,7 @@ def integer_rows(key, bound: int, length: int):
     low 32 bits fall below 2**32 mod bound and the half is rejected.  The
     stream is drawn a round at a time, as the rows need it.
     """
-    keys, threshold = np.asarray([key], dtype=np.uint64), (1 << 32) % bound
+    keys, threshold = np.asarray([key], dtype=np.uint64), 2**32 % bound
     buf, pos, first = np.empty(0, dtype=np.int64), 0, 1
     while True:
         parts, short = [buf[pos:]], length - (buf.size - pos)

@@ -673,6 +673,24 @@ class TestCountedVerdicts:
             assert rep.constants["variational_ok"]
             assert (rep.verdict, rep.lhs.tolist()) == (verdict, pair)
 
+    def test_dirichlet_fails_where_variational_link_breaks(self):
+        # min-max gives E1 <= q for the Rayleigh quotient q, so only a bad
+        # constant breaks the link: a kinetic term T that puts q ten tolerances
+        # below E1 fails the realization although its rhs still holds
+        model, _ = prepare_model(flat_background_model(), 16)
+        grid = GridSpec(L=6, n=16)
+        test = dirichlet_test_function(model, grid)
+        lams = np.random.default_rng(73).uniform(1.0, 2.0, 6)
+        v = random_potentials(model, grid, [lams])[0]
+        e1 = lowest_eigenvalues(test.box.hamiltonian(v), 1).energies[0]
+        rest = test.P + np.sum(test.phi**2 * v) * grid.h
+        for offset, holds in ((-10, False), (10, True)):
+            q = e1 + offset * 1e-9 * (1.0 + abs(e1))
+            rep = dirichlet_upper_bounds(model, lams, replace(test, T=q * test.Q - rest))
+            assert rep.lhs.tolist() == [1, 1]
+            assert rep.constants["variational_ok"] == holds
+            assert rep.verdict == ("pass" if holds else "fail")
+
 
 class TestTwoDimensions:
     @pytest.fixture(scope="class")
@@ -686,7 +704,7 @@ class TestTwoDimensions:
         _, p = model.dist.lambda_star()
         cfg = make_temple_config(L=3, gamma=2.0 / p, constants=model_constants(model, gs),
                                  epsilon0=fit_gap_constant(levels).epsilon0)
-        fields = np.random.default_rng(81).uniform(1.0, 2.0, (4, 3, 3))
+        fields = np.random.default_rng(81).uniform(1.0, 2.0, (4, 9))
         mapped = map_realization(gs, model, boxes[3].grid, fields, cfg)
         rep = temple_lower_bounds(boxes[3], mapped, cfg, levels[3])
         assert rep.verdict.tolist() == ["pass"] * 4

@@ -216,6 +216,19 @@ class TestValidate:
         cfg.write_text("{not json")
         assert main(["validate", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("name,message", [
+        pytest.param("absent.json", "cannot read config", id="missing-file"),
+        pytest.param(".", "cannot read config", id="directory"),
+        pytest.param("list.json", "config root must be an object", id="root-not-object"),
+    ])
+    def test_unusable_config_exit_2(self, tmp_path, capsys, name, message):
+        (tmp_path / "list.json").write_text("[1, 2]\n")
+        out = tmp_path / "o"
+        assert main(["validate", "--config", str(tmp_path / name), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_integer_past_the_digit_limit_exit_2(self, tmp_path, capsys):
         # the interpreter converts at most 4300 digits of an integer literal
         cfg = tmp_path / "cfg.json"
@@ -764,6 +777,26 @@ def test_readme_field_table_matches_code():
     assert paths == list(cli.FIELDS)
 
 
+def test_readme_stream_table_matches_code():
+    # the stream paragraph states every role's base, shift and width, and the
+    # cap sentence the bounds samples cap that those widths set
+    from breatherlab.errors import STREAMS
+
+    def number(text):  # "20", or a power "2⁶²"
+        text = text.strip()
+        sup = text[1:].translate(str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789"))
+        return 2 ** int(sup) if text[0] == "2" and sup != text[1:] else int(text)
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| role | base | shift | width |", 1)[1].split("\n\n", 1)[0]
+    rows = [row.split("|")[1:5] for row in table.splitlines()[2:]]
+    assert {role.strip().strip("`"): tuple(map(number, cells)) for role, *cells in rows} == STREAMS
+    cap = readme.split("`bounds` takes at most ", 1)[1].split(" samples", 1)[0]
+    assert number(cap) == cli.MAX_BOUNDS_SAMPLES
+    widths = readme.split("`dirichlet` streams, whose count fields are ", 1)[1].split(" bits", 1)[0]
+    assert widths.split() == [str(STREAMS["temple"][2]), "and", str(STREAMS["dirichlet"][2])]
+
+
 def test_readme_config_block_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
@@ -928,6 +961,20 @@ def test_order_check_matches_the_built_grid(block):
 
 
 class TestIds:
+    def test_failed_bracketing_exit_1(self, tmp_path, capsys):
+        # one sample has no standard error to absorb a rise of the ground-state
+        # estimate from side 3 to side 4, so the upper monotone check fails
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, grid={"n": 16, "L": [3, 4]}, experiment={
+            "seed": 1, "samples": 1, "energies": {"kind": "list", "values": [1.0, 3.0]}})
+        out = tmp_path / "out"
+        assert main(["ids", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "bracketing all_pass=False" in captured.out
+        assert "Traceback" not in captured.err
+        report = json.loads((out / "bracketing.json").read_text())
+        assert (report["all_pass"], report["upper_monotone"]) == (False, False)
+
     @pytest.mark.parametrize("kind", ["linear", "geometric"])
     def test_constant_range_loads_and_runs(self, tmp_path, kind):
         E = 8.55496088241544
@@ -1171,6 +1218,7 @@ class TestLifshitz:
                      id="short-row"),
         pytest.param(lambda rows: rows[:1], id="empty-body"),
         pytest.param(lambda rows: rows + rows[1:], id="two-curves"),
+        pytest.param(lambda rows: [rows[0].replace("N_D", "N_d")] + rows[1:], id="bad-header"),
     ])
     def test_malformed_curve_csv_exit_2(self, tmp_path, capsys, mangle):
         curve_path = tmp_path / "curve.csv"

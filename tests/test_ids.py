@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import linalg
 
-from breatherlab import ids, philox
-from breatherlab.errors import InputError, InsufficientDataError
+from breatherlab import cli, ids, philox
+from breatherlab.errors import STREAMS, DomainError, InputError, InsufficientDataError
 from breatherlab.ids import (
     BOOT_RESAMPLES,
     BOOT_SEED,
@@ -26,6 +26,7 @@ from breatherlab.ids import (
     matched_box_curve,
     pool_size,
     sample_fields,
+    stream_indices,
     synthetic_curve,
 )
 from breatherlab.lattice import (
@@ -135,6 +136,72 @@ class TestSampling:
         assert peaks[1] - peaks[0] <= 1.1 * 20_000 * (8 + 1) * 8
 
 
+# the (role, first slot, last slot) of every draw of one run, and the largest
+# count a draw takes, within the configuration caps: box sides and samples are
+# at most MAX_POINTS, energy points at most MAX_VALUES (samples * energies)
+RUNS = {
+    "bounds": ([("temple", 1, cli.MAX_POINTS), ("dirichlet", 1, cli.MAX_POINTS)],
+               cli.MAX_BOUNDS_SAMPLES),  # slot L: the box side
+    "lifshitz": ([("realization", 1, cli.MAX_VALUES)], cli.MAX_POINTS),  # point j: slot j + 1
+    "ids": ([("realization", 0, 0)], cli.MAX_POINTS),  # every side, both conditions
+}
+
+
+def owners(run, index):
+    """Every (role, slot, k) of ``run`` whose stream index is ``index``."""
+    roles, cap = RUNS[run]
+    found = set()
+    for role, first, last in roles:
+        base, shift, _ = STREAMS[role]
+        off = index - base  # = (slot << shift) + k with 0 <= k < cap
+        for slot in range(max(first, -(-(off - cap + 1) >> shift)), min(last, off >> shift) + 1):
+            found.add((role, slot, off - (slot << shift)))
+    return found
+
+
+class TestStreams:
+    def test_layout(self):
+        # the indices that every shipped output was drawn from
+        assert stream_indices("realization", 0, 3).tolist() == [0, 1, 2]
+        assert stream_indices("realization", 4, 2).tolist() == [(4 << 32), (4 << 32) + 1]
+        assert stream_indices("temple", 8, 2).tolist() == [8 << 20, (8 << 20) + 1]
+        assert stream_indices("dirichlet", 4, 1).tolist() == [(1 << 62) + (4 << 22)]
+        assert stream_indices("dirichlet", 4, 1).dtype == np.uint64
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_field_edges_of_one_run_disjoint(self, run):
+        # the first and last two slots of every role at the first and last two
+        # k: the slot fields are affine in (slot, k), so a clash anywhere
+        # shows at these edges
+        roles, cap = RUNS[run]
+        for role, first, last in roles:
+            for slot in sorted({first, min(first + 1, last), max(last - 1, first), last}):
+                indices = stream_indices(role, slot, cap)
+                for k in sorted({0, 1, cap - 2, cap - 1}):
+                    assert owners(run, int(indices[k])) == {(role, slot, k)}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_draws_of_one_run_disjoint(self, data):
+        run = data.draw(st.sampled_from(sorted(RUNS)))
+        roles, cap = RUNS[run]
+        role, first, last = data.draw(st.sampled_from(roles))
+        slot = data.draw(st.integers(first, last))
+        k = data.draw(st.integers(0, cap - 1))
+        index = int(stream_indices(role, slot, k + 1)[k])
+        assert owners(run, index) == {(role, slot, k)}
+
+    @pytest.mark.parametrize("role", sorted(STREAMS))
+    def test_overflow_raises(self, role):
+        base, shift, width = STREAMS[role]
+        slots = 1 << (62 - shift)
+        assert int(stream_indices(role, slots - 1, 1)[0]) == base + ((slots - 1) << shift)
+        assert stream_indices(role, 0, 0).size == 0
+        for slot, count in ((slots, 1), (-1, 1), (0, (1 << width) + 1), (0, -1)):
+            with pytest.raises(DomainError, match=f"{role} streams"):
+                stream_indices(role, slot, count)
+
+
 class TestEstimate:
     def test_negative_energies_zero(self, prepped):
         model, gs = prepped
@@ -169,7 +236,7 @@ class TestEstimate:
         fields = sample_fields(model.dist, seed, idx, grid.L, grid.d)
         return {bc.label: np.array([[count_below(assemble(model, grid, bc, couplings=lams), E)
                                      for E in energies]
-                                    for lams in fields.reshape((-1,) + (grid.L,) * grid.d)])
+                                    for lams in fields])
                 for bc in bc_pair(gs, grid)}
 
     def test_fast_path_matches_general(self, prepped):

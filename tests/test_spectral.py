@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 from breatherlab import spectral
+from breatherlab.errors import ConvergenceError, NumericalError
 from breatherlab.lattice import (
     DIRICHLET,
     NEUMANN,
@@ -157,6 +158,52 @@ class TestLowestEigenvalues:
                                            atol=1e-12 * (1.0 + np.abs(w).max()))
 
 
+class TestGuardedRaises:
+    """The engine's own failure exits, reached by stubbing the step that fails."""
+
+    def test_arpack_stall_carries_best_iterate(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        H = random_coupling_hamiltonian(L=25, n=8, bc=PERIODIC)
+        best = (np.array([0.5, 0.7]), np.ones((H.num_dof, 2)))
+
+        def stall(*args, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", *best)
+
+        monkeypatch.setattr(spla, "eigsh", stall)
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 100)
+        with pytest.raises(ConvergenceError, match="stalled after max iterations") as err:
+            lowest_eigenvalues(H, 2)
+        assert err.value.best[0] is best[0] and err.value.best[1] is best[1]
+
+    def test_residual_past_tolerance_raises(self, monkeypatch):
+        # eigenvectors knocked off their levels fail the residual check
+        H = random_coupling_hamiltonian(L=8, n=8)
+        iterate = spectral._inverse_iteration
+        monkeypatch.setattr(spectral, "_inverse_iteration",
+                            lambda off, rows, w: iterate(off, rows, w) + 1e-3)
+        with pytest.raises(ConvergenceError, match="exceed the residual tolerance") as err:
+            lowest_eigenvalues(H, 3)
+        w, v, resid = err.value.best
+        assert w.shape == (3,) and v.shape == (H.num_dof, 3) and np.all(resid > 1e-6)
+
+    def test_eight_failed_nudges_raise(self, monkeypatch):
+        # a sweep that reports every pair near a zero pivot is retried eight
+        # times, then given up
+        calls = []
+        sweep = spectral._sturm_counts
+
+        def never_ok(off, read, which, e):
+            calls.append(e.shape)
+            counts, ok = sweep(off, read, which, e)
+            return counts, np.zeros_like(ok)
+
+        monkeypatch.setattr(spectral, "_sturm_counts", never_ok)
+        with pytest.raises(NumericalError, match="near-zero pivots near E=2.0"):
+            count_below(random_coupling_hamiltonian(L=8, n=8), 2.0)
+        assert len(calls) == 9
+
+
 class TestCountBelow:
     def test_below_lowest_is_zero(self):
         H = random_coupling_hamiltonian(seed=1)
@@ -241,7 +288,7 @@ class TestCountBelow:
                                   lambda_plus=2.0),
         )
         model, _ = prepare_model(model2, 8)
-        lams = np.random.default_rng(5).uniform(1.0, 2.0, size=(4, 4))
+        lams = np.random.default_rng(5).uniform(1.0, 2.0, size=16)
         H = assemble(model, GridSpec(L=4, n=8, d=2), DIRICHLET, couplings=lams)
         assert H.num_dof == 1024
         w = np.sort(linalg.eigvalsh(H.to_dense()))
