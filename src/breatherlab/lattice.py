@@ -19,8 +19,11 @@ only the diagonal, so every assembled matrix is exactly symmetric.
 
 A box's ``skeleton`` (V_per, folds, couplings) is built once per (model,
 grid, boundary condition); a realization only supplies the diagonal V_omega.
-In d = 1 under a non-periodic condition the operator is ``tridiagonal``, and
-no d = 1 operator needs SciPy until its sparse ``matrix`` is asked for.
+Every off-diagonal entry is -1/h^2, at the columns of the skeleton's NumPy
+table ``neighbors`` (N, 2d + 1), from which ``H @ x``, ``to_dense`` and the
+CSR ``matrix`` are built.  In d = 1 under a non-periodic condition the
+operator is ``tridiagonal``.  No operator needs SciPy until its sparse
+``matrix`` is asked for, which only SuperLU and shift-invert Lanczos do.
 """
 
 from dataclasses import dataclass
@@ -150,12 +153,12 @@ class DiscreteHamiltonian:
     """H on one box: the skeleton ``box`` with the diagonal ``diag`` (N,), or
     a batch of B operators on that box with one diagonal each, ``diag`` (B, N).
 
-    ``matrix`` is the CSR matrix, for a batch the block-diagonal one of its B
-    operators, built on first use; ``to_dense`` takes one operator.  ``H @ x``
-    takes x (N,) or (N, k), for a batch also each operator's own x (B, N) or
-    (B, N, k), and sums each row in the order of ``matrix``, so the two agree
-    bit for bit, a batch's row b with its operator alone, and d = 1 products
-    need no SciPy.
+    ``matrix`` (CSR, SciPy) and ``to_dense`` take one operator; ``matrix`` is
+    built on first use, for the solvers that need SciPy.  ``H @ x`` takes x
+    (N,) or (N, k), for a batch also each operator's own x (B, N) or
+    (B, N, k), and sums each row in the column order of ``matrix``, so the two
+    agree bit for bit, a batch's row b with its operator alone, and no product
+    needs SciPy.
     """
 
     box: "BoxSkeleton"
@@ -172,25 +175,34 @@ class DiscreteHamiltonian:
     def diagonal(self) -> np.ndarray:
         return self.diag
 
+    def _entries(self):
+        """Each row's entries in the column order of ``box.neighbors``: (..., N, 2d + 1)."""
+        table = self.box.neighbors
+        return np.where(table == np.arange(self.num_dof)[:, None], self.diag[..., None],
+                        self.box.coupling)
+
     @cached_property
     def matrix(self):
         import scipy.sparse as sps
 
-        st, rows = self.box.stencil, self.diag.reshape(-1, self.num_dof)
-        data = np.repeat(st.data[None], len(rows), axis=0)
-        data[:, self.box.diag_slots] = rows
-        shift = np.arange(len(rows))[:, None]  # block b: rows and columns b N + i
-        return sps.csr_matrix((data.ravel(), (st.indices + self.num_dof * shift).ravel(),
-                               np.r_[0, (st.indptr[1:] + st.nnz * shift).ravel()]),
-                              shape=(rows.size, rows.size))
+        table, N = self.box.neighbors, self.num_dof
+        kept = table < N
+        return sps.csr_matrix((self._entries()[kept], table[kept],
+                               np.r_[0, np.cumsum(kept.sum(axis=1))]), shape=(N, N))
 
     def __matmul__(self, x):
         x = np.asarray(x)
         cols = x.ndim > self.diag.ndim  # x holds columns: (..., N, k)
         if self.grid.d > 1:
             x = np.broadcast_to(x, self.diag.shape + x.shape[x.ndim - cols:])
-            flat = x.reshape((-1,) + x.shape[self.diag.ndim:])  # (B N,) or (B N, k)
-            return (self.matrix @ flat).reshape(x.shape)
+            axis = x.ndim - 1 - cols  # the points
+            x = np.concatenate([x, np.zeros_like(x.take([0], axis=axis))], axis=axis)
+            entries = self._entries()
+            y = 0.0  # + each term in column order; a missing neighbor adds -0.0
+            for slot, col in enumerate(self.box.neighbors.T):
+                a = entries[..., slot]
+                y = y + (a[..., None] if cols else a) * x.take(col, axis)
+            return y
         if cols:  # work on (..., k, N): the points on the last axis
             x = np.swapaxes(x, -1, -2)
         diag = self.diag[..., None, :] if cols else self.diag
@@ -205,7 +217,10 @@ class DiscreteHamiltonian:
 
     def to_dense(self):
         if self.grid.d > 1:
-            return self.matrix.toarray()
+            N, table = self.num_dof, self.box.neighbors
+            dense = np.zeros((N, N + 1))  # column N takes the missing neighbors
+            np.put_along_axis(dense, table, self._entries(), axis=1)
+            return dense[:, :N]
         dense = np.diag(self.diag)
         i = np.arange(self.num_dof - 1)
         dense[i, i + 1] = dense[i + 1, i] = self.box.off
@@ -219,11 +234,10 @@ class BoxSkeleton:
     """Everything of H on one box that a realization does not change.
 
     ``vper`` is V_per on the grid (flat) and ``folds[axis]`` the ghost folds
-    c/h^2 of that axis's two faces (zero off the faces).  In d = 1 the
-    operator is ``off`` (the N - 1 couplings -1/h^2) plus, under the periodic
-    condition, the two corner entries ``wrap``.  ``stencil``, the CSR pattern
-    of -Laplacian_h with its diagonal entries at ``diag_slots`` of
-    ``stencil.data``, is built on first use.  A realization only moves the
+    c/h^2 of that axis's two faces (zero off the faces).  Every off-diagonal
+    entry is ``coupling``, -1/h^2, at the columns of ``neighbors``.  In d = 1
+    the operator is ``off`` (the N - 1 couplings) plus, under the periodic
+    condition, the two corner entries ``wrap``.  A realization only moves the
     diagonal: ``hamiltonian(v)`` is H with V_per + v, a batch for v (B, N).
     """
 
@@ -237,22 +251,41 @@ class BoxSkeleton:
         """d = 1 under a non-periodic condition: no wrap-around entry."""
         return self.grid.d == 1 and self.bc.kind != "periodic"
 
+    @property
+    def coupling(self) -> float:
+        """-1/h^2, every off-diagonal entry of H."""
+        return -1.0 / (self.grid.h * self.grid.h)
+
     @cached_property
     def off(self) -> np.ndarray:
-        return np.full(self.grid.points_per_axis - 1, -1.0 / (self.grid.h * self.grid.h))
+        return np.full(self.grid.points_per_axis - 1, self.coupling)
 
     @property
     def wrap(self) -> float:
-        return -1.0 / (self.grid.h * self.grid.h) if self.bc.kind == "periodic" else 0.0
+        return self.coupling if self.bc.kind == "periodic" else 0.0
+
+    @cached_property
+    def neighbors(self) -> np.ndarray:
+        """(N, 2d + 1) ints, read-only: the columns of row r's entries in
+        ascending order, r itself among them; N stands for a neighbor that a
+        face row of a box that is not periodic lacks, and sorts last."""
+        npa, N = self.grid.points_per_axis, self.grid.num_dof
+        flat = np.arange(N).reshape(self.grid.shape)
+        table = [flat.ravel()]
+        for axis in range(self.grid.d):
+            for step, face in ((1, 0), (-1, npa - 1)):  # the neighbor below, above
+                nb = np.roll(flat, step, axis=axis)
+                if self.bc.kind != "periodic":
+                    nb[(slice(None),) * axis + (face,)] = N
+                table.append(nb.ravel())
+        table = np.sort(np.column_stack(table), axis=1)
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def stencil(self):
-        return _stencil(self.grid, self.bc.kind == "periodic")
-
-    @cached_property
-    def diag_slots(self) -> np.ndarray:
-        entry_rows = np.repeat(np.arange(self.grid.num_dof), np.diff(self.stencil.indptr))
-        return np.flatnonzero(self.stencil.indices == entry_rows)
+        """The CSR matrix of H with every diagonal entry 1, for SuperLU."""
+        return DiscreteHamiltonian(box=self, diag=np.ones(self.grid.num_dof)).matrix
 
     def diagonal(self, potential) -> np.ndarray:
         """Diagonal of -Laplacian_h + diag(potential), folds applied axis by
@@ -349,32 +382,6 @@ def _boundary_fold(grid: GridSpec, bc: BoundaryCondition, inner: np.ndarray,
         raise StateError("ground state resolution does not match the grid")
     psi, points = gs.psi.ravel(), grid.cell_map[1]
     return psi[points[ghost]] / psi[points[inner]]
-
-
-def _stencil(grid: GridSpec, periodic: bool):
-    """CSR pattern of -Laplacian_h: off-diagonal values set, every diagonal
-    entry present (marked 1 until a realization fills it)."""
-    import scipy.sparse as sps
-
-    npa, N = grid.points_per_axis, grid.num_dof
-    flat = np.arange(N).reshape(grid.shape)
-    rows, cols = [np.arange(N)], [np.arange(N)]
-    for axis in range(grid.d):
-        lo = flat.take(range(npa - 1), axis=axis).ravel()
-        hi = flat.take(range(1, npa), axis=axis).ravel()
-        rows.extend([lo, hi])
-        cols.extend([hi, lo])
-        if periodic:
-            top = flat.take([npa - 1], axis=axis).ravel()
-            bot = flat.take([0], axis=axis).ravel()
-            rows.extend([top, bot])
-            cols.extend([bot, top])
-    data = np.full(sum(r.size for r in rows), -1.0 / (grid.h * grid.h))
-    data[:N] = 1.0
-    stencil = sps.coo_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(N, N)).tocsr()
-    stencil.sum_duplicates()
-    return stencil
 
 
 def skeleton(model: ModelSpec, grid: GridSpec, bc: BoundaryCondition) -> BoxSkeleton:

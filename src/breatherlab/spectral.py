@@ -19,25 +19,31 @@ Inverse iteration and Lanczos start from one fixed vector on [-1, 1), drawn
 from the package's Philox stream keyed on ``START_KEY``, so a solve repeats
 bit for bit and loads no ``numpy.random``.
 A direct solve is dense: NumPy's ``eigh`` at d = 1 (periodic boxes, the unit
-cell among them), SciPy's subset ``eigh`` at d >= 2, where SciPy is loaded
-anyway.
+cell among them) and up to ``FULL_EIGH_DOF`` degrees of freedom at d >= 2 (the
+unit cells), SciPy's subset ``eigh`` above.
 
 ``count_below``, the one counting engine, uses matrix inertia: the number of
 negative pivots of a symmetric triangular factorization of H - E*I equals the
 number of eigenvalues below E.  Tridiagonal operators run one Sturm sweep over
 every (diagonal, energy) pair, reading ~``SWEEP_VALUES`` diagonal values at a
 time (a ``lattice.RandomBatch`` computes each row block as its base diagonals
-plus one ``random_potentials`` call over those rows); other
-sparse operators run sparse LDL^T on each whole diagonal, with a dense
-eigenvalue count (NumPy's ``eigvalsh``) at the same energy when a pivot is
-near zero, the factor grows past ``GROWTH_TOL`` or SuperLU pivots off the
-diagonal (its signs are then not the inertia).  Counts are taken at E + 0:
-a pair hitting a pivot or eigenvalue within ``PIVOT_TOL`` of zero is nudged up
-by 1e-12*(1+|E|), doubling on each of at most 8 retries, which matches the
-closed-under-"<=" convention up to a measure-zero set of energies.
+plus one ``random_potentials`` call over those rows).  A d = 2 box that is not
+periodic, with lines of at most ``LINE_POINTS`` points, runs block LDL^T along
+its grid lines, the pairs stacked in groups within ``STACK_VALUES`` and each
+line read as it is needed; a pair it cannot vouch for is recounted by the
+path below.  Other sparse operators run sparse LDL^T (SuperLU) on each whole
+diagonal, with a dense eigenvalue count (NumPy's ``eigvalsh``) at the same
+energy when a pivot is near zero, the factor grows past ``GROWTH_TOL`` or
+SuperLU pivots off the diagonal (its signs are then not the inertia).  Counts
+are taken at E + 0: a pair hitting a pivot or eigenvalue within ``PIVOT_TOL``
+of zero is nudged up by 1e-12*(1+|E|), doubling on each of at most 8 retries,
+which matches the closed-under-"<=" convention up to a measure-zero set of
+energies.
 
 SciPy is imported only by the paths that need it: sparse LDL^T, shift-invert
-Lanczos and dense solves at d >= 2.  A d = 1 run loads none of it.
+Lanczos and dense solves above ``FULL_EIGH_DOF`` at d >= 2.  A d = 1 run loads
+none of it, nor does a d = 2 ``ids`` or ``lifshitz`` run unless a box's lines
+are longer than ``LINE_POINTS`` or a pair is recounted.
 """
 
 from dataclasses import dataclass, replace
@@ -54,6 +60,11 @@ GROWTH_TOL = 1e8
 EPS = np.finfo(float).eps
 START_KEY = (0x57A127, 0)  # the Philox stream of the fixed start vectors
 SWEEP_VALUES = 2**15  # pivots, and diagonal values, a Sturm sweep holds per block of rows
+FULL_EIGH_DOF = 256  # at d >= 2, NumPy's full eigh up to here, SciPy's subset eigh above
+LINE_POINTS = 64  # the longest grid line that the line kernel counts; SuperLU above
+STACK_VALUES = 2**20  # values that the line kernel holds at once, all its stacks together
+PROBE_TOL = 1e-8  # the largest |S (X x) - x| / |x| of a line's inverse X on the probe x
+LEAF = 8  # the line kernel inverts blocks up to this size by sweeps
 
 
 @dataclass(frozen=True)
@@ -77,7 +88,8 @@ def lowest_eigenvalues(H, m: int) -> SpectralResult:
     A tridiagonal operator takes multisection and inverse iteration (method
     "tridiagonal") at any size.  Any other takes dense ``eigh`` ("dense") up to
     ``DENSE_THRESHOLD`` degrees of freedom (read at call time), NumPy's at
-    d = 1 and SciPy's subset solver at d >= 2, and shift-invert Lanczos
+    d = 1 and up to ``FULL_EIGH_DOF`` at d >= 2, SciPy's subset solver above
+    that, and shift-invert Lanczos
     ("iterative") above the threshold, from one fixed generic start vector so
     that a call repeats bit for bit.  Every returned pair satisfies
     ||H v - E v|| <= EIG_TOL * (1 + |E|), otherwise a ConvergenceError
@@ -96,9 +108,9 @@ def lowest_eigenvalues(H, m: int) -> SpectralResult:
     elif N <= DENSE_THRESHOLD or m >= N - 1:
         for b, row in enumerate(rows):
             op = replace(H, diag=row)
-            if box.grid.d == 1:  # a periodic box, the unit cell among them
+            if box.grid.d == 1 or N <= FULL_EIGH_DOF:  # periodic at d = 1, unit cells at d >= 2
                 vals, vecs = np.linalg.eigh(op.to_dense())
-            else:  # SciPy is loaded at d >= 2; its subset solver forms only m vectors
+            else:  # SciPy's subset solver forms only m vectors
                 from scipy.linalg import eigh
 
                 vals, vecs = eigh(op.to_dense(), subset_by_index=(0, m - 1))
@@ -279,6 +291,104 @@ def _sturm_counts(off, read, which, e):
     return neg, smallest > PIVOT_TOL * np.maximum(1.0, top + np.abs(e))
 
 
+def _line_counts(box, read, which, e):
+    """Inertia of H - E on a d = 2 box that is not periodic, for every pair
+    (k, r) of ``e`` (K, R) as in ``_sturm_counts``: block LDL^T along the
+    grid lines.  Lines couple through ``coupling`` * I only, so S_0 = T_0 and
+    S_i = T_i - coupling^2 S_{i-1}^-1, T_i line i's tridiagonal block minus E,
+    and the count is the number of negative pivots of the S_i (Haynsworth).
+
+    The pairs run in groups, one (P, b, b) stack per quantity, each line read
+    once per group; a line holds three stacks (S, X and the Newton-Schulz
+    product), which with their temporaries stay within ``STACK_VALUES``.
+    Every S_i is symmetrized and inverted by ``_invert``, whose pivots are
+    those of unpivoted LDL^T, and its inverse X takes one Newton-Schulz step,
+    X + X (I - S X).  A pair is flagged when a pivot lies within PIVOT_TOL of
+    zero, an entry of an S_i grows past GROWTH_TOL (both relative to max(1,
+    max |row| + |E|)), a value is not finite or X misses the fixed probe
+    vector by more than PROBE_TOL; ``_factor_counts`` recounts it at the same
+    energy."""
+    b, K = box.grid.points_per_axis, e.shape[0]
+    col_of, k_of = np.divmod(np.arange(e.size), K)  # pair order: by column, then energy
+    cols = np.arange(e.shape[1]) if which is None else which
+    counts, ok = np.zeros(e.shape, dtype=int), np.zeros(e.shape, dtype=bool)
+    probe = _start(b)
+    groups = max(1, -(-e.size * b * b * 4 // STACK_VALUES))  # 4 stacks a pair, temporaries too
+    group = max(1, -(-e.size // groups))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start in range(0, e.size, group):
+            c, k = col_of[start:start + group], k_of[start:start + group]
+            first, last = c[0], c[-1] + 1
+            every = which is None and first == 0 and last == e.shape[1]
+            energy = e[k, c]
+            smallest = np.full(c.size, np.inf)  # |pivot|; a NaN pivot keeps it NaN
+            top, big, miss = np.zeros(c.size), np.zeros(c.size), np.zeros(c.size)
+            pivots, X = np.empty((c.size, b)), np.zeros((c.size, b, b))
+            for i in range(b):
+                line = read(i * b, (i + 1) * b, None if every else cols[first:last])[:, c - first]
+                np.maximum(top, np.abs(line).max(axis=0), out=top)
+                X *= -0.5 * box.coupling**2  # S_i = T_i - coupling^2 X, symmetrized in place
+                S = np.add(X, np.swapaxes(X, 1, 2), out=X)
+                flat = S.reshape(c.size, b * b)
+                flat[:, ::b + 1] += line.T - energy[:, None]
+                flat[:, 1::b + 1] += box.coupling
+                flat[:, b::b + 1] += box.coupling
+                np.maximum(big, np.maximum(flat.max(axis=1), -flat.min(axis=1)), out=big)
+                X = _invert(S, pivots)
+                counts[k, c] += (pivots < 0.0).sum(axis=1)
+                np.minimum(smallest, np.abs(pivots).min(axis=1), out=smallest)
+                R = S @ X  # R = I - S X, then X + X R
+                R *= -1.0
+                R.reshape(c.size, b * b)[:, ::b + 1] += 1.0
+                y = X @ (probe + R @ probe)[:, :, None]  # X + X R on the probe
+                np.maximum(miss, np.sqrt((((S @ y)[:, :, 0] - probe) ** 2).sum(axis=1)), out=miss)
+                X += np.matmul(X, R, out=S)
+                del S, R  # before the next line scales X in place
+            scale = np.maximum(1.0, top + np.abs(energy))
+            ok[k, c] = ((smallest > PIVOT_TOL * scale) & (big <= GROWTH_TOL * scale)
+                        & (miss <= PROBE_TOL * np.sqrt(probe @ probe)))
+    if not ok.all():
+        k, r = np.nonzero(~ok)
+        got, good = _factor_counts(box.stencil, read, cols[r], e[k, r][None, :])
+        counts[k, r], ok[k, r] = got[0], good[0]
+    return counts, ok
+
+
+def _invert(S, pivots):
+    """S^-1 of a stack of symmetric blocks (P, n, n) by recursive 2 x 2 block
+    elimination, S = [[A, B], [B^T, C]] with Schur complement C - B^T A^-1 B
+    (symmetrized), down to blocks of ``LEAF``, inverted by sweeps.  Fills
+    ``pivots`` (P, n) with the pivots of unpivoted LDL^T of S."""
+    n = S.shape[1]
+    if n <= LEAF:  # the sweep operator: after the last pivot, A holds -S^-1
+        A = S.copy()
+        for k in range(n):
+            pivots[:, k] = A[:, k, k]
+            d = pivots[:, k]
+            row = A[:, k, :].copy()  # row k stands for column k too
+            scaled = row / d[:, None]
+            A -= row[:, :, None] * scaled[:, None, :]
+            np.divide(-1.0, d, out=scaled[:, k])
+            A[:, k, :] = scaled
+            A[:, :, k] = scaled
+        return np.negative(A, out=A)
+    h = n // 2
+    Ai = _invert(S[:, :h, :h], pivots[:, :h])
+    W = Ai @ S[:, :h, h:]
+    C = S[:, h:, h:] - np.swapaxes(S[:, :h, h:], 1, 2) @ W
+    C = C + np.swapaxes(C, 1, 2)
+    C *= 0.5
+    Ci = _invert(C, pivots[:, h:])
+    del C
+    X = np.empty_like(S)
+    upper = np.matmul(W, Ci, out=X[:, :h, h:])
+    upper *= -1.0  # -A^-1 B C^-1, then A^-1 + A^-1 B C^-1 B^T A^-1
+    X[:, h:, :h] = np.swapaxes(upper, 1, 2)
+    np.subtract(Ai, upper @ np.swapaxes(W, 1, 2), out=X[:, :h, :h])
+    X[:, h:, h:] = Ci
+    return X
+
+
 def _factor_counts(A, read, which, e):
     """Inertia of A - E*I with its diagonal replaced by column r of ``read(..,
     which)``, read once for all its energies, for every pair (k, r) of ``e``
@@ -320,9 +430,11 @@ def count_below(H, E):
     leading B axis for a batch.  For a batch, a 2-D ``E`` (B, K) is one grid
     per operator, row b counted on operator b, and the counts are shaped (B, K) too.
 
-    A tridiagonal operator runs one Sturm sweep over all (row, energy) pairs;
-    other sparse input runs sparse LDL^T, with a dense eigenvalue count at the
-    same energy on breakdown; ndarray input runs the eigenvalue count.  A pair
+    A tridiagonal operator runs one Sturm sweep over all (row, energy) pairs,
+    a d = 2 box that is not periodic (lines up to ``LINE_POINTS`` points) block
+    LDL^T along its grid lines; other sparse input runs sparse LDL^T, with a
+    dense eigenvalue count at the same energy on breakdown; ndarray input runs
+    the eigenvalue count.  A pair
     meeting a near-zero pivot is retried at a nudged energy, at most 8 times,
     reading the diagonals of the retried pairs alone.
     """
@@ -330,6 +442,9 @@ def count_below(H, E):
     B = diag.shape[0] if diag.ndim == 2 else 1
     if getattr(box, "tridiagonal", False):
         kernel, A = _sturm_counts, box.off
+    elif box is not H and box.grid.d == 2 and box.bc.kind != "periodic" and (
+            box.grid.points_per_axis <= LINE_POINTS):
+        kernel, A = _line_counts, box
     else:
         kernel, A = _factor_counts, getattr(box, "stencil", box)
     energy = np.asarray(E, dtype=float)

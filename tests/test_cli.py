@@ -48,7 +48,7 @@ SHIPPED = Path(__file__).resolve().parents[1] / "configs"
 
 
 def spy_skeleton_builds(monkeypatch):
-    """Count skeleton builds (the only sparse assemblies) per (L, bc kind)."""
+    """Count skeleton builds (the only box assemblies) per (L, bc kind)."""
     from collections import Counter
 
     from breatherlab import bounds as bounds_mod
@@ -356,16 +356,22 @@ def test_cache_hit_loads_no_numerical_library(tmp_path, command, name):
 @pytest.mark.parametrize("command,name,scipy", [
     ("validate", "validate_breather.json", False), ("spectrum", "spectrum_small.json", False),
     ("ids", "ids_bracketing.json", False), ("lifshitz", "lifshitz.json", False),
-    ("bounds", "bounds.json", False), ("ids", "../bench/configs/ids_2d.json", True),
+    ("bounds", "bounds.json", False), ("ids", "../bench/configs/ids_2d.json", False),
     pytest.param("spectrum", {"grid": {"n": 64, "L": [40]}}, False,
                  id="spectrum-above-dense-threshold"),
+    pytest.param("ids", {"model": {"d": 2}, "grid": {"n": 4, "L": [17]},
+                         "experiment": {"seed": 7, "samples": 2,
+                                        "energies": {"kind": "list", "values": [1.0, 5.0]}}},
+                 True, id="ids-d2-lines-above-cutoff"),
 ])
 def test_d1_commands_load_no_scipy(tmp_path, command, name, scipy):
-    # a d = 1 run computes on NumPy alone, a box above DENSE_THRESHOLD too; d = 2
-    # counts through SuperLU; at one worker no run loads the process-pool
-    # machinery, and a SciPy-free run loads neither numpy.random, numpy.ma nor
-    # OpenSSL's _hashlib (SciPy itself loads them, so they are asked of
-    # SciPy-free runs only)
+    # a d = 1 run computes on NumPy alone, a box above DENSE_THRESHOLD too, and
+    # so does a d = 2 ids run, whose counting blocks run the line kernel; lines
+    # longer than spectral.LINE_POINTS (68 > 64 points here) count through
+    # SuperLU; at one worker no run loads the process-pool machinery, and a
+    # SciPy-free run loads neither numpy.random, numpy.ma nor OpenSSL's
+    # _hashlib (SciPy itself loads them, so they are asked of SciPy-free runs
+    # only)
     if isinstance(name, str):
         config = SHIPPED / name
     else:  # write_config overrides
@@ -1341,7 +1347,8 @@ class TestBounds:
             assert kappa1 < 1.0
 
     def test_d2_chain_all_pass(self, tmp_path, capsys):
-        # the whole chain at d = 2: sparse LDL^T counts decide every verdict
+        # the whole chain at d = 2: inertia counts (block LDL^T along the grid
+        # lines) decide every verdict
         cfg = tmp_path / "cfg.json"
         write_config(
             cfg,

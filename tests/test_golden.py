@@ -1,7 +1,7 @@
 """Golden digests: the shipped configs, run at their own seeds, keep their bytes.
 
 Every primary output file of the five shipped configs, and of the d = 2
-bench config (the sparse LDL^T counting path), is pinned by its SHA-256.  A
+bench config (the d = 2 line-block LDL^T path), is pinned by its SHA-256.  A
 change meant to be byte-neutral (a speed-up, a refactor) that moves any byte
 fails here; a change that moves bytes on purpose updates the digest and names
 the bytes and the reason in CHANGES.md.  ``ids`` and ``lifshitz`` run once

@@ -375,7 +375,7 @@ class TestEstimate:
     @pytest.mark.parametrize("d,L,n", [(1, 6, 16), (2, 3, 4)])
     def test_count_block_is_one_count(self, monkeypatch, d, L, n):
         # a block's realizations are one batch of 2M diagonals, "D" then "M":
-        # one count_below call, so a d >= 2 block builds its CSC stencil copy once
+        # one count_below call, so a d >= 2 block stacks all its pairs at once
         from breatherlab import ids
         from breatherlab.lattice import RandomBatch
 
@@ -480,7 +480,7 @@ class TestEstimate:
                 assert cur.counts[bc.label][0, j] == count_below(H, E)
 
     def test_d2_general_path(self):
-        # two-dimensional boxes run through the generic factorization path
+        # two-dimensional boxes count by block LDL^T along their grid lines
         model2 = ModelSpec(
             d=2,
             vper=PeriodicPotentialSpec(kind="zero"),

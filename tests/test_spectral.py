@@ -1,6 +1,11 @@
 """Spectral tests: eigenvalue solves, inertia counts, gaps."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,7 +278,8 @@ class TestCountBelow:
         assert len(calls) >= 1
 
     def test_d2_breather_counts_sparse_only(self, monkeypatch):
-        # a mid-sized d = 2 operator (N = 1024) counts on sparse LDL^T alone
+        # a mid-sized d = 2 operator (N = 1024), as a bare matrix, counts on
+        # sparse LDL^T alone
         def fail(A, pivot_tol):
             raise AssertionError("dense inertia called")
 
@@ -293,7 +299,7 @@ class TestCountBelow:
         assert H.num_dof == 1024
         w = np.sort(linalg.eigvalsh(H.to_dense()))
         for E in (0.5, 2.0, 8.0, 50.0, float(w[40] + w[41]) / 2):
-            assert count_below(H, E) == int(np.sum(w <= E))
+            assert count_below(H.matrix, E) == int(np.sum(w <= E))
 
     def test_count_at_exact_eigenvalue_includes_it(self):
         # diagonal matrix with an eigenvalue exactly at E: the perturb policy
@@ -355,19 +361,21 @@ class TestOneEngine:
                                         (NEUMANN, 8, 192.0), (DIRICHLET, 8, 320.0)])
     def test_zero_diagonal_entry_counts_right(self, bc, n, E):
         # E equals a diagonal entry of the bare d = 2 kinetic part, so H - E has
-        # exact zeros there and SuperLU pivots off the diagonal; those signs are
-        # not the inertia, and the eigenvalue count takes over
+        # exact zeros there and SuperLU (the bare matrix's path) pivots off the
+        # diagonal; those signs are not the inertia, and the eigenvalue count
+        # takes over
         H = assemble(bare_d2_model(), GridSpec(L=2, n=n, d=2), bc)
         assert E in H.matrix.diagonal()
         w = linalg.eigvalsh(H.to_dense())
         assert np.abs(w - E).min() > 1.0
-        assert count_below(H, E) == int(np.sum(w <= E))
+        assert count_below(H.matrix, E) == int(np.sum(w <= E))
 
     @pytest.mark.parametrize("E", [256.0 + 1e-9, 256.0 + 1e-8])
     def test_pivot_growth_next_to_degenerate_level(self, monkeypatch, E):
         # the bare d = 2 Neumann operator has a 15-fold level at 256: just above
         # it SuperLU's U grows ~1e10-1e11 times max|A| and its signs miscount
-        # (144 and 145); the growth check hands the count to the eigenvalue count
+        # (144 and 145); the growth check hands the count of the bare matrix to
+        # the eigenvalue count
         calls = []
         dense_inertia = spectral._dense_inertia
 
@@ -379,7 +387,7 @@ class TestOneEngine:
         H = assemble(bare_d2_model(), GridSpec(L=2, n=8, d=2), NEUMANN)
         w = linalg.eigvalsh(H.to_dense())
         assert np.sum(np.abs(w - 256.0) < 1e-9) == 15
-        assert count_below(H, E) == int(np.sum(w <= E)) == 151
+        assert count_below(H.matrix, E) == int(np.sum(w <= E)) == 151
         assert calls
 
     def test_zero_diagonal_entry_small_matrix(self):
@@ -391,19 +399,22 @@ class TestOneEngine:
     @example(seed=2, d=2, L=2, bc=PERIODIC, B=1, degenerate=True)
     @example(seed=3, d=3, L=2, bc=DIRICHLET, B=3, degenerate=False)
     @example(seed=4, d=3, L=2, bc=NEUMANN, B=2, degenerate=True)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]), L=st.integers(2, 3),
+    @example(seed=5, d=2, L=8, bc=DIRICHLET, B=3, degenerate=False)
+    @example(seed=6, d=2, L=8, bc=NEUMANN, B=1, degenerate=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]), L=st.integers(2, 8),
            bc=st.sampled_from([DIRICHLET, NEUMANN, PERIODIC]), B=st.integers(1, 4),
            degenerate=st.booleans())
     def test_three_paths_agree(self, seed, d, L, bc, B, degenerate):
-        # a batch (Sturm at d = 1 under D and N, sparse LDL^T otherwise) counts
-        # each of its operators as that operator alone does, and as its sparse
-        # (LDL^T) and dense (eigenvalue count) matrices do; counts equal
+        # a batch (Sturm at d = 1 and block LDL^T along the grid lines at d = 2,
+        # both under D and N; sparse LDL^T otherwise) counts each of its
+        # operators as that operator alone does, and as its sparse (SuperLU
+        # LDL^T) and dense (eigenvalue count) matrices do; counts equal
         # eigvalsh away from the spectrum; some energies sit exactly on a
         # diagonal entry.  A degenerate batch repeats the bare operator, whose
         # periodic and d >= 2 spectra hold multiple levels, and adds energies
         # 1e-9 below and above its most degenerate level
         rng = np.random.default_rng(seed)
-        grid = GridSpec(L=L if d < 3 else 1, n=4, d=d)  # N = 64 at d = 3
+        grid = GridSpec(L=L if d < 3 else 1, n=4, d=d)  # lines of 8-32 points at d = 2
         box = skeleton(replace(free_model(), d=d), grid, bc)
         H = box.hamiltonian()
         shift = 0.0 if degenerate else rng.uniform(-20.0, 20.0, size=(B, H.num_dof))
@@ -433,8 +444,9 @@ class TestOneEngine:
                 assert far[at].all() and counts[b][at[1]] - counts[b][at[0]] == mult.max()
 
     def test_forced_breakdown_counts_by_eigenvalues(self, monkeypatch):
-        # sparse LDL^T reports a breakdown on every pair of a d = 2 batch: the
-        # eigenvalue count takes each pair at its own energy, with the same counts
+        # sparse LDL^T reports a breakdown on every pair of the bare matrices of
+        # a d = 2 batch: the eigenvalue count takes each pair at its own energy,
+        # with the same counts
         rng = np.random.default_rng(41)
         box = skeleton(bare_d2_model(), GridSpec(L=3, n=4, d=2), NEUMANN)
         rows = box.diagonal(box.vper) + rng.uniform(-20.0, 20.0, size=(3, box.grid.num_dof))
@@ -451,8 +463,119 @@ class TestOneEngine:
 
         monkeypatch.setattr(spectral, "_sparse_inertia", lambda A, pivot_tol: (0, False))
         monkeypatch.setattr(spectral, "_dense_inertia", spy)
-        assert np.array_equal(count_below(H, energies), unforced)
+        for b, row in enumerate(rows):
+            assert np.array_equal(count_below(replace(H, diag=row).matrix, energies), unforced[b])
         assert len(calls) == unforced.size
+
+
+class TestLineKernel:
+    """d = 2 boxes that are not periodic count by block LDL^T along the grid
+    lines (``spectral._line_counts``); the twins of the SuperLU tests above."""
+
+    @pytest.mark.parametrize("bc,n,E", [(NEUMANN, 4, 48.0), (DIRICHLET, 4, 80.0),
+                                        (NEUMANN, 8, 192.0), (DIRICHLET, 8, 320.0)])
+    def test_zero_diagonal_entry_counts_right(self, bc, n, E):
+        # E equals a diagonal entry of the bare d = 2 kinetic part: a leaf meets
+        # an exact zero pivot there
+        H = assemble(bare_d2_model(), GridSpec(L=2, n=n, d=2), bc)
+        assert E in H.diag
+        w = linalg.eigvalsh(H.to_dense())
+        assert np.abs(w - E).min() > 1.0
+        assert count_below(H, E) == int(np.sum(w <= E))
+
+    @pytest.mark.parametrize("E", [256.0 + 1e-9, 256.0 + 1e-8])
+    def test_next_to_degenerate_level(self, E):
+        # just above the 15-fold level at 256 of the bare d = 2 Neumann operator
+        H = assemble(bare_d2_model(), GridSpec(L=2, n=8, d=2), NEUMANN)
+        w = linalg.eigvalsh(H.to_dense())
+        assert np.sum(np.abs(w - 256.0) < 1e-9) == 15
+        assert count_below(H, E) == int(np.sum(w <= E)) == 151
+
+    def test_forced_flag_recounts_each_pair_by_superlu(self, monkeypatch):
+        # a probe tolerance that no inverse meets flags every pair of a d = 2
+        # batch: _factor_counts recounts each pair at its own energy, with the
+        # same counts
+        rng = np.random.default_rng(41)
+        box = skeleton(bare_d2_model(), GridSpec(L=3, n=4, d=2), NEUMANN)
+        rows = box.diagonal(box.vper) + rng.uniform(-20.0, 20.0, size=(3, box.grid.num_dof))
+        H = replace(box.hamiltonian(), diag=rows)
+        energies = np.sort(rng.uniform(rows.min(), rows.max(), 5))
+        unforced = count_below(H, energies)
+        assert unforced.min() < unforced.max()
+        recounted, factor_counts = [], spectral._factor_counts
+
+        def spy(A, read, which, e):
+            recounted.extend(zip(which.tolist(), e[0].tolist()))
+            return factor_counts(A, read, which, e)
+
+        monkeypatch.setattr(spectral, "_factor_counts", spy)
+        monkeypatch.setattr(spectral, "PROBE_TOL", -1.0)
+        assert np.array_equal(count_below(H, energies), unforced)
+        assert sorted(recounted) == sorted((b, E) for b in range(3) for E in energies)
+
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+    def test_vouches_for_nearly_every_pair(self, monkeypatch, bc):
+        # lines of 64 points (the bench's L = 8 box) and energies across the
+        # whole spectrum: the Newton-Schulz step keeps the probe residuals
+        # small, so at most 1 of the 72 pairs is recounted (without it about a
+        # fifth are), and every count equals SuperLU's on the bare matrix
+        box = skeleton(bare_d2_model(), GridSpec(L=8, n=8, d=2), bc)
+        rng = np.random.default_rng(64)
+        rows = box.diagonal(box.vper) + rng.uniform(-20.0, 20.0, size=(12, box.grid.num_dof))
+        energies = np.sort(rng.uniform(rows.min() - 256.0, rows.max() + 256.0, 6))
+        recounted, factor_counts = [], spectral._factor_counts
+        monkeypatch.setattr(spectral, "_factor_counts",
+                            lambda A, read, which, e: recounted.append(e.size)
+                            or factor_counts(A, read, which, e))
+        counts = count_below(replace(box.hamiltonian(), diag=rows), energies)
+        assert sum(recounted) <= 1
+        monkeypatch.setattr(spectral, "_factor_counts", factor_counts)
+        for b, row in enumerate(rows):
+            assert np.array_equal(count_below(replace(box.hamiltonian(), diag=row).matrix,
+                                              energies), counts[b])
+
+    def test_scipy_loads_only_for_flagged_pairs(self):
+        # the kernel and the products it is checked with run on NumPy alone;
+        # the recount of a flagged pair is the first use of SciPy
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        probe = (
+            "import sys; import numpy as np; from breatherlab import spectral; "
+            "from breatherlab.lattice import NEUMANN, GridSpec, skeleton; "
+            "from breatherlab.model import ModelSpec, PeriodicPotentialSpec, SingleSiteSpec, "
+            "DistributionSpec; "
+            "site = SingleSiteSpec(kind='breather', amplitude=1.0, radius=0.4, "
+            "lambda_minus=1.0, lambda_plus=2.0, standardized=True); "
+            "model = ModelSpec(d=2, vper=PeriodicPotentialSpec(kind='zero'), site=site, "
+            "dist=DistributionSpec(kind='uniform', lambda_minus=1.0, lambda_plus=2.0)); "
+            "box = skeleton(model, GridSpec(L=3, n=4, d=2), NEUMANN); "
+            "H = box.hamiltonian(np.linspace(-20.0, 20.0, box.grid.num_dof)); "
+            "H.to_dense(); H @ np.ones(box.grid.num_dof); "
+            "plain = spectral.count_below(H, [10.0, 200.0]); "
+            "before = 'scipy' in sys.modules; spectral.PROBE_TOL = -1.0; "
+            "forced = spectral.count_below(H, [10.0, 200.0]); "
+            "print(before, 'scipy' in sys.modules, (plain == forced).all())")
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert run.stdout.split() == ["False", "True", "True"]
+
+    def test_pairs_are_counted_under_the_stack_cap(self):
+        # 2 400 (diagonal, energy) pairs: memory is bounded by STACK_VALUES
+        # doubles however many pairs a call counts, which is what the
+        # "2 * experiment.samples * box points" rule of the CLI relies on
+        box = skeleton(bare_d2_model(), GridSpec(L=3, n=8, d=2), DIRICHLET)
+        rows = box.diagonal(box.vper) + np.random.default_rng(2).uniform(
+            0.0, 50.0, size=(400, box.grid.num_dof))
+        H = replace(box.hamiltonian(), diag=rows)
+        energies = np.linspace(10.0, 300.0, 6)
+        count_below(H, energies[:1])  # first-call allocations outside the trace
+        tracemalloc.start()
+        try:
+            counts = count_below(H, energies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.size >= 2000
+        assert 8 * spectral.STACK_VALUES / 2 < peak < 8 * spectral.STACK_VALUES
 
 
 class TestPerOperatorGrid:
