@@ -349,7 +349,10 @@ def _check_memory(cfg: dict, command: str):
     """The sizes that multiply stay within MAX_POINTS and MAX_VALUES.  The box
     sides are grid.L and those of L_max, temple_Ls and gap_Ls that the config
     gives or ``command`` reads by default.  Each rule is charged to the
-    commands that allocate its memory; with no command, every rule applies."""
+    commands that allocate its memory; with no command, every rule applies.
+    The ``2 * experiment.samples * box points`` rule is a work cap, on the
+    diagonal values a run counts, not a memory rule: counting holds a capped
+    part of them at once (spectral.SWEEP_VALUES, spectral.STACK_VALUES)."""
     exp, d = settled(cfg["experiment"], "experiment"), cfg["model"]["d"]
     reads = {"lifshitz": ("L_max",), "bounds": ("temple_Ls", "gap_Ls")}.get(command, ())
     sides = list(cfg["grid"]["L"])
@@ -581,7 +584,8 @@ def cmd_ids(cfg, out_dir: Path, digest: str):
     energies = energies_from(exp["energies"])
     M, seed, workers = exp["samples"], exp["seed"], cfg["solve"]["workers"]
 
-    RUN["worker_pools"] = int(ids_mod.pool_size(workers, len(Ls), M) > 1)
+    RUN["worker_pools"] = int(ids_mod.pool_size(workers, M, [(L, energies) for L in Ls],
+                                                gs.n, model.d) > 1)
     curves = ids_mod.estimate_ids(prepared, gs, Ls, energies, M, seed, workers=workers)
     with open(out_dir / "ids_curve.csv", "w", newline="\n") as fh:
         for k, cur in enumerate(curves.values()):
@@ -647,9 +651,10 @@ def cmd_lifshitz(cfg, out_dir: Path, digest: str):
         payload["B2"] = B2
         energies, M = energies_from(exp["energies"]), exp["samples"]
         workers = cfg["solve"]["workers"]
-        RUN["worker_pools"] = int(ids_mod.pool_size(workers, len(energies), M) > 1)
         curve = ids_mod.matched_box_curve(prepared, gs, energies, M, exp["seed"], B2=B2,
                                           L_max=exp["L_max"], workers=workers)
+        RUN["worker_pools"] = int(ids_mod.pool_size(
+            workers, M, [(L, [E]) for L, E in zip(curve.box_sizes, energies)], gs.n, d) > 1)
         curve.to_csv(out_dir / "lifshitz_curve.csv")
         files.append("lifshitz_curve.csv")
 

@@ -14,9 +14,9 @@ realizations and energies, computing each row block from the fields as it
 reads it.  A run is (box side, energies, stream slot): ``estimate_ids`` makes
 one per box side, all at slot 0, and ``matched_box_curve`` one per energy
 point.  Each run's realizations are split into min(workers, M) contiguous
-index blocks, and with more than one worker every block of every run is
-submitted to one process pool before any is awaited; merged in block order,
-the counts do not depend on the workers.
+index blocks, and with more than one worker, on work above ``POOL_WORK``,
+every block of every run is submitted to one process pool before any is
+awaited; merged in block order, the counts do not depend on the workers.
 
 Estimates are normalized eigenvalue counts N(E, H^{L,X}) / L^d averaged over
 realizations; Dirichlet counts ("D") bound the limit from below and
@@ -42,6 +42,10 @@ CSV_HEADER = "E,N_D,se_D,N_M,se_M,L,n,M,seed"
 LABELS = ("D", "M")  # the bracketing pair: Dirichlet below, ground state above
 BOOT_RESAMPLES, BOOT_SEED = 200, 0xB007  # the percentile bootstrap of fit_lifshitz
 MAX_REL_SE, MIN_POINTS = 0.25, 5  # a fit point's largest relative error; the fewest points
+# the work of pool_size up to which one process beats a pool of two: configs/ids_bracketing.json
+# at M = 200, 800, 2 000 (work 0.54, 2.15, 5.4 million) ran 37 and 27 ms slower and 56 ms
+# faster at two workers (medians of 6 fresh processes, 2 cores)
+POOL_WORK = 2**22
 
 
 def stream_indices(role: str, slot: int, count: int) -> np.ndarray:
@@ -157,10 +161,15 @@ def _count_block(args):
     return dict(zip(LABELS, np.split(count_below(DiscreteHamiltonian(diri, batch), energies), 2)))
 
 
-def pool_size(workers: int, runs: int, M: int) -> int:
-    """Processes for ``runs`` runs of M realizations, each split into
-    min(workers, M) index blocks; a pool is opened only where this exceeds 1."""
-    return min(workers, runs * min(workers, M))
+def pool_size(workers: int, M: int, runs, n: int, d: int) -> int:
+    """Processes for ``runs`` (box side L, energies, ...) of M realizations
+    each, split into min(workers, M) index blocks; a pool is opened only where
+    this exceeds 1.  It is 1 unless the work, M * energies * the values one
+    count touches summed over runs, exceeds ``POOL_WORK``: a count touches the
+    box's points at d = 1 (one Sturm pivot each) and points * n L / 2 at
+    d >= 2 (the line kernel's n L / 2 block steps)."""
+    work = sum(M * len(E) * (n * L) ** d * (n * L / 2) ** (d - 1) for L, E, *_ in runs)
+    return min(workers, len(runs) * min(workers, M)) if work > POOL_WORK else 1
 
 
 def _estimate_runs(model, gs, runs, M: int, master_seed: int, workers: int):
@@ -171,7 +180,7 @@ def _estimate_runs(model, gs, runs, M: int, master_seed: int, workers: int):
     tasks = [(model, GridSpec(L=L, n=gs.n, d=model.d), gs, energies, master_seed, blk)
              for L, energies, slot in runs
              for blk in np.array_split(stream_indices("realization", slot, M), blocks)]
-    processes = pool_size(workers, len(runs), M)
+    processes = pool_size(workers, M, runs, gs.n, model.d)
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor
 

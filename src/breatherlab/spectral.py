@@ -28,13 +28,16 @@ number of eigenvalues below E.  Tridiagonal operators run one Sturm sweep over
 every (diagonal, energy) pair, reading ~``SWEEP_VALUES`` diagonal values at a
 time (a ``lattice.RandomBatch`` computes each row block as its base diagonals
 plus one ``random_potentials`` call over those rows).  A d = 2 box that is not
-periodic, with lines of at most ``LINE_POINTS`` points, runs block LDL^T along
-its grid lines, the pairs stacked in groups within ``STACK_VALUES`` and each
-line read as it is needed; a pair it cannot vouch for is recounted by the
-path below.  Other sparse operators run sparse LDL^T (SuperLU) on each whole
-diagonal, with a dense eigenvalue count (NumPy's ``eigvalsh``) at the same
-energy when a pivot is near zero, the factor grows past ``GROWTH_TOL`` or
-SuperLU pivots off the diagonal (its signs are then not the inertia).  Counts
+periodic, with lines of at most ``LINE_POINTS`` points, runs the red-black line
+kernel: the red points (i + j odd) touch only black ones, so their pivots are
+their diagonal entries minus E, and block LDL^T of the black Schur complement
+takes b/2 steps of two grid lines each, the pairs stacked in groups within
+``STACK_VALUES`` and each line read as it is needed; a pair it cannot vouch
+for is recounted by the path below.  Other sparse operators run sparse LDL^T
+(SuperLU) on each whole diagonal, with a dense eigenvalue count (NumPy's
+``eigvalsh``) at the same energy when a pivot is near zero, the factor grows
+past ``GROWTH_TOL`` or SuperLU pivots off the diagonal (its signs are then not
+the inertia).  Counts
 are taken at E + 0: a pair hitting a pivot or eigenvalue within ``PIVOT_TOL``
 of zero is nudged up by 1e-12*(1+|E|), doubling on each of at most 8 retries,
 which matches the closed-under-"<=" convention up to a measure-zero set of
@@ -293,26 +296,36 @@ def _sturm_counts(off, read, which, e):
 
 def _line_counts(box, read, which, e):
     """Inertia of H - E on a d = 2 box that is not periodic, for every pair
-    (k, r) of ``e`` (K, R) as in ``_sturm_counts``: block LDL^T along the
-    grid lines.  Lines couple through ``coupling`` * I only, so S_0 = T_0 and
-    S_i = T_i - coupling^2 S_{i-1}^-1, T_i line i's tridiagonal block minus E,
-    and the count is the number of negative pivots of the S_i (Haynsworth).
+    (k, r) of ``e`` (K, R) as in ``_sturm_counts``: block LDL^T on the black
+    half of the grid.  Write a = diagonal - E and call point (i, j) (line i,
+    position j) red where i + j is odd.  Red points touch only black ones, so
+    they are eliminated first, their pivots the a_r, and leave the black
+    Schur complement, a 9-point stencil: with w_r = coupling^2 / a_r, a black
+    point's diagonal is a_p minus the w_r of its red neighbours, and two black
+    points couple by minus the w_r of the reds they share (one two steps apart
+    on an axis, two for diagonal neighbours).  Group g holds the black points
+    of lines 2g and 2g + 1 in column order, one per column (an odd b leaves a
+    last group of line b - 1's even columns); its block T_g is pentadiagonal
+    and its coupling B_g to group g + 1 has at most 3 entries per column.  So
+    S_0 = T_0 and S_g = T_g - B_{g-1}^T S_{g-1}^-1 B_{g-1}, b/2 steps, and the
+    count is the number of negative a_r plus the negative pivots of the S_g
+    (Haynsworth).
 
     The pairs run in groups, one (P, b, b) stack per quantity, each line read
-    once per group; a line holds three stacks (S, X and the Newton-Schulz
-    product), which with their temporaries stay within ``STACK_VALUES``.
-    Every S_i is symmetrized and inverted by ``_invert``, whose pivots are
-    those of unpivoted LDL^T, and its inverse X takes one Newton-Schulz step,
-    X + X (I - S X).  A pair is flagged when a pivot lies within PIVOT_TOL of
-    zero, an entry of an S_i grows past GROWTH_TOL (both relative to max(1,
-    max |row| + |E|)), a value is not finite or X misses the fixed probe
-    vector by more than PROBE_TOL; ``_factor_counts`` recounts it at the same
-    energy."""
+    once per group; a step holds three stacks (B_g, X and X B_g; then S, X and
+    the Newton-Schulz product), which with their temporaries stay within
+    ``STACK_VALUES``.  Every S_g is symmetrized and inverted by ``_invert``,
+    whose pivots are those of unpivoted LDL^T, and its inverse X takes one
+    Newton-Schulz step, X + X (I - S X).  A pair is flagged when an a_r or a
+    pivot lies within PIVOT_TOL of zero, an entry of an S_g grows past
+    GROWTH_TOL (both relative to max(1, max |row| + |E|)), a value is not
+    finite or X misses the fixed probe vector by more than PROBE_TOL;
+    ``_factor_counts`` recounts it at the same energy."""
     b, K = box.grid.points_per_axis, e.shape[0]
     col_of, k_of = np.divmod(np.arange(e.size), K)  # pair order: by column, then energy
     cols = np.arange(e.shape[1]) if which is None else which
     counts, ok = np.zeros(e.shape, dtype=int), np.zeros(e.shape, dtype=bool)
-    probe = _start(b)
+    probe, even = _start(b), np.arange(b) % 2 == 0
     groups = max(1, -(-e.size * b * b * 4 // STACK_VALUES))  # 4 stacks a pair, temporaries too
     group = max(1, -(-e.size // groups))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -320,33 +333,72 @@ def _line_counts(box, read, which, e):
             c, k = col_of[start:start + group], k_of[start:start + group]
             first, last = c[0], c[-1] + 1
             every = which is None and first == 0 and last == e.shape[1]
-            energy = e[k, c]
-            smallest = np.full(c.size, np.inf)  # |pivot|; a NaN pivot keeps it NaN
-            top, big, miss = np.zeros(c.size), np.zeros(c.size), np.zeros(c.size)
-            pivots, X = np.empty((c.size, b)), np.zeros((c.size, b, b))
-            for i in range(b):
-                line = read(i * b, (i + 1) * b, None if every else cols[first:last])[:, c - first]
-                np.maximum(top, np.abs(line).max(axis=0), out=top)
-                X *= -0.5 * box.coupling**2  # S_i = T_i - coupling^2 X, symmetrized in place
-                S = np.add(X, np.swapaxes(X, 1, 2), out=X)
-                flat = S.reshape(c.size, b * b)
-                flat[:, ::b + 1] += line.T - energy[:, None]
-                flat[:, 1::b + 1] += box.coupling
-                flat[:, b::b + 1] += box.coupling
+            energy, P = e[k, c], c.size
+            smallest = np.full(P, np.inf)  # |pivot|; a NaN pivot keeps it NaN
+            top, big, miss = np.zeros(P), np.zeros(P), np.zeros(P)
+
+            def lines(g):  # black a and red w of group g; past the last line, no point
+                a = []
+                for i in (2 * g, 2 * g + 1):
+                    if i >= b:  # a = inf: w = 0, and no count
+                        a.append(np.full((P, b), np.inf))
+                        continue
+                    row = read(i * b, (i + 1) * b,
+                               None if every else cols[first:last])[:, c - first]
+                    np.maximum(top, np.abs(row).max(axis=0), out=top)
+                    a.append(row.T - energy[:, None])
+                red = np.where(even, a[1], a[0])
+                counts[k, c] += (red < 0.0).sum(axis=1)
+                np.minimum(smallest, np.abs(red).min(axis=1), out=smallest)
+                return np.where(even, a[0], a[1]), box.coupling**2 / red
+
+            pivots, S, X = np.empty((P, b)), np.zeros((P, b, b)), None
+            prev, (black, w) = np.zeros((P, b)), lines(0)
+            for g in range(-(-b // 2)):
+                after, w_after = lines(g + 1)
+                if X is not None:  # S = T_g - B^T X B, B = B_{g-1} built in S's free buffer
+                    B = S
+                    B.fill(0.0)
+                    flat = B.reshape(P, b * b)
+                    flat[:, ::b + 1] = -np.where(even, prev, w)
+                    flat[:, b::2 * b + 2] = -(prev[:, :b - 1:2] + w[:, 1::2])
+                    flat[:, b + 2::2 * b + 2] = -(prev[:, 2::2] + w[:, 1:b - 1:2])
+                    Y = X @ B
+                    Z = np.matmul(np.swapaxes(B, 1, 2), Y, out=X)
+                    del X, Y
+                    Z *= -0.5
+                    S = np.add(Z, np.swapaxes(Z, 1, 2), out=B)
+                    del B, Z
+                flat = S.reshape(P, b * b)
+                flat[:, ::b + 1] += (black - w - np.where(even, prev, w_after)
+                                     - np.pad(w[:, 1:], ((0, 0), (0, 1)))
+                                     - np.pad(w[:, :-1], ((0, 0), (1, 0))))
+                side = -(w[:, :-1] + w[:, 1:])
+                flat[:, 1::b + 1] += side
+                flat[:, b::b + 1] += side
+                flat[:, 2:b * b - b:b + 1] -= w[:, 1:-1]
+                flat[:, 2 * b::b + 1] -= w[:, 1:-1]
+                if 2 * g + 1 == b:  # one line left: its black points are the even columns
+                    S = np.ascontiguousarray(S[:, ::2, ::2])
+                n = S.shape[1]
+                flat = S.reshape(P, n * n)
                 np.maximum(big, np.maximum(flat.max(axis=1), -flat.min(axis=1)), out=big)
-                X = _invert(S, pivots)
-                counts[k, c] += (pivots < 0.0).sum(axis=1)
-                np.minimum(smallest, np.abs(pivots).min(axis=1), out=smallest)
+                X = _invert(S, pivots[:, :n])
+                counts[k, c] += (pivots[:, :n] < 0.0).sum(axis=1)
+                np.minimum(smallest, np.abs(pivots[:, :n]).min(axis=1), out=smallest)
                 R = S @ X  # R = I - S X, then X + X R
                 R *= -1.0
-                R.reshape(c.size, b * b)[:, ::b + 1] += 1.0
-                y = X @ (probe + R @ probe)[:, :, None]  # X + X R on the probe
-                np.maximum(miss, np.sqrt((((S @ y)[:, :, 0] - probe) ** 2).sum(axis=1)), out=miss)
+                R.reshape(P, n * n)[:, ::n + 1] += 1.0
+                x = probe[:n]
+                y = X @ (x + R @ x)[:, :, None]  # X + X R on the probe
+                np.maximum(miss, np.sqrt((((S @ y)[:, :, 0] - x) ** 2).sum(axis=1) / (x @ x)),
+                           out=miss)
                 X += np.matmul(X, R, out=S)
-                del S, R  # before the next line scales X in place
+                del R
+                prev, black, w = w, after, w_after
             scale = np.maximum(1.0, top + np.abs(energy))
             ok[k, c] = ((smallest > PIVOT_TOL * scale) & (big <= GROWTH_TOL * scale)
-                        & (miss <= PROBE_TOL * np.sqrt(probe @ probe)))
+                        & (miss <= PROBE_TOL))
     if not ok.all():
         k, r = np.nonzero(~ok)
         got, good = _factor_counts(box.stencil, read, cols[r], e[k, r][None, :])
@@ -357,21 +409,21 @@ def _line_counts(box, read, which, e):
 def _invert(S, pivots):
     """S^-1 of a stack of symmetric blocks (P, n, n) by recursive 2 x 2 block
     elimination, S = [[A, B], [B^T, C]] with Schur complement C - B^T A^-1 B
-    (symmetrized), down to blocks of ``LEAF``, inverted by sweeps.  Fills
-    ``pivots`` (P, n) with the pivots of unpivoted LDL^T of S."""
+    (symmetrized), down to blocks of ``LEAF``, inverted by sweeps on an
+    (n, n, P) copy, the pairs last.  Fills ``pivots`` (P, n) with the pivots of
+    unpivoted LDL^T of S."""
     n = S.shape[1]
     if n <= LEAF:  # the sweep operator: after the last pivot, A holds -S^-1
-        A = S.copy()
+        A = np.moveaxis(S, 0, -1).copy()
         for k in range(n):
-            pivots[:, k] = A[:, k, k]
-            d = pivots[:, k]
-            row = A[:, k, :].copy()  # row k stands for column k too
-            scaled = row / d[:, None]
-            A -= row[:, :, None] * scaled[:, None, :]
-            np.divide(-1.0, d, out=scaled[:, k])
-            A[:, k, :] = scaled
-            A[:, :, k] = scaled
-        return np.negative(A, out=A)
+            d = pivots[:, k] = A[k, k].copy()
+            row = A[k].copy()  # row k stands for column k too
+            scaled = row / d
+            A -= row[:, None, :] * scaled[None, :, :]
+            np.divide(-1.0, d, out=scaled[k])
+            A[k] = scaled
+            A[:, k] = scaled
+        return np.ascontiguousarray(np.moveaxis(np.negative(A, out=A), -1, 0))
     h = n // 2
     Ai = _invert(S[:, :h, :h], pivots[:, :h])
     W = Ai @ S[:, :h, h:]

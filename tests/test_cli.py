@@ -428,12 +428,17 @@ def test_library_call_sets_no_blas_spin():
     assert run.stdout.strip().splitlines()[-1] == "None"
 
 
-@pytest.mark.parametrize("command,name", [("ids", "ids_bracketing.json"),
-                                          ("lifshitz", "lifshitz.json")])
-def test_one_worker_pool_per_run(tmp_path, monkeypatch, capsys, command, name):
+@pytest.mark.parametrize("command,name,pool", [
+    pytest.param("ids", "ids_bracketing.json", [], id="ids-ids_bracketing.json"),
+    pytest.param("lifshitz", "lifshitz.json", [2], id="lifshitz-lifshitz.json"),
+    pytest.param("ids", "../bench/configs/ids_2d.json", [2], id="ids-ids_2d.json"),
+])
+def test_one_worker_pool_per_run(tmp_path, monkeypatch, capsys, command, name, pool):
     # at two workers every counting block of a run (all box sides, all energy
     # points) goes to one pool in one map call, which submits them all before
-    # it waits on any; at one worker no pool is built
+    # it waits on any, where the run's work exceeds ids.POOL_WORK: not on
+    # ids_bracketing.json, whose counting takes less than opening a pool; at
+    # one worker no pool is built
     import concurrent.futures
 
     built, maps = [], []
@@ -449,7 +454,7 @@ def test_one_worker_pool_per_run(tmp_path, monkeypatch, capsys, command, name):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
     environ = dict(os.environ)
-    for workers, pools in ((1, []), (2, [2])):
+    for workers, pools in ((1, []), (2, pool)):
         out = tmp_path / str(workers)
         assert main([command, "--config", str(SHIPPED / name), "--out", str(out),
                      "--workers", str(workers), "--no-cache"]) == 0
@@ -801,6 +806,23 @@ def test_readme_stream_table_matches_code():
     assert number(cap) == cli.MAX_BOUNDS_SAMPLES
     widths = readme.split("`dirichlet` streams, whose count fields are ", 1)[1].split(" bits", 1)[0]
     assert widths.split() == [str(STREAMS["temple"][2]), "and", str(STREAMS["dirichlet"][2])]
+
+
+def test_readme_kernel_constants_match_code():
+    # every README mention of the line kernel's cutoff and stack cap states
+    # the value in spectral
+    import re
+
+    from breatherlab import spectral
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sup = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+    lines = re.findall(r"`(?:spectral\.)?LINE_POINTS` = (\d+)", readme)
+    stacks = re.findall(r"`(?:spectral\.)?STACK_VALUES` = 2([⁰¹²³⁴⁵⁶⁷⁸⁹]+)", readme)
+    assert len(lines) >= 2 and len(stacks) >= 1
+    assert {int(v) for v in lines} == {spectral.LINE_POINTS}
+    assert {2 ** int(v.translate(sup)) for v in stacks} == {spectral.STACK_VALUES}
+    assert f"lines of at most {spectral.LINE_POINTS} points" in " ".join(readme.split())
 
 
 def test_readme_config_block_loads(tmp_path):

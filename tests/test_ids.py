@@ -450,8 +450,18 @@ class TestEstimate:
         (1, 3, 50, 1), (2, 1, 1, 1), (2, 3, 6, 2), (4, 1, 3, 3), (4, 8, 1, 4),
     ])
     def test_pool_size(self, workers, runs, M, size):
-        # min(workers, blocks) over runs * min(workers, M) blocks; > 1 opens a pool
-        assert pool_size(workers, runs, M) == size
+        # min(workers, blocks) over runs * min(workers, M) blocks; > 1 opens a
+        # pool.  Each run here is work enough alone: 32 energies on a d = 2
+        # box of 64 x 64 points, 32 block steps a count
+        assert pool_size(workers, M, [(8, [0.0] * 32)] * runs, 8, 2) == size
+
+    def test_no_pool_below_the_work_threshold(self):
+        # work = M * energies * points (d = 1), * n L / 2 more at d = 2
+        assert ids.POOL_WORK == 2**22
+        assert pool_size(4, 2**18, [(4, [0.0] * 4)], 1, 1) == 1  # 2**22 exactly
+        assert pool_size(4, 2**18, [(4, [0.0] * 4), (1, [0.0])], 1, 1) == 4
+        assert pool_size(4, 64, [(32, [0.0] * 4)], 1, 2) == 1  # 2**22 exactly
+        assert pool_size(4, 64, [(32, [0.0] * 4)] * 2, 1, 2) == 4
 
     def test_unsorted_energies_rejected(self, prepped):
         model, gs = prepped

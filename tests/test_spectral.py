@@ -395,18 +395,21 @@ class TestOneEngine:
         assert count_below(sps.csr_matrix(A), 1.0) == int(np.sum(linalg.eigvalsh(A) <= 1.0)) == 1
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-    @example(seed=1, d=1, L=3, bc=PERIODIC, B=2, degenerate=True)
-    @example(seed=2, d=2, L=2, bc=PERIODIC, B=1, degenerate=True)
-    @example(seed=3, d=3, L=2, bc=DIRICHLET, B=3, degenerate=False)
-    @example(seed=4, d=3, L=2, bc=NEUMANN, B=2, degenerate=True)
-    @example(seed=5, d=2, L=8, bc=DIRICHLET, B=3, degenerate=False)
-    @example(seed=6, d=2, L=8, bc=NEUMANN, B=1, degenerate=True)
+    @example(seed=1, d=1, L=3, bc=PERIODIC, B=2, degenerate=True, n=4)
+    @example(seed=2, d=2, L=2, bc=PERIODIC, B=1, degenerate=True, n=4)
+    @example(seed=3, d=3, L=2, bc=DIRICHLET, B=3, degenerate=False, n=4)
+    @example(seed=4, d=3, L=2, bc=NEUMANN, B=2, degenerate=True, n=4)
+    @example(seed=5, d=2, L=8, bc=DIRICHLET, B=3, degenerate=False, n=4)
+    @example(seed=6, d=2, L=8, bc=NEUMANN, B=1, degenerate=True, n=4)
+    @example(seed=7, d=2, L=1, bc=DIRICHLET, B=3, degenerate=False, n=5)
+    @example(seed=8, d=2, L=3, bc=NEUMANN, B=2, degenerate=True, n=5)
+    @example(seed=9, d=2, L=3, bc=DIRICHLET, B=2, degenerate=False, n=5)
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]), L=st.integers(2, 8),
            bc=st.sampled_from([DIRICHLET, NEUMANN, PERIODIC]), B=st.integers(1, 4),
-           degenerate=st.booleans())
-    def test_three_paths_agree(self, seed, d, L, bc, B, degenerate):
-        # a batch (Sturm at d = 1 and block LDL^T along the grid lines at d = 2,
-        # both under D and N; sparse LDL^T otherwise) counts each of its
+           degenerate=st.booleans(), n=st.just(4))
+    def test_three_paths_agree(self, seed, d, L, bc, B, degenerate, n):
+        # a batch (Sturm at d = 1 and the red-black line kernel at d = 2, both
+        # under D and N, odd points per axis too; sparse LDL^T otherwise) counts each of its
         # operators as that operator alone does, and as its sparse (SuperLU
         # LDL^T) and dense (eigenvalue count) matrices do; counts equal
         # eigvalsh away from the spectrum; some energies sit exactly on a
@@ -414,7 +417,7 @@ class TestOneEngine:
         # periodic and d >= 2 spectra hold multiple levels, and adds energies
         # 1e-9 below and above its most degenerate level
         rng = np.random.default_rng(seed)
-        grid = GridSpec(L=L if d < 3 else 1, n=4, d=d)  # lines of 8-32 points at d = 2
+        grid = GridSpec(L=L if d < 3 else 1, n=n, d=d)  # lines of 5-32 points at d = 2
         box = skeleton(replace(free_model(), d=d), grid, bc)
         H = box.hamiltonian()
         shift = 0.0 if degenerate else rng.uniform(-20.0, 20.0, size=(B, H.num_dof))
@@ -469,8 +472,48 @@ class TestOneEngine:
 
 
 class TestLineKernel:
-    """d = 2 boxes that are not periodic count by block LDL^T along the grid
-    lines (``spectral._line_counts``); the twins of the SuperLU tests above."""
+    """d = 2 boxes that are not periodic count by block LDL^T on the black
+    half of the grid, two lines a step (``spectral._line_counts``); the twins
+    of the SuperLU tests above."""
+
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_odd_points_per_axis(self, bc, L):
+        # n = 5: lines of 5 and 15 points, whose last group is one line
+        box = skeleton(bare_d2_model(), GridSpec(L=L, n=5, d=2), bc)
+        rng = np.random.default_rng(L)
+        rows = box.diagonal(box.vper) + rng.uniform(-20.0, 20.0, size=(3, box.grid.num_dof))
+        energies = np.sort(rng.uniform(rows.min() - 50.0, rows.max() + 50.0, 7))
+        counts = count_below(replace(box.hamiltonian(), diag=rows), energies)
+        for b, row in enumerate(rows):
+            w = linalg.eigvalsh(replace(box.hamiltonian(), diag=row).to_dense())
+            assert np.abs(w[:, None] - energies).min() > 1e-6
+            assert np.array_equal(counts[b], (w[:, None] <= energies).sum(axis=0))
+
+    @pytest.mark.parametrize("superlu_breaks", [False, True])
+    def test_energy_on_a_red_diagonal_entry(self, monkeypatch, superlu_breaks):
+        # E equals the diagonal at a red point (i + j odd): its pivot a_r is an
+        # exact zero, so the pair is flagged and recounted by SuperLU at E;
+        # where SuperLU breaks down there too, the pair is nudged above E and
+        # counted right
+        box = skeleton(bare_d2_model(), GridSpec(L=2, n=4, d=2), NEUMANN)
+        b = box.grid.points_per_axis
+        row = box.diagonal(box.vper) + np.random.default_rng(5).uniform(-20.0, 20.0,
+                                                                         box.grid.num_dof)
+        E = row[1 * b + 2]  # line 1, position 2
+        w = linalg.eigvalsh(replace(box.hamiltonian(), diag=row).to_dense())
+        assert np.abs(w - E).min() > 1e-6
+        recounted, factor_counts = [], spectral._factor_counts
+
+        def spy(A, read, which, e):
+            recounted.extend(e[0].tolist())
+            got, good = factor_counts(A, read, which, e)
+            return got, good & ~(superlu_breaks & (e == E))
+
+        monkeypatch.setattr(spectral, "_factor_counts", spy)
+        assert count_below(replace(box.hamiltonian(), diag=row), [E]) == int(np.sum(w <= E))
+        assert recounted[0] == E and len(recounted) == 1 + superlu_breaks
+        assert all(E < nudged < E + 1e-9 for nudged in recounted[1:])
 
     @pytest.mark.parametrize("bc,n,E", [(NEUMANN, 4, 48.0), (DIRICHLET, 4, 80.0),
                                         (NEUMANN, 8, 192.0), (DIRICHLET, 8, 320.0)])
@@ -557,6 +600,41 @@ class TestLineKernel:
         run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert run.stdout.split() == ["False", "True", "True"]
+
+    def test_bench_block_holds_under_four_stacks(self, monkeypatch):
+        # the count_below call of the L = 8 block of bench/configs/ids_2d.json
+        # at its seed, 72 pairs at b = 64: the kernel holds about three
+        # (P, b, b) stacks of its largest pair group (3.2 of them), so a fourth
+        # one held at once fails this bound
+        from breatherlab import cli, ids
+
+        cfg = cli.load_config(str(Path(__file__).resolve().parents[1] / "bench" / "configs"
+                                  / "ids_2d.json"), command="ids")
+        prepared, gs = cli._prepare(cfg, cli.build_model(cfg))
+        M = cfg["experiment"]["samples"]
+        args = (prepared, GridSpec(L=8, n=gs.n, d=2), gs, cli.energies_from(
+            cfg["experiment"]["energies"]), cfg["experiment"]["seed"],
+            ids.stream_indices("realization", 0, M))
+        ids._count_block(args)  # first-call allocations outside the trace
+        stacks, peaks, invert = [], [], spectral._invert
+
+        def traced(H, E):
+            tracemalloc.start()
+            try:
+                counts = count_below(H, E)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return counts
+
+        monkeypatch.setattr(ids, "count_below", traced)
+        monkeypatch.setattr(spectral, "_invert",
+                            lambda S, pivots: stacks.append(S.shape) or invert(S, pivots))
+        counts = ids._count_block(args)
+        assert sum(c.size for c in counts.values()) == 72
+        P, b = max(stacks)[:2]
+        assert b == 64 and P < 72
+        assert peaks[0] <= 3.5 * P * b * b * 8
 
     def test_pairs_are_counted_under_the_stack_cap(self):
         # 2 400 (diagonal, energy) pairs: memory is bounded by STACK_VALUES
