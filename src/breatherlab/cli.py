@@ -867,13 +867,13 @@ def main(argv=None) -> int:
         print(RUN["error"], file=sys.stderr)
     try:  # ru_maxrss in KiB: this process, and the largest child (pool worker) it waited for
         import resource
-        rss = [resource.getrusage(who).ru_maxrss / 1024
-               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+        own, pool = map(resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+        rss = [own.ru_maxrss / 1024, pool.ru_maxrss / 1024, own.ru_minflt]
     except ImportError:
-        rss = [None, None]
+        rss = [None, None, None]
     dump_json({"config_hash": digest, "cache_key": key, "cache": "miss" if hit is None else "hit",
                **RUN, "elapsed_seconds": time.perf_counter() - t0, "timestamp": time.time(),
-               "peak_rss_mb": rss[0], "pool_peak_rss_mb": rss[1]},
+               "peak_rss_mb": rss[0], "pool_peak_rss_mb": rss[1], "minor_faults": rss[2]},
               out_dir / f"{args.command}_meta.json")
     if hit is None and not args.no_cache and "error" not in RUN:
         cache.store(args.command, key, out_dir, files, exit_code)

@@ -32,12 +32,13 @@ periodic, with lines of at most ``LINE_POINTS`` points, runs the red-black line
 kernel: the red points (i + j odd) touch only black ones, so their pivots are
 their diagonal entries minus E, and block LDL^T of the black Schur complement
 takes b/2 steps of two grid lines each, the pairs stacked in groups within
-``STACK_VALUES`` and each line read as it is needed; a pair it cannot vouch
-for is recounted by the path below.  Other sparse operators run sparse LDL^T
-(SuperLU) on each whole diagonal, with a dense eigenvalue count (NumPy's
-``eigvalsh``) at the same energy when a pivot is near zero, the factor grows
-past ``GROWTH_TOL`` or SuperLU pivots off the diagonal (its signs are then not
-the inertia).  Counts
+``STACK_VALUES``, every group and step in one workspace of three stacks
+allocated once per call, and each line read as it is needed; a pair it
+cannot vouch for is recounted by the path below.  Other sparse operators
+run sparse LDL^T (SuperLU) on each whole diagonal, with a dense eigenvalue
+count (NumPy's ``eigvalsh``) at the same energy when a pivot is near zero,
+the factor grows past ``GROWTH_TOL`` or SuperLU pivots off the diagonal (its
+signs are then not the inertia).  Counts
 are taken at E + 0: a pair hitting a pivot or eigenvalue within ``PIVOT_TOL``
 of zero is nudged up by 1e-12*(1+|E|), doubling on each of at most 8 retries,
 which matches the closed-under-"<=" convention up to a measure-zero set of
@@ -312,14 +313,18 @@ def _line_counts(box, read, which, e):
     (Haynsworth).
 
     The pairs run in groups, one (P, b, b) stack per quantity, each line read
-    once per group; a step holds three stacks (B_g, X and X B_g; then S, X and
-    the Newton-Schulz product), which with their temporaries stay within
-    ``STACK_VALUES``.  Every S_g is symmetrized and inverted by ``_invert``,
-    whose pivots are those of unpivoted LDL^T, and its inverse X takes one
-    Newton-Schulz step, X + X (I - S X).  A pair is flagged when an a_r or a
-    pivot lies within PIVOT_TOL of zero, an entry of an S_g grows past
-    GROWTH_TOL (both relative to max(1, max |row| + |E|)), a value is not
-    finite or X misses the fixed probe vector by more than PROBE_TOL;
+    once per group.  One workspace of three stacks, sized for the largest
+    group and allocated once per call, serves every group and step: B_g is
+    built in the stack S has freed, X B_g goes to the third and B_g^T X B_g
+    to X's, then S_g is symmetrized into B_g's; ``_invert`` writes X into
+    X's stack with the third as its scratch, which then holds I - S X while
+    S's takes the Newton-Schulz product.  With their (P, b) lines they stay
+    within ``STACK_VALUES``.  Every S_g is symmetrized and inverted by
+    ``_invert``, whose pivots are those of unpivoted LDL^T, and its inverse X
+    takes one Newton-Schulz step, X + X (I - S X).  A pair is flagged when an
+    a_r or a pivot lies within PIVOT_TOL of zero, an entry of an S_g grows
+    past GROWTH_TOL (both relative to max(1, max |row| + |E|)), a value is
+    not finite or X misses the fixed probe vector by more than PROBE_TOL;
     ``_factor_counts`` recounts it at the same energy."""
     b, K = box.grid.points_per_axis, e.shape[0]
     col_of, k_of = np.divmod(np.arange(e.size), K)  # pair order: by column, then energy
@@ -328,6 +333,7 @@ def _line_counts(box, read, which, e):
     probe, even = _start(b), np.arange(b) % 2 == 0
     groups = max(1, -(-e.size * b * b * 4 // STACK_VALUES))  # 4 stacks a pair, temporaries too
     group = max(1, -(-e.size // groups))
+    s, x, t = np.empty((3, group * b * b))  # the workspace: S (and B), X, the third stack
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, e.size, group):
             c, k = col_of[start:start + group], k_of[start:start + group]
@@ -352,49 +358,52 @@ def _line_counts(box, read, which, e):
                 np.minimum(smallest, np.abs(red).min(axis=1), out=smallest)
                 return np.where(even, a[0], a[1]), box.coupling**2 / red
 
-            pivots, S, X = np.empty((P, b)), np.zeros((P, b, b)), None
+            pivots, S, X = np.empty((P, b)), _stack(s, P, b, b), None
             prev, (black, w) = np.zeros((P, b)), lines(0)
             for g in range(-(-b // 2)):
                 after, w_after = lines(g + 1)
-                if X is not None:  # S = T_g - B^T X B, B = B_{g-1} built in S's free buffer
+                S.fill(0.0)
+                if X is not None:  # S = T_g - B^T X B, B = B_{g-1} built in S's free stack
                     B = S
-                    B.fill(0.0)
                     flat = B.reshape(P, b * b)
                     flat[:, ::b + 1] = -np.where(even, prev, w)
                     flat[:, b::2 * b + 2] = -(prev[:, :b - 1:2] + w[:, 1::2])
                     flat[:, b + 2::2 * b + 2] = -(prev[:, 2::2] + w[:, 1:b - 1:2])
-                    Y = X @ B
+                    Y = np.matmul(X, B, out=_stack(t, P, b, b))
                     Z = np.matmul(np.swapaxes(B, 1, 2), Y, out=X)
-                    del X, Y
                     Z *= -0.5
-                    S = np.add(Z, np.swapaxes(Z, 1, 2), out=B)
-                    del B, Z
+                    np.add(Z, np.swapaxes(Z, 1, 2), out=S)
                 flat = S.reshape(P, b * b)
-                flat[:, ::b + 1] += (black - w - np.where(even, prev, w_after)
-                                     - np.pad(w[:, 1:], ((0, 0), (0, 1)))
-                                     - np.pad(w[:, :-1], ((0, 0), (1, 0))))
+                diag = black - w - np.where(even, prev, w_after)
+                diag[:, :-1] -= w[:, 1:]
+                diag[:, 1:] -= w[:, :-1]
+                flat[:, ::b + 1] += diag
                 side = -(w[:, :-1] + w[:, 1:])
                 flat[:, 1::b + 1] += side
                 flat[:, b::b + 1] += side
                 flat[:, 2:b * b - b:b + 1] -= w[:, 1:-1]
                 flat[:, 2 * b::b + 1] -= w[:, 1:-1]
-                if 2 * g + 1 == b:  # one line left: its black points are the even columns
-                    S = np.ascontiguousarray(S[:, ::2, ::2])
+                del diag, side  # freed before _invert runs
+                if 2 * g + 1 == b:  # one line left: its black points, the even columns, move
+                    odd, s, x = S[:, ::2, ::2], x, s  # to X's free stack
+                    S = _stack(s, P, odd.shape[1], odd.shape[1])
+                    S[...] = odd
                 n = S.shape[1]
                 flat = S.reshape(P, n * n)
                 np.maximum(big, np.maximum(flat.max(axis=1), -flat.min(axis=1)), out=big)
-                X = _invert(S, pivots[:, :n])
+                X = _stack(x, P, n, n)
+                _invert(S, pivots[:, :n], X, t)
                 counts[k, c] += (pivots[:, :n] < 0.0).sum(axis=1)
                 np.minimum(smallest, np.abs(pivots[:, :n]).min(axis=1), out=smallest)
-                R = S @ X  # R = I - S X, then X + X R
+                R = np.matmul(S, X, out=_stack(t, P, n, n))  # R = I - S X, then X + X R
                 R *= -1.0
                 R.reshape(P, n * n)[:, ::n + 1] += 1.0
-                x = probe[:n]
-                y = X @ (x + R @ x)[:, :, None]  # X + X R on the probe
-                np.maximum(miss, np.sqrt((((S @ y)[:, :, 0] - x) ** 2).sum(axis=1) / (x @ x)),
+                v = probe[:n]
+                y = X @ (v + R @ v)[:, :, None]  # X + X R on the probe
+                np.maximum(miss, np.sqrt((((S @ y)[:, :, 0] - v) ** 2).sum(axis=1) / (v @ v)),
                            out=miss)
                 X += np.matmul(X, R, out=S)
-                del R
+                del y
                 prev, black, w = w, after, w_after
             scale = np.maximum(1.0, top + np.abs(energy))
             ok[k, c] = ((smallest > PIVOT_TOL * scale) & (big <= GROWTH_TOL * scale)
@@ -406,15 +415,25 @@ def _line_counts(box, read, which, e):
     return counts, ok
 
 
-def _invert(S, pivots):
-    """S^-1 of a stack of symmetric blocks (P, n, n) by recursive 2 x 2 block
-    elimination, S = [[A, B], [B^T, C]] with Schur complement C - B^T A^-1 B
-    (symmetrized), down to blocks of ``LEAF``, inverted by sweeps on an
-    (n, n, P) copy, the pairs last.  Fills ``pivots`` (P, n) with the pivots of
+def _stack(buf, P, rows, cols):
+    """The first P * rows * cols values of the flat ``buf`` as a (P, rows, cols) stack."""
+    return buf[:P * rows * cols].reshape(P, rows, cols)
+
+
+def _invert(S, pivots, out, scratch):
+    """S^-1 of a stack of symmetric blocks (P, n, n), written into ``out``, by
+    recursive 2 x 2 block elimination, S = [[A, B], [B^T, C]] with Schur
+    complement C - B^T A^-1 B (symmetrized), down to blocks of ``LEAF``,
+    inverted by sweeps on an (n, n, P) copy, the pairs last.  Each diagonal
+    block's inverse goes straight into its quadrant of ``out``.  The flat
+    ``scratch`` (at least P n^2 values, none shared with S or ``out``) holds
+    W = A^-1 B, C - B^T W and its symmetrized copy in three equal parts, the
+    middle one the scratch of C's inverse; nothing larger than an (n, n, P)
+    leaf copy is allocated.  Fills ``pivots`` (P, n) with the pivots of
     unpivoted LDL^T of S."""
-    n = S.shape[1]
+    P, n = S.shape[:2]
     if n <= LEAF:  # the sweep operator: after the last pivot, A holds -S^-1
-        A = np.moveaxis(S, 0, -1).copy()
+        A = S.transpose(1, 2, 0).copy()
         for k in range(n):
             d = pivots[:, k] = A[k, k].copy()
             row = A[k].copy()  # row k stands for column k too
@@ -423,22 +442,25 @@ def _invert(S, pivots):
             np.divide(-1.0, d, out=scaled[k])
             A[k] = scaled
             A[:, k] = scaled
-        return np.ascontiguousarray(np.moveaxis(np.negative(A, out=A), -1, 0))
-    h = n // 2
-    Ai = _invert(S[:, :h, :h], pivots[:, :h])
-    W = Ai @ S[:, :h, h:]
-    C = S[:, h:, h:] - np.swapaxes(S[:, :h, h:], 1, 2) @ W
-    C = C + np.swapaxes(C, 1, 2)
+        np.negative(A.transpose(2, 0, 1), out=out)
+        return
+    h, m = n // 2, n - n // 2
+    third = P * m * m
+    W, T, C = (_stack(scratch[i * third:], P, h if i == 0 else m, m) for i in range(3))
+    _invert(S[:, :h, :h], pivots[:, :h], out[:, :h, :h], scratch)
+    np.matmul(out[:, :h, :h], S[:, :h, h:], out=W)
+    np.matmul(np.swapaxes(S[:, :h, h:], 1, 2), W, out=T)
+    np.subtract(S[:, h:, h:], T, out=T)
+    np.add(T, np.swapaxes(T, 1, 2), out=C)
     C *= 0.5
-    Ci = _invert(C, pivots[:, h:])
-    del C
-    X = np.empty_like(S)
-    upper = np.matmul(W, Ci, out=X[:, :h, h:])
+    _invert(C, pivots[:, h:], out[:, h:, h:], scratch[third:2 * third])
+    upper = np.matmul(W, out[:, h:, h:], out=_stack(scratch[third:], P, h, m))
     upper *= -1.0  # -A^-1 B C^-1, then A^-1 + A^-1 B C^-1 B^T A^-1
-    X[:, h:, :h] = np.swapaxes(upper, 1, 2)
-    np.subtract(Ai, upper @ np.swapaxes(W, 1, 2), out=X[:, :h, :h])
-    X[:, h:, h:] = Ci
-    return X
+    out[:, :h, h:] = upper
+    out[:, h:, :h] = np.swapaxes(upper, 1, 2)
+    corner = np.matmul(upper, np.swapaxes(W, 1, 2), out=_stack(scratch[2 * third:], P, h, h))
+    # via scratch: -= on the quadrant would have NumPy buffer two strided operands
+    out[:, :h, :h] = np.subtract(out[:, :h, :h], corner, out=corner)
 
 
 def _factor_counts(A, read, which, e):

@@ -466,12 +466,14 @@ def test_one_worker_pool_per_run(tmp_path, monkeypatch, capsys, command, name, p
 
 def test_meta_records_peak_rss(tmp_path):
     # the sidecar, not a primary output, records the peak RSS of the run's own
-    # process and of the largest pool worker it waited for
+    # process and of the largest pool worker it waited for, and the minor page
+    # faults of its own process
     out = tmp_path / "out"
     assert main(["lifshitz", "--config", str(SHIPPED / "lifshitz.json"), "--out", str(out),
                  "--workers", "2"]) == 0
     meta = json.loads((out / "lifshitz_meta.json").read_text())
     assert meta["peak_rss_mb"] > 0 and meta["pool_peak_rss_mb"] > 0
+    assert isinstance(meta["minor_faults"], int) and meta["minor_faults"] >= 0
     assert "rss" not in (out / "lifshitz.json").read_text()
 
 

@@ -628,13 +628,40 @@ class TestLineKernel:
             return counts
 
         monkeypatch.setattr(ids, "count_below", traced)
-        monkeypatch.setattr(spectral, "_invert",
-                            lambda S, pivots: stacks.append(S.shape) or invert(S, pivots))
+        monkeypatch.setattr(spectral, "_invert", lambda S, pivots, out, scratch:
+                            stacks.append(S.shape) or invert(S, pivots, out, scratch))
         counts = ids._count_block(args)
         assert sum(c.size for c in counts.values()) == 72
         P, b = max(stacks)[:2]
         assert b == 64 and P < 72
         assert peaks[0] <= 3.5 * P * b * b * 8
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor faults as Linux counts them")
+    def test_bench_block_reuses_its_workspace(self):
+        # the count_below call of the same L = 8 block, in a fresh process that
+        # has run no kernel before: one workspace serves every pair group and
+        # block step, where fresh stacks per step took ~37 000 minor page
+        # faults (malloc hands them back and faults them in again)
+        pytest.importorskip("resource")
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        config = Path(__file__).resolve().parents[1] / "bench" / "configs" / "ids_2d.json"
+        probe = (
+            "import resource, sys; from breatherlab import cli, ids; "
+            "from breatherlab.lattice import GridSpec; "
+            "cfg = cli.load_config(sys.argv[1], command='ids'); "
+            "prepared, gs = cli._prepare(cfg, cli.build_model(cfg)); "
+            "M, count, faults = cfg['experiment']['samples'], ids.count_below, []; "
+            "flt = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+            "ids.count_below = lambda H, E: faults.append(-flt()) or (count(H, E), "
+            "faults.append(flt()))[0]; "
+            "ids._count_block((prepared, GridSpec(L=8, n=gs.n, d=2), gs, cli.energies_from("
+            "cfg['experiment']['energies']), cfg['experiment']['seed'], "
+            "ids.stream_indices('realization', 0, M))); "
+            "print(sum(faults))")
+        run = subprocess.run([sys.executable, "-c", probe, str(config)], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert int(run.stdout) < 5000
 
     def test_pairs_are_counted_under_the_stack_cap(self):
         # 2 400 (diagonal, energy) pairs: memory is bounded by STACK_VALUES
