@@ -167,7 +167,7 @@ def pool_size(workers: int, M: int, runs, n: int, d: int) -> int:
     this exceeds 1.  It is 1 unless the work, M * energies * the values one
     count touches summed over runs, exceeds ``POOL_WORK``: a count touches the
     box's points at d = 1 (one Sturm pivot each) and points * n L / 2 at
-    d >= 2 (the line kernel's n L / 2 block steps)."""
+    d >= 2 (the order of the values that the line kernel's block steps touch)."""
     work = sum(M * len(E) * (n * L) ** d * (n * L / 2) ** (d - 1) for L, E, *_ in runs)
     return min(workers, len(runs) * min(workers, M)) if work > POOL_WORK else 1
 

@@ -31,14 +31,15 @@ plus one ``random_potentials`` call over those rows).  A d = 2 box that is not
 periodic, with lines of at most ``LINE_POINTS`` points, runs the red-black line
 kernel: the red points (i + j odd) touch only black ones, so their pivots are
 their diagonal entries minus E, and block LDL^T of the black Schur complement
-takes b/2 steps of two grid lines each, the pairs stacked in groups within
+takes b steps, one anti-diagonal of black points each (blocks of 1, 3, ...,
+b - 1 + b % 2, ..., 3, 1 points), the pairs stacked in groups within
 ``STACK_VALUES``, every group and step in one workspace of three stacks
-allocated once per call, and each line read as it is needed; a pair it
-cannot vouch for is recounted by the path below.  Other sparse operators
-run sparse LDL^T (SuperLU) on each whole diagonal, with a dense eigenvalue
-count (NumPy's ``eigvalsh``) at the same energy when a pivot is near zero,
-the factor grows past ``GROWTH_TOL`` or SuperLU pivots off the diagonal (its
-signs are then not the inertia).  Counts
+allocated once per call, and a group's diagonals read line by line into one
+buffer; a pair it cannot vouch for is recounted by the path below.  Other
+sparse operators run sparse LDL^T (SuperLU) on each whole diagonal, with a
+dense eigenvalue count (NumPy's ``eigvalsh``) at the same energy when a pivot
+is near zero, the factor grows past ``GROWTH_TOL`` or SuperLU pivots off the
+diagonal (its signs are then not the inertia).  Counts
 are taken at E + 0: a pair hitting a pivot or eigenvalue within ``PIVOT_TOL``
 of zero is nudged up by 1e-12*(1+|E|), doubling on each of at most 8 retries,
 which matches the closed-under-"<=" convention up to a measure-zero set of
@@ -67,7 +68,7 @@ SWEEP_VALUES = 2**15  # pivots, and diagonal values, a Sturm sweep holds per blo
 FULL_EIGH_DOF = 256  # at d >= 2, NumPy's full eigh up to here, SciPy's subset eigh above
 LINE_POINTS = 64  # the longest grid line that the line kernel counts; SuperLU above
 STACK_VALUES = 2**20  # values that the line kernel holds at once, all its stacks together
-PROBE_TOL = 1e-8  # the largest |S (X x) - x| / |x| of a line's inverse X on the probe x
+PROBE_TOL = 1e-8  # the largest |S (X x) - x| / |x| of a block's inverse X on the probe x
 LEAF = 8  # the line kernel inverts blocks up to this size by sweeps
 
 
@@ -298,103 +299,113 @@ def _sturm_counts(off, read, which, e):
 def _line_counts(box, read, which, e):
     """Inertia of H - E on a d = 2 box that is not periodic, for every pair
     (k, r) of ``e`` (K, R) as in ``_sturm_counts``: block LDL^T on the black
-    half of the grid.  Write a = diagonal - E and call point (i, j) (line i,
-    position j) red where i + j is odd.  Red points touch only black ones, so
-    they are eliminated first, their pivots the a_r, and leave the black
-    Schur complement, a 9-point stencil: with w_r = coupling^2 / a_r, a black
-    point's diagonal is a_p minus the w_r of its red neighbours, and two black
-    points couple by minus the w_r of the reds they share (one two steps apart
-    on an axis, two for diagonal neighbours).  Group g holds the black points
-    of lines 2g and 2g + 1 in column order, one per column (an odd b leaves a
-    last group of line b - 1's even columns); its block T_g is pentadiagonal
-    and its coupling B_g to group g + 1 has at most 3 entries per column.  So
-    S_0 = T_0 and S_g = T_g - B_{g-1}^T S_{g-1}^-1 B_{g-1}, b/2 steps, and the
-    count is the number of negative a_r plus the negative pivots of the S_g
-    (Haynsworth).
+    half of the grid, one anti-diagonal a step.  Write a = diagonal - E and
+    call point (i, j) (line i, position j) red where i + j is odd.  Red
+    points touch only black ones, so they are eliminated first, their pivots
+    the a_r, and leave the black Schur complement, a 9-point stencil: with
+    w_r = coupling^2 / a_r, a black point's diagonal is a_p minus the w_r of
+    its red neighbours, and two black points couple by minus the w_r of the
+    reds they share.  Step u holds the black points (i, 2u - i) by i, 1, 3,
+    ..., b - 1 + b % 2, ..., 3, 1 of them over the b steps: two neighbours on
+    one anti-diagonal share two reds, so its block T_u is tridiagonal, and
+    B_u couples (i, j) to (i + 1, j + 1), (i + 2, j) and (i, j + 2) through
+    the reds of anti-diagonal 2u + 1, at most 3 entries per column.  So
+    S_0 = T_0 and S_u = T_u - B_{u-1}^T S_{u-1}^-1 B_{u-1}, and the count is
+    the number of negative a_r plus the negative pivots of the S_u
+    (Haynsworth).  Each red anti-diagonal's w_r is formed once, by line with
+    zeros off the box, and serves the steps on both of its sides; once T_u is
+    built, the w_r before it are spent and their row takes the pivots of S_u.
 
-    The pairs run in groups, one (P, b, b) stack per quantity, each line read
-    once per group.  One workspace of three stacks, sized for the largest
-    group and allocated once per call, serves every group and step: B_g is
-    built in the stack S has freed, X B_g goes to the third and B_g^T X B_g
-    to X's, then S_g is symmetrized into B_g's; ``_invert`` writes X into
-    X's stack with the third as its scratch, which then holds I - S X while
-    S's takes the Newton-Schulz product.  With their (P, b) lines they stay
-    within ``STACK_VALUES``.  Every S_g is symmetrized and inverted by
-    ``_invert``, whose pivots are those of unpivoted LDL^T, and its inverse X
-    takes one Newton-Schulz step, X + X (I - S X).  A pair is flagged when an
-    a_r or a pivot lies within PIVOT_TOL of zero, an entry of an S_g grows
-    past GROWTH_TOL (both relative to max(1, max |row| + |E|)), a value is
-    not finite or X misses the fixed probe vector by more than PROBE_TOL;
-    ``_factor_counts`` recounts it at the same energy."""
+    The pairs run in groups, one (P, n, n) stack per quantity, each group's
+    columns read line by line into one (b^2, columns) buffer from which each
+    anti-diagonal is a strided slice.  One workspace of three stacks, sized
+    for the largest group and block and allocated once per call, serves every
+    group and step: B_{u-1} is built in the stack S has freed, X B_{u-1} goes
+    to the third and B_{u-1}^T X B_{u-1} to X's, then S_u is symmetrized into
+    B's; ``_invert`` writes X into X's stack with the third as its scratch,
+    which then holds I - S X while S's takes the Newton-Schulz product.  With
+    their (P, b) anti-diagonals they stay within ``STACK_VALUES``.  Every S_u
+    is symmetrized and inverted by ``_invert``, whose pivots are those of
+    unpivoted LDL^T, and its inverse X takes one Newton-Schulz step,
+    X + X (I - S X).  A pair is flagged when an a_r or a pivot lies within
+    PIVOT_TOL of zero, an entry of an S_u grows past GROWTH_TOL (both relative
+    to max(1, max |row| + |E|)), a value is not finite or X misses the fixed
+    probe vector by more than PROBE_TOL; ``_factor_counts`` recounts it at the
+    same energy."""
     b, K = box.grid.points_per_axis, e.shape[0]
     col_of, k_of = np.divmod(np.arange(e.size), K)  # pair order: by column, then energy
     cols = np.arange(e.shape[1]) if which is None else which
     counts, ok = np.zeros(e.shape, dtype=int), np.zeros(e.shape, dtype=bool)
-    probe, even = _start(b), np.arange(b) % 2 == 0
-    groups = max(1, -(-e.size * b * b * 4 // STACK_VALUES))  # 4 stacks a pair, temporaries too
+    probe, widest = _start(b), b - 1 + b % 2  # anti-diagonal b - 1's block, or b - 2's
+    groups = max(1, -(-e.size * widest**2 * 4 // STACK_VALUES))  # 4 stacks a pair, temporaries too
     group = max(1, -(-e.size // groups))
-    s, x, t = np.empty((3, group * b * b))  # the workspace: S (and B), X, the third stack
+    s, x, t = np.empty((3, group * widest**2))  # the workspace: S (and B), X, the third stack
+    starts = range(0, e.size, group)
+    values = np.empty((b * b, max((col_of[min(i + group, e.size) - 1] - col_of[i] + 1
+                                   for i in starts), default=0)))  # the columns of a group
+    w_next, w_prev = np.empty((2, group, b + 2))  # a red anti-diagonal's w_r at i + 1, 0 off it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for start in range(0, e.size, group):
+        for start in starts:
             c, k = col_of[start:start + group], k_of[start:start + group]
             first, last = c[0], c[-1] + 1
             every = which is None and first == 0 and last == e.shape[1]
             energy, P = e[k, c], c.size
+            for i in range(b):
+                values[i * b:(i + 1) * b, :last - first] = read(
+                    i * b, (i + 1) * b, None if every else cols[first:last])
+            box_values = values[:, :last - first]
+            top = np.maximum(box_values.max(axis=0), -box_values.min(axis=0))[c - first]
             smallest = np.full(P, np.inf)  # |pivot|; a NaN pivot keeps it NaN
-            top, big, miss = np.zeros(P), np.zeros(P), np.zeros(P)
+            big, miss = np.zeros(P), np.zeros(P)
 
-            def lines(g):  # black a and red w of group g; past the last line, no point
-                a = []
-                for i in (2 * g, 2 * g + 1):
-                    if i >= b:  # a = inf: w = 0, and no count
-                        a.append(np.full((P, b), np.inf))
-                        continue
-                    row = read(i * b, (i + 1) * b,
-                               None if every else cols[first:last])[:, c - first]
-                    np.maximum(top, np.abs(row).max(axis=0), out=top)
-                    a.append(row.T - energy[:, None])
-                red = np.where(even, a[1], a[0])
-                counts[k, c] += (red < 0.0).sum(axis=1)
-                np.minimum(smallest, np.abs(red).min(axis=1), out=smallest)
-                return np.where(even, a[0], a[1]), box.coupling**2 / red
+            def diagonal(r):  # a of the points (i, r - i) of anti-diagonal r, and its first i
+                lo, hi = max(0, r - b + 1), min(r, b - 1)
+                return box_values[r + lo * (b - 1):r + hi * (b - 1) + 1:b - 1][:, c - first].T \
+                    - energy[:, None], lo
 
-            pivots, S, X = np.empty((P, b)), _stack(s, P, b, b), None
-            prev, (black, w) = np.zeros((P, b)), lines(0)
-            for g in range(-(-b // 2)):
-                after, w_after = lines(g + 1)
-                S.fill(0.0)
-                if X is not None:  # S = T_g - B^T X B, B = B_{g-1} built in S's free stack
-                    B = S
-                    flat = B.reshape(P, b * b)
-                    flat[:, ::b + 1] = -np.where(even, prev, w)
-                    flat[:, b::2 * b + 2] = -(prev[:, :b - 1:2] + w[:, 1::2])
-                    flat[:, b + 2::2 * b + 2] = -(prev[:, 2::2] + w[:, 1:b - 1:2])
-                    Y = np.matmul(X, B, out=_stack(t, P, b, b))
-                    Z = np.matmul(np.swapaxes(B, 1, 2), Y, out=X)
+            w_p, w_n = w_prev[:P], w_next[:P]
+            w_p.fill(0.0)
+            for u in range(b):
+                black, lo = diagonal(2 * u)
+                n = black.shape[1]
+                w_n.fill(0.0)
+                if u < b - 1:  # red anti-diagonal 2u + 1: counted, guarded and its w_r formed
+                    red, at = diagonal(2 * u + 1)
+                    counts[k, c] += (red < 0.0).sum(axis=1)
+                    np.minimum(smallest, np.abs(red).min(axis=1), out=smallest)
+                    np.divide(box.coupling**2, red, out=w_n[:, at + 1:at + 1 + red.shape[1]])
+                    del red
+                if u == 0:
+                    S = _stack(s, P, n, n)
+                    S.fill(0.0)
+                else:  # S = T_u - B^T X B, B = B_{u-1} built in S's free stack
+                    m = X.shape[1]
+                    B = _stack(s, P, m, n)
+                    B.fill(0.0)
+                    flat = B.reshape(P, m * n)
+                    for d in range(3):  # black (i, j) of the last step to (i + d, j + 2 - d)
+                        i0, i1 = max(lo_prev, lo - d), min(lo_prev + m, lo + n - d)
+                        band = flat[:, (i0 - lo_prev) * n + i0 + d - lo::n + 1][:, :i1 - i0]
+                        if d < 2:  # through the red (i, j + 1)
+                            band -= w_p[:, i0 + 1:i1 + 1]
+                        if d > 0:  # through the red (i + 1, j)
+                            band -= w_p[:, i0 + 2:i1 + 2]
+                    Y = np.matmul(X, B, out=_stack(t, P, m, n))
+                    Z = np.matmul(np.swapaxes(B, 1, 2), Y, out=_stack(x, P, n, n))
                     Z *= -0.5
-                    np.add(Z, np.swapaxes(Z, 1, 2), out=S)
-                flat = S.reshape(P, b * b)
-                diag = black - w - np.where(even, prev, w_after)
-                diag[:, :-1] -= w[:, 1:]
-                diag[:, 1:] -= w[:, :-1]
-                flat[:, ::b + 1] += diag
-                side = -(w[:, :-1] + w[:, 1:])
-                flat[:, 1::b + 1] += side
-                flat[:, b::b + 1] += side
-                flat[:, 2:b * b - b:b + 1] -= w[:, 1:-1]
-                flat[:, 2 * b::b + 1] -= w[:, 1:-1]
-                del diag, side  # freed before _invert runs
-                if 2 * g + 1 == b:  # one line left: its black points, the even columns, move
-                    odd, s, x = S[:, ::2, ::2], x, s  # to X's free stack
-                    S = _stack(s, P, odd.shape[1], odd.shape[1])
-                    S[...] = odd
-                n = S.shape[1]
+                    S = np.add(Z, np.swapaxes(Z, 1, 2), out=_stack(s, P, n, n))
                 flat = S.reshape(P, n * n)
+                flat[:, ::n + 1] += (black - w_n[:, lo + 1:lo + n + 1] - w_n[:, lo + 2:lo + n + 2]
+                                     - w_p[:, lo:lo + n] - w_p[:, lo + 1:lo + n + 1])
+                side = -(w_n[:, lo + 2:lo + n + 1] + w_p[:, lo + 1:lo + n])
+                flat[:, 1::n + 1] += side
+                flat[:, n::n + 1] += side
+                del black, side  # freed before _invert runs
                 np.maximum(big, np.maximum(flat.max(axis=1), -flat.min(axis=1)), out=big)
-                X = _stack(x, P, n, n)
-                _invert(S, pivots[:, :n], X, t)
-                counts[k, c] += (pivots[:, :n] < 0.0).sum(axis=1)
-                np.minimum(smallest, np.abs(pivots[:, :n]).min(axis=1), out=smallest)
+                X, pivots = _stack(x, P, n, n), w_p[:, :n]  # that red's w_r are spent
+                _invert(S, pivots, X, t)
+                counts[k, c] += (pivots < 0.0).sum(axis=1)
+                np.minimum(smallest, np.abs(pivots).min(axis=1), out=smallest)
                 R = np.matmul(S, X, out=_stack(t, P, n, n))  # R = I - S X, then X + X R
                 R *= -1.0
                 R.reshape(P, n * n)[:, ::n + 1] += 1.0
@@ -404,7 +415,7 @@ def _line_counts(box, read, which, e):
                            out=miss)
                 X += np.matmul(X, R, out=S)
                 del y
-                prev, black, w = w, after, w_after
+                w_p, w_n, lo_prev = w_n, w_p, lo
             scale = np.maximum(1.0, top + np.abs(energy))
             ok[k, c] = ((smallest > PIVOT_TOL * scale) & (big <= GROWTH_TOL * scale)
                         & (miss <= PROBE_TOL))
@@ -506,9 +517,9 @@ def count_below(H, E):
 
     A tridiagonal operator runs one Sturm sweep over all (row, energy) pairs,
     a d = 2 box that is not periodic (lines up to ``LINE_POINTS`` points) block
-    LDL^T along its grid lines; other sparse input runs sparse LDL^T, with a
-    dense eigenvalue count at the same energy on breakdown; ndarray input runs
-    the eigenvalue count.  A pair
+    LDL^T along its black anti-diagonals; other sparse input runs sparse
+    LDL^T, with a dense eigenvalue count at the same energy on breakdown;
+    ndarray input runs the eigenvalue count.  A pair
     meeting a near-zero pivot is retried at a nudged energy, at most 8 times,
     reading the diagonals of the retried pairs alone.
     """

@@ -452,7 +452,7 @@ class TestEstimate:
     def test_pool_size(self, workers, runs, M, size):
         # min(workers, blocks) over runs * min(workers, M) blocks; > 1 opens a
         # pool.  Each run here is work enough alone: 32 energies on a d = 2
-        # box of 64 x 64 points, 32 block steps a count
+        # box of 64 x 64 points
         assert pool_size(workers, M, [(8, [0.0] * 32)] * runs, 8, 2) == size
 
     def test_no_pool_below_the_work_threshold(self):

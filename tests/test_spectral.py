@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -473,13 +474,71 @@ class TestOneEngine:
 
 class TestLineKernel:
     """d = 2 boxes that are not periodic count by block LDL^T on the black
-    half of the grid, two lines a step (``spectral._line_counts``); the twins
-    of the SuperLU tests above."""
+    half of the grid, one anti-diagonal a step (``spectral._line_counts``);
+    the twins of the SuperLU tests above."""
+
+    def check_edges(self, monkeypatch, b, base, dense, count):
+        # operators of b x b points with diagonals around ``base``, counted by
+        # ``count(rows, energies)``: energies across the spectrum and on a red
+        # and a black diagonal entry of operator 0, at a corner and inside;
+        # each count equals eigvalsh's on ``dense(row)``, and only pairs on a
+        # diagonal entry may be recounted
+        rng = np.random.default_rng(b)
+        rows = base + rng.uniform(-20.0, 20.0, size=(3, b * b))
+        w = np.array([linalg.eigvalsh(dense(row)) for row in rows])
+        on_entry = rows[0, [1, b * b - 2, 0, (b // 2) * (b + 1)]]  # red, red, black, black
+        energies = np.r_[np.sort(rng.uniform(w.min() - 1.0, w.max() + 1.0, 5)), on_entry]
+        assert np.abs(w[:, :, None] - energies).min() > 1e-6
+        recounted, factor_counts = [], spectral._factor_counts
+
+        def spy(A, read, which, e):
+            recounted.extend(zip(which.tolist(), e[0].tolist()))
+            return factor_counts(A, read, which, e)
+
+        monkeypatch.setattr(spectral, "_factor_counts", spy)
+        assert np.array_equal(count(rows, energies), (w[:, :, None] <= energies).sum(axis=1))
+        assert all(r == 0 and np.abs(E - on_entry).min() < 1e-9 for r, E in recounted)
+
+    @pytest.mark.parametrize("b", range(4, 18))
+    def test_anti_diagonal_edges(self, monkeypatch, b):
+        # b = 4 ... 17 points a side, one cell: an even b's largest block is
+        # b - 1, an odd b's b, and from b = 9 on they pass LEAF; the
+        # Mezincescu condition sees a V_per, so its faces differ from Neumann's
+        model, gs = prepare_model(replace(bare_d2_model(), vper=PeriodicPotentialSpec(
+            kind="cosine-sum", amplitudes=(0.5, 0.5))), b)
+        grid = GridSpec(L=1, n=b, d=2)
+        for bc in (DIRICHLET, NEUMANN, mezincescu_correction(gs, grid)):
+            box = skeleton(model, grid, bc)
+            H = box.hamiltonian()
+            self.check_edges(monkeypatch, b, box.diagonal(box.vper),
+                             lambda row: replace(H, diag=row).to_dense(),
+                             lambda rows, E: count_below(replace(H, diag=rows), E))
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_boxes_below_a_cell(self, monkeypatch, b):
+        # b = 2 and 3, below a cell's 4 points: the kernel alone, on a
+        # stand-in box with the coupling of n = 4
+        c, path = -16.0, np.eye(b, k=1) + np.eye(b, k=-1)
+        off = c * (np.kron(path, np.eye(b)) + np.kron(np.eye(b), path))
+        box = SimpleNamespace(grid=SimpleNamespace(points_per_axis=b), coupling=c,
+                              stencil=sps.csr_matrix(off + np.eye(b * b)))
+
+        def count(rows, energies):
+            cols = np.ascontiguousarray(rows.T)
+            got, ok = spectral._line_counts(
+                box, lambda i, j, which: cols[i:j] if which is None else cols[i:j, which], None,
+                np.repeat(energies[:, None], rows.shape[0], axis=1))
+            assert ok.all()
+            return got.T
+
+        self.check_edges(monkeypatch, b, np.full(b * b, -4.0 * c),
+                         lambda row: off + np.diag(row), count)
 
     @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
     @pytest.mark.parametrize("L", [1, 3])
     def test_odd_points_per_axis(self, bc, L):
-        # n = 5: lines of 5 and 15 points, whose last group is one line
+        # n = 5: lines of 5 and 15 points, whose largest anti-diagonal block
+        # is a whole line
         box = skeleton(bare_d2_model(), GridSpec(L=L, n=5, d=2), bc)
         rng = np.random.default_rng(L)
         rows = box.diagonal(box.vper) + rng.uniform(-20.0, 20.0, size=(3, box.grid.num_dof))
@@ -604,8 +663,8 @@ class TestLineKernel:
     def test_bench_block_holds_under_four_stacks(self, monkeypatch):
         # the count_below call of the L = 8 block of bench/configs/ids_2d.json
         # at its seed, 72 pairs at b = 64: the kernel holds about three
-        # (P, b, b) stacks of its largest pair group (3.2 of them), so a fourth
-        # one held at once fails this bound
+        # (P, 63, 63) stacks, its largest anti-diagonal block, for its largest
+        # pair group (3.3 of them), so a fourth one held at once fails this bound
         from breatherlab import cli, ids
 
         cfg = cli.load_config(str(Path(__file__).resolve().parents[1] / "bench" / "configs"
@@ -633,8 +692,29 @@ class TestLineKernel:
         counts = ids._count_block(args)
         assert sum(c.size for c in counts.values()) == 72
         P, b = max(stacks)[:2]
-        assert b == 64 and P < 72
+        assert b == 63 and P < 72
         assert peaks[0] <= 3.5 * P * b * b * 8
+
+    def test_bench_blocks_need_no_recount(self, monkeypatch):
+        # both blocks of bench/configs/ids_2d.json, at its seed and at seeds
+        # 0-3: the kernel vouches for every pair, so SuperLU is never called
+        from breatherlab import cli, ids
+
+        cfg = cli.load_config(str(Path(__file__).resolve().parents[1] / "bench" / "configs"
+                                  / "ids_2d.json"), command="ids")
+        prepared, gs = cli._prepare(cfg, cli.build_model(cfg))
+        experiment, recounted, factor_counts = cfg["experiment"], [], spectral._factor_counts
+        monkeypatch.setattr(spectral, "_factor_counts",
+                            lambda A, read, which, e: recounted.append(e.size)
+                            or factor_counts(A, read, which, e))
+        for seed in (experiment["seed"], 0, 1, 2, 3):
+            for L in cfg["grid"]["L"]:
+                counts = ids._count_block((prepared, GridSpec(L=L, n=gs.n, d=2), gs,
+                                           cli.energies_from(experiment["energies"]), seed,
+                                           ids.stream_indices("realization", 0,
+                                                              experiment["samples"])))
+                assert sum(c.size for c in counts.values()) == 72
+        assert recounted == []
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="minor faults as Linux counts them")
