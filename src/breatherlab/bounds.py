@@ -16,8 +16,9 @@ chain and the Dirichlet upper bound are checked as concrete numerical
 inequalities with every constant recorded.
 
 Inequalities on random levels are inertia counts: with N(x) the number of
-eigenvalues <= x, E1 > x iff N(x) = 0 and E2 > x iff N(x) <= 1.  Each check
-makes one ``count_below`` call; only ``periodic_levels`` solves for levels.
+eigenvalues <= x, E1 > x iff N(x) = 0 and E2 > x iff N(x) <= 1.  The Temple
+and Dirichlet checks make one ``count_below`` call each, and the corollary reads
+its premise off Temple's; only ``periodic_levels`` solves for levels.
 
 A leading batch axis is optional throughout: ``map_realization`` maps one
 coupling field (L**d,) or a batch (B, L**d), in site order as ``ids.sample_fields``
@@ -258,13 +259,6 @@ def periodic_levels(box: BoxSkeleton) -> np.ndarray:
     return lowest_eigenvalues(box.hamiltonian(), 2).energies
 
 
-def _cutoff_operator(box: BoxSkeleton, mapped: MappedRealization):
-    """H_cut of each realization of ``mapped`` on its ``ground_state_box``."""
-    if mapped.grid != box.grid:
-        raise InputError(f"realization mapped on {mapped.grid}, not on {box.grid}")
-    return box.hamiltonian(mapped.potential)
-
-
 def temple_lower_bounds(box: BoxSkeleton, mapped: MappedRealization, cfg: TempleConfig,
                         per) -> BoundReport:
     """Check E1 of each realization's cutoff operator against (3/4) of its
@@ -275,15 +269,17 @@ def temple_lower_bounds(box: BoxSkeleton, mapped: MappedRealization, cfg: Temple
     chain 0 = E1(per) <= E1(cut) <= form < nu <= E2(per) <= E2(cut) is verified
     link by link, the cutoff levels' links by the same count; a broken link
     fails the realization (bad constants, not a solver bug), and ``links``
-    tells which.
+    tells which.  The constant ``escale_count`` is N(energy scale), the corollary's.
     """
-    H = _cutoff_operator(box, mapped)
+    if mapped.grid != box.grid:
+        raise InputError(f"realization mapped on {mapped.grid}, not on {box.grid}")
+    H = box.hamiltonian(mapped.potential)
     form, mean_xi, sq_value, _ = _moments(box.psi, mapped, H)
     nu = cfg.epsilon0 / (2.0 * box.grid.L**2) + form
     tau = 1e-9 * (1.0 + abs(per[1]))
     rhs = 0.75 * mean_xi
-    lhs, verdict, (n_e1, n_form, n_e2) = _level_check(H, rhs, False, per[0] - tau, form + tau,
-                                                      per[1] - tau)
+    lhs, verdict, (n_e1, n_form, n_e2, n_escale) = _level_check(
+        H, rhs, False, per[0] - tau, form + tau, per[1] - tau, cfg.energy_scale)
     links = {
         "E1(per) = 0": np.full(rhs.shape, abs(per[0]) <= tau),
         "E1(per) <= E1(cut)": n_e1 == 0,
@@ -293,20 +289,21 @@ def temple_lower_bounds(box: BoxSkeleton, mapped: MappedRealization, cfg: Temple
         "E2(per) <= E2(cut)": n_e2 <= 1,
     }
     chain = np.logical_and.reduce(list(links.values()))
-    constants = {"form": form, "second_moment": sq_value, "links": links}
+    constants = {"form": form, "second_moment": sq_value, "links": links, "escale_count": n_escale}
     return BoundReport(name="temple-lower-bound", lhs=lhs, rhs=rhs,
                        verdict=np.where(chain, verdict, "fail"), constants=constants)
 
 
-def counting_corollary_check(box: BoxSkeleton, mapped: MappedRealization, escale: float,
-                             gamma: float) -> BoundReport:
+def counting_corollary_check(mapped: MappedRealization, escale: float, gamma: float,
+                             below) -> BoundReport:
     """If E1 <= escale, most mapped values must be small:
-    #{xi_k < 2 gamma escale} > ((gamma-1)/gamma) L^d.  Vacuous when E1 > escale:
-    where the cutoff operator on ``box``, the ``ground_state_box``, has N(escale) = 0."""
+    #{xi_k < 2 gamma escale} > ((gamma-1)/gamma) L^d.  ``below`` is N(escale) of
+    each realization's cutoff operator, Temple's ``escale_count``; the check is
+    vacuous (E1 > escale) where it is 0."""
     Ld = mapped.xi.shape[-1]
     small = (mapped.xi < 2.0 * gamma * escale).sum(axis=-1)
     threshold = (gamma - 1.0) / gamma * Ld
-    vacuous = count_below(_cutoff_operator(box, mapped), escale) == 0
+    vacuous = below == 0
     constants = {"energy_scale": escale, "gamma": gamma, "Ld": Ld, "vacuous": vacuous}
     return BoundReport(name="counting-corollary", lhs=small,
                        rhs=np.full(small.shape, threshold),

@@ -741,7 +741,8 @@ def cmd_bounds(cfg, out_dir: Path, digest: str):
             test = bounds_mod.dirichlet_test_function(prepared, boxes[L].grid)
             mapped = bounds_mod.map_realization(gs, prepared, test.grid, draw("temple", L), tcfg)
             temple = bounds_mod.temple_lower_bounds(boxes[L], mapped, tcfg, levels[L])
-            cor = bounds_mod.counting_corollary_check(boxes[L], mapped, tcfg.energy_scale, gamma)
+            cor = bounds_mod.counting_corollary_check(
+                mapped, tcfg.energy_scale, gamma, temple.constants["escale_count"])
             dev = bounds_mod.deviation_chain_check(mapped, tcfg)
             upper = bounds_mod.dirichlet_upper_bounds(prepared, draw("dirichlet", L), test)
             for out, rep in ((corollary_out, cor), (deviation_out, dev), (diri, upper)):

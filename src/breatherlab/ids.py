@@ -13,10 +13,10 @@ streams at a time.  A block's Dirichlet and ground-state diagonals are one
 realizations and energies, computing each row block from the fields as it
 reads it.  A run is (box side, energies, stream slot): ``estimate_ids`` makes
 one per box side, all at slot 0, and ``matched_box_curve`` one per energy
-point.  Each run's realizations are split into min(workers, M) contiguous
-index blocks, and with more than one worker, on work above ``POOL_WORK``,
-every block of every run is submitted to one process pool before any is
-awaited; merged in block order, the counts do not depend on the workers.
+point.  Without a pool a run is one block; a pool, opened for more than one
+worker on work above ``POOL_WORK``, takes min(workers, M) contiguous index
+blocks of every run, all submitted before any is awaited; merged in block
+order, the counts do not depend on the workers.
 
 Estimates are normalized eigenvalue counts N(E, H^{L,X}) / L^d averaged over
 realizations; Dirichlet counts ("D") bound the limit from below and
@@ -163,11 +163,12 @@ def _count_block(args):
 
 def pool_size(workers: int, M: int, runs, n: int, d: int) -> int:
     """Processes for ``runs`` (box side L, energies, ...) of M realizations
-    each, split into min(workers, M) index blocks; a pool is opened only where
-    this exceeds 1.  It is 1 unless the work, M * energies * the values one
-    count touches summed over runs, exceeds ``POOL_WORK``: a count touches the
-    box's points at d = 1 (one Sturm pivot each) and points * n L / 2 at
-    d >= 2 (the order of the values that the line kernel's block steps touch)."""
+    each, which a pool splits into min(workers, M) index blocks; a pool is
+    opened only where this exceeds 1.  It is 1 unless the work, M * energies *
+    the values one count touches summed over runs, exceeds ``POOL_WORK``: a
+    count touches the box's points at d = 1 (one Sturm pivot each) and
+    points * n L / 2 at d >= 2 (the order of the values that the line
+    kernel's block steps touch)."""
     work = sum(M * len(E) * (n * L) ** d * (n * L / 2) ** (d - 1) for L, E, *_ in runs)
     return min(workers, len(runs) * min(workers, M)) if work > POOL_WORK else 1
 
@@ -176,11 +177,11 @@ def _estimate_runs(model, gs, runs, M: int, master_seed: int, workers: int):
     """(estimates, errors, counts) of each run (L, energies, "realization" stream
     slot): every index block of every run is submitted to one pool before any
     result is awaited, and each run is reduced over its own (M, len(energies)) counts."""
-    blocks = min(workers, M)  # per run
+    processes = pool_size(workers, M, runs, gs.n, model.d)
+    blocks = min(workers, M) if processes > 1 else 1  # per run
     tasks = [(model, GridSpec(L=L, n=gs.n, d=model.d), gs, energies, master_seed, blk)
              for L, energies, slot in runs
              for blk in np.array_split(stream_indices("realization", slot, M), blocks)]
-    processes = pool_size(workers, M, runs, gs.n, model.d)
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -205,7 +205,7 @@ class DiscreteHamiltonian:
             return y
         if cols:  # work on (..., k, N): the points on the last axis
             x = np.swapaxes(x, -1, -2)
-        diag = self.diag[..., None, :] if cols else self.diag
+        diag = self.diag[..., None, :] if cols else self.diag  # d = 1: bands; the table costs RSS
         off, wrap = self.box.off, self.box.wrap
         y = diag * x  # row i: ((off x[i-1] + diag x[i]) + off x[i+1])
         y[..., 1:] = off * x[..., :-1] + y[..., 1:]
@@ -221,7 +221,7 @@ class DiscreteHamiltonian:
             dense = np.zeros((N, N + 1))  # column N takes the missing neighbors
             np.put_along_axis(dense, table, self._entries(), axis=1)
             return dense[:, :N]
-        dense = np.diag(self.diag)
+        dense = np.diag(self.diag)  # d = 1: bands; the table gives these bits but more peak RSS
         i = np.arange(self.num_dof - 1)
         dense[i, i + 1] = dense[i + 1, i] = self.box.off
         if self.box.wrap:

@@ -254,7 +254,8 @@ def test_criterion_06_deviation_machinery(cosine_env):
         sites += 6
     mapped = map_realization(gs, model, grid, np.array(fields), cfg)
     # whether E1 <= escale, for every cutoff operator from one batched count on the box
-    cor = counting_corollary_check(box, mapped, cfg.energy_scale, cfg.gamma)
+    below = count_below(box.hamiltonian(mapped.potential), cfg.energy_scale)
+    cor = counting_corollary_check(mapped, cfg.energy_scale, cfg.gamma, below)
     dev = deviation_chain_check(mapped, cfg)
     corollary_bad = int(np.sum(~cor.passed))
     deviation_bad = int(np.sum(dev.constants["violations"]))

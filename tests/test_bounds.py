@@ -74,6 +74,11 @@ def flat_background_model():
     )
 
 
+def escale_count(box, mapped, cfg):
+    """N(energy scale) of each cutoff operator of ``mapped``, read off Temple's count."""
+    return temple_lower_bounds(box, mapped, cfg, periodic_levels(box)).constants["escale_count"]
+
+
 @pytest.fixture(scope="module")
 def prepped():
     return prepare_model(base_model(), 16)
@@ -186,7 +191,8 @@ class TestMapRealization:
         box = ground_state_box(model, gs, grid)
         temple = temple_lower_bounds(box, mapped, cfg6, periodic_levels(box))
         reports = [temple,
-                   counting_corollary_check(box, mapped, cfg6.energy_scale, cfg6.gamma),
+                   counting_corollary_check(mapped, cfg6.energy_scale, cfg6.gamma,
+                                            temple.constants["escale_count"]),
                    deviation_chain_check(mapped, cfg6),
                    dirichlet_upper_bounds(model, mapped.couplings,
                                           dirichlet_test_function(model, grid))]
@@ -351,8 +357,9 @@ class TestCorollary:
         grid = GridSpec(L=6, n=16)
         mapped = map_realization(gs, model, grid, np.full(6, 1.0), cfg6)
         # the floor field's E1 = 0 <= escale, so the check is not vacuous
-        rep = counting_corollary_check(ground_state_box(model, gs, grid), mapped,
-                                       escale=cfg6.energy_scale, gamma=cfg6.gamma)
+        below = escale_count(ground_state_box(model, gs, grid), mapped, cfg6)
+        rep = counting_corollary_check(mapped, escale=cfg6.energy_scale, gamma=cfg6.gamma,
+                                       below=below)
         assert rep.verdict == "pass"
         assert rep.lhs == 6  # every site counts as small
         assert not rep.constants["vacuous"]
@@ -361,8 +368,9 @@ class TestCorollary:
         model, gs = prepped
         grid = GridSpec(L=6, n=16)
         mapped = map_realization(gs, model, grid, np.full(6, 1.0), cfg6)
-        rep = counting_corollary_check(ground_state_box(model, gs, grid), mapped, escale=1e-3,
-                                       gamma=2.0)
+        H = ground_state_box(model, gs, grid).hamiltonian(mapped.potential)
+        rep = counting_corollary_check(mapped, escale=1e-3, gamma=2.0,
+                                       below=spectral.count_below(H, 1e-3))
         assert rep.rhs == pytest.approx(3.0)  # (gamma-1)/gamma = 1/2 of L^d
         assert not rep.constants["vacuous"]
 
@@ -378,7 +386,8 @@ class TestCorollary:
         rng = np.random.default_rng(31)
         lams = atom.sample(rng.random((200, 4)))  # the stream of 200 draws of 4
         mapped = map_realization(gs, model, grid, lams, cfg)
-        rep = counting_corollary_check(box, mapped, cfg.energy_scale, cfg.gamma)
+        rep = counting_corollary_check(mapped, cfg.energy_scale, cfg.gamma,
+                                       escale_count(box, mapped, cfg))
         assert rep.passed.all()
         # vacuity is E1 > escale: the count agrees with an independent eigensolve
         # of each realization's cutoff operator, assembled from its couplings
@@ -559,13 +568,15 @@ class TestBatching:
         fields = 1.0 + width[:, None] * rng.random((24, 6))
         fields[::4] = 1.0
         mapped = map_realization(gs, model, grid, fields, cfg6)
-        cor = counting_corollary_check(box, mapped, cfg6.energy_scale, cfg6.gamma)
+        cor = counting_corollary_check(mapped, cfg6.energy_scale, cfg6.gamma,
+                                       escale_count(box, mapped, cfg6))
         dev = deviation_chain_check(mapped, cfg6)
         assert 0 < cor.constants["vacuous"].sum() < 24
         assert dev.constants["premise_count"].sum() > 0
         for b, lams in enumerate(fields):
             one = map_realization(gs, model, grid, lams, cfg6)
-            alone = counting_corollary_check(box, one, cfg6.energy_scale, cfg6.gamma)
+            alone = counting_corollary_check(one, cfg6.energy_scale, cfg6.gamma,
+                                             escale_count(box, one, cfg6))
             assert alone.verdict == cor.verdict[b]
             assert alone.lhs == cor.lhs[b] and alone.rhs == cor.rhs[b]
             assert alone.constants["vacuous"] == cor.constants["vacuous"][b]
@@ -654,7 +665,8 @@ class TestCountedVerdicts:
         e1 = lowest_eigenvalues(box.hamiltonian(mapped.potential), 1).energies[0]
         for target, vacuous in ((escale - tol, False), (escale + tol, True)):
             shifted = replace(mapped, potential=mapped.potential + (target - e1))
-            rep = counting_corollary_check(box, shifted, escale, cfg6.gamma)
+            rep = counting_corollary_check(shifted, escale, cfg6.gamma,
+                                           escale_count(box, shifted, cfg6))
             assert rep.constants["vacuous"] == vacuous
 
     def test_dirichlet_bound_turns_with_rhs(self):

@@ -1515,10 +1515,11 @@ class TestBounds:
         assert builds == {(1, "periodic"): 2,
                           **{(L, "mezincescu"): 1 for L in (2, 3, 4, 6)},
                           **{(L, "dirichlet"): 1 for L in (4, 6)}}
-        # periodic levels are the only solve, once per side; the Temple,
-        # corollary and Dirichlet verdicts are one count each per Temple box
+        # periodic levels are the only solve, once per side; the Temple and
+        # Dirichlet verdicts are one count each per Temple box, and the
+        # corollary reads its premise off Temple's
         assert calls["lowest_eigenvalues"] == sides
-        assert calls["count_below"] == 3 * temple
+        assert calls["count_below"] == 2 * temple
 
     def test_ground_state_tiled_once_per_temple_box(self, tmp_path, monkeypatch, capsys):
         from breatherlab import bounds as bounds_mod

@@ -418,9 +418,11 @@ class TestEstimate:
             tracemalloc.stop()
         assert peak <= 1.15 * (M * L + 4 * SWEEP_VALUES) * 8
 
-    def test_workers_equivalent(self, prepped):
-        # M = 6 < 4 * workers splits too: every M runs in min(workers, M) blocks,
-        # for one box side and for a matched curve's three energy points alike
+    def test_workers_equivalent(self, prepped, monkeypatch):
+        # a pool, forced by a zero work threshold, splits M = 6 < 4 * workers
+        # too: every M runs in min(workers, M) blocks, for one box side and for
+        # a matched curve's three energy points alike, merged in block order
+        monkeypatch.setattr(ids, "POOL_WORK", 0)
         model, gs = prepped
         for M in (16, 6):
             for estimate in (
@@ -430,6 +432,29 @@ class TestEstimate:
                 serial, parallel = estimate(1), estimate(2)
                 assert np.array_equal(serial.counts["D"], parallel.counts["D"])
                 assert np.array_equal(serial.counts["M"], parallel.counts["M"])
+
+    def test_no_pool_one_block_per_run(self, prepped, monkeypatch):
+        # below POOL_WORK two workers open no pool, so each run is one block,
+        # counted by one _count_block call, as at one worker
+        model, gs = prepped
+        blocks, count_block = [], ids._count_block
+
+        def spy(task):  # records each block's realizations
+            blocks.append(len(task[-1]))
+            return count_block(task)
+
+        monkeypatch.setattr(ids, "_count_block", spy)
+        for runs, estimate in (
+                (2, lambda workers: estimate_ids(model, gs, [6, 4], [1.0], 9, 5,
+                                                 workers=workers)[4]),
+                (3, lambda workers: matched_box_curve(model, gs, [0.5, 1.0, 2.0], 9, 5,
+                                                      B2=np.pi**2, workers=workers))):
+            serial = estimate(1)
+            blocks.clear()
+            parallel = estimate(2)
+            assert blocks == [9] * runs
+            for lab in ("D", "M"):
+                assert np.array_equal(serial.counts[lab], parallel.counts[lab])
 
     def test_sides_of_one_call_match_single_sides(self, prepped):
         # one call over several sides at two workers gives each side the curve
